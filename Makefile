@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint cover bench bench-all bench-obs bench-peer bench-hotpath bench-write trace-smoke peer-smoke chaos-smoke crash-smoke repro repro-full examples fuzz fuzz-smoke clean
+.PHONY: all build test stress bench-smoke race vet lint cover bench bench-all bench-obs bench-peer bench-hotpath bench-write trace-smoke peer-smoke chaos-smoke crash-smoke repro repro-full examples fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -25,18 +25,34 @@ lint: vet
 # The default test run vets first, includes a short-mode race pass over
 # the concurrency-heavy packages (so data races in the
 # read/placement/fault paths fail fast without the cost of racing the
-# full experiment sweep), and finishes with a brief fuzz smoke over the
-# committed corpora.
+# full experiment sweep), repeats the interleaving-sensitive stress
+# tests, keeps the benchmark harness compiling, and finishes with a
+# brief fuzz smoke over the committed corpora.
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -tags debug ./internal/bufpool/
 	$(GO) test -race -short ./internal/core/ ./internal/pool/ ./internal/storage/ ./internal/obs/ ./internal/bufpool/ ./internal/peernet/ ./internal/journal/
+	$(MAKE) stress
+	$(MAKE) bench-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) peer-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) crash-smoke
 	$(MAKE) fuzz-smoke
+
+# The evict/re-place/read and fan-in stress tests pass or fail on the
+# interleaving they happen to get, so one run proves little: repeat
+# them, oversubscribed, plain and under the race detector.
+stress:
+	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
+
+# bench/ is its own module (the BENCHMARK.json ledger harness), so
+# `go test ./...` at the root never compiles it: run its tests here so
+# a core API change cannot silently break it.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # Race the whole module. The package list comes from `go list` at run
 # time, so new packages can never silently drift out of race coverage

@@ -72,8 +72,7 @@ type Config struct {
 	// level is the PFS: it must already hold the dataset and is treated
 	// as a read-only source. At least two levels are required.
 	Levels []storage.Backend
-	// Pool executes background placements. Required unless every read
-	// should be served from the source (Disabled).
+	// Pool executes background placements. Required.
 	Pool pool.Executor
 	// FullFileFetch enables the §III-A optimisation: when the framework
 	// reads only a slice of a file, the background copy still fetches
@@ -109,23 +108,20 @@ type Config struct {
 	Tenants []TenantConfig
 	// Health tunes the per-tier circuit breaker that demotes entries
 	// off failing tiers and probes Down tiers for recovery. The zero
-	// value enables the breaker with defaults; set Health.Disabled for
-	// the pre-breaker behaviour.
+	// value uses the default thresholds.
 	Health HealthConfig
 	// Retry re-queues placements that failed transiently instead of
 	// marking the file unplaceable. The zero value disables retries.
 	Retry RetryPolicy
-	// Disabled turns Monarch into a pass-through to the source level
-	// (used by baselines that want the namespace but no tiering).
-	Disabled bool
 	// Events, when non-nil, receives placement/eviction/fallback events
 	// for observability. The log never blocks the data path.
 	Events *EventLog
 	// MetricsAddr, when non-empty, serves the instance's metrics
 	// registry over HTTP at this "host:port" (":0" picks a free port;
 	// see Monarch.MetricsURL). Endpoints: /metrics (Prometheus text),
-	// /metrics.json (JSON snapshot), /debug/vars (expvar-style map).
-	// The server starts in New and stops with Close/Shutdown.
+	// /metrics.json (JSON snapshot), /debug/vars (expvar-style map),
+	// /debug/pprof/. The server starts in New and stops with
+	// Close/Shutdown.
 	MetricsAddr string
 	// Trace, when non-nil, receives typed spans from the read,
 	// placement, chunk-copy and probe paths. The hook runs
@@ -150,9 +146,6 @@ type Config struct {
 	// TraceMeta is embedded verbatim in the trace header (scale,
 	// dataset name, copy-chunk size — whatever replays need).
 	TraceMeta map[string]string
-	// DisablePprof removes the net/http/pprof handlers that the
-	// MetricsAddr endpoint serves under /debug/pprof/ by default.
-	DisablePprof bool
 	// Peer wires a peer cache tier (a level serving sibling nodes'
 	// caches over the wire) into the read path; see PeerConfig.
 	Peer PeerConfig
@@ -227,7 +220,7 @@ func New(cfg Config) (*Monarch, error) {
 	if len(cfg.Levels) < 2 {
 		return nil, fmt.Errorf("monarch: need at least 2 levels (got %d)", len(cfg.Levels))
 	}
-	if cfg.Pool == nil && !cfg.Disabled {
+	if cfg.Pool == nil {
 		return nil, fmt.Errorf("monarch: placement pool required")
 	}
 	if cfg.ChunkSize < 0 {
@@ -243,9 +236,6 @@ func New(cfg Config) (*Monarch, error) {
 		}
 	}
 	if cfg.Write.Enabled {
-		if cfg.Disabled {
-			return nil, fmt.Errorf("monarch: the write path requires tiering (Disabled is set)")
-		}
 		if _, ok := cfg.Levels[0].(storage.RangeWriter); !ok {
 			return nil, fmt.Errorf("monarch: the write path requires level 0 (%s) to implement storage.RangeWriter",
 				cfg.Levels[0].Name())
@@ -332,7 +322,7 @@ func (m *Monarch) Init(ctx context.Context) error {
 		}
 		m.tracer.AddFiles(files)
 	}
-	if m.cfg.Staging == StagePreTraining && !m.cfg.Disabled {
+	if m.cfg.Staging == StagePreTraining {
 		return m.preStage(ctx)
 	}
 	return nil
@@ -367,9 +357,7 @@ func (m *Monarch) Close() {
 		// snapshot, seal the journal.
 		m.writes.close(true)
 	}
-	if m.cfg.Pool != nil {
-		m.cfg.Pool.Close()
-	}
+	m.cfg.Pool.Close()
 	m.closeTrace()
 }
 
@@ -383,9 +371,7 @@ func (m *Monarch) Shutdown() {
 		// write-back byte; the next Init replays them into the PFS.
 		m.writes.close(false)
 	}
-	if m.cfg.Pool != nil {
-		m.cfg.Pool.Shutdown()
-	}
+	m.cfg.Pool.Shutdown()
 	m.closeTrace()
 }
 
@@ -394,49 +380,174 @@ func (m *Monarch) Shutdown() {
 // on the first read of a file — schedules its background placement
 // into the highest tier with free space.
 func (m *Monarch) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
-	start := time.Now()
+	return m.read(ctx, name, off, int64(len(p)), &sink{buf: p})
+}
+
+// ReadView serves up to n bytes of the named file at offset off as a
+// borrowed, read-only view — the copy-free variant of ReadAt, through
+// the same read plan: exactly as available, and moving the same
+// counters, histograms, spans and breakers. Data points straight at the
+// tier's bytes when the file is fully placed on a healthy tier whose
+// backend lends views (MemFS, OSFS); every other route copies into
+// pooled scratch that Release returns.
+//
+// The caller MUST Release the view exactly once, promptly: a MemFS
+// view holds the file's read lock, so sitting on one blocks writers to
+// that file.
+func (m *Monarch) ReadView(ctx context.Context, name string, off, n int64) (storage.View, error) {
+	if n < 0 {
+		return storage.View{}, fmt.Errorf("monarch: negative view length %d", n)
+	}
+	s := sink{lend: true}
+	_, err := m.read(ctx, name, off, n, &s)
+	return s.view, err
+}
+
+// sink is where a read lands: ReadAt's caller buffer or, with lend set,
+// a view for ReadView to hand out. A successful serve leaves the
+// delivered bytes in view.Data either way.
+type sink struct {
+	buf  []byte
+	lend bool
+	view storage.View
+}
+
+// route is the read plan's routing decision: which driver gets the
+// first attempt, and why. gen is the eviction generation of the entry
+// snapshot it was resolved from.
+type route struct {
+	kind routeKind
+	d    *driver
+	gen  uint64
+}
+
+type routeKind uint8
+
+const (
+	routeSource  routeKind = iota // the PFS, which always holds the data
+	routeLocal                    // fully placed on a healthy upper tier
+	routeMidCopy                  // a chunked placement in flight already holds the range
+	routePeer                     // not owned by this node: the owner's cache, over the peer tier
+)
+
+// resolve routes a read of [off, off+n) of e from one atomic snapshot
+// of the entry plus breaker state.
+func (m *Monarch) resolve(e *fileEntry, off, n int64) route {
+	m.tickProbes()
+	snap := e.snap.Load()
+	_, lvl, armed := unpackSnap(snap)
+	gen := snap >> snapGenShift
+	if lvl != m.source.level {
+		if !m.health.isDown(lvl) {
+			return route{routeLocal, m.levels[lvl], gen}
+		}
+		// The tier's breaker is open: demote the entry so later reads
+		// skip this path too — one metadata update instead of a doomed
+		// attempt per read.
+		m.demote(e, lvl)
+	}
+	if armed {
+		// Mid-copy read-through: serve landed chunks from the upper tier
+		// instead of adding PFS pressure.
+		if plvl, ok := e.chunksCover(off, n); ok && !m.health.isDown(plvl) {
+			return route{routeMidCopy, m.levels[plvl], gen}
+		}
+	}
+	if p := m.cfg.Peer; p.enabled() && !p.Owns(e.name) && !m.health.isDown(p.Tier) {
+		return route{routePeer, m.levels[p.Tier], gen}
+	}
+	return route{routeSource, m.source, gen}
+}
+
+// serve makes one attempt at [off, off+n) of e over rt into s.
+func (m *Monarch) serve(ctx context.Context, rt route, e *fileEntry, off, n int64, s *sink) (int, error) {
+	d, buf := rt.d, s.buf
+	if s.lend {
+		if rt.kind == routeLocal && d.vr != nil && !d.viewOff.Load() {
+			v, err := d.vr.ReadView(ctx, e.name, off, n)
+			if err == nil {
+				s.view = v
+			}
+			if !errors.Is(err, errors.ErrUnsupported) {
+				return len(v.Data), err
+			}
+			// A wrapper claimed ViewReader but its wrapped backend lacks
+			// it: stop asking, and retry the same route by copy.
+			d.viewOff.Store(true)
+		}
+		if rem := e.size - off; off >= 0 && rem < n {
+			n = max(rem, 0)
+		}
+		buf = bufpool.Get(int(n))
+	}
+	got, err := d.backend.ReadAt(ctx, e.name, buf, off)
+	switch {
+	case s.lend && err != nil:
+		bufpool.Put(buf)
+	case s.lend:
+		s.view = storage.PooledView(buf, got)
+	case err == nil:
+		s.view.Data = buf[:got]
+	}
+	return got, err
+}
+
+// errOvertaken voids a first attempt whose route an eviction overtook.
+var errOvertaken = errors.New("monarch: evicted under the read")
+
+// recovered books a first attempt above the source that failed, before
+// the source re-serves the read. It is the plan's recovery table:
+//
+//	errOvertaken, any route   eviction race  EvictionRaces  clean
+//	ErrNotExist, peer route   peer miss      PeerMisses     clean
+//	anything else             tier failure   Fallbacks      failure
+//
+// A failure charges monarch_errors_total{stage=peer|tier-read}, emits
+// EventFallback and feeds the breaker. The clean rows are the protocol
+// working — an eviction got to the tier copy first, or the owner has
+// not cached the file yet — and counting them failures would let the
+// fan-in of evict/re-place/read trip a healthy tier.
+func (m *Monarch) recovered(e *fileEntry, rt route, err error) obs.SpanFlags {
+	lvl, stage := rt.d.level, stageTierRead
+	switch {
+	case err == errOvertaken:
+		m.stats.evictionRaces.Add(1)
+		return 0
+	case rt.kind == routePeer && errors.Is(err, storage.ErrNotExist):
+		m.stats.peerMisses.Add(1)
+		return obs.FlagPeerMiss
+	case rt.kind == routePeer:
+		stage = stagePeer
+	}
+	m.stats.fallbacks.Add(1)
+	m.inst.errs[stage].Inc()
+	m.event(Event{Kind: EventFallback, File: e.name, Level: lvl, Err: err})
+	if m.health.recordReadError(lvl) {
+		m.tierDown(lvl, err)
+	}
+	if m.health.isDown(lvl) {
+		m.demote(e, lvl)
+	}
+	return obs.FlagFallback
+}
+
+// read is the one read plan behind ReadAt and ReadView (the paper's
+// §III-B flow): resolve a route, serve one attempt into the sink,
+// recover through the source if an upper tier let the read down, and
+// account for the outcome — each in exactly one place.
+func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) (int, error) {
+	start := time.Since(m.base)
 	e, err := m.lookup(name)
 	if err != nil {
-		m.inst.errRead.Inc()
-		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(start)})
+		m.inst.errs[stageRead].Inc()
+		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(m.base) - start})
 		return 0, err
 	}
-	src := m.source.level
-	lvl := e.currentLevel()
-	partial := false
-	peer := false
-	var flags obs.SpanFlags
-	if !m.cfg.Disabled {
-		m.tickProbes()
-		if lvl != src && m.health.isDown(lvl) {
-			// The tier's breaker is open: route straight to the source
-			// and demote the entry so later reads skip this path too —
-			// one metadata update instead of a doomed attempt per read.
-			m.demote(e, lvl)
-			lvl = src
-		}
-		if lvl == src && m.cfg.ChunkSize > 0 {
-			// Mid-copy read-through: a chunked placement may already
-			// hold every chunk this range touches. Serve it from the
-			// upper tier instead of adding PFS pressure.
-			if plvl, ok := e.chunksCover(off, int64(len(p))); ok && !m.health.isDown(plvl) {
-				lvl = plvl
-				partial = true
-			}
-		}
-		if lvl == src && m.cfg.Peer.enabled() && !m.cfg.Peer.Owns(name) &&
-			!m.health.isDown(m.cfg.Peer.Tier) {
-			// This node does not own the file: the owner's cache serves
-			// it over the peer network instead of the PFS.
-			lvl = m.cfg.Peer.Tier
-			peer = true
-		}
-	}
-	d := m.levels[lvl]
+	rt := m.resolve(e, off, n)
 	rctx := ctx
 	var ann *obs.ReadAnnotation
 	var req uint64
-	if peer {
+	if rt.kind == routePeer {
 		// Backend.ReadAt has no flag channel, so the peer tier reports
 		// how it served (a hedged read) through a context annotation.
 		rctx, ann = obs.WithReadAnnotation(ctx)
@@ -446,100 +557,71 @@ func (m *Monarch) ReadAt(ctx context.Context, name string, p []byte, off int64) 
 		req = obs.NewRequestID()
 		rctx = obs.WithRequestID(rctx, req)
 	}
-	n, rerr := d.backend.ReadAt(rctx, name, p, off)
-	if rerr != nil && peer && errors.Is(rerr, storage.ErrNotExist) {
-		// Clean peer miss: the owner has not cached the file yet. That
-		// is the protocol working, not a failure — no breaker feed, no
-		// fallback event; the source still holds the data.
-		m.stats.peerMisses.Add(1)
-		flags |= obs.FlagPeerMiss
-		peer = false
-		d = m.source
-		n, rerr = d.backend.ReadAt(ctx, name, p, off)
-	} else if rerr != nil && lvl != src && !peer && !partial &&
-		m.cfg.Eviction != nil && errors.Is(rerr, storage.ErrNotExist) {
-		// Clean eviction race: the snapshot said placed, but a
-		// concurrent eviction re-pointed the entry and removed the tier
-		// copy between our lookup and the read. Like a peer miss this is
-		// the protocol working, not a tier failure — re-serve from the
-		// source with no breaker feed and no fallback event, so the
-		// stress fan-in of evict/re-place/read cannot trip a healthy
-		// tier. Mid-copy (partial) reads are excluded: in-flight chunked
-		// placements are pinned against eviction, so ErrNotExist there
-		// is a real anomaly for the breaker.
-		m.stats.evictionRaces.Add(1)
-		d = m.source
-		n, rerr = d.backend.ReadAt(ctx, name, p, off)
-	} else if rerr != nil && lvl != src {
-		// A tier failed under us: fall back to the PFS, which always
-		// holds the dataset, count the event, and feed the breaker.
-		m.stats.fallbacks.Add(1)
-		if peer {
-			m.inst.errPeer.Inc()
-			peer = false
-		} else {
-			m.inst.errTierRead.Inc()
-		}
-		flags |= obs.FlagFallback
-		m.event(Event{Kind: EventFallback, File: name, Level: lvl, Err: rerr})
-		if !m.cfg.Disabled {
-			if m.health.recordReadError(lvl) {
-				m.tierDown(lvl, rerr)
-			}
-			if m.health.isDown(lvl) {
-				m.demote(e, lvl)
-			}
-		}
-		d = m.source
-		n, rerr = d.backend.ReadAt(ctx, name, p, off)
-	} else if rerr == nil && lvl != src && !m.cfg.Disabled {
-		m.health.recordReadOK(lvl)
+	var flags obs.SpanFlags
+	got, err := m.serve(rctx, rt, e, off, n, s)
+	if rt.kind != routeSource && e.snap.Load()>>snapGenShift != rt.gen {
+		// An eviction of e began after resolve, so whatever the tier
+		// answered is void: the evictor's Remove fails a late read
+		// cleanly, but the re-placement that may follow allocates a fresh
+		// copy this read could have caught still empty.
+		s.view.Release()
+		s.view, err = storage.View{}, errOvertaken
 	}
-	if rerr != nil {
-		m.inst.errRead.Inc()
-		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: d.level, Off: off, Flags: flags, Req: req, Err: rerr, Duration: time.Since(start)})
-		return n, rerr
+	if err == nil {
+		m.health.recordReadOK(rt.d.level) // a no-op on the untracked source
+	} else if rt.kind != routeSource {
+		flags = m.recovered(e, rt, err)
+		rt = route{kind: routeSource, d: m.source}
+		got, err = m.serve(ctx, rt, e, off, n, s)
 	}
-	m.stats.served(d.level, int64(n))
-	if partial && d.level != src {
+	lvl := rt.d.level
+	if err != nil {
+		m.inst.errs[stageRead].Inc()
+		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Flags: flags, Req: req, Err: err, Duration: time.Since(m.base) - start})
+		return got, err
+	}
+	m.stats.served(lvl, int64(got))
+	switch rt.kind {
+	case routeMidCopy:
 		flags |= obs.FlagPartial
 		m.stats.partialHits.Add(1)
-		m.stats.partialHitBytes.Add(int64(n))
-		m.event(Event{Kind: EventPartialHit, File: name, Level: d.level, Bytes: int64(n)})
-	}
-	if peer && d.level != src {
+		m.stats.partialHitBytes.Add(int64(got))
+		m.event(Event{Kind: EventPartialHit, File: name, Level: lvl, Bytes: int64(got)})
+	case routePeer:
 		flags |= obs.FlagPeer
 		m.stats.peerHits.Add(1)
-		m.stats.peerHitBytes.Add(int64(n))
+		m.stats.peerHitBytes.Add(int64(got))
 		if ann.Flags()&obs.FlagHedged != 0 {
 			flags |= obs.FlagHedged
 			m.stats.peerHedges.Add(1)
 		}
 	}
-	dur := time.Since(start)
-	m.inst.readLatency[d.level].Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: d.level, Off: off, Bytes: int64(n), Flags: flags, Req: req, Duration: dur})
-	m.stats.jobRead(m.tenants, name, d.level, src, int64(n))
+	dur := time.Since(m.base) - start
+	m.inst.readLatency[lvl].Observe(dur.Seconds())
+	m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Bytes: int64(got), Flags: flags, Req: req, Duration: dur})
+	m.stats.jobRead(m.tenants, name, lvl, m.source.level, int64(got))
 
-	if !m.cfg.Disabled && m.cfg.Staging == StageOnFirstRead && m.owns(name) {
+	// Only a read the source served can be a file's first access or
+	// touch an unplaceable file; under peer routing only owned files are
+	// cached locally — the rest already went through their owner's cache.
+	cacheable := rt.kind == routeSource && m.owns(name)
+	if cacheable && m.cfg.Staging == StageOnFirstRead {
 		// The §III-B flow: first access triggers placement. If the
-		// framework happened to read the whole file, hand the content
-		// to the placer so it can skip the source re-read. Under peer
-		// routing, only owned files are cached locally — non-owned
-		// reads already went through the owner's cache.
+		// framework happened to read the whole file, lend the content to
+		// the placer so it can skip the source re-read.
 		var full []byte
-		if off == 0 && int64(n) == e.size {
-			full = append([]byte(nil), p[:n]...)
+		if off == 0 && int64(got) == e.size {
+			full = s.view.Data
 		}
 		m.placer.onAccess(e, full)
 	}
 	if m.cfg.Eviction != nil {
 		m.cfg.Eviction.OnAccess(name)
-		if !m.cfg.Disabled && m.owns(name) {
+		if cacheable {
 			m.maybePromote(e)
 		}
 	}
-	return n, nil
+	return got, nil
 }
 
 // maybePromote re-enters an unplaceable file into the placement
@@ -565,74 +647,6 @@ func (m *Monarch) maybePromote(e *fileEntry) {
 	m.stats.promotions.Add(1)
 	m.event(Event{Kind: EventPromoted, File: e.name, Level: -1, Bytes: e.size})
 	m.placer.onAccess(e, nil)
-}
-
-// ReadView serves up to n bytes of the named file at offset off as a
-// borrowed, read-only view — the copy-free variant of ReadAt. When the
-// file is fully placed on a healthy tier whose backend lends views
-// (MemFS, OSFS), the returned Data points straight at the tier's bytes
-// with no copy into a caller buffer; every other case (mid-copy,
-// peer-routed, demoted, unknown backend) falls through to the full
-// ReadAt machinery into pooled scratch, so ReadView is always exactly
-// as available as ReadAt and moves the same counters, histograms and
-// spans.
-//
-// The caller MUST Release the view exactly once, promptly: a MemFS
-// view holds the file's read lock, so sitting on one blocks writers to
-// that file.
-func (m *Monarch) ReadView(ctx context.Context, name string, off, n int64) (storage.View, error) {
-	if n < 0 {
-		return storage.View{}, fmt.Errorf("monarch: negative view length %d", n)
-	}
-	start := time.Since(m.base)
-	e, err := m.lookup(name)
-	if err != nil {
-		m.inst.errRead.Inc()
-		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(m.base) - start})
-		return storage.View{}, err
-	}
-	// Fast path: fully placed on a healthy tier that lends views. The
-	// snapshot is one atomic load; a stale answer (concurrent demotion
-	// or eviction) surfaces as a backend error and falls through to the
-	// general path's fallback machinery.
-	if st, lvl, _ := e.snapshot(); st == statePlaced && !m.cfg.Disabled {
-		m.tickProbes()
-		if d := m.levels[lvl]; !m.health.isDown(lvl) {
-			if vr := d.viewReader(); vr != nil {
-				v, rerr := vr.ReadView(ctx, name, off, n)
-				if rerr == nil {
-					m.health.recordReadOK(lvl)
-					m.stats.served(lvl, int64(len(v.Data)))
-					m.stats.jobRead(m.tenants, name, lvl, m.source.level, int64(len(v.Data)))
-					dur := time.Since(m.base) - start
-					m.inst.readLatency[lvl].Observe(dur.Seconds())
-					m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Bytes: int64(len(v.Data)), Duration: dur})
-					if m.cfg.Eviction != nil {
-						m.cfg.Eviction.OnAccess(name)
-					}
-					return v, nil
-				}
-				if errors.Is(rerr, errors.ErrUnsupported) {
-					// A wrapper claimed ViewReader but its wrapped
-					// backend lacks it; stop asking.
-					d.viewOff.Store(true)
-				}
-			}
-		}
-	}
-	// General path: ReadAt into pooled scratch (full breaker, mid-copy,
-	// peer and fallback semantics); Release returns the buffer.
-	cn := n
-	if rem := e.size - off; off >= 0 && rem < cn {
-		cn = max(rem, 0)
-	}
-	buf := bufpool.Get(int(cn))
-	nn, rerr := m.ReadAt(ctx, name, buf, off)
-	if rerr != nil {
-		bufpool.Put(buf)
-		return storage.View{}, rerr
-	}
-	return storage.PooledView(buf, nn), nil
 }
 
 // ReadFull reads the entire named file through the middleware.
@@ -695,16 +709,7 @@ type driver struct {
 	// vr is the backend's zero-copy capability, resolved once. viewOff
 	// flips permanently when the backend turns out not to support views
 	// after all (a wrapper like Counting asserts ViewReader but its
-	// wrapped backend may not), so the fast path stops retrying.
+	// wrapped backend may not), so serve stops asking.
 	vr      storage.ViewReader
 	viewOff atomic.Bool
-}
-
-// viewReader returns the driver's usable zero-copy capability, nil if
-// absent or disabled.
-func (d *driver) viewReader() storage.ViewReader {
-	if d.vr == nil || d.viewOff.Load() {
-		return nil
-	}
-	return d.vr
 }

@@ -85,9 +85,8 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
-	// Disabled mode does not need a pool.
-	if _, err := New(Config{Levels: []storage.Backend{mem, mem}, Disabled: true}); err != nil {
-		t.Errorf("disabled without pool: %v", err)
+	if _, err := New(Config{Levels: []storage.Backend{mem, mem}, Pool: gp}); err != nil {
+		t.Errorf("minimal valid config: %v", err)
 	}
 }
 
@@ -450,27 +449,6 @@ func TestPlacementWriteFailureLeavesFileOnPFS(t *testing.T) {
 	// Reads must keep working from the PFS.
 	if _, err := m.ReadAt(ctx, "f", p, 0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDisabledModePassesThrough(t *testing.T) {
-	f := newFixture(t, 0, 2, 100, func(c *Config) {
-		c.Disabled = true
-		c.Pool = nil
-	})
-	ctx := context.Background()
-	p := make([]byte, 100)
-	for i := 0; i < 5; i++ {
-		if _, err := f.m.ReadAt(ctx, "f000", p, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := f.m.Stats()
-	if st.Placements != 0 || st.ReadsServed[1] != 5 || st.ReadsServed[0] != 0 {
-		t.Fatalf("disabled mode stats: %+v", st)
-	}
-	if f.tier0.Used() != 0 {
-		t.Fatal("disabled mode wrote to tier0")
 	}
 }
 

@@ -58,12 +58,9 @@ func (s TierState) String() string {
 	}
 }
 
-// HealthConfig tunes the per-tier circuit breaker. The zero value
-// enables the breaker with defaults; set Disabled to recover the
-// pre-breaker behaviour (every read retries the broken tier).
+// HealthConfig tunes the per-tier circuit breaker; zero fields take the
+// defaults.
 type HealthConfig struct {
-	// Disabled turns the breaker off entirely.
-	Disabled bool
 	// ReadErrorThreshold is the number of consecutive failed reads that
 	// trips a tier to Down (default 3).
 	ReadErrorThreshold int
@@ -190,9 +187,9 @@ func newHealthTracker(cfg HealthConfig, upperLevels int) *healthTracker {
 }
 
 // tier returns the breaker for level, or nil when the level is not
-// tracked (source level, out of range, or breaker disabled).
+// tracked (source level or out of range).
 func (h *healthTracker) tier(level int) *tierHealth {
-	if h == nil || h.cfg.Disabled || level < 0 || level >= len(h.tiers) {
+	if h == nil || level < 0 || level >= len(h.tiers) {
 		return nil
 	}
 	return h.tiers[level]
@@ -207,8 +204,7 @@ func (h *healthTracker) state(level int) TierState {
 	return TierState(t.state.Load())
 }
 
-func (h *healthTracker) isDown(level int) bool    { return h.state(level) == TierDown }
-func (h *healthTracker) placeable(level int) bool { return h.state(level) != TierDown }
+func (h *healthTracker) isDown(level int) bool { return h.state(level) == TierDown }
 
 // recordReadError counts a failed foreground read against level; it
 // reports whether this error tripped the breaker open.
@@ -341,8 +337,7 @@ func (h *healthTracker) probeDone(level int, success bool) (recovered bool) {
 func (h *healthTracker) probeAborted(level int) { h.probeDone(level, false) }
 
 // TierState reports the circuit-breaker state of a hierarchy level. The
-// source level (and any level when the breaker is disabled) is always
-// TierHealthy.
+// source level is always TierHealthy.
 func (m *Monarch) TierState(level int) TierState {
 	return m.health.state(level)
 }
@@ -404,9 +399,6 @@ func (m *Monarch) demote(e *fileEntry, from int) {
 // free of locks.
 func (m *Monarch) tickProbes() {
 	h := m.health
-	if h == nil || h.cfg.Disabled {
-		return
-	}
 	for lvl, t := range h.tiers {
 		if TierState(t.state.Load()) == TierDown && h.observeDown(lvl) {
 			m.submitProbe(lvl)
@@ -434,7 +426,7 @@ func (m *Monarch) runProbe(ctx context.Context, d *driver) {
 	if cleanupErr != nil {
 		// The probe file lingering on a live tier is harmless but worth
 		// knowing about; this error used to be discarded.
-		m.inst.errCleanup.Inc()
+		m.inst.errs[stageCleanup].Inc()
 		m.event(Event{Kind: EventOpError, File: probeFile, Level: d.level, Err: cleanupErr})
 	}
 	if ctx.Err() != nil {
@@ -442,7 +434,7 @@ func (m *Monarch) runProbe(ctx context.Context, d *driver) {
 		return
 	}
 	if err != nil {
-		m.inst.errProbe.Inc()
+		m.inst.errs[stageProbe].Inc()
 	}
 	m.span(obs.Span{Kind: obs.SpanTierProbe, Tier: d.level, Err: err, Duration: time.Since(start)})
 	if recovered := m.health.probeDone(d.level, err == nil); recovered {

@@ -466,32 +466,6 @@ func TestConcurrentStressBreakFix(t *testing.T) {
 	}
 }
 
-// TestDisabledHealthKeepsLegacyBehaviour: with Health.Disabled the
-// breaker never opens and every read retries the broken tier (the
-// pre-breaker fallback path).
-func TestDisabledHealthKeepsLegacyBehaviour(t *testing.T) {
-	const nfiles, size = 2, 100
-	f := newHealthFixture(t, nfiles, size, func(c *Config) {
-		c.Health = HealthConfig{Disabled: true}
-	})
-	f.readAll(t, nfiles, size)
-	f.waitIdle(t)
-	f.faulty.Break()
-	for i := 0; i < 5; i++ {
-		f.readAll(t, nfiles, size)
-	}
-	st := f.m.Stats()
-	if st.Fallbacks != 5*nfiles {
-		t.Fatalf("fallbacks = %d, want %d (one per read)", st.Fallbacks, 5*nfiles)
-	}
-	if st.Demotions != 0 || st.TierTrips != 0 {
-		t.Fatalf("breaker acted while disabled: %+v", st)
-	}
-	if ts := f.m.TierState(0); ts != TierHealthy {
-		t.Fatalf("state = %v", ts)
-	}
-}
-
 // TestRetryPolicyClassificationAndBackoff covers the default
 // transient/permanent split, the IsTransient override, and backoff
 // doubling with its cap.

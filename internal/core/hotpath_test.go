@@ -101,8 +101,9 @@ func FuzzMetaOracle(f *testing.F) {
 				ce.markUnplaceable()
 				oe.markUnplaceable()
 			case 6:
-				ce.markEvicted(levels - 1)
-				oe.markEvicted(levels - 1)
+				// The eviction's second half: only an evicting entry moves.
+				ce.evictDone()
+				oe.evictDone()
 			case 7:
 				if g, w := ce.markDemoted(int(arg)%levels, levels-1), oe.markDemoted(int(arg)%levels, levels-1); g != w {
 					t.Fatalf("markDemoted = %v, oracle %v", g, w)
@@ -127,19 +128,25 @@ func FuzzMetaOracle(f *testing.F) {
 			case 12:
 				// The live eviction transition: must agree with the
 				// oracle, must only fire on entries placed on the given
-				// level, and must leave the entry re-placeable with no
-				// chunk state behind.
+				// level, must refuse to re-queue until the evictor is
+				// done, and must then leave the entry re-placeable with
+				// no chunk state behind.
 				g := ce.markEvictedFrom(int(arg)%levels, levels-1)
 				w := oe.markEvictedFrom(int(arg)%levels, levels-1)
 				if g != w {
 					t.Fatalf("markEvictedFrom = %v, oracle %v", g, w)
 				}
 				if g {
-					if st, _, armed := ce.snapshot(); st != stateSource || armed {
-						t.Fatalf("evicted entry in state %d (armed=%v), want re-placeable source", st, armed)
+					if st, lvl, armed := ce.snapshot(); st != stateEvicting || lvl != levels-1 || armed {
+						t.Fatalf("evicting entry in state %d at level %d (armed=%v)", st, lvl, armed)
 					}
+					if ce.tryQueue() || oe.tryQueue() {
+						t.Fatalf("entry re-queued while its tier copy is still being removed")
+					}
+					ce.evictDone()
+					oe.evictDone()
 					if !ce.tryQueue() || !oe.tryQueue() {
-						t.Fatalf("evicted entry not immediately re-placeable")
+						t.Fatalf("evicted entry not re-placeable once the eviction is done")
 					}
 				}
 			}

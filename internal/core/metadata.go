@@ -31,6 +31,12 @@ const (
 	// tripped; it is served from the source until the tier recovers and
 	// resetForReplacement sends it back through the placement pipeline.
 	stateDemoted
+	// stateEvicting: an eviction has re-pointed the entry at the source,
+	// where reads now route, but the tier copy is still being removed.
+	// tryQueue refuses it, so no re-placement can land bytes that the
+	// evictor's pending Remove would then delete; evictDone moves it on
+	// to stateSource once the bytes have left the tier.
+	stateEvicting
 )
 
 // fileEntry is the paper's "file info": size, name and current storage
@@ -52,18 +58,19 @@ type fileEntry struct {
 	name string
 	size int64
 
-	// snap is a packed (state, level, chunk-armed) snapshot republished
-	// under mu after every transition, so the read path answers "which
-	// tier serves this file right now?" with one atomic load instead of
-	// the entry mutex. Layout: bits 0–7 state, 8–31 level, 32 armed.
-	// The mutex stays the sole writer: transitions are still serialized
-	// and the snapshot is always internally consistent.
+	// snap is a packed (state, level, chunk-armed, eviction-generation)
+	// snapshot republished under mu after every transition, so the read
+	// path answers "which tier serves this file right now?" with one
+	// atomic load instead of the entry mutex. Layout: bits 0–7 state,
+	// 8–31 level, 32 armed, 33–63 generation. The mutex stays the sole
+	// writer: transitions are still serialized and the snapshot is
+	// always internally consistent.
 	snap atomic.Uint64
 
 	mu       sync.Mutex
 	level    int
 	state    placementState
-	retries  int       // placement attempts beyond the first (observability)
+	gen      uint64    // evictions begun; lets a reader tell its route predates one
 	queuedAt time.Time // when the current placement was enqueued (latency spans)
 
 	// Chunked-placement residency (armed only while a chunked copy is
@@ -74,22 +81,38 @@ type fileEntry struct {
 	chunksLeft int
 }
 
-const snapArmed = 1 << 32
+const (
+	snapArmed    = 1 << 32
+	snapGenShift = 33
+)
 
 // publish refreshes the packed snapshot; callers hold e.mu (or hold the
 // entry exclusively, as populate does before linking it into a shard).
 func (e *fileEntry) publish() {
-	s := uint64(e.state)&0xff | uint64(e.level)&0xffffff<<8
+	s := uint64(e.state)&0xff | uint64(e.level)&0xffffff<<8 | e.gen<<snapGenShift
 	if e.chunkBits != nil {
 		s |= snapArmed
 	}
 	e.snap.Store(s)
 }
 
+// disarm drops the chunk bitmap and publishes; every transition that
+// ends a placement attempt finishes with it, so the bitmap never
+// outlives the copy it describes. Callers hold e.mu.
+func (e *fileEntry) disarm() {
+	e.chunkBits = nil
+	e.chunkSize = 0
+	e.chunksLeft = 0
+	e.publish()
+}
+
 // snapshot returns the packed (state, level, armed) triple with one
 // atomic load.
 func (e *fileEntry) snapshot() (placementState, int, bool) {
-	s := e.snap.Load()
+	return unpackSnap(e.snap.Load())
+}
+
+func unpackSnap(s uint64) (placementState, int, bool) {
 	return placementState(s & 0xff), int(s >> 8 & 0xffffff), s&snapArmed != 0
 }
 
@@ -132,10 +155,7 @@ func (e *fileEntry) markPlaced(level int) {
 	defer e.mu.Unlock()
 	e.level = level
 	e.state = statePlaced
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
+	e.disarm()
 }
 
 // chunkCount returns how many chunk-size pieces cover size bytes.
@@ -186,10 +206,7 @@ func (e *fileEntry) markChunk(i int) bool {
 func (e *fileEntry) clearChunks() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
+	e.disarm()
 }
 
 // chunksCover reports whether every chunk overlapping [off, off+n)
@@ -233,35 +250,16 @@ func (e *fileEntry) markUnplaceable() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.state = stateUnplaceable
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
+	e.disarm()
 }
 
-// markEvicted sends the file back to the source level so a later access
-// may re-place it, discarding any chunk state so the presence bitmap
-// never outlives the entry's residency. Prefer markEvictedFrom on the
-// live eviction path; this unconditional form remains for the namespace
-// fuzz tapes.
-func (e *fileEntry) markEvicted(sourceLevel int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.level = sourceLevel
-	e.state = stateSource
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
-}
-
-// markEvictedFrom atomically re-points a file placed on from at the
-// source level, reporting whether the entry actually moved. It refuses
-// any entry not currently placed on from — in particular queued entries
-// with an in-flight (possibly chunk-armed) placement, which is what
-// pins them against eviction — so a victim chosen from a stale policy
-// view is skipped instead of corrupted. The evicted entry lands in
-// stateSource: always immediately re-placeable on its next access.
+// markEvictedFrom begins an eviction: it atomically re-points a file
+// placed on from at the source level, reporting whether the entry
+// actually moved. It refuses any entry not currently placed on from —
+// in particular queued entries with an in-flight (possibly chunk-armed)
+// placement, which is what pins them against eviction — so a victim
+// chosen from a stale policy view is skipped instead of corrupted. The
+// entry lands in stateEvicting until evictDone.
 func (e *fileEntry) markEvictedFrom(from, sourceLevel int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -269,12 +267,21 @@ func (e *fileEntry) markEvictedFrom(from, sourceLevel int) bool {
 		return false
 	}
 	e.level = sourceLevel
-	e.state = stateSource
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
+	e.state = stateEvicting
+	e.gen++
+	e.disarm()
 	return true
+}
+
+// evictDone ends an eviction once the tier copy is gone: the entry is
+// re-placeable on its next access.
+func (e *fileEntry) evictDone() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.state == stateEvicting {
+		e.state = stateSource
+		e.publish()
+	}
 }
 
 // markDemoted re-points a file placed on a tripped tier at the source
@@ -301,17 +308,7 @@ func (e *fileEntry) cancelQueued() {
 	if e.state == stateQueued {
 		e.state = stateSource
 	}
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
-	e.publish()
-}
-
-// noteRetry counts one placement retry on the entry.
-func (e *fileEntry) noteRetry() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.retries++
+	e.disarm()
 }
 
 // makeReplaceable sends a demoted or unplaceable entry back to Source

@@ -10,39 +10,51 @@ import (
 	"monarch/internal/pool"
 )
 
-// Error stages for the monarch_errors_total funnel. Every error the
+// errStage indexes the monarch_errors_total funnel. Every error the
 // middleware observes — including ones it previously dropped on
 // best-effort paths — increments exactly one stage.
+type errStage int
+
 const (
 	// stageTierRead: an upper-tier read failed and the read fell back
 	// to the source.
-	stageTierRead = "tier-read"
+	stageTierRead errStage = iota
 	// stagePeer: a peer-tier read failed (transport or remote error —
 	// NOT a clean miss) and the read fell back to the source.
-	stagePeer = "peer"
+	stagePeer
 	// stageRead: a foreground read failed to the caller.
-	stageRead = "read"
+	stageRead
 	// stagePlacement: a placement reached terminal failure.
-	stagePlacement = "placement"
+	stagePlacement
 	// stageChunkCopy: one chunk copy of a chunked placement failed
 	// (counted once per failed job, by the first failing worker).
-	stageChunkCopy = "chunk-copy"
+	stageChunkCopy
 	// stageProbe: a recovery probe found the tier still dead.
-	stageProbe = "probe"
+	stageProbe
 	// stageEvict: an eviction victim could not be removed.
-	stageEvict = "evict"
+	stageEvict
 	// stageCleanup: a best-effort removal failed (partial-copy cleanup
 	// after a failed chunk job, probe scratch file).
-	stageCleanup = "cleanup"
+	stageCleanup
 	// stageWrite: a foreground Create/WriteAt/Remove failed to the
 	// caller.
-	stageWrite = "write"
+	stageWrite
 	// stageFlush: a background flush of a write-back file to the PFS
 	// failed (the bytes stay dirty and journaled; the flush retries).
-	stageFlush = "flush"
+	stageFlush
 	// stageJournal: a write-journal append, compaction or close failed.
-	stageJournal = "journal"
+	stageJournal
+	numStages
 )
+
+// stageNames is the one table of stage label values; the counters are
+// registered from it in errStage order.
+var stageNames = [numStages]string{
+	stageTierRead: "tier-read", stagePeer: "peer", stageRead: "read",
+	stagePlacement: "placement", stageChunkCopy: "chunk-copy", stageProbe: "probe",
+	stageEvict: "evict", stageCleanup: "cleanup", stageWrite: "write",
+	stageFlush: "flush", stageJournal: "journal",
+}
 
 // instruments bundles the registry and every handle the middleware
 // updates outside the statsCollector: latency histograms, the error
@@ -57,18 +69,7 @@ type instruments struct {
 	writeLatency     *obs.Histogram   // successful foreground writes, ack latency
 	flushLatency     *obs.Histogram   // one write-back flush, tier 0 → PFS
 
-	errTierRead  *obs.Counter
-	errPeer      *obs.Counter
-	errRead      *obs.Counter
-	errPlacement *obs.Counter
-	errChunkCopy *obs.Counter
-	errProbe     *obs.Counter
-	errEvict     *obs.Counter
-	errCleanup   *obs.Counter
-	errWrite     *obs.Counter
-	errFlush     *obs.Counter
-	errJournal   *obs.Counter
-
+	errs   [numStages]*obs.Counter // the monarch_errors_total funnel
 	events [eventKinds]*obs.Counter
 }
 
@@ -94,19 +95,10 @@ func (m *Monarch) initObs() {
 	m.inst.flushLatency = reg.Histogram("monarch_flush_latency_seconds",
 		"Latency of background write-back flushes (tier 0 to the PFS).", nil)
 
-	const errHelp = "Errors observed by the middleware, by pipeline stage."
-	m.inst.errTierRead = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageTierRead))
-	m.inst.errPeer = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stagePeer))
-	m.inst.errRead = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageRead))
-	m.inst.errPlacement = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stagePlacement))
-	m.inst.errChunkCopy = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageChunkCopy))
-	m.inst.errProbe = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageProbe))
-	m.inst.errEvict = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageEvict))
-	m.inst.errCleanup = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageCleanup))
-	m.inst.errWrite = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageWrite))
-	m.inst.errFlush = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageFlush))
-	m.inst.errJournal = reg.Counter("monarch_errors_total", errHelp, obs.L("stage", stageJournal))
-
+	for st, name := range stageNames {
+		m.inst.errs[st] = reg.Counter("monarch_errors_total",
+			"Errors observed by the middleware, by pipeline stage.", obs.L("stage", name))
+	}
 	for k := EventKind(0); k < eventKinds; k++ {
 		m.inst.events[k] = reg.Counter("monarch_events_total",
 			"Middleware events emitted, by kind.", obs.L("kind", k.String()))
@@ -138,28 +130,27 @@ func (m *Monarch) initObs() {
 			func() float64 { return float64(m.health.state(lvl)) },
 			obs.L("tier", strconv.Itoa(lvl)))
 	}
-	if p := m.cfg.Pool; p != nil {
-		reg.GaugeFunc("monarch_pool_workers",
-			"Fixed worker count of the placement pool.",
-			func() float64 { return float64(p.Workers()) })
-		reg.GaugeFunc("monarch_pool_queue_depth",
-			"Placement tasks waiting for a worker.",
-			func() float64 {
-				if in, ok := p.(pool.Introspector); ok {
-					s := in.Stats()
-					return float64(s.Pending - s.Active)
-				}
-				return float64(p.Pending())
-			})
-		reg.GaugeFunc("monarch_pool_active_workers",
-			"Workers currently running a placement task.",
-			func() float64 {
-				if in, ok := p.(pool.Introspector); ok {
-					return float64(in.Stats().Active)
-				}
-				return 0
-			})
-	}
+	p := m.cfg.Pool
+	reg.GaugeFunc("monarch_pool_workers",
+		"Fixed worker count of the placement pool.",
+		func() float64 { return float64(p.Workers()) })
+	reg.GaugeFunc("monarch_pool_queue_depth",
+		"Placement tasks waiting for a worker.",
+		func() float64 {
+			if in, ok := p.(pool.Introspector); ok {
+				s := in.Stats()
+				return float64(s.Pending - s.Active)
+			}
+			return float64(p.Pending())
+		})
+	reg.GaugeFunc("monarch_pool_active_workers",
+		"Workers currently running a placement task.",
+		func() float64 {
+			if in, ok := p.(pool.Introspector); ok {
+				return float64(in.Stats().Active)
+			}
+			return 0
+		})
 	for i, d := range m.levels {
 		b := d.backend
 		tier := obs.L("tier", strconv.Itoa(i))
@@ -265,10 +256,7 @@ func (m *Monarch) startMetrics() error {
 		return fmt.Errorf("monarch: metrics listener: %w", err)
 	}
 	m.metricsLn = ln
-	srv := &http.Server{Handler: m.inst.reg.HandlerWith(obs.HandlerOpts{
-		DisablePprof: m.cfg.DisablePprof,
-		Health:       m.Healthz,
-	})}
+	srv := &http.Server{Handler: m.inst.reg.HandlerWith(obs.HandlerOpts{Health: m.Healthz})}
 	m.metricsSrv = srv
 	// srv is captured locally: stopMetrics may nil the field before this
 	// goroutine is scheduled.

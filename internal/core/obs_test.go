@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"monarch/internal/obs"
+	"monarch/internal/pool"
 	"monarch/internal/storage"
 )
 
@@ -355,9 +356,11 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestMetricsAddrConflict ensures a bad listen address surfaces as a
 // New error rather than a silent dead endpoint.
 func TestMetricsAddrConflict(t *testing.T) {
+	gp := pool.NewGoPool(1)
+	defer gp.Close()
 	cfg := Config{
 		Levels:      []storage.Backend{storage.NewMemFS("a", 0), storage.NewMemFS("b", 0)},
-		Disabled:    true,
+		Pool:        gp,
 		MetricsAddr: "256.256.256.256:0",
 	}
 	if _, err := New(cfg); err == nil {

@@ -262,20 +262,6 @@ func TestPeerTierNeverPlacementDestination(t *testing.T) {
 	}
 }
 
-// TestPeerDisabledModePassesThrough: Disabled short-circuits peer
-// routing along with everything else.
-func TestPeerDisabledModePassesThrough(t *testing.T) {
-	f := newPeerFixture(t, func(cfg *Config) {
-		cfg.Disabled = true
-		cfg.Pool = nil
-	})
-	f.read(t, "remote/c")
-	s := f.m.Stats()
-	if s.PeerHits != 0 || s.ReadsServed[2] != 1 {
-		t.Fatalf("disabled mode routed to peers: %+v", s)
-	}
-}
-
 func waitFixtureIdle(t *testing.T, m *Monarch) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -46,7 +46,8 @@ func (pl *placer) submit(task pool.Task) bool {
 // onAccess is called from the foreground read path. If this is the
 // file's first access it schedules a placement task; full, when
 // non-nil, is the complete file content the framework just read (the
-// §III-B fast path that skips the source re-read).
+// §III-B fast path that skips the source re-read) — borrowed from the
+// caller, so the placement that wins the queue takes its own copy.
 func (pl *placer) onAccess(e *fileEntry, full []byte) {
 	// Snapshot fast-skip: once the file left Source (queued, placed,
 	// unplaceable, ...) every subsequent read would pay the entry mutex
@@ -64,6 +65,7 @@ func (pl *placer) onAccess(e *fileEntry, full []byte) {
 	if !e.tryQueue() {
 		return
 	}
+	full = append([]byte(nil), full...)
 	if !pl.submit(func(ctx context.Context) { pl.place(ctx, e, full, 1, true) }) {
 		e.markUnplaceable() // pool closed: no placement for this job
 		return
@@ -82,6 +84,10 @@ func (pl *placer) placed(e *fileEntry, d *driver, attempt int, wroteBytes, reuse
 	m := pl.m
 	queued := e.queuedSince()
 	m.health.recordWriteOK(d.level)
+	// Charge the job before the entry turns evictable: an eviction can
+	// begin the moment markPlaced publishes, and a release that outruns
+	// its charge clamps at zero, leaving the job over-billed for good.
+	m.tenants.charge(m.tenants.job(e.name), d.level, e.size)
 	e.markPlaced(d.level)
 	m.stats.placedOn(d.level, e.size)
 	if wroteBytes {
@@ -98,9 +104,6 @@ func (pl *placer) placed(e *fileEntry, d *driver, attempt int, wroteBytes, reuse
 	}
 	m.span(obs.Span{Kind: obs.SpanPlacement, File: e.name, Tier: d.level, Bytes: e.size, Attempt: attempt, Flags: flags, Duration: dur})
 	m.event(Event{Kind: EventPlaced, File: e.name, Level: d.level, Bytes: e.size})
-	if m.tenants != nil {
-		m.tenants.charge(m.tenants.job(e.name), d.level, e.size)
-	}
 	if m.cfg.Eviction != nil {
 		m.cfg.Eviction.OnPlaced(e.name, d.level)
 	}
@@ -121,7 +124,7 @@ func (pl *placer) placementSkipped(e *fileEntry, cause error) {
 func (pl *placer) placementFailed(e *fileEntry, level, attempt int, err error) {
 	m := pl.m
 	m.stats.placementErrors.Add(1)
-	m.inst.errPlacement.Inc()
+	m.inst.errs[stagePlacement].Inc()
 	m.span(obs.Span{Kind: obs.SpanPlacement, File: e.name, Tier: level, Bytes: e.size,
 		Attempt: attempt, Err: err, Duration: sinceQueued(e)})
 	m.event(Event{Kind: EventFailed, File: e.name, Level: level, Err: err})
@@ -158,7 +161,7 @@ func (pl *placer) place(ctx context.Context, e *fileEntry, full []byte, attempt 
 		if m.cfg.Peer.enabled() && d.level == m.cfg.Peer.Tier {
 			continue // the peer tier is a read-only view of siblings, never a destination
 		}
-		if !m.health.placeable(d.level) {
+		if m.health.isDown(d.level) {
 			continue // breaker open: never write into a dead tier
 		}
 		if storage.Free(d.backend) < e.size {
@@ -214,7 +217,6 @@ func (pl *placer) retry(e *fileEntry, full []byte, attempt, level int, err error
 	if !r.enabled() || attempt >= r.MaxAttempts || !r.transient(err) {
 		return false
 	}
-	e.noteRetry()
 	m.stats.retries.Add(1)
 	m.event(Event{Kind: EventRetried, File: e.name, Level: level, Err: err})
 	next := attempt + 1
@@ -342,7 +344,7 @@ func (j *chunkJob) fail(err error) {
 		j.err = err
 		// First failing worker charges the error funnel — exactly once
 		// per failed job, however many workers observe the failure.
-		j.pl.m.inst.errChunkCopy.Inc()
+		j.pl.m.inst.errs[stageChunkCopy].Inc()
 	}
 }
 
@@ -454,7 +456,7 @@ func (j *chunkJob) finish(ctx context.Context) {
 	// torn file, then feed the breaker and retry or give up — only this
 	// file is affected unless the breaker trips the whole tier.
 	if rmErr := d.backend.Remove(ctx, e.name); rmErr != nil && !errors.Is(rmErr, storage.ErrNotExist) {
-		m.inst.errCleanup.Inc()
+		m.inst.errs[stageCleanup].Inc()
 		m.event(Event{Kind: EventOpError, File: e.name, Level: d.level, Err: rmErr})
 	}
 	if m.health.recordWriteError(d.level) {
@@ -540,21 +542,26 @@ func (pl *placer) evict(ctx context.Context, d *driver, name string) (bool, erro
 	}
 	// Metadata first: the moment the entry re-points at the source, new
 	// lookups route there and never observe the removal below. A reader
-	// already holding the placed snapshot may race Remove and get
-	// ErrNotExist from the tier; ReadAt treats that as a clean eviction
-	// race (re-served from the source, no breaker feed).
+	// already routed to the tier sees the generation bump, and the read
+	// plan re-serves it from the source as a clean eviction race.
 	if !e.markEvictedFrom(d.level, m.source.level) {
 		m.cfg.Eviction.OnEvicted(name) // stale books: drop the ghost
 		return false, nil
 	}
 	start := time.Now()
+	m.cfg.Eviction.OnEvicted(name)
+	err := d.backend.Remove(ctx, name)
+	// Only now, with Remove returned, may the entry re-queue and the
+	// job's quota free up: a re-placement admitted any earlier could land
+	// its copy just in time for this Remove to delete it, leaving
+	// metadata that says placed over a tier that holds nothing.
 	job := m.tenants.job(name)
 	m.tenants.release(job, d.level, e.size)
-	m.cfg.Eviction.OnEvicted(name)
-	if err := d.backend.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-		// The entry already routes to the source so reads stay correct,
-		// but the tier freed nothing — surface the wedged eviction.
-		m.inst.errEvict.Inc()
+	e.evictDone()
+	if err != nil && !errors.Is(err, storage.ErrNotExist) {
+		// The entry routes to the source so reads stay correct, but the
+		// tier freed nothing — surface the wedged eviction.
+		m.inst.errs[stageEvict].Inc()
 		m.event(Event{Kind: EventOpError, File: name, Level: d.level, Err: err})
 		return false, err
 	}

@@ -1,0 +1,418 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"monarch/internal/obs"
+	"monarch/internal/pool"
+	"monarch/internal/storage"
+)
+
+// manualPool is a pool.Executor that queues tasks until drain runs them
+// on the caller's goroutine, so a parity run has exactly one schedule.
+type manualPool struct {
+	q      []pool.Task
+	closed bool
+}
+
+func (p *manualPool) Submit(t pool.Task) bool {
+	if p.closed {
+		return false
+	}
+	p.q = append(p.q, t)
+	return true
+}
+func (p *manualPool) Pending() int { return len(p.q) }
+func (p *manualPool) Workers() int { return 1 }
+func (p *manualPool) Close()       { p.closed = true }
+func (p *manualPool) Shutdown()    { p.closed = true }
+
+func (p *manualPool) drain() {
+	for len(p.q) > 0 {
+		t := p.q[0]
+		p.q = p.q[1:]
+		t(context.Background())
+	}
+}
+
+// flakyViews is a view-lending tier whose reads — by copy and by view
+// alike — fail once fail is set (with one error value, so twin runs
+// produce identical events), and whose next read first runs onRead: the
+// hook is how a test lands background work exactly between the read
+// plan's resolve and its tier attempt.
+type flakyViews struct {
+	*storage.MemFS
+	fail   atomic.Bool
+	onRead func()
+}
+
+func (f *flakyViews) before() error {
+	if hook := f.onRead; hook != nil {
+		f.onRead = nil
+		hook()
+	}
+	if f.fail.Load() {
+		return storage.ErrInjected
+	}
+	return nil
+}
+
+func (f *flakyViews) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
+	if err := f.before(); err != nil {
+		return 0, err
+	}
+	return f.MemFS.ReadAt(ctx, name, p, off)
+}
+
+func (f *flakyViews) ReadView(ctx context.Context, name string, off, n int64) (storage.View, error) {
+	if err := f.before(); err != nil {
+		return storage.View{}, err
+	}
+	return f.MemFS.ReadView(ctx, name, off, n)
+}
+
+// hedgingPeer stands in for a peernet.Tier that reports a hedged serve
+// through the read annotation.
+type hedgingPeer struct {
+	*storage.MemFS
+	hedge bool
+}
+
+func (h *hedgingPeer) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
+	if h.hedge {
+		obs.ReadAnnotationFrom(ctx).Annotate(obs.FlagHedged)
+	}
+	return h.MemFS.ReadAt(ctx, name, p, off)
+}
+
+// parityRig is one of the twin stacks of TestReadPlanRouteSinkParity:
+// [ssd, peer, pfs] with every op counted, a deterministic pool, and
+// every span and event recorded.
+type parityRig struct {
+	m     *Monarch
+	pool  *manualPool
+	ssd   *flakyViews
+	peer  *hedgingPeer
+	tier0 *storage.Counting
+	pfs   *storage.Counting
+	log   *EventLog
+	spans []obs.Span
+}
+
+const parityFileSize = 64
+
+func parityContent(name string) []byte {
+	return bytes.Repeat([]byte(name[len(name)-1:]), parityFileSize)
+}
+
+func newParityRig(t *testing.T, init bool) *parityRig {
+	t.Helper()
+	ctx := context.Background()
+	pfs := storage.NewMemFS("lustre", 0)
+	for _, name := range []string{"own/a", "remote/hit", "remote/miss"} {
+		if err := pfs.WriteFile(ctx, name, parityContent(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pfs.SetReadOnly(true)
+	peer := storage.NewMemFS("peers", 0)
+	if err := peer.WriteFile(ctx, "remote/hit", parityContent("remote/hit")); err != nil {
+		t.Fatal(err)
+	}
+	peer.SetReadOnly(true)
+	r := &parityRig{
+		pool: &manualPool{},
+		ssd:  &flakyViews{MemFS: storage.NewMemFS("ssd", 0)},
+		peer: &hedgingPeer{MemFS: peer},
+		pfs:  storage.NewCounting(pfs),
+		log:  NewEventLog(256),
+	}
+	r.tier0 = storage.NewCounting(r.ssd)
+	m, err := New(Config{
+		Levels:        []storage.Backend{r.tier0, r.peer, r.pfs},
+		Pool:          r.pool,
+		FullFileFetch: true,
+		ChunkSize:     parityFileSize / 4,
+		Eviction:      NewLRU(),
+		JobOf:         JobFromPath,
+		Events:        r.log,
+		Trace:         func(s obs.Span) { r.spans = append(r.spans, s) },
+		Peer: PeerConfig{
+			Tier: 1,
+			Owns: func(name string) bool { return !strings.HasPrefix(name, "remote/") },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	if init {
+		if err := m.Init(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.m = m
+	return r
+}
+
+// place reads own/a in full and drains the pool, leaving it placed on
+// tier 0.
+func (r *parityRig) place(t *testing.T) {
+	t.Helper()
+	if _, err := r.m.ReadAt(context.Background(), "own/a", make([]byte, parityFileSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	r.pool.drain()
+	if lvl, err := r.m.LevelOf("own/a"); err != nil || lvl != 0 {
+		t.Fatalf("own/a at level %d (err=%v), want placed on 0", lvl, err)
+	}
+}
+
+// evict runs the placement handler's eviction of own/a off tier 0.
+func (r *parityRig) evict(t *testing.T) {
+	t.Helper()
+	if freed, err := r.m.placer.evict(context.Background(), r.m.levels[0], "own/a"); !freed || err != nil {
+		t.Errorf("evict own/a: freed=%v err=%v", freed, err)
+	}
+}
+
+// parityOutcome is everything the plan must make identical across the
+// two sinks.
+type parityOutcome struct {
+	data      []byte
+	err       string
+	stats     Stats
+	vars      map[string]float64
+	spans     []string
+	events    []string
+	tierReads int64 // tier-0 read attempts the read under test made
+	pfsReads  int64 // source reads it made
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestReadPlanRouteSinkParity runs every route and every recovery of the
+// read plan once through each sink, on twin fixtures, and requires the
+// two to be indistinguishable from outside: same bytes, same Stats, same
+// registry (latency sums aside), same span sequence, same event log —
+// and the same backend traffic, which pins one first attempt plus at
+// most one source re-serve for both entry points.
+func TestReadPlanRouteSinkParity(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		noInit bool
+		prime  func(t *testing.T, r *parityRig)
+		file   string
+		n      int // bytes to read at offset 0; 0 = the whole file
+		// What the read under test must have done, so that parity is not
+		// vacuous: tier-0 attempts, source reads, and a Stats probe.
+		tierReads, pfsReads int64
+		check               func(s Stats) bool
+	}{
+		{
+			name:  "local placed",
+			prime: func(t *testing.T, r *parityRig) { r.place(t) },
+			file:  "own/a", tierReads: 1,
+			check: func(s Stats) bool { return s.ReadsServed[0] == 1 },
+		},
+		{
+			name: "mid-copy partial hit",
+			prime: func(t *testing.T, r *parityRig) {
+				// A chunked placement frozen after chunk 0 of 4.
+				e, _ := r.m.meta.get("own/a")
+				if !e.tryQueue() {
+					t.Fatal("own/a not queueable")
+				}
+				if err := r.ssd.Allocate(ctx, "own/a", parityFileSize); err != nil {
+					t.Fatal(err)
+				}
+				e.beginChunks(0, parityFileSize/4)
+				if _, err := r.ssd.WriteAt(ctx, "own/a", parityContent("own/a")[:parityFileSize/4], 0); err != nil {
+					t.Fatal(err)
+				}
+				e.markChunk(0)
+			},
+			file: "own/a", n: parityFileSize / 4, tierReads: 1,
+			check: func(s Stats) bool { return s.PartialHits == 1 && s.ReadsServed[0] == 1 },
+		},
+		{
+			name: "peer hit",
+			file: "remote/hit",
+			check: func(s Stats) bool {
+				return s.PeerHits == 1 && s.PeerHedges == 0 && s.ReadsServed[1] == 1
+			},
+		},
+		{
+			name:  "peer hedged hit",
+			prime: func(t *testing.T, r *parityRig) { r.peer.hedge = true },
+			file:  "remote/hit",
+			check: func(s Stats) bool { return s.PeerHits == 1 && s.PeerHedges == 1 },
+		},
+		{
+			name: "peer miss",
+			file: "remote/miss", pfsReads: 1,
+			check: func(s Stats) bool { return s.PeerMisses == 1 && s.Fallbacks == 0 && s.ReadsServed[2] == 1 },
+		},
+		{
+			name: "eviction race",
+			prime: func(t *testing.T, r *parityRig) {
+				// The whole eviction lands between the reader's resolve and
+				// its tier attempt: the route says placed, the copy is gone.
+				r.place(t)
+				r.ssd.onRead = func() { r.evict(t) }
+			},
+			file: "own/a", tierReads: 1, pfsReads: 1,
+			check: func(s Stats) bool {
+				return s.Evictions == 1 && s.EvictionRaces == 1 && s.Fallbacks == 0 && s.ReadsServed[2] == 2
+			},
+		},
+		{
+			name: "eviction and re-placement race",
+			prime: func(t *testing.T, r *parityRig) {
+				// As above, and a chunked re-placement has already allocated
+				// its fresh, still empty copy: the tier attempt succeeds, and
+				// what it read must never reach the caller.
+				r.place(t)
+				r.ssd.onRead = func() {
+					r.evict(t)
+					e, _ := r.m.meta.get("own/a")
+					if !e.tryQueue() {
+						t.Error("evicted own/a not re-queueable")
+					}
+					if err := r.ssd.Allocate(ctx, "own/a", parityFileSize); err != nil {
+						t.Error(err)
+					}
+					e.beginChunks(0, parityFileSize/4)
+				}
+			},
+			file: "own/a", tierReads: 1, pfsReads: 1,
+			check: func(s Stats) bool { return s.EvictionRaces == 1 && s.Fallbacks == 0 && s.ReadsServed[2] == 2 },
+		},
+		{
+			name: "tier failure → fallback",
+			prime: func(t *testing.T, r *parityRig) {
+				r.place(t)
+				r.ssd.fail.Store(true)
+			},
+			file: "own/a", tierReads: 1, pfsReads: 1,
+			check: func(s Stats) bool { return s.Fallbacks == 1 && s.EvictionRaces == 0 && s.ReadsServed[2] == 2 },
+		},
+		{
+			name: "breaker-down demotion",
+			prime: func(t *testing.T, r *parityRig) {
+				r.place(t)
+				r.m.ForceTierDown(0, errors.New("operator: tier pulled"))
+			},
+			file: "own/a", pfsReads: 1,
+			check: func(s Stats) bool { return s.Demotions == 1 && s.Fallbacks == 0 && s.ReadsServed[2] == 2 },
+		},
+		{
+			name: "plain source",
+			file: "own/a", pfsReads: 1,
+			check: func(s Stats) bool { return s.ReadsServed[2] == 1 && s.Placements == 1 && s.FullReadReuses == 1 },
+		},
+		{
+			name:  "unknown file",
+			file:  "ghost",
+			check: func(s Stats) bool { return sum64(s.ReadsServed) == 0 },
+		},
+		{
+			name:   "read before Init",
+			noInit: true,
+			file:   "own/a",
+			check:  func(s Stats) bool { return sum64(s.ReadsServed) == 0 },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.n
+			if n == 0 {
+				n = parityFileSize
+			}
+			run := func(view bool) parityOutcome {
+				r := newParityRig(t, !tc.noInit)
+				if tc.prime != nil {
+					tc.prime(t, r)
+				}
+				tier0, pfs := r.tier0.Counts().Ops[storage.OpRead], r.pfs.Counts().Ops[storage.OpRead]
+				var out parityOutcome
+				if view {
+					v, err := r.m.ReadView(ctx, tc.file, 0, int64(n))
+					out.data, out.err = append([]byte(nil), v.Data...), errString(err)
+					v.Release()
+				} else {
+					buf := make([]byte, n)
+					got, err := r.m.ReadAt(ctx, tc.file, buf, 0)
+					out.data, out.err = buf[:got], errString(err)
+				}
+				out.tierReads = r.tier0.Counts().Ops[storage.OpRead] - tier0
+				out.pfsReads = r.pfs.Counts().Ops[storage.OpRead] - pfs
+				r.pool.drain()
+				out.stats = r.m.Stats()
+				out.vars = r.m.Registry().Vars()
+				for k := range out.vars {
+					if strings.Contains(k, "_seconds_sum") || strings.HasPrefix(k, "monarch_uptime_seconds") {
+						delete(out.vars, k)
+					}
+				}
+				for _, s := range r.spans {
+					out.spans = append(out.spans, fmt.Sprintf("%v tier=%d flags=%v bytes=%d err=%q",
+						s.Kind, s.Tier, s.Flags, s.Bytes, errString(s.Err)))
+				}
+				for _, e := range r.log.Events() {
+					out.events = append(out.events, fmt.Sprintf("%v %s level=%d bytes=%d err=%q",
+						e.Kind, e.File, e.Level, e.Bytes, errString(e.Err)))
+				}
+				return out
+			}
+			cp, vw := run(false), run(true)
+
+			if !tc.check(cp.stats) {
+				t.Errorf("ReadAt did not exercise the case: %+v", cp.stats)
+			}
+			if cp.tierReads != tc.tierReads || cp.pfsReads != tc.pfsReads {
+				t.Errorf("ReadAt made %d tier-0 and %d source reads, want %d and %d",
+					cp.tierReads, cp.pfsReads, tc.tierReads, tc.pfsReads)
+			}
+			if vw.tierReads != tc.tierReads || vw.pfsReads != tc.pfsReads {
+				t.Errorf("ReadView made %d tier-0 and %d source reads, want %d and %d",
+					vw.tierReads, vw.pfsReads, tc.tierReads, tc.pfsReads)
+			}
+			if cp.err != vw.err || !bytes.Equal(cp.data, vw.data) {
+				t.Errorf("ReadAt returned %d bytes err=%q, ReadView %d bytes err=%q",
+					len(cp.data), cp.err, len(vw.data), vw.err)
+			}
+			if cp.err == "" && !bytes.Equal(cp.data, parityContent(tc.file)[:n]) {
+				t.Errorf("read returned wrong bytes")
+			}
+			if !reflect.DeepEqual(cp.stats, vw.stats) {
+				t.Errorf("Stats differ:\n ReadAt   %+v\n ReadView %+v", cp.stats, vw.stats)
+			}
+			if !reflect.DeepEqual(cp.vars, vw.vars) {
+				for k, v := range cp.vars {
+					if vw.vars[k] != v {
+						t.Errorf("registry %s: ReadAt %v, ReadView %v", k, v, vw.vars[k])
+					}
+				}
+			}
+			if !reflect.DeepEqual(cp.spans, vw.spans) {
+				t.Errorf("spans differ:\n ReadAt   %q\n ReadView %q", cp.spans, vw.spans)
+			}
+			if !reflect.DeepEqual(cp.events, vw.events) {
+				t.Errorf("events differ:\n ReadAt   %q\n ReadView %q", cp.events, vw.events)
+			}
+		})
+	}
+}

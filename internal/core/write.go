@@ -394,14 +394,14 @@ func (ws *writeState) flush(ctx context.Context, f *writeFile) error {
 		f.mu.Lock()
 		f.flushing = false
 		f.mu.Unlock()
-		m.inst.errFlush.Inc()
+		m.inst.errs[stageFlush].Inc()
 		m.event(Event{Kind: EventOpError, File: f.name, Level: m.source.level, Err: err})
 		m.span(obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: int64(len(data)), Err: err, Duration: dur})
 		return err
 	}
 	if ws.jn != nil {
 		if _, jerr := ws.jn.Append(journal.Record{Kind: recFlush, Name: f.name, Off: covered}); jerr != nil {
-			m.inst.errJournal.Inc()
+			m.inst.errs[stageJournal].Inc()
 			m.event(Event{Kind: EventOpError, File: f.name, Level: -1, Err: jerr})
 		}
 	}
@@ -464,7 +464,7 @@ func (ws *writeState) close(graceful bool) {
 		ws.persistHeat()
 	}
 	if err := ws.jn.Close(); err != nil {
-		ws.m.inst.errJournal.Inc()
+		ws.m.inst.errs[stageJournal].Inc()
 	}
 }
 
@@ -476,7 +476,7 @@ func (ws *writeState) persistHeat() {
 	if !ok {
 		if ws.dirtyBytes() == 0 {
 			if err := ws.jn.Compact(nil); err != nil {
-				ws.m.inst.errJournal.Inc()
+				ws.m.inst.errs[stageJournal].Inc()
 			}
 		}
 		return
@@ -501,7 +501,7 @@ func (ws *writeState) persistHeat() {
 		})
 	}
 	if err := ws.jn.Compact(recs); err != nil {
-		ws.m.inst.errJournal.Inc()
+		ws.m.inst.errs[stageJournal].Inc()
 	}
 }
 
@@ -687,7 +687,7 @@ func (m *Monarch) Create(ctx context.Context, name string, size int64) error {
 	if back && ws.jn != nil {
 		if _, err := ws.jn.Append(journal.Record{Kind: recAlloc, Name: name, Off: uint64(size)}); err != nil {
 			m.meta.remove(name)
-			m.inst.errJournal.Inc()
+			m.inst.errs[stageJournal].Inc()
 			return fmt.Errorf("monarch: create %q: %w", name, err)
 		}
 	}
@@ -717,13 +717,13 @@ func (m *Monarch) WriteAt(ctx context.Context, name string, p []byte, off int64)
 	f := ws.file(name)
 	if f == nil {
 		err := fmt.Errorf("%w: %q", ErrNotWritable, name)
-		m.inst.errWrite.Inc()
+		m.inst.errs[stageWrite].Inc()
 		m.span(obs.Span{Kind: obs.SpanWrite, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(start)})
 		return 0, err
 	}
 	if off < 0 || off+int64(len(p)) > f.size {
 		err := fmt.Errorf("monarch: write [%d,%d) outside %q (size %d)", off, off+int64(len(p)), name, f.size)
-		m.inst.errWrite.Inc()
+		m.inst.errs[stageWrite].Inc()
 		m.span(obs.Span{Kind: obs.SpanWrite, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(start)})
 		return 0, err
 	}
@@ -743,7 +743,7 @@ func (ws *writeState) writeThrough(ctx context.Context, f *writeFile, p []byte, 
 	n, err := rw.WriteAt(ctx, f.name, p, off)
 	dur := time.Since(start)
 	if err != nil {
-		m.inst.errWrite.Inc()
+		m.inst.errs[stageWrite].Inc()
 		m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: m.source.level, Off: off, Err: err, Duration: dur})
 		return n, err
 	}
@@ -760,7 +760,7 @@ func (ws *writeState) writeThrough(ctx context.Context, f *writeFile, p []byte, 
 func (ws *writeState) writeBack(ctx context.Context, f *writeFile, p []byte, off int64, start time.Time) (int, error) {
 	m := ws.m
 	fail := func(n int, err error) (int, error) {
-		m.inst.errWrite.Inc()
+		m.inst.errs[stageWrite].Inc()
 		m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: 0, Off: off,
 			Flags: obs.FlagWriteBack, Err: err, Duration: time.Since(start)})
 		return n, err
@@ -777,7 +777,7 @@ func (ws *writeState) writeBack(ctx context.Context, f *writeFile, p []byte, off
 		if err != nil {
 			f.wmu.Unlock()
 			ws.release(int64(len(p)))
-			m.inst.errJournal.Inc()
+			m.inst.errs[stageJournal].Inc()
 			return fail(0, err)
 		}
 	}
@@ -856,7 +856,7 @@ func (m *Monarch) Remove(ctx context.Context, name string) error {
 	f := ws.file(name)
 	if f == nil {
 		err := fmt.Errorf("%w: %q", ErrNotWritable, name)
-		m.inst.errWrite.Inc()
+		m.inst.errs[stageWrite].Inc()
 		m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: -1, Err: err, Duration: time.Since(start)})
 		return err
 	}
@@ -868,7 +868,7 @@ func (m *Monarch) Remove(ctx context.Context, name string) error {
 	ws.release(voided)
 	if ws.jn != nil {
 		if _, err := ws.jn.Append(journal.Record{Kind: recRemove, Name: name}); err != nil {
-			m.inst.errJournal.Inc()
+			m.inst.errs[stageJournal].Inc()
 			m.event(Event{Kind: EventOpError, File: name, Level: -1, Err: err})
 		}
 	}
@@ -878,13 +878,13 @@ func (m *Monarch) Remove(ctx context.Context, name string) error {
 	m.meta.remove(name)
 	if f.back {
 		if err := m.levels[0].backend.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-			m.inst.errWrite.Inc()
+			m.inst.errs[stageWrite].Inc()
 			m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: 0, Err: err, Duration: time.Since(start)})
 			return err
 		}
 	}
 	if err := m.source.backend.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-		m.inst.errWrite.Inc()
+		m.inst.errs[stageWrite].Inc()
 		m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: m.source.level, Err: err, Duration: time.Since(start)})
 		return err
 	}
