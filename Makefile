@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test stress bench-smoke race vet lint cover bench bench-all bench-obs bench-peer bench-hotpath bench-write trace-smoke peer-smoke chaos-smoke crash-smoke repro repro-full examples fuzz fuzz-smoke clean
+.PHONY: all build test stress bench-smoke race vet lint cover bench-all bench-ledger bench-check trace-smoke crash-smoke repro repro-full examples fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -36,17 +36,18 @@ test:
 	$(MAKE) stress
 	$(MAKE) bench-smoke
 	$(MAKE) trace-smoke
-	$(MAKE) peer-smoke
-	$(MAKE) chaos-smoke
 	$(MAKE) crash-smoke
 	$(MAKE) fuzz-smoke
 
 # The evict/re-place/read and fan-in stress tests pass or fail on the
 # interleaving they happen to get, so one run proves little: repeat
-# them, oversubscribed, plain and under the race detector.
+# them, oversubscribed, plain and under the race detector. The two
+# write-plan races (Remove against a flush in flight, Create against a
+# Remove) are pinned by gates, so they repeat for the detector's sake.
 stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestRemoveDuringFlush|TestCreateDuringRemove' -count=50 ./internal/core/
 
 # bench/ is its own module (the BENCHMARK.json ledger harness), so
 # `go test ./...` at the root never compiles it: run its tests here so
@@ -74,52 +75,39 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR_CORE)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 		{ echo "internal/core coverage $$total% fell below the $(COVER_FLOOR_CORE)% floor"; exit 1; }
 
-# Core placement/read benchmarks (whole-file vs chunked), committed as
-# a JSON baseline so regressions show up in review.
-bench:
-	$(GO) test -bench='Placement|ReadAt|Metadata|Init' -benchmem -count=1 ./internal/core/ \
-		| $(GO) run ./cmd/monarch-benchjson -o BENCH_chunked.json
-
 # One bench per paper table/figure plus package micro-benchmarks.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Observability overhead guard: the instrumented mid-copy read path vs
-# its baseline, with the run's metrics snapshot embedded. The budgets
-# are documented in DESIGN.md §8/§9: instrumented ≤5% over baseline,
-# traced ≤5% over instrumented.
-bench-obs:
-	MONARCH_METRICS_OUT=$(CURDIR)/.bench-metrics.json \
-		$(GO) test -bench='ReadAtMidCopy|ReadAtInstrumented|ReadAtTraced' -benchmem -count=1 ./internal/core/ \
-		| $(GO) run ./cmd/monarch-benchjson -o BENCH_obs.json -metrics .bench-metrics.json
-	rm -f .bench-metrics.json
+# The benchmark ledger (bench/README.md): N runs of every BENCHMARK.json
+# workload at this checkout, one JSON record each, appended to NEW. With
+# BASE_DIR — a checkout of the commit to compare against — every run is
+# paired with the same seed there, appended to BASE, and the two sides
+# take turns going first so drift on the machine lands on both.
+N ?= 10
+BASE ?= ledger-base.jsonl
+NEW ?= ledger-new.jsonl
+bench-ledger:
+	@set -e; for i in $$(seq 1 $(N)); do \
+		sides="new base"; if [ $$((i % 2)) -eq 0 ]; then sides="base new"; fi; \
+		for side in $$sides; do \
+			if [ $$side = new ]; then \
+				bash bench/run.sh --workload all --seed $$i --out $(abspath $(NEW)); \
+			elif [ -n "$(BASE_DIR)" ]; then \
+				bash $(BASE_DIR)/bench/run.sh --workload all --seed $$i --out $(abspath $(BASE)); \
+			fi; \
+		done; \
+	done
 
-# Hot-path fan-in guard: the steady-state read path at pinned 1/8/64
-# goroutine fan-in, committed as a JSON baseline so the hot-read-path
-# speedup stays measurable in-repo.
-bench-hotpath:
-	$(GO) test -bench='ReadAtParallel|ReadAtSteadyState' -benchmem -count=1 ./internal/core/ \
-		| $(GO) run ./cmd/monarch-benchjson -o BENCH_hotpath.json
-
-# Peer wire-protocol benchmarks over both transports (in-process pipe
-# isolates codec cost; loopback TCP adds the kernel socket path),
-# committed as a JSON baseline.
-bench-peer:
-	$(GO) test -bench='PeerRead|PeerStat' -benchmem -count=1 ./internal/peernet/ \
-		| $(GO) run ./cmd/monarch-benchjson -o BENCH_peer.json
-
-# Write-path benchmarks: foreground ack latency/throughput for
-# write-through vs write-back (journaled and not), committed as a JSON
-# baseline so ack-path regressions show up in review.
-bench-write:
-	$(GO) test -bench='WriteThrough|WriteBack' -benchmem -count=1 ./internal/core/ \
-		| $(GO) run ./cmd/monarch-benchjson -o BENCH_write.json
-
-# Peer network smoke: two real servers over loopback TCP, a short
-# reshuffled sharded job, non-zero exit unless sibling caches served
-# reads.
-peer-smoke:
-	$(GO) run ./cmd/monarch-serve -selftest
+# The verdict on two ledger files: one row per workload and end-to-end
+# metric, non-zero on a regression past its bound — and on `unresolved`,
+# which bench/run.sh -compare only prints: runs too noisy to tell a
+# change from nothing are not a pass.
+bench-check:
+	@out=$$(bash bench/run.sh -compare $(abspath $(BASE)) $(abspath $(NEW))); rc=$$?; echo "$$out"; \
+		case "$$out" in *unresolved*) \
+			if [ $$rc -eq 0 ]; then echo "bench-check: unresolved pairings are not a pass"; rc=3; fi;; \
+		esac; exit $$rc
 
 # Write-path crash drill: a journaled write-back burst SIGKILLed
 # mid-flight, the stack reopened over the same directories, and every
@@ -128,13 +116,6 @@ peer-smoke:
 # drill must actually exercise replay).
 crash-smoke:
 	$(GO) run ./cmd/monarch-serve -crashsmoke
-
-# Churn drill: 6 replicated nodes with gossip membership, one killed
-# mid-run and rejoined two epochs later. Non-zero exit unless the kill
-# cost zero PFS fallbacks, both membership convergences landed, and no
-# goroutines leaked.
-chaos-smoke:
-	$(GO) run ./cmd/monarch-serve -chaos
 
 # End-to-end trace pipeline smoke: capture a tiny run, analyze the
 # artifact, then replay it faithfully — monarch-bench exits non-zero if
@@ -185,4 +166,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/journal/
 
 clean:
-	rm -f test_output.txt bench_output.txt .bench-metrics.json .cover-core.out
+	rm -f test_output.txt bench_output.txt .cover-core.out

@@ -13,7 +13,7 @@
 //	monarch-inspect top [-once] [-interval 2s] <url> # live cluster view
 //
 // The metrics subcommand accepts either a JSON snapshot file (as
-// embedded in BENCH_obs.json or fetched from /metrics.json) or the base
+// fetched from /metrics.json) or the base
 // URL of a running instance's metrics endpoint (Config.MetricsAddr).
 //
 // The trace subcommand reads an access trace captured with

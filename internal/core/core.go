@@ -337,9 +337,7 @@ func (m *Monarch) NumFiles() int { return m.meta.len() }
 // Stats returns a snapshot of middleware counters.
 func (m *Monarch) Stats() Stats {
 	s := m.stats.snapshot(m.placer.inFlight())
-	if m.writes != nil {
-		s.DirtyBytes = m.writes.dirtyBytes()
-	}
+	s.DirtyBytes = m.writes.dirtyBytes()
 	return s
 }
 

@@ -44,31 +44,41 @@ func TestEventLogPanicsOnBadCapacity(t *testing.T) {
 	NewEventLog(0)
 }
 
+// TestEventKindAndString walks every kind: its name, and a phrase its
+// rendered message must carry (the generic fallback renders the name).
 func TestEventKindAndString(t *testing.T) {
-	kinds := map[EventKind]string{
-		EventPlaced: "placed", EventSkipped: "skipped", EventFailed: "failed",
-		EventEvicted: "evicted", EventFallback: "fallback", EventKind(42): "unknown",
+	x := errors.New("x")
+	cases := []struct {
+		e          Event
+		name, says string
+	}{
+		{Event{Kind: EventPlaced, File: "f", Bytes: 10}, "placed", "placed f on level 0 (10 bytes)"},
+		{Event{Kind: EventSkipped, File: "f"}, "skipped", "skipped f"},
+		{Event{Kind: EventFailed, File: "f", Err: x}, "failed", "placement of f failed: x"},
+		{Event{Kind: EventEvicted, File: "f", Level: 1}, "evicted", "evicted f from level 1"},
+		{Event{Kind: EventFallback, File: "f"}, "fallback", "fell back"},
+		{Event{Kind: EventChunkPlaced, File: "f", Bytes: 4}, "chunk-placed", "chunk of f placed on level 0 (4 bytes)"},
+		{Event{Kind: EventPartialHit, File: "f", Bytes: 4}, "partial-hit", "served mid-copy from level 0"},
+		{Event{Kind: EventOpError, File: "f", Level: -1, Err: x}, "op-error", "best-effort operation on f (level -1) failed: x"},
+		{Event{Kind: EventPromoted, File: "f", Bytes: 4}, "promoted", "promoted f back into placement"},
+		{Event{Kind: EventFlushed, File: "f", Bytes: 4}, "flushed", "flushed f to the PFS (4 dirty bytes retired)"},
+		{Event{Kind: EventWriteStalled, File: "f", Bytes: 4}, "write-stalled", "stalled on the dirty budget"},
+		{Event{Kind: EventRecovered, Bytes: 2}, "recovered", "recovered 2 journaled files"},
+		{Event{Kind: EventKind(42), File: "f"}, "unknown", "unknown f"},
 	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q", k, k.String())
+	for i, c := range cases {
+		c.e.Seq = uint64(i + 1)
+		if got := c.e.Kind.String(); got != c.name {
+			t.Errorf("%d.String() = %q, want %q", c.e.Kind, got, c.name)
+		}
+		if got := c.e.String(); !strings.HasPrefix(got, fmt.Sprintf("#%d ", i+1)) || !strings.Contains(got, c.says) {
+			t.Errorf("%q does not say %q", got, c.says)
 		}
 	}
-	e := Event{Kind: EventPlaced, File: "f", Level: 0, Bytes: 10, Seq: 1}
-	if !strings.Contains(e.String(), "placed f on level 0") {
-		t.Fatalf("%q", e.String())
-	}
-	if !strings.Contains(Event{Kind: EventFailed, File: "g", Err: errors.New("x"), Seq: 2}.String(), "failed") {
-		t.Fatal("failed event string")
-	}
-	if !strings.Contains(Event{Kind: EventEvicted, File: "h", Seq: 3}.String(), "evicted") {
-		t.Fatal("evicted event string")
-	}
-	if !strings.Contains(Event{Kind: EventFallback, File: "i", Seq: 4}.String(), "fell back") {
-		t.Fatal("fallback event string")
-	}
-	if !strings.Contains(Event{Kind: EventSkipped, File: "j", Seq: 5}.String(), "skipped") {
-		t.Fatal("skipped event string")
+	if len(cases) != int(eventKinds)-4+1 {
+		// The four breaker kinds are health_test's; every other kind,
+		// plus the unknown one, must have a row here.
+		t.Errorf("%d rows for %d event kinds", len(cases), eventKinds)
 	}
 }
 

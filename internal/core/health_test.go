@@ -307,8 +307,9 @@ func TestPermanentErrorsDoNotRetry(t *testing.T) {
 	})
 }
 
-// blockingFS stalls WriteFile until its context is cancelled, to pin a
-// placement in flight.
+// blockingFS stalls WriteFile and WriteAt — the whole-file and the
+// chunked copy — until their context is cancelled, to pin a placement
+// in flight.
 type blockingFS struct {
 	*storage.MemFS
 	started chan struct{}
@@ -321,10 +322,20 @@ func (b *blockingFS) WriteFile(ctx context.Context, name string, data []byte) er
 	return ctx.Err()
 }
 
+func (b *blockingFS) WriteAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
+	return 0, b.WriteFile(ctx, name, p)
+}
+
 // TestShutdownCancelsInFlightPlacement: Monarch.Shutdown interrupts a
 // running copy; the cancelled placement is not a placement error and
-// returns the entry to the source state.
+// returns the entry to the source state — whether the copy is one
+// WriteFile or a chunk job's workers mid-chunk.
 func TestShutdownCancelsInFlightPlacement(t *testing.T) {
+	t.Run("whole-file", func(t *testing.T) { testShutdownCancelsPlacement(t, 0) })
+	t.Run("chunked", func(t *testing.T) { testShutdownCancelsPlacement(t, 32) })
+}
+
+func testShutdownCancelsPlacement(t *testing.T, chunkSize int64) {
 	ctx := context.Background()
 	pfs := storage.NewMemFS("lustre", 0)
 	if err := pfs.WriteFile(ctx, "f", bytes.Repeat([]byte{7}, 100)); err != nil {
@@ -336,6 +347,7 @@ func TestShutdownCancelsInFlightPlacement(t *testing.T) {
 		Levels:        []storage.Backend{tier0, pfs},
 		Pool:          pool.NewGoPool(1),
 		FullFileFetch: true,
+		ChunkSize:     chunkSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +355,9 @@ func TestShutdownCancelsInFlightPlacement(t *testing.T) {
 	if err := m.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
-	p := make([]byte, 100)
+	// A partial first read: a full one would lend its bytes to the
+	// placement, which then skips the chunked fan-out.
+	p := make([]byte, 10)
 	if _, err := m.ReadAt(ctx, "f", p, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -530,6 +544,28 @@ func TestTierStateAndEventStrings(t *testing.T) {
 		if !strings.Contains(c.e.String(), c.want) {
 			t.Errorf("%v does not mention %q", c.e.String(), c.want)
 		}
+	}
+}
+
+// TestProbeAbortedWhenPoolClosed: a recovery probe that cannot be
+// scheduled (the pool no longer takes tasks) must give the probing
+// latch back, or the tier could never be probed again.
+func TestProbeAbortedWhenPoolClosed(t *testing.T) {
+	f := newHealthFixture(t, 1, 64, nil)
+	f.m.ForceTierDown(0, errors.New("forced"))
+	f.m.cfg.Pool.Close()
+	for i := 0; i < 3; i++ {
+		f.readAll(t, 1, 64) // each read of a Down tier asks for a probe (ProbeAfterReads 1)
+		tier := f.m.health.tier(0)
+		tier.mu.Lock()
+		probing := tier.probing
+		tier.mu.Unlock()
+		if probing {
+			t.Fatalf("read %d: probing latch still set after the pool refused the probe", i)
+		}
+	}
+	if st := f.m.Stats(); st.Probes != 0 || f.m.TierState(0) != TierDown {
+		t.Fatalf("probes=%d state=%v with a closed pool", st.Probes, f.m.TierState(0))
 	}
 }
 

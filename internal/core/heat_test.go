@@ -337,6 +337,11 @@ func TestQuotaReclaimUnderPressure(t *testing.T) {
 	if st.Jobs["jobB"].Evictions != 4 || st.Jobs["jobA"].Evictions != 0 {
 		t.Fatalf("per-job evictions = %+v, want all 4 charged to jobB", st.Jobs)
 	}
+	// jobB's second pass hit the tier, jobA has only read cold files,
+	// and a job that never read has no ratio to divide.
+	if b, a, none := st.Jobs["jobB"].HitRatio(), st.Jobs["jobA"].HitRatio(), st.Jobs["ghost"].HitRatio(); b != 0.5 || a != 0 || none != 0 {
+		t.Fatalf("per-job hit ratios = %v, %v, %v; want 0.5, 0, 0", b, a, none)
+	}
 	// Once jobA is at its share, further jobA placements must NOT keep
 	// eating jobB's guaranteed half without a heat win.
 	for j := 4; j < 8; j++ {

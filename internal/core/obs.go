@@ -213,8 +213,8 @@ func (m *Monarch) span(s obs.Span) {
 	}
 }
 
-// Registry exposes the instance's metrics registry, for embedding
-// snapshots (monarch-benchjson -metrics) or attaching custom sinks.
+// Registry exposes the instance's metrics registry, for taking
+// snapshots or attaching custom sinks.
 func (m *Monarch) Registry() *obs.Registry { return m.inst.reg }
 
 // Healthz summarizes the instance for the /healthz endpoint: every

@@ -351,6 +351,30 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := snap.Int("monarch_tier_read_ops_total", obs.L("tier", "1")); !ok || v != s.ReadsServed[1] {
 		t.Fatalf("json snapshot tier-1 ops = %d (ok=%v), Stats %d", v, ok, s.ReadsServed[1])
 	}
+
+	// /healthz is Healthz: every cache tier with its breaker state, 200
+	// until one opens.
+	probe := func() (int, obs.Health) {
+		t.Helper()
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h obs.Health
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatalf("healthz: %v", err)
+		}
+		return resp.StatusCode, h
+	}
+	if code, h := probe(); code != http.StatusOK || len(h.Tiers) != f.m.Levels()-1 ||
+		h.Tiers[0] != (obs.TierHealth{Tier: 0, Name: "ssd", State: "healthy"}) {
+		t.Fatalf("healthz = %d %+v, want 200 with one healthy ssd tier", code, h)
+	}
+	f.m.ForceTierDown(0, errors.New("forced"))
+	if code, h := probe(); code == http.StatusOK || h.Tiers[0].State != "down" {
+		t.Fatalf("healthz with an open breaker = %d %+v", code, h)
+	}
 }
 
 // TestMetricsAddrConflict ensures a bad listen address surfaces as a

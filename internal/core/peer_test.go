@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"monarch/internal/pool"
 	"monarch/internal/storage"
+	"monarch/internal/trace"
 )
 
 // peerFixture builds a 3-level hierarchy [ssd, peer, pfs] where the
@@ -105,9 +107,11 @@ func TestPeerConfigValidation(t *testing.T) {
 
 // TestPeerHitServesFromOwnerCache: a non-owned file the owner has
 // cached is served by the peer tier, counted as a peer hit, and never
-// placed locally.
+// placed locally. With peer routing on, the trace trailer carries the
+// peer counters too.
 func TestPeerHitServesFromOwnerCache(t *testing.T) {
-	f := newPeerFixture(t, nil)
+	tracePath := filepath.Join(t.TempDir(), "peer.bin")
+	f := newPeerFixture(t, func(c *Config) { c.TracePath = tracePath })
 	data := f.read(t, "remote/c")
 	if !bytes.Equal(data, bytes.Repeat([]byte("c"), 64)) {
 		t.Fatalf("peer read returned %q", data)
@@ -129,6 +133,16 @@ func TestPeerHitServesFromOwnerCache(t *testing.T) {
 	}
 	if _, err := f.ssd.Stat(context.Background(), "remote/c"); !errors.Is(err, storage.ErrNotExist) {
 		t.Fatalf("non-owned file landed on local ssd: %v", err)
+	}
+	f.m.Close()
+	tr, err := trace.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]int64{"peer_hits": 1, "peer_hit_bytes": 64, "peer_misses": 0, "peer_hedges": 0} {
+		if got, ok := tr.Summary[key]; !ok || got != want {
+			t.Errorf("trailer %s = %d (present=%v), want %d", key, got, ok, want)
+		}
 	}
 }
 

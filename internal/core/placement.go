@@ -152,7 +152,7 @@ func (pl *placer) place(ctx context.Context, e *fileEntry, full []byte, attempt 
 	// Checkpoint-burst gate: while foreground writes are landing (or
 	// their dirty backlog is draining), background copies would fight
 	// them for tier and PFS bandwidth — hold here until the burst ends.
-	m.writePause(ctx)
+	m.writes.pauseForBurst(ctx)
 	if ctx.Err() != nil {
 		e.cancelQueued()
 		return
@@ -373,7 +373,7 @@ func (j *chunkJob) run(ctx context.Context) {
 		}
 		// Per-chunk burst check: a long chunked copy yields between
 		// chunks when a checkpoint burst starts mid-flight.
-		j.pl.m.writePause(ctx)
+		j.pl.m.writes.pauseForBurst(ctx)
 		if ctx.Err() != nil {
 			j.cancel()
 			break

@@ -102,10 +102,6 @@ func (m *Monarch) MarkEpoch(n int) {
 	}
 }
 
-// MarkTraceEpoch is the historical name of MarkEpoch, kept for existing
-// training loops; it forwards unchanged.
-func (m *Monarch) MarkTraceEpoch(n int) { m.MarkEpoch(n) }
-
 // Tracer exposes the access-trace recorder (nil without
 // Config.TracePath), so harnesses can merge their own counters into
 // the trailer — the experiments record the measured PFS data-op count

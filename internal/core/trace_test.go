@@ -24,7 +24,7 @@ func readAll(t *testing.T, f *fixture, nfiles, fileSize, epochs int) {
 			}
 		}
 		f.waitIdle(t)
-		f.m.MarkTraceEpoch(e)
+		f.m.MarkEpoch(e)
 	}
 }
 
@@ -206,13 +206,13 @@ func TestTraceSamplingParity(t *testing.T) {
 
 // TestTraceOverheadPathUnconfigured locks the zero-cost default: no
 // TracePath means no tracer, no span hook allocation beyond the
-// configured one, and MarkTraceEpoch/Tracer stay safe.
+// configured one, and MarkEpoch/Tracer stay safe.
 func TestTraceOverheadPathUnconfigured(t *testing.T) {
 	f := newFixture(t, 0, 2, 128, nil)
 	if f.m.Tracer() != nil {
 		t.Fatal("tracer exists without TracePath")
 	}
-	f.m.MarkTraceEpoch(1) // must not panic
+	f.m.MarkEpoch(1) // must not panic
 	buf := make([]byte, 128)
 	if _, err := f.m.ReadAt(context.Background(), "f000", buf, 0); err != nil {
 		t.Fatal(err)

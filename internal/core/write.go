@@ -62,49 +62,24 @@ type WriteConfig struct {
 	// JournalSync fsyncs the journal on every append, extending
 	// durability from process death to machine crash.
 	JournalSync bool
-	// DirtyBudget bounds the unflushed write-back bytes; writers block
-	// once the budget is exhausted until the flusher drains. Zero means
-	// 256 MiB.
-	DirtyBudget int64
 	// FlushWorkers is the number of dedicated flusher goroutines. They
 	// are deliberately NOT placement-pool tasks: the write-burst gate
 	// pauses pool workers, and a flusher queued behind paused workers
 	// while writers block on the dirty budget would deadlock the path
 	// it exists to drain. Zero means 2.
 	FlushWorkers int
-	// BurstIdle is how long after the last foreground write the
+}
+
+const (
+	// dirtyBudget bounds the unflushed write-back bytes: writers block
+	// once it is exhausted until the flusher drains.
+	dirtyBudget = 256 << 20
+	// burstIdle is how long after the last foreground write the
 	// checkpoint-burst gate keeps background placement copies paused
-	// (the gate also holds while dirty bytes remain). Zero means 100ms.
-	BurstIdle time.Duration
-}
-
-func (c WriteConfig) dirtyBudget() int64 {
-	if c.DirtyBudget <= 0 {
-		return 256 << 20
-	}
-	return c.DirtyBudget
-}
-
-func (c WriteConfig) flushWorkers() int {
-	if c.FlushWorkers <= 0 {
-		return 2
-	}
-	return c.FlushWorkers
-}
-
-func (c WriteConfig) burstIdle() time.Duration {
-	if c.BurstIdle <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.BurstIdle
-}
-
-func (c WriteConfig) durabilityOf(name string) Durability {
-	if c.Durability == nil {
-		return WriteThrough
-	}
-	return c.Durability(name)
-}
+	// (the gate also holds while dirty bytes remain). It doubles as the
+	// flusher's back-off after a refused flush.
+	burstIdle = 100 * time.Millisecond
+)
 
 // ErrWritesDisabled is returned by the write API without Config.Write.
 var ErrWritesDisabled = errors.New("monarch: writes not enabled")
@@ -134,6 +109,35 @@ const (
 	recHeatEpoch byte = 6
 )
 
+// durabilityState is a writable file's place in the write plan:
+//
+//	clean → dirty → flushing → clean | dirty
+//	clean | dirty → removing → gone
+//
+// A write-through file stays clean until it is removed. Transitions
+// run under writeState.mu, the ledger's lock, so state and dirty bytes
+// always move together.
+type durabilityState int
+
+const (
+	// writeClean: every acked byte is on the PFS.
+	writeClean durabilityState = iota
+	// writeDirty: tier 0 holds acked bytes the PFS lacks and no flusher
+	// owns the file; claimDirty moves it on.
+	writeDirty
+	// writeFlushing: one flusher worker is pushing the file to the PFS.
+	// Writers keep landing bytes meanwhile; Remove waits the flush out,
+	// or its PFS remove could run before the flusher's WriteFile and
+	// leave the removed file behind.
+	writeFlushing
+	// writeRemoving: a Remove owns the file. claimDirty skips it, a write
+	// that raced the Remove is refused at its ack, and the name stays
+	// reserved in the table and the namespace until both backend removes
+	// have returned — so a Create of the same name cannot have its fresh
+	// allocation deleted by this Remove.
+	writeRemoving
+)
+
 // writeFile is one writable file's live write-back state.
 type writeFile struct {
 	name string
@@ -147,11 +151,10 @@ type writeFile struct {
 	// Distinct files (the checkpoint-shard case) still write in parallel.
 	wmu sync.Mutex
 
-	mu       sync.Mutex
-	dirty    int64  // tier-0-acked bytes not yet flushed to the PFS
-	lastSeq  uint64 // journal seq of the newest acked data record
-	flushing bool   // a flusher worker owns this file right now
-	removed  bool
+	// Guarded by writeState.mu.
+	state   durabilityState
+	dirty   int64  // tier-0-acked bytes not yet flushed; moved only by book
+	lastSeq uint64 // journal seq of the newest acked data record
 }
 
 // writeState is the write subsystem: the writable-file table, the
@@ -162,10 +165,17 @@ type writeState struct {
 	cfg WriteConfig
 	jn  *journal.Journal // nil without JournalPath
 
-	mu     sync.Mutex
-	files  map[string]*writeFile
-	dirty  int64         // sum of per-file dirty (budget accounting)
-	waitCh chan struct{} // closed+replaced when dirty drains; nil when nobody waits
+	// budget and idle are dirtyBudget and burstIdle; fields so the
+	// in-package tests can shrink them before Init.
+	budget int64
+	idle   time.Duration
+
+	mu    sync.Mutex
+	files map[string]*writeFile
+	dirty int64 // per-file dirty plus reservations in flight; moved only by book
+	// wake is the write plan's one wake-up: book closes and drops it on
+	// every ledger or state change, the next waiter makes a new one.
+	wake chan struct{}
 
 	kick chan struct{} // nudges the flusher workers (cap 1)
 	quit chan struct{}
@@ -174,17 +184,18 @@ type writeState struct {
 	// lastWrite is the monotonic nanosecond stamp (time.Since(m.base))
 	// of the last foreground write ack; the burst gate reads it.
 	lastWrite atomic.Int64
-	started   atomic.Bool
 	closed    atomic.Bool
 }
 
 func newWriteState(m *Monarch, cfg WriteConfig) *writeState {
 	return &writeState{
-		m:     m,
-		cfg:   cfg,
-		files: make(map[string]*writeFile),
-		kick:  make(chan struct{}, 1),
-		quit:  make(chan struct{}),
+		m:      m,
+		cfg:    cfg,
+		budget: dirtyBudget,
+		idle:   burstIdle,
+		files:  make(map[string]*writeFile),
+		kick:   make(chan struct{}, 1),
+		quit:   make(chan struct{}),
 	}
 }
 
@@ -200,102 +211,159 @@ func (ws *writeState) file(name string) *writeFile {
 // acked bytes, and clean ones are owned by the Remove lifecycle, not
 // the placement policy.
 func (ws *writeState) protected(name string) bool {
-	if ws == nil {
-		return false
-	}
-	return ws.file(name) != nil
+	return ws != nil && ws.file(name) != nil
 }
 
-// dirtyBytes reports the unflushed write-back backlog.
+// dirtyBytes reports the unflushed write-back backlog (none without a
+// write path).
 func (ws *writeState) dirtyBytes() int64 {
+	if ws == nil {
+		return 0
+	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	return ws.dirty
 }
 
-// burstActive reports whether a write burst is in progress: a
-// foreground write acked within BurstIdle, or unflushed bytes still
-// draining. The placement gate polls this.
-func (ws *writeState) burstActive() bool {
-	if ws.dirtyBytes() > 0 {
-		return true
+// book is the only place dirty bytes move: file on f's count (nil f: a
+// reservation no file owns yet), global on the budget ledger. A
+// positive global delta is a reservation and is refused while it would
+// push a non-empty backlog past the budget — a single write larger than
+// the whole budget still proceeds once the backlog is empty, or it
+// would wait for ever. Every call fires the wake-up, so a state change
+// with nothing to move books zeros. Callers hold ws.mu.
+func (ws *writeState) book(f *writeFile, file, global int64) bool {
+	if global > 0 && ws.dirty > 0 && ws.dirty+global > ws.budget {
+		return false
 	}
-	last := ws.lastWrite.Load()
-	return last > 0 && time.Since(ws.m.base)-time.Duration(last) < ws.cfg.burstIdle()
+	if f != nil {
+		f.dirty += file
+	}
+	ws.dirty += global
+	if ws.wake != nil {
+		close(ws.wake)
+		ws.wake = nil
+	}
+	return true
 }
 
-// pauseForBurst blocks until the write burst drains (or ctx ends).
-// Called by placement-pool tasks; the flushers this wait depends on
-// run on their own goroutines, so the pause can always resolve.
-func (ws *writeState) pauseForBurst(ctx context.Context) {
-	paused := false
-	poll := ws.cfg.burstIdle() / 4
-	if poll < time.Millisecond {
-		poll = time.Millisecond
+// waitLocked returns the channel the next book closes. Callers hold
+// ws.mu since looking at what they wait on, so no change is missed.
+func (ws *writeState) waitLocked() <-chan struct{} {
+	if ws.wake == nil {
+		ws.wake = make(chan struct{})
 	}
-	for ws.burstActive() {
-		if ctx.Err() != nil {
+	return ws.wake
+}
+
+// await blocks until done, asked under ws.mu, reports true; it asks
+// again after every wake-up. Everything awaited here ends with a flush
+// finishing, hence the nudge.
+func (ws *writeState) await(ctx context.Context, done func() bool) error {
+	for {
+		ws.mu.Lock()
+		if done() {
+			ws.mu.Unlock()
+			return nil
+		}
+		wake := ws.waitLocked()
+		ws.mu.Unlock()
+		ws.nudge()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// idleLeft is how much of the burst gate's idle tail remains after the
+// last foreground write ack; not positive once it has run out.
+func (ws *writeState) idleLeft() time.Duration {
+	last := ws.lastWrite.Load()
+	if last == 0 {
+		return 0
+	}
+	return ws.idle - (time.Since(ws.m.base) - time.Duration(last))
+}
+
+// burstActive reports whether a write burst is in progress: unflushed
+// bytes still draining, or a foreground write acked within the idle
+// tail.
+func (ws *writeState) burstActive() bool {
+	return ws != nil && (ws.dirtyBytes() > 0 || ws.idleLeft() > 0)
+}
+
+// pauseForBurst blocks until the write burst drains (or ctx ends); a
+// no-op without a write path. Called by placement-pool tasks; the
+// flushers this wait depends on run on their own goroutines, so the
+// pause can always resolve.
+func (ws *writeState) pauseForBurst(ctx context.Context) {
+	if ws == nil {
+		return
+	}
+	for paused := false; ctx.Err() == nil; {
+		ws.mu.Lock()
+		dirty, left := ws.dirty, ws.idleLeft()
+		if dirty == 0 && left <= 0 {
+			ws.mu.Unlock()
 			return
 		}
+		wake := ws.waitLocked()
+		ws.mu.Unlock()
 		if !paused {
 			paused = true
 			ws.m.stats.placementPauses.Add(1)
 		}
-		time.Sleep(poll)
-	}
-}
-
-// writePause is the nil-safe gate hook on the placement paths.
-func (m *Monarch) writePause(ctx context.Context) {
-	if m.writes != nil {
-		m.writes.pauseForBurst(ctx)
-	}
-}
-
-// reserve blocks until n write-back bytes fit under the dirty budget,
-// then charges them. It reports whether the writer had to stall.
-func (ws *writeState) reserve(ctx context.Context, n int64) (stalled bool, err error) {
-	budget := ws.cfg.dirtyBudget()
-	for {
-		ws.mu.Lock()
-		if ws.dirty+n <= budget || ws.dirty == 0 {
-			// A single write larger than the whole budget must still
-			// proceed when the backlog is empty, or it would wait forever.
-			ws.dirty += n
-			ws.mu.Unlock()
-			return stalled, nil
+		// While bytes drain only the wake-up can end the wait; the idle
+		// tail after them is the one thing no ledger change marks.
+		var tail <-chan time.Time
+		if dirty == 0 {
+			tail = time.After(left)
 		}
-		if ws.waitCh == nil {
-			ws.waitCh = make(chan struct{})
-		}
-		wait := ws.waitCh
-		ws.mu.Unlock()
-		if !stalled {
-			stalled = true
-			ws.m.stats.writeStalls.Add(1)
-		}
-		ws.nudge()
 		select {
-		case <-wait:
+		case <-wake:
+		case <-tail:
 		case <-ctx.Done():
-			return stalled, ctx.Err()
 		}
 	}
 }
 
-// release returns n flushed (or voided) bytes to the budget and wakes
-// stalled writers.
-func (ws *writeState) release(n int64) {
-	if n == 0 {
-		return
-	}
+// ack books a landed write-back write: n of the reserved bytes became
+// f's dirty bytes, the rest of the reservation (a short write, or all
+// of it when err stopped the write) goes back. A file a Remove took
+// meanwhile refuses the ack — its ledger share is already void.
+func (ws *writeState) ack(f *writeFile, reserved, n int64, seq uint64, err error) error {
 	ws.mu.Lock()
-	ws.dirty -= n
-	if ws.waitCh != nil {
-		close(ws.waitCh)
-		ws.waitCh = nil
+	defer ws.mu.Unlock()
+	if err == nil && f.state == writeRemoving {
+		err = fmt.Errorf("%w: %q removed mid-write", ErrNotWritable, f.name)
 	}
-	ws.mu.Unlock()
+	if err != nil {
+		ws.book(nil, 0, -reserved)
+		return err
+	}
+	ws.book(f, n, n-reserved)
+	if seq > f.lastSeq {
+		f.lastSeq = seq
+	}
+	if f.state == writeClean && f.dirty > 0 {
+		f.state = writeDirty
+	}
+	return nil
+}
+
+// log appends rec to the journal, if one is configured, counting a
+// refusal against the journal stage.
+func (ws *writeState) log(rec journal.Record) (uint64, error) {
+	if ws.jn == nil {
+		return 0, nil
+	}
+	seq, err := ws.jn.Append(rec)
+	if err != nil {
+		ws.m.inst.errs[stageJournal].Inc()
+	}
+	return seq, err
 }
 
 // nudge wakes a flusher worker (non-blocking; one pending nudge is
@@ -310,10 +378,11 @@ func (ws *writeState) nudge() {
 // start launches the flusher workers; called from Init after journal
 // recovery so flushes never race the replay.
 func (ws *writeState) start() {
-	if !ws.started.CompareAndSwap(false, true) {
-		return
+	n := ws.cfg.FlushWorkers
+	if n <= 0 {
+		n = 2
 	}
-	for i := 0; i < ws.cfg.flushWorkers(); i++ {
+	for ; n > 0; n-- {
 		ws.wg.Add(1)
 		go ws.flushLoop()
 	}
@@ -329,18 +398,18 @@ func (ws *writeState) flushLoop() {
 		case <-ws.kick:
 		}
 		for {
-			f := ws.claimDirty()
+			f, snap, covered := ws.claimDirty()
 			if f == nil {
 				break
 			}
-			if err := ws.flush(ctx, f); err != nil {
+			if err := ws.flush(ctx, f, snap, covered); err != nil {
 				// The PFS refused the flush. The bytes stay dirty (and
 				// journaled), so nothing is lost; back off before the
 				// next attempt rather than hot-looping on a dead PFS.
 				select {
 				case <-ws.quit:
 					return
-				case <-time.After(ws.cfg.burstIdle()):
+				case <-time.After(ws.idle):
 				}
 				ws.nudge()
 			}
@@ -348,40 +417,27 @@ func (ws *writeState) flushLoop() {
 	}
 }
 
-// claimDirty picks a dirty, unclaimed, live file and marks it flushing.
-func (ws *writeState) claimDirty() *writeFile {
+// claimDirty moves any dirty file to flushing for the calling worker
+// and returns it with what the flush will cover: its dirty bytes and
+// newest journal seq as of now.
+func (ws *writeState) claimDirty() (f *writeFile, snap int64, covered uint64) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	for _, f := range ws.files {
-		f.mu.Lock()
-		ok := f.dirty > 0 && !f.flushing && !f.removed
-		if ok {
-			f.flushing = true
-		}
-		f.mu.Unlock()
-		if ok {
-			return f
+		if f.state == writeDirty {
+			f.state = writeFlushing
+			return f, f.dirty, f.lastSeq
 		}
 	}
-	return nil
+	return nil, 0, 0
 }
 
-// flush pushes f's current tier-0 content to the PFS and marks the
-// covered bytes clean. Writers may land more bytes mid-flush; those
-// stay dirty and the file is simply claimed again.
-func (ws *writeState) flush(ctx context.Context, f *writeFile) error {
+// flush pushes f's current tier-0 content to the PFS and hands the
+// file back: the snap bytes it was claimed with leave the ledger (none
+// after a refused flush) and it settles to clean, or to dirty when
+// writers landed more mid-flush — then it is simply claimed again.
+func (ws *writeState) flush(ctx context.Context, f *writeFile, snap int64, covered uint64) error {
 	m := ws.m
-	f.mu.Lock()
-	snap := f.dirty
-	covered := f.lastSeq
-	removed := f.removed
-	f.mu.Unlock()
-	if snap == 0 || removed {
-		f.mu.Lock()
-		f.flushing = false
-		f.mu.Unlock()
-		return nil
-	}
 	start := time.Now()
 	// The tier-0 content as of `covered` is fully visible here: writers
 	// update lastSeq only after their tier-0 write returns.
@@ -391,47 +447,34 @@ func (ws *writeState) flush(ctx context.Context, f *writeFile) error {
 	}
 	dur := time.Since(start)
 	if err != nil {
-		f.mu.Lock()
-		f.flushing = false
-		f.mu.Unlock()
+		snap = 0
+	} else if _, jerr := ws.log(journal.Record{Kind: recFlush, Name: f.name, Off: covered}); jerr != nil {
+		m.event(Event{Kind: EventOpError, File: f.name, Level: -1, Err: jerr})
+	}
+	ws.mu.Lock()
+	ws.book(f, -snap, -snap)
+	f.state = writeClean
+	if f.dirty > 0 {
+		f.state = writeDirty
+	}
+	ws.mu.Unlock()
+	if err != nil {
 		m.inst.errs[stageFlush].Inc()
 		m.event(Event{Kind: EventOpError, File: f.name, Level: m.source.level, Err: err})
-		m.span(obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: int64(len(data)), Err: err, Duration: dur})
-		return err
+	} else {
+		m.stats.flushes.Inc()
+		m.stats.flushedBytes.Add(snap)
+		m.inst.flushLatency.Observe(dur.Seconds())
+		m.event(Event{Kind: EventFlushed, File: f.name, Level: m.source.level, Bytes: snap})
 	}
-	if ws.jn != nil {
-		if _, jerr := ws.jn.Append(journal.Record{Kind: recFlush, Name: f.name, Off: covered}); jerr != nil {
-			m.inst.errs[stageJournal].Inc()
-			m.event(Event{Kind: EventOpError, File: f.name, Level: -1, Err: jerr})
-		}
-	}
-	f.mu.Lock()
-	f.dirty -= snap
-	f.flushing = false
-	f.mu.Unlock()
-	ws.release(snap)
-	m.stats.flushes.Inc()
-	m.stats.flushedBytes.Add(snap)
-	m.inst.flushLatency.Observe(dur.Seconds())
-	m.event(Event{Kind: EventFlushed, File: f.name, Level: m.source.level, Bytes: snap})
-	m.span(obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: int64(len(data)), Duration: dur})
-	return nil
+	m.span(obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: int64(len(data)), Err: err, Duration: dur})
+	return err
 }
 
-// drain flushes every dirty file, blocking until the backlog is empty
-// or ctx ends. Used by Close and Monarch.Flush("").
+// drain blocks until the dirty backlog is empty or ctx ends. Used by
+// Close and Monarch.Flush("").
 func (ws *writeState) drain(ctx context.Context) error {
-	for {
-		if ws.dirtyBytes() == 0 {
-			return nil
-		}
-		ws.nudge()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
+	return ws.await(ctx, func() bool { return ws.dirty == 0 })
 }
 
 // close drains the dirty backlog, persists the heat snapshot, and
@@ -441,13 +484,6 @@ func (ws *writeState) drain(ctx context.Context) error {
 func (ws *writeState) close(graceful bool) {
 	if !ws.closed.CompareAndSwap(false, true) {
 		// Close after Close (or Shutdown then Close): already sealed.
-		return
-	}
-	if ws.started.CompareAndSwap(false, true) {
-		// Never started (Init not reached): just seal the journal.
-		if ws.jn != nil {
-			ws.jn.Close()
-		}
 		return
 	}
 	if graceful {
@@ -470,35 +506,29 @@ func (ws *writeState) close(graceful bool) {
 
 // persistHeat compacts the journal down to a heat-policy snapshot: the
 // dirty backlog has drained, so the data records are dead weight and
-// the snapshot is the only live state the next Init needs.
+// the snapshot (empty without a HeatPolicy) is the only live state the
+// next Init needs.
 func (ws *writeState) persistHeat() {
-	hp, ok := ws.m.cfg.Eviction.(*HeatPolicy)
-	if !ok {
-		if ws.dirtyBytes() == 0 {
-			if err := ws.jn.Compact(nil); err != nil {
-				ws.m.inst.errs[stageJournal].Inc()
-			}
-		}
-		return
-	}
 	if ws.dirtyBytes() > 0 {
 		// An unflushable backlog (PFS down at close): keep the journal
 		// as-is — replay durability outranks snapshot compaction.
 		return
 	}
-	epoch, files := hp.snapshotState()
-	recs := make([]journal.Record, 0, len(files)+1)
-	recs = append(recs, journal.Record{Kind: recHeatEpoch, Off: uint64(epoch)})
-	for _, f := range files {
-		var data [16]byte
-		binary.LittleEndian.PutUint64(data[0:8], f.prevBits)
-		binary.LittleEndian.PutUint64(data[8:16], uint64(f.cur))
-		recs = append(recs, journal.Record{
-			Kind: recHeatFile,
-			Name: f.name,
-			Off:  uint64(f.lastEpoch),
-			Data: data[:],
-		})
+	var recs []journal.Record
+	if hp, ok := ws.m.cfg.Eviction.(*HeatPolicy); ok {
+		epoch, files := hp.snapshotState()
+		recs = append(recs, journal.Record{Kind: recHeatEpoch, Off: uint64(epoch)})
+		for _, f := range files {
+			var data [16]byte
+			binary.LittleEndian.PutUint64(data[0:8], f.prevBits)
+			binary.LittleEndian.PutUint64(data[8:16], uint64(f.cur))
+			recs = append(recs, journal.Record{
+				Kind: recHeatFile,
+				Name: f.name,
+				Off:  uint64(f.lastEpoch),
+				Data: data[:],
+			})
+		}
 	}
 	if err := ws.jn.Compact(recs); err != nil {
 		ws.m.inst.errs[stageJournal].Inc()
@@ -597,11 +627,12 @@ func (ws *writeState) recover(ctx context.Context, pending map[string]*pendingWr
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	rw, _ := src.(storage.RangeWriter)
 	recovered := 0
 	for _, name := range names {
 		p := pending[name]
 		if p.removed {
-			if err := src.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
+			if err := notExistOK(src.Remove(ctx, name)); err != nil {
 				return fmt.Errorf("monarch: recover remove %q: %w", name, err)
 			}
 			continue
@@ -609,27 +640,23 @@ func (ws *writeState) recover(ctx context.Context, pending map[string]*pendingWr
 		if !p.alloc && len(p.recs) == 0 {
 			continue
 		}
-		if _, err := src.Stat(ctx, name); errors.Is(err, storage.ErrNotExist) {
-			rw, ok := src.(storage.RangeWriter)
-			if !ok {
-				return fmt.Errorf("monarch: recover %q: source lacks range writes", name)
-			}
+		_, err := src.Stat(ctx, name)
+		missing := errors.Is(err, storage.ErrNotExist)
+		if err != nil && !missing {
+			return fmt.Errorf("monarch: recover stat %q: %w", name, err)
+		}
+		if rw == nil && (missing || len(p.recs) > 0) {
+			return fmt.Errorf("monarch: recover %q: source lacks range writes", name)
+		}
+		if missing {
 			if err := rw.Allocate(ctx, name, p.size); err != nil {
 				return fmt.Errorf("monarch: recover allocate %q: %w", name, err)
 			}
-		} else if err != nil {
-			return fmt.Errorf("monarch: recover stat %q: %w", name, err)
 		}
-		if len(p.recs) > 0 {
-			rw, ok := src.(storage.RangeWriter)
-			if !ok {
-				return fmt.Errorf("monarch: recover %q: source lacks range writes", name)
-			}
-			sort.Slice(p.recs, func(i, j int) bool { return p.recs[i].Seq < p.recs[j].Seq })
-			for _, rec := range p.recs {
-				if _, err := rw.WriteAt(ctx, name, rec.Data, int64(rec.Off)); err != nil {
-					return fmt.Errorf("monarch: recover write %q: %w", name, err)
-				}
+		sort.Slice(p.recs, func(i, j int) bool { return p.recs[i].Seq < p.recs[j].Seq })
+		for _, rec := range p.recs {
+			if _, err := rw.WriteAt(ctx, name, rec.Data, int64(rec.Off)); err != nil {
+				return fmt.Errorf("monarch: recover write %q: %w", name, err)
 			}
 		}
 		recovered++
@@ -662,42 +689,34 @@ func (m *Monarch) Create(ctx context.Context, name string, size int64) error {
 	if !m.meta.initialized() {
 		return ErrNotInitialized
 	}
-	back := ws.cfg.durabilityOf(name) == WriteBack
-	var target *driver
-	var state placementState
+	back := ws.cfg.Durability != nil && ws.cfg.Durability(name) == WriteBack
+	target, state := m.source, stateSource
 	if back {
 		target, state = m.levels[0], statePlaced
-	} else {
-		target, state = m.source, stateSource
 	}
 	rw, ok := target.backend.(storage.RangeWriter)
 	if !ok {
 		return fmt.Errorf("monarch: level %d (%s) lacks range writes: %w",
 			target.level, target.backend.Name(), errors.ErrUnsupported)
 	}
-	ws.mu.Lock()
-	if _, exists := ws.files[name]; exists {
-		ws.mu.Unlock()
-		return fmt.Errorf("monarch: create %q: %w", name, storage.ErrExist)
-	}
-	ws.mu.Unlock()
+	// The namespace entry is the name's reservation: a writable file
+	// keeps its own until Remove is through with both backends.
 	if _, err := m.meta.insert(name, size, target.level, state); err != nil {
 		return fmt.Errorf("monarch: create %q: %w", name, err)
 	}
-	if back && ws.jn != nil {
-		if _, err := ws.jn.Append(journal.Record{Kind: recAlloc, Name: name, Off: uint64(size)}); err != nil {
-			m.meta.remove(name)
-			m.inst.errs[stageJournal].Inc()
-			return fmt.Errorf("monarch: create %q: %w", name, err)
-		}
+	var err error
+	if back {
+		_, err = ws.log(journal.Record{Kind: recAlloc, Name: name, Off: uint64(size)})
 	}
-	if err := rw.Allocate(ctx, name, size); err != nil {
+	if err == nil {
+		err = rw.Allocate(ctx, name, size)
+	}
+	if err != nil {
 		m.meta.remove(name)
 		return fmt.Errorf("monarch: create %q: %w", name, err)
 	}
-	f := &writeFile{name: name, size: size, back: back}
 	ws.mu.Lock()
-	ws.files[name] = f
+	ws.files[name] = &writeFile{name: name, size: size, back: back}
 	ws.mu.Unlock()
 	m.stats.creates.Inc()
 	return nil
@@ -708,109 +727,79 @@ func (m *Monarch) Create(ctx context.Context, name string, size int64) error {
 // write-through returns once the PFS has the bytes; write-back returns
 // once tier 0 (and the journal, when configured) has them, with the
 // PFS flush running behind the caller's back under the dirty budget.
-func (m *Monarch) WriteAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
+func (m *Monarch) WriteAt(ctx context.Context, name string, p []byte, off int64) (n int, err error) {
 	ws := m.writes
 	if ws == nil {
 		return 0, ErrWritesDisabled
 	}
 	start := time.Now()
 	f := ws.file(name)
-	if f == nil {
-		err := fmt.Errorf("%w: %q", ErrNotWritable, name)
-		m.inst.errs[stageWrite].Inc()
-		m.span(obs.Span{Kind: obs.SpanWrite, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(start)})
-		return 0, err
-	}
-	if off < 0 || off+int64(len(p)) > f.size {
-		err := fmt.Errorf("monarch: write [%d,%d) outside %q (size %d)", off, off+int64(len(p)), name, f.size)
-		m.inst.errs[stageWrite].Inc()
-		m.span(obs.Span{Kind: obs.SpanWrite, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(start)})
-		return 0, err
-	}
-	if len(p) == 0 {
+	tier, flags, stalled := -1, obs.SpanFlags(0), false
+	switch {
+	case f == nil:
+		err = fmt.Errorf("%w: %q", ErrNotWritable, name)
+	case off < 0 || off+int64(len(p)) > f.size:
+		err = fmt.Errorf("monarch: write [%d,%d) outside %q (size %d)", off, off+int64(len(p)), name, f.size)
+	case len(p) == 0:
 		return 0, nil
+	case f.back:
+		tier, flags = 0, obs.FlagWriteBack
+		n, stalled, err = ws.writeBack(ctx, f, p, off)
+	default: // write-through: the PFS has the bytes before the ack
+		tier = m.source.level
+		n, err = m.source.backend.(storage.RangeWriter).WriteAt(ctx, name, p, off)
 	}
-	if f.back {
-		return ws.writeBack(ctx, f, p, off, start)
-	}
-	return ws.writeThrough(ctx, f, p, off, start)
-}
-
-// writeThrough lands the bytes on the PFS before acking.
-func (ws *writeState) writeThrough(ctx context.Context, f *writeFile, p []byte, off int64, start time.Time) (int, error) {
-	m := ws.m
-	rw := m.source.backend.(storage.RangeWriter)
-	n, err := rw.WriteAt(ctx, f.name, p, off)
+	// The one account tail for every outcome above.
 	dur := time.Since(start)
+	sp := obs.Span{Kind: obs.SpanWrite, File: name, Tier: tier, Off: off, Flags: flags, Err: err, Duration: dur}
 	if err != nil {
 		m.inst.errs[stageWrite].Inc()
-		m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: m.source.level, Off: off, Err: err, Duration: dur})
-		return n, err
+	} else {
+		sp.Bytes = int64(n)
+		ws.lastWrite.Store(int64(time.Since(m.base)))
+		m.stats.writes.Inc()
+		if f.back {
+			m.stats.writeBacks.Inc()
+		}
+		m.stats.writtenBytesFg.Add(int64(n))
+		if stalled {
+			m.event(Event{Kind: EventWriteStalled, File: name, Level: tier, Bytes: int64(n)})
+		}
+		m.inst.writeLatency.Observe(dur.Seconds())
 	}
-	ws.lastWrite.Store(int64(time.Since(m.base)))
-	m.stats.writes.Inc()
-	m.stats.writtenBytesFg.Add(int64(n))
-	m.inst.writeLatency.Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: m.source.level, Off: off, Bytes: int64(n), Duration: dur})
-	return n, nil
+	m.span(sp)
+	return n, err
 }
 
 // writeBack journals the bytes, lands them on tier 0, and acks; the
 // flusher owns getting them to the PFS.
-func (ws *writeState) writeBack(ctx context.Context, f *writeFile, p []byte, off int64, start time.Time) (int, error) {
-	m := ws.m
-	fail := func(n int, err error) (int, error) {
-		m.inst.errs[stageWrite].Inc()
-		m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: 0, Off: off,
-			Flags: obs.FlagWriteBack, Err: err, Duration: time.Since(start)})
-		return n, err
-	}
-	stalled, err := ws.reserve(ctx, int64(len(p)))
-	if err != nil {
-		return fail(0, err)
+func (ws *writeState) writeBack(ctx context.Context, f *writeFile, p []byte, off int64) (n int, stalled bool, err error) {
+	// Reserve: wait until the bytes fit under the dirty budget, then
+	// charge them.
+	reserved := int64(len(p))
+	if err = ws.await(ctx, func() bool {
+		if ws.book(nil, 0, reserved) {
+			return true
+		}
+		if !stalled {
+			stalled = true
+			ws.m.stats.writeStalls.Add(1)
+		}
+		return false
+	}); err != nil {
+		return 0, stalled, err
 	}
 	f.wmu.Lock()
-	var seq uint64
-	if ws.jn != nil {
-		var err error
-		seq, err = ws.jn.Append(journal.Record{Kind: recData, Name: f.name, Off: uint64(off), Data: p})
-		if err != nil {
-			f.wmu.Unlock()
-			ws.release(int64(len(p)))
-			m.inst.errs[stageJournal].Inc()
-			return fail(0, err)
-		}
+	seq, err := ws.log(journal.Record{Kind: recData, Name: f.name, Off: uint64(off), Data: p})
+	if err == nil {
+		n, err = ws.m.levels[0].backend.(storage.RangeWriter).WriteAt(ctx, f.name, p, off)
 	}
-	rw := m.levels[0].backend.(storage.RangeWriter)
-	n, err := rw.WriteAt(ctx, f.name, p, off)
-	if err != nil {
-		f.wmu.Unlock()
-		ws.release(int64(len(p)))
-		return fail(n, err)
-	}
-	f.mu.Lock()
-	f.dirty += int64(n)
-	if seq > f.lastSeq {
-		f.lastSeq = seq
-	}
-	f.mu.Unlock()
+	err = ws.ack(f, reserved, int64(n), seq, err)
 	f.wmu.Unlock()
-	if int64(n) < int64(len(p)) {
-		ws.release(int64(len(p)) - int64(n))
+	if err == nil {
+		ws.nudge()
 	}
-	ws.lastWrite.Store(int64(time.Since(m.base)))
-	ws.nudge()
-	dur := time.Since(start)
-	m.stats.writes.Inc()
-	m.stats.writeBacks.Inc()
-	m.stats.writtenBytesFg.Add(int64(n))
-	if stalled {
-		m.event(Event{Kind: EventWriteStalled, File: f.name, Level: 0, Bytes: int64(n)})
-	}
-	m.inst.writeLatency.Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanWrite, File: f.name, Tier: 0, Off: off, Bytes: int64(n),
-		Flags: obs.FlagWriteBack, Duration: dur})
-	return n, nil
+	return n, stalled, err
 }
 
 // Flush blocks until the named write-back file's acked bytes are
@@ -828,82 +817,80 @@ func (m *Monarch) Flush(ctx context.Context, name string) error {
 	if f == nil {
 		return fmt.Errorf("%w: %q", ErrNotWritable, name)
 	}
-	for {
-		f.mu.Lock()
-		dirty := f.dirty
-		f.mu.Unlock()
-		if dirty == 0 {
-			return nil
-		}
-		ws.nudge()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
+	return ws.await(ctx, func() bool { return f.dirty == 0 })
+}
+
+// notExistOK is err, or nil when err only says the name was not there.
+func notExistOK(err error) error {
+	if errors.Is(err, storage.ErrNotExist) {
+		return nil
 	}
+	return err
 }
 
 // Remove deletes a writable file everywhere: the namespace, its tiered
 // copy, the PFS copy (if flushed), and — through the journal — any
 // pending replay state. Dataset files cannot be removed.
-func (m *Monarch) Remove(ctx context.Context, name string) error {
+func (m *Monarch) Remove(ctx context.Context, name string) (err error) {
 	ws := m.writes
 	if ws == nil {
 		return ErrWritesDisabled
 	}
-	start := time.Now()
+	start, tier := time.Now(), -1
+	defer func() {
+		if err != nil {
+			m.inst.errs[stageWrite].Inc()
+		} else {
+			m.stats.removes.Inc()
+		}
+		m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: tier, Err: err, Duration: time.Since(start)})
+	}()
 	f := ws.file(name)
 	if f == nil {
-		err := fmt.Errorf("%w: %q", ErrNotWritable, name)
-		m.inst.errs[stageWrite].Inc()
-		m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: -1, Err: err, Duration: time.Since(start)})
+		return fmt.Errorf("%w: %q", ErrNotWritable, name)
+	}
+	// The fence: clean|dirty → removing, voiding the dirty bytes — but a
+	// flush in flight is waited out first, and a file another Remove
+	// already owns is not this one's to take.
+	took := false
+	if err = ws.await(ctx, func() bool {
+		if f.state == writeFlushing {
+			return false
+		}
+		if took = f.state != writeRemoving; took {
+			ws.book(f, -f.dirty, -f.dirty)
+			f.state = writeRemoving
+		}
+		return true
+	}); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	f.removed = true
-	voided := f.dirty
-	f.dirty = 0
-	f.mu.Unlock()
-	ws.release(voided)
-	if ws.jn != nil {
-		if _, err := ws.jn.Append(journal.Record{Kind: recRemove, Name: name}); err != nil {
-			m.inst.errs[stageJournal].Inc()
-			m.event(Event{Kind: EventOpError, File: name, Level: -1, Err: err})
-		}
+	if !took {
+		return fmt.Errorf("%w: %q", ErrNotWritable, name)
 	}
+	if _, jerr := ws.log(journal.Record{Kind: recRemove, Name: name}); jerr != nil {
+		m.event(Event{Kind: EventOpError, File: name, Level: -1, Err: jerr})
+	}
+	tier = 0
+	if f.back {
+		err = notExistOK(m.levels[0].backend.Remove(ctx, name))
+	}
+	if err == nil {
+		tier, err = m.source.level, notExistOK(m.source.backend.Remove(ctx, name))
+	}
+	// Only now does the name come free — the table first, so the
+	// namespace entry still refuses a Create while this record is in it.
 	ws.mu.Lock()
 	delete(ws.files, name)
 	ws.mu.Unlock()
 	m.meta.remove(name)
-	if f.back {
-		if err := m.levels[0].backend.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-			m.inst.errs[stageWrite].Inc()
-			m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: 0, Err: err, Duration: time.Since(start)})
-			return err
-		}
-	}
-	if err := m.source.backend.Remove(ctx, name); err != nil && !errors.Is(err, storage.ErrNotExist) {
-		m.inst.errs[stageWrite].Inc()
-		m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: m.source.level, Err: err, Duration: time.Since(start)})
-		return err
-	}
-	m.stats.removes.Inc()
-	m.span(obs.Span{Kind: obs.SpanRemove, File: name, Tier: m.source.level, Duration: time.Since(start)})
-	return nil
+	return err
 }
 
 // DirtyBytes reports the write-back bytes acked but not yet flushed to
 // the PFS (also the monarch_dirty_bytes gauge).
-func (m *Monarch) DirtyBytes() int64 {
-	if m.writes == nil {
-		return 0
-	}
-	return m.writes.dirtyBytes()
-}
+func (m *Monarch) DirtyBytes() int64 { return m.writes.dirtyBytes() }
 
 // WriteBurstActive reports whether the checkpoint-burst gate currently
 // holds background placement copies paused.
-func (m *Monarch) WriteBurstActive() bool {
-	return m.writes != nil && m.writes.burstActive()
-}
+func (m *Monarch) WriteBurstActive() bool { return m.writes.burstActive() }

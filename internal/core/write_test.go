@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"monarch/internal/pool"
 	"monarch/internal/storage"
+	"monarch/internal/trace"
 )
 
 // newWriteFixture builds a 2-level hierarchy with a WRITABLE PFS (the
@@ -67,6 +69,12 @@ func TestWritesDisabled(t *testing.T) {
 	}
 	if err := f.m.Remove(ctx, "c"); !errors.Is(err, ErrWritesDisabled) {
 		t.Fatalf("Remove without Write config: %v", err)
+	}
+	if err := f.m.Flush(ctx, ""); !errors.Is(err, ErrWritesDisabled) {
+		t.Fatalf("Flush without Write config: %v", err)
+	}
+	if f.m.DirtyBytes() != 0 || f.m.WriteBurstActive() {
+		t.Fatal("a read-only instance reports a write backlog")
 	}
 }
 
@@ -167,9 +175,25 @@ func TestWriteValidation(t *testing.T) {
 	if err := f.m.Remove(ctx, "data/f000"); !errors.Is(err, ErrNotWritable) {
 		t.Fatalf("Remove on dataset file: %v", err)
 	}
+	if err := f.m.Flush(ctx, "data/f000"); !errors.Is(err, ErrNotWritable) {
+		t.Fatalf("Flush on dataset file: %v", err)
+	}
 	// Zero-length writes are a no-op.
 	if n, err := f.m.WriteAt(ctx, "w", nil, 0); n != 0 || err != nil {
 		t.Fatalf("zero-length write: %d, %v", n, err)
+	}
+	// Every refusal above went through WriteAt's or Remove's one account
+	// tail: counted against the write stage, nothing counted as written.
+	if got := f.m.Registry().Vars()[`monarch_errors_total{stage="write"}`]; got != 4 {
+		t.Fatalf(`errors{stage="write"} = %v, want 4 (three WriteAt, one Remove)`, got)
+	}
+	if s := f.m.Stats(); s.Writes != 0 || s.Removes != 0 {
+		t.Fatalf("refused operations counted as done: %+v", s)
+	}
+	for d, want := range map[Durability]string{WriteThrough: "write-through", WriteBack: "write-back", Durability(7): "unknown"} {
+		if d.String() != want {
+			t.Errorf("Durability(%d) = %q, want %q", d, d, want)
+		}
 	}
 }
 
@@ -218,7 +242,9 @@ type gatedBackend struct {
 	gate    chan struct{}
 	fail    chan struct{}
 	blocked chan struct{} // closed once the first WriteFile is waiting
+	landed  chan struct{} // closed once the first WriteFile has returned
 	once    sync.Once
+	done    sync.Once
 }
 
 func newGatedBackend(b storage.Backend) *gatedBackend {
@@ -227,11 +253,13 @@ func newGatedBackend(b storage.Backend) *gatedBackend {
 		gate:    make(chan struct{}),
 		fail:    make(chan struct{}),
 		blocked: make(chan struct{}),
+		landed:  make(chan struct{}),
 	}
 }
 
 func (g *gatedBackend) WriteFile(ctx context.Context, name string, data []byte) error {
 	g.once.Do(func() { close(g.blocked) })
+	defer g.done.Do(func() { close(g.landed) })
 	select {
 	case <-g.gate:
 	case <-g.fail:
@@ -264,15 +292,12 @@ func TestDirtyBudgetStallsWriters(t *testing.T) {
 		Levels:        []storage.Backend{storage.NewMemFS("ssd", 1<<30), pfs},
 		Pool:          pool.NewGoPool(2),
 		FullFileFetch: true,
-		Write: WriteConfig{
-			Enabled:     true,
-			Durability:  backAll,
-			DirtyBudget: 1024, // one 1 KiB write fills it
-		},
+		Write:         WriteConfig{Enabled: true, Durability: backAll},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.writes.budget = 1024 // one 1 KiB write fills it
 	if err := m.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -325,15 +350,12 @@ func TestBurstGatePausesPlacement(t *testing.T) {
 		Levels:        []storage.Backend{storage.NewMemFS("ssd", 1<<30), pfs},
 		Pool:          pool.NewGoPool(2),
 		FullFileFetch: true,
-		Write: WriteConfig{
-			Enabled:    true,
-			Durability: backAll,
-			BurstIdle:  20 * time.Millisecond,
-		},
+		Write:         WriteConfig{Enabled: true, Durability: backAll},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.writes.idle = 20 * time.Millisecond
 	if err := m.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +390,337 @@ func TestBurstGatePausesPlacement(t *testing.T) {
 	}
 	if m.Stats().PlacementPauses == 0 {
 		t.Fatal("no placement pause recorded")
+	}
+}
+
+// TestRemoveDuringFlush: a Remove landing while the flusher is inside
+// the source's WriteFile waits the flush out, so its PFS remove runs
+// after the flusher's write (no ghost file) and the dirty bytes leave
+// the ledger exactly once (never negative — which used to wedge
+// Flush("") and cost Close its whole 30 s drain).
+func TestRemoveDuringFlush(t *testing.T) {
+	ctx := context.Background()
+	pfsRaw := storage.NewMemFS("lustre", 0)
+	pfs := newGatedBackend(pfsRaw)
+	tier0 := storage.NewMemFS("ssd", 1<<30)
+	m, err := New(Config{
+		Levels: []storage.Backend{tier0, pfs},
+		Pool:   pool.NewGoPool(2),
+		Write:  WriteConfig{Enabled: true, Durability: backAll},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown() // a no-op after the timed Close below
+	if err := m.Create(ctx, "ckpt", 4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{3}, 4096), 0); err != nil {
+		t.Fatal(err)
+	}
+	<-pfs.blocked // the flusher is inside WriteFile
+	removed := make(chan error, 1)
+	go func() { removed <- m.Remove(ctx, "ckpt") }()
+	early := false
+	select {
+	case err := <-removed:
+		early = true
+		t.Errorf("Remove returned (%v) with the flush still in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	pfs.release()
+	if !early {
+		select {
+		case err := <-removed:
+			if err != nil {
+				t.Errorf("Remove: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Remove never returned after the flush finished")
+		}
+	}
+	<-pfs.landed
+	fctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	if err := m.Flush(fctx, ""); err != nil {
+		t.Errorf("Flush after Remove: %v", err)
+	}
+	if d := m.DirtyBytes(); d != 0 {
+		t.Errorf("dirty ledger = %d after Remove, want 0", d)
+	}
+	if _, err := pfsRaw.Stat(ctx, "ckpt"); !errors.Is(err, storage.ErrNotExist) {
+		t.Errorf("removed file is back on the PFS: %v", err)
+	}
+	if _, err := tier0.Stat(ctx, "ckpt"); !errors.Is(err, storage.ErrNotExist) {
+		t.Errorf("removed file still on tier 0: %v", err)
+	}
+	start := time.Now()
+	m.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v with nothing left to drain", took)
+	}
+}
+
+// gate parks its callers until opened; entered closes when the first
+// one arrives. A nil gate lets everyone through.
+type gate struct {
+	entered, open chan struct{}
+	once          sync.Once
+}
+
+func newGate() *gate { return &gate{entered: make(chan struct{}), open: make(chan struct{})} }
+
+func (g *gate) pass() {
+	if g != nil {
+		g.once.Do(func() { close(g.entered) })
+		<-g.open
+	}
+}
+
+// parkedTier is a tier whose Remove and WriteAt can each be parked,
+// pinning a core Remove between marking the file and deleting its
+// bytes, or a writer between its reservation and its ack.
+type parkedTier struct {
+	*storage.MemFS
+	removes, writes *gate
+}
+
+func (p *parkedTier) Remove(ctx context.Context, name string) error {
+	p.removes.pass()
+	return p.MemFS.Remove(ctx, name)
+}
+
+func (p *parkedTier) WriteAt(ctx context.Context, name string, b []byte, off int64) (int, error) {
+	p.writes.pass()
+	return p.MemFS.WriteAt(ctx, name, b, off)
+}
+
+// TestCreateDuringRemove: while a Remove is still deleting a file's
+// bytes, a Create of the same name either fails with ErrExist or gets
+// a file that survives the Remove and is writable — the stale Remove
+// must never delete the fresh allocation.
+func TestCreateDuringRemove(t *testing.T) {
+	ctx := context.Background()
+	tier0 := &parkedTier{MemFS: storage.NewMemFS("ssd", 1<<30), removes: newGate()}
+	m, err := New(Config{
+		Levels: []storage.Backend{tier0, storage.NewMemFS("lustre", 0)},
+		Pool:   pool.NewGoPool(2),
+		Write:  WriteConfig{Enabled: true, Durability: backAll},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Create(ctx, "ckpt", 64); err != nil {
+		t.Fatal(err)
+	}
+	removed := make(chan error, 1)
+	go func() { removed <- m.Remove(ctx, "ckpt") }()
+	<-tier0.removes.entered // the Remove is parked inside tier 0
+	cerr := m.Create(ctx, "ckpt", 64)
+	if cerr != nil && !errors.Is(cerr, storage.ErrExist) {
+		t.Fatalf("Create during Remove: %v", cerr)
+	}
+	close(tier0.removes.open)
+	if err := <-removed; err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	if cerr != nil {
+		// Refused while the old file was going; the name is free now.
+		if err := m.Create(ctx, "ckpt", 64); err != nil {
+			t.Fatalf("Create after Remove returned: %v", err)
+		}
+	}
+	payload := bytes.Repeat([]byte{8}, 64)
+	if _, err := m.WriteAt(ctx, "ckpt", payload, 0); err != nil {
+		t.Fatalf("the created file is not writable: %v", err)
+	}
+	if got, err := tier0.ReadFile(ctx, "ckpt"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("the created file did not survive the Remove: %v", err)
+	}
+}
+
+// TestWriteRacingRemoveIsRefused: a write-back write whose bytes land
+// on tier 0 after a Remove took the file is refused at its ack — not
+// counted, not left on the ledger — and its reservation, visible while
+// it was in flight, goes back exactly once.
+func TestWriteRacingRemoveIsRefused(t *testing.T) {
+	ctx := context.Background()
+	tier0 := &parkedTier{MemFS: storage.NewMemFS("ssd", 1<<30), removes: newGate(), writes: newGate()}
+	m, err := New(Config{
+		Levels: []storage.Backend{tier0, storage.NewMemFS("lustre", 0)},
+		Pool:   pool.NewGoPool(2),
+		Write:  WriteConfig{Enabled: true, Durability: backAll},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Create(ctx, "ckpt", 64); err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{1}, 64), 0)
+		wrote <- err
+	}()
+	<-tier0.writes.entered // reserved, inside the tier-0 write
+	if d := m.DirtyBytes(); d != 64 {
+		t.Fatalf("in-flight reservation = %d, want 64", d)
+	}
+	removed := make(chan error, 1)
+	go func() { removed <- m.Remove(ctx, "ckpt") }()
+	<-tier0.removes.entered // the file is marked; its bytes are still there
+	close(tier0.writes.open)
+	if err := <-wrote; !errors.Is(err, ErrNotWritable) {
+		t.Fatalf("write acked against a file being removed: %v", err)
+	}
+	close(tier0.removes.open)
+	if err := <-removed; err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	if s := m.Stats(); s.Writes != 0 || s.DirtyBytes != 0 || s.Removes != 1 {
+		t.Fatalf("after the race: Writes=%d Dirty=%d Removes=%d", s.Writes, s.DirtyBytes, s.Removes)
+	}
+}
+
+// TestWriteBackFailureReleasesBudget: a write-back write that dies on
+// the journal append or on the tier-0 write acks nothing — the budget
+// it reserved is back, the failure is counted once against its stage
+// (and once against the write stage), and the file stays clean.
+func TestWriteBackFailureReleasesBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inject func(*Monarch, *storage.Faulty)
+		stage  string
+	}{
+		{"journal append", func(m *Monarch, _ *storage.Faulty) { m.writes.jn.Close() }, "journal"},
+		{"tier-0 write", func(_ *Monarch, tier0 *storage.Faulty) { tier0.FailNextWrites(1) }, "write"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			tier0 := storage.NewFaulty(storage.NewMemFS("ssd", 1<<30))
+			m, err := New(Config{
+				Levels: []storage.Backend{tier0, storage.NewMemFS("lustre", 0)},
+				Pool:   pool.NewGoPool(2),
+				Write: WriteConfig{Enabled: true, Durability: backAll,
+					JournalPath: filepath.Join(t.TempDir(), "write.journal")},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Init(ctx); err != nil {
+				t.Fatal(err)
+			}
+			defer m.Shutdown()
+			if err := m.Create(ctx, "ckpt", 1024); err != nil {
+				t.Fatal(err)
+			}
+			errsBefore := m.Registry().Vars()
+			tc.inject(m, tier0)
+			if n, err := m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{4}, 1024), 0); err == nil || n != 0 {
+				t.Fatalf("WriteAt = %d, %v; want the injected failure", n, err)
+			}
+			if d := m.DirtyBytes(); d != 0 {
+				t.Errorf("budget not released: %d dirty bytes", d)
+			}
+			if f := m.writes.file("ckpt"); f.dirty != 0 || f.state != writeClean || f.lastSeq != 0 {
+				t.Errorf("failed write left the file dirty=%d state=%d lastSeq=%d", f.dirty, f.state, f.lastSeq)
+			}
+			errsAfter := m.Registry().Vars()
+			for _, stage := range []string{"write", tc.stage} {
+				key := `monarch_errors_total{stage="` + stage + `"}`
+				if got := errsAfter[key] - errsBefore[key]; got != 1 {
+					t.Errorf("%s moved by %v, want 1", key, got)
+				}
+			}
+			if s := m.Stats(); s.Writes != 0 || s.WriteBacks != 0 || s.WrittenBytes != 0 {
+				t.Errorf("failed write counted as acked: %+v", s)
+			}
+			fctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+			defer cancel()
+			if err := m.Flush(fctx, ""); err != nil {
+				t.Errorf("Flush with nothing acked: %v", err)
+			}
+		})
+	}
+}
+
+// TestWriteLifecycleEdges: the write subsystem of an instance that was
+// never initialised, or is closed twice, or whose journal cannot be
+// opened, fails or finishes cleanly — no hang, no panic.
+func TestWriteLifecycleEdges(t *testing.T) {
+	ctx := context.Background()
+	build := func(jpath string) *Monarch {
+		m, err := New(Config{
+			Levels: []storage.Backend{storage.NewMemFS("ssd", 1<<30), storage.NewMemFS("lustre", 0)},
+			Pool:   pool.NewGoPool(1),
+			Write:  WriteConfig{Enabled: true, Durability: backAll, JournalPath: jpath},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	never := build(filepath.Join(t.TempDir(), "write.journal"))
+	if err := never.Create(ctx, "ckpt", 8); !errors.Is(err, ErrNotInitialized) {
+		t.Fatalf("Create before Init: %v", err)
+	}
+	never.Close() // no workers, no journal, nothing to drain
+	never.Close()
+	never.Shutdown()
+
+	plain := filepath.Join(t.TempDir(), "plain")
+	if err := os.WriteFile(plain, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unopenable := build(filepath.Join(plain, "write.journal")) // its directory is a file
+	defer unopenable.Close()
+	if err := unopenable.Init(ctx); err == nil || !strings.Contains(err.Error(), "write journal") {
+		t.Fatalf("Init over an unopenable journal: %v", err)
+	}
+}
+
+// TestTraceTrailerCarriesWriteCounters: with the write path on, the
+// trace trailer a replay is checked against includes the write-side
+// counters.
+func TestTraceTrailerCarriesWriteCounters(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "w.bin")
+	f := newWriteFixture(t, 1, func(c *Config) {
+		c.Write.Durability = backAll
+		c.TracePath = path
+	})
+	if err := f.m.Create(ctx, "ckpt", 16); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{6}, 16), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.m.Flush(ctx, "ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.m.Remove(ctx, "ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	f.m.Close()
+	tr, err := trace.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]int64{"writes": 1, "write_backs": 1, "written_bytes": 16, "flushes": 1, "removes": 1} {
+		if got, ok := tr.Summary[key]; !ok || got != want {
+			t.Errorf("trailer %s = %d (present=%v), want %d", key, got, ok, want)
+		}
 	}
 }
 

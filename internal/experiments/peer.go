@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -612,7 +613,7 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 					return
 				}
 				if node == 0 || cfg.TraceDir != "" {
-					m.MarkTraceEpoch(epoch)
+					m.MarkEpoch(epoch)
 				}
 				barrier.await()
 			}
@@ -824,23 +825,26 @@ func extPeernet() Experiment {
 			}
 
 			// Churn run: node 3's serving socket dies after epoch 2 and
-			// returns after epoch 4, while everyone keeps training.
-			churnTrace, err := tempTracePath()
+			// returns after epoch 4, while everyone keeps training. Every
+			// node captures its trace, so cross-node reads can be stitched.
+			churnTraces, err := os.MkdirTemp("", "monarch-peer-churn-")
 			if err != nil {
 				return nil, err
 			}
-			defer os.Remove(churnTrace)
+			defer os.RemoveAll(churnTraces)
 			churnCfg := cfg
 			churnCfg.UsePeers = true
 			churnCfg.Membership = true
 			churnCfg.KillNode = 3
 			churnCfg.KillAfterEpoch = 2
 			churnCfg.RejoinAfterEpoch = 4
-			churnCfg.TracePath = churnTrace
+			churnCfg.TraceDir = churnTraces
+			goroutinesBefore := runtime.NumGoroutine()
 			churn, err := RunPeerLoopback(churnCfg)
 			if err != nil {
 				return nil, err
 			}
+			goroutinesAfter := settledGoroutines(goroutinesBefore+2, 5*time.Second)
 
 			// Hedge run: node 1 serves reads 15ms late; readers race the
 			// second replica once the primary blows its threshold.
@@ -974,10 +978,29 @@ func extPeernet() Experiment {
 				fleetPFSOps(churn.Fleet.Fleet) == churn.PFSOps,
 				"fleet %d, PFS measured %d", fleetPFSOps(churn.Fleet.Fleet), churn.PFSOps)
 
-			a, err := AnalyzePeerTrace(churnTrace)
-			if err != nil {
-				return nil, err
+			// Servers, heartbeaters, per-connection handlers and trace
+			// drainers must all be gone once the run returns.
+			o.check("kill+rejoin run left no goroutines behind",
+				goroutinesAfter <= goroutinesBefore+2,
+				"%d before the run, %d after", goroutinesBefore, goroutinesAfter)
+
+			// Cross-node correlation: a peer read's client span lands in
+			// the reader's trace and its serve span in the owner's; the
+			// request ID the frame carried must join at least one pair.
+			nodeTraces := make(map[string]*trace.Trace, nodes)
+			for i := 0; i < nodes; i++ {
+				name := fmt.Sprintf("node%d", i)
+				if nodeTraces[name], err = trace.ReadFile(filepath.Join(churnTraces, name+".bin")); err != nil {
+					return nil, err
+				}
 			}
+			stitched := analyze.Correlate(nodeTraces)
+			o.check("request IDs stitch client reads to the serve spans that answered them",
+				len(stitched.Pairs) > 0,
+				"%d stitched, %d unmatched reads, %d unmatched serves",
+				len(stitched.Pairs), stitched.UnmatchedReads, stitched.UnmatchedServes)
+
+			a := analyze.Analyze(nodeTraces["node0"], analyze.Options{})
 			o.check("trace analyzer agrees with node 0's measured PFS ops",
 				a.Complete && a.PFSOps == a.RecordedPFSOps,
 				"derived %d, recorded %d (complete=%v)", a.PFSOps, a.RecordedPFSOps, a.Complete)
@@ -1020,6 +1043,20 @@ func epochPeerHits(a *analyze.Analysis) int64 {
 		n += e.Peer
 	}
 	return n
+}
+
+// settledGoroutines waits up to timeout for the goroutine count to come
+// down to limit — connection teardown is asynchronous — and returns the
+// last count it saw.
+func settledGoroutines(limit int, timeout time.Duration) int {
+	deadline := time.Now().Add(timeout)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= limit || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // tempTracePath returns a fresh .bin path for a short-lived capture.

@@ -83,7 +83,7 @@ func RunOneModel(setup Setup, mdl models.Model, man *dataset.Manifest, p Params,
 			// Epoch boundary into the access trace (no-op without
 			// Params.TracePath) before the counters are cut, so the
 			// analyzer's per-epoch attribution matches the snapshots.
-			r.monarch.MarkTraceEpoch(epoch)
+			r.monarch.MarkEpoch(epoch)
 		}
 		if r.pfs == nil {
 			res.PFSOpsPerEpoch = append(res.PFSOpsPerEpoch, 0)

@@ -17,17 +17,16 @@ import (
 //
 // JSONL (default): one JSON object per line.
 //
-//	{"monarch_trace":1,"clock":"virtual",...}    header
+//	{"monarch_trace":2,"clock":"virtual",...}    header
 //	{"file":{"id":1,"name":"shard-0","size":8}}  definition
 //	{"t":12,"k":"read","f":1,"c":"pfs","tier":1,"lat":3,"off":0,"len":262144}
 //	{"summary":{...},"trace":{...}}              trailer
 //
 // Binary (".bin" paths): magic "MTRB1\n", a length-prefixed JSON
-// header, then tagged records — tag 1 a fixed-size event (40 bytes in
-// version 2; 32 in version 1, which lacked the trailing Req field —
-// the header's version selects the record length on read), tag 2 a
-// file definition, tag 3 a length-prefixed JSON trailer. Everything is
-// little-endian.
+// header, then tagged records — tag 1 a fixed-size 40-byte event, tag
+// 2 a file definition, tag 3 a length-prefixed JSON trailer. Everything
+// is little-endian. A header of any other version is refused on read:
+// the record layout is the version's.
 type encoder interface {
 	header(h Header) error
 	define(f File) error
@@ -268,6 +267,15 @@ func Read(r io.Reader) (*Trace, error) {
 	return readJSONL(br)
 }
 
+// checkVersion refuses a header this reader was not written for,
+// rather than mis-parse the records behind it.
+func checkVersion(h Header) error {
+	if h.Version != Version {
+		return fmt.Errorf("unsupported trace version %d (this reader decodes version %d)", h.Version, Version)
+	}
+	return nil
+}
+
 func (t *Trace) addFile(f File) error {
 	if f.ID != uint32(len(t.Files)+1) {
 		return fmt.Errorf("file definition %q out of order: id %d, want %d", f.Name, f.ID, len(t.Files)+1)
@@ -299,12 +307,8 @@ func readBin(br *bufio.Reader) (*Trace, error) {
 	if err := json.Unmarshal(hb, &t.Header); err != nil {
 		return nil, fmt.Errorf("header: %w", err)
 	}
-	// The header precedes every event, so its version can drive the
-	// record length: version 1 wrote 32-byte events, version 2 appended
-	// an 8-byte Req.
-	recLen := 40
-	if t.Header.Version < 2 {
-		recLen = 32
+	if err := checkVersion(t.Header); err != nil {
+		return nil, err
 	}
 	var rec [40]byte
 	for {
@@ -317,10 +321,10 @@ func readBin(br *bufio.Reader) (*Trace, error) {
 		}
 		switch tag {
 		case tagEvent:
-			if _, err := io.ReadFull(br, rec[:recLen]); err != nil {
+			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, fmt.Errorf("event record: %w", err)
 			}
-			ev := Event{
+			t.Events = append(t.Events, Event{
 				T:     int64(binary.LittleEndian.Uint64(rec[0:])),
 				File:  binary.LittleEndian.Uint32(rec[8:]),
 				Kind:  Kind(rec[12]),
@@ -329,11 +333,8 @@ func readBin(br *bufio.Reader) (*Trace, error) {
 				Lat:   rec[15],
 				Off:   int64(binary.LittleEndian.Uint64(rec[16:])),
 				Len:   int64(binary.LittleEndian.Uint64(rec[24:])),
-			}
-			if recLen == 40 {
-				ev.Req = binary.LittleEndian.Uint64(rec[32:])
-			}
-			t.Events = append(t.Events, ev)
+				Req:   binary.LittleEndian.Uint64(rec[32:]),
+			})
 		case tagDefine:
 			buf, err := readBlob()
 			if err != nil {
@@ -404,6 +405,9 @@ func readJSONL(br *bufio.Reader) (*Trace, error) {
 		case l.Version != nil:
 			if err := json.Unmarshal(raw, &t.Header); err != nil {
 				return nil, fmt.Errorf("line %d: header: %w", lineNo, err)
+			}
+			if err := checkVersion(t.Header); err != nil {
+				return nil, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 		case l.File != nil:
 			if err := t.addFile(*l.File); err != nil {

@@ -22,8 +22,7 @@ import (
 
 // Version is the trace format version written into headers. Version 2
 // added the Req correlation field to events ("r" in JSONL, 8 extra
-// bytes per binary record); version-1 traces still decode — the
-// header's version selects the record length.
+// bytes per binary record). Read refuses every other version.
 const Version = 2
 
 // Kind classifies trace events.
