@@ -17,8 +17,15 @@ import (
 )
 
 // benchStack builds a warmed-up middleware: every file already placed
-// on tier 0, so the benchmarks isolate the steady-state read path.
+// on a MemFS tier 0, so the benchmarks isolate the steady-state read
+// path.
 func benchStack(b *testing.B, nfiles, fileSize int) *Monarch {
+	b.Helper()
+	return benchStackOn(b, storage.NewMemFS("ssd", 0), nfiles, fileSize)
+}
+
+// benchStackOn is benchStack over a tier 0 of the caller's choosing.
+func benchStackOn(b *testing.B, tier0 storage.Backend, nfiles, fileSize int) *Monarch {
 	b.Helper()
 	ctx := context.Background()
 	pfs := storage.NewMemFS("pfs", 0)
@@ -29,7 +36,6 @@ func benchStack(b *testing.B, nfiles, fileSize int) *Monarch {
 		}
 	}
 	pfs.SetReadOnly(true)
-	tier0 := storage.NewMemFS("ssd", 0)
 	gp := pool.NewGoPool(4)
 	m, err := New(Config{
 		Levels:        []storage.Backend{tier0, pfs},
@@ -147,6 +153,86 @@ func BenchmarkReadAtParallel(b *testing.B) {
 			})
 		})
 	}
+}
+
+// benchOSFSWindows is the ledger's fit_epochs warm epoch as a
+// micro-benchmark: 16 files of 1 MiB placed on an OSFS tier 0, read
+// front to back in 256 KiB windows. read serves one window as a view
+// (ReadAt's is its caller's buffer, with nothing to release). The lend
+// half stops there, pricing
+// the serve alone (what the ledger's view epochs do); the touch half
+// reads one byte of every cache line before releasing, which is what a
+// consumer that parses the window pays on top — page faults on a
+// mapping's first touch included.
+func benchOSFSWindows(b *testing.B, read func(m *Monarch, name string, off int64) storage.View) {
+	const (
+		nfiles, fileSize, window = 16, 1 << 20, 256 << 10
+		perFile                  = fileSize / window
+	)
+	ssd, err := storage.NewOSFS("ssd", b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(ssd.CloseIdle)
+	m := benchStackOn(b, ssd, nfiles, fileSize)
+	names := make([]string, nfiles)
+	for i := range names {
+		names[i] = fmt.Sprintf("f%04d", i)
+	}
+	for _, touch := range []bool{false, true} {
+		name := "lend"
+		if touch {
+			name = "touch"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(window)
+			b.ReportAllocs()
+			var sum byte
+			for i := 0; b.Loop(); i++ {
+				w := i % (nfiles * perFile)
+				v := read(m, names[w/perFile], int64(w%perFile)*window)
+				if len(v.Data) != window {
+					b.Fatalf("read %d bytes", len(v.Data))
+				}
+				if touch {
+					for j := 0; j < len(v.Data); j += 64 {
+						sum += v.Data[j]
+					}
+				}
+				v.Release()
+			}
+			benchSink = sum
+		})
+	}
+}
+
+var benchSink byte
+
+// BenchmarkReadAtOSFS is the copy path over the real backend: a pread
+// of the window into the caller's buffer.
+func BenchmarkReadAtOSFS(b *testing.B) {
+	ctx := context.Background()
+	buf := make([]byte, 256<<10)
+	benchOSFSWindows(b, func(m *Monarch, name string, off int64) storage.View {
+		n, err := m.ReadAt(ctx, name, buf, off)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return storage.View{Data: buf[:n]}
+	})
+}
+
+// BenchmarkReadViewOSFS is the view path over the real backend: a
+// window of the file's mapping, lent and released.
+func BenchmarkReadViewOSFS(b *testing.B) {
+	ctx := context.Background()
+	benchOSFSWindows(b, func(m *Monarch, name string, off int64) storage.View {
+		v, err := m.ReadView(ctx, name, off, 256<<10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return v
+	})
 }
 
 // benchPlacement measures end-to-end background placement of a small

@@ -58,6 +58,18 @@ func newChunkStack(t *testing.T, tier0 storage.Backend, workers, nfiles, fileSiz
 	return m
 }
 
+// newOSFSTier is a tier-0 backend on a real directory, for the tests
+// that need the real read path: cached descriptors and mapped views.
+func newOSFSTier(t *testing.T, capacity int64) *storage.OSFS {
+	t.Helper()
+	o, err := storage.NewOSFS("ssd", t.TempDir(), capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.CloseIdle)
+	return o
+}
+
 func waitIdleM(t *testing.T, m *Monarch) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

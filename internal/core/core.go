@@ -30,7 +30,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"monarch/internal/bufpool"
@@ -385,13 +384,15 @@ func (m *Monarch) ReadAt(ctx context.Context, name string, p []byte, off int64) 
 // borrowed, read-only view — the copy-free variant of ReadAt, through
 // the same read plan: exactly as available, and moving the same
 // counters, histograms, spans and breakers. Data points straight at the
-// tier's bytes when the file is fully placed on a healthy tier whose
-// backend lends views (MemFS, OSFS); every other route copies into
-// pooled scratch that Release returns.
+// tier's bytes — MemFS's buffer, a read-only mapping of the OSFS file —
+// when a dataset file is fully placed on a healthy tier whose backend
+// lends views; every other read (another route, a file registered by
+// Create, a backend that refuses) is copied into pooled scratch that
+// Release returns. Stats.ViewsLent / ViewsCopied say which happened.
 //
 // The caller MUST Release the view exactly once, promptly: a MemFS
 // view holds the file's read lock, so sitting on one blocks writers to
-// that file.
+// that file, and an OSFS view keeps an evicted file's blocks on disk.
 func (m *Monarch) ReadView(ctx context.Context, name string, off, n int64) (storage.View, error) {
 	if n < 0 {
 		return storage.View{}, fmt.Errorf("monarch: negative view length %d", n)
@@ -403,10 +404,12 @@ func (m *Monarch) ReadView(ctx context.Context, name string, off, n int64) (stor
 
 // sink is where a read lands: ReadAt's caller buffer or, with lend set,
 // a view for ReadView to hand out. A successful serve leaves the
-// delivered bytes in view.Data either way.
+// delivered bytes in view.Data either way; lent says the last serve's
+// view is the tier's own bytes, not a copy.
 type sink struct {
 	buf  []byte
 	lend bool
+	lent bool
 	view storage.View
 }
 
@@ -457,21 +460,23 @@ func (m *Monarch) resolve(e *fileEntry, off, n int64) route {
 	return route{routeSource, m.source, gen}
 }
 
-// serve makes one attempt at [off, off+n) of e over rt into s.
+// serve makes one attempt at [off, off+n) of e over rt into s. The lend
+// rule: a view is the tier's own bytes only on the local route, from a
+// backend that lends them, and never of a file Create registered —
+// WriteAt changes those in place, under any view. Everything else, a
+// backend's refusal (ErrUnsupported) included, is copied into scratch.
 func (m *Monarch) serve(ctx context.Context, rt route, e *fileEntry, off, n int64, s *sink) (int, error) {
 	d, buf := rt.d, s.buf
 	if s.lend {
-		if rt.kind == routeLocal && d.vr != nil && !d.viewOff.Load() {
+		s.lent = false
+		if rt.kind == routeLocal && d.vr != nil && !e.writable {
 			v, err := d.vr.ReadView(ctx, e.name, off, n)
 			if err == nil {
-				s.view = v
+				s.view, s.lent = v, true
 			}
 			if !errors.Is(err, errors.ErrUnsupported) {
 				return len(v.Data), err
 			}
-			// A wrapper claimed ViewReader but its wrapped backend lacks
-			// it: stop asking, and retry the same route by copy.
-			d.viewOff.Store(true)
 		}
 		if rem := e.size - off; off >= 0 && rem < n {
 			n = max(rem, 0)
@@ -579,6 +584,9 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		return got, err
 	}
 	m.stats.served(lvl, int64(got))
+	if s.lend {
+		m.stats.viewed(s.lent)
+	}
 	switch rt.kind {
 	case routeMidCopy:
 		flags |= obs.FlagPartial
@@ -704,10 +712,6 @@ func (m *Monarch) lookup(name string) (*fileEntry, error) {
 type driver struct {
 	level   int
 	backend storage.Backend
-	// vr is the backend's zero-copy capability, resolved once. viewOff
-	// flips permanently when the backend turns out not to support views
-	// after all (a wrapper like Counting asserts ViewReader but its
-	// wrapped backend may not), so serve stops asking.
-	vr      storage.ViewReader
-	viewOff atomic.Bool
+	// vr is the backend's zero-copy capability, resolved once.
+	vr storage.ViewReader
 }

@@ -107,15 +107,20 @@ func TestEvictReplaceReadRaceHighFanIn(t *testing.T) {
 		}
 		return "odd"
 	}
+	memTier := func(*testing.T) storage.Backend { return storage.NewMemFS("ssd", tierCap) }
 	for _, tc := range []struct {
 		name   string
 		policy EvictionPolicy
+		tier   func(*testing.T) storage.Backend
 	}{
-		{"lru-churn", NewLRU()}, // worst case: evicts eagerly, maximal race surface
-		{"heat", NewHeatPolicy(HeatConfig{HalfLifeEpochs: 1, AdmitMargin: 1.1})},
+		{"lru-churn", NewLRU(), memTier}, // worst case: evicts eagerly, maximal race surface
+		{"heat", NewHeatPolicy(HeatConfig{HalfLifeEpochs: 1, AdmitMargin: 1.1}), memTier},
+		// The real backend: views are windows of mapped files that the
+		// evictor unlinks and the placer re-creates under the readers.
+		{"lru-churn-osfs", NewLRU(), func(t *testing.T) storage.Backend { return newOSFSTier(t, tierCap) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newChunkStack(t, storage.NewMemFS("ssd", tierCap), 4, nfiles, fileSize,
+			m := newChunkStack(t, tc.tier(t), 4, nfiles, fileSize,
 				func(c *Config) {
 					c.Eviction = tc.policy
 					c.JobOf = jobOf

@@ -287,14 +287,26 @@ func TestReadAtHighFanIn(t *testing.T) {
 		fileSize   = 4096
 		opsPerG    = 150
 	)
-	before := bufpool.Snapshot()
 	tapes := make([]fanInTape, goroutines)
 	for g := range tapes {
 		tapes[g] = makeFanInTape(int64(g)*7919+1, nfiles, fileSize, opsPerG)
 	}
+	for name, tier := range map[string]func(*testing.T) storage.Backend{
+		"memfs": func(*testing.T) storage.Backend { return storage.NewMemFS("ssd", 0) },
+		"osfs":  func(t *testing.T) storage.Backend { return newOSFSTier(t, 0) },
+	} {
+		t.Run(name, func(t *testing.T) { testReadAtHighFanIn(t, tapes, nfiles, fileSize, tier) })
+	}
+}
+
+// testReadAtHighFanIn is TestReadAtHighFanIn over one kind of tier 0,
+// one goroutine per tape.
+func testReadAtHighFanIn(t *testing.T, tapes []fanInTape, nfiles, fileSize int, tier func(*testing.T) storage.Backend) {
+	goroutines := len(tapes)
+	before := bufpool.Snapshot()
 
 	run := func(concurrent bool) (reads, bytesRead, errs int64, st Stats) {
-		m := newChunkStack(t, storage.NewMemFS("ssd", 0), 2, nfiles, fileSize, nil)
+		m := newChunkStack(t, tier(t), 2, nfiles, fileSize, nil)
 		var r, b, e atomic.Int64
 		if concurrent {
 			var wg sync.WaitGroup

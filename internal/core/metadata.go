@@ -57,6 +57,10 @@ const (
 type fileEntry struct {
 	name string
 	size int64
+	// writable marks a file registered by Create (insert), whose bytes
+	// WriteAt changes in place: the read plan never lends views of it.
+	// Fixed before the entry is linked into the namespace.
+	writable bool
 
 	// snap is a packed (state, level, chunk-armed, eviction-generation)
 	// snapshot republished under mu after every transition, so the read
@@ -389,7 +393,7 @@ func (c *metadataContainer) populate(infos []storage.FileInfo, sourceLevel int) 
 // created file). It fails with storage.ErrExist when the name is
 // taken: writable names must not shadow dataset files.
 func (c *metadataContainer) insert(name string, size int64, level int, state placementState) (*fileEntry, error) {
-	e := &fileEntry{name: name, size: size, level: level, state: state}
+	e := &fileEntry{name: name, size: size, writable: true, level: level, state: state}
 	e.publish()
 	s := c.shard(name)
 	s.mu.Lock()

@@ -184,11 +184,15 @@ func (r *parityRig) evict(t *testing.T) {
 }
 
 // parityOutcome is everything the plan must make identical across the
-// two sinks.
+// two sinks — and lent/copied, the one pair it must not: only ReadView
+// counts how a view got its bytes, so run moves the pair out of stats
+// and vars.
 type parityOutcome struct {
 	data      []byte
 	err       string
 	stats     Stats
+	lent      int64
+	copied    int64
 	vars      map[string]float64
 	spans     []string
 	events    []string
@@ -221,11 +225,14 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 		// vacuous: tier-0 attempts, source reads, and a Stats probe.
 		tierReads, pfsReads int64
 		check               func(s Stats) bool
+		// lent: ReadView's bytes are the tier's own. Every other served
+		// view is a copy.
+		lent bool
 	}{
 		{
 			name:  "local placed",
 			prime: func(t *testing.T, r *parityRig) { r.place(t) },
-			file:  "own/a", tierReads: 1,
+			file:  "own/a", tierReads: 1, lent: true,
 			check: func(s Stats) bool { return s.ReadsServed[0] == 1 },
 		},
 		{
@@ -361,9 +368,12 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 				out.pfsReads = r.pfs.Counts().Ops[storage.OpRead] - pfs
 				r.pool.drain()
 				out.stats = r.m.Stats()
+				out.lent, out.copied = out.stats.ViewsLent, out.stats.ViewsCopied
+				out.stats.ViewsLent, out.stats.ViewsCopied = 0, 0
 				out.vars = r.m.Registry().Vars()
 				for k := range out.vars {
-					if strings.Contains(k, "_seconds_sum") || strings.HasPrefix(k, "monarch_uptime_seconds") {
+					if strings.Contains(k, "_seconds_sum") || strings.HasPrefix(k, "monarch_uptime_seconds") ||
+						strings.HasPrefix(k, "monarch_view_reads_total") {
 						delete(out.vars, k)
 					}
 				}
@@ -397,6 +407,19 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 			if cp.err == "" && !bytes.Equal(cp.data, parityContent(tc.file)[:n]) {
 				t.Errorf("read returned wrong bytes")
 			}
+			// A served view is lent or copied; a failed read is neither.
+			wantLent, wantCopied := int64(0), int64(0)
+			switch {
+			case vw.err != "":
+			case tc.lent:
+				wantLent = 1
+			default:
+				wantCopied = 1
+			}
+			if cp.lent != 0 || cp.copied != 0 || vw.lent != wantLent || vw.copied != wantCopied {
+				t.Errorf("views lent/copied: ReadAt %d/%d, want 0/0; ReadView %d/%d, want %d/%d",
+					cp.lent, cp.copied, vw.lent, vw.copied, wantLent, wantCopied)
+			}
 			if !reflect.DeepEqual(cp.stats, vw.stats) {
 				t.Errorf("Stats differ:\n ReadAt   %+v\n ReadView %+v", cp.stats, vw.stats)
 			}
@@ -414,5 +437,87 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 				t.Errorf("events differ:\n ReadAt   %q\n ReadView %q", cp.events, vw.events)
 			}
 		})
+	}
+}
+
+// TestViewReadsLentOrCopiedOverOSFS is the lend rule on the real
+// backend, read off the counters an operator would watch: a warm epoch
+// of dataset files is lent mapped bytes every time, and a file
+// registered by Create — whose bytes WriteAt changes in place — is
+// copied every time, so a held view of it never sees a later write.
+func TestViewReadsLentOrCopiedOverOSFS(t *testing.T) {
+	ctx := context.Background()
+	ssd := newOSFSTier(t, 0)
+	if _, err := ssd.ReadView(ctx, "probe", 0, 1); errors.Is(err, errors.ErrUnsupported) {
+		t.Skip("OSFS lends no views on this platform")
+	}
+	const nfiles, fileSize, window = 4, 1024, 256
+	f := newWriteFixture(t, nfiles, func(c *Config) {
+		c.Levels[0] = ssd
+		c.Write.Durability = backAll
+	})
+	m := f.m
+	buf := make([]byte, fileSize)
+	for i := 0; i < nfiles; i++ {
+		if _, err := m.ReadAt(ctx, fmt.Sprintf("data/f%03d", i), buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitIdleM(t, m)
+
+	views := func(name string, want []byte) {
+		t.Helper()
+		for off := 0; off < fileSize; off += window {
+			v, err := m.ReadView(ctx, name, int64(off), window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok := bytes.Equal(v.Data, want[off:off+window])
+			v.Release()
+			if !ok {
+				t.Fatalf("ReadView(%s, %d) returned wrong bytes", name, off)
+			}
+		}
+	}
+	for i := 0; i < nfiles; i++ {
+		views(fmt.Sprintf("data/f%03d", i), bytes.Repeat([]byte{byte(i + 1)}, fileSize))
+	}
+	warm := m.Stats()
+	if warm.ViewsLent != nfiles*fileSize/window || warm.ViewsCopied != 0 {
+		t.Fatalf("warm epoch: %d views lent, %d copied; want %d and 0", warm.ViewsLent, warm.ViewsCopied, nfiles*fileSize/window)
+	}
+
+	ones, twos := bytes.Repeat([]byte{1}, fileSize), bytes.Repeat([]byte{2}, fileSize)
+	if err := m.Create(ctx, "ckpt", fileSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.WriteAt(ctx, "ckpt", ones, 0); err != nil {
+		t.Fatal(err)
+	}
+	held, err := m.ReadView(ctx, "ckpt", 0, fileSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.WriteAt(ctx, "ckpt", twos, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held.Data, ones) {
+		t.Fatal("a view of a writable file changed under a later WriteAt")
+	}
+	held.Release()
+	views("ckpt", twos)
+	st := m.Stats()
+	if lent, copied := st.ViewsLent-warm.ViewsLent, st.ViewsCopied; lent != 0 || copied != 1+fileSize/window {
+		t.Fatalf("created file: %d views lent, %d copied; want 0 and %d", lent, copied, 1+fileSize/window)
+	}
+	if st.ReadsServed[0] != nfiles*fileSize/window+1+fileSize/window {
+		t.Fatalf("tier 0 served %d reads: the copied views left the local route", st.ReadsServed[0])
+	}
+
+	snap := m.Registry().Snapshot()
+	for served, want := range map[string]int64{"lent": st.ViewsLent, "copied": st.ViewsCopied} {
+		if got, ok := snap.Int("monarch_view_reads_total", obs.L("served", served)); !ok || got != want {
+			t.Errorf("monarch_view_reads_total{served=%q} = %d (ok=%v), Stats says %d", served, got, ok, want)
+		}
 	}
 }

@@ -57,6 +57,14 @@ type Stats struct {
 	// Fallbacks counts foreground reads re-served from the PFS after an
 	// upper tier failed.
 	Fallbacks int64
+	// ViewsLent counts ReadViews served as the tier's own bytes;
+	// ViewsCopied those that were copied into scratch instead — the read
+	// left the local route, the file was registered by Create, or the
+	// backend has no views or refused this one (no mmap on the platform,
+	// a mapping the kernel would not grant). A warm tier running on
+	// ViewsCopied is paying for every byte it was asked to lend.
+	ViewsLent   int64
+	ViewsCopied int64
 	// Evictions counts files removed from a tier by the eviction policy
 	// (the heat engine under tenancy, or an abl-eviction ablation).
 	Evictions int64
@@ -173,6 +181,8 @@ type statsCollector struct {
 	peerMisses      *obs.Counter
 	peerHedges      *obs.Counter
 	fallbacks       *obs.Counter
+	viewsLent       *obs.Counter
+	viewsCopied     *obs.Counter
 	evictions       *obs.Counter
 	evictionRaces   *obs.Counter
 	promotions      *obs.Counter
@@ -247,6 +257,9 @@ func (c *statsCollector) init(reg *obs.Registry, levels int) {
 		"Peer hits served under a hedge: a second replica raced a slow primary.")
 	c.fallbacks = reg.Counter("monarch_fallbacks_total",
 		"Reads re-served from the PFS after an upper-tier failure.")
+	const viewHelp = "ReadViews served, by whether the tier lent its own bytes or the read was copied into scratch."
+	c.viewsLent = reg.Counter("monarch_view_reads_total", viewHelp, obs.L("served", "lent"))
+	c.viewsCopied = reg.Counter("monarch_view_reads_total", viewHelp, obs.L("served", "copied"))
 	c.evictions = reg.Counter("monarch_evictions_total",
 		"Files removed from a tier by the eviction policy.")
 	c.evictionRaces = reg.Counter("monarch_eviction_read_races_total",
@@ -288,6 +301,15 @@ func (c *statsCollector) init(reg *obs.Registry, levels int) {
 func (c *statsCollector) served(level int, bytes int64) {
 	c.readsServed[level].Inc()
 	c.bytesServed[level].Add(bytes)
+}
+
+// viewed records how a served ReadView got its bytes.
+func (c *statsCollector) viewed(lent bool) {
+	if lent {
+		c.viewsLent.Inc()
+	} else {
+		c.viewsCopied.Inc()
+	}
 }
 
 // placedOn records a whole placement landing on level.
@@ -379,6 +401,8 @@ func (c *statsCollector) snapshot(inFlight int) Stats {
 		PeerMisses:       c.peerMisses.Value(),
 		PeerHedges:       c.peerHedges.Value(),
 		Fallbacks:        c.fallbacks.Value(),
+		ViewsLent:        c.viewsLent.Value(),
+		ViewsCopied:      c.viewsCopied.Value(),
 		Evictions:        c.evictions.Value(),
 		EvictionRaces:    c.evictionRaces.Value(),
 		Promotions:       c.promotions.Value(),

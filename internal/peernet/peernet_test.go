@@ -543,3 +543,91 @@ func TestClientBackoffCappedByDeadline(t *testing.T) {
 		t.Fatalf("retry loop ran %v; backoff ignored the %v op deadline", elapsed, 300*time.Millisecond)
 	}
 }
+
+// stalledConn is the server's end of a connection whose peer stops
+// draining mid-response: the first Write of a response goes out, the
+// second announces itself on stalled and waits for open. One goroutine
+// serves a connection, so writes needs no lock.
+type stalledConn struct {
+	net.Conn
+	writes        int
+	stalled, open chan struct{}
+}
+
+func (c *stalledConn) Write(p []byte) (int, error) {
+	if c.writes++; c.writes == 2 {
+		close(c.stalled)
+		<-c.open
+	}
+	return c.Conn.Write(p)
+}
+
+// TestReadResponseSurvivesRemove: a server over OSFS writes a READ
+// response straight out of the file's mapping, so the file can be
+// removed — evicted, on a real node — while the response is still half
+// on the wire. The rest of it must be the bytes the read was served,
+// not a fault on pages the file no longer has.
+func TestReadResponseSurvivesRemove(t *testing.T) {
+	ctx := context.Background()
+	osfs, err := storage.NewOSFS("ssd", t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(osfs.CloseIdle)
+	want := make([]byte, 64<<10) // many pages, several socket writes
+	for i := range want {
+		want[i] = byte(i*31 + i>>8)
+	}
+	if err := osfs.WriteFile(ctx, "f", want); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := peernet.NewServer(peernet.ServerConfig{Backend: osfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &stalledConn{stalled: make(chan struct{}), open: make(chan struct{})}
+	c, err := peernet.NewClient(peernet.ClientConfig{
+		Name: "peer:test",
+		Dial: func(context.Context) (net.Conn, error) {
+			client, server := net.Pipe()
+			conn.Conn = server
+			go srv.ServeConn(conn)
+			return client, nil
+		},
+		PoolSize: 1,
+		Timeout:  5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		srv.Close()
+	})
+
+	got := make([]byte, len(want))
+	done := make(chan error, 1)
+	go func() {
+		n, err := c.ReadAt(ctx, "f", got, 0)
+		if err == nil && n != len(want) {
+			err = errors.New("short read")
+		}
+		done <- err
+	}()
+	select {
+	case <-conn.stalled:
+	case err := <-done:
+		t.Fatalf("read finished before the response stalled: %v", err)
+	}
+	if err := osfs.Remove(ctx, "f"); err != nil {
+		t.Fatal(err)
+	}
+	osfs.CloseIdle() // nothing but the response in flight holds the file now
+	close(conn.open)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("response completed after Remove differs from the file it was served from")
+	}
+}

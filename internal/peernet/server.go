@@ -230,8 +230,10 @@ func (s *Server) handle(op byte, req uint64, payload []byte) (status byte, resp 
 		}
 		start := time.Now()
 		// Serve straight out of the backend's bytes when it lends views
-		// (MemFS tier-0 caches do): the response is written to the
-		// socket from the cache's own buffer, no intermediate copy.
+		// (MemFS's buffers, OSFS's file mappings): the response is
+		// written to the socket from the cache's own bytes — for OSFS,
+		// the page cache — with no intermediate copy, and stays whole
+		// if the file is evicted before the last byte is out.
 		if vr, ok := b.(storage.ViewReader); ok {
 			v, verr := vr.ReadView(ctx, rq.name, rq.off, int64(rq.n))
 			if verr == nil {

@@ -27,6 +27,7 @@ func backendFactories(t *testing.T) map[string]storagetest.Factory {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(o.CloseIdle)
 			return o
 		},
 	}

@@ -141,16 +141,20 @@ func (c *Counting) ReadAt(ctx context.Context, name string, p []byte, off int64)
 }
 
 // ReadView implements ViewReader when the wrapped backend does; a view
-// counts as one read op for however many bytes it lends. (Faulty
-// deliberately does not forward ReadView, so injected read faults can
-// never be bypassed by the zero-copy path.)
+// counts as one read op for however many bytes it lends, and a refused
+// one (ErrUnsupported) as none — the ReadAt the caller falls through
+// to is the op. (Faulty deliberately does not forward ReadView, so
+// injected read faults can never be bypassed by the zero-copy path.)
 func (c *Counting) ReadView(ctx context.Context, name string, off, n int64) (View, error) {
 	vr, ok := c.Backend.(ViewReader)
 	if !ok {
 		return View{}, fmt.Errorf("%s: read %q: %w", c.Backend.Name(), name, errors.ErrUnsupported)
 	}
-	c.ops[OpRead].Add(1)
 	v, err := vr.ReadView(ctx, name, off, n)
+	if errors.Is(err, errors.ErrUnsupported) {
+		return v, err
+	}
+	c.ops[OpRead].Add(1)
 	c.bytesRead.Add(int64(len(v.Data)))
 	return v, err
 }

@@ -11,26 +11,36 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"monarch/internal/bufpool"
 )
 
-// maxCachedFDs bounds the per-backend descriptor cache. Eviction is
-// arbitrary (map order); a DL working set cycles through files fast
-// enough that any warm descriptor helps and none is precious.
+// maxCachedFDs bounds the per-backend table of open files — and with
+// it the mappings the table keeps alive: a file lends views out of at
+// most one mapping per table entry. Eviction is arbitrary (map order);
+// a DL working set cycles through files fast enough that any warm
+// entry helps and none is precious.
 const maxCachedFDs = 64
 
-// cachedFD is a reference-counted open descriptor. The cache holds one
-// reference; each in-flight read holds another, so invalidation (on
-// WriteFile's rename-over or Remove) can drop the cache reference
-// without yanking the fd out from under a concurrent pread.
+// cachedFD is one reference-counted open inode: its descriptor and,
+// once a view has been asked of it, a read-only mapping of its bytes.
+// The table holds one reference, each in-flight read another, and each
+// lent View one more until its Release — so invalidation (WriteFile,
+// Allocate, Remove: each replaces or unlinks the inode) only drops the
+// table's reference, and the descriptor is closed and the mapping
+// unmapped when the last holder lets go.
 type cachedFD struct {
 	f    *os.File
 	refs atomic.Int32
+	// data is the whole-file mapping, built by the first view (see
+	// mapped) and never replaced: OSFS never resizes an inode in place,
+	// so its length is the file's size for as long as anyone holds it.
+	data atomic.Pointer[[]byte]
 }
 
-func (c *cachedFD) release() {
+// Release implements Releaser: a lent View holds its mapping through a
+// reference on the entry.
+func (c *cachedFD) Release() {
 	if c.refs.Add(-1) == 0 {
+		c.unmap()
 		c.f.Close()
 	}
 }
@@ -39,12 +49,21 @@ func (c *cachedFD) release() {
 // deployment would point at an XFS mount on the compute node's SSD and
 // at the dataset directory on the PFS.
 //
-// Reads go through a bounded descriptor cache: the seed's
+// Reads go through a bounded table of open files: the seed's
 // open-read-close per ReadAt cost three syscalls per operation, which
-// dominated tier-0 hits. WriteFile and Remove invalidate the cached
-// descriptor (the rename-over swaps the inode); Allocate and WriteAt
-// mutate the same inode in place, so cached descriptors stay valid
-// through a chunked placement.
+// dominated tier-0 hits. On unix the same entries lend views
+// (ViewReader) as windows of a read-only shared mapping, so a view
+// read costs a table lookup and no copy.
+//
+// The inode rule keeps both safe. OSFS never shrinks, truncates or
+// rewrites an inode a reader may hold: WriteFile and Allocate build a
+// fresh inode and rename it over the name, Remove unlinks, and each
+// then drops the name's table entry. WriteAt alone mutates in place,
+// within the size Allocate fixed. A descriptor or view that outlives
+// its name therefore keeps the old inode's bytes (snapshot semantics,
+// like MemFS) and no path inside OSFS can shrink a file under a live
+// mapping. The directory belongs to OSFS: a truncate from outside is
+// outside the contract, as it already is for quota accounting.
 type OSFS struct {
 	name     string
 	root     string
@@ -55,6 +74,9 @@ type OSFS struct {
 
 	fdMu sync.Mutex
 	fds  map[string]*cachedFD
+	// fdGen counts invalidations. An open that straddles one may hold
+	// the replaced inode, so it serves its own read but is not cached.
+	fdGen uint64
 }
 
 // NewOSFS creates a backend rooted at dir, which must exist. The quota
@@ -152,59 +174,79 @@ func (o *OSFS) Stat(ctx context.Context, name string) (FileInfo, error) {
 	return FileInfo{Name: name, Size: fi.Size()}, nil
 }
 
-// fd returns a referenced descriptor for name, from the cache or a
-// fresh open. The caller must release() it after use.
-func (o *OSFS) fd(name, path string) (*cachedFD, error) {
+// fd returns a referenced table entry for name, opening the file on a
+// miss. The caller must Release it after use. A hit skips validating
+// the name and building its path: this exact name passed both when the
+// entry was inserted.
+func (o *OSFS) fd(name string) (*cachedFD, error) {
 	o.fdMu.Lock()
 	if c, ok := o.fds[name]; ok {
 		c.refs.Add(1)
 		o.fdMu.Unlock()
 		return c, nil
 	}
+	gen := o.fdGen
 	o.fdMu.Unlock()
+	path, err := o.path(name)
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%s: read %q: %w", o.name, name, ErrNotExist)
+	}
 	if err != nil {
 		return nil, err
 	}
 	c := &cachedFD{f: f}
-	c.refs.Store(2) // one for the cache, one for the caller
+	c.refs.Store(1) // the caller's
 	o.fdMu.Lock()
 	if old, ok := o.fds[name]; ok {
-		// Lost an open race: keep the incumbent, hand back ours uncached.
+		// Lost an open race: keep the incumbent, close ours.
 		old.refs.Add(1)
 		o.fdMu.Unlock()
-		c.refs.Store(1)
-		c.release()
+		c.Release()
 		return old, nil
+	}
+	if o.fdGen != gen {
+		// A name was invalidated while this open was in flight — maybe
+		// this one, maybe after the open: c may be the replaced inode.
+		// Good for this read (it raced the writer), not for the table.
+		o.fdMu.Unlock()
+		return c, nil
 	}
 	if len(o.fds) >= maxCachedFDs {
 		for k, victim := range o.fds {
 			delete(o.fds, k)
-			defer victim.release()
+			defer victim.Release()
 			break
 		}
 	}
+	c.refs.Add(1) // the table's
 	o.fds[name] = c
 	o.fdMu.Unlock()
 	return c, nil
 }
 
-// invalidate drops the cached descriptor for name, if any; in-flight
-// reads on it finish against the old inode.
+// invalidate drops the table entry for name, if any, after the name's
+// inode was replaced or unlinked; in-flight reads and held views finish
+// against the old inode.
 func (o *OSFS) invalidate(name string) {
 	o.fdMu.Lock()
+	o.fdGen++
 	c, ok := o.fds[name]
 	if ok {
 		delete(o.fds, name)
 	}
 	o.fdMu.Unlock()
 	if ok {
-		c.release()
+		c.Release()
 	}
 }
 
-// CloseIdle drops every cached descriptor (in-flight reads keep theirs
-// alive until they finish). Long-lived daemons can call it when a
+// CloseIdle empties the table: every descriptor no read is using is
+// closed and every mapping no view holds is unmapped (the rest go when
+// their last holder releases). Long-lived daemons can call it when a
 // backend goes cold; tests use it to release temp-dir descriptors.
 func (o *OSFS) CloseIdle() {
 	o.fdMu.Lock()
@@ -212,7 +254,7 @@ func (o *OSFS) CloseIdle() {
 	o.fds = make(map[string]*cachedFD)
 	o.fdMu.Unlock()
 	for _, c := range fds {
-		c.release()
+		c.Release()
 	}
 }
 
@@ -221,19 +263,12 @@ func (o *OSFS) ReadAt(ctx context.Context, name string, p []byte, off int64) (in
 	if err := ctxErr(ctx); err != nil {
 		return 0, err
 	}
-	path, err := o.path(name)
-	if err != nil {
-		return 0, err
-	}
-	c, err := o.fd(name, path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, fmt.Errorf("%s: read %q: %w", o.name, name, ErrNotExist)
-	}
+	c, err := o.fd(name)
 	if err != nil {
 		return 0, err
 	}
 	n, err := c.f.ReadAt(p, off)
-	c.release()
+	c.Release()
 	if err == io.EOF {
 		err = nil
 	}
@@ -243,27 +278,6 @@ func (o *OSFS) ReadAt(ctx context.Context, name string, p []byte, off int64) (in
 		o.invalidate(name)
 	}
 	return n, err
-}
-
-// ReadView implements ViewReader. A real file system cannot lend
-// stable bytes without mmap, so the "zero-copy" here is pragmatic: the
-// pread lands in a pooled scratch buffer the view returns to bufpool
-// on Release, sparing the caller's allocation and the second copy into
-// a caller-owned buffer.
-func (o *OSFS) ReadView(ctx context.Context, name string, off, n int64) (View, error) {
-	if n < 0 {
-		return View{}, fmt.Errorf("%s: read %q: negative length %d", o.name, name, n)
-	}
-	if off < 0 {
-		return View{}, fmt.Errorf("%s: read %q: negative offset %d", o.name, name, off)
-	}
-	buf := bufpool.Get(int(n))
-	m, err := o.ReadAt(ctx, name, buf, off)
-	if err != nil {
-		bufpool.Put(buf)
-		return View{}, err
-	}
-	return PooledView(buf, m), nil
 }
 
 // ReadFile implements Backend.
@@ -289,67 +303,20 @@ func (o *OSFS) WriteFile(ctx context.Context, name string, data []byte) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	path, err := o.path(name)
-	if err != nil {
+	return o.replace(name, "write", int64(len(data)), func(f *os.File) error {
+		_, err := f.Write(data)
 		return err
-	}
-
-	o.mu.Lock()
-	var old int64
-	if fi, err := os.Stat(path); err == nil {
-		old = fi.Size()
-	}
-	newUsed := o.used - old + int64(len(data))
-	if o.capacity > 0 && newUsed > o.capacity {
-		o.mu.Unlock()
-		return fmt.Errorf("%s: write %q (%d bytes, %d free): %w",
-			o.name, name, len(data), o.capacity-o.used, ErrNoSpace)
-	}
-	o.used = newUsed
-	o.mu.Unlock()
-
-	undo := func() {
-		o.mu.Lock()
-		o.used = o.used - int64(len(data)) + old
-		o.mu.Unlock()
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		undo()
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".monarch-*")
-	if err != nil {
-		undo()
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		undo()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		undo()
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		undo()
-		return err
-	}
-	// The rename swapped the inode: a cached descriptor would keep
-	// serving the replaced content.
-	o.invalidate(name)
-	return nil
+	})
 }
 
 // Allocate implements RangeWriter: it reserves quota for name at size
 // bytes and creates it as a sparse file of that length, ready for
-// concurrent WriteAt calls. Unlike WriteFile there is no temp-rename
-// dance — chunked placement relies on readers seeing written ranges
-// mid-copy, and MONARCH only reads ranges it has already written.
+// concurrent WriteAt calls. The file is a fresh inode renamed into
+// place at its final size — never a resize of whatever the name held,
+// which a reader may still have open or mapped. The fills that follow
+// are in place: chunked placement relies on readers seeing written
+// ranges mid-copy, and MONARCH only reads ranges it has already
+// written.
 func (o *OSFS) Allocate(ctx context.Context, name string, size int64) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
@@ -357,6 +324,13 @@ func (o *OSFS) Allocate(ctx context.Context, name string, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("%s: allocate %q: negative size %d", o.name, name, size)
 	}
+	return o.replace(name, "allocate", size, func(f *os.File) error { return f.Truncate(size) })
+}
+
+// replace settles quota for name at size bytes, then swaps in a fresh
+// inode (see swapIn). verb names the operation in the ErrNoSpace
+// message.
+func (o *OSFS) replace(name, verb string, size int64, fill func(*os.File) error) error {
 	path, err := o.path(name)
 	if err != nil {
 		return err
@@ -369,37 +343,47 @@ func (o *OSFS) Allocate(ctx context.Context, name string, size int64) error {
 	}
 	newUsed := o.used - old + size
 	if o.capacity > 0 && newUsed > o.capacity {
+		free := o.capacity - o.used
 		o.mu.Unlock()
-		return fmt.Errorf("%s: allocate %q (%d bytes, %d free): %w",
-			o.name, name, size, o.capacity-o.used, ErrNoSpace)
+		return fmt.Errorf("%s: %s %q (%d bytes, %d free): %w",
+			o.name, verb, name, size, free, ErrNoSpace)
 	}
 	o.used = newUsed
 	o.mu.Unlock()
 
-	undo := func() {
+	if err := swapIn(path, fill); err != nil {
 		o.mu.Lock()
 		o.used = o.used - size + old
 		o.mu.Unlock()
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		undo()
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		undo()
-		return err
-	}
-	if err := f.Truncate(size); err != nil {
-		f.Close()
-		undo()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		undo()
-		return err
-	}
+	// The rename swapped the inode: a cached entry would keep serving
+	// the replaced content.
+	o.invalidate(name)
 	return nil
+}
+
+// swapIn has fill write a temp file beside path and renames it over
+// path; on any failure the temp file is gone and path untouched.
+func swapIn(path string, fill func(*os.File) error) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".monarch-*")
+	if err != nil {
+		return err
+	}
+	err = fill(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // WriteAt implements RangeWriter. The file must have been Allocated and

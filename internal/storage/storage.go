@@ -96,7 +96,17 @@ type Releaser interface {
 // zero-copy result of ViewReader.ReadView. Data stays valid until
 // Release is called and MUST NOT be written to or retained past
 // Release; the backing store may be a shared in-memory buffer (MemFS,
-// held under a per-file read lock) or a pooled scratch buffer (OSFS).
+// held under a per-file read lock), a read-only mapping of the file
+// (OSFS; a store through Data faults) or, where a caller had to copy,
+// pooled scratch (PooledView).
+//
+// A held view is a snapshot of the file it was taken from: replacing
+// the name (WriteFile, Allocate) or removing it leaves Data's bytes
+// exactly as they were, and only views taken afterwards see the new
+// content. In-place range writes (RangeWriter.WriteAt) are the one
+// exception — MemFS blocks them while a view is held, OSFS lets them
+// show through — so callers do not hold views of files they are still
+// filling.
 type View struct {
 	// Data is the requested range. Its length may be shorter than the
 	// requested byte count when the file ends first (same short-read
@@ -123,11 +133,18 @@ func (v View) Release() {
 //
 // Contract: the caller must Release the returned view exactly once,
 // promptly — MemFS holds the file's read lock for the view's lifetime,
-// so an unreleased view blocks writers to that file forever.
+// so an unreleased view blocks writers to that file forever, and OSFS
+// keeps a removed file's blocks allocated until its last view goes.
 type ViewReader interface {
 	// ReadView returns up to n bytes of name at offset off. off < 0 or
 	// a missing name fail; off at-or-past EOF returns an empty (but
 	// releasable) view, mirroring ReadAt's short-read semantics.
+	//
+	// An error satisfying errors.Is(err, errors.ErrUnsupported) refuses
+	// this one read, not the backend: the bytes cannot be lent (a
+	// wrapper over a backend without views, a platform without mmap, a
+	// mapping the kernel would not grant) and the caller reads the
+	// range through ReadAt instead. A refusal is not a failure.
 	ReadView(ctx context.Context, name string, off, n int64) (View, error)
 }
 
@@ -145,9 +162,8 @@ func (r *pooledView) Release() {
 var pooledViews = sync.Pool{New: func() any { return new(pooledView) }}
 
 // PooledView wraps a bufpool buffer in a View lending its first used
-// bytes; Release returns the buffer to bufpool. Shared by backends
-// (OSFS) and callers (core's ReadView fallthrough) that materialize
-// views out of pooled scratch.
+// bytes; Release returns the buffer to bufpool. For callers (core's
+// ReadView fall-through) that had to copy and still owe a View.
 func PooledView(buf []byte, used int) View {
 	r := pooledViews.Get().(*pooledView)
 	r.buf = buf

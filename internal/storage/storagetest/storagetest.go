@@ -359,9 +359,10 @@ func RunRangeWriterConformance(t *testing.T, mk Factory) {
 
 // RunViewReaderConformance drives the zero-copy ViewReader contract
 // against mk: agreement with ReadAt over arbitrary windows, short
-// reads at EOF, sentinel errors, rejection of negative ranges, and
-// release safety (a released view's buffer may be recycled, so the
-// suite never touches Data after Release).
+// reads at EOF, sentinel errors, rejection of negative ranges, release
+// safety (a released view's buffer may be recycled, so the suite never
+// touches Data after Release) and view lifetime — a held view is a
+// snapshot that outlives its file's removal or replacement.
 func RunViewReaderConformance(t *testing.T, mk Factory) {
 	ctx := context.Background()
 	asVR := func(t *testing.T, b storage.Backend) storage.ViewReader {
@@ -482,6 +483,184 @@ func RunViewReaderConformance(t *testing.T, mk Factory) {
 		v.Release()
 		if got != "new-new-new" {
 			t.Fatalf("view after rewrite = %q", got)
+		}
+	})
+
+	// Lifetime: every byte of a held view is read after its file was
+	// mutated, and must be what the view was taken of — a mapped view
+	// whose file was truncated in place would die of SIGBUS here, a
+	// view over recycled scratch would show the new bytes. Contents
+	// span several pages with a ragged tail so a shrink drops whole
+	// pages.
+	pattern := func(seed byte, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = seed + byte(i*7)
+		}
+		return b
+	}
+	const held = 3*4096 + 123
+	wholeView := func(t *testing.T, vr storage.ViewReader, name string) storage.View {
+		t.Helper()
+		v, err := vr.ReadView(ctx, name, 0, 1<<20)
+		if err != nil {
+			t.Fatalf("ReadView(%s): %v", name, err)
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name string
+		// mutate replaces or removes "f" and returns what a fresh view
+		// must see (nil: the name is gone).
+		mutate func(t *testing.T, b storage.Backend) []byte
+	}{
+		{"Remove", func(t *testing.T, b storage.Backend) []byte {
+			if err := b.Remove(ctx, "f"); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}},
+		{"WriteFileLonger", func(t *testing.T, b storage.Backend) []byte {
+			next := pattern(0x80, 2*held)
+			if err := b.WriteFile(ctx, "f", next); err != nil {
+				t.Fatal(err)
+			}
+			return next
+		}},
+		{"WriteFileShorter", func(t *testing.T, b storage.Backend) []byte {
+			next := pattern(0x80, 100)
+			if err := b.WriteFile(ctx, "f", next); err != nil {
+				t.Fatal(err)
+			}
+			return next
+		}},
+		{"ShrinkingAllocate", func(t *testing.T, b storage.Backend) []byte {
+			rw, ok := b.(storage.RangeWriter)
+			if !ok {
+				t.Skipf("%s does not implement RangeWriter", b.Name())
+			}
+			next := pattern(0x80, 4096+50)
+			if err := rw.Allocate(ctx, "f", int64(len(next))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rw.WriteAt(ctx, "f", next, 0); err != nil {
+				t.Fatal(err)
+			}
+			return next
+		}},
+	} {
+		t.Run("Lifetime/"+tc.name, func(t *testing.T) {
+			b := mk(0)
+			vr := asVR(t, b)
+			orig := pattern(1, held)
+			if err := b.WriteFile(ctx, "f", orig); err != nil {
+				t.Fatal(err)
+			}
+			v := wholeView(t, vr, "f")
+			defer v.Release()
+			next := tc.mutate(t, b)
+			if !bytes.Equal(v.Data, orig) {
+				t.Fatalf("held view changed under %s", tc.name)
+			}
+			if next == nil {
+				if _, err := vr.ReadView(ctx, "f", 0, 1); !errors.Is(err, storage.ErrNotExist) {
+					t.Fatalf("fresh view of removed file: %v, want ErrNotExist", err)
+				}
+			} else {
+				fresh := wholeView(t, vr, "f")
+				ok := bytes.Equal(fresh.Data, next)
+				fresh.Release()
+				if !ok {
+					t.Fatal("fresh view does not see the new content")
+				}
+			}
+			if !bytes.Equal(v.Data, orig) {
+				t.Fatal("held view changed after a fresh view was taken")
+			}
+		})
+	}
+
+	t.Run("Lifetime/EmptyAndEOF", func(t *testing.T) {
+		b := mk(0)
+		vr := asVR(t, b)
+		if err := b.WriteFile(ctx, "empty", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.WriteFile(ctx, "f", []byte("abc")); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []struct {
+			name string
+			off  int64
+		}{{"empty", 0}, {"empty", 5}, {"f", 3}, {"f", 4}} {
+			v, err := vr.ReadView(ctx, w.name, w.off, 8)
+			if err != nil || len(v.Data) != 0 {
+				t.Fatalf("ReadView(%s, %d): %d bytes, err=%v; want an empty view", w.name, w.off, len(v.Data), err)
+			}
+			v.Release()
+		}
+	})
+
+	t.Run("Lifetime/ConcurrentReplace", func(t *testing.T) {
+		// Readers hold views while a writer replaces and removes the
+		// file under them. Version k is k*1500 bytes of byte k, so a
+		// view is right iff it is uniform and as long as its first byte
+		// says — whichever version it caught.
+		b := mk(0)
+		vr := asVR(t, b)
+		version := func(k int) []byte { return bytes.Repeat([]byte{byte(k)}, k*1500) }
+		if err := b.WriteFile(ctx, "f", version(1)); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					v, err := vr.ReadView(ctx, "f", 0, 1<<20)
+					if errors.Is(err, storage.ErrNotExist) {
+						continue
+					}
+					if err != nil {
+						t.Errorf("ReadView: %v", err)
+						return
+					}
+					if len(v.Data) == 0 || !bytes.Equal(v.Data, version(int(v.Data[0]))) {
+						t.Errorf("view of %d bytes starting %v is no version of the file", len(v.Data), v.Data[:min(len(v.Data), 1)])
+						v.Release()
+						return
+					}
+					v.Release()
+				}
+			}()
+		}
+		last := 0
+		for i := 0; i < 60 && !t.Failed(); i++ {
+			if i%7 == 6 {
+				if err := b.Remove(ctx, "f"); err != nil {
+					t.Error(err)
+				}
+			}
+			last = 1 + (i*5)%9 // lengths go up and down
+			if err := b.WriteFile(ctx, "f", version(last)); err != nil {
+				t.Error(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		// No reader that raced a replacement may have left the replaced
+		// file behind for later ones.
+		v := wholeView(t, vr, "f")
+		defer v.Release()
+		if !bytes.Equal(v.Data, version(last)) {
+			t.Fatalf("after the last write, a fresh view starts %v over %d bytes; want version %d", v.Data[:1], len(v.Data), last)
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package storage_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -11,9 +13,22 @@ import (
 	"monarch/internal/storage/storagetest"
 )
 
+// TestViewReaderConformance runs the view contract — lifetime cases
+// included — against every backend that lends views, bare and behind
+// Counting (the wrapper every experiment reads its tiers through).
 func TestViewReaderConformance(t *testing.T) {
+	factories := make(map[string]storagetest.Factory)
 	for name, mk := range backendFactories(t) {
+		factories[name] = mk
+		factories["counting-"+name] = func(capacity int64) storage.Backend {
+			return storage.NewCounting(mk(capacity))
+		}
+	}
+	for name, mk := range factories {
 		t.Run(name, func(t *testing.T) {
+			if _, err := mk(0).(storage.ViewReader).ReadView(context.Background(), "probe", 0, 1); errors.Is(err, errors.ErrUnsupported) {
+				t.Skipf("%s lends no views on this platform", name)
+			}
 			storagetest.RunViewReaderConformance(t, mk)
 		})
 	}
@@ -59,56 +74,56 @@ func TestMemFSViewBlocksWriteAt(t *testing.T) {
 	}
 }
 
-// TestMemFSViewSurvivesWriteFile: WriteFile swaps in a fresh file
-// object, so a held view keeps its snapshot and is never torn.
-func TestMemFSViewSurvivesWriteFile(t *testing.T) {
-	ctx := context.Background()
-	m := storage.NewMemFS("mem", 0)
-	if err := m.WriteFile(ctx, "f", []byte("snapshot")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := m.ReadView(ctx, "f", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-	if err := m.WriteFile(ctx, "f", []byte("replaced")); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(v.Data); got != "snapshot" {
-		t.Fatalf("held view = %q, want the pre-replace snapshot", got)
-	}
-}
-
-// TestOSFSViewRecyclesBuffers: OSFS views draw their scratch from
-// bufpool and return it on Release — the pool's books must balance.
-func TestOSFSViewRecyclesBuffers(t *testing.T) {
+// TestOSFSViewsAliasOneMapping: OSFS views are windows of one shared
+// mapping per file — no scratch drawn from bufpool, no copy per view —
+// and the mapping outlives the table: CloseIdle unmaps what no view
+// holds and leaves a held view's bytes alone.
+func TestOSFSViewsAliasOneMapping(t *testing.T) {
 	ctx := context.Background()
 	o, err := storage.NewOSFS("os", t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer o.CloseIdle()
-	if err := o.WriteFile(ctx, "f", make([]byte, 8192)); err != nil {
+	content := bytes.Repeat([]byte("mapped! "), 1024)
+	if err := o.WriteFile(ctx, "f", content); err != nil {
+		t.Fatal(err)
+	}
+	first, err := o.ReadView(ctx, "f", 0, 8192)
+	if errors.Is(err, errors.ErrUnsupported) {
+		t.Skip("OSFS lends no views on this platform")
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	before := bufpool.Snapshot()
 	for i := 0; i < 10; i++ {
-		v, err := o.ReadView(ctx, "f", 0, 8192)
+		v, err := o.ReadView(ctx, "f", 16, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if &v.Data[0] != &first.Data[16] {
+			t.Fatalf("view %d does not alias the first view's mapping", i)
+		}
 		v.Release()
 	}
-	after := bufpool.Snapshot()
-	gets := after.Gets - before.Gets
-	puts := after.Puts - before.Puts
-	if gets != 10 {
-		t.Fatalf("Gets delta %d, want 10", gets)
+	if gets := bufpool.Snapshot().Gets - before.Gets; gets != 0 {
+		t.Fatalf("ten views drew %d bufpool buffers, want 0", gets)
 	}
-	if puts != gets {
-		t.Fatalf("Puts delta %d != Gets delta %d: view buffers leaked", puts, gets)
+
+	o.CloseIdle()
+	if !bytes.Equal(first.Data, content) {
+		t.Fatal("held view lost its bytes to CloseIdle")
 	}
+	again, err := o.ReadView(ctx, "f", 0, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.Data[0] == &first.Data[0] {
+		t.Fatal("CloseIdle kept the mapping in the table")
+	}
+	again.Release()
+	first.Release()
 }
 
 // TestOSFSFDCacheServesRepeatedReads: repeated reads of one file reuse

@@ -239,7 +239,9 @@ type (
 	// after the last access to Data.
 	View = storage.View
 	// ViewReader is the optional backend extension behind the copy-free
-	// read fast path. MemFS and OSFS implement it.
+	// read fast path. MemFS lends its buffers; OSFS lends windows of
+	// read-only file mappings on unix and refuses elsewhere, where
+	// ReadView copies.
 	ViewReader = storage.ViewReader
 	// Releaser releases a borrowed resource such as a View.
 	Releaser = storage.Releaser
