@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +128,45 @@ func TestInitBuildsNamespace(t *testing.T) {
 	lvl, err := f.m.LevelOf("f000")
 	if err != nil || lvl != 1 {
 		t.Fatalf("level = %d err=%v", lvl, err)
+	}
+}
+
+// TestInitLeavesOutStaleTempFiles: a PFS directory holding what a
+// SIGKILL left behind — an OSFS temp file never renamed into place, a
+// recovery probe's scratch file — yields a namespace of the dataset's
+// shards and nothing else.
+func TestInitLeavesOutStaleTempFiles(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	const shards = 3
+	for i := 0; i < shards; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("f%03d", i)), bytes.Repeat([]byte{byte(i + 1)}, 10), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{".monarch-12345", probeFile} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn!!!"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pfs, err := storage.NewOSFS("lustre", dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pfs.CloseIdle)
+	m, err := New(Config{Levels: []storage.Backend{storage.NewMemFS("ssd", 0), pfs}, Pool: pool.NewGoPool(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	if err := m.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if m.NumFiles() != shards {
+		t.Fatalf("namespace has %d files, want the %d shards: %+v", m.NumFiles(), shards, m.Files())
+	}
+	if _, err := m.Stat(probeFile); !errors.Is(err, ErrUnknownFile) {
+		t.Fatalf("Stat(%s) = %v, want ErrUnknownFile", probeFile, err)
 	}
 }
 

@@ -41,11 +41,11 @@ const (
 	// file's chunked placement was still in flight; Bytes carries the
 	// bytes served.
 	EventPartialHit
-	// EventOpError: a best-effort side operation failed — partial-copy
-	// cleanup after a failed chunk job, an eviction victim's removal,
-	// or a probe's scratch-file cleanup. These paths used to drop their
-	// errors silently; now they surface here and in the
-	// monarch_errors_total metric.
+	// EventOpError: a best-effort operation failed — cleanup after a
+	// torn chunk job, an eviction victim's removal, a probe's scratch
+	// file, a flush, a journal or trace-sink write. No caller sees these
+	// errors; Monarch.opError surfaces each here and in
+	// monarch_errors_total.
 	EventOpError
 	// EventPromoted: an unplaceable file re-entered the placement
 	// pipeline because its heat came to justify displacing a colder

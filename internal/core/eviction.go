@@ -21,9 +21,10 @@ type EvictionPolicy interface {
 	OnPlaced(name string, level int)
 	// OnEvicted records that name was removed from its tier.
 	OnEvicted(name string)
-	// Victim proposes a file to evict from level; ok is false when the
-	// policy has no candidate.
-	Victim(level int) (name string, ok bool)
+	// Victim proposes a file to evict from level to make room for
+	// candidate; ok is false when the policy has none to offer, or none
+	// the candidate justifies evicting. LRU and FIFO ignore the candidate.
+	Victim(candidate string, level int) (name string, ok bool)
 }
 
 // orderedPolicy implements LRU and FIFO over per-level lists.
@@ -90,7 +91,7 @@ func (p *orderedPolicy) OnEvicted(name string) {
 	}
 }
 
-func (p *orderedPolicy) Victim(level int) (string, bool) {
+func (p *orderedPolicy) Victim(_ string, level int) (string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	l := p.byLevel[level]

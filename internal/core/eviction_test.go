@@ -20,12 +20,12 @@ func TestLRUPolicyOrder(t *testing.T) {
 	p.OnPlaced("b", 0)
 	p.OnPlaced("c", 0)
 	p.OnAccess("a") // a becomes most recent
-	v, ok := p.Victim(0)
+	v, ok := p.Victim("", 0)
 	if !ok || v != "b" {
 		t.Fatalf("victim = %q, want b", v)
 	}
 	p.OnEvicted("b")
-	v, _ = p.Victim(0)
+	v, _ = p.Victim("", 0)
 	if v != "c" {
 		t.Fatalf("next victim = %q, want c", v)
 	}
@@ -36,7 +36,7 @@ func TestFIFOPolicyIgnoresAccess(t *testing.T) {
 	p.OnPlaced("a", 0)
 	p.OnPlaced("b", 0)
 	p.OnAccess("a")
-	v, ok := p.Victim(0)
+	v, ok := p.Victim("", 0)
 	if !ok || v != "a" {
 		t.Fatalf("victim = %q, want a (insertion order)", v)
 	}
@@ -44,7 +44,7 @@ func TestFIFOPolicyIgnoresAccess(t *testing.T) {
 
 func TestPolicyEmptyLevel(t *testing.T) {
 	p := NewLRU()
-	if _, ok := p.Victim(3); ok {
+	if _, ok := p.Victim("", 3); ok {
 		t.Fatal("victim from empty level")
 	}
 	p.OnEvicted("never-placed") // must not panic
@@ -55,10 +55,10 @@ func TestPolicyPerLevelIsolation(t *testing.T) {
 	p := NewFIFO()
 	p.OnPlaced("a", 0)
 	p.OnPlaced("b", 1)
-	if v, ok := p.Victim(1); !ok || v != "b" {
+	if v, ok := p.Victim("", 1); !ok || v != "b" {
 		t.Fatalf("level 1 victim = %q", v)
 	}
-	if v, _ := p.Victim(0); v != "a" {
+	if v, _ := p.Victim("", 0); v != "a" {
 		t.Fatalf("level 0 victim = %q", v)
 	}
 }
@@ -67,10 +67,10 @@ func TestPolicyReplacement(t *testing.T) {
 	p := NewLRU()
 	p.OnPlaced("a", 0)
 	p.OnPlaced("a", 1) // moved levels
-	if _, ok := p.Victim(0); ok {
+	if _, ok := p.Victim("", 0); ok {
 		t.Fatal("stale entry left on level 0")
 	}
-	if v, ok := p.Victim(1); !ok || v != "a" {
+	if v, ok := p.Victim("", 1); !ok || v != "a" {
 		t.Fatalf("level 1 victim = %q", v)
 	}
 }

@@ -32,7 +32,7 @@ func (p *scriptedPolicy) OnEvicted(name string) {
 	defer p.mu.Unlock()
 	p.evicted = append(p.evicted, name)
 }
-func (p *scriptedPolicy) Victim(int) (string, bool) {
+func (p *scriptedPolicy) Victim(string, int) (string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.victims) == 0 {

@@ -96,13 +96,6 @@ type RetryPolicy struct {
 	// Backoff is the delay before the first retry; it doubles per
 	// attempt. Zero retries immediately (useful in tests).
 	Backoff time.Duration
-	// MaxBackoff caps the doubled delay (0 = uncapped).
-	MaxBackoff time.Duration
-	// IsTransient overrides the default error classification. The
-	// default treats quota (ErrNoSpace), read-only, missing-file, and
-	// context errors as permanent and everything else (EIO-like device
-	// errors) as transient.
-	IsTransient func(error) bool
 	// Sleep overrides how the backoff waits (simulations substitute
 	// virtual time). The default sleeps real time, aborting on ctx
 	// cancellation.
@@ -111,11 +104,10 @@ type RetryPolicy struct {
 
 func (r RetryPolicy) enabled() bool { return r.MaxAttempts > 1 }
 
-// transient classifies err; only transient errors are retried.
+// transient classifies err; only transient errors are retried. Quota
+// (ErrNoSpace), read-only, missing-file and context errors are
+// permanent; everything else (EIO-like device errors) is transient.
 func (r RetryPolicy) transient(err error) bool {
-	if r.IsTransient != nil {
-		return r.IsTransient(err)
-	}
 	switch {
 	case errors.Is(err, storage.ErrNoSpace),
 		errors.Is(err, storage.ErrReadOnly),
@@ -129,14 +121,7 @@ func (r RetryPolicy) transient(err error) bool {
 
 // backoff returns the wait before attempt+1 (attempt is 1-based).
 func (r RetryPolicy) backoff(attempt int) time.Duration {
-	d := r.Backoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if r.MaxBackoff > 0 && d >= r.MaxBackoff {
-			return r.MaxBackoff
-		}
-	}
-	return d
+	return r.Backoff << (attempt - 1)
 }
 
 // wait blocks for the attempt's backoff, aborting on cancellation.
@@ -425,9 +410,8 @@ func (m *Monarch) runProbe(ctx context.Context, d *driver) {
 	err, cleanupErr := probeBackend(ctx, d.backend)
 	if cleanupErr != nil {
 		// The probe file lingering on a live tier is harmless but worth
-		// knowing about; this error used to be discarded.
-		m.inst.errs[stageCleanup].Inc()
-		m.event(Event{Kind: EventOpError, File: probeFile, Level: d.level, Err: cleanupErr})
+		// knowing about.
+		m.opError(stageCleanup, probeFile, d.level, cleanupErr)
 	}
 	if ctx.Err() != nil {
 		m.health.probeAborted(d.level)
@@ -444,10 +428,10 @@ func (m *Monarch) runProbe(ctx context.Context, d *driver) {
 	}
 }
 
-// probeFile is the scratch name recovery probes write; it never
-// collides with dataset names built by List (names from the namespace
-// are re-validated, and the probe removes its file immediately).
-const probeFile = ".monarch-probe"
+// probeFile is the scratch name recovery probes write. It carries the
+// temp prefix no backend listing reports, so one a crash left behind
+// never becomes a dataset file (the probe removes its file immediately).
+const probeFile = storage.TempPrefix + "probe"
 
 // probeBackend is the cheap liveness check: a one-byte write, removed
 // on success. Errors that prove the device responded (quota exhausted,

@@ -327,9 +327,10 @@ func (b *blockingFS) WriteAt(ctx context.Context, name string, p []byte, off int
 }
 
 // TestShutdownCancelsInFlightPlacement: Monarch.Shutdown interrupts a
-// running copy; the cancelled placement is not a placement error and
-// returns the entry to the source state — whether the copy is one
-// WriteFile or a chunk job's workers mid-chunk.
+// running copy; the cancelled placement is not a placement error,
+// returns the entry to the source state and leaves nothing on the tier
+// — whether the copy is one WriteFile or a chunk job's workers
+// mid-chunk, over the full-size file Allocate made for them.
 func TestShutdownCancelsInFlightPlacement(t *testing.T) {
 	t.Run("whole-file", func(t *testing.T) { testShutdownCancelsPlacement(t, 0) })
 	t.Run("chunked", func(t *testing.T) { testShutdownCancelsPlacement(t, 32) })
@@ -375,6 +376,11 @@ func testShutdownCancelsPlacement(t *testing.T, chunkSize int64) {
 	}
 	if got, _ := m.meta.get("f"); got.currentState() != stateSource {
 		t.Fatalf("entry state = %v, want source", got.currentState())
+	}
+	// Nothing of the interrupted copy stays on the tier: bytes no entry,
+	// ledger or policy knows could never be evicted.
+	if infos, err := tier0.List(ctx); err != nil || len(infos) != 0 || tier0.Used() != 0 {
+		t.Fatalf("cancelled placement left %v (%d bytes used, err=%v) on tier 0", infos, tier0.Used(), err)
 	}
 	// Reads keep working from the source after shutdown.
 	if _, err := m.ReadAt(ctx, "f", p, 0); err != nil {
@@ -480,9 +486,8 @@ func TestConcurrentStressBreakFix(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyClassificationAndBackoff covers the default
-// transient/permanent split, the IsTransient override, and backoff
-// doubling with its cap.
+// TestRetryPolicyClassificationAndBackoff covers the
+// transient/permanent split and backoff doubling.
 func TestRetryPolicyClassificationAndBackoff(t *testing.T) {
 	var r RetryPolicy
 	for _, err := range []error{storage.ErrNoSpace, storage.ErrReadOnly, storage.ErrNotExist,
@@ -496,13 +501,9 @@ func TestRetryPolicyClassificationAndBackoff(t *testing.T) {
 			t.Errorf("%v classified permanent", err)
 		}
 	}
-	r.IsTransient = func(error) bool { return false }
-	if r.transient(storage.ErrInjected) {
-		t.Error("IsTransient override ignored")
-	}
 
-	b := RetryPolicy{Backoff: 10 * time.Millisecond, MaxBackoff: 35 * time.Millisecond}
-	for i, want := range []time.Duration{10, 20, 35, 35} {
+	b := RetryPolicy{Backoff: 10 * time.Millisecond}
+	for i, want := range []time.Duration{10, 20, 40, 80} {
 		if got := b.backoff(i + 1); got != want*time.Millisecond {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, want*time.Millisecond)
 		}

@@ -252,29 +252,11 @@ func (p *HeatPolicy) coldest(level int, skip, candJob string) (cold, coldOver *h
 	return
 }
 
-// Victim implements EvictionPolicy: the file placed on level with the
-// lowest epoch-boundary heat, quota shares notwithstanding.
-func (p *HeatPolicy) Victim(level int) (string, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var cold *heatEntry
-	var coldHeat float64
-	for _, e := range p.placed[level] {
-		if h := p.boundaryOf(e); cold == nil || h < coldHeat {
-			cold, coldHeat = e, h
-		}
-	}
-	if cold == nil {
-		return "", false
-	}
-	return cold.name, true
-}
-
-// VictimFor is the admission-aware victim selection the placer prefers
-// over Victim: it proposes a file to evict from level to make room for
-// candidate, or ok=false when the candidate does not justify evicting
-// anything (the placement then falls through to lower tiers or is
-// skipped, exactly like a full tier under the paper's policy).
+// Victim implements EvictionPolicy with admission in view: it proposes
+// a file to evict from level to make room for candidate, or ok=false
+// when the candidate does not justify evicting anything (the placement
+// then falls through to lower tiers or is skipped, exactly like a full
+// tier under the paper's policy).
 //
 // Order of preference:
 //  1. quota reclaim — when the candidate's job is under its guaranteed
@@ -288,7 +270,7 @@ func (p *HeatPolicy) Victim(level int) (string, bool) {
 // Both arms compare epoch-boundary heat (completed epochs only), so
 // reads of the epoch in progress create no eviction pressure and a
 // scan's read order cannot churn the tier mid-epoch.
-func (p *HeatPolicy) VictimFor(candidate string, level int) (string, bool) {
+func (p *HeatPolicy) Victim(candidate string, level int) (string, bool) {
 	var job string
 	if p.tenants != nil {
 		job = p.tenants.job(candidate)
@@ -312,7 +294,7 @@ func (p *HeatPolicy) VictimFor(candidate string, level int) (string, bool) {
 
 // ShouldPromote reports whether an unplaceable file has become hot
 // enough to re-enter the placement pipeline: some tier holds a file it
-// would displace under VictimFor. Checks are rate-limited to once per
+// would displace under Victim. Checks are rate-limited to once per
 // file per epoch, so cold unplaceable files cost one atomic load per
 // read.
 func (p *HeatPolicy) ShouldPromote(name string) bool {
@@ -329,7 +311,7 @@ func (p *HeatPolicy) ShouldPromote(name string) bool {
 	}
 	p.mu.RUnlock()
 	for _, lvl := range levels {
-		if _, ok := p.VictimFor(name, lvl); ok {
+		if _, ok := p.Victim(name, lvl); ok {
 			return true
 		}
 	}
@@ -382,13 +364,6 @@ func (p *HeatPolicy) restoreState(epoch int64, files []heatState) {
 		e.cur.Store(s.cur)
 		e.lastEpoch.Store(s.lastEpoch)
 	}
-}
-
-// victimChooser is the optional EvictionPolicy extension the placer
-// prefers when making room: victim selection with the candidate (and
-// through the bound tenancy table, its job) in view.
-type victimChooser interface {
-	VictimFor(candidate string, level int) (string, bool)
 }
 
 // promoter is the optional EvictionPolicy extension consulted on reads

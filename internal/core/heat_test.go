@@ -70,10 +70,9 @@ func TestHeatMatchesAnalyzer(t *testing.T) {
 	}
 }
 
-// TestHeatVictimSelection checks both Victim (coldest resident) and the
-// admission-aware VictimFor: a hot candidate displaces the coldest
-// file, a lukewarm one is refused by the margin, and the candidate is
-// never its own victim.
+// TestHeatVictimSelection checks the admission-aware Victim: a hot
+// candidate displaces the coldest file, a lukewarm one is refused by
+// the margin, and the candidate is never its own victim.
 func TestHeatVictimSelection(t *testing.T) {
 	p := NewHeatPolicy(HeatConfig{AdmitMargin: 2})
 	for name, reads := range map[string]int{"a": 1, "b": 3, "c": 5, "hot": 6, "warm": 2} {
@@ -88,36 +87,40 @@ func TestHeatVictimSelection(t *testing.T) {
 	// progress count for nothing, so even a candidate with six fresh
 	// reads is refused until an epoch completes. Read order within one
 	// epoch must never create eviction pressure.
-	if v, ok := p.VictimFor("hot", 0); ok {
-		t.Fatalf("VictimFor(hot) before any epoch boundary = %q,%v, want refusal", v, ok)
+	if v, ok := p.Victim("hot", 0); ok {
+		t.Fatalf("Victim(hot) before any epoch boundary = %q,%v, want refusal", v, ok)
 	}
 
 	p.AdvanceEpoch()
 	// Boundary heats (half-life 1): a=0.5, b=1.5, c=2.5, hot=3, warm=1.
-	if v, ok := p.Victim(0); !ok || v != "a" {
-		t.Fatalf("Victim(0) = %q,%v, want a,true", v, ok)
+	for name, want := range map[string]float64{"a": 0.5, "b": 1.5, "c": 2.5, "hot": 3, "warm": 1} {
+		if got := p.Heat(name); got != want {
+			t.Fatalf("Heat(%s) = %v, want %v", name, got, want)
+		}
 	}
-	if v, ok := p.Victim(1); ok {
-		t.Fatalf("Victim(1) = %q,%v on empty level, want miss", v, ok)
+	if v, ok := p.Victim("hot", 1); ok {
+		t.Fatalf("Victim(hot, 1) = %q,%v on empty level, want miss", v, ok)
 	}
 	// heat(hot)=3 > heat(a)=0.5 * margin 2 → admitted against a.
-	if v, ok := p.VictimFor("hot", 0); !ok || v != "a" {
-		t.Fatalf("VictimFor(hot) = %q,%v, want a,true", v, ok)
+	if v, ok := p.Victim("hot", 0); !ok || v != "a" {
+		t.Fatalf("Victim(hot) = %q,%v, want a,true", v, ok)
 	}
 	// heat(warm)=1 fails the 2x margin against a's 0.5.
-	if v, ok := p.VictimFor("warm", 0); ok {
-		t.Fatalf("VictimFor(warm) = %q,%v, want refusal", v, ok)
+	if v, ok := p.Victim("warm", 0); ok {
+		t.Fatalf("Victim(warm) = %q,%v, want refusal", v, ok)
 	}
 	// The coldest resident asking for room must not evict itself; its
 	// only options are the others, which are all hotter.
-	if v, ok := p.VictimFor("a", 0); ok {
-		t.Fatalf("VictimFor(a) = %q,%v, want refusal (never self)", v, ok)
+	if v, ok := p.Victim("a", 0); ok {
+		t.Fatalf("Victim(a) = %q,%v, want refusal (never self)", v, ok)
 	}
 
-	// After eviction the file leaves the books but keeps its history.
+	// After eviction the file leaves the books but keeps its history:
+	// with a gone the coldest resident is b, whose 1.5 × margin 2 hot's 3
+	// does not beat.
 	p.OnEvicted("a")
-	if v, ok := p.Victim(0); !ok || v != "b" {
-		t.Fatalf("Victim(0) after evicting a = %q,%v, want b,true", v, ok)
+	if v, ok := p.Victim("hot", 0); ok {
+		t.Fatalf("Victim(hot) after evicting a = %q,%v, want refusal (b is too warm)", v, ok)
 	}
 	if got := p.Heat("a"); got != 0.5 {
 		t.Fatalf("heat(a) after eviction = %v, want history kept (0.5)", got)

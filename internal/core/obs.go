@@ -26,15 +26,16 @@ const (
 	stageRead
 	// stagePlacement: a placement reached terminal failure.
 	stagePlacement
-	// stageChunkCopy: one chunk copy of a chunked placement failed
-	// (counted once per failed job, by the first failing worker).
+	// stageChunkCopy: a chunk copy of a chunked placement failed (counted
+	// once per failed job, when it settles).
 	stageChunkCopy
 	// stageProbe: a recovery probe found the tier still dead.
 	stageProbe
 	// stageEvict: an eviction victim could not be removed.
 	stageEvict
-	// stageCleanup: a best-effort removal failed (partial-copy cleanup
-	// after a failed chunk job, probe scratch file).
+	// stageCleanup: a best-effort removal failed (the torn copy a failed
+	// or cancelled chunk job left, a probe's scratch file) — or the trace
+	// sink's close.
 	stageCleanup
 	// stageWrite: a foreground Create/WriteAt/Remove failed to the
 	// caller.
@@ -203,6 +204,16 @@ func (m *Monarch) event(e Event) {
 	}
 	m.cfg.Events.emit(e)
 	m.traceState(e)
+}
+
+// opError books the failure of a best-effort operation — cleanup after
+// a failed copy, an eviction victim's removal, a probe's scratch file,
+// a flush, a journal or trace-sink write: the work it served goes on and
+// no caller sees err, so it lands on its stage of monarch_errors_total
+// and in the event log, here and nowhere else.
+func (m *Monarch) opError(stage errStage, file string, level int, err error) {
+	m.inst.errs[stage].Inc()
+	m.event(Event{Kind: EventOpError, File: file, Level: level, Err: err})
 }
 
 // span delivers a completed span to the configured consumers (the

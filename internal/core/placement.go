@@ -43,11 +43,27 @@ func (pl *placer) submit(task pool.Task) bool {
 	return ok
 }
 
+// attempt is one try at placing one file. onAccess, retry and preStage
+// build it; the plan carries it unchanged from admit to settle.
+type attempt struct {
+	e *fileEntry
+	// full, when non-nil, is the complete file content the framework just
+	// read (the §III-B fast path that skips the source re-read).
+	full []byte
+	n    int // 1-based try
+	// chunks permits the chunked fan-out. Pre-staging keeps it off: it
+	// must finish synchronously before training starts.
+	chunks bool
+}
+
+// reuse reports whether the copy is the foreground's full read written
+// straight through, with no source fetch — which the placement span
+// advertises so trace consumers can account PFS operations correctly.
+func (a attempt) reuse() bool { return a.full != nil && int64(len(a.full)) == a.e.size }
+
 // onAccess is called from the foreground read path. If this is the
-// file's first access it schedules a placement task; full, when
-// non-nil, is the complete file content the framework just read (the
-// §III-B fast path that skips the source re-read) — borrowed from the
-// caller, so the placement that wins the queue takes its own copy.
+// file's first access it schedules a placement; full is borrowed from
+// the caller, so the attempt that wins the queue takes its own copy.
 func (pl *placer) onAccess(e *fileEntry, full []byte) {
 	// Snapshot fast-skip: once the file left Source (queued, placed,
 	// unplaceable, ...) every subsequent read would pay the entry mutex
@@ -57,7 +73,7 @@ func (pl *placer) onAccess(e *fileEntry, full []byte) {
 	if e.currentState() != stateSource {
 		return
 	}
-	if pl.m.writes.protected(e.name) {
+	if e.writable {
 		// Writable files never enter the placement pipeline: a tier copy
 		// of a write-through file would go stale on its next WriteAt.
 		return
@@ -65,168 +81,154 @@ func (pl *placer) onAccess(e *fileEntry, full []byte) {
 	if !e.tryQueue() {
 		return
 	}
-	full = append([]byte(nil), full...)
-	if !pl.submit(func(ctx context.Context) { pl.place(ctx, e, full, 1, true) }) {
+	a := attempt{e: e, full: append([]byte(nil), full...), n: 1, chunks: true}
+	if !pl.submit(func(ctx context.Context) { pl.place(ctx, a) }) {
 		e.markUnplaceable() // pool closed: no placement for this job
 		return
 	}
 	pl.m.span(obs.Span{Kind: obs.SpanPlacementEnqueue, File: e.name, Tier: -1, Bytes: e.size})
 }
 
-// placed records a successful placement of e onto d: metadata, stats,
-// the enqueue-to-landed latency histogram, the placement span, the
-// event, and the eviction hook — shared by the whole-file and chunked
-// paths so the two can never diverge in bookkeeping. reuse marks a
-// placement satisfied from the foreground's full read (no source
-// traffic), which the span advertises so trace consumers can account
-// PFS operations correctly.
-func (pl *placer) placed(e *fileEntry, d *driver, attempt int, wroteBytes, reuse bool) {
-	m := pl.m
-	queued := e.queuedSince()
-	m.health.recordWriteOK(d.level)
-	// Charge the job before the entry turns evictable: an eviction can
-	// begin the moment markPlaced publishes, and a release that outruns
-	// its charge clamps at zero, leaving the job over-billed for good.
-	m.tenants.charge(m.tenants.job(e.name), d.level, e.size)
-	e.markPlaced(d.level)
-	m.stats.placedOn(d.level, e.size)
-	if wroteBytes {
-		m.stats.writtenBytes[d.level].Add(e.size)
-	}
-	var dur time.Duration
-	if !queued.IsZero() {
-		dur = time.Since(queued)
-		m.inst.placementLatency.Observe(dur.Seconds())
-	}
-	var flags obs.SpanFlags
-	if reuse {
-		flags |= obs.FlagReuse
-	}
-	m.span(obs.Span{Kind: obs.SpanPlacement, File: e.name, Tier: d.level, Bytes: e.size, Attempt: attempt, Flags: flags, Duration: dur})
-	m.event(Event{Kind: EventPlaced, File: e.name, Level: d.level, Bytes: e.size})
-	if m.cfg.Eviction != nil {
-		m.cfg.Eviction.OnPlaced(e.name, d.level)
+// retry re-queues a, after its backoff, as the file's next try.
+func (pl *placer) retry(a attempt) {
+	r, failed := pl.m.cfg.Retry, a.n
+	a.n++
+	if !pl.submit(func(ctx context.Context) {
+		r.wait(ctx, failed)
+		pl.place(ctx, a)
+	}) {
+		a.e.markUnplaceable() // pool closed between failure and retry
 	}
 }
 
-// placementSkipped records a terminal skip (no tier had room, or the
-// fetch ablation disabled copying).
-func (pl *placer) placementSkipped(e *fileEntry, cause error) {
+// place runs one attempt through the placement plan (the paper's
+// §III-A rule: a file's first read schedules a background copy into the
+// highest tier with room): admit walks the hierarchy down to the first
+// tier that will take the file, copyInto moves the bytes, and settle
+// decides the outcome and accounts for it. The paper's policy never
+// evicts; the eviction ablations hook in through tryMakeRoom.
+func (pl *placer) place(ctx context.Context, a attempt) {
 	m := pl.m
-	m.stats.placementSkips.Add(1)
-	m.span(obs.Span{Kind: obs.SpanPlacement, File: e.name, Tier: -1, Bytes: e.size, Err: cause,
-		Duration: sinceQueued(e)})
-	m.event(Event{Kind: EventSkipped, File: e.name, Level: -1})
-	e.markUnplaceable()
-}
-
-// placementFailed records a terminal operational failure on level.
-func (pl *placer) placementFailed(e *fileEntry, level, attempt int, err error) {
-	m := pl.m
-	m.stats.placementErrors.Add(1)
-	m.inst.errs[stagePlacement].Inc()
-	m.span(obs.Span{Kind: obs.SpanPlacement, File: e.name, Tier: level, Bytes: e.size,
-		Attempt: attempt, Err: err, Duration: sinceQueued(e)})
-	m.event(Event{Kind: EventFailed, File: e.name, Level: level, Err: err})
-	e.markUnplaceable()
-}
-
-func sinceQueued(e *fileEntry) time.Duration {
-	if q := e.queuedSince(); !q.IsZero() {
-		return time.Since(q)
-	}
-	return 0
-}
-
-// place copies e into the first healthy tier with room; attempt is
-// 1-based. allowChunks permits the chunked fan-out (pre-staging keeps
-// it off: it must finish synchronously before training starts). The
-// paper's policy never evicts; the eviction ablations hook in through
-// tryMakeRoom.
-func (pl *placer) place(ctx context.Context, e *fileEntry, full []byte, attempt int, allowChunks bool) {
-	m := pl.m
-	if ctx.Err() != nil {
-		e.cancelQueued() // shut down mid-queue: not a placement failure
-		return
-	}
 	// Checkpoint-burst gate: while foreground writes are landing (or
 	// their dirty backlog is draining), background copies would fight
 	// them for tier and PFS bandwidth — hold here until the burst ends.
 	m.writes.pauseForBurst(ctx)
-	if ctx.Err() != nil {
-		e.cancelQueued()
+	if err := ctx.Err(); err != nil {
+		pl.settle(ctx, a, nil, err) // shut down mid-queue
 		return
 	}
 	for _, d := range m.levels[:len(m.levels)-1] {
-		if m.cfg.Peer.enabled() && d.level == m.cfg.Peer.Tier {
-			continue // the peer tier is a read-only view of siblings, never a destination
-		}
-		if m.health.isDown(d.level) {
-			continue // breaker open: never write into a dead tier
-		}
-		if storage.Free(d.backend) < e.size {
-			if !pl.tryMakeRoom(ctx, d, e) {
-				continue
-			}
-		}
-		err := pl.copyInto(ctx, d, e, full, attempt, allowChunks)
-		if err == nil {
-			// Mirrors copyInto's first case: a full foreground read was
-			// written straight through, with no source fetch.
-			reuse := full != nil && int64(len(full)) == e.size
-			pl.placed(e, d, attempt, true, reuse)
-			return
-		}
-		if errors.Is(err, errChunksDelegated) {
-			// A chunk job now owns this placement; it finalises the
-			// entry, stats and events when the last chunk resolves.
-			return
-		}
-		if errors.Is(err, storage.ErrNoSpace) {
-			// Lost a quota race with a concurrent placement; try the
-			// next level down.
+		if !pl.admit(ctx, d, a.e) {
 			continue
 		}
-		if errors.Is(err, errFetchDisabled) {
-			pl.placementSkipped(e, err)
-			return
+		err := pl.copyInto(ctx, d, a)
+		if errors.Is(err, errChunksDelegated) {
+			return // the chunk job settles the attempt when its last worker exits
 		}
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
-			e.cancelQueued() // cancelled copy: not a placement failure
-			return
+		if errors.Is(err, storage.ErrNoSpace) {
+			continue // lost a quota race with a concurrent placement: next level down
 		}
-		// Operational failure: feed the breaker, then retry or give up.
+		pl.settle(ctx, a, d, err)
+		return
+	}
+	pl.settle(ctx, a, nil, storage.ErrNoSpace)
+}
+
+// admit reports whether tier d may take e: never the peer tier (a
+// read-only view of siblings), never a tier whose breaker is open, and
+// only with room — free already, or made by the eviction policy.
+func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
+	m := pl.m
+	if (m.cfg.Peer.enabled() && d.level == m.cfg.Peer.Tier) || m.health.isDown(d.level) {
+		return false
+	}
+	return storage.Free(d.backend) >= e.size || pl.tryMakeRoom(ctx, d, e)
+}
+
+// settle ends an attempt: the one place the plan decides an outcome and
+// books it, which place and chunkJob.finish both end in. d is the tier
+// the copy went to — nil when the walk reached none. It is the plan's
+// outcome table, first match wins:
+//
+//	copied (err == nil)            placed       breaker OK   Placements, PlacedBytes, latency; span; EventPlaced; job charged, policy told
+//	no tier admitted it            unplaceable  —            PlacementSkips; span on tier -1; EventSkipped
+//	fetch disabled (abl-fullfetch) unplaceable  —            as above: a skip, not a failure
+//	cancelled (ctx, or Canceled)   source       —            nothing: a shutdown is not a placement failure
+//	transient, tries left          queued       breaker fed  PlacementRetries; EventRetried; re-queued (retry)
+//	anything else                  unplaceable  breaker fed  PlacementErrors, errors{stage=placement}; span; EventFailed
+//
+// The skip rows come before the context is consulted: a full hierarchy
+// or the ablation is the answer whether or not a shutdown raced it, and
+// the ablation is decided before a chunk job could start, so it is a
+// whole-file row only. Every row but the first begins by dropping what a
+// chunk job left on d — the entry disarmed first, so no read still
+// routes to its landed chunks — because a tier must never hold, let
+// alone serve, a torn file no ledger knows; the two failure rows then
+// charge errors{stage=chunk-copy}, once per job however many workers
+// saw it fail.
+func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
+	m, e := pl.m, a.e
+	// Armed means a chunk job allocated e on d and charged its bytes to
+	// the tier as they landed; only this attempt touches the bitmap.
+	_, _, chunked := e.snapshot()
+	if err != nil && chunked {
+		e.clearChunks()
+		// MemFS and OSFS refuse a cancelled context before touching the file.
+		if rmErr := notExistOK(d.backend.Remove(context.WithoutCancel(ctx), e.name)); rmErr != nil {
+			m.opError(stageCleanup, e.name, d.level, rmErr)
+		}
+	}
+	sp := obs.Span{Kind: obs.SpanPlacement, File: e.name, Tier: -1, Bytes: e.size, Err: err,
+		Duration: time.Since(e.queuedSince())}
+	switch {
+	case err == nil:
+		m.health.recordWriteOK(d.level)
+		// Charge the job before the entry turns evictable: an eviction can
+		// begin the moment markPlaced publishes, and a release that outruns
+		// its charge clamps at zero, leaving the job over-billed for good.
+		m.tenants.charge(m.tenants.job(e.name), d.level, e.size)
+		e.markPlaced(d.level)
+		m.stats.placedOn(d.level, e.size)
+		if !chunked {
+			m.stats.writtenBytes[d.level].Add(e.size)
+		}
+		m.inst.placementLatency.Observe(sp.Duration.Seconds())
+		sp.Tier, sp.Attempt = d.level, a.n
+		if a.reuse() {
+			sp.Flags = obs.FlagReuse
+		}
+		m.span(sp)
+		m.event(Event{Kind: EventPlaced, File: e.name, Level: d.level, Bytes: e.size})
+		if m.cfg.Eviction != nil {
+			m.cfg.Eviction.OnPlaced(e.name, d.level)
+		}
+	case errors.Is(err, storage.ErrNoSpace), errors.Is(err, errFetchDisabled):
+		m.stats.placementSkips.Add(1)
+		m.span(sp)
+		m.event(Event{Kind: EventSkipped, File: e.name, Level: -1})
+		e.markUnplaceable()
+	case ctx.Err() != nil || errors.Is(err, context.Canceled):
+		e.cancelQueued()
+	default:
+		if chunked {
+			m.inst.errs[stageChunkCopy].Inc()
+		}
 		if m.health.recordWriteError(d.level) {
 			m.tierDown(d.level, err)
 		}
-		if pl.retry(e, full, attempt, d.level, err, allowChunks) {
+		if r := m.cfg.Retry; r.enabled() && a.n < r.MaxAttempts && r.transient(err) {
+			m.stats.retries.Add(1)
+			m.event(Event{Kind: EventRetried, File: e.name, Level: d.level, Err: err})
+			pl.retry(a)
 			return
 		}
-		pl.placementFailed(e, d.level, attempt, err)
-		return
+		m.stats.placementErrors.Add(1)
+		m.inst.errs[stagePlacement].Inc()
+		sp.Tier, sp.Attempt = d.level, a.n
+		m.span(sp)
+		m.event(Event{Kind: EventFailed, File: e.name, Level: d.level, Err: err})
+		e.markUnplaceable()
 	}
-	pl.placementSkipped(e, storage.ErrNoSpace)
-}
-
-// retry re-queues a transiently failed placement with backoff; it
-// reports whether the failure was handled (a retry was scheduled, or
-// the pool closed while scheduling it).
-func (pl *placer) retry(e *fileEntry, full []byte, attempt, level int, err error, allowChunks bool) bool {
-	m := pl.m
-	r := m.cfg.Retry
-	if !r.enabled() || attempt >= r.MaxAttempts || !r.transient(err) {
-		return false
-	}
-	m.stats.retries.Add(1)
-	m.event(Event{Kind: EventRetried, File: e.name, Level: level, Err: err})
-	next := attempt + 1
-	if !pl.submit(func(ctx context.Context) {
-		r.wait(ctx, attempt)
-		pl.place(ctx, e, full, next, allowChunks)
-	}) {
-		e.markUnplaceable() // pool closed between failure and retry
-	}
-	return true
 }
 
 // copyInto moves the file content onto level d. Preference order:
@@ -234,49 +236,49 @@ func (pl *placer) retry(e *fileEntry, full []byte, attempt, level int, err error
 // configured and the tier supports range writes), then the backend's
 // whole-file copy fast path, then an explicit read-modify-write through
 // this process.
-func (pl *placer) copyInto(ctx context.Context, d *driver, e *fileEntry, full []byte, attempt int, allowChunks bool) error {
+func (pl *placer) copyInto(ctx context.Context, d *driver, a attempt) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	m := pl.m
+	m, e := pl.m, a.e
 	src := m.source.backend
 	switch {
-	case full != nil && int64(len(full)) == e.size:
+	case a.reuse():
 		m.stats.fullReadReuses.Add(1)
-		return d.backend.WriteFile(ctx, e.name, full)
+		return d.backend.WriteFile(ctx, e.name, a.full)
 	case !m.cfg.FullFileFetch:
 		// Ablation: no full-file fetch. Without the optimisation the
 		// middleware can only cache content the framework explicitly
 		// read in full, so a partial first read places nothing.
 		return errFetchDisabled
-	default:
-		if allowChunks && m.cfg.ChunkSize > 0 && e.size > 0 {
-			if rw, ok := d.backend.(storage.RangeWriter); ok {
-				err := pl.placeChunked(ctx, d, rw, e, attempt)
-				if !errors.Is(err, errors.ErrUnsupported) {
-					return err
-				}
-				// An instrumentation wrapper advertised range writes
-				// its inner backend lacks: fall back to whole-file.
-			}
-		}
-		if cp, ok := d.backend.(storage.Copier); ok {
-			return cp.CopyFrom(ctx, src, e.name)
-		}
-		data, err := src.ReadFile(ctx, e.name)
-		if err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return d.backend.WriteFile(ctx, e.name, data)
 	}
+	if rw, ok := d.backend.(storage.RangeWriter); ok && a.chunks && m.cfg.ChunkSize > 0 && e.size > 0 {
+		// ErrUnsupported: an instrumentation wrapper advertised range
+		// writes its inner backend lacks — fall back to whole-file.
+		if err := pl.placeChunked(ctx, d, rw, a); !errors.Is(err, errors.ErrUnsupported) {
+			return err
+		}
+	}
+	if cp, ok := d.backend.(storage.Copier); ok {
+		return cp.CopyFrom(ctx, src, e.name)
+	}
+	data, err := src.ReadFile(ctx, e.name)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return d.backend.WriteFile(ctx, e.name, data)
 }
 
+// errFetchDisabled marks placements skipped by the abl-fullfetch
+// configuration: a skip in settle's table, not an operational failure.
+var errFetchDisabled = errors.New("monarch: full-file fetch disabled")
+
 // errChunksDelegated signals that a chunk job has taken ownership of
-// the placement: the calling place() must return without touching the
-// entry, because the job finalises success/failure asynchronously.
+// the attempt: the calling place() must return without settling it,
+// because the job does when its last worker exits.
 var errChunksDelegated = errors.New("monarch: chunked placement in flight")
 
 // placeChunked allocates e at full size on d and fans its chunks out
@@ -285,28 +287,18 @@ var errChunksDelegated = errors.New("monarch: chunked placement in flight")
 // bit — so the foreground can read completed ranges mid-copy. The
 // calling task itself becomes one of the workers (placement never
 // deadlocks on a saturated pool), and whichever worker exits last
-// finalises the placement. Returns errChunksDelegated once the job is
+// settles the attempt. Returns errChunksDelegated once the job is
 // running, or the Allocate error (ErrNoSpace routes the caller to the
 // next level; errors.ErrUnsupported routes to the whole-file path).
-func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeWriter, e *fileEntry, attempt int) error {
+func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeWriter, a attempt) error {
+	e := a.e
 	if err := rw.Allocate(ctx, e.name, e.size); err != nil {
 		return err
 	}
 	chunk := pl.m.cfg.ChunkSize
 	e.beginChunks(d.level, chunk)
-	j := &chunkJob{
-		pl:      pl,
-		d:       d,
-		rw:      rw,
-		e:       e,
-		chunk:   chunk,
-		nchunks: int64(chunkCount(e.size, chunk)),
-		attempt: attempt,
-	}
-	fan := int64(pl.m.cfg.Pool.Workers())
-	if fan > j.nchunks {
-		fan = j.nchunks
-	}
+	j := &chunkJob{pl: pl, a: a, d: d, rw: rw, chunk: chunk, nchunks: int64(chunkCount(e.size, chunk))}
+	fan := min(int64(pl.m.cfg.Pool.Workers()), j.nchunks)
 	j.workers.Store(1) // the calling task is worker zero
 	for i := int64(1); i < fan; i++ {
 		j.workers.Add(1)
@@ -318,64 +310,54 @@ func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeW
 	return errChunksDelegated
 }
 
-// chunkJob is one file's in-flight chunked placement.
+// chunkJob is one attempt's in-flight chunked copy.
 type chunkJob struct {
 	pl      *placer
+	a       attempt
 	d       *driver
 	rw      storage.RangeWriter
-	e       *fileEntry
 	chunk   int64
 	nchunks int64
-	attempt int
 
 	next    atomic.Int64 // next chunk index to claim
-	done    atomic.Int64 // chunks copied successfully
 	workers atomic.Int64 // live claim-loop workers
 
-	mu        sync.Mutex
-	err       error // first operational failure
-	cancelled bool
+	mu  sync.Mutex
+	err error // what first stopped a worker short: a failed chunk, or cancellation
 }
 
-func (j *chunkJob) fail(err error) {
+// stop records err as the reason the job ends short, unless one is
+// already on record; every worker then winds down.
+func (j *chunkJob) stop(err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err == nil {
 		j.err = err
-		// First failing worker charges the error funnel — exactly once
-		// per failed job, however many workers observe the failure.
-		j.pl.m.inst.errs[stageChunkCopy].Inc()
 	}
 }
 
-func (j *chunkJob) failed() bool {
+// stopped returns why the job is ending short; nil while it is not.
+func (j *chunkJob) stopped() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.err != nil
-}
-
-func (j *chunkJob) cancel() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cancelled = true
+	return j.err
 }
 
 // run is one claim-loop worker: it pulls unclaimed chunk indices until
-// they run out, the job fails, or the context is cancelled. The last
-// worker to exit finalises the placement.
+// they run out or the job stops — a chunk failed, here or on another
+// worker, or the context was cancelled. A worker leaves the loop with
+// no error on record only once every chunk is claimed, and each claimed
+// chunk is copied before its worker leaves: a job that finishes with
+// none copied the whole file.
 func (j *chunkJob) run(ctx context.Context) {
 	buf := bufpool.Get(int(j.chunk))
 	defer bufpool.Put(buf)
-	for !j.failed() {
-		if ctx.Err() != nil {
-			j.cancel()
-			break
-		}
+	for j.stopped() == nil {
 		// Per-chunk burst check: a long chunked copy yields between
 		// chunks when a checkpoint burst starts mid-flight.
 		j.pl.m.writes.pauseForBurst(ctx)
-		if ctx.Err() != nil {
-			j.cancel()
+		if err := ctx.Err(); err != nil {
+			j.stop(err)
 			break
 		}
 		i := j.next.Add(1) - 1
@@ -383,11 +365,7 @@ func (j *chunkJob) run(ctx context.Context) {
 			break
 		}
 		if err := j.copyChunk(ctx, i, buf); err != nil {
-			if ctx.Err() != nil || errors.Is(err, context.Canceled) {
-				j.cancel()
-			} else {
-				j.fail(err)
-			}
+			j.stop(err)
 			break
 		}
 	}
@@ -400,78 +378,36 @@ func (j *chunkJob) run(ctx context.Context) {
 // and, on success, flips its presence bit so the read path can serve it
 // immediately.
 func (j *chunkJob) copyChunk(ctx context.Context, i int64, buf []byte) error {
-	m := j.pl.m
+	m, e := j.pl.m, j.a.e
 	start := time.Now()
 	off := i * j.chunk
-	want := j.e.size - off
-	if want > j.chunk {
-		want = j.chunk
-	}
-	n, err := m.source.backend.ReadAt(ctx, j.e.name, buf[:want], off)
+	want := min(e.size-off, j.chunk)
+	n, err := m.source.backend.ReadAt(ctx, e.name, buf[:want], off)
 	if err != nil {
 		return err
 	}
 	if int64(n) < want {
 		return fmt.Errorf("monarch: chunk %d of %q: source truncated at %d/%d bytes",
-			i, j.e.name, off+int64(n), j.e.size)
+			i, e.name, off+int64(n), e.size)
 	}
-	if _, err := j.rw.WriteAt(ctx, j.e.name, buf[:want], off); err != nil {
+	if _, err := j.rw.WriteAt(ctx, e.name, buf[:want], off); err != nil {
 		return err
 	}
-	j.e.markChunk(int(i))
-	j.done.Add(1)
+	e.markChunk(int(i))
 	m.stats.chunkPlacements.Add(1)
 	m.stats.writtenBytes[j.d.level].Add(want)
 	dur := time.Since(start)
 	m.inst.chunkCopyLatency.Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanChunkCopy, File: j.e.name, Tier: j.d.level, Off: off, Bytes: want,
-		Attempt: j.attempt, Duration: dur})
-	m.event(Event{Kind: EventChunkPlaced, File: j.e.name, Level: j.d.level, Bytes: want})
+	m.span(obs.Span{Kind: obs.SpanChunkCopy, File: e.name, Tier: j.d.level, Off: off, Bytes: want,
+		Attempt: j.a.n, Duration: dur})
+	m.event(Event{Kind: EventChunkPlaced, File: e.name, Level: j.d.level, Bytes: want})
 	return nil
 }
 
-// finish resolves the whole placement once the last worker exits:
-// success mirrors the whole-file bookkeeping; a failed chunk removes
-// the partial copy — demoting only this file — and classifies the
-// error through the same retry/breaker machinery as whole-file
-// placements; cancellation returns the entry to Source untouched.
-func (j *chunkJob) finish(ctx context.Context) {
-	m := j.pl.m
-	e, d := j.e, j.d
-	if j.done.Load() == j.nchunks {
-		// Chunk bytes were charged to the tier as they landed, so the
-		// shared bookkeeping must not add them again.
-		j.pl.placed(e, d, j.attempt, false, false)
-		return
-	}
-	e.clearChunks()
-	j.mu.Lock()
-	err, cancelled := j.err, j.cancelled
-	j.mu.Unlock()
-	if err == nil && cancelled {
-		e.cancelQueued() // shutdown mid-copy: not a placement failure
-		return
-	}
-	// A chunk failed: drop the partial copy so the tier never serves a
-	// torn file, then feed the breaker and retry or give up — only this
-	// file is affected unless the breaker trips the whole tier.
-	if rmErr := d.backend.Remove(ctx, e.name); rmErr != nil && !errors.Is(rmErr, storage.ErrNotExist) {
-		m.inst.errs[stageCleanup].Inc()
-		m.event(Event{Kind: EventOpError, File: e.name, Level: d.level, Err: rmErr})
-	}
-	if m.health.recordWriteError(d.level) {
-		m.tierDown(d.level, err)
-	}
-	if j.pl.retry(e, nil, j.attempt, d.level, err, true) {
-		return
-	}
-	j.pl.placementFailed(e, d.level, j.attempt, err)
-}
-
-// errFetchDisabled marks placements skipped by the abl-fullfetch
-// configuration; it routes to markUnplaceable via the placementErrors
-// path but is not an operational failure.
-var errFetchDisabled = errors.New("monarch: full-file fetch disabled")
+// finish hands the attempt to settle once the last worker exits: nil
+// when every chunk landed, else whatever stopped the job — settle's
+// table sorts a failed chunk from a cancellation.
+func (j *chunkJob) finish(ctx context.Context) { j.pl.settle(ctx, j.a, j.d, j.stopped()) }
 
 // errUnknownVictim marks a policy proposing a file absent from the
 // namespace; tryMakeRoom gives up rather than trusting the policy
@@ -479,12 +415,12 @@ var errFetchDisabled = errors.New("monarch: full-file fetch disabled")
 var errUnknownVictim = errors.New("monarch: eviction victim missing from namespace")
 
 // tryMakeRoom applies the configured eviction policy until e fits on
-// d. With a victimChooser (the heat engine) the candidate is in view,
-// so admission — quota reclaim or the heat-vs-margin contest — happens
-// inside victim selection; plain policies (the abl-eviction LRU/FIFO)
-// keep their unconditional make-room behaviour. The file being placed
-// is never its own victim, and a victim proposed twice aborts the loop
-// so a policy that ignores OnEvicted cannot spin it forever.
+// d. The policy sees the candidate, so admission — the heat engine's
+// quota reclaim or heat-vs-margin contest — happens inside victim
+// selection; LRU and FIFO (abl-eviction) ignore it and make room
+// unconditionally. The file being placed is never its own victim, and a
+// victim proposed twice aborts the loop so a policy that ignores
+// OnEvicted cannot spin it forever.
 func (pl *placer) tryMakeRoom(ctx context.Context, d *driver, e *fileEntry) bool {
 	policy := pl.m.cfg.Eviction
 	if policy == nil {
@@ -493,16 +429,9 @@ func (pl *placer) tryMakeRoom(ctx context.Context, d *driver, e *fileEntry) bool
 	if c := d.backend.Capacity(); c > 0 && e.size > c {
 		return false // would never fit, even empty
 	}
-	chooser, _ := policy.(victimChooser)
 	var tried map[string]bool
 	for storage.Free(d.backend) < e.size {
-		var victim string
-		var ok bool
-		if chooser != nil {
-			victim, ok = chooser.VictimFor(e.name, d.level)
-		} else {
-			victim, ok = policy.Victim(d.level)
-		}
+		victim, ok := policy.Victim(e.name, d.level)
 		if !ok || victim == e.name || tried[victim] {
 			return false
 		}
@@ -536,7 +465,7 @@ func (pl *placer) evict(ctx context.Context, d *driver, name string) (bool, erro
 	// Remove lifecycle, not the placement policy. Defense in depth — the
 	// write path keeps them out of Eviction.OnPlaced, so a policy
 	// proposing one is working from corrupt books; treat it as stale.
-	if m.writes.protected(name) {
+	if e.writable {
 		m.cfg.Eviction.OnEvicted(name)
 		return false, nil
 	}
@@ -550,7 +479,7 @@ func (pl *placer) evict(ctx context.Context, d *driver, name string) (bool, erro
 	}
 	start := time.Now()
 	m.cfg.Eviction.OnEvicted(name)
-	err := d.backend.Remove(ctx, name)
+	err := notExistOK(d.backend.Remove(ctx, name))
 	// Only now, with Remove returned, may the entry re-queue and the
 	// job's quota free up: a re-placement admitted any earlier could land
 	// its copy just in time for this Remove to delete it, leaving
@@ -558,11 +487,10 @@ func (pl *placer) evict(ctx context.Context, d *driver, name string) (bool, erro
 	job := m.tenants.job(name)
 	m.tenants.release(job, d.level, e.size)
 	e.evictDone()
-	if err != nil && !errors.Is(err, storage.ErrNotExist) {
+	if err != nil {
 		// The entry routes to the source so reads stay correct, but the
 		// tier freed nothing — surface the wedged eviction.
-		m.inst.errs[stageEvict].Inc()
-		m.event(Event{Kind: EventOpError, File: name, Level: d.level, Err: err})
+		m.opError(stageEvict, name, d.level, err)
 		return false, err
 	}
 	m.stats.evictions.Add(1)
@@ -589,7 +517,7 @@ func (m *Monarch) preStage(ctx context.Context) error {
 		if !e.tryQueue() {
 			continue
 		}
-		m.placer.place(ctx, e, nil, 1, false)
+		m.placer.place(ctx, attempt{e: e, n: 1})
 	}
 	return nil
 }

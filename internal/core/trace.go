@@ -43,8 +43,7 @@ func (m *Monarch) closeTrace() {
 	m.traceOnce.Do(func() {
 		m.tracer.AddSummary(m.traceSummary())
 		if err := m.tracer.Close(); err != nil {
-			m.inst.errs[stageCleanup].Inc()
-			m.event(Event{Kind: EventOpError, File: m.cfg.TracePath, Level: -1, Err: err})
+			m.opError(stageCleanup, m.cfg.TracePath, -1, err)
 		}
 	})
 }

@@ -206,14 +206,6 @@ func (ws *writeState) file(name string) *writeFile {
 	return ws.files[name]
 }
 
-// protected reports whether name is a writable file — writable files
-// are never eviction victims: dirty ones hold the only tiered copy of
-// acked bytes, and clean ones are owned by the Remove lifecycle, not
-// the placement policy.
-func (ws *writeState) protected(name string) bool {
-	return ws != nil && ws.file(name) != nil
-}
-
 // dirtyBytes reports the unflushed write-back backlog (none without a
 // write path).
 func (ws *writeState) dirtyBytes() int64 {
@@ -353,15 +345,16 @@ func (ws *writeState) ack(f *writeFile, reserved, n int64, seq uint64, err error
 	return nil
 }
 
-// log appends rec to the journal, if one is configured, counting a
-// refusal against the journal stage.
+// log appends rec to the journal, if one is configured, booking a
+// refusal against the journal stage — for the callers that carry on
+// without the record and the ones that refuse their write alike.
 func (ws *writeState) log(rec journal.Record) (uint64, error) {
 	if ws.jn == nil {
 		return 0, nil
 	}
 	seq, err := ws.jn.Append(rec)
 	if err != nil {
-		ws.m.inst.errs[stageJournal].Inc()
+		ws.m.opError(stageJournal, rec.Name, -1, err)
 	}
 	return seq, err
 }
@@ -448,8 +441,10 @@ func (ws *writeState) flush(ctx context.Context, f *writeFile, snap int64, cover
 	dur := time.Since(start)
 	if err != nil {
 		snap = 0
-	} else if _, jerr := ws.log(journal.Record{Kind: recFlush, Name: f.name, Off: covered}); jerr != nil {
-		m.event(Event{Kind: EventOpError, File: f.name, Level: -1, Err: jerr})
+	} else {
+		// Best-effort: without the record a crash replays bytes the PFS
+		// already has.
+		_, _ = ws.log(journal.Record{Kind: recFlush, Name: f.name, Off: covered})
 	}
 	ws.mu.Lock()
 	ws.book(f, -snap, -snap)
@@ -459,8 +454,7 @@ func (ws *writeState) flush(ctx context.Context, f *writeFile, snap int64, cover
 	}
 	ws.mu.Unlock()
 	if err != nil {
-		m.inst.errs[stageFlush].Inc()
-		m.event(Event{Kind: EventOpError, File: f.name, Level: m.source.level, Err: err})
+		m.opError(stageFlush, f.name, m.source.level, err)
 	} else {
 		m.stats.flushes.Inc()
 		m.stats.flushedBytes.Add(snap)
@@ -500,7 +494,7 @@ func (ws *writeState) close(graceful bool) {
 		ws.persistHeat()
 	}
 	if err := ws.jn.Close(); err != nil {
-		ws.m.inst.errs[stageJournal].Inc()
+		ws.m.opError(stageJournal, ws.cfg.JournalPath, -1, err)
 	}
 }
 
@@ -531,7 +525,7 @@ func (ws *writeState) persistHeat() {
 		}
 	}
 	if err := ws.jn.Compact(recs); err != nil {
-		ws.m.inst.errs[stageJournal].Inc()
+		ws.m.opError(stageJournal, ws.cfg.JournalPath, -1, err)
 	}
 }
 
@@ -868,9 +862,7 @@ func (m *Monarch) Remove(ctx context.Context, name string) (err error) {
 	if !took {
 		return fmt.Errorf("%w: %q", ErrNotWritable, name)
 	}
-	if _, jerr := ws.log(journal.Record{Kind: recRemove, Name: name}); jerr != nil {
-		m.event(Event{Kind: EventOpError, File: name, Level: -1, Err: jerr})
-	}
+	_, _ = ws.log(journal.Record{Kind: recRemove, Name: name}) // best-effort, like flush's record
 	tier = 0
 	if f.back {
 		err = notExistOK(m.levels[0].backend.Remove(ctx, name))

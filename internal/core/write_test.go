@@ -998,19 +998,33 @@ func TestHeatPersistence(t *testing.T) {
 		}
 	}
 	// Identical victim choices: rebuild the placed books (a restart
-	// re-places files) and contest the two policies.
+	// re-places files) and contest the two policies with a candidate hot
+	// enough to displace anyone.
 	for _, hp := range []*HeatPolicy{hp1, hp2} {
 		for name := range reads {
 			hp.OnPlaced(name, 0)
 		}
+		for i := 0; i < 100; i++ {
+			hp.OnAccess("data/new")
+		}
+		hp.AdvanceEpoch()
 	}
-	v1, ok1 := hp1.Victim(0)
-	v2, ok2 := hp2.Victim(0)
+	coldest := "data/f0"
+	for name := range reads {
+		if hp2.Heat(name) != hp1.Heat(name) {
+			t.Fatalf("heat of %s diverged after restart: %v vs %v", name, hp1.Heat(name), hp2.Heat(name))
+		}
+		if hp2.Heat(name) < hp2.Heat(coldest) {
+			coldest = name
+		}
+	}
+	v1, ok1 := hp1.Victim("data/new", 0)
+	v2, ok2 := hp2.Victim("data/new", 0)
 	if !ok1 || !ok2 || v1 != v2 {
 		t.Fatalf("victim diverged after restart: (%q,%v) vs (%q,%v)", v1, ok1, v2, ok2)
 	}
-	if v2 != "data/f3" {
-		t.Fatalf("victim = %q, want the coldest data/f3", v2)
+	if v2 != coldest || coldest != "data/f3" {
+		t.Fatalf("victim = %q, coldest by Heat = %q, want data/f3 for both", v2, coldest)
 	}
 }
 

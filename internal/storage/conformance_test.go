@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -190,5 +192,57 @@ func TestOSFSCountsPreexistingFiles(t *testing.T) {
 	}
 	if reopened.Used() != 42 {
 		t.Fatalf("used = %d, want 42", reopened.Used())
+	}
+}
+
+// TestOSFSLeavesOutStaleTempFiles is the temp-name rule: a temp file a
+// SIGKILL left between CreateTemp and rename — or a lingering probe
+// file — is neither listed as data nor charged to the quota, while the
+// real names beside it read as before. It is not unlinked either:
+// another process's OSFS may be writing this directory.
+func TestOSFSLeavesOutStaleTempFiles(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	seed, err := storage.NewOSFS("seed", dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := bytes.Repeat([]byte{7}, 10)
+	for _, name := range []string{"shard", "sub/shard"} {
+		if err := seed.WriteFile(ctx, name, shard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := []string{".monarch-12345", "sub/.monarch-67890", ".monarch-probe"}
+	for _, name := range stale {
+		if err := os.WriteFile(filepath.Join(dir, filepath.FromSlash(name)), []byte("torn!!!"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o, err := storage.NewOSFS("re", dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.CloseIdle()
+	if o.Used() != 20 {
+		t.Errorf("Used() = %d, want the two shards' 20 bytes", o.Used())
+	}
+	infos, err := o.List(ctx)
+	if err != nil || len(infos) != 2 || infos[0].Name != "shard" || infos[1].Name != "sub/shard" {
+		t.Errorf("List() = %+v (err=%v), want exactly the two shards", infos, err)
+	}
+	for _, name := range []string{"shard", "sub/shard"} {
+		if fi, err := o.Stat(ctx, name); err != nil || fi.Size != 10 {
+			t.Errorf("Stat(%s) = %+v, %v", name, fi, err)
+		}
+		got := make([]byte, 10)
+		if n, err := o.ReadAt(ctx, name, got, 0); err != nil || n != 10 || !bytes.Equal(got, shard) {
+			t.Errorf("ReadAt(%s) = %d, %v", name, n, err)
+		}
+	}
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(name))); err != nil {
+			t.Errorf("%s was removed: it may be another process's live temp file (%v)", name, err)
+		}
 	}
 }

@@ -9,9 +9,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
+
+// TempPrefix starts the base name of every scratch file the stack
+// writes beside data: OSFS's rename-into-place temp files and core's
+// recovery-probe file. OSFS.List leaves such files out.
+const TempPrefix = ".monarch-"
 
 // maxCachedFDs bounds the per-backend table of open files — and with
 // it the mappings the table keeps alive: a file lends views out of at
@@ -64,6 +70,14 @@ func (c *cachedFD) Release() {
 // like MemFS) and no path inside OSFS can shrink a file under a live
 // mapping. The directory belongs to OSFS: a truncate from outside is
 // outside the contract, as it already is for quota accounting.
+//
+// The temp-name rule: a regular file whose base name starts with
+// TempPrefix is scratch — the temp file a WriteFile or Allocate renames
+// into place, a recovery probe's file — and List does not report it, so
+// one a SIGKILL left behind is neither a dataset file nor quota in use.
+// Nothing unlinks such a file on open: another process's OSFS may be
+// writing this directory (monarch-serve's plain mode serves one), and
+// its live temp file is not stale. Dataset files cannot use the prefix.
 type OSFS struct {
 	name     string
 	root     string
@@ -124,7 +138,8 @@ func (o *OSFS) path(name string) (string, error) {
 	return filepath.Join(o.root, filepath.FromSlash(name)), nil
 }
 
-// List implements Backend by walking the root recursively.
+// List implements Backend by walking the root recursively, leaving out
+// scratch files (the temp-name rule).
 func (o *OSFS) List(ctx context.Context) ([]FileInfo, error) {
 	var infos []FileInfo
 	err := filepath.WalkDir(o.root, func(path string, d fs.DirEntry, err error) error {
@@ -134,8 +149,8 @@ func (o *OSFS) List(ctx context.Context) ([]FileInfo, error) {
 		if cerr := ctxErr(ctx); cerr != nil {
 			return cerr
 		}
-		if d.IsDir() {
-			return nil
+		if d.IsDir() || strings.HasPrefix(d.Name(), TempPrefix) {
+			return nil // directories are walked into; scratch is not data
 		}
 		fi, err := d.Info()
 		if err != nil {
@@ -369,7 +384,7 @@ func swapIn(path string, fill func(*os.File) error) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".monarch-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), TempPrefix+"*")
 	if err != nil {
 		return err
 	}
