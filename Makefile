@@ -51,12 +51,14 @@ test:
 # SIGBUS, not a failed assertion), and a peer response in flight across
 # a Remove. The placement plan's settle table is pinned by a manual pool
 # and Shutdown's cancellation by a blocking tier; they repeat for the
-# detector too, chunk workers being the one place the plan fans out.
+# detector too, chunk workers being the one place the plan fans out. So
+# does the concurrent first miss of a fetch-through: N readers race for
+# one file's queue, and the losers must never wait on the winner's fetch.
 stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestRemoveDuringFlush|TestCreateDuringRemove' -count=50 ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement' -count=50 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime' -count=50 ./internal/storage/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadResponseSurvivesRemove' -count=50 ./internal/peernet/
 

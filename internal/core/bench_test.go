@@ -235,6 +235,78 @@ func BenchmarkReadViewOSFS(b *testing.B) {
 	})
 }
 
+// BenchmarkColdScan is the ledger's cold epoch at this layer: the first
+// sequential scan of a 1 MiB file in 256 KiB reads, over an OSFS tier 0
+// and a counted source, with the copy it starts waited out untimed. It
+// attributes cold_epoch_s and storage.pfs_read_amp: source-ops/file and
+// source-bytes/file are what one file's first epoch cost the PFS — one
+// whole-file read since fetch-through, four range reads plus the copy's
+// own fetch (5 ops, 2 MiB) on the paper's serve-then-copy path. ns/op is
+// the foreground's side of the trade over a source with no latency — the
+// whole-file read's allocation and copy, which the first read now waits
+// for — not the PFS time saved, which only the ledger's model prices.
+func BenchmarkColdScan(b *testing.B) {
+	const nfiles, fileSize, window = 16, 1 << 20, 256 << 10
+	ctx := context.Background()
+	raw := storage.NewMemFS("pfs", 0)
+	for i := 0; i < nfiles; i++ {
+		if err := raw.WriteFile(ctx, fmt.Sprintf("f%04d", i), bytes.Repeat([]byte{byte(i)}, fileSize)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	raw.SetReadOnly(true)
+	pfs := storage.NewCounting(raw)
+	var m *Monarch
+	var ssd *storage.OSFS
+	// retire waits the running stack's copies out, so their source reads
+	// are counted; fresh replaces it with one whose tier 0 is empty.
+	retire := func() {
+		if m == nil {
+			return
+		}
+		for !m.Idle() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		m.Close()
+		ssd.CloseIdle()
+	}
+	fresh := func() {
+		retire()
+		var err error
+		if ssd, err = storage.NewOSFS("ssd", b.TempDir(), 0); err != nil {
+			b.Fatal(err)
+		}
+		if m, err = New(Config{Levels: []storage.Backend{ssd, pfs}, Pool: pool.NewGoPool(6), FullFileFetch: true}); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Init(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	buf := make([]byte, window)
+	b.SetBytes(fileSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%nfiles == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		name := fmt.Sprintf("f%04d", i%nfiles)
+		for off := int64(0); off < fileSize; off += window {
+			if n, err := m.ReadAt(ctx, name, buf, off); err != nil || n != window {
+				b.Fatalf("read %s at %d = %d, %v", name, off, n, err)
+			}
+		}
+	}
+	b.StopTimer()
+	retire()
+	c := pfs.Counts()
+	b.ReportMetric(float64(c.Ops[storage.OpRead])/float64(b.N), "source-ops/file")
+	b.ReportMetric(float64(c.BytesRead)/float64(b.N), "source-bytes/file")
+}
+
 // benchPlacement measures end-to-end background placement of a small
 // dataset: trigger every file with a 1-byte read, then wait for the
 // copies to land. chunkSize 0 is the paper's whole-file path; a positive

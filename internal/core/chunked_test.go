@@ -206,7 +206,10 @@ func TestChunkedPlacementMatchesSource(t *testing.T) {
 
 // TestChunkSizeZeroParity runs the same workload with ChunkSize=0 and
 // with chunking on: bytes must be identical, and the ChunkSize=0 run
-// must be stat-for-stat the paper-faithful whole-file behaviour.
+// must be stat-for-stat the whole-file behaviour — which, for files this
+// small, is fetch-through: each partial first read is the file's one
+// source fetch and the copy reuses it, where the chunked run's copies
+// read the source again.
 func TestChunkSizeZeroParity(t *testing.T) {
 	const nfiles, fileSize = 4, 1000
 	workload := func(chunkSize int64) ([]byte, Stats) {
@@ -249,9 +252,17 @@ func TestChunkSizeZeroParity(t *testing.T) {
 	if whole.ChunkPlacements != 0 || whole.PartialHits != 0 || whole.PartialHitBytes != 0 {
 		t.Fatalf("ChunkSize=0 produced chunk activity: %+v", whole)
 	}
-	// With the chunk counters factored out, every other counter must
-	// match the whole-file run exactly.
+	if whole.FetchThroughs != nfiles || whole.FetchThroughBytes != nfiles*fileSize || whole.FullReadReuses != nfiles {
+		t.Fatalf("ChunkSize=0: %d fetch-throughs of %d bytes, %d reuses; want every file's first read to be its fetch",
+			whole.FetchThroughs, whole.FetchThroughBytes, whole.FullReadReuses)
+	}
+	if chunked.FetchThroughs != 0 || chunked.FetchThroughBytes != 0 || chunked.FullReadReuses != 0 {
+		t.Fatalf("chunked run fetched through: %+v", chunked)
+	}
+	// With each mode's own counters factored out, every other counter
+	// must match the whole-file run exactly.
 	chunked.ChunkPlacements = 0
+	whole.FetchThroughs, whole.FetchThroughBytes, whole.FullReadReuses = 0, 0, 0
 	if !reflect.DeepEqual(whole, chunked) {
 		t.Fatalf("stats diverge:\nwhole-file: %+v\nchunked:    %+v", whole, chunked)
 	}

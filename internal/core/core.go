@@ -386,7 +386,8 @@ func (m *Monarch) ReadAt(ctx context.Context, name string, p []byte, off int64) 
 // counters, histograms, spans and breakers. Data points straight at the
 // tier's bytes — MemFS's buffer, a read-only mapping of the OSFS file —
 // when a dataset file is fully placed on a healthy tier whose backend
-// lends views; every other read (another route, a file registered by
+// lends views, and at a fetch-through's bytes while its copy is in
+// flight; every other read (another route, a file registered by
 // Create, a backend that refuses) is copied into pooled scratch that
 // Release returns. Stats.ViewsLent / ViewsCopied say which happened.
 //
@@ -405,12 +406,30 @@ func (m *Monarch) ReadView(ctx context.Context, name string, off, n int64) (stor
 // sink is where a read lands: ReadAt's caller buffer or, with lend set,
 // a view for ReadView to hand out. A successful serve leaves the
 // delivered bytes in view.Data either way; lent says the last serve's
-// view is the tier's own bytes, not a copy.
+// view is the holder's own bytes — a tier's, or a fetch-through
+// buffer's — not a copy.
 type sink struct {
 	buf  []byte
 	lend bool
 	lent bool
 	view storage.View
+}
+
+// window lands [off, off+n) of whole — a file's entire content, off
+// inside it — in s and returns its length: copied for ReadAt, lent as it
+// is for ReadView. The bytes are a fetch-through's: GC-owned and never
+// written, so the view holds nothing to release.
+func (s *sink) window(whole []byte, off, n int64) int {
+	end := int64(len(whole))
+	if n < end-off {
+		end = off + n
+	}
+	if s.lend {
+		s.view, s.lent = storage.View{Data: whole[off:end:end]}, true
+	} else {
+		s.view.Data = s.buf[:copy(s.buf, whole[off:end])]
+	}
+	return len(s.view.Data)
 }
 
 // route is the read plan's routing decision: which driver gets the
@@ -429,6 +448,7 @@ const (
 	routeLocal                    // fully placed on a healthy upper tier
 	routeMidCopy                  // a chunked placement in flight already holds the range
 	routePeer                     // not owned by this node: the owner's cache, over the peer tier
+	routeFetched                  // bound for the source, but a fetch-through holds the whole file in memory
 )
 
 // resolve routes a read of [off, off+n) of e from one atomic snapshot
@@ -547,6 +567,12 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		return 0, err
 	}
 	rt := m.resolve(e, off, n)
+	// Only a read bound for the source can find a fetch-through's bytes, or
+	// fetch them: whole is then the file's content, served from memory.
+	var whole []byte
+	if rt.kind == routeSource {
+		whole, rt = m.placer.fetched(ctx, e, off, n, rt)
+	}
 	rctx := ctx
 	var ann *obs.ReadAnnotation
 	var req uint64
@@ -561,7 +587,12 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		rctx = obs.WithRequestID(rctx, req)
 	}
 	var flags obs.SpanFlags
-	got, err := m.serve(rctx, rt, e, off, n, s)
+	var got int
+	if whole != nil {
+		got = s.window(whole, off, n)
+	} else {
+		got, err = m.serve(rctx, rt, e, off, n, s)
+	}
 	if rt.kind != routeSource && e.snap.Load()>>snapGenShift != rt.gen {
 		// An eviction of e began after resolve, so whatever the tier
 		// answered is void: the evictor's Remove fails a late read
@@ -570,9 +601,11 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		s.view.Release()
 		s.view, err = storage.View{}, errOvertaken
 	}
-	if err == nil {
+	switch {
+	case err == nil && whole != nil: // says nothing of the tier it is booked on
+	case err == nil:
 		m.health.recordReadOK(rt.d.level) // a no-op on the untracked source
-	} else if rt.kind != routeSource {
+	case rt.kind != routeSource:
 		flags = m.recovered(e, rt, err)
 		rt = route{kind: routeSource, d: m.source}
 		got, err = m.serve(ctx, rt, e, off, n, s)
@@ -588,7 +621,7 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		m.stats.viewed(s.lent)
 	}
 	switch rt.kind {
-	case routeMidCopy:
+	case routeMidCopy, routeFetched:
 		flags |= obs.FlagPartial
 		m.stats.partialHits.Add(1)
 		m.stats.partialHitBytes.Add(int64(got))

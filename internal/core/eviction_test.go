@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"monarch/internal/obs"
 	"monarch/internal/pool"
 	"monarch/internal/storage"
 )
@@ -188,5 +189,80 @@ func TestEvictionVictimNeverTooBigLoop(t *testing.T) {
 	}
 	if st := m.Stats(); st.Evictions != 0 {
 		t.Fatalf("evicted %d files for an unplaceable giant", st.Evictions)
+	}
+}
+
+// shutdownOnEvict is an LRU whose OnEvicted — called once the victim's
+// entry has left the tier, before its bytes have — ends the pool
+// context, as a Shutdown landing mid-eviction would.
+type shutdownOnEvict struct {
+	EvictionPolicy
+	shutdown context.CancelFunc
+}
+
+func (p *shutdownOnEvict) OnEvicted(name string) {
+	p.shutdown()
+	p.EvictionPolicy.OnEvicted(name)
+}
+
+// TestEvictionOutlivesShutdown cancels the pool task's context between
+// an eviction's markEvictedFrom and its Remove. Past that point no
+// ledger, policy or namespace entry knows the victim's copy, so the
+// Remove must go through all the same: the tier ends up holding nothing,
+// Used() equal to the tenant ledger, and the eviction counted. A Remove
+// the cancelled context refused would leave the whole copy behind, known
+// only to errors{stage="evict"}.
+func TestEvictionOutlivesShutdown(t *testing.T) {
+	ctx := context.Background()
+	const size = 64
+	pfs := storage.NewMemFS("lustre", 0)
+	for _, name := range []string{"job/a", "job/b"} {
+		if err := pfs.WriteFile(ctx, name, bytes.Repeat([]byte(name[len(name)-1:]), size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pfs.SetReadOnly(true)
+	poolCtx, shutdown := context.WithCancel(ctx)
+	defer shutdown()
+	mp := &manualPool{}
+	ssd := storage.NewMemFS("ssd", size) // room for one file
+	m, err := New(Config{
+		Levels:        []storage.Backend{ssd, pfs},
+		Pool:          mp,
+		FullFileFetch: true,
+		Eviction:      &shutdownOnEvict{EvictionPolicy: NewLRU(), shutdown: shutdown},
+		JobOf:         JobFromPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	if err := m.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	for _, name := range []string{"job/a", "job/b"} {
+		if _, err := m.ReadAt(ctx, name, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		mp.drainWith(poolCtx) // job/b's placement evicts job/a, and is cancelled under it
+	}
+
+	st := m.Stats()
+	if st.Placements != 1 || poolCtx.Err() == nil {
+		t.Fatalf("no eviction ran under a shutdown: %+v", st)
+	}
+	list, _ := ssd.List(ctx)
+	if ledger := m.tenants.usedBytes("job", 0); len(list) != 0 || ssd.Used() != 0 || ledger != 0 || st.Evictions != 1 {
+		t.Errorf("tier 0 holds %v (%d bytes), the job's ledger says %d, %d evictions counted; want nothing on either and 1",
+			list, ssd.Used(), ledger, st.Evictions)
+	}
+	if v, _ := m.Registry().Snapshot().Value("monarch_errors_total", obs.L("stage", "evict")); v != 0 {
+		t.Errorf(`errors{stage="evict"} = %v, want 0`, v)
+	}
+	for _, name := range []string{"job/a", "job/b"} {
+		if e, _ := m.meta.get(name); e.currentState() != stateSource {
+			t.Errorf("%s in state %d, want source: evicted, and cancelled before its copy", name, e.currentState())
+		}
 	}
 }

@@ -44,7 +44,8 @@ const (
 // threads and the placement pool. Beyond the paper it carries a
 // chunk-presence bitmap while a chunked placement is in flight, so the
 // read path can serve already-copied ranges from the upper tier
-// mid-copy.
+// mid-copy; and, after a fetch-through first miss, the file's whole
+// content until the attempt carrying it settles (fetch).
 //
 // Bitmap invariants:
 //   - chunkBits is non-nil exactly between beginChunks and
@@ -71,6 +72,13 @@ type fileEntry struct {
 	// always internally consistent.
 	snap atomic.Uint64
 
+	// fetch is the whole file as a fetch-through first miss read it
+	// (placer.fetchThrough), lent to the reads behind it. Only the owner
+	// of the queued attempt stores it, before the attempt reaches the
+	// pool; disarm drops it, so it never outlives the attempt. Only reads
+	// bound for the source consult it: placed-file reads pay nothing.
+	fetch atomic.Pointer[fetched]
+
 	mu       sync.Mutex
 	level    int
 	state    placementState
@@ -90,6 +98,14 @@ const (
 	snapGenShift = 33
 )
 
+// fetched is a fetch-through buffer: the file's bytes, immutable and
+// GC-owned, and the tier the attempt was bound for when it was read —
+// where reads served from data are booked.
+type fetched struct {
+	data  []byte
+	level int
+}
+
 // publish refreshes the packed snapshot; callers hold e.mu (or hold the
 // entry exclusively, as populate does before linking it into a shard).
 func (e *fileEntry) publish() {
@@ -100,14 +116,17 @@ func (e *fileEntry) publish() {
 	e.snap.Store(s)
 }
 
-// disarm drops the chunk bitmap and publishes; every transition that
-// ends a placement attempt finishes with it, so the bitmap never
-// outlives the copy it describes. Callers hold e.mu.
+// disarm drops the chunk bitmap and the fetch-through buffer and
+// publishes; every transition that ends a placement attempt finishes
+// with it, so neither outlives the copy it describes. The buffer goes
+// after the snapshot: once markPlaced has re-routed reads to the tier,
+// none falls between the two and reads the source. Callers hold e.mu.
 func (e *fileEntry) disarm() {
 	e.chunkBits = nil
 	e.chunkSize = 0
 	e.chunksLeft = 0
 	e.publish()
+	e.fetch.Store(nil)
 }
 
 // snapshot returns the packed (state, level, armed) triple with one
@@ -205,8 +224,9 @@ func (e *fileEntry) markChunk(i int) bool {
 	return e.chunksLeft == 0
 }
 
-// clearChunks discards partial-copy state after a failed or cancelled
-// chunked placement; the entry falls back to source-only residency.
+// clearChunks discards what an attempt that failed or was cancelled
+// left for readers — landed chunks, a fetch-through buffer; the entry
+// falls back to source-only residency.
 func (e *fileEntry) clearChunks() {
 	e.mu.Lock()
 	defer e.mu.Unlock()

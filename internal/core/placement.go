@@ -81,12 +81,78 @@ func (pl *placer) onAccess(e *fileEntry, full []byte) {
 	if !e.tryQueue() {
 		return
 	}
-	a := attempt{e: e, full: append([]byte(nil), full...), n: 1, chunks: true}
+	pl.enqueue(attempt{e: e, full: append([]byte(nil), full...), n: 1, chunks: true})
+}
+
+// enqueue hands a freshly queued entry's first attempt to the pool.
+func (pl *placer) enqueue(a attempt) {
 	if !pl.submit(func(ctx context.Context) { pl.place(ctx, a) }) {
-		e.markUnplaceable() // pool closed: no placement for this job
+		a.e.markUnplaceable() // pool closed: no placement for this job
 		return
 	}
-	pl.m.span(obs.Span{Kind: obs.SpanPlacementEnqueue, File: e.name, Tier: -1, Bytes: e.size})
+	pl.m.span(obs.Span{Kind: obs.SpanPlacementEnqueue, File: a.e.name, Tier: -1, Bytes: a.e.size})
+}
+
+// fetched completes the routing of a read that rt binds for the source:
+// where a fetch-through holds the file — one in flight, the read then a
+// mid-copy hit on the tier the copy is bound for, or the one this read
+// makes as the file's first miss, still the source's read — it returns
+// the whole content. Empty and out-of-range reads go to the source.
+func (pl *placer) fetched(ctx context.Context, e *fileEntry, off, n int64, rt route) ([]byte, route) {
+	if off < 0 || off >= e.size || n <= 0 {
+		return nil, rt
+	}
+	if f := e.fetch.Load(); f != nil {
+		return f.data, route{routeFetched, pl.m.levels[f.level], rt.gen}
+	}
+	return pl.fetchThrough(ctx, e, off, n), rt
+}
+
+// fetchThrough makes the first miss of a small file its placement fetch
+// (Hoard's rule: one fetch per object). A read of part of e that wins the
+// queue, where the plan would copy the whole file onto a tier with room,
+// issues the plan's one source.ReadFile here, on the caller's context,
+// publishes the content for the reads behind it and queues the attempt
+// with it as attempt.full, so copyInto takes the full-read reuse row. It
+// returns nil for a plain range read: the rule did not pick the file,
+// another reader won the queue, or the fetch failed — the entry then back
+// in stateSource, nothing published. The size rule bounds that first
+// read's extra wait and the memory a reader can pin. Nothing here waits
+// on another goroutine: safe under SimPool, virtual time charged to the
+// reader's process.
+func (pl *placer) fetchThrough(ctx context.Context, e *fileEntry, off, n int64) []byte {
+	m := pl.m
+	if !m.cfg.FullFileFetch || m.cfg.ChunkSize != 0 || m.cfg.Staging != StageOnFirstRead ||
+		e.size > bufpool.MaxPooled || e.writable || e.currentState() != stateSource ||
+		(off == 0 && n >= e.size) || !m.owns(e.name) {
+		return nil
+	}
+	var d *driver
+	for _, t := range m.levels[:len(m.levels)-1] {
+		if !pl.candidate(t) {
+			continue
+		}
+		if storage.Free(t.backend) >= e.size {
+			d = t
+			break
+		}
+		if m.cfg.Eviction != nil {
+			return nil // room here is the policy's to make, on the pool
+		}
+	}
+	if d == nil || !e.tryQueue() {
+		return nil
+	}
+	data, err := m.source.backend.ReadFile(ctx, e.name)
+	if err != nil || int64(len(data)) != e.size {
+		e.cancelQueued()
+		return nil
+	}
+	m.stats.fetchThroughs.Inc()
+	m.stats.fetchedBytes.Add(e.size)
+	e.fetch.Store(&fetched{data: data, level: d.level})
+	pl.enqueue(attempt{e: e, full: data, n: 1, chunks: true})
+	return data
 }
 
 // retry re-queues a, after its backoff, as the file's next try.
@@ -134,15 +200,19 @@ func (pl *placer) place(ctx context.Context, a attempt) {
 	pl.settle(ctx, a, nil, storage.ErrNoSpace)
 }
 
-// admit reports whether tier d may take e: never the peer tier (a
-// read-only view of siblings), never a tier whose breaker is open, and
-// only with room — free already, or made by the eviction policy.
-func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
+// candidate reports whether placement may use tier d at all: never the
+// peer tier (a read-only view of siblings), never a tier whose breaker
+// is open.
+func (pl *placer) candidate(d *driver) bool {
 	m := pl.m
-	if (m.cfg.Peer.enabled() && d.level == m.cfg.Peer.Tier) || m.health.isDown(d.level) {
-		return false
-	}
-	return storage.Free(d.backend) >= e.size || pl.tryMakeRoom(ctx, d, e)
+	return !(m.cfg.Peer.enabled() && d.level == m.cfg.Peer.Tier) && !m.health.isDown(d.level)
+}
+
+// admit reports whether tier d may take e: a candidate with room — free
+// already (the half fetchThrough checks from the read path), or made by
+// the eviction policy.
+func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
+	return pl.candidate(d) && (storage.Free(d.backend) >= e.size || pl.tryMakeRoom(ctx, d, e))
 }
 
 // settle ends an attempt: the one place the plan decides an outcome and
@@ -160,22 +230,26 @@ func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
 // The skip rows come before the context is consulted: a full hierarchy
 // or the ablation is the answer whether or not a shutdown raced it, and
 // the ablation is decided before a chunk job could start, so it is a
-// whole-file row only. Every row but the first begins by dropping what a
-// chunk job left on d — the entry disarmed first, so no read still
-// routes to its landed chunks — because a tier must never hold, let
-// alone serve, a torn file no ledger knows; the two failure rows then
-// charge errors{stage=chunk-copy}, once per job however many workers
-// saw it fail.
+// whole-file row only. Every row ends what the attempt lent to readers:
+// the first as markPlaced re-routes them to the tier, the others up
+// front — the entry disarmed, so no read still routes to a chunk job's
+// landed chunks or a fetch-through buffer (a retry keeps its own slice in
+// attempt.full) — and then drop what a chunk job left on d, because a
+// tier must never hold, let alone serve, a torn file no ledger knows; the
+// two failure rows then charge errors{stage=chunk-copy}, once per job
+// however many workers saw it fail.
 func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 	m, e := pl.m, a.e
 	// Armed means a chunk job allocated e on d and charged its bytes to
 	// the tier as they landed; only this attempt touches the bitmap.
 	_, _, chunked := e.snapshot()
-	if err != nil && chunked {
+	if err != nil {
 		e.clearChunks()
-		// MemFS and OSFS refuse a cancelled context before touching the file.
-		if rmErr := notExistOK(d.backend.Remove(context.WithoutCancel(ctx), e.name)); rmErr != nil {
-			m.opError(stageCleanup, e.name, d.level, rmErr)
+		if chunked {
+			// MemFS and OSFS refuse a cancelled context before touching the file.
+			if rmErr := notExistOK(d.backend.Remove(context.WithoutCancel(ctx), e.name)); rmErr != nil {
+				m.opError(stageCleanup, e.name, d.level, rmErr)
+			}
 		}
 	}
 	sp := obs.Span{Kind: obs.SpanPlacement, File: e.name, Tier: -1, Bytes: e.size, Err: err,
@@ -479,7 +553,9 @@ func (pl *placer) evict(ctx context.Context, d *driver, name string) (bool, erro
 	}
 	start := time.Now()
 	m.cfg.Eviction.OnEvicted(name)
-	err := notExistOK(d.backend.Remove(ctx, name))
+	// Past markEvictedFrom no ledger or policy knows the copy, so Remove
+	// outlives a Shutdown of the pool task, as settle's cleanup does.
+	err := notExistOK(d.backend.Remove(context.WithoutCancel(ctx), name))
 	// Only now, with Remove returned, may the entry re-queue and the
 	// job's quota free up: a re-placement admitted any earlier could land
 	// its copy just in time for this Remove to delete it, leaving

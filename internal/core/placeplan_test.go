@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -69,6 +71,7 @@ type settleRig struct {
 	cancel context.CancelFunc
 	ssd    *copyTier
 	tier0  *storage.Faulty
+	pfs    *storage.Counting
 	log    *EventLog
 	spans  []obs.Span
 	// mid is the copy write that lands mid-copy: the one WriteFile of a
@@ -95,8 +98,9 @@ func newSettleRig(t *testing.T, chunk, capacity int64, edit func(*Config)) *sett
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	t.Cleanup(r.cancel)
 	r.tier0 = storage.NewFaulty(r.ssd)
+	r.pfs = storage.NewCounting(pfs)
 	cfg := Config{
-		Levels:        []storage.Backend{r.tier0, pfs},
+		Levels:        []storage.Backend{r.tier0, r.pfs},
 		Pool:          r.pool,
 		FullFileFetch: true,
 		ChunkSize:     chunk,
@@ -131,7 +135,9 @@ func (r *settleRig) failFrom(n int, err error) {
 }
 
 // settleOutcome is what a settle row must make identical across the two
-// copy modes — and, apart, the series only a chunk job moves.
+// copy modes — and, apart, the series only a chunk job moves and the
+// ones only a whole-file copy of a file this small does: its partial
+// first read is a fetch-through, so its copy is a full-read reuse.
 type settleOutcome struct {
 	state   placementState
 	level   int
@@ -147,6 +153,11 @@ type settleOutcome struct {
 	chunks     int64 // Stats.ChunkPlacements
 	chunkVars  map[string]float64
 	writeBytes float64 // monarch_tier_write_bytes_total{tier="0"}: torn chunks count too
+
+	fetches, fetchBytes, reuses int64 // Stats.FetchThroughs, FetchThroughBytes, FullReadReuses
+	fetchVars                   map[string]float64
+	reuseSpan                   bool  // the placement span carried the reuse flag
+	srcOps                      int64 // data ops the source saw, the first read's included
 }
 
 // chunkOnlyVars are the registry series a whole-file copy never moves.
@@ -157,6 +168,15 @@ var chunkOnlyVars = []string{
 	`monarch_errors_total{stage="chunk-copy"}`,
 }
 
+// fetchOnlyVars are the registry series only fetch-through and the reuse
+// row it ends in move: Stats.FetchThroughs, FetchThroughBytes and
+// FullReadReuses.
+var fetchOnlyVars = []string{
+	"monarch_fetch_throughs_total",
+	"monarch_fetch_through_bytes_total",
+	"monarch_full_read_reuses_total",
+}
+
 const tier0WriteBytes = `monarch_tier_write_bytes_total{tier="0"}`
 
 // TestPlacementSettleParity runs every row of settle's outcome table
@@ -164,7 +184,10 @@ const tier0WriteBytes = `monarch_tier_write_bytes_total{tier="0"}`
 // fixtures, and requires the two to end indistinguishable: same entry,
 // same Stats and registry, same spans and events, same breaker and
 // tenant ledger, same bytes on the tier — the chunk-only series apart,
-// which are asserted on their own.
+// which are asserted on their own, as is what fetch-through changes for
+// the whole-file side: its first read is the file's only source op in
+// every row (the chunk job reads the source again), its tries take the
+// reuse row, and the entry's buffer is gone once any row has settled.
 func TestPlacementSettleParity(t *testing.T) {
 	permanent := fmt.Errorf("ssd: %w", storage.ErrReadOnly)
 	for _, tc := range []struct {
@@ -182,16 +205,20 @@ func TestPlacementSettleParity(t *testing.T) {
 		// A chunk job's own series: chunks landed over all tries, chunks
 		// landed in a try that was then torn down, failed jobs.
 		chunks, torn, chunkErrs int64
+		// The whole-file side's own: whether its partial first read fetched
+		// the file through, and how many tries reached the reuse row.
+		fetched bool
+		reuses  int64
 	}{
 		{
 			name:  "copied",
-			state: statePlaced, resident: true, chunks: 4,
-			check: func(s Stats) bool { return s.Placements == 1 && s.FullReadReuses == 0 },
+			state: statePlaced, resident: true, chunks: 4, fetched: true, reuses: 1,
+			check: func(s Stats) bool { return s.Placements == 1 },
 		},
 		{
 			name: "copied by full-read reuse", full: true,
-			state: statePlaced, resident: true,
-			check: func(s Stats) bool { return s.Placements == 1 && s.FullReadReuses == 1 },
+			state: statePlaced, resident: true, reuses: 1,
+			check: func(s Stats) bool { return s.Placements == 1 },
 		},
 		{
 			name: "no tier admitted", capacity: settleSize / 2, // full tier, no policy
@@ -208,7 +235,7 @@ func TestPlacementSettleParity(t *testing.T) {
 		{
 			name:  "cancelled before admit",
 			prime: func(r *settleRig) { r.cancel() },
-			state: stateSource,
+			state: stateSource, fetched: true,
 			check: func(s Stats) bool { return s.Placements+s.PlacementSkips+s.PlacementErrors+s.PlacementRetries == 0 },
 		},
 		{
@@ -221,7 +248,7 @@ func TestPlacementSettleParity(t *testing.T) {
 					return nil
 				}
 			},
-			state: stateSource, chunks: 1, torn: 1,
+			state: stateSource, chunks: 1, torn: 1, fetched: true, reuses: 1,
 			check: func(s Stats) bool { return s.Placements+s.PlacementSkips+s.PlacementErrors+s.PlacementRetries == 0 },
 		},
 		{
@@ -234,20 +261,20 @@ func TestPlacementSettleParity(t *testing.T) {
 					return nil
 				}
 			},
-			state: statePlaced, resident: true, chunks: 5, torn: 1, chunkErrs: 1,
+			state: statePlaced, resident: true, chunks: 5, torn: 1, chunkErrs: 1, fetched: true, reuses: 2,
 			check: func(s Stats) bool { return s.PlacementRetries == 1 && s.Placements == 1 && s.PlacementErrors == 0 },
 		},
 		{
 			name:  "transient, tries exhausted",
 			cfg:   func(c *Config) { c.Health.WriteErrorThreshold = 3 },
 			prime: func(r *settleRig) { r.failFrom(r.mid, storage.ErrInjected) },
-			state: stateUnplaceable, breaker: TierSuspect, chunks: 1, torn: 1, chunkErrs: 2,
+			state: stateUnplaceable, breaker: TierSuspect, chunks: 1, torn: 1, chunkErrs: 2, fetched: true, reuses: 2,
 			check: func(s Stats) bool { return s.PlacementRetries == 1 && s.PlacementErrors == 1 && s.TierTrips == 0 },
 		},
 		{
 			name:  "permanent failure",
 			prime: func(r *settleRig) { r.failFrom(r.mid, permanent) },
-			state: stateUnplaceable, breaker: TierSuspect, chunks: 1, torn: 1, chunkErrs: 1,
+			state: stateUnplaceable, breaker: TierSuspect, chunks: 1, torn: 1, chunkErrs: 1, fetched: true, reuses: 1,
 			check: func(s Stats) bool { return s.PlacementRetries == 0 && s.PlacementErrors == 1 },
 		},
 		{
@@ -256,7 +283,7 @@ func TestPlacementSettleParity(t *testing.T) {
 			name:  "the failure that trips the breaker",
 			cfg:   func(c *Config) { c.Health.WriteErrorThreshold = 1 },
 			prime: func(r *settleRig) { r.tier0.Break() },
-			state: stateUnplaceable, breaker: TierDown,
+			state: stateUnplaceable, breaker: TierDown, fetched: true, reuses: 1,
 			check: func(s Stats) bool {
 				return s.TierTrips == 1 && s.PlacementRetries == 1 && s.PlacementSkips == 1 && s.PlacementErrors == 0
 			},
@@ -277,10 +304,34 @@ func TestPlacementSettleParity(t *testing.T) {
 				if tc.prime != nil {
 					tc.prime(r)
 				}
-				r.pool.drainWith(r.ctx)
-
 				e, _ := r.m.meta.get(settleFile)
+				if lent := e.fetch.Load() != nil; lent != (chunk == 0 && tc.fetched) {
+					t.Errorf("chunk=%d: entry holds a fetch-through buffer before the pool runs: %v", chunk, lent)
+				}
+				// A whole-file try is one copy write, so a later one is a retry's,
+				// behind a settle that dropped the entry's buffer: the retry
+				// reuses the slice its attempt carries.
+				inner := r.ssd.onCopy
+				r.ssd.onCopy = func(n int) error {
+					if chunk == 0 && n > 1 && e.fetch.Load() != nil {
+						t.Errorf("copy write %d, a retry's, ran with the entry's buffer still published", n)
+					}
+					if inner == nil {
+						return nil
+					}
+					return inner(n)
+				}
+				foreground := len(r.spans)
+				r.pool.drainWith(r.ctx)
+				if e.fetch.Load() != nil {
+					t.Errorf("chunk=%d: the entry's buffer outlived settle", chunk)
+				}
+
 				out := settleOutcome{breaker: r.m.TierState(0), stats: r.m.Stats(), vars: r.m.Registry().Vars()}
+				out.srcOps = r.pfs.Counts().DataOps()
+				if data, err := r.ssd.ReadFile(context.Background(), settleFile); err == nil && !bytes.Equal(data, parityContent(settleFile)) {
+					t.Errorf("chunk=%d: tier 0 holds bytes that differ from the source", chunk)
+				}
 				out.state, out.level, _ = e.snapshot()
 				out.ledger = r.m.tenants.usedBytes(JobFromPath(settleFile), 0)
 				out.used = r.ssd.Used()
@@ -293,17 +344,30 @@ func TestPlacementSettleParity(t *testing.T) {
 				}
 				out.writeBytes = out.vars[tier0WriteBytes]
 				delete(out.vars, tier0WriteBytes)
+				out.fetches, out.fetchBytes, out.reuses = out.stats.FetchThroughs, out.stats.FetchThroughBytes, out.stats.FullReadReuses
+				out.stats.FetchThroughs, out.stats.FetchThroughBytes, out.stats.FullReadReuses = 0, 0, 0
+				out.fetchVars = map[string]float64{}
+				for _, k := range fetchOnlyVars {
+					out.fetchVars[k] = out.vars[k]
+					delete(out.vars, k)
+				}
 				for k := range out.vars {
-					if strings.Contains(k, "_seconds_sum") || strings.HasPrefix(k, "monarch_uptime_seconds") {
+					// The source's own op series differ by design: srcOps.
+					if strings.Contains(k, "_seconds_sum") || strings.HasPrefix(k, "monarch_uptime_seconds") ||
+						strings.Contains(k, `backend="lustre"`) {
 						delete(out.vars, k)
 					}
 				}
 				for _, s := range r.spans {
 					if s.Kind != obs.SpanChunkCopy {
+						out.reuseSpan = out.reuseSpan || s.Flags&obs.FlagReuse != 0
 						out.spans = append(out.spans, fmt.Sprintf("%v tier=%d flags=%v bytes=%d attempt=%d err=%q",
-							s.Kind, s.Tier, s.Flags, s.Bytes, s.Attempt, errString(s.Err)))
+							s.Kind, s.Tier, s.Flags&^obs.FlagReuse, s.Bytes, s.Attempt, errString(s.Err)))
 					}
 				}
+				// The foreground's two spans: a fetch-through enqueues inside
+				// the read, a plain first read before it.
+				sort.Strings(out.spans[:foreground])
 				for _, ev := range r.log.Events() {
 					if ev.Kind != EventChunkPlaced {
 						out.events = append(out.events, fmt.Sprintf("%v %s level=%d bytes=%d err=%q",
@@ -376,6 +440,40 @@ func TestPlacementSettleParity(t *testing.T) {
 				if whole.chunkVars[k] != 0 || chunked.chunkVars[k] != want {
 					t.Errorf("%s: whole-file %v, chunked %v; want 0 and %v", k, whole.chunkVars[k], chunked.chunkVars[k], want)
 				}
+			}
+
+			// The fetch-through series: the whole-file side's partial first
+			// read was the file's one fetch, the chunk job never has one, and
+			// only a first read that covered the file is reused by both.
+			var wantFetches, wantBoth int64
+			if tc.fetched {
+				wantFetches = 1
+			}
+			if tc.full {
+				wantBoth = 1
+			}
+			for _, c := range []struct {
+				series         string
+				whole, chunked int64
+				want           [2]int64
+			}{
+				{"monarch_fetch_throughs_total", whole.fetches, chunked.fetches, [2]int64{wantFetches, 0}},
+				{"monarch_fetch_through_bytes_total", whole.fetchBytes, chunked.fetchBytes, [2]int64{wantFetches * settleSize, 0}},
+				{"monarch_full_read_reuses_total", whole.reuses, chunked.reuses, [2]int64{tc.reuses, wantBoth}},
+			} {
+				wv, cv := whole.fetchVars[c.series], chunked.fetchVars[c.series]
+				if [2]int64{c.whole, c.chunked} != c.want || wv != float64(c.want[0]) || cv != float64(c.want[1]) {
+					t.Errorf("%s: whole-file %d (registry %v), chunked %d (registry %v); want %d and %d",
+						c.series, c.whole, wv, c.chunked, cv, c.want[0], c.want[1])
+				}
+			}
+			placedByReuse := tc.resident && tc.reuses > 0
+			if whole.reuseSpan != placedByReuse || chunked.reuseSpan != (tc.resident && tc.full) {
+				t.Errorf("placement span's reuse flag: whole-file %v, chunked %v; want %v and %v",
+					whole.reuseSpan, chunked.reuseSpan, placedByReuse, tc.resident && tc.full)
+			}
+			if whole.srcOps != 1 {
+				t.Errorf("whole-file: the source saw %d data ops; want the first read's one in every row", whole.srcOps)
 			}
 		})
 	}

@@ -521,3 +521,263 @@ func TestViewReadsLentOrCopiedOverOSFS(t *testing.T) {
 		}
 	}
 }
+
+const (
+	scanFile     = "job/shard"
+	scanWindow   = 256 << 10
+	scanResident = "job/resident" // a second, smaller file for a test to fill tier 0 with
+)
+
+// scanContent is a file no two windows of which hold the same bytes, so
+// a read served from the wrong offset cannot pass for the right one.
+func scanContent(size int) []byte {
+	b := make([]byte, size)
+	for j := range b {
+		b[j] = byte(j*131 + (j>>8)*31 + (j>>16)*17)
+	}
+	return b
+}
+
+// scanRig is a [ssd, pfs] stack in the paper's whole-file mode over the
+// file under test: a deterministic pool, every source op counted, every
+// span and event recorded, and the file's bytes kept aside as the oracle.
+type scanRig struct {
+	m      *Monarch
+	pool   *manualPool
+	ssd    *storage.MemFS
+	pfs    *storage.Counting
+	oracle *storage.MemFS
+	log    *EventLog
+	spans  []obs.Span
+}
+
+func newScanRig(t *testing.T, size int, capacity int64, edit func(*Config)) *scanRig {
+	t.Helper()
+	ctx := context.Background()
+	pfs, oracle := storage.NewMemFS("lustre", 0), storage.NewMemFS("oracle", 0)
+	for _, b := range []*storage.MemFS{pfs, oracle} {
+		if err := b.WriteFile(ctx, scanFile, scanContent(size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pfs.WriteFile(ctx, scanResident, make([]byte, 2*scanWindow)); err != nil {
+		t.Fatal(err)
+	}
+	pfs.SetReadOnly(true)
+	r := &scanRig{
+		pool:   &manualPool{},
+		ssd:    storage.NewMemFS("ssd", capacity),
+		pfs:    storage.NewCounting(pfs),
+		oracle: oracle,
+		log:    NewEventLog(256),
+	}
+	cfg := Config{
+		Levels:        []storage.Backend{r.ssd, r.pfs},
+		Pool:          r.pool,
+		FullFileFetch: true,
+		JobOf:         JobFromPath,
+		Events:        r.log,
+		Trace:         func(s obs.Span) { r.spans = append(r.spans, s) },
+	}
+	if edit != nil {
+		edit(&cfg)
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	if err := m.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	r.m = m
+	return r
+}
+
+// read serves [off, off+n) of the file through one sink and holds the
+// answer against the oracle's: same count, same bytes, no error.
+func (r *scanRig) read(t *testing.T, view bool, off, n int64) {
+	t.Helper()
+	ctx := context.Background()
+	want := make([]byte, n)
+	wn, err := r.oracle.ReadAt(ctx, scanFile, want, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	if view {
+		v, err := r.m.ReadView(ctx, scanFile, off, n)
+		if err != nil {
+			t.Fatalf("ReadView(%d, %d): %v", off, n, err)
+		}
+		got = append(got, v.Data...)
+		v.Release()
+	} else {
+		buf := make([]byte, n)
+		gn, err := r.m.ReadAt(ctx, scanFile, buf, off)
+		if err != nil {
+			t.Fatalf("ReadAt(%d, %d): %v", off, n, err)
+		}
+		got = buf[:gn]
+	}
+	if !bytes.Equal(got, want[:wn]) {
+		t.Fatalf("read(%d, %d) through view=%v returned %d bytes that differ from the source's %d", off, n, view, len(got), wn)
+	}
+}
+
+// TestFetchThroughSinkParity is the fetch-through route through both
+// sinks, on twin fixtures: the first partial read of a small file is the
+// file's one source op, every read behind it — in range, across EOF, the
+// whole file — is served from what it fetched, byte for byte what the
+// source holds, and ReadAt and ReadView leave the same Stats, registry,
+// spans and events. Reads that are empty or start at EOF go to the
+// source, as they do past a chunk job.
+func TestFetchThroughSinkParity(t *testing.T) {
+	const size = 1 << 20
+	type outcome struct {
+		stats  Stats
+		views  int64
+		vars   map[string]float64
+		spans  []string
+		events []string
+	}
+	run := func(view bool) outcome {
+		r := newScanRig(t, size, 0, nil)
+		for off := int64(0); off < size; off += scanWindow {
+			r.read(t, view, off, scanWindow)
+		}
+		if ops := r.pfs.Counts().DataOps(); ops != 1 {
+			t.Errorf("view=%v: a %d-read scan cost the source %d data ops, want the first read's one", view, size/scanWindow, ops)
+		}
+		r.read(t, view, size-100, scanWindow) // across EOF
+		r.read(t, view, 5, size+10)           // wider than the file
+		r.read(t, view, 0, size)              // the whole file
+		st := r.m.Stats()
+		if st.FetchThroughs != 1 || st.FetchThroughBytes != size || st.PartialHits != 6 || st.PartialHitBytes != 3*scanWindow+100+size-5+size ||
+			st.ReadsServed[0] != 6 || st.ReadsServed[1] != 1 || st.BytesServed[1] != scanWindow {
+			t.Errorf("view=%v: before the pool ran: %+v", view, st)
+		}
+		r.read(t, view, size, scanWindow) // at EOF: the source answers
+		r.read(t, view, scanWindow, 0)    // empty: the source answers
+		if ops := r.pfs.Counts().DataOps(); ops != 3 {
+			t.Errorf("view=%v: the source saw %d data ops, want 3: the fetch, the read at EOF, the empty read", view, ops)
+		}
+
+		r.pool.drain()
+		e, _ := r.m.meta.get(scanFile)
+		if st, lvl, _ := e.snapshot(); st != statePlaced || lvl != 0 || e.fetch.Load() != nil {
+			t.Errorf("view=%v: entry in state %d on level %d, buffer held: %v; want placed on 0 and dropped", view, st, lvl, e.fetch.Load() != nil)
+		}
+		if data, err := r.ssd.ReadFile(context.Background(), scanFile); err != nil || !bytes.Equal(data, scanContent(size)) {
+			t.Errorf("view=%v: tier 0 does not hold the source's bytes (err=%v)", view, err)
+		}
+		r.read(t, view, scanWindow, scanWindow) // placed: the tier answers
+		if ops := r.pfs.Counts().DataOps(); ops != 3 {
+			t.Errorf("view=%v: the copy or the warm read cost the source an op: %d", view, ops)
+		}
+
+		out := outcome{stats: r.m.Stats(), vars: r.m.Registry().Vars()}
+		out.views = out.stats.ViewsLent + out.stats.ViewsCopied
+		// Lent: the seven served from fetched bytes and the tier's own;
+		// copied: the two the source answered.
+		if view && (out.stats.ViewsLent != 8 || out.stats.ViewsCopied != 2) {
+			t.Errorf("ReadView: %d lent, %d copied; want 8 and 2", out.stats.ViewsLent, out.stats.ViewsCopied)
+		}
+		out.stats.ViewsLent, out.stats.ViewsCopied = 0, 0
+		for k := range out.vars {
+			if strings.Contains(k, "_seconds_sum") || strings.HasPrefix(k, "monarch_uptime_seconds") ||
+				strings.HasPrefix(k, "monarch_view_reads_total") {
+				delete(out.vars, k)
+			}
+		}
+		for _, s := range r.spans {
+			out.spans = append(out.spans, fmt.Sprintf("%v tier=%d off=%d flags=%v bytes=%d err=%q",
+				s.Kind, s.Tier, s.Off, s.Flags, s.Bytes, errString(s.Err)))
+		}
+		for _, ev := range r.log.Events() {
+			out.events = append(out.events, fmt.Sprintf("%v %s level=%d bytes=%d err=%q",
+				ev.Kind, ev.File, ev.Level, ev.Bytes, errString(ev.Err)))
+		}
+		return out
+	}
+	cp, vw := run(false), run(true)
+	if cp.views != 0 || vw.views != 10 {
+		t.Errorf("views lent + copied: ReadAt %d, ReadView %d; want 0 and the 10 served", cp.views, vw.views)
+	}
+	if s := cp.stats; s.Placements != 1 || s.FullReadReuses != 1 || s.FetchThroughs != 1 || s.ReadsServed[0] != 7 || s.ReadsServed[1] != 3 {
+		t.Errorf("ReadAt did not exercise the route: %+v", s)
+	}
+	if !reflect.DeepEqual(cp.stats, vw.stats) {
+		t.Errorf("Stats differ:\n ReadAt   %+v\n ReadView %+v", cp.stats, vw.stats)
+	}
+	for k, v := range cp.vars {
+		if vw.vars[k] != v {
+			t.Errorf("registry %s: ReadAt %v, ReadView %v", k, v, vw.vars[k])
+		}
+	}
+	if !reflect.DeepEqual(cp.spans, vw.spans) {
+		t.Errorf("spans differ:\n ReadAt   %q\n ReadView %q", cp.spans, vw.spans)
+	}
+	if !reflect.DeepEqual(cp.events, vw.events) {
+		t.Errorf("events differ:\n ReadAt   %q\n ReadView %q", cp.events, vw.events)
+	}
+}
+
+// TestFetchThroughRule pins which first misses are fetch-throughs, by
+// what a counted source sees for one sequential scan plus the copy it
+// starts: one data op where the rule picks the file, and the paper's
+// serve-then-copy counts — every read, then the copy's own fetch — for
+// a file above the size rule, a tier without room, a chunked placement,
+// the fetch ablation, and a tier only the eviction policy can make room
+// on.
+func TestFetchThroughRule(t *testing.T) {
+	const mib = 1 << 20
+	for _, tc := range []struct {
+		name     string
+		size     int
+		capacity int64 // tier-0 quota; 0 is unlimited
+		cfg      func(*Config)
+		copyOps  int64 // source data ops the background copy makes
+		fetched  bool
+		placed   bool
+	}{
+		{name: "small file", size: mib, fetched: true, placed: true},
+		{name: "largest the rule takes", size: 4 * mib, fetched: true, placed: true},
+		{name: "one byte above the size rule", size: 4*mib + 1, copyOps: 1, placed: true},
+		{name: "tier without room", size: mib, capacity: mib - 1},
+		{name: "chunked placement", size: mib, cfg: func(c *Config) { c.ChunkSize = scanWindow }, copyOps: 4, placed: true},
+		{name: "fetch ablation", size: mib, cfg: func(c *Config) { c.FullFileFetch = false }},
+		{name: "room is the eviction policy's to make", size: mib, capacity: mib + scanWindow,
+			cfg: func(c *Config) { c.Eviction = NewLRU() }, copyOps: 1, placed: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newScanRig(t, tc.size, tc.capacity, tc.cfg)
+			if r.m.cfg.Eviction != nil {
+				// A resident the policy may evict holds room the file needs.
+				if _, err := r.m.ReadAt(context.Background(), scanResident, make([]byte, 2*scanWindow), 0); err != nil {
+					t.Fatal(err)
+				}
+				r.pool.drain()
+				r.pfs.Reset()
+			}
+			reads := int64(0)
+			for off := int64(0); off < int64(tc.size); off += scanWindow {
+				r.read(t, false, off, scanWindow)
+				reads++
+			}
+			r.pool.drain()
+			want := reads + tc.copyOps
+			if tc.fetched {
+				want = 1
+			}
+			st := r.m.Stats()
+			if ops := r.pfs.Counts().DataOps(); ops != want || (st.FetchThroughs == 1) != tc.fetched {
+				t.Errorf("the source saw %d data ops for %d reads and the copy, %d fetch-throughs; want %d ops, fetched=%v",
+					ops, reads, st.FetchThroughs, want, tc.fetched)
+			}
+			if lvl, _ := r.m.LevelOf(scanFile); (lvl == 0) != tc.placed {
+				t.Errorf("file on level %d; want placed=%v", lvl, tc.placed)
+			}
+		})
+	}
+}

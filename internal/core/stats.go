@@ -29,15 +29,26 @@ type Stats struct {
 	// PlacementErrors counts operational failures during placement.
 	PlacementErrors int64
 	// FullReadReuses counts placements satisfied from content the
-	// framework had already read in full (§III-B).
+	// foreground had already read in full (§III-B): the framework's own
+	// whole-file read, or a fetch-through.
 	FullReadReuses int64
+	// FetchThroughs counts first misses of small files that read the
+	// whole file from the source in place of their range, so that the
+	// placement and the reads behind them needed no source read of their
+	// own; FetchThroughBytes is the whole-file bytes they pulled. Each is
+	// one read in ReadsServed[source], which keeps counting reads that
+	// reached the source backend; the reads served from the fetched bytes
+	// are PartialHits on the tier the copy was bound for.
+	FetchThroughs     int64
+	FetchThroughBytes int64
 	// ChunkPlacements counts individual chunks written by chunked
 	// placements (Config.ChunkSize > 0).
 	ChunkPlacements int64
-	// PartialHits counts foreground reads served from an upper tier
-	// while that file's chunked placement was still in flight —
-	// ranges whose chunks had already landed. PartialHitBytes is the
-	// bytes they amount to.
+	// PartialHits counts foreground reads served while the file's
+	// placement was still in flight: from the upper tier, ranges whose
+	// chunks had already landed, or from a fetch-through's bytes, booked
+	// on the tier the copy was bound for. PartialHitBytes is the bytes
+	// they amount to.
 	PartialHits     int64
 	PartialHitBytes int64
 	// PeerHits counts foreground reads served by the peer cache tier —
@@ -57,8 +68,8 @@ type Stats struct {
 	// Fallbacks counts foreground reads re-served from the PFS after an
 	// upper tier failed.
 	Fallbacks int64
-	// ViewsLent counts ReadViews served as the tier's own bytes;
-	// ViewsCopied those that were copied into scratch instead — the read
+	// ViewsLent counts ReadViews served as the tier's own bytes (or a
+	// fetch-through's); ViewsCopied those copied into scratch — the read
 	// left the local route, the file was registered by Create, or the
 	// backend has no views or refused this one (no mmap on the platform,
 	// a mapping the kernel would not grant). A warm tier running on
@@ -173,6 +184,8 @@ type statsCollector struct {
 	placementSkips  *obs.Counter
 	placementErrors *obs.Counter
 	fullReadReuses  *obs.Counter
+	fetchThroughs   *obs.Counter
+	fetchedBytes    *obs.Counter
 	chunkPlacements *obs.Counter
 	partialHits     *obs.Counter
 	partialHitBytes *obs.Counter
@@ -241,10 +254,14 @@ func (c *statsCollector) init(reg *obs.Registry, levels int) {
 		"Placements aborted by an operational failure.")
 	c.fullReadReuses = reg.Counter("monarch_full_read_reuses_total",
 		"Placements satisfied from content the framework had already read in full.")
+	c.fetchThroughs = reg.Counter("monarch_fetch_throughs_total",
+		"First misses that read the whole file from the source and lent it to the placement.")
+	c.fetchedBytes = reg.Counter("monarch_fetch_through_bytes_total",
+		"Whole-file bytes pulled from the source by fetch-through first misses.")
 	c.chunkPlacements = reg.Counter("monarch_chunk_placements_total",
 		"Individual chunks written by chunked placements.")
 	c.partialHits = reg.Counter("monarch_partial_hits_total",
-		"Reads served from an upper tier while the file's chunked placement was in flight.")
+		"Reads served from landed chunks or fetched-through bytes while the file's placement was in flight.")
 	c.partialHitBytes = reg.Counter("monarch_partial_hit_bytes_total",
 		"Bytes served by partial (mid-copy) hits.")
 	c.peerHits = reg.Counter("monarch_peer_hits_total",
@@ -386,42 +403,44 @@ func (c *statsCollector) hitRatio() float64 {
 
 func (c *statsCollector) snapshot(inFlight int) Stats {
 	s := Stats{
-		ReadsServed:      make([]int64, len(c.readsServed)),
-		BytesServed:      make([]int64, len(c.bytesServed)),
-		Placements:       c.placements.Value(),
-		PlacedBytes:      c.placedBytes.Value(),
-		PlacementSkips:   c.placementSkips.Value(),
-		PlacementErrors:  c.placementErrors.Value(),
-		FullReadReuses:   c.fullReadReuses.Value(),
-		ChunkPlacements:  c.chunkPlacements.Value(),
-		PartialHits:      c.partialHits.Value(),
-		PartialHitBytes:  c.partialHitBytes.Value(),
-		PeerHits:         c.peerHits.Value(),
-		PeerHitBytes:     c.peerHitBytes.Value(),
-		PeerMisses:       c.peerMisses.Value(),
-		PeerHedges:       c.peerHedges.Value(),
-		Fallbacks:        c.fallbacks.Value(),
-		ViewsLent:        c.viewsLent.Value(),
-		ViewsCopied:      c.viewsCopied.Value(),
-		Evictions:        c.evictions.Value(),
-		EvictionRaces:    c.evictionRaces.Value(),
-		Promotions:       c.promotions.Value(),
-		Demotions:        c.demotions.Value(),
-		PlacementRetries: c.retries.Value(),
-		TierTrips:        c.tierTrips.Value(),
-		TierRecoveries:   c.tierRecoveries.Value(),
-		Probes:           c.probes.Value(),
-		Creates:          c.creates.Value(),
-		Writes:           c.writes.Value(),
-		WriteBacks:       c.writeBacks.Value(),
-		WrittenBytes:     c.writtenBytesFg.Value(),
-		Flushes:          c.flushes.Value(),
-		FlushedBytes:     c.flushedBytes.Value(),
-		WriteStalls:      c.writeStalls.Value(),
-		Removes:          c.removes.Value(),
-		RecoveredFiles:   c.recoveredFiles.Value(),
-		PlacementPauses:  c.placementPauses.Value(),
-		InFlight:         inFlight,
+		ReadsServed:       make([]int64, len(c.readsServed)),
+		BytesServed:       make([]int64, len(c.bytesServed)),
+		Placements:        c.placements.Value(),
+		PlacedBytes:       c.placedBytes.Value(),
+		PlacementSkips:    c.placementSkips.Value(),
+		PlacementErrors:   c.placementErrors.Value(),
+		FullReadReuses:    c.fullReadReuses.Value(),
+		FetchThroughs:     c.fetchThroughs.Value(),
+		FetchThroughBytes: c.fetchedBytes.Value(),
+		ChunkPlacements:   c.chunkPlacements.Value(),
+		PartialHits:       c.partialHits.Value(),
+		PartialHitBytes:   c.partialHitBytes.Value(),
+		PeerHits:          c.peerHits.Value(),
+		PeerHitBytes:      c.peerHitBytes.Value(),
+		PeerMisses:        c.peerMisses.Value(),
+		PeerHedges:        c.peerHedges.Value(),
+		Fallbacks:         c.fallbacks.Value(),
+		ViewsLent:         c.viewsLent.Value(),
+		ViewsCopied:       c.viewsCopied.Value(),
+		Evictions:         c.evictions.Value(),
+		EvictionRaces:     c.evictionRaces.Value(),
+		Promotions:        c.promotions.Value(),
+		Demotions:         c.demotions.Value(),
+		PlacementRetries:  c.retries.Value(),
+		TierTrips:         c.tierTrips.Value(),
+		TierRecoveries:    c.tierRecoveries.Value(),
+		Probes:            c.probes.Value(),
+		Creates:           c.creates.Value(),
+		Writes:            c.writes.Value(),
+		WriteBacks:        c.writeBacks.Value(),
+		WrittenBytes:      c.writtenBytesFg.Value(),
+		Flushes:           c.flushes.Value(),
+		FlushedBytes:      c.flushedBytes.Value(),
+		WriteStalls:       c.writeStalls.Value(),
+		Removes:           c.removes.Value(),
+		RecoveredFiles:    c.recoveredFiles.Value(),
+		PlacementPauses:   c.placementPauses.Value(),
+		InFlight:          inFlight,
 	}
 	for i := range c.readsServed {
 		s.ReadsServed[i] = c.readsServed[i].Value()

@@ -31,15 +31,49 @@ func readAll(t *testing.T, f *fixture, nfiles, fileSize, epochs int) {
 // fileName mirrors newFixture's naming.
 func fileName(i int) string { return fmt.Sprintf("f%03d", i) }
 
+// TestTraceCaptureRoundTrip captures two epochs read whole-file at a
+// time (the first read is reused by the copy) and in quarter-file
+// sequential reads (the first read is a fetch-through: one source-level
+// read event, three tier-0 reads behind it, a reuse placement),
+// and checks the trace against Stats and the trailer — and that the
+// source ops an analyzer derives from such a trace, one per source-level
+// read plus one per placement that was not a reuse, are the ops the
+// counted source measured.
 func TestTraceCaptureRoundTrip(t *testing.T) {
+	t.Run("whole-file reads", func(t *testing.T) { traceRoundTrip(t, 1) })
+	t.Run("fetch-through", func(t *testing.T) { traceRoundTrip(t, 4) })
+}
+
+func traceRoundTrip(t *testing.T, readsPerFile int) {
 	const nfiles, fileSize, epochs = 6, 4096, 2
 	path := filepath.Join(t.TempDir(), "core.jsonl")
 	f := newFixture(t, 0, nfiles, fileSize, func(c *Config) {
 		c.TracePath = path
 	})
-	readAll(t, f, nfiles, fileSize, epochs)
+	ctx := context.Background()
+	buf := make([]byte, fileSize/readsPerFile)
+	for e := 1; e <= epochs; e++ {
+		for i := 0; i < nfiles; i++ {
+			for off := 0; off < fileSize; off += len(buf) {
+				if _, err := f.m.ReadAt(ctx, fileName(i), buf, int64(off)); err != nil {
+					t.Fatalf("read %s at %d: %v", fileName(i), off, err)
+				}
+			}
+		}
+		f.waitIdle(t)
+		f.m.MarkEpoch(e)
+	}
 	stats := f.m.Stats()
 	f.m.Close()
+	// Whether a read behind the first finds the copy in flight (a mid-copy
+	// hit) or landed (a local one) is the pool's race; both are tier 0's.
+	if readsPerFile > 1 && (stats.FetchThroughs != nfiles || stats.ReadsServed[1] != nfiles) {
+		t.Fatalf("%d fetch-throughs, %d reads at the source; want every file's first read and no other (%d)",
+			stats.FetchThroughs, stats.ReadsServed[1], nfiles)
+	}
+	if ops, derived := f.pfs.Counts().DataOps(), stats.ReadsServed[1]+stats.Placements-stats.FullReadReuses; ops != derived || ops != nfiles {
+		t.Fatalf("the source measured %d data ops, the counters derive %d; want one per file (%d)", ops, derived, nfiles)
+	}
 
 	tr, err := trace.ReadFile(path)
 	if err != nil {

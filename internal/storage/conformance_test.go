@@ -246,3 +246,47 @@ func TestOSFSLeavesOutStaleTempFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestOSFSStaleProbeLeavesLedgerExact is the temp-name rule's other
+// half: a probe file a killed process left behind is not counted at
+// open, so the next probe — a one-byte WriteFile over it, then a Remove
+// — must not take its size off the ledger. Used() is the data files'
+// bytes before, during and after, and never negative.
+func TestOSFSStaleProbeLeavesLedgerExact(t *testing.T) {
+	ctx := context.Background()
+	const probe = storage.TempPrefix + "probe"
+	for _, shard := range []int{0, 10} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, probe), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if shard > 0 {
+			if err := os.WriteFile(filepath.Join(dir, "shard"), make([]byte, shard), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o, err := storage.NewOSFS("ssd", dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.CloseIdle()
+		want := int64(shard)
+		check := func(when string) {
+			t.Helper()
+			if got := o.Used(); got != want {
+				t.Fatalf("%s: Used() = %d, want the data files' %d", when, got, want)
+			}
+		}
+		check("at open")
+		for round := 0; round < 2; round++ { // over the stale file, then over none
+			if err := o.WriteFile(ctx, probe, []byte{0}); err != nil {
+				t.Fatal(err)
+			}
+			check("probe written")
+			if err := o.Remove(ctx, probe); err != nil {
+				t.Fatal(err)
+			}
+			check("probe removed")
+		}
+	}
+}

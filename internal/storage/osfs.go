@@ -75,9 +75,12 @@ func (c *cachedFD) Release() {
 // TempPrefix is scratch — the temp file a WriteFile or Allocate renames
 // into place, a recovery probe's file — and List does not report it, so
 // one a SIGKILL left behind is neither a dataset file nor quota in use.
-// Nothing unlinks such a file on open: another process's OSFS may be
-// writing this directory (monarch-serve's plain mode serves one), and
-// its live temp file is not stale. Dataset files cannot use the prefix.
+// Writing or removing such a name through the backend charges and frees
+// nothing either, so a probe that overwrites and removes a stale probe
+// file leaves Used() where it was. Nothing unlinks such a file on open:
+// another process's OSFS may be writing this directory (monarch-serve's
+// plain mode serves one), and its live temp file is not stale. Dataset
+// files cannot use the prefix.
 type OSFS struct {
 	name     string
 	root     string
@@ -136,6 +139,11 @@ func (o *OSFS) path(name string) (string, error) {
 		return "", err
 	}
 	return filepath.Join(o.root, filepath.FromSlash(name)), nil
+}
+
+// scratch reports whether name falls under the temp-name rule.
+func scratch(name string) bool {
+	return strings.HasPrefix(name[strings.LastIndexByte(name, '/')+1:], TempPrefix)
 }
 
 // List implements Backend by walking the root recursively, leaving out
@@ -356,6 +364,9 @@ func (o *OSFS) replace(name, verb string, size int64, fill func(*os.File) error)
 	if fi, err := os.Stat(path); err == nil {
 		old = fi.Size()
 	}
+	if scratch(name) {
+		old, size = 0, 0 // never quota in use, whoever wrote what it replaces
+	}
 	newUsed := o.used - old + size
 	if o.capacity > 0 && newUsed > o.capacity {
 		free := o.capacity - o.used
@@ -453,8 +464,10 @@ func (o *OSFS) Remove(ctx context.Context, name string) error {
 		return err
 	}
 	o.invalidate(name)
-	o.mu.Lock()
-	o.used -= fi.Size()
-	o.mu.Unlock()
+	if !scratch(name) {
+		o.mu.Lock()
+		o.used -= fi.Size()
+		o.mu.Unlock()
+	}
 	return nil
 }

@@ -2,9 +2,16 @@ package replay
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"monarch/internal/core"
+	"monarch/internal/pool"
+	"monarch/internal/storage"
 	"monarch/internal/trace"
 )
 
@@ -146,5 +153,78 @@ func TestLiveReplayRebuildsStack(t *testing.T) {
 	rep.RenderText(&buf, consistent())
 	if !strings.Contains(buf.String(), "live") {
 		t.Fatalf("render:\n%s", buf.String())
+	}
+}
+
+// TestFaithfulReplaysFetchThroughCapture captures a real stack whose
+// every first miss is a fetch-through — quarter-file sequential reads of
+// small files in whole-file mode — with the source's measured data ops
+// in the trailer, and replays it faithfully: the one source-level read
+// event a fetch-through records stands for its one whole-file source op,
+// its placement is a reuse, and the reads served from the fetched bytes
+// are tier-0 partial hits, so every counter, pfs_data_ops included,
+// round-trips with no mismatch.
+func TestFaithfulReplaysFetchThroughCapture(t *testing.T) {
+	const nfiles, fileSize, window = 5, 4096, 1024
+	ctx := context.Background()
+	raw := storage.NewMemFS("lustre", 0)
+	for i := 0; i < nfiles; i++ {
+		if err := raw.WriteFile(ctx, fmt.Sprintf("f%d", i), bytes.Repeat([]byte{byte(i + 1)}, fileSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw.SetReadOnly(true)
+	pfs := storage.NewCounting(raw)
+	path := filepath.Join(t.TempDir(), "fetch.jsonl")
+	m, err := core.New(core.Config{
+		Levels:        []storage.Backend{storage.NewMemFS("ssd", 0), pfs},
+		Pool:          pool.NewGoPool(2),
+		FullFileFetch: true,
+		TracePath:     path,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, window)
+	for epoch := 1; epoch <= 2; epoch++ {
+		for i := 0; i < nfiles; i++ {
+			for off := int64(0); off < fileSize; off += window {
+				if _, err := m.ReadAt(ctx, fmt.Sprintf("f%d", i), buf, off); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); !m.Idle(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("placements did not quiesce")
+			}
+		}
+		m.MarkEpoch(epoch)
+	}
+	st, ops := m.Stats(), pfs.Counts().DataOps()
+	if st.FetchThroughs != nfiles || ops != nfiles {
+		t.Fatalf("%d fetch-throughs, %d source data ops; want %d of each", st.FetchThroughs, ops, nfiles)
+	}
+	m.Tracer().AddSummary(map[string]int64{"pfs_data_ops": ops})
+	m.Close()
+
+	tr, err := trace.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(tr, Options{Mode: Faithful})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Mismatches) != 0 {
+		t.Fatalf("replay diverged from the capture: %v", rep.Mismatches)
+	}
+	if rep.PFSOps != ops || rep.Placements != nfiles || rep.ReadsServed[1] != nfiles || rep.PartialHits != st.PartialHits {
+		t.Fatalf("replay: %d PFS ops, %d placements, %d source reads, %d partial hits; the run measured %d, %d, %d, %d",
+			rep.PFSOps, rep.Placements, rep.ReadsServed[1], rep.PartialHits, ops, st.Placements, st.ReadsServed[1], st.PartialHits)
 	}
 }
