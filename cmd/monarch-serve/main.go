@@ -639,10 +639,10 @@ func crashName(i int) string { return fmt.Sprintf("ckpt/shard-%d", i) }
 // ACK the child got before the kill landed.
 func crashPattern(i int, k int64) byte { return byte((i*53+int(k)*17)%251 + 1) }
 
-// slowFlushFS delays whole-file writes — the flusher's landing op — so
-// a SIGKILLed burst reliably dies with acked-but-unflushed bytes,
-// forcing the reopen to actually replay the WAL instead of finding an
-// already-clean PFS.
+// slowFlushFS delays the flusher's landing ops — WriteAt for dirty
+// ranges, WriteFile for a whole-file claim — so a SIGKILLed burst
+// reliably dies with acked-but-unflushed bytes, forcing the reopen to
+// actually replay the WAL instead of finding an already-clean PFS.
 type slowFlushFS struct {
 	monarch.Backend
 	delay time.Duration
@@ -653,9 +653,7 @@ func (s *slowFlushFS) WriteFile(ctx context.Context, name string, data []byte) e
 	return s.Backend.WriteFile(ctx, name, data)
 }
 
-// Allocate and WriteAt forward undelayed: the wrapper must keep the
-// RangeWriter surface the write path requires of the source level, but
-// only the flusher's whole-file landing op needs slowing.
+// Allocate forwards undelayed: it lands no bytes.
 func (s *slowFlushFS) Allocate(ctx context.Context, name string, size int64) error {
 	rw, ok := s.Backend.(monarch.RangeWriter)
 	if !ok {
@@ -669,6 +667,7 @@ func (s *slowFlushFS) WriteAt(ctx context.Context, name string, p []byte, off in
 	if !ok {
 		return 0, errors.ErrUnsupported
 	}
+	time.Sleep(s.delay)
 	return rw.WriteAt(ctx, name, p, off)
 }
 

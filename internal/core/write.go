@@ -1,16 +1,19 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
 	"sync"
 	"sync/atomic"
 
+	"monarch/internal/bufpool"
 	"monarch/internal/journal"
 	"monarch/internal/obs"
 	"monarch/internal/storage"
@@ -79,6 +82,9 @@ const (
 	// (the gate also holds while dirty bytes remain). It doubles as the
 	// flusher's back-off after a refused flush.
 	burstIdle = 100 * time.Millisecond
+	// flushRefusals is how many flushes of one file the PFS may refuse in
+	// a row before Flush and Close report its error instead of waiting.
+	flushRefusals = 3
 )
 
 // ErrWritesDisabled is returned by the write API without Config.Write.
@@ -125,10 +131,10 @@ const (
 	// writeDirty: tier 0 holds acked bytes the PFS lacks and no flusher
 	// owns the file; claimDirty moves it on.
 	writeDirty
-	// writeFlushing: one flusher worker is pushing the file to the PFS.
-	// Writers keep landing bytes meanwhile; Remove waits the flush out,
-	// or its PFS remove could run before the flusher's WriteFile and
-	// leave the removed file behind.
+	// writeFlushing: one flusher worker is pushing the file's claimed
+	// ranges to the PFS. Writers keep landing bytes meanwhile; Remove
+	// waits the flush out, or its PFS remove could run before the
+	// flusher's write and leave the removed file behind.
 	writeFlushing
 	// writeRemoving: a Remove owns the file. claimDirty skips it, a write
 	// that raced the Remove is refused at its ack, and the name stays
@@ -154,7 +160,14 @@ type writeFile struct {
 	// Guarded by writeState.mu.
 	state   durabilityState
 	dirty   int64  // tier-0-acked bytes not yet flushed; moved only by book
+	ranges  spans  // where they are; a claim takes the list, a refusal merges it back
 	lastSeq uint64 // journal seq of the newest acked data record
+	refused int    // flushes the PFS refused in a row
+	err     error  // the last refusal; nil after a flush that landed
+
+	// onPFS: the PFS holds the file, so ranges can land in it. Only the
+	// flusher that has the file in writeFlushing looks or sets.
+	onPFS bool
 }
 
 // writeState is the write subsystem: the writable-file table, the
@@ -321,11 +334,11 @@ func (ws *writeState) pauseForBurst(ctx context.Context) {
 	}
 }
 
-// ack books a landed write-back write: n of the reserved bytes became
-// f's dirty bytes, the rest of the reservation (a short write, or all
-// of it when err stopped the write) goes back. A file a Remove took
-// meanwhile refuses the ack — its ledger share is already void.
-func (ws *writeState) ack(f *writeFile, reserved, n int64, seq uint64, err error) error {
+// ack books a landed write-back write: n of the reserved bytes, at off,
+// became f's dirty bytes, the rest of the reservation (a short write,
+// or all of it when err stopped the write) goes back. A file a Remove
+// took meanwhile refuses the ack — its ledger share is already void.
+func (ws *writeState) ack(f *writeFile, reserved, off, n int64, seq uint64, err error) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	if err == nil && f.state == writeRemoving {
@@ -336,6 +349,9 @@ func (ws *writeState) ack(f *writeFile, reserved, n int64, seq uint64, err error
 		return err
 	}
 	ws.book(f, n, n-reserved)
+	if n > 0 {
+		f.ranges = f.ranges.add(off, off+n)
+	}
 	if seq > f.lastSeq {
 		f.lastSeq = seq
 	}
@@ -391,11 +407,11 @@ func (ws *writeState) flushLoop() {
 		case <-ws.kick:
 		}
 		for {
-			f, snap, covered := ws.claimDirty()
+			f, snap, ranges, covered := ws.claimDirty()
 			if f == nil {
 				break
 			}
-			if err := ws.flush(ctx, f, snap, covered); err != nil {
+			if err := ws.flush(ctx, f, snap, ranges, covered); err != nil {
 				// The PFS refused the flush. The bytes stay dirty (and
 				// journaled), so nothing is lost; back off before the
 				// next attempt rather than hot-looping on a dead PFS.
@@ -411,64 +427,136 @@ func (ws *writeState) flushLoop() {
 }
 
 // claimDirty moves any dirty file to flushing for the calling worker
-// and returns it with what the flush will cover: its dirty bytes and
-// newest journal seq as of now.
-func (ws *writeState) claimDirty() (f *writeFile, snap int64, covered uint64) {
+// and returns what the flush will cover: its dirty bytes, the ranges
+// they lie in and its newest journal seq as of now.
+func (ws *writeState) claimDirty() (f *writeFile, snap int64, ranges spans, covered uint64) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	for _, f := range ws.files {
 		if f.state == writeDirty {
+			ranges, f.ranges = f.ranges, nil
 			f.state = writeFlushing
-			return f, f.dirty, f.lastSeq
+			return f, f.dirty, ranges, f.lastSeq
 		}
 	}
-	return nil, 0, 0
+	return nil, 0, nil, 0
 }
 
-// flush pushes f's current tier-0 content to the PFS and hands the
-// file back: the snap bytes it was claimed with leave the ledger (none
-// after a refused flush) and it settles to clean, or to dirty when
-// writers landed more mid-flush — then it is simply claimed again.
-func (ws *writeState) flush(ctx context.Context, f *writeFile, snap int64, covered uint64) error {
+// push lands the claimed ranges of f's tier-0 content on the PFS in
+// pieces no larger than a pooled buffer and reports the bytes that
+// crossed. The first push allocates the file there — unless the claim
+// is the whole file, which is one WriteFile and no Allocate.
+func (ws *writeState) push(ctx context.Context, f *writeFile, ranges spans) (pushed int64, _ error) {
+	tier0, src := ws.m.levels[0].backend, ws.m.source.backend
+	rw := src.(storage.RangeWriter) // New checked
+	piece := int64(bufpool.MaxPooled)
+	whole := !f.onPFS && len(ranges) == 1 && ranges[0] == span{0, f.size}
+	if whole {
+		piece = f.size
+	} else if !f.onPFS {
+		if err := rw.Allocate(ctx, f.name, f.size); err != nil {
+			return 0, err
+		}
+		f.onPFS = true // a second Allocate would wipe what landed since
+	}
+	var longest int64
+	for _, r := range ranges {
+		longest = max(longest, r.end-r.off)
+	}
+	buf := bufpool.Get(int(min(longest, piece)))
+	defer bufpool.Put(buf)
+	for _, r := range ranges {
+		for off := r.off; off < r.end; off += int64(len(buf)) {
+			// Tier 0 as of the claim's seq is fully visible here: writers
+			// publish lastSeq only after their tier-0 write returns.
+			p := buf[:min(int64(len(buf)), r.end-off)]
+			n, err := tier0.ReadAt(ctx, f.name, p, off)
+			switch {
+			case err != nil:
+			case n < len(p):
+				err = io.ErrUnexpectedEOF
+			case whole:
+				err = src.WriteFile(ctx, f.name, p)
+			default:
+				if n, err = rw.WriteAt(ctx, f.name, p, off); err == nil && n < len(p) {
+					err = io.ErrShortWrite // a refusal, not a smaller success
+				}
+			}
+			if err != nil {
+				return pushed, err
+			}
+			pushed += int64(len(p))
+		}
+	}
+	f.onPFS = true
+	return pushed, nil
+}
+
+// flush pushes f's claimed ranges to the PFS and hands the file back:
+// the snap bytes it was claimed with leave the ledger and it settles to
+// clean, or to dirty when writers landed more mid-flush — then it is
+// simply claimed again. A refused flush releases nothing: the ranges
+// merge back into the file's and every byte stays dirty.
+func (ws *writeState) flush(ctx context.Context, f *writeFile, snap int64, ranges spans, covered uint64) error {
 	m := ws.m
 	start := time.Now()
-	// The tier-0 content as of `covered` is fully visible here: writers
-	// update lastSeq only after their tier-0 write returns.
-	data, err := m.levels[0].backend.ReadFile(ctx, f.name)
-	if err == nil {
-		err = m.source.backend.WriteFile(ctx, f.name, data)
-	}
+	pushed, err := ws.push(ctx, f, ranges)
 	dur := time.Since(start)
+	// Accounted before the ledger moves, so the Flush it wakes returns to
+	// counters that already say what happened.
 	if err != nil {
-		snap = 0
+		m.opError(stageFlush, f.name, m.source.level, err)
 	} else {
 		// Best-effort: without the record a crash replays bytes the PFS
 		// already has.
 		_, _ = ws.log(journal.Record{Kind: recFlush, Name: f.name, Off: covered})
-	}
-	ws.mu.Lock()
-	ws.book(f, -snap, -snap)
-	f.state = writeClean
-	if f.dirty > 0 {
-		f.state = writeDirty
-	}
-	ws.mu.Unlock()
-	if err != nil {
-		m.opError(stageFlush, f.name, m.source.level, err)
-	} else {
 		m.stats.flushes.Inc()
 		m.stats.flushedBytes.Add(snap)
 		m.inst.flushLatency.Observe(dur.Seconds())
 		m.event(Event{Kind: EventFlushed, File: f.name, Level: m.source.level, Bytes: snap})
 	}
-	m.span(obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: int64(len(data)), Err: err, Duration: dur})
+	m.span(obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: pushed, Err: err, Duration: dur})
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if f.err = err; err == nil {
+		f.refused = 0
+	} else {
+		f.refused++
+		snap = 0
+		for _, r := range ranges {
+			f.ranges = f.ranges.add(r.off, r.end)
+		}
+	}
+	ws.book(f, -snap, -snap)
+	f.state = writeClean
+	if f.dirty > 0 {
+		f.state = writeDirty
+	}
 	return err
 }
 
-// drain blocks until the dirty backlog is empty or ctx ends. Used by
-// Close and Monarch.Flush("").
-func (ws *writeState) drain(ctx context.Context) error {
-	return ws.await(ctx, func() bool { return ws.dirty == 0 })
+// flushed blocks until f — nil: every file — has no dirty bytes or ctx
+// ends. Once the PFS has refused flushRefusals flushes of such a file
+// in a row its error comes back instead; the bytes stay dirty (and
+// journaled) and the flusher keeps trying. Used by Flush and Close.
+func (ws *writeState) flushed(ctx context.Context, f *writeFile) error {
+	var stuck error
+	check := func(f *writeFile) {
+		if f.dirty > 0 && f.refused >= flushRefusals {
+			stuck = fmt.Errorf("monarch: flush %q refused %d times: %w", f.name, f.refused, f.err)
+		}
+	}
+	err := ws.await(ctx, func() bool {
+		if f != nil {
+			check(f)
+			return f.dirty == 0 || stuck != nil
+		}
+		for _, f := range ws.files {
+			check(f)
+		}
+		return ws.dirty == 0 || stuck != nil
+	})
+	return cmp.Or(err, stuck)
 }
 
 // close drains the dirty backlog, persists the heat snapshot, and
@@ -482,7 +570,7 @@ func (ws *writeState) close(graceful bool) {
 	}
 	if graceful {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		_ = ws.drain(ctx)
+		_ = ws.flushed(ctx, nil)
 		cancel()
 	}
 	close(ws.quit)
@@ -639,7 +727,10 @@ func (ws *writeState) recover(ctx context.Context, pending map[string]*pendingWr
 		if err != nil && !missing {
 			return fmt.Errorf("monarch: recover stat %q: %w", name, err)
 		}
-		if rw == nil && (missing || len(p.recs) > 0) {
+		if !missing && len(p.recs) == 0 {
+			continue // every record was covered by a flush: nothing to recover
+		}
+		if rw == nil {
 			return fmt.Errorf("monarch: recover %q: source lacks range writes", name)
 		}
 		if missing {
@@ -649,7 +740,11 @@ func (ws *writeState) recover(ctx context.Context, pending map[string]*pendingWr
 		}
 		sort.Slice(p.recs, func(i, j int) bool { return p.recs[i].Seq < p.recs[j].Seq })
 		for _, rec := range p.recs {
-			if _, err := rw.WriteAt(ctx, name, rec.Data, int64(rec.Off)); err != nil {
+			n, err := rw.WriteAt(ctx, name, rec.Data, int64(rec.Off))
+			if err == nil && n < len(rec.Data) {
+				err = io.ErrShortWrite
+			}
+			if err != nil {
 				return fmt.Errorf("monarch: recover write %q: %w", name, err)
 			}
 		}
@@ -788,7 +883,7 @@ func (ws *writeState) writeBack(ctx context.Context, f *writeFile, p []byte, off
 	if err == nil {
 		n, err = ws.m.levels[0].backend.(storage.RangeWriter).WriteAt(ctx, f.name, p, off)
 	}
-	err = ws.ack(f, reserved, int64(n), seq, err)
+	err = ws.ack(f, reserved, off, int64(n), seq, err)
 	f.wmu.Unlock()
 	if err == nil {
 		ws.nudge()
@@ -804,14 +899,11 @@ func (m *Monarch) Flush(ctx context.Context, name string) error {
 	if ws == nil {
 		return ErrWritesDisabled
 	}
-	if name == "" {
-		return ws.drain(ctx)
-	}
 	f := ws.file(name)
-	if f == nil {
+	if f == nil && name != "" {
 		return fmt.Errorf("%w: %q", ErrNotWritable, name)
 	}
-	return ws.await(ctx, func() bool { return f.dirty == 0 })
+	return ws.flushed(ctx, f)
 }
 
 // notExistOK is err, or nil when err only says the name was not there.

@@ -233,16 +233,18 @@ func TestRemoveWritableFile(t *testing.T) {
 	}
 }
 
-// gatedBackend wraps a PFS so tests can control flush fate: WriteFile
-// blocks until release() (pinning dirty bytes deterministically) or
-// fails outright after breakPFS() (the crash-test shape: acked bytes
-// must survive on the journal alone, never reaching the PFS).
+// gatedBackend wraps a PFS so tests can control flush fate: every op
+// the flusher lands bytes with — WriteFile for a whole-file claim,
+// Allocate and WriteAt for ranges — blocks until release() (pinning
+// dirty bytes deterministically) or fails outright after breakPFS()
+// (the crash-test shape: acked bytes must survive on the journal alone,
+// never reaching the PFS).
 type gatedBackend struct {
 	storage.Backend
 	gate    chan struct{}
 	fail    chan struct{}
-	blocked chan struct{} // closed once the first WriteFile is waiting
-	landed  chan struct{} // closed once the first WriteFile has returned
+	blocked chan struct{} // closed once the first write op is waiting
+	landed  chan struct{} // closed once the first write op has returned
 	once    sync.Once
 	done    sync.Once
 }
@@ -257,29 +259,47 @@ func newGatedBackend(b storage.Backend) *gatedBackend {
 	}
 }
 
-func (g *gatedBackend) WriteFile(ctx context.Context, name string, data []byte) error {
+var errGated = errors.New("gated: PFS unavailable")
+
+// pass parks the calling write op at the gate, or refuses it.
+func (g *gatedBackend) pass() error {
 	g.once.Do(func() { close(g.blocked) })
-	defer g.done.Do(func() { close(g.landed) })
 	select {
 	case <-g.gate:
+		return nil
 	case <-g.fail:
-		return errors.New("gated: PFS unavailable")
+		return errGated
+	}
+}
+
+func (g *gatedBackend) returned() { g.done.Do(func() { close(g.landed) }) }
+
+func (g *gatedBackend) WriteFile(ctx context.Context, name string, data []byte) error {
+	defer g.returned()
+	if err := g.pass(); err != nil {
+		return err
 	}
 	return g.Backend.WriteFile(ctx, name, data)
 }
 
-func (g *gatedBackend) release()  { close(g.gate) }
-func (g *gatedBackend) breakPFS() { close(g.fail) }
-
-// Allocate/WriteAt pass through so the wrapper still satisfies
-// storage.RangeWriter (recovery and write-through need it).
 func (g *gatedBackend) Allocate(ctx context.Context, name string, size int64) error {
+	defer g.returned()
+	if err := g.pass(); err != nil {
+		return err
+	}
 	return g.Backend.(storage.RangeWriter).Allocate(ctx, name, size)
 }
 
 func (g *gatedBackend) WriteAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
+	defer g.returned()
+	if err := g.pass(); err != nil {
+		return 0, err
+	}
 	return g.Backend.(storage.RangeWriter).WriteAt(ctx, name, p, off)
 }
+
+func (g *gatedBackend) release()  { close(g.gate) }
+func (g *gatedBackend) breakPFS() { close(g.fail) }
 
 func TestDirtyBudgetStallsWriters(t *testing.T) {
 	ctx := context.Background()
@@ -742,6 +762,9 @@ type journalOp struct {
 // produces. The journal is then additionally truncated at every
 // record boundary, asserting replay applies exactly the surviving
 // prefix — no acked-write loss before the cut, no torn state after.
+// A second crash run dies mid-flush instead: the PFS holds the
+// allocated file and the first of two claimed ranges, the journal no
+// flush record, and replay lands both ranges again.
 func TestJournalRecovery(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -756,9 +779,9 @@ func TestJournalRecovery(t *testing.T) {
 		{name: "ckpt/s1", off: 300, data: bytes.Repeat([]byte{0xB3}, 212)},
 		{name: "ckpt/s0", off: 512, data: bytes.Repeat([]byte{0xA4}, 100)}, // overwrite mid-file
 	}
-	applyRef := func(ref *storage.MemFS, n int) {
+	applyRef := func(ref *storage.MemFS, ops []journalOp) {
 		t.Helper()
-		for _, o := range ops[:n] {
+		for _, o := range ops {
 			if o.alloc {
 				if err := ref.Allocate(ctx, o.name, o.size); err != nil {
 					t.Fatal(err)
@@ -772,7 +795,7 @@ func TestJournalRecovery(t *testing.T) {
 	}
 	// Reference: the same ops written straight through to a bare PFS.
 	ref := storage.NewMemFS("ref", 0)
-	applyRef(ref, len(ops))
+	applyRef(ref, ops)
 	want := map[string][]byte{}
 	for _, name := range []string{"ckpt/s0", "ckpt/s1"} {
 		data, err := ref.ReadFile(ctx, name)
@@ -857,6 +880,29 @@ func TestJournalRecovery(t *testing.T) {
 	}
 	m2.Close()
 
+	// Crash mid-flush: Shutdown after the first of two range writes
+	// landed and before any flush record.
+	pfs = seed()
+	latched := latchedPFS{storage.NewFaulty(pfs)}
+	m3 := build(latched)
+	dieMidFlush(t, m3, latched)
+	m3.Shutdown()
+	half, err := pfs.ReadFile(ctx, twoRangeFile)
+	if err != nil || !bytes.Equal(half[:1000], twoRangeOps[1].data) || bytes.Equal(half[3000:4000], twoRangeOps[2].data) {
+		t.Fatalf("want the PFS to hold the first range and not the second at the crash: %v", err)
+	}
+	m4 := build(pfs)
+	ref = storage.NewMemFS("ref", 0)
+	applyRef(ref, twoRangeOps)
+	wantTwo, _ := ref.ReadFile(ctx, twoRangeFile)
+	if got, err := pfs.ReadFile(ctx, twoRangeFile); err != nil || !bytes.Equal(got, wantTwo) {
+		t.Fatalf("recovery after a mid-flush crash differs from the write-through reference: %v", err)
+	}
+	if s := m4.Stats(); s.RecoveredFiles != 1 {
+		t.Fatalf("RecoveredFiles = %d after the mid-flush crash, want 1", s.RecoveredFiles)
+	}
+	m4.Close()
+
 	// Truncation sweep: cut the journal at every acked-op boundary and
 	// assert recovery applies exactly that prefix.
 	for cut := 0; cut < len(boundaries); cut++ {
@@ -866,7 +912,7 @@ func TestJournalRecovery(t *testing.T) {
 		}
 		mN := build(pfsN)
 		refN := storage.NewMemFS("ref", 0)
-		applyRef(refN, cut)
+		applyRef(refN, ops[:cut])
 		infos, err := refN.List(ctx)
 		if err != nil {
 			t.Fatal(err)

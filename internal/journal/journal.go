@@ -49,6 +49,10 @@ const (
 	MaxData = 64 << 20 // 64 MiB payload per record
 )
 
+// maxScratch is the largest encode buffer Append keeps between calls;
+// one outsized record must not pin its size for the journal's life.
+const maxScratch = 4 << 20
+
 // recPrefix is the fixed-size portion of a record before the variable
 // name/data bytes: kind u8 + seq u64 + off u64 + nameLen u32 + dataLen u32.
 const recPrefix = 1 + 8 + 8 + 4 + 4
@@ -103,6 +107,9 @@ type Journal struct {
 	size   int64
 	sync   bool
 	closed bool
+	// scratch is the encode buffer Append reuses under mu, so a warm
+	// append allocates nothing the size of its payload.
+	scratch []byte
 
 	replayed       int
 	truncatedBytes int64
@@ -325,7 +332,10 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 		return 0, ErrClosed
 	}
 	j.seq++
-	buf := encode(make([]byte, 0, recPrefix+len(rec.Name)+len(rec.Data)+4), rec, j.seq)
+	buf := encode(j.scratch[:0], rec, j.seq)
+	if j.scratch = buf; cap(buf) > maxScratch {
+		j.scratch = nil
+	}
 	if _, err := j.f.Write(buf); err != nil {
 		return 0, fmt.Errorf("journal: append: %w", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -275,4 +277,54 @@ func TestSyncMode(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 	j.Close()
+}
+
+// TestAppendReusesItsScratch: a warm 256 KiB Append allocates nothing
+// the size of its payload — the record is encoded into a buffer the
+// journal keeps — while a record past maxScratch does not pin its size,
+// and the records around it replay byte-identical.
+func TestAppendReusesItsScratch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.journal")
+	j, _ := openCollect(t, path, Options{})
+	rec := Record{Kind: 2, Off: 4096, Name: "ckpt/shard-0", Data: bytes.Repeat([]byte{0xC5}, 256<<10)}
+	appendRec := func() {
+		if _, err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRec() // grows the scratch once
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, appendRec)
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perOp >= 4<<10 || allocs > 1 {
+		t.Fatalf("a warm 256 KiB Append allocates %d B in %.0f allocations, want < 4 KiB", perOp, allocs)
+	}
+
+	huge := Record{Kind: 2, Name: "ckpt/huge", Data: bytes.Repeat([]byte{0x5A}, maxScratch+1)}
+	small := Record{Kind: 2, Off: 7, Name: "ckpt/small", Data: []byte("tail")}
+	for _, r := range []Record{huge, small} {
+		if _, err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(j.scratch) > maxScratch {
+		t.Fatalf("the journal kept a %d B scratch after an outsized record", cap(j.scratch))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, got := openCollect(t, path, Options{})
+	defer j2.Close()
+	want := append(slices.Repeat([]Record{rec}, runs+2), huge, small)
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+	for i, r := range got {
+		if w := want[i]; r.Seq != uint64(i+1) || r.Kind != w.Kind || r.Off != w.Off || r.Name != w.Name || !bytes.Equal(r.Data, w.Data) {
+			t.Fatalf("record %d replayed as kind %d off %d name %q (%d B), want kind %d off %d name %q (%d B)",
+				i, r.Kind, r.Off, r.Name, len(r.Data), w.Kind, w.Off, w.Name, len(w.Data))
+		}
+	}
 }

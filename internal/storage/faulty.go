@@ -24,7 +24,9 @@ var ErrInjected = errors.New("storage: injected fault")
 //   - FailEveryNthRead/Write: deterministic periodic faults;
 //   - FailNextReads/Writes: a transient window — the next n ops fail,
 //     then the device heals itself (exercises retry paths);
-//   - FailRate: seeded probabilistic faults (flaky-device soak tests).
+//   - FailRate: seeded probabilistic faults (flaky-device soak tests);
+//   - ShortNextWrites: range writes that land half their bytes and say
+//     so with a nil error (a caller that ignores n loses the rest).
 type Faulty struct {
 	Backend
 
@@ -36,6 +38,7 @@ type Faulty struct {
 	broken         bool // when true, every op fails
 	failNextReads  int  // transient window: the next n read ops fail
 	failNextWrites int
+	shortWrites    int     // the next n WriteAt ops land only half their bytes
 	readRate       float64 // probability each read fails
 	writeRate      float64
 	rng            *rand.Rand
@@ -72,6 +75,14 @@ func (f *Faulty) FailNextWrites(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.failNextWrites = n
+}
+
+// ShortNextWrites makes the next n WriteAt ops short: each lands the
+// first half of its bytes and returns that count with a nil error.
+func (f *Faulty) ShortNextWrites(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.shortWrites = n
 }
 
 // FailRate arms seeded probabilistic faults: every read and write op
@@ -199,6 +210,12 @@ func (f *Faulty) WriteAt(ctx context.Context, name string, p []byte, off int64) 
 	if err := f.writeFault(); err != nil {
 		return 0, err
 	}
+	f.mu.Lock()
+	if f.shortWrites > 0 {
+		f.shortWrites--
+		p = p[:len(p)/2]
+	}
+	f.mu.Unlock()
 	return rw.WriteAt(ctx, name, p, off)
 }
 

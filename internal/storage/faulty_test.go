@@ -114,6 +114,28 @@ func TestFaultyFailNextWindows(t *testing.T) {
 	}
 }
 
+// TestFaultyShortWrites: ShortNextWrites lands half of each of the
+// next n range writes, reports the short count with a nil error, then
+// heals.
+func TestFaultyShortWrites(t *testing.T) {
+	ctx := context.Background()
+	m := NewMemFS("m", 0)
+	f := NewFaulty(m)
+	if err := f.Allocate(ctx, "a", 8); err != nil {
+		t.Fatal(err)
+	}
+	f.ShortNextWrites(1)
+	if n, err := f.WriteAt(ctx, "a", []byte("12345678"), 0); n != 4 || err != nil {
+		t.Fatalf("short write = %d, %v; want 4, nil", n, err)
+	}
+	if got, _ := m.ReadFile(ctx, "a"); string(got) != "1234\x00\x00\x00\x00" {
+		t.Fatalf("after the short write the file holds %q", got)
+	}
+	if n, err := f.WriteAt(ctx, "a", []byte("12345678"), 0); n != 8 || err != nil {
+		t.Fatalf("write after the window = %d, %v; want 8, nil", n, err)
+	}
+}
+
 // TestFaultyFailRateDeterministic: the seeded probabilistic mode
 // produces the identical fault pattern for the same seed, a different
 // pattern for a different seed, and p<=0 disarms it.
