@@ -56,11 +56,16 @@ test:
 # detector too, chunk workers being the one place the plan fans out. So
 # does the concurrent first miss of a fetch-through: N readers race for
 # one file's queue, and the losers must never wait on the winner's fetch.
+# And the read-ahead's lifetime rule, on the same line: lent views held
+# across every release of the pooled buffer under them, readers racing
+# promotions on one file — once more under -tags debug, where bufpool
+# poisons a buffer on Put, so a view that lost shows 0xDB, not luck.
 stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestRemoveDuringFlush|TestCreateDuringRemove|TestFlushPlanProperty|TestRangeFlushRefusalKeepsEveryRangeDirty' -count=50 ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss' -count=50 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule' -count=50 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime' -count=50 ./internal/storage/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadResponseSurvivesRemove' -count=50 ./internal/peernet/
 
@@ -76,11 +81,11 @@ cross:
 		GOOS=$$os GOARCH=amd64 $(GO) vet ./internal/storage/; \
 	done
 
-# The five line counts ROADMAP tracks, so CHANGES and ROADMAP quote a
+# The six line counts ROADMAP tracks, so CHANGES and ROADMAP quote a
 # command's output, not a hand count.
 loc:
 	@echo "non-test internal/core: $$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l)"
-	@wc -l internal/core/core.go internal/core/write.go internal/core/placement.go cmd/monarch-serve/main.go | sed '$$d'
+	@wc -l internal/core/core.go internal/core/write.go internal/core/placement.go internal/core/metadata.go cmd/monarch-serve/main.go | sed '$$d'
 
 # bench/ is its own module (the BENCHMARK.json ledger harness), so
 # `go test ./...` at the root never compiles it: run its tests here so

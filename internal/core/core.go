@@ -415,19 +415,22 @@ type sink struct {
 	view storage.View
 }
 
-// window lands [off, off+n) of whole — a file's entire content, off
-// inside it — in s and returns its length: copied for ReadAt, lent as it
-// is for ReadView. The bytes are a fetch-through's: GC-owned and never
-// written, so the view holds nothing to release.
-func (s *sink) window(whole []byte, off, n int64) int {
-	end := int64(len(whole))
+// window lands [off, off+n) of the file f holds from f.base to its end
+// — off inside that — in s and returns its length: copied for ReadAt,
+// lent as it is for ReadView. The caller's reference on f goes with the
+// bytes: dropped after the copy, or handed to the view, whose Release
+// drops it.
+func (s *sink) window(f *fetched, off, n int64) int {
+	off -= f.base
+	end := int64(len(f.data))
 	if n < end-off {
 		end = off + n
 	}
 	if s.lend {
-		s.view, s.lent = storage.View{Data: whole[off:end:end]}, true
+		s.view, s.lent = storage.View{Data: f.data[off:end:end], R: f}, true
 	} else {
-		s.view.Data = s.buf[:copy(s.buf, whole[off:end])]
+		s.view.Data = s.buf[:copy(s.buf, f.data[off:end])]
+		f.Release()
 	}
 	return len(s.view.Data)
 }
@@ -448,7 +451,7 @@ const (
 	routeLocal                    // fully placed on a healthy upper tier
 	routeMidCopy                  // a chunked placement in flight already holds the range
 	routePeer                     // not owned by this node: the owner's cache, over the peer tier
-	routeFetched                  // bound for the source, but a fetch-through holds the whole file in memory
+	routeFetched                  // bound for the source, but a fetch-through or a read-ahead holds the range in memory
 )
 
 // resolve routes a read of [off, off+n) of e from one atomic snapshot
@@ -567,9 +570,10 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		return 0, err
 	}
 	rt := m.resolve(e, off, n)
-	// Only a read bound for the source can find a fetch-through's bytes, or
-	// fetch them: whole is then the file's content, served from memory.
-	var whole []byte
+	// Only a read bound for the source can find a fetch-through's or a
+	// read-ahead's bytes, or fetch them: whole then holds the file from
+	// here to its end, and the read is served from memory.
+	var whole *fetched
 	if rt.kind == routeSource {
 		whole, rt = m.placer.fetched(ctx, e, off, n, rt)
 	}

@@ -14,7 +14,9 @@ import (
 // chunk-size) triples against a plain MemFS oracle holding the same
 // content. Whatever tier serves the read — source, mid-copy chunks, or
 // the placed copy — the result must be byte-identical to the oracle's
-// pread, in both whole-file (chunkSize 0) and chunked mode.
+// pread, in both whole-file (chunkSize 0) and chunked mode. So must a run
+// of adjacent reads of the file's unplaceable twin, the second of which
+// reads ahead (whole-file mode) or does not (chunked).
 func FuzzReadAt(f *testing.F) {
 	f.Add(uint16(0), int64(0), uint16(0), uint16(0))
 	f.Add(uint16(1), int64(0), uint16(1), uint16(1))
@@ -31,12 +33,14 @@ func FuzzReadAt(f *testing.F) {
 		ctx := context.Background()
 		content := chunkContent(0, int(fileSize))
 		oracle := storage.NewMemFS("oracle", 0)
-		if err := oracle.WriteFile(ctx, "f", content); err != nil {
-			t.Fatal(err)
-		}
 		pfs := storage.NewMemFS("lustre", 0)
-		if err := pfs.WriteFile(ctx, "f", content); err != nil {
-			t.Fatal(err)
+		for _, b := range []*storage.MemFS{oracle, pfs} {
+			if err := b.WriteFile(ctx, "f", content); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.WriteFile(ctx, "u", content); err != nil {
+				t.Fatal(err)
+			}
 		}
 		pfs.SetReadOnly(true)
 		m, err := New(Config{
@@ -53,11 +57,11 @@ func FuzzReadAt(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		check := func(phase string) {
+		checkAt := func(phase, name string, off int64) {
 			got := make([]byte, readLen)
 			want := make([]byte, readLen)
-			gn, gerr := m.ReadAt(ctx, "f", got, off)
-			wn, werr := oracle.ReadAt(ctx, "f", want, off)
+			gn, gerr := m.ReadAt(ctx, name, got, off)
+			wn, werr := oracle.ReadAt(ctx, name, want, off)
 			if (gerr != nil) != (werr != nil) {
 				t.Fatalf("%s: err=%v, oracle err=%v", phase, gerr, werr)
 			}
@@ -71,12 +75,20 @@ func FuzzReadAt(f *testing.F) {
 				t.Fatalf("%s: bytes differ from oracle", phase)
 			}
 		}
+		check := func(phase string) { checkAt(phase, "f", off) }
 
 		// First read lands while the background placement is (possibly)
 		// mid-copy; the second read after Idle hits the placed copy.
 		check("mid-flight")
 		waitIdleM(t, m)
 		check("settled")
+
+		if u, _ := m.meta.get("u"); u.tryQueue() {
+			u.markUnplaceable() // as a placement no tier had room for leaves it
+		}
+		for i := int64(0); i < 4; i++ {
+			checkAt("unplaceable", "u", off+i*int64(readLen))
+		}
 
 		// The placed copy, if any, must be byte-identical to the source.
 		if lvl, err := m.LevelOf("f"); err == nil && lvl == 0 && fileSize > 0 {

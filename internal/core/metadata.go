@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"monarch/internal/bufpool"
 	"monarch/internal/storage"
 )
 
@@ -44,8 +45,9 @@ const (
 // threads and the placement pool. Beyond the paper it carries a
 // chunk-presence bitmap while a chunked placement is in flight, so the
 // read path can serve already-copied ranges from the upper tier
-// mid-copy; and, after a fetch-through first miss, the file's whole
-// content until the attempt carrying it settles (fetch).
+// mid-copy; and, while a read bound for the source can be served from
+// memory, the buffer that serves it (fetch): a fetch-through's whole
+// file until its attempt settles, or an unplaceable file's read-ahead.
 //
 // Bitmap invariants:
 //   - chunkBits is non-nil exactly between beginChunks and
@@ -72,12 +74,18 @@ type fileEntry struct {
 	// always internally consistent.
 	snap atomic.Uint64
 
-	// fetch is the whole file as a fetch-through first miss read it
-	// (placer.fetchThrough), lent to the reads behind it. Only the owner
-	// of the queued attempt stores it, before the attempt reaches the
-	// pool; disarm drops it, so it never outlives the attempt. Only reads
-	// bound for the source consult it: placed-file reads pay nothing.
-	fetch atomic.Pointer[fetched]
+	// fetch is the one way a read bound for the source is served from
+	// memory: a fetch-through's whole file, stored by the owner of the
+	// queued attempt before it reaches the pool, or an unplaceable file's
+	// read-ahead (placer.readAhead) in ahead — a holder recycled, not
+	// allocated, per fill. disarm drops it with the attempt, or when the
+	// entry leaves stateUnplaceable. Only reads bound for the source
+	// consult it, or write the sequential detector's run and runFlags:
+	// placed-file reads pay nothing.
+	fetch    atomic.Pointer[fetched]
+	ahead    fetched
+	run      atomic.Int64 // where the previous source-bound read ended
+	runFlags atomic.Uint32
 
 	mu       sync.Mutex
 	level    int
@@ -98,12 +106,77 @@ const (
 	snapGenShift = 33
 )
 
-// fetched is a fetch-through buffer: the file's bytes, immutable and
-// GC-owned, and the tier the attempt was bound for when it was read —
-// where reads served from data are booked.
+const (
+	runIntact   = 1 << iota // every read since the one at offset 0 was adjacent
+	runStreamed             // so was the pass before, all the way to EOF
+	runFilled               // this run has had its read-ahead
+)
+
+// fetched holds a file's bytes [base, size) while reads bound for the
+// source are served from them, booked on level: the tier a fetch-through
+// was bound for, the source for a read-ahead. A read-ahead's bytes are
+// bufpool's, so every user counts: the publication, each read while it
+// copies, each lent view until its Release — the holder is its Releaser
+// — and the last out returns the buffer. acquire fails at zero (the OSFS
+// fd table's rule): fileEntry.ahead is refilled in place, held at -1
+// meanwhile, and a stale pointer must not catch it half rewritten.
 type fetched struct {
-	data  []byte
-	level int
+	data   []byte
+	base   int64
+	level  int
+	pooled bool // bufpool's, not the GC's
+	refs   atomic.Int32
+	seq    atomic.Uint64 // which fill this is (placer.track)
+}
+
+func (f *fetched) acquire() bool {
+	for n := f.refs.Load(); n > 0; n = f.refs.Load() {
+		if f.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+	return false
+}
+
+// Release implements storage.Releaser.
+func (f *fetched) Release() {
+	data, pooled := f.data, f.pooled // read under the reference being dropped
+	if f.refs.Add(-1) == 0 && pooled {
+		bufpool.Put(data)
+	}
+}
+
+// unpublish ends f's publication on e, if it still stands; reads and
+// views that hold f keep its bytes.
+func (e *fileEntry) unpublish(f *fetched) {
+	if e.fetch.CompareAndSwap(f, nil) {
+		f.Release()
+	}
+}
+
+// sequential books a source-bound read of [off, end) and reports whether
+// to read ahead from off: the first read of a pass whose predecessor
+// streamed the whole file, or an adjacent read of a run not read ahead
+// yet — its second, unless that fill failed. A run whose buffer the cap
+// took gets no other: it would pull the rest of the file once per read.
+// A backwards, overlapping or skipping read starts a new run. Readers
+// racing on one file may lose an update: a read arms late or once too
+// often, and the bytes served are the file's either way.
+func (e *fileEntry) sequential(off, end int64) (arm bool) {
+	prev, fl := e.run.Swap(end), e.runFlags.Load()
+	switch {
+	case off == 0:
+		arm, fl = fl&runStreamed != 0, runIntact
+	case off == prev:
+		arm = fl&runFilled == 0
+	default:
+		fl = 0
+	}
+	if end == e.size && fl&runIntact != 0 {
+		fl |= runStreamed
+	}
+	e.runFlags.Store(fl)
+	return arm
 }
 
 // publish refreshes the packed snapshot; callers hold e.mu (or hold the
@@ -116,17 +189,22 @@ func (e *fileEntry) publish() {
 	e.snap.Store(s)
 }
 
-// disarm drops the chunk bitmap and the fetch-through buffer and
-// publishes; every transition that ends a placement attempt finishes
-// with it, so neither outlives the copy it describes. The buffer goes
-// after the snapshot: once markPlaced has re-routed reads to the tier,
-// none falls between the two and reads the source. Callers hold e.mu.
+// disarm drops the chunk bitmap and the fetch buffer and publishes;
+// every transition that ends a placement attempt or leaves
+// stateUnplaceable finishes with it, so neither outlives what it
+// describes. One buffer stays: that of an attempt which fetched the file
+// and found no room is the now unplaceable file's first read-ahead. The
+// buffer goes after the snapshot: once markPlaced has re-routed reads to
+// the tier, none falls between the two and reads the source. Callers
+// hold e.mu.
 func (e *fileEntry) disarm() {
 	e.chunkBits = nil
 	e.chunkSize = 0
 	e.chunksLeft = 0
 	e.publish()
-	e.fetch.Store(nil)
+	if f := e.fetch.Load(); f != nil && e.state != stateUnplaceable {
+		e.unpublish(f)
+	}
 }
 
 // snapshot returns the packed (state, level, armed) triple with one
@@ -345,7 +423,7 @@ func (e *fileEntry) makeReplaceable() bool {
 		return false
 	}
 	e.state = stateSource
-	e.publish()
+	e.disarm()
 	return true
 }
 

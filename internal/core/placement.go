@@ -22,7 +22,16 @@ import (
 type placer struct {
 	m        *Monarch
 	inflight atomic.Int64
+
+	// ring is the entries of the last maxAhead read-ahead fills, fill k in
+	// slot k%maxAhead: a fill unpublishes the one it displaces (track).
+	fills atomic.Uint64
+	ring  [maxAhead]atomic.Pointer[fileEntry]
 }
+
+// maxAhead bounds the read-ahead buffers published at once — 32 MiB at
+// bufpool.MaxPooled each — oldest out first.
+const maxAhead = 8
 
 func newPlacer(m *Monarch) *placer { return &placer{m: m} }
 
@@ -87,6 +96,7 @@ func (pl *placer) onAccess(e *fileEntry, full []byte) {
 // enqueue hands a freshly queued entry's first attempt to the pool.
 func (pl *placer) enqueue(a attempt) {
 	if !pl.submit(func(ctx context.Context) { pl.place(ctx, a) }) {
+		a.e.clearChunks()
 		a.e.markUnplaceable() // pool closed: no placement for this job
 		return
 	}
@@ -94,18 +104,47 @@ func (pl *placer) enqueue(a attempt) {
 }
 
 // fetched completes the routing of a read that rt binds for the source:
-// where a fetch-through holds the file — one in flight, the read then a
-// mid-copy hit on the tier the copy is bound for, or the one this read
-// makes as the file's first miss, still the source's read — it returns
-// the whole content. Empty and out-of-range reads go to the source.
-func (pl *placer) fetched(ctx context.Context, e *fileEntry, off, n int64, rt route) ([]byte, route) {
-	if off < 0 || off >= e.size || n <= 0 {
+// where a buffer holds the range — a fetch-through in flight, the read
+// then a mid-copy hit on the tier the copy is bound for; a read-ahead, a
+// hit booked on the source; or the one this read fetches, as the file's
+// first miss or its sequential run's arming read, still the source's read
+// — it returns the holder, with a reference for the caller's window.
+// Empty and out-of-range reads go to the source; so do all reads of a
+// file outside the whole-file plan or above the size rule, which bounds
+// the fetching read's extra wait and the memory a reader can pin.
+func (pl *placer) fetched(ctx context.Context, e *fileEntry, off, n int64, rt route) (*fetched, route) {
+	m := pl.m
+	if off < 0 || off >= e.size || n <= 0 || e.size > bufpool.MaxPooled || e.writable || !m.cfg.FullFileFetch ||
+		m.cfg.ChunkSize != 0 || m.cfg.Staging != StageOnFirstRead || !m.owns(e.name) {
 		return nil, rt
 	}
-	if f := e.fetch.Load(); f != nil {
-		return f.data, route{routeFetched, pl.m.levels[f.level], rt.gen}
+	// The buffer first: a copy that settles after resolve takes it away,
+	// and the read it was meant for then costs the source a range.
+	f := e.fetch.Load()
+	held := f != nil && f.acquire()
+	end, st := off+min(n, e.size-off), e.currentState()
+	arm := e.sequential(off, end)
+	if held {
+		// A read-ahead lasts one pass: to its last byte, or until a read
+		// at 0 begins the next over what an abandoned one left.
+		switch ahead := st == stateUnplaceable; {
+		case ahead && off == 0:
+			e.unpublish(f)
+		case off >= f.base:
+			if ahead && end == e.size {
+				e.unpublish(f)
+			}
+			return f, route{routeFetched, m.levels[f.level], rt.gen}
+		}
+		f.Release()
 	}
-	return pl.fetchThrough(ctx, e, off, n), rt
+	switch {
+	case st == stateSource && end-off < e.size:
+		return pl.fetchThrough(ctx, e), rt
+	case st == stateUnplaceable && arm && end < e.size:
+		return pl.readAhead(ctx, e, off), rt
+	}
+	return nil, rt
 }
 
 // fetchThrough makes the first miss of a small file its placement fetch
@@ -114,19 +153,13 @@ func (pl *placer) fetched(ctx context.Context, e *fileEntry, off, n int64, rt ro
 // issues the plan's one source.ReadFile here, on the caller's context,
 // publishes the content for the reads behind it and queues the attempt
 // with it as attempt.full, so copyInto takes the full-read reuse row. It
-// returns nil for a plain range read: the rule did not pick the file,
-// another reader won the queue, or the fetch failed — the entry then back
-// in stateSource, nothing published. The size rule bounds that first
-// read's extra wait and the memory a reader can pin. Nothing here waits
-// on another goroutine: safe under SimPool, virtual time charged to the
-// reader's process.
-func (pl *placer) fetchThrough(ctx context.Context, e *fileEntry, off, n int64) []byte {
+// returns nil for a plain range read: no tier has the room, another
+// reader won the queue, or the fetch failed — the entry then back in
+// stateSource, nothing published. Nothing here waits on another
+// goroutine: safe under SimPool, virtual time charged to the reader's
+// process.
+func (pl *placer) fetchThrough(ctx context.Context, e *fileEntry) *fetched {
 	m := pl.m
-	if !m.cfg.FullFileFetch || m.cfg.ChunkSize != 0 || m.cfg.Staging != StageOnFirstRead ||
-		e.size > bufpool.MaxPooled || e.writable || e.currentState() != stateSource ||
-		(off == 0 && n >= e.size) || !m.owns(e.name) {
-		return nil
-	}
 	var d *driver
 	for _, t := range m.levels[:len(m.levels)-1] {
 		if !pl.candidate(t) {
@@ -150,9 +183,55 @@ func (pl *placer) fetchThrough(ctx context.Context, e *fileEntry, off, n int64) 
 	}
 	m.stats.fetchThroughs.Inc()
 	m.stats.fetchedBytes.Add(e.size)
-	e.fetch.Store(&fetched{data: data, level: d.level})
+	f := &fetched{data: data, level: d.level}
+	f.refs.Store(2) // the publication's and this read's
+	e.fetch.Store(f)
 	pl.enqueue(attempt{e: e, full: data, n: 1, chunks: true})
-	return data
+	return f
+}
+
+// readAhead serves a sequential run over an unplaceable small file as
+// kernel read-ahead would: the arming read issues one source.ReadAt for
+// [off, size) into a pooled buffer and publishes it, so the run's other
+// reads cost the source nothing and the tier is still never churned. It
+// returns nil for a plain range read — views of the last fill are still
+// out, or the fill failed or came back short: nothing published, the next
+// adjacent read may arm again. Like fetchThrough it waits on no one.
+func (pl *placer) readAhead(ctx context.Context, e *fileEntry, off int64) *fetched {
+	m, f := pl.m, &e.ahead
+	if !f.refs.CompareAndSwap(0, -1) {
+		return nil
+	}
+	buf := bufpool.Get(int(e.size - off))
+	if got, err := m.source.backend.ReadAt(ctx, e.name, buf, off); err != nil || got != len(buf) {
+		bufpool.Put(buf)
+		f.refs.Store(0)
+		return nil
+	}
+	e.runFlags.Or(runFilled)
+	m.stats.readAheads.Inc()
+	m.stats.readAheadBytes.Add(int64(len(buf)))
+	f.data, f.base, f.level, f.pooled = buf, off, m.source.level, true
+	pl.track(e, f)
+	f.refs.Store(2) // the publication's and this read's
+	e.fetch.Store(f)
+	if e.currentState() != stateUnplaceable {
+		e.unpublish(f) // a promotion overtook the fill: only this read has its bytes
+	}
+	return f
+}
+
+// track enters fill f of e in the ring and unpublishes the fill it
+// displaces, if that still stands: a slot outlives its fill, and an entry
+// refilled since then has a newer slot as well.
+func (pl *placer) track(e *fileEntry, f *fetched) {
+	k := pl.fills.Add(1)
+	f.seq.Store(k)
+	if old := pl.ring[k%maxAhead].Swap(e); old != nil {
+		if h := old.fetch.Load(); h != nil && h.seq.Load() == k-maxAhead {
+			old.unpublish(h)
+		}
+	}
 }
 
 // retry re-queues a, after its backoff, as the file's next try.
@@ -230,20 +309,23 @@ func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
 // The skip rows come before the context is consulted: a full hierarchy
 // or the ablation is the answer whether or not a shutdown raced it, and
 // the ablation is decided before a chunk job could start, so it is a
-// whole-file row only. Every row ends what the attempt lent to readers:
-// the first as markPlaced re-routes them to the tier, the others up
-// front — the entry disarmed, so no read still routes to a chunk job's
-// landed chunks or a fetch-through buffer (a retry keeps its own slice in
-// attempt.full) — and then drop what a chunk job left on d, because a
-// tier must never hold, let alone serve, a torn file no ledger knows; the
-// two failure rows then charge errors{stage=chunk-copy}, once per job
-// however many workers saw it fail.
+// whole-file row only. Every row but a whole-file skip ends what the
+// attempt lent to readers: the first as markPlaced re-routes them to the
+// tier, the others up front — the entry disarmed, so no read still
+// routes to a chunk job's landed chunks or a fetch-through buffer (a
+// retry keeps its own slice in attempt.full; a file without room keeps
+// the buffer as its first read-ahead) — and then drop what a chunk job
+// left on d, because a tier must never hold, let alone serve, a torn file
+// no ledger knows; the two failure rows then charge
+// errors{stage=chunk-copy}, once per job however many workers saw it fail.
 func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 	m, e := pl.m, a.e
 	// Armed means a chunk job allocated e on d and charged its bytes to
 	// the tier as they landed; only this attempt touches the bitmap.
 	_, _, chunked := e.snapshot()
-	if err != nil {
+	// Only no room for a whole-file copy keeps what the attempt lent: the
+	// skip row leaves a fetch-through's buffer to the pass in progress.
+	if err != nil && (chunked || !errors.Is(err, storage.ErrNoSpace)) {
 		e.clearChunks()
 		if chunked {
 			// MemFS and OSFS refuse a cancelled context before touching the file.
@@ -281,6 +363,9 @@ func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 		m.span(sp)
 		m.event(Event{Kind: EventSkipped, File: e.name, Level: -1})
 		e.markUnplaceable()
+		if f := e.fetch.Load(); f != nil {
+			pl.track(e, f) // the wasted fetch is a read-ahead from here on
+		}
 	case ctx.Err() != nil || errors.Is(err, context.Canceled):
 		e.cancelQueued()
 	default:

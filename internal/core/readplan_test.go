@@ -553,15 +553,20 @@ type scanRig struct {
 
 func newScanRig(t *testing.T, size int, capacity int64, edit func(*Config)) *scanRig {
 	t.Helper()
+	return newShardRig(t, map[string][]byte{scanFile: scanContent(size), scanResident: make([]byte, 2*scanWindow)}, capacity, edit)
+}
+
+// newShardRig is the rig over any set of source files.
+func newShardRig(t *testing.T, files map[string][]byte, capacity int64, edit func(*Config)) *scanRig {
+	t.Helper()
 	ctx := context.Background()
 	pfs, oracle := storage.NewMemFS("lustre", 0), storage.NewMemFS("oracle", 0)
-	for _, b := range []*storage.MemFS{pfs, oracle} {
-		if err := b.WriteFile(ctx, scanFile, scanContent(size)); err != nil {
-			t.Fatal(err)
+	for name, data := range files {
+		for _, b := range []*storage.MemFS{pfs, oracle} {
+			if err := b.WriteFile(ctx, name, data); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if err := pfs.WriteFile(ctx, scanResident, make([]byte, 2*scanWindow)); err != nil {
-		t.Fatal(err)
 	}
 	pfs.SetReadOnly(true)
 	r := &scanRig{
@@ -598,30 +603,35 @@ func newScanRig(t *testing.T, size int, capacity int64, edit func(*Config)) *sca
 // answer against the oracle's: same count, same bytes, no error.
 func (r *scanRig) read(t *testing.T, view bool, off, n int64) {
 	t.Helper()
+	r.readFile(t, scanFile, view, off, n)
+}
+
+func (r *scanRig) readFile(t *testing.T, name string, view bool, off, n int64) {
+	t.Helper()
 	ctx := context.Background()
 	want := make([]byte, n)
-	wn, err := r.oracle.ReadAt(ctx, scanFile, want, off)
+	wn, err := r.oracle.ReadAt(ctx, name, want, off)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []byte
 	if view {
-		v, err := r.m.ReadView(ctx, scanFile, off, n)
+		v, err := r.m.ReadView(ctx, name, off, n)
 		if err != nil {
-			t.Fatalf("ReadView(%d, %d): %v", off, n, err)
+			t.Fatalf("ReadView(%s, %d, %d): %v", name, off, n, err)
 		}
 		got = append(got, v.Data...)
 		v.Release()
 	} else {
 		buf := make([]byte, n)
-		gn, err := r.m.ReadAt(ctx, scanFile, buf, off)
+		gn, err := r.m.ReadAt(ctx, name, buf, off)
 		if err != nil {
-			t.Fatalf("ReadAt(%d, %d): %v", off, n, err)
+			t.Fatalf("ReadAt(%s, %d, %d): %v", name, off, n, err)
 		}
 		got = buf[:gn]
 	}
 	if !bytes.Equal(got, want[:wn]) {
-		t.Fatalf("read(%d, %d) through view=%v returned %d bytes that differ from the source's %d", off, n, view, len(got), wn)
+		t.Fatalf("read(%s, %d, %d) through view=%v returned %d bytes that differ from the source's %d", name, off, n, view, len(got), wn)
 	}
 }
 
@@ -729,7 +739,8 @@ func TestFetchThroughSinkParity(t *testing.T) {
 // serve-then-copy counts — every read, then the copy's own fetch — for
 // a file above the size rule, a tier without room, a chunked placement,
 // the fetch ablation, and a tier only the eviction policy can make room
-// on.
+// on. A fetch-through whose copy then finds the room gone is not wasted:
+// the skipped placement leaves its buffer to the rest of the scan.
 func TestFetchThroughRule(t *testing.T) {
 	const mib = 1 << 20
 	for _, tc := range []struct {
@@ -737,7 +748,8 @@ func TestFetchThroughRule(t *testing.T) {
 		size     int
 		capacity int64 // tier-0 quota; 0 is unlimited
 		cfg      func(*Config)
-		copyOps  int64 // source data ops the background copy makes
+		midScan  func(*testing.T, *scanRig) // runs after the first read
+		copyOps  int64                      // source data ops the background copy makes
 		fetched  bool
 		placed   bool
 	}{
@@ -745,6 +757,13 @@ func TestFetchThroughRule(t *testing.T) {
 		{name: "largest the rule takes", size: 4 * mib, fetched: true, placed: true},
 		{name: "one byte above the size rule", size: 4*mib + 1, copyOps: 1, placed: true},
 		{name: "tier without room", size: mib, capacity: mib - 1},
+		{name: "tier filled between the fetch and the copy", size: mib, capacity: mib, fetched: true,
+			midScan: func(t *testing.T, r *scanRig) {
+				if err := r.ssd.WriteFile(context.Background(), "job/squatter", []byte{1}); err != nil {
+					t.Fatal(err)
+				}
+				r.pool.drain() // the copy loses the race for room and is skipped
+			}},
 		{name: "chunked placement", size: mib, cfg: func(c *Config) { c.ChunkSize = scanWindow }, copyOps: 4, placed: true},
 		{name: "fetch ablation", size: mib, cfg: func(c *Config) { c.FullFileFetch = false }},
 		{name: "room is the eviction policy's to make", size: mib, capacity: mib + scanWindow,
@@ -764,8 +783,14 @@ func TestFetchThroughRule(t *testing.T) {
 			for off := int64(0); off < int64(tc.size); off += scanWindow {
 				r.read(t, false, off, scanWindow)
 				reads++
+				if off == 0 && tc.midScan != nil {
+					tc.midScan(t, r)
+				}
 			}
 			r.pool.drain()
+			if e, _ := r.m.meta.get(scanFile); e.fetch.Load() != nil {
+				t.Errorf("a buffer is still published after the scan's last byte and the copy")
+			}
 			want := reads + tc.copyOps
 			if tc.fetched {
 				want = 1

@@ -41,14 +41,25 @@ type Stats struct {
 	// are PartialHits on the tier the copy was bound for.
 	FetchThroughs     int64
 	FetchThroughBytes int64
+	// ReadAheads counts sequential runs over unplaceable small files that
+	// read the rest of the file from the source in place of their range;
+	// ReadAheadBytes is the bytes those fills pulled. The arming read is
+	// one read in ReadsServed[source], like a fetch-through; the reads its
+	// buffer serves are PartialHits booked on the source level, as no
+	// other read is (in a trace: class partial on the source tier). So
+	// the data ops the source sees are ReadsServed[source] − those hits +
+	// Placements − FullReadReuses (+ ChunkPlacements when chunked), which
+	// TestTraceCaptureRoundTrip holds a counted source to.
+	ReadAheads     int64
+	ReadAheadBytes int64
 	// ChunkPlacements counts individual chunks written by chunked
 	// placements (Config.ChunkSize > 0).
 	ChunkPlacements int64
 	// PartialHits counts foreground reads served while the file's
 	// placement was still in flight: from the upper tier, ranges whose
 	// chunks had already landed, or from a fetch-through's bytes, booked
-	// on the tier the copy was bound for. PartialHitBytes is the bytes
-	// they amount to.
+	// on the tier the copy was bound for, or from a read-ahead's, booked
+	// on the source. PartialHitBytes is the bytes they amount to.
 	PartialHits     int64
 	PartialHitBytes int64
 	// PeerHits counts foreground reads served by the peer cache tier —
@@ -186,6 +197,8 @@ type statsCollector struct {
 	fullReadReuses  *obs.Counter
 	fetchThroughs   *obs.Counter
 	fetchedBytes    *obs.Counter
+	readAheads      *obs.Counter
+	readAheadBytes  *obs.Counter
 	chunkPlacements *obs.Counter
 	partialHits     *obs.Counter
 	partialHitBytes *obs.Counter
@@ -258,10 +271,14 @@ func (c *statsCollector) init(reg *obs.Registry, levels int) {
 		"First misses that read the whole file from the source and lent it to the placement.")
 	c.fetchedBytes = reg.Counter("monarch_fetch_through_bytes_total",
 		"Whole-file bytes pulled from the source by fetch-through first misses.")
+	c.readAheads = reg.Counter("monarch_read_aheads_total",
+		"Sequential runs over unplaceable files that read the rest of the file ahead in one source read.")
+	c.readAheadBytes = reg.Counter("monarch_read_ahead_bytes_total",
+		"Bytes pulled from the source by read-ahead fills.")
 	c.chunkPlacements = reg.Counter("monarch_chunk_placements_total",
 		"Individual chunks written by chunked placements.")
 	c.partialHits = reg.Counter("monarch_partial_hits_total",
-		"Reads served from landed chunks or fetched-through bytes while the file's placement was in flight.")
+		"Reads served from landed chunks or fetched-through bytes while the file's placement was in flight, or from a read-ahead buffer.")
 	c.partialHitBytes = reg.Counter("monarch_partial_hit_bytes_total",
 		"Bytes served by partial (mid-copy) hits.")
 	c.peerHits = reg.Counter("monarch_peer_hits_total",
@@ -412,6 +429,8 @@ func (c *statsCollector) snapshot(inFlight int) Stats {
 		FullReadReuses:    c.fullReadReuses.Value(),
 		FetchThroughs:     c.fetchThroughs.Value(),
 		FetchThroughBytes: c.fetchedBytes.Value(),
+		ReadAheads:        c.readAheads.Value(),
+		ReadAheadBytes:    c.readAheadBytes.Value(),
 		ChunkPlacements:   c.chunkPlacements.Value(),
 		PartialHits:       c.partialHits.Value(),
 		PartialHitBytes:   c.partialHitBytes.Value(),

@@ -38,20 +38,26 @@ func fileName(i int) string { return fmt.Sprintf("f%03d", i) }
 // and checks the trace against Stats and the trailer — and that the
 // source ops an analyzer derives from such a trace, one per source-level
 // read plus one per placement that was not a reuse, are the ops the
-// counted source measured.
+// counted source measured. The third run streams the same files past a
+// tier with room for none: unplaceable, they are read ahead, and the
+// reads served from those buffers — partial hits booked on the source
+// tier — are the one kind of source-level read event that is no source
+// op (the identity in Stats.ReadAheads' comment).
 func TestTraceCaptureRoundTrip(t *testing.T) {
-	t.Run("whole-file reads", func(t *testing.T) { traceRoundTrip(t, 1) })
-	t.Run("fetch-through", func(t *testing.T) { traceRoundTrip(t, 4) })
+	t.Run("whole-file reads", func(t *testing.T) { traceRoundTrip(t, 1, 0) })
+	t.Run("fetch-through", func(t *testing.T) { traceRoundTrip(t, 4, 0) })
+	t.Run("read-ahead", func(t *testing.T) { traceRoundTrip(t, 4, 1) })
 }
 
-func traceRoundTrip(t *testing.T, readsPerFile int) {
+func traceRoundTrip(t *testing.T, readsPerFile int, quota int64) {
 	const nfiles, fileSize, epochs = 6, 4096, 2
 	path := filepath.Join(t.TempDir(), "core.jsonl")
-	f := newFixture(t, 0, nfiles, fileSize, func(c *Config) {
+	f := newFixture(t, quota, nfiles, fileSize, func(c *Config) {
 		c.TracePath = path
 	})
 	ctx := context.Background()
 	buf := make([]byte, fileSize/readsPerFile)
+	var opsAfter [epochs + 1]int64
 	for e := 1; e <= epochs; e++ {
 		for i := 0; i < nfiles; i++ {
 			for off := 0; off < fileSize; off += len(buf) {
@@ -62,22 +68,40 @@ func traceRoundTrip(t *testing.T, readsPerFile int) {
 		}
 		f.waitIdle(t)
 		f.m.MarkEpoch(e)
+		opsAfter[e] = f.pfs.Counts().DataOps()
 	}
 	stats := f.m.Stats()
 	f.m.Close()
 	// Whether a read behind the first finds the copy in flight (a mid-copy
 	// hit) or landed (a local one) is the pool's race; both are tier 0's.
-	if readsPerFile > 1 && (stats.FetchThroughs != nfiles || stats.ReadsServed[1] != nfiles) {
+	if readsPerFile > 1 && quota == 0 && (stats.FetchThroughs != nfiles || stats.ReadsServed[1] != nfiles) {
 		t.Fatalf("%d fetch-throughs, %d reads at the source; want every file's first read and no other (%d)",
 			stats.FetchThroughs, stats.ReadsServed[1], nfiles)
-	}
-	if ops, derived := f.pfs.Counts().DataOps(), stats.ReadsServed[1]+stats.Placements-stats.FullReadReuses; ops != derived || ops != nfiles {
-		t.Fatalf("the source measured %d data ops, the counters derive %d; want one per file (%d)", ops, derived, nfiles)
 	}
 
 	tr, err := trace.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var aheadHits int64
+	for _, ev := range tr.Events {
+		if ev.Kind == trace.KindRead && ev.Class == trace.ClassPartial && int(ev.Tier) == 1 {
+			aheadHits++
+		}
+	}
+	ops, derived := opsAfter[epochs], stats.ReadsServed[1]-aheadHits+stats.Placements-stats.FullReadReuses
+	if ops != derived {
+		t.Fatalf("the source measured %d data ops, the counters and the trace derive %d", ops, derived)
+	}
+	if quota == 0 && (ops != nfiles || aheadHits != 0) {
+		t.Fatalf("%d source data ops, %d read-ahead hits; want one op per file (%d) and none", ops, aheadHits, nfiles)
+	}
+	// Unplaceable: whether a read of the first epoch finds its file's
+	// skipped placement settled, and arms, is the pool's race; the first
+	// read of the second epoch always does.
+	if quota != 0 && (stats.Placements != 0 || stats.ReadAheads < nfiles || aheadHits < 3*nfiles || ops-opsAfter[1] != nfiles) {
+		t.Fatalf("%d placements, %d read-aheads, %d hits behind them, %d source ops in epoch 2; want none, at least %d and %d, and %d",
+			stats.Placements, stats.ReadAheads, aheadHits, ops-opsAfter[1], nfiles, 3*nfiles, nfiles)
 	}
 	if !tr.Complete() {
 		t.Fatal("trace has no trailer")

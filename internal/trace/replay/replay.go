@@ -161,7 +161,10 @@ func runFaithful(t *trace.Trace, opts Options) (*Report, error) {
 			case trace.ClassFallback:
 				rep.Fallbacks++
 			}
-			if lvl == source {
+			// A partial hit booked on the source is a window of a
+			// read-ahead buffer: its bytes are charged here, the op
+			// that pulled them was the arming read's.
+			if lvl == source && ev.Class != trace.ClassPartial {
 				rep.PFSOps++
 			}
 		case trace.KindChunkCopy:

@@ -165,7 +165,45 @@ func TestLiveReplayRebuildsStack(t *testing.T) {
 // are tier-0 partial hits, so every counter, pfs_data_ops included,
 // round-trips with no mismatch.
 func TestFaithfulReplaysFetchThroughCapture(t *testing.T) {
-	const nfiles, fileSize, window = 5, 4096, 1024
+	const nfiles = 5
+	m, pfs, path := captureStack(t, nfiles, 0)
+	st, ops := m.Stats(), pfs.Counts().DataOps()
+	if st.FetchThroughs != nfiles || ops != nfiles {
+		t.Fatalf("%d fetch-throughs, %d source data ops; want %d of each", st.FetchThroughs, ops, nfiles)
+	}
+	rep := replayCapture(t, m, path, ops)
+	if rep.PFSOps != ops || rep.Placements != nfiles || rep.ReadsServed[1] != nfiles || rep.PartialHits != st.PartialHits {
+		t.Fatalf("replay: %d PFS ops, %d placements, %d source reads, %d partial hits; the run measured %d, %d, %d, %d",
+			rep.PFSOps, rep.Placements, rep.ReadsServed[1], rep.PartialHits, ops, st.Placements, st.ReadsServed[1], st.PartialHits)
+	}
+}
+
+// TestFaithfulReplaysReadAheadCapture is its sibling over a tier with
+// room for nothing: every file is unplaceable and streamed through
+// read-aheads. The reads served from those buffers are partial hits on
+// the source tier — source-level read events that stand for no source
+// op — and every counter, pfs_data_ops included, still round-trips.
+func TestFaithfulReplaysReadAheadCapture(t *testing.T) {
+	const nfiles = 5
+	m, pfs, path := captureStack(t, nfiles, 1)
+	st, ops := m.Stats(), pfs.Counts().DataOps()
+	if st.ReadAheads < nfiles || st.PlacementSkips != nfiles || st.PartialHits < 3*nfiles || ops >= st.ReadsServed[1] {
+		t.Fatalf("%d read-aheads, %d skips, %d partial hits, %d source data ops for %d source-level reads; want the second epoch, at least, read ahead",
+			st.ReadAheads, st.PlacementSkips, st.PartialHits, ops, st.ReadsServed[1])
+	}
+	rep := replayCapture(t, m, path, ops)
+	if rep.PFSOps != ops || rep.Skips != nfiles || rep.ReadsServed[1] != st.ReadsServed[1] || rep.PartialHits != st.PartialHits {
+		t.Fatalf("replay: %d PFS ops, %d skips, %d source reads, %d partial hits; the run measured %d, %d, %d, %d",
+			rep.PFSOps, rep.Skips, rep.ReadsServed[1], rep.PartialHits, ops, st.PlacementSkips, st.ReadsServed[1], st.PartialHits)
+	}
+}
+
+// captureStack captures two epochs of quarter-file sequential reads of
+// nfiles small files through a real [ssd, counted pfs] stack in
+// whole-file mode, tier 0 holding quota bytes (0: no limit).
+func captureStack(t *testing.T, nfiles int, quota int64) (*core.Monarch, *storage.Counting, string) {
+	t.Helper()
+	const fileSize, window = 4096, 1024
 	ctx := context.Background()
 	raw := storage.NewMemFS("lustre", 0)
 	for i := 0; i < nfiles; i++ {
@@ -175,9 +213,9 @@ func TestFaithfulReplaysFetchThroughCapture(t *testing.T) {
 	}
 	raw.SetReadOnly(true)
 	pfs := storage.NewCounting(raw)
-	path := filepath.Join(t.TempDir(), "fetch.jsonl")
+	path := filepath.Join(t.TempDir(), "capture.jsonl")
 	m, err := core.New(core.Config{
-		Levels:        []storage.Backend{storage.NewMemFS("ssd", 0), pfs},
+		Levels:        []storage.Backend{storage.NewMemFS("ssd", quota), pfs},
 		Pool:          pool.NewGoPool(2),
 		FullFileFetch: true,
 		TracePath:     path,
@@ -185,7 +223,7 @@ func TestFaithfulReplaysFetchThroughCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	t.Cleanup(m.Close)
 	if err := m.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +243,15 @@ func TestFaithfulReplaysFetchThroughCapture(t *testing.T) {
 		}
 		m.MarkEpoch(epoch)
 	}
-	st, ops := m.Stats(), pfs.Counts().DataOps()
-	if st.FetchThroughs != nfiles || ops != nfiles {
-		t.Fatalf("%d fetch-throughs, %d source data ops; want %d of each", st.FetchThroughs, ops, nfiles)
-	}
+	return m, pfs, path
+}
+
+// replayCapture seals m's trace with the measured source ops in its
+// trailer and replays it faithfully: no counter may diverge.
+func replayCapture(t *testing.T, m *core.Monarch, path string, ops int64) *Report {
+	t.Helper()
 	m.Tracer().AddSummary(map[string]int64{"pfs_data_ops": ops})
 	m.Close()
-
 	tr, err := trace.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +263,5 @@ func TestFaithfulReplaysFetchThroughCapture(t *testing.T) {
 	if len(rep.Mismatches) != 0 {
 		t.Fatalf("replay diverged from the capture: %v", rep.Mismatches)
 	}
-	if rep.PFSOps != ops || rep.Placements != nfiles || rep.ReadsServed[1] != nfiles || rep.PartialHits != st.PartialHits {
-		t.Fatalf("replay: %d PFS ops, %d placements, %d source reads, %d partial hits; the run measured %d, %d, %d, %d",
-			rep.PFSOps, rep.Placements, rep.ReadsServed[1], rep.PartialHits, ops, st.Placements, st.ReadsServed[1], st.PartialHits)
-	}
+	return rep
 }
