@@ -60,6 +60,7 @@ test:
 # across every release of the pooled buffer under them, readers racing
 # promotions on one file — once more under -tags debug, where bufpool
 # poisons a buffer on Put, so a view that lost shows 0xDB, not luck.
+# Last, the SIGKILL drill with the detector in the burst child as well.
 stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
@@ -68,6 +69,7 @@ stress:
 	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime' -count=50 ./internal/storage/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadResponseSurvivesRemove' -count=50 ./internal/peernet/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestCrashSmoke' -count=10 .
 
 # OSFS lends views through mmap on unix and refuses them elsewhere, in
 # build-tagged files: build every package for one platform on each side
@@ -81,11 +83,11 @@ cross:
 		GOOS=$$os GOARCH=amd64 $(GO) vet ./internal/storage/; \
 	done
 
-# The six line counts ROADMAP tracks, so CHANGES and ROADMAP quote a
+# The line counts ROADMAP tracks, so CHANGES and ROADMAP quote a
 # command's output, not a hand count.
 loc:
 	@echo "non-test internal/core: $$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l)"
-	@wc -l internal/core/core.go internal/core/write.go internal/core/placement.go internal/core/metadata.go cmd/monarch-serve/main.go | sed '$$d'
+	@wc -l internal/core/core.go internal/core/write.go internal/core/placement.go internal/core/metadata.go cmd/monarch-serve/main.go cmd/monarch-serve/backend.go | sed '$$d'
 
 # bench/ is its own module (the BENCHMARK.json ledger harness), so
 # `go test ./...` at the root never compiles it: run its tests here so
@@ -154,13 +156,14 @@ bench-check:
 			if [ $$rc -eq 0 ]; then echo "bench-check: unresolved pairings are not a pass"; rc=3; fi;; \
 		esac; exit $$rc
 
-# Write-path crash drill: a journaled write-back burst SIGKILLed
-# mid-flight, the stack reopened over the same directories, and every
-# acked chunk verified byte-identical after WAL replay. Non-zero exit
-# on any lost acked byte — or if nothing was left to recover (the
-# drill must actually exercise replay).
+# Write-path crash drill (crash_test.go; part of `go test ./...` too): a
+# journaled write-back burst in a re-exec'd child SIGKILLed mid-flight,
+# the stack reopened over the same directories, and every acked chunk
+# verified byte-identical after WAL replay. Red on any lost acked byte
+# — or if nothing was left to recover (the drill must actually exercise
+# replay). Repeated here because where the kill lands is the box's call.
 crash-smoke:
-	$(GO) run ./cmd/monarch-serve -crashsmoke
+	$(GO) test -run 'TestCrashSmoke' -count=3 .
 
 # End-to-end trace pipeline smoke: capture a tiny run, analyze the
 # artifact, then replay it faithfully — monarch-bench exits non-zero if

@@ -3,14 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"monarch"
+	"monarch/internal/obs"
+	"monarch/internal/obs/cluster"
+	"monarch/internal/peernet"
 	"monarch/internal/storage"
 )
 
@@ -82,6 +90,7 @@ func TestServeConfigValidate(t *testing.T) {
 		{"jobs without pfs", func(c *serveConfig) { c.jobs = "a=0.5" }, "-jobs needs -pfs"},
 		{"pfs without jobs", func(c *serveConfig) { c.pfs = "/d" }, "-pfs needs -jobs"},
 		{"jobs with unlimited quota", func(c *serveConfig) { c.jobs = "a=0.5"; c.pfs = "/d"; c.quota = 0 }, "conflicting -quota"},
+		{"jobs with gossip", func(c *serveConfig) { c.jobs = "a=0.5"; c.pfs = "/d"; c.self = "n0"; c.peers = "n1=h:1" }, ""},
 		{"jobs with write", func(c *serveConfig) { c.jobs = "a=0.5"; c.pfs = "/d"; c.write = true }, ""},
 		{"jobs with write and journal", func(c *serveConfig) {
 			c.jobs = "a=0.5"
@@ -139,7 +148,7 @@ func TestServeStartupFailures(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			errc := make(chan error, 1)
-			go func() { errc <- serve(tc.cfg) }()
+			go func() { errc <- serve(context.Background(), tc.cfg) }()
 			select {
 			case err := <-errc:
 				if err == nil {
@@ -149,6 +158,167 @@ func TestServeStartupFailures(t *testing.T) {
 				t.Fatal("serve() hung instead of failing startup")
 			}
 		})
+	}
+}
+
+// freeAddrs reserves n distinct loopback addresses and releases them for
+// the daemons under test to bind: two nodes that name each other in
+// -peers need their addresses before either is up.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
+}
+
+// settledGoroutines waits up to timeout for the goroutine count to come
+// down to limit — connection teardown is asynchronous — and returns the
+// last count it saw.
+func settledGoroutines(limit int, timeout time.Duration) int {
+	deadline := time.Now().Add(timeout)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= limit || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServeBothModes starts two real daemons — n0 plain, n1 a tenant
+// node — that gossip with each other, and holds both to the one node
+// contract: READ round-trips, the STATS frame is answered under -self
+// with a gossip view (and the job ledger, where there are jobs),
+// /debug/gossip and /healthz carry the view, the fleet routes merge the
+// two nodes under their own names, and cancelling the context returns
+// serve with no goroutine left behind.
+func TestServeBothModes(t *testing.T) {
+	goroutinesBefore := runtime.NumGoroutine()
+	tenantRoot, pfs := tmpDirs(t)
+	plainRoot := t.TempDir()
+	if err := os.WriteFile(filepath.Join(plainRoot, "shard"), []byte("cached bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	addrs := freeAddrs(t, 4)
+	nodes := []struct {
+		cfg  serveConfig
+		file string
+		want []byte
+		job  string // a job the READ must move the ledger of; "" on a node without tenants
+	}{
+		{cfg: serveConfig{addr: addrs[0], metrics: addrs[2], root: plainRoot,
+			self: "n0", peers: "n1=" + addrs[1]}, file: "shard", want: []byte("cached bytes")},
+		{cfg: serveConfig{addr: addrs[1], metrics: addrs[3], root: tenantRoot, quota: 1 << 20,
+			pfs: pfs, jobs: "jobA=0.5,jobB=0.3", epochEvery: 20 * time.Millisecond,
+			self: "n1", peers: "n0=" + addrs[0]}, file: "jobA/f0", want: make([]byte, 64), job: "jobA"},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, len(nodes))
+	for _, n := range nodes {
+		cfg := n.cfg
+		cfg.replicas, cfg.heartbeat, cfg.suspectAfter, cfg.deadAfter = 1, 20*time.Millisecond, time.Second, 3*time.Second
+		go func() { errc <- serve(ctx, cfg) }()
+	}
+	hc := &http.Client{Timeout: 5 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
+	get := func(addr, path string) string {
+		t.Helper()
+		resp, err := hc.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s%s: %v", addr, path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s%s: %s: %s", addr, path, resp.Status, body)
+		}
+		return string(body)
+	}
+
+	for i, n := range nodes {
+		other := nodes[1-i].cfg.self
+		c, err := peernet.NewClient(peernet.ClientConfig{Dial: peernet.TCPDialer(n.cfg.addr, time.Second)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		// The daemon is up once its wire listener answers.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			if err = c.Ping(ctx); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never came up: %v", n.cfg.self, err)
+			}
+		}
+		buf := make([]byte, len(n.want))
+		if got, err := c.ReadAt(ctx, n.file, buf, 0); err != nil || !bytes.Equal(buf[:got], n.want) {
+			t.Errorf("%s: READ %s = %q, %v", n.cfg.self, n.file, buf[:got], err)
+		}
+		ns, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatalf("%s: STATS: %v", n.cfg.self, err)
+		}
+		if ns.Node != n.cfg.self {
+			t.Errorf("STATS answered as %q, want -self %q", ns.Node, n.cfg.self)
+		}
+		if len(ns.Gossip) != 1 || ns.Gossip[0].Node != other {
+			t.Errorf("%s: STATS gossip view %+v, want one opinion, of %s", n.cfg.self, ns.Gossip, other)
+		}
+		if n.job == "" && len(ns.Jobs) != 0 || n.job != "" && ns.Jobs[n.job].ReadsServed == 0 {
+			t.Errorf("%s: STATS job ledger %+v after a read of %s", n.cfg.self, ns.Jobs, n.file)
+		}
+		if len(ns.Metrics.Metrics) == 0 {
+			t.Errorf("%s: STATS carries an empty registry", n.cfg.self)
+		}
+
+		if body := get(n.cfg.metrics, "/debug/gossip"); strings.Contains(body, "disabled") ||
+			!strings.Contains(body, `"self": "`+n.cfg.self+`"`) || !strings.Contains(body, `"`+other+`": `) {
+			t.Errorf("%s: /debug/gossip = %s", n.cfg.self, body)
+		}
+		var h obs.Health
+		if err := json.Unmarshal([]byte(get(n.cfg.metrics, "/healthz")), &h); err != nil || h.Status != "ok" || h.Gossip[other] == "" {
+			t.Errorf("%s: /healthz = %+v (err=%v), want ok with an opinion of %s", n.cfg.self, h, err, other)
+		}
+		if n.job != "" && len(h.Tiers) == 0 {
+			t.Errorf("%s: /healthz lost the middleware's tiers: %+v", n.cfg.self, h)
+		}
+	}
+	// The fleet routes, asked of either node once both are up, merge the
+	// two under their own names — not both under "monarch-serve".
+	for _, n := range nodes {
+		var snap cluster.Snapshot
+		if err := json.Unmarshal([]byte(get(n.cfg.metrics, "/cluster.json")), &snap); err != nil {
+			t.Fatalf("%s: /cluster.json: %v", n.cfg.self, err)
+		}
+		if len(snap.Nodes) != 2 || snap.Nodes[0].Node != "n0" || snap.Nodes[1].Node != "n1" || snap.Jobs["jobA"].ReadsServed == 0 {
+			t.Errorf("%s: fleet view has nodes %+v (unreachable %v), jobs %+v; want n0 and n1 and jobA's read",
+				n.cfg.self, snap.Nodes, snap.Unreachable, snap.Jobs)
+		}
+	}
+
+	cancel()
+	for range nodes {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Errorf("serve returned %v after its context ended", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("serve did not return after its context ended")
+		}
+	}
+	hc.CloseIdleConnections()
+	if n := settledGoroutines(goroutinesBefore, 5*time.Second); n > goroutinesBefore {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines before the daemons, %d after they returned:\n%s", goroutinesBefore, n, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -254,3 +254,43 @@ func TestFetchThroughUnderSimPool(t *testing.T) {
 		t.Errorf("reader-0's first scan took %v of virtual time: the fetch was not charged to it", firstFetch.Duration())
 	}
 }
+
+// TestFetchThroughSettlesUnderResolve pins the window a fetch-through
+// leaves between a read's resolve and its look at the buffer: resolve's
+// snapshot says queued, so the read is bound for the source; the copy
+// then settles, taking the buffer along; and the read, finding none, must
+// notice the file is placed and go to the tier — not cost the source a
+// range of a file it has already given whole. The peer ring's Owns
+// callback is the one call resolve makes after it has loaded its
+// snapshot, so that is where the hook lands the pool's work (as
+// flakyViews.onRead lands an eviction between resolve and the tier
+// attempt), once, for both sinks.
+func TestFetchThroughSettlesUnderResolve(t *testing.T) {
+	for _, view := range []bool{false, true} {
+		var hook func()
+		r := newScanRig(t, 1<<20, 0, func(c *Config) {
+			c.Levels = []storage.Backend{c.Levels[0], storage.NewMemFS("peers", 0), c.Levels[1]}
+			c.Peer = PeerConfig{Tier: 1, Owns: func(string) bool {
+				if h := hook; h != nil {
+					hook = nil
+					h()
+				}
+				return true
+			}}
+		})
+		r.read(t, view, 0, scanWindow) // the first miss: fetched through, its copy queued
+		e, _ := r.m.meta.get(scanFile)
+		if e.currentState() != stateQueued || e.fetch.Load() == nil {
+			t.Fatalf("view=%v: after the first miss: state %d, buffer published: %v; want queued behind a fetch-through", view, e.currentState(), e.fetch.Load() != nil)
+		}
+		hook = r.pool.drain
+		r.read(t, view, scanWindow, scanWindow)
+		if hook != nil || e.currentState() != statePlaced {
+			t.Fatalf("view=%v: the copy did not settle under the read (hook ran: %v, state %d)", view, hook == nil, e.currentState())
+		}
+		st := r.m.Stats()
+		if ops := r.pfs.Counts().DataOps(); ops != 1 || st.ReadsServed[0] != 1 || st.ReadsServed[2] != 1 {
+			t.Errorf("view=%v: %d data ops at the source, reads served per level %v; want the fetch alone and the second read on tier 0", view, ops, st.ReadsServed)
+		}
+	}
+}

@@ -123,6 +123,11 @@ func (pl *placer) fetched(ctx context.Context, e *fileEntry, off, n int64, rt ro
 	f := e.fetch.Load()
 	held := f != nil && f.acquire()
 	end, st := off+min(n, e.size-off), e.currentState()
+	if !held && st == statePlaced {
+		// The copy settled after resolve and took its buffer along: the
+		// tier has the file now, and the source owes this read nothing.
+		return nil, m.resolve(e, off, n)
+	}
 	arm := e.sequential(off, end)
 	if held {
 		// A read-ahead lasts one pass: to its last byte, or until a read

@@ -65,12 +65,6 @@ type WriteConfig struct {
 	// JournalSync fsyncs the journal on every append, extending
 	// durability from process death to machine crash.
 	JournalSync bool
-	// FlushWorkers is the number of dedicated flusher goroutines. They
-	// are deliberately NOT placement-pool tasks: the write-burst gate
-	// pauses pool workers, and a flusher queued behind paused workers
-	// while writers block on the dirty budget would deadlock the path
-	// it exists to drain. Zero means 2.
-	FlushWorkers int
 }
 
 const (
@@ -85,6 +79,12 @@ const (
 	// flushRefusals is how many flushes of one file the PFS may refuse in
 	// a row before Flush and Close report its error instead of waiting.
 	flushRefusals = 3
+	// flushWorkers is the number of dedicated flusher goroutines. They
+	// are deliberately NOT placement-pool tasks: the write-burst gate
+	// pauses pool workers, and a flusher queued behind paused workers
+	// while writers block on the dirty budget would deadlock the path
+	// it exists to drain.
+	flushWorkers = 2
 )
 
 // ErrWritesDisabled is returned by the write API without Config.Write.
@@ -387,11 +387,7 @@ func (ws *writeState) nudge() {
 // start launches the flusher workers; called from Init after journal
 // recovery so flushes never race the replay.
 func (ws *writeState) start() {
-	n := ws.cfg.FlushWorkers
-	if n <= 0 {
-		n = 2
-	}
-	for ; n > 0; n-- {
+	for range flushWorkers {
 		ws.wg.Add(1)
 		go ws.flushLoop()
 	}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -358,20 +357,11 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 			if m == nil {
 				return peernet.NodeStats{}, fmt.Errorf("node %s still assembling", nodeIDs[i])
 			}
-			ns := peernet.NodeStats{Node: nodeIDs[i], Metrics: m.Registry().Snapshot()}
-			if view != nil {
-				for peer, st := range view.Snapshot() {
-					ns.Gossip = append(ns.Gossip, peernet.GossipEntry{Node: peer, State: st.String()})
-				}
-				sort.Slice(ns.Gossip, func(a, b int) bool { return ns.Gossip[a].Node < ns.Gossip[b].Node })
-			}
+			ns := peernet.NodeStats{Node: nodeIDs[i], Metrics: m.Registry().Snapshot(), Gossip: view.Gossip()}
 			if jobs := m.Stats().Jobs; len(jobs) > 0 {
 				ns.Jobs = make(map[string]peernet.JobCounters, len(jobs))
 				for job, js := range jobs {
-					ns.Jobs[job] = peernet.JobCounters{
-						ReadsServed: js.ReadsServed, BytesServed: js.BytesServed,
-						Hits: js.Hits, Evictions: js.Evictions,
-					}
+					ns.Jobs[job] = peernet.JobCounters(js)
 				}
 			}
 			return ns, nil

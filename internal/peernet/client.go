@@ -19,6 +19,9 @@ import (
 // closed under them and the retry loop refuses to redial.
 var ErrClientClosed = errors.New("peernet: client is closed")
 
+// idleConns caps the idle connections a client keeps for reuse.
+const idleConns = 2
+
 // Dialer opens one connection to a peer server. TCPDialer and
 // PipeDialer cover the two in-tree transports; tests can inject
 // failing dialers to exercise the retry path.
@@ -30,8 +33,6 @@ type ClientConfig struct {
 	Name string
 	// Dial opens connections to the peer.
 	Dial Dialer
-	// PoolSize caps idle connections kept for reuse (default 2).
-	PoolSize int
 	// Timeout bounds each request end to end — every attempt and every
 	// retry backoff must fit inside it (default 5s). A tighter caller
 	// deadline wins.
@@ -93,9 +94,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.Name == "" {
 		cfg.Name = "peer"
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 2
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
@@ -182,7 +180,7 @@ func (c *Client) putConn(conn net.Conn) {
 	conn.SetDeadline(time.Time{})
 	c.mu.Lock()
 	delete(c.live, conn)
-	if !c.closed && len(c.idle) < c.cfg.PoolSize {
+	if !c.closed && len(c.idle) < idleConns {
 		c.idle = append(c.idle, conn)
 		c.mu.Unlock()
 		return

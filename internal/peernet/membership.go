@@ -3,6 +3,7 @@ package peernet
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -229,6 +230,22 @@ func (m *Membership) Snapshot() map[string]PeerState {
 		out[peer] = m.stateFor(now.Sub(h.lastSeen))
 	}
 	return out
+}
+
+// Gossip renders the view as STATS-frame entries, sorted by node so
+// output is deterministic. A nil view (a node that runs no gossip) has
+// none.
+func (m *Membership) Gossip() []GossipEntry {
+	if m == nil {
+		return nil
+	}
+	snap := m.Snapshot()
+	entries := make([]GossipEntry, 0, len(snap))
+	for peer, st := range snap {
+		entries = append(entries, GossipEntry{Node: peer, State: st.String()})
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Node < entries[j].Node })
+	return entries
 }
 
 // LiveCount reports how many peers are not Dead.

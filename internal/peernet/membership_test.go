@@ -189,3 +189,24 @@ func TestHeartbeatCodecRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestMembershipGossip: the one rendering of a view every consumer
+// shares — STATS, /healthz, /debug/gossip — is sorted by node, carries
+// each peer's state at call time, leaves self out, and is nil-safe, so a
+// node without gossip renders no opinions instead of needing a guard.
+func TestMembershipGossip(t *testing.T) {
+	if got := (*Membership)(nil).Gossip(); got != nil {
+		t.Fatalf("nil view rendered %+v", got)
+	}
+	clk := newFakeClock()
+	m, err := NewMembership(clk.config("b", "c", "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(1500 * time.Millisecond)
+	m.ObserveAlive("c")
+	want := []GossipEntry{{Node: "a", State: "suspect"}, {Node: "c", State: "alive"}}
+	if got := m.Gossip(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Gossip() = %+v, want %+v", got, want)
+	}
+}

@@ -25,10 +25,9 @@ func pipeClient(t *testing.T, capacity int64, allowWrite bool) (*peernet.Client,
 		t.Fatal(err)
 	}
 	c, err := peernet.NewClient(peernet.ClientConfig{
-		Name:     "peer:test",
-		Dial:     peernet.PipeDialer(srv),
-		PoolSize: 4,
-		Timeout:  5 * time.Second,
+		Name:    "peer:test",
+		Dial:    peernet.PipeDialer(srv),
+		Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -594,8 +593,7 @@ func TestReadResponseSurvivesRemove(t *testing.T) {
 			go srv.ServeConn(conn)
 			return client, nil
 		},
-		PoolSize: 1,
-		Timeout:  5 * time.Second,
+		Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

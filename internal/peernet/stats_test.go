@@ -26,10 +26,9 @@ func statsClient(t *testing.T, stats func() (peernet.NodeStats, error)) (*peerne
 		t.Fatal(err)
 	}
 	c, err := peernet.NewClient(peernet.ClientConfig{
-		Name:     "peer:stats",
-		Dial:     peernet.PipeDialer(srv),
-		PoolSize: 2,
-		Timeout:  5 * time.Second,
+		Name:    "peer:stats",
+		Dial:    peernet.PipeDialer(srv),
+		Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
