@@ -51,9 +51,12 @@ test:
 # claim refused half-way. So do the view-lifetime cases: views held across the removal and
 # replacement of the file under them (a mapped view that loses is a
 # SIGBUS, not a failed assertion), and a peer response in flight across
-# a Remove. The placement plan's settle table is pinned by a manual pool
-# and Shutdown's cancellation by a blocking tier; they repeat for the
-# detector too, chunk workers being the one place the plan fans out. So
+# a Remove — by writev and by sendfile, where the name is also replaced
+# under the send, two connections stream one descriptor, and a requester
+# that hangs up mid-body must leave no reference behind. The placement
+# plan's settle table is pinned by a manual pool and Shutdown's
+# cancellation by a blocking tier; they repeat for the detector too,
+# chunk workers being the one place the plan fans out. So
 # does the concurrent first miss of a fetch-through: N readers race for
 # one file's queue, and the losers must never wait on the winner's fetch.
 # And the read-ahead's lifetime rule, on the same line: lent views held
@@ -68,25 +71,28 @@ stress:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime' -count=50 ./internal/storage/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReadResponseSurvivesRemove' -count=50 ./internal/peernet/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReadResponseSurvivesRemove|TestSendfileKeepsTheInode|TestConcurrentStreamsOfOneFile|TestClientGoneMidBody' -count=50 ./internal/peernet/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestCrashSmoke' -count=10 .
 
-# OSFS lends views through mmap on unix and refuses them elsewhere, in
-# build-tagged files: build every package for one platform on each side
-# of that split (and a second unix), and vet the package that holds it.
-# Standard library only, so no network.
+# OSFS lends views through mmap on unix and refuses them elsewhere, and
+# the peer server sends file views with sendfile(2) on linux and by
+# writev elsewhere, both in build-tagged files: build every package for
+# one platform on each side of those splits (and a second unix), and vet
+# the two packages that hold them. Standard library only, so no network.
 CROSS_GOOS = darwin freebsd windows
 cross:
 	@set -e; for os in $(CROSS_GOOS); do \
-		echo "GOOS=$$os GOARCH=amd64 go build ./... && go vet ./internal/storage/"; \
+		echo "GOOS=$$os GOARCH=amd64 go build ./... && go vet ./internal/storage/ ./internal/peernet/"; \
 		GOOS=$$os GOARCH=amd64 $(GO) build ./...; \
-		GOOS=$$os GOARCH=amd64 $(GO) vet ./internal/storage/; \
+		GOOS=$$os GOARCH=amd64 $(GO) vet ./internal/storage/ ./internal/peernet/; \
 	done
 
 # The line counts ROADMAP tracks, so CHANGES and ROADMAP quote a
 # command's output, not a hand count.
 loc:
-	@echo "non-test internal/core: $$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l)"
+	@for pkg in core peernet storage; do \
+		echo "non-test internal/$$pkg: $$(cat $$(ls internal/$$pkg/*.go | grep -v _test.go) | wc -l)"; \
+	done
 	@wc -l internal/core/core.go internal/core/write.go internal/core/placement.go internal/core/metadata.go cmd/monarch-serve/main.go cmd/monarch-serve/backend.go | sed '$$d'
 
 # bench/ is its own module (the BENCHMARK.json ledger harness), so

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"testing"
-	"time"
 
 	"monarch/internal/peernet"
 	"monarch/internal/storage"
@@ -14,15 +13,7 @@ import (
 // benchServer seeds a MemFS with one file and serves it.
 func benchServer(b *testing.B, size int) *peernet.Server {
 	b.Helper()
-	mem := storage.NewMemFS("remote", 0)
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	if err := mem.WriteFile(context.Background(), "bench.rec", data); err != nil {
-		b.Fatal(err)
-	}
-	srv, err := peernet.NewServer(peernet.ServerConfig{Backend: mem})
+	srv, err := peernet.NewServer(peernet.ServerConfig{Backend: benchSeed(b, storage.NewMemFS("remote", 0), size)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,9 +21,35 @@ func benchServer(b *testing.B, size int) *peernet.Server {
 	return srv
 }
 
+// benchFile is an OSFS holding the one file: its views are windows of
+// an open file, which a TCP connection sends with sendfile(2) on linux.
+func benchFile(b *testing.B, size int) storage.Backend {
+	b.Helper()
+	osfs, err := storage.NewOSFS("remote", b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(osfs.CloseIdle)
+	return benchSeed(b, osfs, size)
+}
+
+// benchSeed writes the one file every read benchmark reads.
+func benchSeed(b *testing.B, backend storage.Backend, size int) storage.Backend {
+	b.Helper()
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	if err := backend.WriteFile(context.Background(), "bench.rec", data); err != nil {
+		b.Fatal(err)
+	}
+	return backend
+}
+
 // benchRead drives b.N whole-file reads through c and reports MB/s.
 func benchRead(b *testing.B, c *peernet.Client, size int) {
 	ctx := context.Background()
+	b.ReportAllocs()
 	p := make([]byte, size)
 	b.SetBytes(int64(size))
 	b.ResetTimer()
@@ -45,7 +62,11 @@ func benchRead(b *testing.B, c *peernet.Client, size int) {
 }
 
 // BenchmarkPeerRead measures one-request read latency/throughput over
-// both transports at dataset-shard-ish sizes.
+// both transports at dataset-shard-ish sizes, client and server in one
+// process (so B/op and allocs/op are both ends'). tcp and pipe serve a
+// MemFS; tcp-file serves an OSFS over a plain TCP connection — the
+// sendfile path on linux — and tcp-view the same OSFS over a wrapped
+// one, which is the writev path: the pair prices sendfile against it.
 func BenchmarkPeerRead(b *testing.B) {
 	sizes := []int{4 << 10, 256 << 10, 4 << 20}
 
@@ -65,20 +86,16 @@ func BenchmarkPeerRead(b *testing.B) {
 		})
 
 		b.Run(fmt.Sprintf("tcp/%dKB", size>>10), func(b *testing.B) {
-			srv := benchServer(b, size)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go srv.Serve(ln)
-			c, err := peernet.NewClient(peernet.ClientConfig{
-				Name: "peer:tcp",
-				Dial: peernet.TCPDialer(ln.Addr().String(), time.Second),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { c.Close() })
+			_, c := peernet.ServeTCP(b, benchSeed(b, storage.NewMemFS("remote", 0), size), nil)
+			benchRead(b, c, size)
+		})
+		b.Run(fmt.Sprintf("tcp-file/%dKB", size>>10), func(b *testing.B) {
+			_, c := peernet.ServeTCP(b, benchFile(b, size), nil)
+			benchRead(b, c, size)
+		})
+		b.Run(fmt.Sprintf("tcp-view/%dKB", size>>10), func(b *testing.B) {
+			wrap := func(ln net.Listener) net.Listener { return peernet.PlainListener{Listener: ln} }
+			_, c := peernet.ServeTCP(b, benchFile(b, size), wrap)
 			benchRead(b, c, size)
 		})
 	}

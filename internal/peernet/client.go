@@ -58,8 +58,8 @@ type Client struct {
 	cfg ClientConfig
 
 	mu     sync.Mutex
-	idle   []net.Conn
-	live   map[net.Conn]struct{} // checked out by in-flight requests
+	idle   []*clientConn
+	live   map[*clientConn]struct{} // checked out by in-flight requests
 	closed bool
 
 	// Per-op wire attempts, transport errors and response bytes;
@@ -72,6 +72,15 @@ type Client struct {
 	bytesIn  atomic.Int64
 	lat      atomic.Pointer[obs.Histogram]
 	hlat     *obs.Histogram
+}
+
+// clientConn is one pooled connection and its scratch, so that a warm
+// request allocates nothing: the request frame is built in buf and
+// leaves in one Write, the response's header lands in hdr.
+type clientConn struct {
+	net.Conn
+	buf []byte
+	hdr [5]byte
 }
 
 // opNames label the per-op request counters.
@@ -108,7 +117,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	return &Client{
 		cfg:  cfg,
-		live: make(map[net.Conn]struct{}),
+		live: make(map[*clientConn]struct{}),
 		hlat: obs.NewHistogram(obs.LatencyBuckets),
 	}, nil
 }
@@ -129,7 +138,7 @@ func (c *Client) Close() error {
 	c.closed = true
 	idle := c.idle
 	c.idle = nil
-	live := make([]net.Conn, 0, len(c.live))
+	live := make([]*clientConn, 0, len(c.live))
 	for conn := range c.live {
 		live = append(live, conn)
 	}
@@ -146,7 +155,7 @@ func (c *Client) Close() error {
 // getConn pops an idle connection or dials a fresh one; either way the
 // connection is tracked as live until putConn/discard, so Close can
 // fail it under an in-flight request.
-func (c *Client) getConn(ctx context.Context) (net.Conn, error) {
+func (c *Client) getConn(ctx context.Context) (*clientConn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -160,10 +169,11 @@ func (c *Client) getConn(ctx context.Context) (net.Conn, error) {
 		return conn, nil
 	}
 	c.mu.Unlock()
-	conn, err := c.cfg.Dial(ctx)
+	nc, err := c.cfg.Dial(ctx)
 	if err != nil {
 		return nil, err
 	}
+	conn := &clientConn{Conn: nc}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -176,7 +186,7 @@ func (c *Client) getConn(ctx context.Context) (net.Conn, error) {
 }
 
 // putConn returns a healthy connection to the pool.
-func (c *Client) putConn(conn net.Conn) {
+func (c *Client) putConn(conn *clientConn) {
 	conn.SetDeadline(time.Time{})
 	c.mu.Lock()
 	delete(c.live, conn)
@@ -190,7 +200,7 @@ func (c *Client) putConn(conn net.Conn) {
 }
 
 // discard closes a failed connection and forgets it.
-func (c *Client) discard(conn net.Conn) {
+func (c *Client) discard(conn *clientConn) {
 	c.mu.Lock()
 	delete(c.live, conn)
 	c.mu.Unlock()
@@ -205,10 +215,13 @@ func (c *Client) isClosed() bool {
 
 // do runs one request under the per-op deadline with transport-level
 // retry: jittered exponential backoff between attempts, total wall
-// time (attempts plus sleeps) capped by the deadline. It returns the
-// remote status and response payload; callers map non-OK statuses
-// through remoteError.
-func (c *Client) do(ctx context.Context, op byte, payload []byte) (byte, []byte, error) {
+// time (attempts plus sleeps) capped by the deadline. The request's
+// payload is head, copied into the connection's scratch (a caller may
+// encode it on its stack), then data, written from where it is. It
+// returns the remote status and response payload — the prefix of dst
+// an OK body was read into when there is a dst (see readResponse);
+// callers map non-OK statuses through remoteError.
+func (c *Client) do(ctx context.Context, op byte, head, data, dst []byte) (byte, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
@@ -248,7 +261,7 @@ func (c *Client) do(ctx context.Context, op byte, payload []byte) (byte, []byte,
 			lastErr = err
 			continue
 		}
-		status, resp, err := c.roundTrip(ctx, conn, op, payload, deadline)
+		status, resp, err := c.roundTrip(ctx, conn, op, head, data, dst, deadline)
 		if err != nil {
 			c.discard(conn)
 			c.transErr.Add(1)
@@ -269,7 +282,7 @@ func (c *Client) do(ctx context.Context, op byte, payload []byte) (byte, []byte,
 // cancelled context forces the connection's deadline into the past, so
 // hedged reads can abandon the losing replica mid-read instead of
 // waiting out the full timeout.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, op byte, payload []byte, deadline time.Time) (byte, []byte, error) {
+func (c *Client) roundTrip(ctx context.Context, conn *clientConn, op byte, head, data, dst []byte, deadline time.Time) (byte, []byte, error) {
 	if err := conn.SetDeadline(deadline); err != nil {
 		return 0, nil, err
 	}
@@ -286,10 +299,20 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, op byte, payload 
 	}
 	c.reqs[op&0x0f].Add(1)
 	start := time.Now()
-	if err := writeFrameID(conn, op, obs.RequestIDFrom(ctx), payload); err != nil {
+	b, err := appendHeader(conn.buf[:0], op, obs.RequestIDFrom(ctx), len(head)+len(data))
+	if err != nil {
 		return 0, nil, err
 	}
-	status, _, resp, err := readFrame(conn)
+	conn.buf = append(b, head...)
+	if _, err := conn.Write(conn.buf); err != nil {
+		return 0, nil, err
+	}
+	if len(data) > 0 {
+		if _, err := conn.Write(data); err != nil {
+			return 0, nil, err
+		}
+	}
+	status, resp, err := readResponse(conn.Conn, &conn.hdr, dst)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -339,7 +362,7 @@ func (c *Client) remoteError(status byte, resp []byte) error {
 // Ping implements storage.Pinger: a liveness round trip the recovery
 // prober uses instead of its default write probe.
 func (c *Client) Ping(ctx context.Context) error {
-	status, resp, err := c.do(ctx, OpPing, nil)
+	status, resp, err := c.do(ctx, OpPing, nil, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -354,7 +377,7 @@ func (c *Client) Ping(ctx context.Context) error {
 // local view travels out, the peer's view comes back (nil when the
 // peer runs without a Membership — plain liveness still proven).
 func (c *Client) Heartbeat(ctx context.Context, self string, view []HeartbeatEntry) ([]HeartbeatEntry, error) {
-	status, resp, err := c.do(ctx, OpPing, appendHeartbeat(nil, self, view))
+	status, resp, err := c.do(ctx, OpPing, appendHeartbeat(nil, self, view), nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +400,7 @@ func (c *Client) Stat(ctx context.Context, name string) (storage.FileInfo, error
 	if err := storage.ValidateName(name); err != nil {
 		return storage.FileInfo{}, err
 	}
-	status, resp, err := c.do(ctx, OpStat, appendString(nil, name))
+	status, resp, err := c.do(ctx, OpStat, appendString(nil, name), nil, nil)
 	if err != nil {
 		return storage.FileInfo{}, err
 	}
@@ -394,7 +417,7 @@ func (c *Client) Stat(ctx context.Context, name string) (storage.FileInfo, error
 
 // List implements storage.Backend.
 func (c *Client) List(ctx context.Context) ([]storage.FileInfo, error) {
-	status, resp, err := c.do(ctx, OpList, nil)
+	status, resp, err := c.do(ctx, OpList, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +437,7 @@ func (c *Client) List(ctx context.Context) ([]storage.FileInfo, error) {
 }
 
 // ReadAt implements storage.Backend, splitting large windows into
-// maxData-sized wire requests.
+// maxData-sized wire requests whose bodies are read straight into p.
 func (c *Client) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
 	if err := storage.ValidateName(name); err != nil {
 		return 0, err
@@ -422,24 +445,22 @@ func (c *Client) ReadAt(ctx context.Context, name string, p []byte, off int64) (
 	if off < 0 {
 		return 0, fmt.Errorf("peernet: %s: negative offset %d", c.cfg.Name, off)
 	}
+	if p == nil {
+		p = []byte{} // still a destination: a nil dst asks do for a pooled payload
+	}
+	var scratch [96]byte
 	done := 0
 	for {
 		want := min(len(p)-done, maxData)
 		status, resp, err := c.do(ctx, OpRead,
-			appendReadReq(nil, name, off+int64(done), uint32(want)))
+			appendReadReq(scratch[:0], name, off+int64(done), uint32(want)), nil, p[done:done+want])
 		if err != nil {
 			return done, err
 		}
 		if status != StatusOK {
 			return done, c.remoteError(status, resp)
 		}
-		if len(resp) > want {
-			putPayload(resp)
-			return done, fmt.Errorf("%w: READ returned %d bytes for a %d-byte request",
-				errMalformed, len(resp), want)
-		}
-		n := copy(p[done:], resp)
-		putPayload(resp)
+		n := len(resp)
 		done += n
 		c.bytesIn.Add(int64(n))
 		if n < want || done == len(p) {
@@ -470,8 +491,7 @@ func (c *Client) WriteFile(ctx context.Context, name string, data []byte) error 
 	if err := storage.ValidateName(name); err != nil {
 		return err
 	}
-	payload := append(appendString(nil, name), data...)
-	status, resp, err := c.do(ctx, OpWrite, payload)
+	status, resp, err := c.do(ctx, OpWrite, appendString(nil, name), data, nil)
 	if err != nil {
 		return err
 	}
@@ -487,7 +507,7 @@ func (c *Client) Remove(ctx context.Context, name string) error {
 	if err := storage.ValidateName(name); err != nil {
 		return err
 	}
-	status, resp, err := c.do(ctx, OpRemove, appendString(nil, name))
+	status, resp, err := c.do(ctx, OpRemove, appendString(nil, name), nil, nil)
 	if err != nil {
 		return err
 	}
@@ -503,7 +523,7 @@ func (c *Client) Remove(ctx context.Context, name string) error {
 // run without a stats source) answer StatusInvalid, which surfaces
 // here as a remote error.
 func (c *Client) Stats(ctx context.Context) (NodeStats, error) {
-	status, resp, err := c.do(ctx, OpStats, nil)
+	status, resp, err := c.do(ctx, OpStats, nil, nil, nil)
 	if err != nil {
 		return NodeStats{}, err
 	}
@@ -520,7 +540,7 @@ func (c *Client) Stats(ctx context.Context) (NodeStats, error) {
 func (c *Client) usage() (capacity, used int64, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
 	defer cancel()
-	status, resp, err := c.do(ctx, OpUsage, nil)
+	status, resp, err := c.do(ctx, OpUsage, nil, nil, nil)
 	if err != nil {
 		return 0, 0, err
 	}

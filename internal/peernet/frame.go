@@ -99,61 +99,43 @@ const (
 // errors.
 var errMalformed = errors.New("peernet: malformed frame")
 
-// writeFrame emits one frame. The payload may be nil.
-func writeFrame(w io.Writer, code byte, payload []byte) error {
-	return writeFrameID(w, code, 0, payload)
+// appendHeader appends the header of a frame of n payload bytes: the
+// length, the code and — flagReqID set on the code — a non-zero req.
+// Both ends build every frame they send through it: one MaxFrame guard.
+func appendHeader(b []byte, code byte, req uint64, n int) ([]byte, error) {
+	if n+1 > MaxFrame {
+		return b, fmt.Errorf("peernet: frame payload %d bytes exceeds MaxFrame", n)
+	}
+	if req == 0 {
+		return append(binary.BigEndian.AppendUint32(b, uint32(n+1)), code), nil
+	}
+	b = append(binary.BigEndian.AppendUint32(b, uint32(n+9)), code|flagReqID)
+	return binary.BigEndian.AppendUint64(b, req), nil
 }
 
-// writeFrameID emits one frame, stamping the request ID after the code
-// byte (and setting flagReqID on it) when req is non-zero.
-func writeFrameID(w io.Writer, code byte, req uint64, payload []byte) error {
-	if len(payload)+1 > MaxFrame {
-		return fmt.Errorf("peernet: frame payload %d bytes exceeds MaxFrame", len(payload))
-	}
-	var hdr [13]byte
-	n := 5
-	hdr[4] = code
-	if req != 0 {
-		hdr[4] = code | flagReqID
-		binary.BigEndian.PutUint64(hdr[5:13], req)
-		n = 13
-	}
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+n-4))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readFrame decodes one frame from r. Payloads up to bufpool.MaxPooled
-// come from the buffer pool — the caller hands them back with
-// putPayload once parsed (every in-tree decode copies what it keeps:
-// strings via parseString, ReadAt payloads via copy, WriteFile data via
-// the backend's own copy). Larger payloads are freshly allocated,
-// growing in bounded steps so a hostile length prefix cannot force a
-// huge allocation before the stream runs dry.
-func readFrame(r io.Reader) (code byte, req uint64, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame decodes one frame from r, its header through hdr (the
+// connection's scratch: a local array would escape through r on every
+// call). Payloads up to bufpool.MaxPooled come from the buffer pool —
+// the caller hands them back with putPayload once parsed (every
+// in-tree decode copies what it keeps: strings via parseString,
+// WriteFile data via the backend's own copy). Larger payloads are
+// freshly allocated, growing in bounded steps so a hostile length
+// prefix cannot force a huge allocation before the stream runs dry.
+func readFrame(r io.Reader, hdr *[13]byte) (code byte, req uint64, payload []byte, err error) {
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr[:4])
 	if n == 0 {
 		return 0, 0, nil, fmt.Errorf("%w: zero length", errMalformed)
 	}
 	if n > MaxFrame {
 		return 0, 0, nil, fmt.Errorf("%w: length %d exceeds MaxFrame", errMalformed, n)
 	}
-	var cb [1]byte
-	if _, err := io.ReadFull(r, cb[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
 		return 0, 0, nil, err
 	}
-	code = cb[0]
+	code = hdr[4]
 	n--
 	if code&0x80 == 0 && code&flagReqID != 0 {
 		// A request frame carrying a correlation ID: 8 ID bytes sit
@@ -161,11 +143,10 @@ func readFrame(r io.Reader) (code byte, req uint64, payload []byte, err error) {
 		if n < 8 {
 			return 0, 0, nil, fmt.Errorf("%w: truncated request ID", errMalformed)
 		}
-		var ib [8]byte
-		if _, err := io.ReadFull(r, ib[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[5:]); err != nil {
 			return 0, 0, nil, err
 		}
-		req = binary.BigEndian.Uint64(ib[:])
+		req = binary.BigEndian.Uint64(hdr[5:])
 		code &^= flagReqID
 		n -= 8
 	}
@@ -174,6 +155,39 @@ func readFrame(r io.Reader) (code byte, req uint64, payload []byte, err error) {
 		return 0, 0, nil, err
 	}
 	return code, req, body, nil
+}
+
+// readResponse decodes one response frame from r, its header in one
+// Read through hdr. An OK body is read straight into dst when the
+// caller gave one (a READ's range) and returned as a prefix of it; a
+// longer body is malformed before a byte of it is read, so nothing is
+// written past dst or allocated for it. Any other body — an error's
+// message, a response without a dst — is a payload as from readFrame.
+// A code that is not a status means the stream is out of step.
+func readResponse(r io.Reader, hdr *[5]byte, dst []byte) (status byte, body []byte, err error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:4])
+	status = hdr[4]
+	switch {
+	case n == 0:
+		return 0, nil, fmt.Errorf("%w: zero length", errMalformed)
+	case n > MaxFrame:
+		return 0, nil, fmt.Errorf("%w: length %d exceeds MaxFrame", errMalformed, n)
+	case status&0x80 == 0 || status&flagReqID != 0:
+		return 0, nil, fmt.Errorf("%w: code 0x%02x in a response", errMalformed, status)
+	}
+	n--
+	if status != StatusOK || dst == nil {
+		body, err = readBounded(r, int(n))
+		return status, body, err
+	}
+	if int(n) > len(dst) {
+		return 0, nil, fmt.Errorf("%w: %d-byte body for a %d-byte read", errMalformed, n, len(dst))
+	}
+	_, err = io.ReadFull(r, dst[:n])
+	return status, dst[:n], err
 }
 
 // readBounded reads exactly n bytes. Sizes the pool covers borrow a

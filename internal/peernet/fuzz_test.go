@@ -3,15 +3,34 @@ package peernet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
 	"time"
 )
 
+// writeFrame emits one frame the way both ends build theirs: the header
+// from appendHeader, the payload behind it. The payload may be nil.
+func writeFrame(w io.Writer, code byte, payload []byte) error {
+	return writeFrameID(w, code, 0, payload)
+}
+
+// writeFrameID is writeFrame for a request stamped with an ID.
+func writeFrameID(w io.Writer, code byte, req uint64, payload []byte) error {
+	b, err := appendHeader(nil, code, req, len(payload))
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, payload...))
+	return err
+}
+
 // FuzzFrame throws arbitrary bytes at the wire decode path: the frame
-// reader first, then every payload parser against each decoded frame.
-// The invariants are "no panic" and "no unbounded allocation" —
-// malformed lengths, truncated frames and oversize payloads must come
-// back as errors. The seed corpus in testdata/fuzz/FuzzFrame pins the
+// reader first, then every payload parser against each decoded frame,
+// then the client's response reader with destinations of several sizes
+// (fuzzResponse). The invariants are "no panic" and "no unbounded
+// allocation" — malformed lengths, truncated frames and oversize
+// payloads must come back as errors. The seed corpus in testdata/fuzz/FuzzFrame pins the
 // regressions found while developing the codec.
 func FuzzFrame(f *testing.F) {
 	// Well-formed frames, so the fuzzer starts from parseable inputs.
@@ -80,11 +99,22 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, OpStat, 0, 50, 'a', 'b'})
 	f.Add([]byte{0, 0, 0, 4, OpRead | 0x40, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 3, StatusOK, 0xff, '{'})
+	// What only the response reader refuses: a body one byte longer than
+	// any destination tried, a length past MaxFrame behind a status, a
+	// request op and an ID-flagged status where a status belongs, and an
+	// OK body that stops short of its prefix.
+	f.Add(append([]byte{0, 0, 0, 66, StatusOK}, make([]byte, 65)...))
+	f.Add([]byte{0x04, 0, 0, 1, StatusOK, 1, 2, 3})
+	f.Add([]byte{0, 0, 0, 3, OpRead, 1, 2})
+	f.Add([]byte{0, 0, 0, 3, StatusOK | flagReqID, 1, 2})
+	f.Add([]byte{0, 0, 0, 9, StatusOK, 1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzResponse(t, data)
 		r := bytes.NewReader(data)
+		var hdr [13]byte
 		for {
-			code, req, payload, err := readFrame(r)
+			code, req, payload, err := readFrame(r, &hdr)
 			if err != nil {
 				break
 			}
@@ -133,6 +163,66 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
+// fuzzResponse drives readResponse over data with destinations of
+// several sizes, the last one no destination at all. Whatever the bytes
+// say, the reader writes nothing past dst, takes nothing from the
+// length prefix alone (a body comes back only if the input held all of
+// it), fails only with errMalformed or a short stream, and says
+// errMalformed for a body longer than dst and for a code that is not a
+// status.
+func fuzzResponse(t *testing.T, data []byte) {
+	const guard = 0xA5
+	for _, size := range []int{0, 1, 16, 64, -1} {
+		buf := bytes.Repeat([]byte{guard}, 64+8)
+		var dst []byte
+		if size >= 0 {
+			dst = buf[:size]
+		}
+		var hdr [5]byte
+		r := bytes.NewReader(data)
+		status, body, err := readResponse(r, &hdr, dst)
+		for _, b := range buf[max(size, 0):] {
+			if b != guard {
+				t.Fatalf("dst of %d bytes: wrote past it", size)
+			}
+		}
+		if err != nil {
+			if !errors.Is(err, errMalformed) && err != io.EOF && err != io.ErrUnexpectedEOF {
+				t.Fatalf("dst of %d bytes: error %v is neither malformed nor a short stream", size, err)
+			}
+			if body != nil && len(data) >= 5 && errors.Is(err, errMalformed) {
+				t.Fatalf("dst of %d bytes: a malformed response returned %d bytes", size, len(body))
+			}
+			if len(data) < 5 {
+				continue
+			}
+			n, code := binary.BigEndian.Uint32(data), data[4]
+			wantMalformed := n == 0 || n > MaxFrame || code&0x80 == 0 || code&flagReqID != 0 ||
+				(code == StatusOK && size >= 0 && int(n-1) > size)
+			if wantMalformed != errors.Is(err, errMalformed) {
+				t.Fatalf("dst of %d bytes, prefix %d, code %#x: error %v", size, n, code, err)
+			}
+			continue
+		}
+		if status&0x80 == 0 || status&flagReqID != 0 {
+			t.Fatalf("accepted code %#x as a status", status)
+		}
+		if len(body)+5 > len(data) {
+			t.Fatalf("body of %d bytes from %d input bytes", len(body), len(data))
+		}
+		if status == StatusOK && size >= 0 {
+			if len(body) > size || (len(body) > 0 && &body[0] != &dst[0]) {
+				t.Fatalf("dst of %d bytes: an OK body of %d bytes, or not in dst", size, len(body))
+			}
+			if !bytes.Equal(body, data[5:5+len(body)]) {
+				t.Fatal("OK body differs from the bytes on the wire")
+			}
+		} else {
+			putPayload(body)
+		}
+	}
+}
+
 // FuzzRoundtrip checks encode→decode identity for request/response
 // payloads built from fuzzed fields.
 func FuzzRoundtrip(f *testing.F) {
@@ -150,7 +240,8 @@ func FuzzRoundtrip(f *testing.F) {
 		if err := writeFrame(&buf, OpRead, payload); err != nil {
 			t.Fatal(err)
 		}
-		code, _, got, err := readFrame(&buf)
+		var hdr [13]byte
+		code, _, got, err := readFrame(&buf, &hdr)
 		if err != nil || code != OpRead {
 			t.Fatalf("decode: code=%#x err=%v", code, err)
 		}
@@ -210,10 +301,14 @@ func FuzzHeartbeat(f *testing.F) {
 
 // TestFrameRejectsOversize pins the MaxFrame guard on both sides.
 func TestFrameRejectsOversize(t *testing.T) {
-	var hdr [4]byte
+	var hdr [13]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
-		t.Fatal("oversize length accepted")
+	hdr[4] = StatusOK
+	if _, _, _, err := readFrame(bytes.NewReader(hdr[:5]), new([13]byte)); !errors.Is(err, errMalformed) {
+		t.Fatalf("oversize length: readFrame returned %v", err)
+	}
+	if _, _, err := readResponse(bytes.NewReader(hdr[:5]), new([5]byte), nil); !errors.Is(err, errMalformed) {
+		t.Fatalf("oversize length: readResponse returned %v", err)
 	}
 	if err := writeFrame(&bytes.Buffer{}, OpWrite, make([]byte, MaxFrame)); err == nil {
 		t.Fatal("oversize write accepted")

@@ -2,7 +2,7 @@ package peernet
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -100,11 +100,9 @@ func (r *Ring) OwnersOf(name string, n int) []string {
 		return r.points[i].hash >= h
 	})
 	owners := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for i := 0; i < len(r.points) && len(owners) < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
+		if !slices.Contains(owners, p.node) {
 			owners = append(owners, p.node)
 		}
 	}
@@ -115,6 +113,9 @@ func (r *Ring) OwnersOf(name string, n int) []string {
 // — the replica-aware form of `ring.Owner(name) == node` that
 // Config.Peer.Owns should use when running with replication.
 func (r *Ring) OwnedBy(name, node string, n int) bool {
+	if n <= 1 {
+		return r.Owner(name) == node // no replica set to build
+	}
 	for _, o := range r.OwnersOf(name, n) {
 		if o == node {
 			return true
@@ -153,10 +154,13 @@ func (r *Ring) Remove(node string) (*Ring, error) {
 	return NewRing(nodes, r.vnodes)
 }
 
-// hash64 is FNV-1a 64: cheap, allocation-free and stable across
+// hash64 is FNV-1a 64, spelled out so that it allocates nothing (the
+// read path hashes every name it routes): cheap and stable across
 // processes (ownership must agree between nodes).
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }

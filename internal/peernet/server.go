@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -135,6 +136,43 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.serveConn(conn)
 }
 
+// A READ body of sendfileMin to sendfileMax bytes leaves by sendfile(2)
+// where it can. A smaller one costs less as the tail of the header's
+// writev than as a second system call; a larger one outgrows the socket
+// buffers, and a sender that parks between pieces loses to writev on
+// loopback (BenchmarkPeerRead's 4096KB rows).
+const (
+	sendfileMin = 16 << 10
+	sendfileMax = 512 << 10
+)
+
+// respWriter writes one connection's responses, each one writev of
+// header and body, from per-connection state so that a response
+// allocates nothing. sendFile is nil on a connection that cannot
+// sendfile (see newFileSender).
+type respWriter struct {
+	conn     net.Conn
+	hdr      [5]byte
+	vec      [2][]byte
+	bufs     net.Buffers // over vec; a field because WriteTo consumes it through a pointer
+	sendFile func(hdr []byte, f *os.File, off int64, n int) error
+}
+
+// write sends one response frame; body stays the caller's.
+func (w *respWriter) write(status byte, body []byte) error {
+	hdr, err := appendHeader(w.hdr[:0], status, 0, len(body))
+	if err != nil {
+		return err
+	}
+	w.vec[0], w.vec[1] = hdr, body
+	w.bufs = w.vec[:]
+	if len(body) == 0 {
+		w.bufs = w.vec[:1] // net.Pipe would park an empty Write until the next Read
+	}
+	_, err = w.bufs.WriteTo(w.conn)
+	return err
+}
+
 // serveConn runs the request loop.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
@@ -145,28 +183,23 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	w := &respWriter{conn: conn, sendFile: newFileSender(conn)}
+	var hdr [13]byte
 	for {
-		op, req, payload, err := readFrame(br)
+		op, req, payload, err := readFrame(br, &hdr)
 		if err != nil {
 			// A malformed frame may leave unread garbage mid-stream;
 			// drop the connection rather than guess at resync.
 			if errors.Is(err, errMalformed) {
 				s.logf("peernet: %s: dropping connection: %v", conn.RemoteAddr(), err)
-				writeFrame(bw, StatusInvalid, appendString(nil, err.Error()))
-				bw.Flush()
+				w.write(statusFromError(err))
 			}
 			return
 		}
-		status, resp, release := s.handle(op, req, payload)
-		err = writeFrame(bw, status, resp)
-		if err == nil {
-			err = bw.Flush()
-		}
-		// The response may borrow backend bytes (a storage.View) or a
-		// pooled buffer; it must stay alive until flushed to the socket.
-		if release != nil {
-			release()
+		if op == OpRead {
+			err = s.serveRead(w, req, payload)
+		} else {
+			err = w.write(s.handle(op, payload))
 		}
 		putPayload(payload)
 		if err != nil {
@@ -175,131 +208,139 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handle dispatches one request and encodes the response. A non-nil
-// release returns resources resp borrows (a view's lock, a pooled
-// buffer); the caller invokes it after resp has been written out.
-func (s *Server) handle(op byte, req uint64, payload []byte) (status byte, resp []byte, release func()) {
+// serveRead answers one READ, straight out of the backend's bytes when
+// it lends views (MemFS's buffers, OSFS's file mappings): no
+// intermediate copy, and the response stays whole if the file is
+// evicted before the last byte is out — the view is held until then.
+// Where the view is a window of an open file and the socket allows,
+// the kernel moves the range from the page cache itself (fileSender).
+func (s *Server) serveRead(w *respWriter, req uint64, payload []byte) error {
+	ctx := context.Background()
+	rq, err := parseReadReq(payload)
+	if err != nil {
+		return w.write(statusFromError(err))
+	}
+	start := time.Now()
+	if vr, ok := s.cfg.Backend.(storage.ViewReader); ok {
+		v, verr := vr.ReadView(ctx, rq.name, rq.off, int64(rq.n))
+		if verr == nil {
+			defer v.Release()
+			n := len(v.Data)
+			s.serveSpan(rq, req, int64(n), nil, start)
+			if fw, ok := v.R.(storage.FileWindow); ok && w.sendFile != nil && sendfileMin <= n && n <= sendfileMax {
+				hdr, _ := appendHeader(w.hdr[:0], StatusOK, 0, n) // n <= maxData: never past MaxFrame
+				return w.sendFile(hdr, fw.File(), rq.off, n)
+			}
+			return w.write(StatusOK, v.Data)
+		}
+		if !errors.Is(verr, errors.ErrUnsupported) {
+			s.serveSpan(rq, req, 0, verr, start)
+			return w.write(statusFromError(verr))
+		}
+	}
+	p := bufpool.Get(int(rq.n))
+	defer bufpool.Put(p)
+	n, err := s.cfg.Backend.ReadAt(ctx, rq.name, p, rq.off)
+	if err != nil {
+		s.serveSpan(rq, req, 0, err, start)
+		return w.write(statusFromError(err))
+	}
+	s.serveSpan(rq, req, int64(n), nil, start)
+	return w.write(StatusOK, p[:n])
+}
+
+// handle dispatches one request other than a READ and encodes the
+// response.
+func (s *Server) handle(op byte, payload []byte) (status byte, resp []byte) {
 	ctx := context.Background()
 	b := s.cfg.Backend
 	switch op {
 	case OpPing:
 		if len(payload) == 0 {
-			return StatusOK, nil, nil
+			return StatusOK, nil
 		}
 		_, entries, err := parseHeartbeat(payload)
 		if err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
 		m := s.cfg.Membership
 		if m == nil {
-			return StatusOK, nil, nil
+			return StatusOK, nil
 		}
 		// Merge the gossiped ages only. The sender being able to reach
 		// us says nothing about whether we can reach it — liveness here
 		// means "its serving socket answers", which only our own
 		// outbound heartbeats can prove.
 		m.Merge(entries)
-		return StatusOK, appendHeartbeat(nil, m.Self(), m.View()), nil
+		return StatusOK, appendHeartbeat(nil, m.Self(), m.View())
 
 	case OpStat:
 		name, _, err := parseString(payload)
 		if err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
 		fi, err := b.Stat(ctx, name)
 		if err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
-		return StatusOK, binary.BigEndian.AppendUint64(nil, uint64(fi.Size)), nil
+		return StatusOK, binary.BigEndian.AppendUint64(nil, uint64(fi.Size))
 
 	case OpList:
 		infos, err := b.List(ctx)
 		if err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
 		entries := make([]listEntry, len(infos))
 		for i, fi := range infos {
 			entries[i] = listEntry{name: fi.Name, size: fi.Size}
 		}
-		return StatusOK, appendListResp(nil, entries), nil
-
-	case OpRead:
-		rq, err := parseReadReq(payload)
-		if err != nil {
-			return failWith(err)
-		}
-		start := time.Now()
-		// Serve straight out of the backend's bytes when it lends views
-		// (MemFS's buffers, OSFS's file mappings): the response is
-		// written to the socket from the cache's own bytes — for OSFS,
-		// the page cache — with no intermediate copy, and stays whole
-		// if the file is evicted before the last byte is out.
-		if vr, ok := b.(storage.ViewReader); ok {
-			v, verr := vr.ReadView(ctx, rq.name, rq.off, int64(rq.n))
-			if verr == nil {
-				s.serveSpan(rq, req, int64(len(v.Data)), nil, start)
-				return StatusOK, v.Data, v.Release
-			}
-			if !errors.Is(verr, errors.ErrUnsupported) {
-				s.serveSpan(rq, req, 0, verr, start)
-				return failWith(verr)
-			}
-		}
-		p := bufpool.Get(int(rq.n))
-		n, err := b.ReadAt(ctx, rq.name, p, rq.off)
-		if err != nil {
-			bufpool.Put(p)
-			s.serveSpan(rq, req, 0, err, start)
-			return failWith(err)
-		}
-		s.serveSpan(rq, req, int64(n), nil, start)
-		return StatusOK, p[:n], func() { bufpool.Put(p) }
+		return StatusOK, appendListResp(nil, entries)
 
 	case OpWrite:
 		if !s.cfg.AllowWrite {
-			return StatusReadOnly, appendString(nil, "peer server is read-only"), nil
+			return StatusReadOnly, appendString(nil, "peer server is read-only")
 		}
 		name, data, err := parseString(payload)
 		if err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
 		if err := b.WriteFile(ctx, name, data); err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
-		return StatusOK, nil, nil
+		return StatusOK, nil
 
 	case OpRemove:
 		if !s.cfg.AllowWrite {
-			return StatusReadOnly, appendString(nil, "peer server is read-only"), nil
+			return StatusReadOnly, appendString(nil, "peer server is read-only")
 		}
 		name, _, err := parseString(payload)
 		if err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
 		if err := b.Remove(ctx, name); err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
-		return StatusOK, nil, nil
+		return StatusOK, nil
 
 	case OpUsage:
-		return StatusOK, appendUsageResp(nil, b.Capacity(), b.Used()), nil
+		return StatusOK, appendUsageResp(nil, b.Capacity(), b.Used())
 
 	case OpStats:
 		if s.cfg.Stats == nil {
-			return StatusInvalid, appendString(nil, "stats unsupported"), nil
+			return StatusInvalid, appendString(nil, "stats unsupported")
 		}
 		ns, err := s.cfg.Stats()
 		if err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
 		resp, err := appendStatsResp(nil, ns)
 		if err != nil {
-			return failWith(err)
+			return statusFromError(err)
 		}
-		return StatusOK, resp, nil
+		return StatusOK, resp
 
 	default:
-		return StatusInvalid, appendString(nil, fmt.Sprintf("unknown op 0x%02x", op)), nil
+		return StatusInvalid, appendString(nil, fmt.Sprintf("unknown op 0x%02x", op))
 	}
 }
 
@@ -318,12 +359,6 @@ func (s *Server) serveSpan(rq readReq, req uint64, n int64, err error, start tim
 		Err:      err,
 		Duration: time.Since(start),
 	})
-}
-
-// failWith adapts statusFromError to handle's three-value signature.
-func failWith(err error) (byte, []byte, func()) {
-	status, msg := statusFromError(err)
-	return status, msg, nil
 }
 
 // statusFromError maps a backend (or decode) error onto the wire

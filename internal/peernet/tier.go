@@ -144,11 +144,18 @@ type candidate struct {
 // ones, with self excluded. Dead replicas are returned only when the
 // whole set is Dead — the view can be stale, and trying is cheaper
 // than declaring a miss on hearsay. An empty result means this node is
-// the only replica.
-func (t *Tier) candidates(name string) []candidate {
-	owners := t.ring.OwnersOf(name, t.replicas)
+// the only replica. A one-replica tier tries its owner whatever the
+// view says, and answers in buf: a read then allocates nothing here.
+func (t *Tier) candidates(name string, buf []candidate) []candidate {
+	if t.replicas == 1 {
+		node := t.ring.Owner(name)
+		if c := t.clients[node]; c != nil && node != t.self {
+			buf = append(buf, candidate{node: node, c: c})
+		}
+		return buf
+	}
 	var live, suspect, dead []candidate
-	for _, node := range owners {
+	for _, node := range t.ring.OwnersOf(name, t.replicas) {
 		if node == t.self {
 			continue
 		}
@@ -192,7 +199,8 @@ func pickErr(missErr, lastErr error) error {
 // Stat implements storage.Backend, failing over across the replica
 // set.
 func (t *Tier) Stat(ctx context.Context, name string) (storage.FileInfo, error) {
-	cands := t.candidates(name)
+	var one [1]candidate
+	cands := t.candidates(name, one[:0])
 	if len(cands) == 0 {
 		return storage.FileInfo{}, fmt.Errorf("peernet: %q is owned locally: %w", name, storage.ErrNotExist)
 	}
@@ -219,7 +227,8 @@ func (t *Tier) Stat(ctx context.Context, name string) (storage.FileInfo, error) 
 // replicas in ring order. Successful hedged reads are flagged through
 // the context's obs.ReadAnnotation so the read span records them.
 func (t *Tier) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
-	cands := t.candidates(name)
+	var one [1]candidate
+	cands := t.candidates(name, one[:0])
 	if len(cands) == 0 {
 		return 0, fmt.Errorf("peernet: %q is owned locally: %w", name, storage.ErrNotExist)
 	}

@@ -51,6 +51,16 @@ func (c *cachedFD) Release() {
 	}
 }
 
+// FileWindow is what a View's Releaser also implements when Data is a
+// window of an open file at the offset the view was asked for: until
+// Release a sender may hand the kernel that descriptor (sendfile(2))
+// in place of Data — with an explicit offset, never the file position:
+// the descriptor is shared by every reader of the name.
+type FileWindow interface{ File() *os.File }
+
+// File implements FileWindow.
+func (c *cachedFD) File() *os.File { return c.f }
+
 // OSFS is a Backend rooted at a real directory. It is what a production
 // deployment would point at an XFS mount on the compute node's SSD and
 // at the dataset directory on the PFS.
