@@ -93,6 +93,9 @@ loc:
 	@for pkg in core peernet storage; do \
 		echo "non-test internal/$$pkg: $$(cat $$(ls internal/$$pkg/*.go | grep -v _test.go) | wc -l)"; \
 	done
+	@for pkg in trace obs; do \
+		echo "non-test internal/$$pkg/...: $$(cat $$(find internal/$$pkg -name '*.go' ! -name '*_test.go') | wc -l)"; \
+	done
 	@wc -l internal/core/core.go internal/core/write.go internal/core/placement.go internal/core/metadata.go cmd/monarch-serve/main.go cmd/monarch-serve/backend.go | sed '$$d'
 
 # bench/ is its own module (the BENCHMARK.json ledger harness), so
@@ -207,6 +210,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrame -fuzztime=30s ./internal/peernet/
 	$(GO) test -fuzz=FuzzHeartbeat -fuzztime=30s ./internal/peernet/
 	$(GO) test -fuzz=FuzzReplay -fuzztime=30s ./internal/journal/
+	$(GO) test -fuzz=FuzzTrace -fuzztime=30s -fuzzminimizetime=2s ./internal/trace/
 
 # A 10-second pass per fuzz target — enough to replay the committed
 # corpus and shake out shallow regressions on every `make test`.
@@ -218,6 +222,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMetaOracle -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/peernet/
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/journal/
+	$(GO) test -run='^$$' -fuzz=FuzzTrace -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
 
 clean:
 	rm -f test_output.txt bench_output.txt .cover-core.out

@@ -13,9 +13,12 @@
 //	monarch-bench -scale 1 -runs 7    # the paper's full methodology
 //	monarch-bench -list               # show the experiment registry
 //	monarch-bench -csv out/           # also dump tables as CSV
-//	monarch-bench -capture t.jsonl    # capture an access trace of the
+//	monarch-bench -capture t.bin      # capture an access trace of the
 //	                                  # standard workload at -scale
-//	monarch-bench -replay t.jsonl     # re-drive a captured trace
+//	                                  # (one binary encoding, whatever
+//	                                  # the name; monarch-inspect trace
+//	                                  # -events renders it as text)
+//	monarch-bench -replay t.bin       # re-drive a captured trace
 //	                                  # (-replay-mode faithful|live)
 package main
 
@@ -46,7 +49,7 @@ func main() {
 		paramsIn   = flag.String("params", "", "JSON file overriding the calibrated parameters")
 		paramsDump = flag.String("dump-params", "", "write the effective parameters as JSON and exit")
 
-		capturePath = flag.String("capture", "", "capture the standard workload's access trace to this path and exit (.bin for binary)")
+		capturePath = flag.String("capture", "", "capture the standard workload's access trace to this path and exit")
 		traceSample = flag.Int("trace-sample", 0, "with -capture, keep 1-in-N plain read hits (<=1 keeps all)")
 		replayPath  = flag.String("replay", "", "replay a captured access trace and exit")
 		replayMode  = flag.String("replay-mode", "faithful", "replay strategy: faithful (re-enact + verify) or live (rebuild the stack)")

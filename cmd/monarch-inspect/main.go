@@ -10,6 +10,7 @@
 //	monarch-inspect dataset <dir>     # summarise a shard directory
 //	monarch-inspect metrics <path|url> # summarise a metrics snapshot
 //	monarch-inspect trace [-json] <file>... # per-epoch analytics of an access trace
+//	monarch-inspect trace -events <file>    # the capture as text, one line per event
 //	monarch-inspect top [-once] [-interval 2s] <url> # live cluster view
 //
 // The metrics subcommand accepts either a JSON snapshot file (as
@@ -17,10 +18,12 @@
 // URL of a running instance's metrics endpoint (Config.MetricsAddr).
 //
 // The trace subcommand reads an access trace captured with
-// monarch-bench -capture (JSONL or binary) and derives per-epoch PFS
-// operation counts and savings against a PFS-only baseline, per-file
-// access heatmaps, the tier-transition timeline and
-// time-to-first-local-hit; -json emits the full analysis as JSON.
+// monarch-bench -capture or Config.TracePath (one binary encoding) and
+// derives per-epoch PFS operation counts and savings against a PFS-only
+// baseline, per-file access heatmaps, the tier-transition timeline and
+// time-to-first-local-hit; -json emits the full analysis as JSON, and
+// -events, instead of analyzing, prints the capture itself: one
+// greppable key=value line per event, in capture order.
 // Given SEVERAL trace files — one per node of a peer-cache cluster —
 // it instead stitches cross-node reads: each peer-served read's client
 // half (in the reader's trace) is joined to its serve half (in the
@@ -33,6 +36,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -55,7 +59,7 @@ import (
 
 func main() {
 	if len(os.Args) < 3 {
-		fatal(fmt.Errorf("usage: monarch-inspect {tfrecord <file> | recordio <file> | dataset <dir> | metrics <path|url> | trace [-json] <file>... | top [-once] [-interval 2s] <url>}"))
+		fatal(fmt.Errorf("usage: monarch-inspect {tfrecord <file> | recordio <file> | dataset <dir> | metrics <path|url> | trace [-json | -events] <file>... | top [-once] [-interval 2s] <url>}"))
 	}
 	var err error
 	switch os.Args[1] {
@@ -82,17 +86,20 @@ func main() {
 }
 
 // inspectTrace analyzes access traces. One file: per-epoch analytics,
-// human tables by default, the full analysis as JSON with -json.
+// human tables by default, the full analysis as JSON with -json, the
+// events themselves with -events.
 // Several files — one per node of a peer-cache cluster — switch to
 // cross-node correlation: peer reads are stitched to the serve events
 // the owning nodes recorded, joined by the shared request ID.
 func inspectTrace(args []string) error {
-	asJSON := false
+	asJSON, asEvents := false, false
 	var paths []string
 	for _, a := range args {
 		switch {
 		case a == "-json" || a == "--json":
 			asJSON = true
+		case a == "-events" || a == "--events":
+			asEvents = true
 		case strings.HasPrefix(a, "-"):
 			return fmt.Errorf("trace: unknown flag %q", a)
 		default:
@@ -100,12 +107,18 @@ func inspectTrace(args []string) error {
 		}
 	}
 	if len(paths) == 0 {
-		return fmt.Errorf("usage: monarch-inspect trace [-json] <file>...")
+		return fmt.Errorf("usage: monarch-inspect trace [-json | -events] <file>...")
+	}
+	if asEvents && (asJSON || len(paths) > 1) {
+		return fmt.Errorf("trace: -events renders one file, as text")
 	}
 	if len(paths) == 1 {
 		t, err := trace.ReadFile(paths[0])
 		if err != nil {
 			return err
+		}
+		if asEvents {
+			return renderEvents(os.Stdout, t)
 		}
 		a := analyze.Analyze(t, analyze.Options{})
 		if asJSON {
@@ -137,6 +150,28 @@ func inspectTrace(args []string) error {
 	}
 	renderCorrelation(os.Stdout, traces, c)
 	return nil
+}
+
+// renderEvents prints a capture one event per line, in capture order:
+// the greppable view of the binary encoding. Fields that do not apply
+// (no class, no file, no request ID) are left out.
+func renderEvents(w io.Writer, t *trace.Trace) error {
+	bw := bufio.NewWriter(w)
+	for _, ev := range t.Events {
+		fmt.Fprintf(bw, "t=%d kind=%s", ev.T, ev.Kind)
+		if c := ev.Class.String(); c != "" {
+			fmt.Fprintf(bw, " class=%s", c)
+		}
+		if ev.File != 0 {
+			fmt.Fprintf(bw, " file=%s", t.Name(ev.File))
+		}
+		fmt.Fprintf(bw, " tier=%d lat=%g off=%d len=%d", ev.Tier, trace.LatBucketBound(ev.Lat), ev.Off, ev.Len)
+		if ev.Req != 0 {
+			fmt.Fprintf(bw, " req=%016x", ev.Req)
+		}
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
 }
 
 // renderCorrelation prints the stitched cross-node view.

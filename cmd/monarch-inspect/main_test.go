@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"net"
 	"os"
 	"path/filepath"
@@ -79,7 +81,71 @@ func TestInspectTraceArgErrors(t *testing.T) {
 	if err := inspectTrace([]string{"a", "b"}); err == nil {
 		t.Fatal("two paths accepted")
 	}
-	if err := inspectTrace([]string{filepath.Join(t.TempDir(), "nope.jsonl")}); err == nil {
+	if err := inspectTrace([]string{filepath.Join(t.TempDir(), "nope.bin")}); err == nil {
 		t.Fatal("missing trace accepted")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/events.golden (never the two parent-commit goldens)")
+
+// stdoutOf runs fn with os.Stdout pointed at a file and returns what it
+// printed.
+func stdoutOf(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestInspectTraceGolden renders internal/trace's committed capture —
+// every kind and class, written by the parent of the one-encoding
+// change. trace.golden and trace-json.golden are that parent's
+// monarch-inspect output for it, so they are never regenerated: what a
+// capture is reported to say did not change. events.golden pins the
+// -events rendering (go test ./cmd/monarch-inspect -update).
+func TestInspectTraceGolden(t *testing.T) {
+	const fixture = "../../internal/trace/testdata/parent.bin"
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"trace.golden", []string{fixture}},
+		{"trace-json.golden", []string{"-json", fixture}},
+		{"events.golden", []string{"-events", fixture}},
+	} {
+		got := stdoutOf(t, func() error { return inspectTrace(c.args) })
+		golden := filepath.Join("testdata", c.golden)
+		if *update && c.golden == "events.golden" {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("monarch-inspect trace %v drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", c.args, c.golden, got, want)
+		}
+	}
+	if err := inspectTrace([]string{"-events", "-json", fixture}); err == nil {
+		t.Error("-events -json accepted")
+	}
+	if err := inspectTrace([]string{"-events", fixture, fixture}); err == nil {
+		t.Error("-events over two files accepted")
 	}
 }

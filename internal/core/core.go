@@ -118,8 +118,7 @@ type Config struct {
 	// MetricsAddr, when non-empty, serves the instance's metrics
 	// registry over HTTP at this "host:port" (":0" picks a free port;
 	// see Monarch.MetricsURL). Endpoints: /metrics (Prometheus text),
-	// /metrics.json (JSON snapshot), /debug/vars (expvar-style map),
-	// /debug/pprof/. The server starts in New and stops with
+	// /metrics.json (JSON snapshot), /debug/pprof/. The server starts in New and stops with
 	// Close/Shutdown.
 	MetricsAddr string
 	// Trace, when non-nil, receives typed spans from the read,
@@ -129,9 +128,9 @@ type Config struct {
 	Trace obs.TraceHook
 	// TracePath, when non-empty, streams an access trace to this file:
 	// one fixed-size event per read, placement, chunk copy, epoch mark
-	// and tier-state change (see internal/trace). A ".bin" suffix
-	// selects the compact binary encoding; anything else writes JSONL.
-	// The recorder closes (and writes its trailer) with Close/Shutdown.
+	// and tier-state change (see internal/trace; monarch-inspect trace
+	// reads it). The recorder closes (and writes its trailer) with
+	// Close/Shutdown.
 	TracePath string
 	// TraceSample records 1 in N plain read hits (≤1 records every
 	// read). Partial hits, fallbacks, errors, placements and state

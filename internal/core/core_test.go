@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"monarch/internal/obs"
 	"monarch/internal/pool"
 	"monarch/internal/storage"
 )
@@ -22,6 +25,37 @@ type fixture struct {
 	pfs   *storage.Counting
 	m     *Monarch
 	p     *pool.GoPool
+}
+
+// registryVars flattens a registry into exposition-name → value, for
+// the parity tests that compare every series of two runs: each sample
+// line of the Prometheus text, histograms by their _sum and _count (a
+// latency bucket is the clock's to fill).
+func registryVars(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || line[0] == '#' || strings.Contains(line, "_bucket{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// errorsAt is monarch_errors_total for one stage.
+func errorsAt(m *Monarch, stage string) int64 {
+	n, _ := m.Registry().Snapshot().Int("monarch_errors_total", obs.L("stage", stage))
+	return n
 }
 
 func newFixture(t *testing.T, quota int64, nfiles int, fileSize int, cfgEdit func(*Config)) *fixture {

@@ -197,7 +197,7 @@ func TestShortPFSWriteIsARefusal(t *testing.T) {
 	if err := m.Flush(ctx, "ckpt"); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Registry().Vars()[`monarch_errors_total{stage="flush"}`]; got != 1 {
+	if got := errorsAt(m, "flush"); got != 1 {
 		t.Fatalf(`errors{stage="flush"} = %v, want 1: the short write is a refusal`, got)
 	}
 	if s := m.Stats(); s.Flushes != 1 || s.FlushedBytes != 1000 {

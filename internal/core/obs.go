@@ -259,8 +259,7 @@ func (m *Monarch) MetricsURL() string {
 }
 
 // startMetrics binds Config.MetricsAddr and serves the registry
-// (Prometheus text on /metrics, JSON snapshot on /metrics.json,
-// expvar-style map on /debug/vars).
+// (Prometheus text on /metrics, JSON snapshot on /metrics.json).
 func (m *Monarch) startMetrics() error {
 	ln, err := net.Listen("tcp", m.cfg.MetricsAddr)
 	if err != nil {

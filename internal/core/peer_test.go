@@ -190,8 +190,7 @@ func TestPeerFailureFallsBackAndTripsBreaker(t *testing.T) {
 	if f.m.TierState(1) != TierDown {
 		t.Fatalf("peer tier state = %v, want down", f.m.TierState(1))
 	}
-	vars := f.m.Registry().Vars()
-	if got := vars[`monarch_errors_total{stage="peer"}`]; got != float64(2) {
+	if got := errorsAt(f.m, "peer"); got != 2 {
 		t.Fatalf(`monarch_errors_total{stage="peer"} = %v, want 2`, got)
 	}
 	// With the breaker open, reads skip the peer tier entirely: no new

@@ -327,7 +327,7 @@ func TestPlacementSettleParity(t *testing.T) {
 					t.Errorf("chunk=%d: the entry's buffer outlived settle", chunk)
 				}
 
-				out := settleOutcome{breaker: r.m.TierState(0), stats: r.m.Stats(), vars: r.m.Registry().Vars()}
+				out := settleOutcome{breaker: r.m.TierState(0), stats: r.m.Stats(), vars: registryVars(t, r.m.Registry())}
 				out.srcOps = r.pfs.Counts().DataOps()
 				if data, err := r.ssd.ReadFile(context.Background(), settleFile); err == nil && !bytes.Equal(data, parityContent(settleFile)) {
 					t.Errorf("chunk=%d: tier 0 holds bytes that differ from the source", chunk)

@@ -321,7 +321,7 @@ func TestReadAheadSinkParity(t *testing.T) {
 			r.readFile(t, name, view, rd[0], rd[1])
 		}
 		idleHolder(t, e, fmt.Sprintf("view=%v: after the last byte", view))
-		out := outcome{stats: r.m.Stats(), vars: r.m.Registry().Vars()}
+		out := outcome{stats: r.m.Stats(), vars: registryVars(t, r.m.Registry())}
 		if ops := r.ops(); ops != 8 {
 			t.Errorf("view=%v: the source saw %d data ops, want 8: the first read, three fills, four range reads", view, ops)
 		}

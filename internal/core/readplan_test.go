@@ -370,7 +370,7 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 				out.stats = r.m.Stats()
 				out.lent, out.copied = out.stats.ViewsLent, out.stats.ViewsCopied
 				out.stats.ViewsLent, out.stats.ViewsCopied = 0, 0
-				out.vars = r.m.Registry().Vars()
+				out.vars = registryVars(t, r.m.Registry())
 				for k := range out.vars {
 					if strings.Contains(k, "_seconds_sum") || strings.HasPrefix(k, "monarch_uptime_seconds") ||
 						strings.HasPrefix(k, "monarch_view_reads_total") {
@@ -686,7 +686,7 @@ func TestFetchThroughSinkParity(t *testing.T) {
 			t.Errorf("view=%v: the copy or the warm read cost the source an op: %d", view, ops)
 		}
 
-		out := outcome{stats: r.m.Stats(), vars: r.m.Registry().Vars()}
+		out := outcome{stats: r.m.Stats(), vars: registryVars(t, r.m.Registry())}
 		out.views = out.stats.ViewsLent + out.stats.ViewsCopied
 		// Lent: the seven served from fetched bytes and the tier's own;
 		// copied: the two the source answered.

@@ -46,9 +46,8 @@ type Stats struct {
 	// ReadAheadBytes is the bytes those fills pulled. The arming read is
 	// one read in ReadsServed[source], like a fetch-through; the reads its
 	// buffer serves are PartialHits booked on the source level, as no
-	// other read is (in a trace: class partial on the source tier). So
-	// the data ops the source sees are ReadsServed[source] − those hits +
-	// Placements − FullReadReuses (+ ChunkPlacements when chunked), which
+	// other read is (in a trace: class partial on the source tier). What
+	// each event then costs the source is trace.Pricer's table, which
 	// TestTraceCaptureRoundTrip holds a counted source to.
 	ReadAheads     int64
 	ReadAheadBytes int64

@@ -51,7 +51,7 @@ func TestTraceCaptureRoundTrip(t *testing.T) {
 
 func traceRoundTrip(t *testing.T, readsPerFile int, quota int64) {
 	const nfiles, fileSize, epochs = 6, 4096, 2
-	path := filepath.Join(t.TempDir(), "core.jsonl")
+	path := filepath.Join(t.TempDir(), "core.bin")
 	f := newFixture(t, quota, nfiles, fileSize, func(c *Config) {
 		c.TracePath = path
 	})
@@ -83,15 +83,18 @@ func traceRoundTrip(t *testing.T, readsPerFile int, quota int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var aheadHits int64
+	var aheadHits, priced int64
+	pricer := trace.NewPricer(tr.Header)
 	for _, ev := range tr.Events {
 		if ev.Kind == trace.KindRead && ev.Class == trace.ClassPartial && int(ev.Tier) == 1 {
 			aheadHits++
 		}
+		cost := pricer.Price(ev)
+		priced += cost.Foreground + cost.Background
 	}
 	ops, derived := opsAfter[epochs], stats.ReadsServed[1]-aheadHits+stats.Placements-stats.FullReadReuses
-	if ops != derived {
-		t.Fatalf("the source measured %d data ops, the counters and the trace derive %d", ops, derived)
+	if ops != derived || ops != priced {
+		t.Fatalf("the source measured %d data ops, the counters and the trace derive %d, the pricer %d", ops, derived, priced)
 	}
 	if quota == 0 && (ops != nfiles || aheadHits != 0) {
 		t.Fatalf("%d source data ops, %d read-ahead hits; want one op per file (%d) and none", ops, aheadHits, nfiles)
@@ -177,7 +180,7 @@ func eventsTotal(t *testing.T, m *Monarch, kind string) int64 {
 func TestTraceSamplingParity(t *testing.T) {
 	const nfiles, fileSize, epochs = 8, 4096, 3
 	for _, sample := range []int{1, 5} {
-		path := filepath.Join(t.TempDir(), "parity.jsonl")
+		path := filepath.Join(t.TempDir(), "parity.bin")
 		// Quota fits half the files and LRU churns them, so placements,
 		// skips and evictions all fire; chunked placement adds chunk
 		// copies and possibly mid-copy partial hits.

@@ -184,7 +184,7 @@ func TestWriteValidation(t *testing.T) {
 	}
 	// Every refusal above went through WriteAt's or Remove's one account
 	// tail: counted against the write stage, nothing counted as written.
-	if got := f.m.Registry().Vars()[`monarch_errors_total{stage="write"}`]; got != 4 {
+	if got := errorsAt(f.m, "write"); got != 4 {
 		t.Fatalf(`errors{stage="write"} = %v, want 4 (three WriteAt, one Remove)`, got)
 	}
 	if s := f.m.Stats(); s.Writes != 0 || s.Removes != 0 {
@@ -645,7 +645,7 @@ func TestWriteBackFailureReleasesBudget(t *testing.T) {
 			if err := m.Create(ctx, "ckpt", 1024); err != nil {
 				t.Fatal(err)
 			}
-			errsBefore := m.Registry().Vars()
+			errsBefore := map[string]int64{"write": errorsAt(m, "write"), tc.stage: errorsAt(m, tc.stage)}
 			tc.inject(m, tier0)
 			if n, err := m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{4}, 1024), 0); err == nil || n != 0 {
 				t.Fatalf("WriteAt = %d, %v; want the injected failure", n, err)
@@ -656,11 +656,9 @@ func TestWriteBackFailureReleasesBudget(t *testing.T) {
 			if f := m.writes.file("ckpt"); f.dirty != 0 || f.state != writeClean || f.lastSeq != 0 {
 				t.Errorf("failed write left the file dirty=%d state=%d lastSeq=%d", f.dirty, f.state, f.lastSeq)
 			}
-			errsAfter := m.Registry().Vars()
-			for _, stage := range []string{"write", tc.stage} {
-				key := `monarch_errors_total{stage="` + stage + `"}`
-				if got := errsAfter[key] - errsBefore[key]; got != 1 {
-					t.Errorf("%s moved by %v, want 1", key, got)
+			for stage, before := range errsBefore {
+				if got := errorsAt(m, stage) - before; got != 1 {
+					t.Errorf("monarch_errors_total{stage=%q} moved by %v, want 1", stage, got)
 				}
 			}
 			if s := m.Stats(); s.Writes != 0 || s.WriteBacks != 0 || s.WrittenBytes != 0 {

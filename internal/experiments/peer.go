@@ -659,7 +659,8 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 			}
 			res.FinalViews[i] = mems[i].Snapshot()
 		}
-		res.PeerStageErrors += int64(m.Registry().Vars()[`monarch_errors_total{stage="peer"}`])
+		errs, _ := m.Registry().Snapshot().Int("monarch_errors_total", obs.L("stage", "peer"))
+		res.PeerStageErrors += errs
 		if tr := m.Tracer(); tr != nil {
 			tr.AddSummary(map[string]int64{"pfs_data_ops": res.NodePFSOps[i]})
 		}

@@ -16,7 +16,7 @@ import (
 // against the trailer.
 func TestTraceCaptureAnalyzeReplay(t *testing.T) {
 	p := QuickParams()
-	path := filepath.Join(t.TempDir(), "capture.jsonl")
+	path := filepath.Join(t.TempDir(), "capture.bin")
 	r, err := CaptureTrace(p, path)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestTraceCaptureDeterministic(t *testing.T) {
 		}
 		return tr
 	}
-	a, b := read("a.jsonl"), read("b.jsonl")
+	a, b := read("a.bin"), read("b.bin")
 	if len(a.Events) != len(b.Events) {
 		t.Fatalf("event counts differ: %d vs %d", len(a.Events), len(b.Events))
 	}
@@ -128,7 +128,7 @@ func TestTraceCaptureDeterministic(t *testing.T) {
 func TestTraceSampledCaptureKeepsStats(t *testing.T) {
 	p := QuickParams()
 	p.TraceSample = 8
-	path := filepath.Join(t.TempDir(), "sampled.jsonl")
+	path := filepath.Join(t.TempDir(), "sampled.bin")
 	if _, err := CaptureTrace(p, path); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTraceSampledCaptureKeepsStats(t *testing.T) {
 		t.Fatal("sampling thinned nothing")
 	}
 
-	full := filepath.Join(t.TempDir(), "full.jsonl")
+	full := filepath.Join(t.TempDir(), "full.bin")
 	p.TraceSample = 1
 	if _, err := CaptureTrace(p, full); err != nil {
 		t.Fatal(err)
@@ -167,5 +167,39 @@ func TestTraceSampledCaptureKeepsStats(t *testing.T) {
 	}
 	if len(rep.Mismatches) != 0 {
 		t.Fatalf("sampled replay diverged: %v", rep.Mismatches)
+	}
+}
+
+// TestCheckpointCaptureHasOnePrice: an ext-checkpoint capture carries
+// what no read-only capture does — write-through writes, write-back
+// acks, flushes — and faithful replay used to have no price for any of
+// them while the analyzer had. There is one pricer now: both derive the
+// same PFS op count from either mode's capture, writes included.
+func TestCheckpointCaptureHasOnePrice(t *testing.T) {
+	dir := t.TempDir()
+	for _, mode := range []string{"through", "back"} {
+		res, err := runCheckpoint(mode == "back", dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.ReadFile(filepath.Join(dir, "ckpt-"+mode+".trace"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := replay.Run(tr, replay.Options{Mode: replay.Faithful})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Mismatches) != 0 {
+			t.Errorf("%s: replay diverged from the capture: %v", mode, rep.Mismatches)
+		}
+		writes, backs, flushes, _ := writeRows(res.analysis)
+		if writes+backs != ckptEpochs*ckptShards || (mode == "back") != (flushes > 0) {
+			t.Fatalf("%s: %d write-through, %d write-back, %d flush events; the capture is not the checkpoint run", mode, writes, backs, flushes)
+		}
+		if rep.PFSOps != res.analysis.PFSOps || rep.PFSOps < writes+flushes {
+			t.Errorf("%s: replay priced %d PFS ops, the analyzer %d (%d writes through, %d flushes)",
+				mode, rep.PFSOps, res.analysis.PFSOps, writes, flushes)
+		}
 	}
 }

@@ -62,7 +62,6 @@ func (h Health) Healthy() bool {
 //
 //	GET /metrics       Prometheus text exposition (scrape target)
 //	GET /metrics.json  JSON snapshot (consumed by monarch-inspect)
-//	GET /debug/vars    expvar-style flat map of counter/gauge values
 //	GET /debug/pprof/  runtime profiles (net/http/pprof)
 //
 // Non-GET requests get 405; the handler evaluates func-backed metrics
@@ -82,12 +81,6 @@ func (r *Registry) HandlerWith(opts HandlerOpts) http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(r.Snapshot())
-	}))
-	mux.HandleFunc("/debug/vars", getOnly(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Vars())
 	}))
 	if opts.Health != nil {
 		mux.HandleFunc("/healthz", getOnly(func(w http.ResponseWriter, _ *http.Request) {
@@ -130,39 +123,4 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(w, req)
 	}
-}
-
-// Vars flattens every counter and gauge into an expvar-style map keyed
-// by the series' exposition name (histograms are summarised as _count
-// and _sum). Keys are deterministic, values are evaluated live.
-func (r *Registry) Vars() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64)
-	for _, f := range r.sortedFamilies() {
-		for _, s := range f.sortedSeries() {
-			key := seriesKey(f.name, s.labels)
-			if s.h != nil {
-				out[seriesKey(f.name+"_count", s.labels)] = float64(s.h.Count())
-				out[seriesKey(f.name+"_sum", s.labels)] = s.h.Sum()
-				continue
-			}
-			out[key] = s.value()
-		}
-	}
-	return out
-}
-
-func seriesKey(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	key := name + "{"
-	for i, l := range labels {
-		if i > 0 {
-			key += ","
-		}
-		key += l.Name + `="` + escapeLabel(l.Value) + `"`
-	}
-	return key + "}"
 }

@@ -10,57 +10,19 @@ import (
 )
 
 // WritePrometheus renders the registry in the Prometheus text
-// exposition format (version 0.0.4): `# HELP` / `# TYPE` headers per
-// family, one sample line per series, histograms as cumulative
-// `_bucket{le=...}` plus `_sum` and `_count`. Output order is
-// deterministic (name, then label signature), so the format is
-// golden-testable.
+// exposition format: its Snapshot — the one walk of the registry —
+// through WriteMetricPoints.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	for _, f := range r.sortedFamilies() {
-		if f.help != "" {
-			bw.WriteString("# HELP ")
-			bw.WriteString(f.name)
-			bw.WriteByte(' ')
-			bw.WriteString(escapeHelp(f.help))
-			bw.WriteByte('\n')
-		}
-		bw.WriteString("# TYPE ")
-		bw.WriteString(f.name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.typ.String())
-		bw.WriteByte('\n')
-		for _, s := range f.sortedSeries() {
-			if s.h != nil {
-				writeHistogram(bw, f.name, s)
-				continue
-			}
-			writeSample(bw, f.name, s.labels, "", s.value())
-		}
-	}
-	return bw.Flush()
+	return WriteMetricPoints(w, r.Snapshot().Metrics)
 }
 
-func writeHistogram(bw *bufio.Writer, name string, s *series) {
-	var cum uint64
-	for i, b := range s.h.bounds {
-		cum += s.h.counts[i].Load()
-		writeSample(bw, name+"_bucket", s.labels, formatLE(b), float64(cum))
-	}
-	cum += s.h.counts[len(s.h.bounds)].Load()
-	writeSample(bw, name+"_bucket", s.labels, "+Inf", float64(cum))
-	writeSample(bw, name+"_sum", s.labels, "", s.h.Sum())
-	writeSample(bw, name+"_count", s.labels, "", float64(s.h.Count()))
-}
-
-// WriteMetricPoints renders a pre-built point list (a Snapshot's
-// Metrics, or a merged fleet view) in the same text exposition format
-// as WritePrometheus. Points must arrive grouped by name — `# HELP` /
-// `# TYPE` headers are emitted whenever the name changes, taken from
-// the group's first point. Labels render in sorted order, so output
-// is deterministic for identical input.
+// WriteMetricPoints renders a point list (a Snapshot's Metrics, or a
+// merged fleet view) in the Prometheus text exposition format (version
+// 0.0.4): histograms as cumulative `_bucket{le=...}` plus `_sum` and
+// `_count`. Points must arrive grouped by name — `# HELP` / `# TYPE`
+// headers are emitted whenever the name changes, taken from the
+// group's first point. Labels render in sorted order, so output is
+// deterministic for identical input and the format is golden-testable.
 func WriteMetricPoints(w io.Writer, points []MetricPoint) error {
 	bw := bufio.NewWriter(w)
 	prev := ""

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -339,16 +338,16 @@ func TestClientInstrument(t *testing.T) {
 	if _, err := c.ReadFile(ctx, "f"); err != nil {
 		t.Fatal(err)
 	}
-	vars := reg.Vars()
-	if got := vars[`monarch_peer_requests_total{op="read",peer="peer:test"}`]; got < 1 {
-		t.Fatalf("read requests = %v, want >= 1; vars: %v", got, vars)
+	snap := reg.Snapshot()
+	if got, _ := snap.Value("monarch_peer_requests_total", obs.L("op", "read"), obs.L("peer", "peer:test")); got < 1 {
+		t.Fatalf("read requests = %v, want >= 1; snapshot: %+v", got, snap)
 	}
-	if got := vars[`monarch_peer_read_bytes_total{peer="peer:test"}`]; got != 100 {
+	if got, _ := snap.Value("monarch_peer_read_bytes_total", obs.L("peer", "peer:test")); got != 100 {
 		t.Fatalf("read bytes = %v, want 100", got)
 	}
 	found := false
-	for k := range vars {
-		if strings.HasPrefix(k, "monarch_peer_request_seconds") {
+	for _, p := range snap.Metrics {
+		if p.Name == "monarch_peer_request_seconds" && p.Histogram != nil {
 			found = true
 			break
 		}

@@ -19,6 +19,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -217,7 +218,11 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.schedule(p.env.now+Time(d), p, nil)
+	at := p.env.now + Time(d)
+	if at < p.env.now {
+		at = math.MaxInt64 // the clock saturates rather than wrap into the past
+	}
+	p.env.schedule(at, p, nil)
 	p.park("sleeping")
 }
 

@@ -414,11 +414,15 @@ func ImageExample(image []byte, label int64, filename string) Example {
 
 // MarshalToSize marshals an ImageExample whose serialized form is
 // exactly size bytes, by sizing the embedded image. It fails if size is
-// too small to hold the fixed fields.
+// too small to hold the fixed fields, or falls in a gap: the image sits
+// inside four length-prefixed messages, so where one more image byte
+// carries a length varint past 127 or 16383 the serialized size steps by
+// two or more and the sizes in between have no (canonical) encoding.
+// The error names the nearest sizes that do.
 func MarshalToSize(label int64, filename string, size int, fill byte) ([]byte, error) {
-	// Serialized size is monotone in the image length; binary-search
-	// would be overkill since varint boundaries shift by at most a few
-	// bytes — walk down from an estimate.
+	// Serialized size is strictly increasing in the image length, in
+	// steps of one except at the varint boundaries: walk from an estimate
+	// a few bytes short, and stop when the walk turns round.
 	overhead := len(Marshal(ImageExample(nil, label, filename)))
 	imgLen := size - overhead - 8 // generous slack for length varints
 	if imgLen < 0 {
@@ -428,18 +432,22 @@ func MarshalToSize(label int64, filename string, size int, fill byte) ([]byte, e
 	for i := range img {
 		img[i] = fill
 	}
+	below := -1 // the size one image byte fewer serialized to, once the walk has grown
 	for {
 		out := Marshal(ImageExample(img, label, filename))
 		switch {
 		case len(out) == size:
 			return out, nil
 		case len(out) < size:
+			below = len(out)
 			img = append(img, fill)
+		case len(img) == 0:
+			return nil, fmt.Errorf("tfexample: size %d too small (fixed fields need %d)",
+				size, len(out))
+		case below >= 0:
+			return nil, fmt.Errorf("tfexample: no encoding of exactly %d bytes: an image of %d bytes serializes to %d, of %d bytes to %d",
+				size, len(img)-1, below, len(img), len(out))
 		default:
-			if len(img) == 0 {
-				return nil, fmt.Errorf("tfexample: size %d too small (fixed fields need %d)",
-					size, len(out))
-			}
 			img = img[:len(img)-1]
 		}
 	}

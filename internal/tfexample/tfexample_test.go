@@ -2,8 +2,10 @@ package tfexample
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRoundtripAllFeatureKinds(t *testing.T) {
@@ -170,10 +172,65 @@ func TestMarshalToSizeProperty(t *testing.T) {
 	err := quick.Check(func(label int64, raw uint16) bool {
 		size := int(raw%5000) + 90
 		out, err := MarshalToSize(label, "f", size, 1)
-		return err == nil && len(out) == size
+		if err != nil {
+			return isGap(label, "f", size, err)
+		}
+		return len(out) == size
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// isGap reports whether err is MarshalToSize's "no encoding of exactly
+// size bytes" — and true: the two image lengths it names are adjacent
+// and serialize to sizes that straddle size.
+func isGap(label int64, filename string, size int, err error) bool {
+	var n0, s0, n1, s1, got int
+	if _, serr := fmt.Sscanf(err.Error(),
+		"tfexample: no encoding of exactly %d bytes: an image of %d bytes serializes to %d, of %d bytes to %d",
+		&got, &n0, &s0, &n1, &s1); serr != nil {
+		return false
+	}
+	return got == size && n1 == n0+1 && s0 < size && size < s1 &&
+		len(Marshal(ImageExample(make([]byte, n0), label, filename))) == s0 &&
+		len(Marshal(ImageExample(make([]byte, n1), label, filename))) == s1
+}
+
+// TestMarshalToSizeTerminates walks every size a record can have, under
+// labels whose varints are 1, 1, 10 and 6 bytes: each call returns —
+// MarshalToSize(0, "f", 130, 1) used to oscillate between 129 and 131
+// for ever — with exactly size bytes that decode, or with an error that
+// is true: the size is below the fixed fields, or in a gap.
+func TestMarshalToSizeTerminates(t *testing.T) {
+	deadline := time.Now().Add(30 * time.Second)
+	for _, label := range []int64{0, 1, -1, 1 << 40} {
+		floor := len(Marshal(ImageExample(nil, label, "f")))
+		gaps := 0
+		for size := 0; size <= 8192; size++ {
+			out, err := MarshalToSize(label, "f", size, 1)
+			switch {
+			case err == nil && len(out) != size:
+				t.Fatalf("label %d size %d: got %d bytes", label, size, len(out))
+			case err == nil:
+				if ex, uerr := Unmarshal(out); uerr != nil || ex["image/class/label"].Ints[0] != label {
+					t.Fatalf("label %d size %d: does not decode: %v", label, size, uerr)
+				}
+			case size < floor:
+			case isGap(label, "f", size, err):
+				gaps++
+			default:
+				t.Fatalf("label %d size %d (fixed fields %d): %v", label, size, floor, err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("label %d: still at size %d after 30 s", label, size)
+			}
+		}
+		// Four nested length prefixes cross 127 within a few bytes of
+		// each other; none reaches 16383 below 8192.
+		if gaps == 0 || gaps > 8 {
+			t.Errorf("label %d: %d sizes in 0…8192 have no encoding; want the few around the 1→2-byte varint boundary", label, gaps)
+		}
 	}
 }
 

@@ -50,10 +50,12 @@ type Epoch struct {
 	// Writes counts write-through writes (each a foreground PFS op);
 	// WriteBacks counts writes acked by tier 0 with the PFS flush
 	// deferred (zero foreground PFS ops). Flushes counts the background
-	// flushes draining write-back files to the PFS (one background op
-	// each — the flusher pushes a whole file per flush); Removes counts
-	// foreground removals (one PFS metadata op each). The PFS-only
-	// baseline charges every write and remove as a direct PFS op.
+	// flushes draining write-back files to the PFS. A flush event is
+	// priced as one background op (trace.Pricer), though the flusher
+	// lands a claim's dirty ranges one write each: the exact count is the
+	// run's storage.pfs_write_ops. Removes counts foreground removals
+	// (one PFS metadata op each). The PFS-only baseline charges every
+	// write and remove as a direct PFS op.
 	Writes     int64 `json:"writes,omitempty"`
 	WriteBacks int64 `json:"write_backs,omitempty"`
 	Flushes    int64 `json:"flushes,omitempty"`
@@ -78,6 +80,12 @@ type Epoch struct {
 
 	Start int64 `json:"start_ns"` // relative to the trace's first event
 	End   int64 `json:"end_ns"`
+}
+
+// idle reports whether the epoch has seen no read, write or placement
+// activity yet (markers and state changes alone do not count).
+func (e *Epoch) idle() bool {
+	return e.Reads+e.Errors+e.Fetches+e.ChunkCopies+e.Writes+e.WriteBacks+e.Flushes+e.Removes == 0
 }
 
 // FileStats is one file's access profile across epochs.
@@ -155,32 +163,11 @@ type Analysis struct {
 	Summary     map[string]int64 `json:"summary,omitempty"`
 }
 
-// copyChunk extracts the background fetch request size from the trace
-// meta; 0 means unknown (each fetch counts as one op).
-func copyChunk(t *trace.Trace) int64 {
-	if s, ok := t.Header.Meta["copy_chunk"]; ok {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
-// fetchOps is the number of source read operations a whole-file fetch
-// of size bytes issues (the store pulls CopyChunk-sized requests).
-func fetchOps(size, chunk int64) int64 {
-	if size <= 0 {
-		return 1
-	}
-	if chunk <= 0 {
-		return 1
-	}
-	return (size + chunk - 1) / chunk
-}
-
 // Analyze derives the full analysis. Events are consumed in capture
 // order; epoch boundaries come from the epoch markers monarch-bench
-// records (a trace without markers is treated as one epoch).
+// records (a trace without markers is treated as one epoch). What an
+// event cost the PFS is trace.Pricer's to say; the analyzer only books
+// it to the epoch the event fell in.
 func Analyze(t *trace.Trace, opts Options) *Analysis {
 	if opts.TopFiles <= 0 {
 		opts.TopFiles = 10
@@ -199,7 +186,7 @@ func Analyze(t *trace.Trace, opts Options) *Analysis {
 	if t.Summary != nil {
 		a.RecordedPFSOps = t.Summary["pfs_data_ops"]
 	}
-	chunk := copyChunk(t)
+	pricer := trace.NewPricer(t.Header)
 
 	var t0 int64
 	if len(t.Events) > 0 {
@@ -209,7 +196,6 @@ func Analyze(t *trace.Trace, opts Options) *Analysis {
 
 	type fileAgg struct {
 		reads, bytes []int64 // per epoch
-		chunkOps     int64   // chunk copies since the last placement resolution
 	}
 	files := make(map[uint32]*fileAgg)
 	epochs := []*Epoch{{Epoch: 1}}
@@ -232,11 +218,13 @@ func Analyze(t *trace.Trace, opts Options) *Analysis {
 
 	for _, ev := range t.Events {
 		rel := ev.T - t0
-		if cur.Reads+cur.Errors+cur.Fetches+cur.ChunkCopies+
-			cur.Writes+cur.WriteBacks+cur.Flushes+cur.Removes == 0 {
+		if cur.idle() {
 			cur.Start = rel
 		}
 		cur.End = rel
+		cost := pricer.Price(ev)
+		cur.BackgroundOps += cost.Background
+		cur.PFSOps += cost.Foreground + cost.Background
 		switch ev.Kind {
 		case trace.KindRead:
 			if ev.Class == trace.ClassError {
@@ -277,26 +265,19 @@ func Analyze(t *trace.Trace, opts Options) *Analysis {
 			}
 		case trace.KindChunkCopy:
 			cur.ChunkCopies++
-			cur.BackgroundOps++ // one source read per chunk copy
-			getFile(ev.File).chunkOps++
+			getFile(ev.File) // a heatmap row, read or not
 		case trace.KindPlacement:
-			f := getFile(ev.File)
+			getFile(ev.File)
 			switch ev.Class {
 			case trace.ClassFetch:
 				cur.Fetches++
-				if f.chunkOps == 0 {
-					// Whole-file fetch: the destination pulled the file
-					// from the source in copy-chunk-sized requests.
-					cur.BackgroundOps += fetchOps(ev.Len, chunk)
-				}
 			case trace.ClassReuse:
-				cur.Reuses++ // no source traffic: content came from the foreground read
+				cur.Reuses++
 			case trace.ClassSkip:
 				cur.Skips++
 			case trace.ClassFail:
 				cur.Fails++
 			}
-			f.chunkOps = 0
 			a.Transitions = append(a.Transitions, Transition{
 				T: rel, Kind: placementKind(ev.Class), File: t.Name(ev.File),
 				Tier: int(ev.Tier), Bytes: ev.Len,
@@ -320,7 +301,6 @@ func Analyze(t *trace.Trace, opts Options) *Analysis {
 				continue
 			}
 			cur.Flushes++
-			cur.BackgroundOps++ // the flusher pushes the whole file in one PFS write
 		case trace.KindEpoch:
 			cur = &Epoch{Epoch: len(epochs) + 1, Start: rel, End: rel}
 			epochs = append(epochs, cur)
@@ -332,14 +312,10 @@ func Analyze(t *trace.Trace, opts Options) *Analysis {
 		}
 	}
 	// A final marker leaves an empty trailing epoch; drop it.
-	if n := len(epochs); n > 1 && epochs[n-1].Reads == 0 && epochs[n-1].Fetches == 0 &&
-		epochs[n-1].ChunkCopies == 0 && epochs[n-1].Errors == 0 &&
-		epochs[n-1].Writes == 0 && epochs[n-1].WriteBacks == 0 &&
-		epochs[n-1].Flushes == 0 && epochs[n-1].Removes == 0 {
+	if n := len(epochs); n > 1 && epochs[n-1].idle() {
 		epochs = epochs[:n-1]
 	}
 	for _, e := range epochs {
-		e.PFSOps = e.PFS + e.Fallback + e.PeerMiss + e.BackgroundOps + e.Writes + e.Removes
 		e.BaselineOps = e.Reads + e.Writes + e.WriteBacks + e.Removes
 		if e.BaselineOps > 0 {
 			e.Savings = 1 - float64(e.PFSOps)/float64(e.BaselineOps)
@@ -402,19 +378,15 @@ func (a *Analysis) Render(w io.Writer, opts Options) {
 	if !a.Complete {
 		fmt.Fprintf(w, "WARNING: no trailer — the capture did not close cleanly\n")
 	}
-	hasPeer := false
-	hasHedge := false
+	var peers, hedged, writes int64 // which columns and tables the run needs
 	for _, e := range a.Epochs {
-		if e.Peer > 0 || e.PeerMiss > 0 {
-			hasPeer = true
-		}
-		if e.Hedged > 0 {
-			hasHedge = true
-		}
+		peers += e.Peer + e.PeerMiss
+		hedged += e.Hedged
+		writes += e.Writes + e.WriteBacks + e.Flushes + e.Removes
 	}
 	fmt.Fprintf(w, "\nper-epoch PFS operations (baseline: every read goes to the PFS)\n")
 	switch {
-	case hasPeer && hasHedge:
+	case hedged > 0:
 		fmt.Fprintf(w, "%-6s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %8s\n",
 			"epoch", "reads", "local", "partial", "peer", "hedged", "p-miss", "pfs", "fallback", "bg-ops", "pfs-ops", "baseline", "savings")
 		for _, e := range a.Epochs {
@@ -422,7 +394,7 @@ func (a *Analysis) Render(w io.Writer, opts Options) {
 				e.Epoch, e.Reads, e.Local, e.Partial, e.Peer, e.Hedged, e.PeerMiss, e.PFS, e.Fallback,
 				e.BackgroundOps, e.PFSOps, e.BaselineOps, 100*e.Savings)
 		}
-	case hasPeer:
+	case peers > 0:
 		fmt.Fprintf(w, "%-6s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %8s\n",
 			"epoch", "reads", "local", "partial", "peer", "p-miss", "pfs", "fallback", "bg-ops", "pfs-ops", "baseline", "savings")
 		for _, e := range a.Epochs {
@@ -439,13 +411,7 @@ func (a *Analysis) Render(w io.Writer, opts Options) {
 				e.BackgroundOps, e.PFSOps, e.BaselineOps, 100*e.Savings)
 		}
 	}
-	hasWrite := false
-	for _, e := range a.Epochs {
-		if e.Writes > 0 || e.WriteBacks > 0 || e.Flushes > 0 || e.Removes > 0 {
-			hasWrite = true
-		}
-	}
-	if hasWrite {
+	if writes > 0 {
 		fmt.Fprintf(w, "\nper-epoch write operations (baseline: every write goes straight to the PFS)\n")
 		fmt.Fprintf(w, "%-6s %9s %9s %9s %9s %12s\n",
 			"epoch", "through", "wr-back", "flushes", "removes", "bytes")
@@ -456,11 +422,7 @@ func (a *Analysis) Render(w io.Writer, opts Options) {
 	}
 	fmt.Fprintf(w, "total: %d PFS ops vs %d baseline → %.1f%% saved\n",
 		a.PFSOps, a.BaselineOps, 100*a.Savings)
-	if hasHedge {
-		var hedged int64
-		for _, e := range a.Epochs {
-			hedged += e.Hedged
-		}
+	if hedged > 0 {
 		fmt.Fprintf(w, "hedged reads: %d peer hit(s) raced a second replica (one extra wire request each, zero PFS ops)\n", hedged)
 	}
 	if a.RecordedPFSOps > 0 {

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,8 +12,8 @@ import (
 
 // Config assembles a Recorder.
 type Config struct {
-	// Path is the trace destination. A ".bin" suffix selects the
-	// compact binary encoding; anything else writes JSONL.
+	// Path is the trace destination, in the binary encoding of
+	// format.go whatever its name.
 	Path string
 	// Sample records 1 in Sample plain read hits (<=1 records every
 	// read). Sampling never touches partial hits, fallbacks, errors,
@@ -61,7 +60,7 @@ type Recorder struct {
 	epoch   int64 // wall base when cfg.Now is nil
 
 	f   *os.File
-	enc encoder
+	enc *encoder
 
 	// recorded is not stored: the invariant pins it to
 	// seen - sampledOut - dropped, saving one atomic per hot-path event.
@@ -110,6 +109,7 @@ func New(cfg Config) (*Recorder, error) {
 		names:   make(map[string]uint32),
 		summary: make(map[string]int64),
 		f:       f,
+		enc:     newEncoder(f),
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -128,11 +128,6 @@ func New(cfg Config) (*Recorder, error) {
 		ChunkSize: cfg.ChunkSize,
 		Levels:    cfg.Levels,
 		Meta:      cfg.Meta,
-	}
-	if strings.HasSuffix(cfg.Path, ".bin") {
-		r.enc = newBinEncoder(f)
-	} else {
-		r.enc = newJSONLEncoder(f)
 	}
 	if err := r.enc.header(h); err != nil {
 		f.Close()
@@ -171,136 +166,104 @@ func (r *Recorder) internLocked(name string, size int64) uint32 {
 	return id
 }
 
+// spanRow is how one span kind is recorded: as an event of kind, whose
+// class is the first that applies of noTier (the span failed and names
+// no tier), onErr (it failed), the class of the first flags row whose
+// flag it carries, and class. A new class is one row here, plus its
+// price in Pricer.Price if it reaches the PFS.
+type spanRow struct {
+	kind   Kind
+	class  Class
+	onErr  Class
+	noTier Class
+	flags  []flagClass
+}
+
+type flagClass struct {
+	flag  obs.SpanFlags
+	class Class
+}
+
+// spanRows is indexed by obs.SpanKind. The kinds with no row — a
+// placement's enqueue, a tier probe, an eviction's backend removal —
+// are not trace events: the placement's resolution and the state
+// stream (State) already say what they would.
+var spanRows = [...]spanRow{
+	obs.SpanRead: {kind: KindRead, class: ClassLocal, onErr: ClassError, flags: []flagClass{
+		{obs.FlagFallback, ClassFallback},
+		{obs.FlagPartial, ClassPartial},
+		{obs.FlagPeerMiss, ClassPeerMiss},
+		{obs.FlagHedged, ClassPeerHedge},
+		{obs.FlagPeer, ClassPeer},
+	}},
+	// The remote half of a sibling's peer read.
+	obs.SpanPeerServe: {kind: KindServe, onErr: ClassError},
+	obs.SpanPlacement: {kind: KindPlacement, class: ClassFetch, onErr: ClassFail, noTier: ClassSkip,
+		flags: []flagClass{{obs.FlagReuse, ClassReuse}}},
+	obs.SpanChunkCopy: {kind: KindChunkCopy},
+	obs.SpanWrite: {kind: KindWrite, class: ClassWrite, onErr: ClassError,
+		flags: []flagClass{{obs.FlagWriteBack, ClassWriteBack}}},
+	obs.SpanRemove: {kind: KindWrite, class: ClassRemove, onErr: ClassError},
+	obs.SpanFlush:  {kind: KindFlush, class: ClassFlush, onErr: ClassError},
+}
+
+// classify maps a span onto the event that records it. ok is false for
+// the span kinds the trace ignores. sampled says Config.Sample may thin
+// it: only the bulk stream of plain local and PFS read hits is — never
+// a serve (the witness that stitches a cross-node pair), a write (each
+// acked byte matters for crash accounting) or anything else the
+// analyzer prices from exact counts.
+func classify(s *obs.Span, source int) (k Kind, c Class, sampled, ok bool) {
+	if s.Kind < 0 || int(s.Kind) >= len(spanRows) || spanRows[s.Kind].kind == 0 {
+		return 0, 0, false, false
+	}
+	row := &spanRows[s.Kind]
+	c = row.class
+	switch {
+	case s.Err != nil && s.Tier < 0 && row.noTier != ClassNone:
+		return row.kind, row.noTier, false, true
+	case s.Err != nil:
+		return row.kind, row.onErr, false, true
+	}
+	for _, f := range row.flags {
+		if s.Flags&f.flag != 0 {
+			return row.kind, f.class, false, true
+		}
+	}
+	if row.kind == KindRead {
+		if s.Tier == source {
+			c = ClassPFS
+		}
+		sampled = true
+	}
+	return row.kind, c, sampled, true
+}
+
 // HookSpan adapts the middleware's span stream into trace events; wire
-// it as (or into) core's Config.Trace hook. Unknown span kinds are
-// ignored.
+// it as (or into) core's Config.Trace hook.
 func (r *Recorder) HookSpan(s obs.Span) {
 	if r == nil {
 		return
 	}
-	switch s.Kind {
-	case obs.SpanRead:
-		class := ClassLocal
-		switch {
-		case s.Err != nil:
-			class = ClassError
-		case s.Flags&obs.FlagFallback != 0:
-			class = ClassFallback
-		case s.Flags&obs.FlagPartial != 0:
-			class = ClassPartial
-		case s.Flags&obs.FlagPeerMiss != 0:
-			class = ClassPeerMiss
-		case s.Flags&obs.FlagHedged != 0:
-			class = ClassPeerHedge
-		case s.Flags&obs.FlagPeer != 0:
-			class = ClassPeer
-		case s.Tier == r.cfg.Source:
-			class = ClassPFS
-		}
-		r.seen.Add(1)
-		if (class == ClassLocal || class == ClassPFS) && r.sampleN > 1 {
-			if (r.tick.Add(1)-1)%r.sampleN != 0 {
-				r.sampledOut.Add(1)
-				return
-			}
-		}
-		r.enqueue(Event{
-			T:     r.now(),
-			Kind:  KindRead,
-			Class: class,
-			Tier:  int8(s.Tier),
-			Lat:   LatBucket(s.Duration),
-			Off:   s.Off,
-			Len:   s.Bytes,
-			Req:   s.Req,
-		}, s.File)
-	case obs.SpanPeerServe:
-		// The remote half of a sibling's peer read. Never sampled: each
-		// serve is the witness that stitches a cross-node span pair, and
-		// the analyzer cannot correlate what sampling threw away.
-		class := ClassNone
-		if s.Err != nil {
-			class = ClassError
-		}
-		r.seen.Add(1)
-		r.enqueue(Event{
-			T:     r.now(),
-			Kind:  KindServe,
-			Class: class,
-			Tier:  int8(s.Tier),
-			Lat:   LatBucket(s.Duration),
-			Off:   s.Off,
-			Len:   s.Bytes,
-			Req:   s.Req,
-		}, s.File)
-	case obs.SpanPlacement:
-		class := ClassFetch
-		switch {
-		case s.Err != nil && s.Tier < 0:
-			class = ClassSkip
-		case s.Err != nil:
-			class = ClassFail
-		case s.Flags&obs.FlagReuse != 0:
-			class = ClassReuse
-		}
-		r.seen.Add(1)
-		r.enqueue(Event{
-			T:     r.now(),
-			Kind:  KindPlacement,
-			Class: class,
-			Tier:  int8(s.Tier),
-			Lat:   LatBucket(s.Duration),
-			Len:   s.Bytes,
-		}, s.File)
-	case obs.SpanChunkCopy:
-		r.seen.Add(1)
-		r.enqueue(Event{
-			T:    r.now(),
-			Kind: KindChunkCopy,
-			Tier: int8(s.Tier),
-			Lat:  LatBucket(s.Duration),
-			Off:  s.Off,
-			Len:  s.Bytes,
-		}, s.File)
-	case obs.SpanWrite, obs.SpanRemove:
-		// Writes and removes are never sampled: checkpoint bursts are
-		// rare, each acked byte matters for crash accounting, and the
-		// analyzer prices write-through vs write-back from exact counts.
-		class := ClassWrite
-		switch {
-		case s.Err != nil:
-			class = ClassError
-		case s.Kind == obs.SpanRemove:
-			class = ClassRemove
-		case s.Flags&obs.FlagWriteBack != 0:
-			class = ClassWriteBack
-		}
-		r.seen.Add(1)
-		r.enqueue(Event{
-			T:     r.now(),
-			Kind:  KindWrite,
-			Class: class,
-			Tier:  int8(s.Tier),
-			Lat:   LatBucket(s.Duration),
-			Off:   s.Off,
-			Len:   s.Bytes,
-			Req:   s.Req,
-		}, s.File)
-	case obs.SpanFlush:
-		class := ClassFlush
-		if s.Err != nil {
-			class = ClassError
-		}
-		r.seen.Add(1)
-		r.enqueue(Event{
-			T:     r.now(),
-			Kind:  KindFlush,
-			Class: class,
-			Tier:  int8(s.Tier),
-			Lat:   LatBucket(s.Duration),
-			Len:   s.Bytes,
-		}, s.File)
+	kind, class, sampled, ok := classify(&s, r.cfg.Source)
+	if !ok {
+		return
 	}
+	r.seen.Add(1)
+	if sampled && r.sampleN > 1 && (r.tick.Add(1)-1)%r.sampleN != 0 {
+		r.sampledOut.Add(1)
+		return
+	}
+	r.enqueue(Event{
+		T:     r.now(),
+		Kind:  kind,
+		Class: class,
+		Tier:  int8(s.Tier),
+		Lat:   LatBucket(s.Duration),
+		Off:   s.Off,
+		Len:   s.Bytes,
+		Req:   s.Req,
+	}, s.File)
 }
 
 // State records a tier-state change (demotion, eviction, breaker

@@ -10,7 +10,7 @@ import (
 )
 
 // capture writes a small, representative trace through a Recorder and
-// reads it back. Both encodings must reproduce it exactly.
+// reads it back.
 func capture(t *testing.T, path string, sample int) *Trace {
 	t.Helper()
 	var clock int64
@@ -114,33 +114,17 @@ func checkCapture(t *testing.T, tr *Trace) {
 	}
 }
 
-func TestRoundTripJSONL(t *testing.T) {
-	checkCapture(t, capture(t, filepath.Join(t.TempDir(), "t.jsonl"), 1))
-}
-
 func TestRoundTripBinary(t *testing.T) {
+	// The encoding is the recorder's, not the path's: no suffix selects it.
 	checkCapture(t, capture(t, filepath.Join(t.TempDir(), "t.bin"), 1))
-}
-
-func TestEncodingsAgree(t *testing.T) {
-	dir := t.TempDir()
-	j := capture(t, filepath.Join(dir, "t.jsonl"), 1)
-	b := capture(t, filepath.Join(dir, "t.bin"), 1)
-	if len(j.Events) != len(b.Events) {
-		t.Fatalf("event counts differ: jsonl %d, bin %d", len(j.Events), len(b.Events))
-	}
-	for i := range j.Events {
-		if j.Events[i] != b.Events[i] {
-			t.Fatalf("event %d differs: jsonl %+v, bin %+v", i, j.Events[i], b.Events[i])
-		}
-	}
+	checkCapture(t, capture(t, filepath.Join(t.TempDir(), "t.trace"), 1))
 }
 
 // TestSamplingPolicy locks the rule sampling must follow: only plain
 // local/PFS read hits are thinned; partial hits, errors, placements,
 // chunk copies, epochs and state changes always record.
 func TestSamplingPolicy(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.jsonl")
+	path := filepath.Join(t.TempDir(), "s.bin")
 	rec, err := New(Config{Path: path, Sample: 10, Levels: []Level{{Name: "ssd"}, {Name: "pfs"}}, Source: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +176,7 @@ func TestSamplingPolicy(t *testing.T) {
 }
 
 func TestRingOverflowDropsAndCounts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "o.jsonl")
+	path := filepath.Join(t.TempDir(), "o.bin")
 	rec, err := New(Config{Path: path, Buffer: 4, Levels: []Level{{Name: "a"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +235,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestCloseIsIdempotentAndDropsLateEvents(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.jsonl")
+	path := filepath.Join(t.TempDir(), "c.bin")
 	rec, err := New(Config{Path: path, Levels: []Level{{Name: "a"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +255,7 @@ func TestCloseIsIdempotentAndDropsLateEvents(t *testing.T) {
 }
 
 func TestInstrumentExportsCounters(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "i.jsonl")
+	path := filepath.Join(t.TempDir(), "i.bin")
 	rec, err := New(Config{Path: path, Sample: 2, Levels: []Level{{Name: "a"}, {Name: "b"}}, Source: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -109,18 +109,26 @@ func Run(t *trace.Trace, opts Options) (*Report, error) {
 	return runFaithful(t, opts)
 }
 
-// charge is one device operation derived from an event.
-type charge struct {
-	t     sim.Time
-	level int
-	write bool
-	bytes int64
+// run is the device work one event stands for: bytes moved in n
+// requests of piece bytes (the last one shorter), each read from src
+// and then written to dst; a level of -1 is no device. One entry per
+// event, however many requests it expands to.
+type run struct {
+	t        sim.Time
+	src, dst int
+	bytes    int64
+	piece, n int64
 }
+
+// maxRequests bounds the requests one event may expand to: 4 TiB of
+// 4 MiB copy chunks. A capture past it is not one a recorder wrote.
+const maxRequests = 1 << 20
 
 // runFaithful re-enacts the capture. Statistics are derived in one
 // sequential pass (so ordering between concurrent replay workers can
-// never skew them), then the charges are fanned out over Workers sim
-// processes that honour the recorded timestamps.
+// never skew them) — PFS ops by the trace's one pricer — then the
+// device operations are dealt round-robin, in capture order, to
+// Workers sim processes that honour the recorded timestamps.
 func runFaithful(t *trace.Trace, opts Options) (*Report, error) {
 	nlev := len(t.Header.Levels)
 	source := t.Header.Source
@@ -133,27 +141,30 @@ func runFaithful(t *trace.Trace, opts Options) (*Report, error) {
 		ReadsServed: make([]int64, nlev),
 		BytesServed: make([]int64, nlev),
 	}
-	copyChunk := int64(0)
-	if s, ok := t.Header.Meta["copy_chunk"]; ok {
-		copyChunk, _ = strconv.ParseInt(s, 10, 64)
-	}
+	pricer := trace.NewPricer(t.Header)
 
-	var charges []charge
-	chunkOps := make(map[uint32]int64)
-	for _, ev := range t.Events {
-		ts := sim.Time(ev.T)
-		switch ev.Kind {
-		case trace.KindRead:
-			if ev.Class == trace.ClassError {
-				continue
-			}
-			lvl := int(ev.Tier)
-			if lvl < 0 || lvl >= nlev {
-				continue
-			}
-			rep.ReadsServed[lvl]++
-			rep.BytesServed[lvl] += ev.Len
-			charges = append(charges, charge{t: ts, level: lvl, bytes: ev.Len})
+	var runs []run
+	var bad error
+	level := func(i int, ev trace.Event, requests int64) int {
+		lvl := int(ev.Tier)
+		if lvl >= 0 && lvl < nlev && requests <= maxRequests {
+			return lvl
+		}
+		if bad == nil {
+			bad = fmt.Errorf("replay: event %d (%s %s): tier %d of %d, %d request(s) — not a capture to re-enact",
+				i, ev.Kind, ev.Class, lvl, nlev, requests)
+		}
+		return 0
+	}
+	for i, ev := range t.Events {
+		cost := pricer.Price(ev)
+		rep.PFSOps += cost.Foreground + cost.Background
+		r := run{t: sim.Time(ev.T), src: -1, dst: -1, bytes: ev.Len, piece: ev.Len, n: 1}
+		switch {
+		case ev.Kind == trace.KindRead && ev.Class != trace.ClassError:
+			r.src = level(i, ev, 1)
+			rep.ReadsServed[r.src]++
+			rep.BytesServed[r.src] += ev.Len
 			switch ev.Class {
 			case trace.ClassPartial:
 				rep.PartialHits++
@@ -161,82 +172,72 @@ func runFaithful(t *trace.Trace, opts Options) (*Report, error) {
 			case trace.ClassFallback:
 				rep.Fallbacks++
 			}
-			// A partial hit booked on the source is a window of a
-			// read-ahead buffer: its bytes are charged here, the op
-			// that pulled them was the arming read's.
-			if lvl == source && ev.Class != trace.ClassPartial {
-				rep.PFSOps++
-			}
-		case trace.KindChunkCopy:
+		case ev.Kind == trace.KindChunkCopy:
 			rep.ChunkPlacements++
-			rep.PFSOps++
-			chunkOps[ev.File]++
-			charges = append(charges,
-				charge{t: ts, level: source, bytes: ev.Len},
-				charge{t: ts, level: int(ev.Tier), write: true, bytes: ev.Len})
-		case trace.KindPlacement:
-			switch ev.Class {
-			case trace.ClassFetch:
-				rep.Placements++
-				rep.PlacedBytes += ev.Len
-				if chunkOps[ev.File] == 0 {
-					// Whole-file fetch: stream the file from the source
-					// in copy-chunk-sized requests.
-					n := int64(1)
-					if copyChunk > 0 && ev.Len > 0 {
-						n = (ev.Len + copyChunk - 1) / copyChunk
-					}
-					rep.PFSOps += n
-					rem := ev.Len
-					sz := ev.Len
-					if copyChunk > 0 {
-						sz = copyChunk
-					}
-					for rem > 0 {
-						b := sz
-						if b > rem {
-							b = rem
-						}
-						charges = append(charges,
-							charge{t: ts, level: source, bytes: b},
-							charge{t: ts, level: int(ev.Tier), write: true, bytes: b})
-						rem -= b
-					}
-				}
-			case trace.ClassReuse:
-				rep.Placements++
-				rep.PlacedBytes += ev.Len
-				charges = append(charges, charge{t: ts, level: int(ev.Tier), write: true, bytes: ev.Len})
-			case trace.ClassSkip:
-				rep.Skips++
-			case trace.ClassFail:
-				rep.Failures++
+			r.src, r.dst = source, level(i, ev, 1)
+		case ev.Kind == trace.KindPlacement && ev.Class == trace.ClassFetch:
+			rep.Placements++
+			rep.PlacedBytes += ev.Len
+			if cost.Background == 0 || ev.Len <= 0 {
+				continue // it arrived as chunk copies, each charged above
 			}
-			delete(chunkOps, ev.File)
+			// Whole-file fetch: stream the file from the source in
+			// copy-chunk-sized requests.
+			r.src, r.dst, r.n = source, level(i, ev, cost.Background), cost.Background
+			if c := pricer.CopyChunk(); c > 0 {
+				r.piece = c
+			}
+		case ev.Kind == trace.KindPlacement && ev.Class == trace.ClassReuse:
+			rep.Placements++
+			rep.PlacedBytes += ev.Len
+			r.dst = level(i, ev, 1)
+		case ev.Kind == trace.KindPlacement && ev.Class == trace.ClassSkip:
+			rep.Skips++
+			continue
+		case ev.Kind == trace.KindPlacement && ev.Class == trace.ClassFail:
+			rep.Failures++
+			continue
+		default:
+			continue
 		}
+		runs = append(runs, r)
+	}
+	if bad != nil {
+		return nil, bad
 	}
 
-	// Re-drive the charges through fresh devices on the sim clock.
+	// Re-drive the operations through fresh devices on the sim clock:
+	// worker w takes every Workers-th operation of the whole sequence.
 	env := sim.NewEnv(opts.Seed)
 	defer env.Close()
 	devs := make([]*simstore.Device, nlev)
 	for i, l := range t.Header.Levels {
 		devs[i] = simstore.NewDevice(env, specFor(l.Name))
 	}
-	for w := 0; w < opts.Workers; w++ {
+	workers := int64(opts.Workers)
+	for w := int64(0); w < workers; w++ {
 		w := w
 		env.Go(fmt.Sprintf("replay-%d", w), func(p *sim.Proc) {
-			for i := w; i < len(charges); i += opts.Workers {
-				c := charges[i]
-				p.SleepUntil(c.t)
-				if c.bytes <= 0 {
-					continue
+			first := int64(0) // index of the run's first operation in the sequence
+			for _, r := range runs {
+				per := int64(1) // device operations a request
+				if r.src >= 0 && r.dst >= 0 {
+					per = 2
 				}
-				if c.write {
-					devs[c.level].Write(p, c.bytes)
-				} else {
-					devs[c.level].Read(p, c.bytes)
+				ops := per * r.n
+				for k := ((w-first)%workers + workers) % workers; k < ops; k += workers {
+					req, write := k/per, r.src < 0 || k%per == 1
+					p.SleepUntil(r.t)
+					b := min(r.piece, r.bytes-req*r.piece)
+					switch {
+					case b <= 0:
+					case write:
+						devs[r.dst].Write(p, b)
+					default:
+						devs[r.src].Read(p, b)
+					}
 				}
+				first += ops
 			}
 		})
 	}
@@ -302,12 +303,11 @@ func runLive(t *trace.Trace, opts Options) (*Report, error) {
 	defer env.Close()
 	levels := make([]storage.Backend, nlev)
 	var src *simstore.Store
+	copyChunk := trace.NewPricer(t.Header).CopyChunk()
 	for i, l := range t.Header.Levels {
 		st := simstore.NewStore(simstore.NewDevice(env, specFor(l.Name)), l.Name, l.Capacity)
-		if s, ok := t.Header.Meta["copy_chunk"]; ok {
-			if v, err := strconv.ParseInt(s, 10, 64); err == nil && v > 0 {
-				st.CopyChunk = v
-			}
+		if copyChunk > 0 {
+			st.CopyChunk = copyChunk
 		}
 		levels[i] = st
 		if i == nlev-1 {

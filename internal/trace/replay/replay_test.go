@@ -13,6 +13,7 @@ import (
 	"monarch/internal/pool"
 	"monarch/internal/storage"
 	"monarch/internal/trace"
+	"monarch/internal/trace/analyze"
 )
 
 // consistent builds a trace whose trailer matches what a faithful
@@ -74,6 +75,9 @@ func TestFaithfulRoundTrip(t *testing.T) {
 	}
 	if rep.PFSOps != 6 || rep.Placements != 2 || rep.ChunkPlacements != 3 || rep.PartialHits != 1 {
 		t.Fatalf("report = %+v", rep)
+	}
+	if a := analyze.Analyze(tr, analyze.Options{}); rep.PFSOps != a.PFSOps {
+		t.Fatalf("replay priced %d PFS ops, the analyzer %d: there is one pricer", rep.PFSOps, a.PFSOps)
 	}
 	if rep.Duration <= 0 {
 		t.Fatalf("virtual makespan = %v", rep.Duration)
@@ -213,7 +217,7 @@ func captureStack(t *testing.T, nfiles int, quota int64) (*core.Monarch, *storag
 	}
 	raw.SetReadOnly(true)
 	pfs := storage.NewCounting(raw)
-	path := filepath.Join(t.TempDir(), "capture.jsonl")
+	path := filepath.Join(t.TempDir(), "capture.bin")
 	m, err := core.New(core.Config{
 		Levels:        []storage.Backend{storage.NewMemFS("ssd", quota), pfs},
 		Pool:          pool.NewGoPool(2),
@@ -262,6 +266,9 @@ func replayCapture(t *testing.T, m *core.Monarch, path string, ops int64) *Repor
 	}
 	if len(rep.Mismatches) != 0 {
 		t.Fatalf("replay diverged from the capture: %v", rep.Mismatches)
+	}
+	if a := analyze.Analyze(tr, analyze.Options{}); rep.PFSOps != a.PFSOps || a.PFSOps != ops {
+		t.Fatalf("replay priced %d PFS ops, the analyzer %d, the source counted %d", rep.PFSOps, a.PFSOps, ops)
 	}
 	return rep
 }

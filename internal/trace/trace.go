@@ -2,15 +2,16 @@
 // per foreground read, per placement resolution, per chunk copy, per
 // epoch boundary and per tier-state change. A Recorder hooks the
 // middleware's span stream (obs.TraceHook) and streams events through a
-// bounded ring buffer to a JSONL or binary sink, so memory stays flat
-// however long the run and the hot path never blocks on I/O.
+// bounded ring buffer to a binary file, so memory stays flat however
+// long the run and the hot path never blocks on I/O.
 //
 // The captured artifact is self-describing: a header carries the
 // hierarchy shape, clock kind and sampling rate; file-definition
 // records carry the namespace (names and sizes); a trailer carries the
 // run's final counters. The analyze subpackage derives per-epoch PFS
 // statistics from it, and the replay subpackage re-drives it through a
-// fresh simulated hierarchy.
+// fresh simulated hierarchy; what an event cost the PFS is the Pricer's
+// to say, for both.
 package trace
 
 import (
@@ -21,8 +22,8 @@ import (
 )
 
 // Version is the trace format version written into headers. Version 2
-// added the Req correlation field to events ("r" in JSONL, 8 extra
-// bytes per binary record). Read refuses every other version.
+// added the Req correlation field to events (8 extra bytes per record).
+// Read refuses every other version.
 const Version = 2
 
 // Kind classifies trace events.
@@ -55,28 +56,17 @@ const (
 	KindFlush
 )
 
-// String names the kind (the "k" field of the JSONL encoding).
+var kindNames = [...]string{
+	KindRead: "read", KindPlacement: "placement", KindChunkCopy: "chunk-copy", KindEpoch: "epoch",
+	KindState: "state", KindServe: "serve", KindWrite: "write", KindFlush: "flush",
+}
+
+// String names the kind, as monarch-inspect trace -events prints it.
 func (k Kind) String() string {
-	switch k {
-	case KindRead:
-		return "read"
-	case KindPlacement:
-		return "placement"
-	case KindChunkCopy:
-		return "chunk-copy"
-	case KindEpoch:
-		return "epoch"
-	case KindState:
-		return "state"
-	case KindServe:
-		return "serve"
-	case KindWrite:
-		return "write"
-	case KindFlush:
-		return "flush"
-	default:
+	if k == 0 || int(k) >= len(kindNames) {
 		return "unknown"
 	}
+	return kindNames[k]
 }
 
 // Class qualifies an event within its kind: the hit class of a read,
@@ -152,74 +142,22 @@ const (
 	ClassRemove
 )
 
-// String names the class (the "c" field of the JSONL encoding).
+var classNames = [...]string{
+	ClassNone: "", ClassLocal: "local", ClassPartial: "partial", ClassPFS: "pfs",
+	ClassFallback: "fallback", ClassError: "error", ClassFetch: "fetch", ClassReuse: "reuse",
+	ClassSkip: "skip", ClassFail: "fail", ClassDemoted: "demoted", ClassEvicted: "evicted",
+	ClassTierDown: "tier-down", ClassTierUp: "tier-up", ClassPeer: "peer", ClassPeerMiss: "peer-miss",
+	ClassPeerHedge: "peer-hedge", ClassWrite: "write", ClassWriteBack: "write-back",
+	ClassFlush: "flush", ClassRemove: "remove",
+}
+
+// String names the class, as monarch-inspect trace -events prints it
+// ("" for ClassNone).
 func (c Class) String() string {
-	switch c {
-	case ClassNone:
-		return ""
-	case ClassLocal:
-		return "local"
-	case ClassPartial:
-		return "partial"
-	case ClassPFS:
-		return "pfs"
-	case ClassFallback:
-		return "fallback"
-	case ClassError:
-		return "error"
-	case ClassFetch:
-		return "fetch"
-	case ClassReuse:
-		return "reuse"
-	case ClassSkip:
-		return "skip"
-	case ClassFail:
-		return "fail"
-	case ClassDemoted:
-		return "demoted"
-	case ClassEvicted:
-		return "evicted"
-	case ClassTierDown:
-		return "tier-down"
-	case ClassTierUp:
-		return "tier-up"
-	case ClassPeer:
-		return "peer"
-	case ClassPeerMiss:
-		return "peer-miss"
-	case ClassPeerHedge:
-		return "peer-hedge"
-	case ClassWrite:
-		return "write"
-	case ClassWriteBack:
-		return "write-back"
-	case ClassFlush:
-		return "flush"
-	case ClassRemove:
-		return "remove"
-	default:
+	if int(c) >= len(classNames) {
 		return "unknown"
 	}
-}
-
-// classFromString inverts Class.String; ok is false for unknown names.
-func classFromString(s string) (Class, bool) {
-	for c := ClassNone; c <= ClassRemove; c++ {
-		if c.String() == s {
-			return c, true
-		}
-	}
-	return ClassNone, false
-}
-
-// kindFromString inverts Kind.String.
-func kindFromString(s string) (Kind, bool) {
-	for k := KindRead; k <= KindFlush; k++ {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
+	return classNames[c]
 }
 
 // Event is one fixed-size trace record. T is nanoseconds since the
@@ -256,8 +194,7 @@ type Level struct {
 	Capacity int64  `json:"capacity"`
 }
 
-// Header is the trace's self-description, written first in both
-// encodings.
+// Header is the trace's self-description, written first.
 type Header struct {
 	Version   int               `json:"monarch_trace"`
 	Clock     string            `json:"clock"`  // "wall" or "virtual"
