@@ -63,6 +63,10 @@ test:
 # across every release of the pooled buffer under them, readers racing
 # promotions on one file — once more under -tags debug, where bufpool
 # poisons a buffer on Put, so a view that lost shows 0xDB, not luck.
+# Beside the view lifetimes, ReadAt's copy out of a mapping: a tier file
+# truncated under it is a fallback (the fault guard), never a SIGBUS; a
+# Create'd file is never viewed; a counted tier without views refuses
+# without allocating.
 # Last, the SIGKILL drill with the detector in the burst child as well.
 stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
@@ -70,7 +74,8 @@ stress:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestRemoveDuringFlush|TestCreateDuringRemove|TestFlushPlanProperty|TestRangeFlushRefusalKeepsEveryRangeDirty' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime' -count=50 ./internal/storage/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime|TestViewCopySurvivesAFault|TestCountingRefusesViewsWithoutAllocating' -count=50 ./internal/storage/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReadAtSurvivesTruncatedTierCopy|TestReadAtNeverViewsCreatedFiles' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadResponseSurvivesRemove|TestSendfileKeepsTheInode|TestConcurrentStreamsOfOneFile|TestClientGoneMidBody' -count=50 ./internal/peernet/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestCrashSmoke' -count=10 .
 

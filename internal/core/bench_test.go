@@ -159,42 +159,53 @@ func BenchmarkReadAtParallel(b *testing.B) {
 // micro-benchmark: 16 files of 1 MiB placed on an OSFS tier 0, read
 // front to back in 256 KiB windows. read serves one window as a view
 // (ReadAt's is its caller's buffer, with nothing to release). The lend
-// half stops there, pricing
-// the serve alone (what the ledger's view epochs do); the touch half
-// reads one byte of every cache line before releasing, which is what a
-// consumer that parses the window pays on top — page faults on a
-// mapping's first touch included.
+// case stops there, pricing the serve alone (what the ledger's view
+// epochs do); the touch case reads one byte of every cache line before
+// releasing, which is what a consumer that parses the window pays on
+// top — page faults on a mapping's first touch included. The thrash
+// case is lend over 256 files, four times the OSFS open-file table, so
+// nearly every file is opened and mapped again on every pass. Every
+// other case reads tier-0 bytes the page cache holds; uncached is touch
+// over 64 files evicted from it (untimed) before every pass, so each
+// window pages its bytes in from the device — a dataset larger than
+// RAM that the SSD holds. It skips where the page cache cannot be
+// dropped (not linux, tmpfs).
 func benchOSFSWindows(b *testing.B, read func(m *Monarch, name string, off int64) storage.View) {
-	const (
-		nfiles, fileSize, window = 16, 1 << 20, 256 << 10
-		perFile                  = fileSize / window
-	)
-	ssd, err := storage.NewOSFS("ssd", b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(ssd.CloseIdle)
-	m := benchStackOn(b, ssd, nfiles, fileSize)
-	names := make([]string, nfiles)
-	for i := range names {
-		names[i] = fmt.Sprintf("f%04d", i)
-	}
-	for _, touch := range []bool{false, true} {
-		name := "lend"
-		if touch {
-			name = "touch"
-		}
-		b.Run(name, func(b *testing.B) {
+	const fileSize, window, perFile = 1 << 20, 256 << 10, 4
+	for _, tc := range []struct {
+		name     string
+		nfiles   int
+		touch    bool
+		uncached bool
+	}{{"lend", 16, false, false}, {"touch", 16, true, false}, {"thrash", 256, false, false}, {"uncached", 64, true, true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ssd, err := storage.NewOSFS("ssd", b.TempDir(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(ssd.CloseIdle)
+			m := benchStackOn(b, ssd, tc.nfiles, fileSize)
+			names := make([]string, tc.nfiles)
+			for i := range names {
+				names[i] = fmt.Sprintf("f%04d", i)
+			}
 			b.SetBytes(window)
 			b.ReportAllocs()
 			var sum byte
 			for i := 0; b.Loop(); i++ {
-				w := i % (nfiles * perFile)
+				w := i % (tc.nfiles * perFile)
+				if tc.uncached && w == 0 {
+					b.StopTimer()
+					if ok, err := dropPageCache(ssd, names); err != nil || !ok {
+						b.Skipf("cannot drop the tier files from the page cache (err %v)", err)
+					}
+					b.StartTimer()
+				}
 				v := read(m, names[w/perFile], int64(w%perFile)*window)
 				if len(v.Data) != window {
 					b.Fatalf("read %d bytes", len(v.Data))
 				}
-				if touch {
+				if tc.touch {
 					for j := 0; j < len(v.Data); j += 64 {
 						sum += v.Data[j]
 					}
@@ -208,8 +219,8 @@ func benchOSFSWindows(b *testing.B, read func(m *Monarch, name string, off int64
 
 var benchSink byte
 
-// BenchmarkReadAtOSFS is the copy path over the real backend: a pread
-// of the window into the caller's buffer.
+// BenchmarkReadAtOSFS is the copy path over the real backend: a copy of
+// the window out of the file's mapping into the caller's buffer.
 func BenchmarkReadAtOSFS(b *testing.B) {
 	ctx := context.Background()
 	buf := make([]byte, 256<<10)

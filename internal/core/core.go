@@ -414,24 +414,30 @@ type sink struct {
 	view storage.View
 }
 
-// window lands [off, off+n) of the file f holds from f.base to its end
-// — off inside that — in s and returns its length: copied for ReadAt,
-// lent as it is for ReadView. The caller's reference on f goes with the
-// bytes: dropped after the copy, or handed to the view, whose Release
-// drops it.
-func (s *sink) window(f *fetched, off, n int64) int {
+// take lands v — bytes a holder lends: a tier's view, a window of a
+// fetched buffer — in s and returns its length: lent as it is for
+// ReadView, copied for ReadAt and released. The copy is View.Copy's, so
+// a fault under a mapped view is this read's error, not the process's.
+func (s *sink) take(v storage.View) (int, error) {
+	if s.lend {
+		s.view, s.lent = v, true
+		return len(v.Data), nil
+	}
+	n, err := v.Copy(s.buf)
+	v.Release()
+	s.view.Data = s.buf[:n]
+	return n, err
+}
+
+// window is [off, off+n) of the file f holds from f.base to its end —
+// off inside that — as a view holding the caller's reference on f.
+func (f *fetched) window(off, n int64) storage.View {
 	off -= f.base
 	end := int64(len(f.data))
 	if n < end-off {
 		end = off + n
 	}
-	if s.lend {
-		s.view, s.lent = storage.View{Data: f.data[off:end:end], R: f}, true
-	} else {
-		s.view.Data = s.buf[:copy(s.buf, f.data[off:end])]
-		f.Release()
-	}
-	return len(s.view.Data)
+	return storage.View{Data: f.data[off:end:end], R: f}
 }
 
 // route is the read plan's routing decision: which driver gets the
@@ -483,23 +489,25 @@ func (m *Monarch) resolve(e *fileEntry, off, n int64) route {
 }
 
 // serve makes one attempt at [off, off+n) of e over rt into s. The lend
-// rule: a view is the tier's own bytes only on the local route, from a
-// backend that lends them, and never of a file Create registered —
-// WriteAt changes those in place, under any view. Everything else, a
-// backend's refusal (ErrUnsupported) included, is copied into scratch.
+// rule: the attempt asks the tier for a view only on the local route,
+// from a backend that lends them, and never of a file Create registered
+// — WriteAt changes those in place, under any view; the sink then lends
+// the view or copies out of it. Everything else, a backend's refusal
+// (ErrUnsupported) included, is the backend's ReadAt: into the caller's
+// buffer, or into scratch for a view.
 func (m *Monarch) serve(ctx context.Context, rt route, e *fileEntry, off, n int64, s *sink) (int, error) {
 	d, buf := rt.d, s.buf
-	if s.lend {
-		s.lent = false
-		if rt.kind == routeLocal && d.vr != nil && !e.writable {
-			v, err := d.vr.ReadView(ctx, e.name, off, n)
-			if err == nil {
-				s.view, s.lent = v, true
-			}
-			if !errors.Is(err, errors.ErrUnsupported) {
-				return len(v.Data), err
-			}
+	if rt.kind == routeLocal && d.vr != nil && !e.writable {
+		v, err := d.vr.ReadView(ctx, e.name, off, n)
+		if err == nil {
+			return s.take(v)
 		}
+		if !errors.Is(err, errors.ErrUnsupported) {
+			return 0, err
+		}
+	}
+	s.lent = false
+	if s.lend {
 		if rem := e.size - off; off >= 0 && rem < n {
 			n = max(rem, 0)
 		}
@@ -517,14 +525,20 @@ func (m *Monarch) serve(ctx context.Context, rt route, e *fileEntry, off, n int6
 	return got, err
 }
 
-// errOvertaken voids a first attempt whose route an eviction overtook.
-var errOvertaken = errors.New("monarch: evicted under the read")
+var (
+	// errOvertaken voids a first attempt whose route an eviction overtook.
+	errOvertaken = errors.New("monarch: evicted under the read")
+	// errShortRead fails a first attempt that served fewer bytes than the
+	// file holds at the offset.
+	errShortRead = errors.New("monarch: tier returned a short read")
+)
 
 // recovered books a first attempt above the source that failed, before
 // the source re-serves the read. It is the plan's recovery table:
 //
 //	errOvertaken, any route   eviction race  EvictionRaces  clean
 //	ErrNotExist, peer route   peer miss      PeerMisses     clean
+//	errShortRead, any route   tier failure   Fallbacks      failure
 //	anything else             tier failure   Fallbacks      failure
 //
 // A failure charges monarch_errors_total{stage=peer|tier-read}, emits
@@ -592,7 +606,7 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	var flags obs.SpanFlags
 	var got int
 	if whole != nil {
-		got = s.window(whole, off, n)
+		got, err = s.take(whole.window(off, n))
 	} else {
 		got, err = m.serve(rctx, rt, e, off, n, s)
 	}
@@ -603,6 +617,12 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		// copy this read could have caught still empty.
 		s.view.Release()
 		s.view, err = storage.View{}, errOvertaken
+	} else if rt.kind != routeSource && whole == nil && err == nil && int64(got) < min(n, e.size-off) {
+		// The tier holds less of the file than the namespace does (its
+		// copy was cut short from outside): a tier failure, not a record
+		// the caller takes for the file's end.
+		s.view.Release()
+		s.view, err = storage.View{}, errShortRead
 	}
 	switch {
 	case err == nil && whole != nil: // says nothing of the tier it is booked on

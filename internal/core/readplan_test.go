@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -44,13 +46,15 @@ func (p *manualPool) drain() {
 
 // flakyViews is a view-lending tier whose reads — by copy and by view
 // alike — fail once fail is set (with one error value, so twin runs
-// produce identical events), and whose next read first runs onRead: the
-// hook is how a test lands background work exactly between the read
-// plan's resolve and its tier attempt.
+// produce identical events), come back with half the bytes while short
+// is set, and whose next read first runs onRead: the hook is how a test
+// lands background work exactly between the read plan's resolve and its
+// tier attempt. With refuse set, the next view is refused
+// (ErrUnsupported) before anything else happens.
 type flakyViews struct {
 	*storage.MemFS
-	fail   atomic.Bool
-	onRead func()
+	fail, short, refuse atomic.Bool
+	onRead              func()
 }
 
 func (f *flakyViews) before() error {
@@ -68,12 +72,21 @@ func (f *flakyViews) ReadAt(ctx context.Context, name string, p []byte, off int6
 	if err := f.before(); err != nil {
 		return 0, err
 	}
+	if f.short.Load() {
+		p = p[:len(p)/2]
+	}
 	return f.MemFS.ReadAt(ctx, name, p, off)
 }
 
 func (f *flakyViews) ReadView(ctx context.Context, name string, off, n int64) (storage.View, error) {
+	if f.refuse.Swap(false) {
+		return storage.View{}, errors.ErrUnsupported
+	}
 	if err := f.before(); err != nil {
 		return storage.View{}, err
+	}
+	if f.short.Load() {
+		n /= 2
 	}
 	return f.MemFS.ReadView(ctx, name, off, n)
 }
@@ -236,6 +249,15 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 			check: func(s Stats) bool { return s.ReadsServed[0] == 1 },
 		},
 		{
+			name: "local placed, view refused",
+			prime: func(t *testing.T, r *parityRig) {
+				r.place(t)
+				r.ssd.refuse.Store(true)
+			},
+			file: "own/a", tierReads: 1,
+			check: func(s Stats) bool { return s.ReadsServed[0] == 1 && s.Fallbacks == 0 },
+		},
+		{
 			name: "mid-copy partial hit",
 			prime: func(t *testing.T, r *parityRig) {
 				// A chunked placement frozen after chunk 0 of 4.
@@ -316,6 +338,15 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 			},
 			file: "own/a", tierReads: 1, pfsReads: 1,
 			check: func(s Stats) bool { return s.Fallbacks == 1 && s.EvictionRaces == 0 && s.ReadsServed[2] == 2 },
+		},
+		{
+			name: "short tier read → fallback",
+			prime: func(t *testing.T, r *parityRig) {
+				r.place(t)
+				r.ssd.short.Store(true)
+			},
+			file: "own/a", tierReads: 1, pfsReads: 1,
+			check: func(s Stats) bool { return s.Fallbacks == 1 && s.ReadsServed[0] == 0 && s.ReadsServed[2] == 2 },
 		},
 		{
 			name: "breaker-down demotion",
@@ -519,6 +550,149 @@ func TestViewReadsLentOrCopiedOverOSFS(t *testing.T) {
 		if got, ok := snap.Int("monarch_view_reads_total", obs.L("served", served)); !ok || got != want {
 			t.Errorf("monarch_view_reads_total{served=%q} = %d (ok=%v), Stats says %d", served, got, ok, want)
 		}
+	}
+}
+
+// TestReadAtSurvivesTruncatedTierCopy: ReadAt copies a placed file out
+// of its tier's mapping, so a tier copy truncated from outside — what a
+// dying SSD looks like to a mapping — must cost a fallback, not the
+// process. With the table still holding the mapping at the old size the
+// copy faults (storage.ErrFault); once the table has re-mapped the
+// shorter file the view comes back short (errShortRead). Either way the
+// source re-serves the caller's bytes.
+func TestReadAtSurvivesTruncatedTierCopy(t *testing.T) {
+	const size = 4 * scanWindow
+	ssd := newOSFSTier(t, 0)
+	if _, err := ssd.ReadView(context.Background(), "probe", 0, 1); errors.Is(err, errors.ErrUnsupported) {
+		t.Skip("OSFS lends no views on this platform")
+	}
+	r := newShardRig(t, map[string][]byte{scanFile: scanContent(size)}, 0, func(c *Config) { c.Levels[0] = ssd })
+	r.read(t, false, 0, size)
+	r.pool.drain()
+	r.read(t, false, 0, scanWindow) // placed: maps the file
+	if st := r.m.Stats(); st.ReadsServed[0] != 1 || st.Fallbacks != 0 {
+		t.Fatalf("warm read not served by tier 0: %+v", st)
+	}
+	if err := os.Truncate(filepath.Join(ssd.Root(), filepath.FromSlash(scanFile)), scanWindow); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []error{storage.ErrFault, errShortRead} {
+		if i == 1 {
+			ssd.CloseIdle() // the next view maps the file at its new size
+		}
+		r.read(t, false, 2*scanWindow, scanWindow)
+		st, events := r.m.Stats(), r.log.Events()
+		last := events[len(events)-1]
+		if st.Fallbacks != int64(i+1) || st.ReadsServed[0] != 1 || st.ReadsServed[1] != int64(i+2) ||
+			last.Kind != EventFallback || !errors.Is(last.Err, want) {
+			t.Fatalf("read %d: fallbacks=%d served=%v, last event %v %v; want a fallback for %v",
+				i, st.Fallbacks, st.ReadsServed, last.Kind, last.Err, want)
+		}
+	}
+}
+
+// viewCounter is a view-lending tier that counts the views asked of it.
+type viewCounter struct {
+	*storage.MemFS
+	views atomic.Int64
+}
+
+func (v *viewCounter) ReadView(ctx context.Context, name string, off, n int64) (storage.View, error) {
+	v.views.Add(1)
+	return v.MemFS.ReadView(ctx, name, off, n)
+}
+
+// TestReadAtNeverViewsCreatedFiles: the lend rule holds for ReadAt too —
+// a file registered by Create, whose bytes WriteAt changes in place, is
+// read from its tier by ReadAt, never through a view; a dataset file on
+// the same tier is.
+func TestReadAtNeverViewsCreatedFiles(t *testing.T) {
+	ctx := context.Background()
+	tier := &viewCounter{MemFS: storage.NewMemFS("ssd", 1<<30)}
+	f := newWriteFixture(t, 1, func(c *Config) {
+		c.Levels[0] = tier
+		c.Write.Durability = backAll
+	})
+	m, buf := f.m, make([]byte, 1024)
+	if err := m.Create(ctx, "ckpt", 1024); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{7}, 1024), 0); err != nil {
+		t.Fatal(err)
+	}
+	for off := int64(0); off < 1024; off += 256 {
+		if n, err := m.ReadAt(ctx, "ckpt", buf[:256], off); err != nil || n != 256 || !bytes.Equal(buf[:n], bytes.Repeat([]byte{7}, 256)) {
+			t.Fatalf("ReadAt(ckpt, %d) = %d, %v", off, n, err)
+		}
+	}
+	if st := m.Stats(); st.ReadsServed[0] != 4 || tier.views.Load() != 0 {
+		t.Fatalf("created file: %d tier-0 reads, %d views asked; want 4 and 0", st.ReadsServed[0], tier.views.Load())
+	}
+	if _, err := m.ReadAt(ctx, "data/f000", buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitIdleM(t, m)
+	if _, err := m.ReadAt(ctx, "data/f000", buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := tier.views.Load(); n != 1 {
+		t.Fatalf("a placed dataset file's ReadAt asked %d views, want 1", n)
+	}
+}
+
+// unmappable is an OSFS tier whose every view is asked of a name the
+// kernel will not map — a directory: it opens, but has no mmap — so a
+// read pays OSFS's own refusal and falls back to its ReadAt.
+type unmappable struct{ *storage.OSFS }
+
+func newUnmappable(t *testing.T) unmappable {
+	o := newOSFSTier(t, 0)
+	if err := os.Mkdir(filepath.Join(o.Root(), "dir"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.ReadView(context.Background(), "dir", 0, 1); !errors.Is(err, errors.ErrUnsupported) {
+		t.Skipf("a directory's view: %v, want a refusal", err)
+	}
+	return unmappable{o}
+}
+
+func (u unmappable) ReadView(ctx context.Context, _ string, off, n int64) (storage.View, error) {
+	return u.OSFS.ReadView(ctx, "dir", off, n)
+}
+
+// TestWarmReadAtAllocatesNothing: a warm ReadAt copies out of an OSFS
+// tier's mapping without an allocation, and over a tier that lends no
+// views — a counted one, an OSFS the kernel will not map for — the
+// refusal it pays first allocates nothing either, nor counts an op: one
+// ReadAt is one tier read.
+func TestWarmReadAtAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	for name, tier := range map[string]storage.Backend{
+		"osfs":                  newOSFSTier(t, 0),
+		"osfs-unmappable":       newUnmappable(t),
+		"counting-faulty-memfs": storage.NewCounting(storage.NewFaulty(storage.NewMemFS("ssd", 0))),
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newShardRig(t, map[string][]byte{scanFile: scanContent(scanWindow)}, 0, func(c *Config) { c.Levels[0] = tier })
+			r.read(t, false, 0, scanWindow)
+			r.pool.drain()
+			buf := make([]byte, scanWindow/4)
+			allocs := testing.AllocsPerRun(100, func() {
+				if n, err := r.m.ReadAt(ctx, scanFile, buf, scanWindow/4); err != nil || n != len(buf) {
+					t.Fatalf("ReadAt = %d, %v", n, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("a warm ReadAt allocates %.1f times, want 0", allocs)
+			}
+			st := r.m.Stats()
+			if st.ReadsServed[0] != 101 {
+				t.Errorf("tier 0 served %d reads, want 101", st.ReadsServed[0])
+			}
+			if c, ok := tier.(*storage.Counting); ok && c.Counts().Ops[storage.OpRead] != st.ReadsServed[0] {
+				t.Errorf("the counted tier saw %d read ops for %d reads", c.Counts().Ops[storage.OpRead], st.ReadsServed[0])
+			}
+		})
 	}
 }
 

@@ -253,6 +253,11 @@ func (c *Client) do(ctx context.Context, op byte, head, data, dst []byte) (byte,
 		}
 		attempts++
 		conn, err := c.getConn(ctx)
+		if err == nil {
+			if err = conn.SetDeadline(deadline); err != nil {
+				c.discard(conn)
+			}
+		}
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
 				return 0, nil, err
@@ -261,7 +266,18 @@ func (c *Client) do(ctx context.Context, op byte, head, data, dst []byte) (byte,
 			lastErr = err
 			continue
 		}
-		status, resp, err := c.roundTrip(ctx, conn, op, head, data, dst, deadline)
+		// A cancelled context then forces the deadline into the past
+		// (context.AfterFunc: no goroutine per request), so hedged reads
+		// can abandon the losing replica mid-read instead of waiting out
+		// the full timeout. Once that has run the connection is not
+		// pooled, response or not: its past deadline may land after
+		// putConn cleared the deadline.
+		stop := func() bool { return true }
+		if ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+		}
+		status, resp, err := c.roundTrip(ctx, conn, op, head, data, dst)
+		reuse := stop()
 		if err != nil {
 			c.discard(conn)
 			c.transErr.Add(1)
@@ -271,32 +287,20 @@ func (c *Client) do(ctx context.Context, op byte, head, data, dst []byte) (byte,
 			lastErr = err
 			continue
 		}
-		c.putConn(conn)
+		if reuse {
+			c.putConn(conn)
+		} else {
+			c.discard(conn)
+		}
 		return status, resp, nil
 	}
 	return 0, nil, fmt.Errorf("peernet: %s: request failed after %d attempts: %w",
 		c.cfg.Name, attempts, lastErr)
 }
 
-// roundTrip sends one frame and reads the response on conn. A
-// cancelled context forces the connection's deadline into the past, so
-// hedged reads can abandon the losing replica mid-read instead of
-// waiting out the full timeout.
-func (c *Client) roundTrip(ctx context.Context, conn *clientConn, op byte, head, data, dst []byte, deadline time.Time) (byte, []byte, error) {
-	if err := conn.SetDeadline(deadline); err != nil {
-		return 0, nil, err
-	}
-	if cancel := ctx.Done(); cancel != nil {
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			select {
-			case <-cancel:
-				conn.SetDeadline(time.Unix(1, 0))
-			case <-done:
-			}
-		}()
-	}
+// roundTrip sends one frame and reads the response on conn, under the
+// deadline do set on it.
+func (c *Client) roundTrip(ctx context.Context, conn *clientConn, op byte, head, data, dst []byte) (byte, []byte, error) {
 	c.reqs[op&0x0f].Add(1)
 	start := time.Now()
 	b, err := appendHeader(conn.buf[:0], op, obs.RequestIDFrom(ctx), len(head)+len(data))

@@ -600,3 +600,103 @@ func TestReadPathAllocations(t *testing.T) {
 		}
 	}
 }
+
+// lateCancelConn is a client connection that lands a request's cancel
+// at the worst moment: Read cancels the request's context (cancel, taken
+// once) as the response's last byte arrives, and the past deadline a
+// cancel sets is held back until the connection's next request has set
+// its own — as late as anything the cancel woke could ever run — or
+// until the connection is closed.
+type lateCancelConn struct {
+	net.Conn
+	respLen, got int
+	cancel       *atomic.Pointer[context.CancelFunc]
+
+	mu     sync.Mutex
+	next   chan struct{} // closed when a request sets its deadline
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *lateCancelConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.got += n; c.got >= c.respLen {
+		c.got = 0
+		if cancel := c.cancel.Swap(nil); cancel != nil {
+			(*cancel)()
+		}
+	}
+	return n, err
+}
+
+func (c *lateCancelConn) SetDeadline(t time.Time) error {
+	if !t.IsZero() && t.Before(time.Now()) {
+		c.mu.Lock()
+		next := c.next
+		c.mu.Unlock()
+		select {
+		case <-next:
+		case <-c.closed:
+		}
+		return c.Conn.SetDeadline(t)
+	}
+	err := c.Conn.SetDeadline(t)
+	if !t.IsZero() {
+		c.mu.Lock()
+		close(c.next)
+		c.next = make(chan struct{})
+		c.mu.Unlock()
+	}
+	return err
+}
+
+func (c *lateCancelConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestCancelAsResponseCompletesSparesTheNextRequest: a request whose
+// context is cancelled just as its response completes (a hedged read's
+// loser, cancelled by the winner) still gets its response, and the
+// cancel — however late it takes effect — never reaches the next
+// request: the connection it might poison is not pooled, so no later
+// request pays a transport error and a backoff for it.
+func TestCancelAsResponseCompletesSparesTheNextRequest(t *testing.T) {
+	mem := storage.NewMemFS("remote", 0)
+	body := pattern(100, 3)
+	if err := mem.WriteFile(context.Background(), "f", body); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Backend: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cancelNext atomic.Pointer[context.CancelFunc]
+	c, err := NewClient(ClientConfig{Name: "peer:late", Dial: func(ctx context.Context) (net.Conn, error) {
+		client, server := net.Pipe()
+		go srv.ServeConn(server)
+		return &lateCancelConn{Conn: client, respLen: 5 + len(body), cancel: &cancelNext,
+			next: make(chan struct{}), closed: make(chan struct{})}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		srv.Close()
+	})
+	p := make([]byte, len(body))
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelNext.Store(&cancel)
+		if n, err := c.ReadAt(ctx, "f", p, 0); err != nil || !bytes.Equal(p[:n], body) {
+			t.Fatalf("round %d: the cancelled read: n=%d err=%v", i, n, err)
+		}
+		if n, err := c.ReadAt(context.Background(), "f", p, 0); err != nil || !bytes.Equal(p[:n], body) {
+			t.Fatalf("round %d: the next read: n=%d err=%v", i, n, err)
+		}
+	}
+	if n := c.TransportErrors(); n != 0 {
+		t.Fatalf("%d transport errors: a late cancel reached a pooled connection", n)
+	}
+}

@@ -140,6 +140,10 @@ func (c *Counting) ReadAt(ctx context.Context, name string, p []byte, off int64)
 	return n, err
 }
 
+// errNoViews is built once: core asks each warm ReadAt for a view, and a
+// counted tier without views must refuse it without allocating.
+var errNoViews = fmt.Errorf("storage: counted backend lends no views: %w", errors.ErrUnsupported)
+
 // ReadView implements ViewReader when the wrapped backend does; a view
 // counts as one read op for however many bytes it lends, and a refused
 // one (ErrUnsupported) as none — the ReadAt the caller falls through
@@ -148,7 +152,7 @@ func (c *Counting) ReadAt(ctx context.Context, name string, p []byte, off int64)
 func (c *Counting) ReadView(ctx context.Context, name string, off, n int64) (View, error) {
 	vr, ok := c.Backend.(ViewReader)
 	if !ok {
-		return View{}, fmt.Errorf("%s: read %q: %w", c.Backend.Name(), name, errors.ErrUnsupported)
+		return View{}, errNoViews
 	}
 	v, err := vr.ReadView(ctx, name, off, n)
 	if errors.Is(err, errors.ErrUnsupported) {

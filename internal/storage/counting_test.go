@@ -164,6 +164,30 @@ func TestFaultyBreakAndFix(t *testing.T) {
 	}
 }
 
+// TestCountingRefusesViewsWithoutAllocating: Counting over a backend
+// without views refuses every ReadView with ErrUnsupported, counts no op
+// for it and allocates nothing — core asks each warm read for a view, so
+// the refusal is on a counted non-lending tier's hot path.
+func TestCountingRefusesViewsWithoutAllocating(t *testing.T) {
+	ctx := context.Background()
+	c := NewCounting(NewFaulty(NewMemFS("m", 0)))
+	if err := c.WriteFile(ctx, "f", make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Counts()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.ReadView(ctx, "f", 0, 64); !errors.Is(err, errors.ErrUnsupported) {
+			t.Fatalf("ReadView over Faulty: %v, want ErrUnsupported", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a refused view allocates %.1f times, want 0", allocs)
+	}
+	if after := c.Counts(); after != before {
+		t.Errorf("refused views moved the counts: %+v → %+v", before, after)
+	}
+}
+
 func TestCountingOverFaulty(t *testing.T) {
 	// Instrumentation layers must compose.
 	ctx := context.Background()

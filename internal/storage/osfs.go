@@ -40,6 +40,9 @@ type cachedFD struct {
 	// mapped) and never replaced: OSFS never resizes an inode in place,
 	// so its length is the file's size for as long as anyone holds it.
 	data atomic.Pointer[[]byte]
+	// refused is the error of a mapping the kernel would not make, kept
+	// so the entry's later views are refused without a syscall.
+	refused atomic.Pointer[error]
 }
 
 // Release implements Releaser: a lent View holds its mapping through a

@@ -19,7 +19,9 @@ import (
 //
 // A file that cannot be mapped (its size does not fit an int, or the
 // kernel refuses — ENOMEM at the process's map limit, a file system
-// without mmap) refuses the read with errors.ErrUnsupported.
+// without mmap) refuses the read with errors.ErrUnsupported, and so does
+// every later view of the entry, without a syscall or an allocation:
+// core asks each warm ReadAt for a view before it falls back.
 func (o *OSFS) ReadView(ctx context.Context, name string, off, n int64) (View, error) {
 	if err := ctxErr(ctx); err != nil {
 		return View{}, err
@@ -37,7 +39,7 @@ func (o *OSFS) ReadView(ctx context.Context, name string, off, n int64) (View, e
 	data, err := c.mapped()
 	if err != nil {
 		c.Release()
-		return View{}, fmt.Errorf("%s: view %q: %w", o.name, name, err)
+		return View{}, err
 	}
 	rem := int64(len(data)) - off
 	if rem <= 0 { // at or past EOF, or an empty file: nothing to hold
@@ -50,10 +52,13 @@ func (o *OSFS) ReadView(ctx context.Context, name string, off, n int64) (View, e
 
 // mapped returns the whole-file mapping, building it on first use. An
 // empty file maps to nil: there is nothing to lend, and mmap rejects a
-// zero length. A refusal is not remembered; the next view asks again.
+// zero length. A refusal is kept, and returned again by later calls.
 func (c *cachedFD) mapped() ([]byte, error) {
 	if p := c.data.Load(); p != nil {
 		return *p, nil
+	}
+	if p := c.refused.Load(); p != nil {
+		return nil, *p
 	}
 	fi, err := c.f.Stat()
 	if err != nil {
@@ -63,12 +68,16 @@ func (c *cachedFD) mapped() ([]byte, error) {
 	if size == 0 {
 		return nil, nil
 	}
+	var data []byte
 	if int64(int(size)) != size {
-		return nil, fmt.Errorf("%d bytes exceed the address space: %w", size, errors.ErrUnsupported)
+		err = fmt.Errorf("%d bytes exceed the address space", size)
+	} else {
+		data, err = syscall.Mmap(int(c.f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	}
-	data, err := syscall.Mmap(int(c.f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, fmt.Errorf("mmap: %v: %w", err, errors.ErrUnsupported)
+		err = fmt.Errorf("view %s: mmap: %v: %w", c.f.Name(), err, errors.ErrUnsupported)
+		c.refused.Store(&err)
+		return nil, err
 	}
 	if !c.data.CompareAndSwap(nil, &data) {
 		// Lost the race to map: one mapping per entry, drop ours.

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"monarch/internal/bufpool"
@@ -29,6 +30,8 @@ var (
 	ErrNoSpace = errors.New("storage: no space left on backend")
 	// ErrReadOnly reports a mutation on a read-only backend.
 	ErrReadOnly = errors.New("storage: backend is read-only")
+	// ErrFault reports a memory fault under a view's bytes (View.Copy).
+	ErrFault = errors.New("storage: fault under a mapped view")
 )
 
 // FileInfo describes one file in a backend namespace.
@@ -122,6 +125,26 @@ func (v View) Release() {
 	if v.R != nil {
 		v.R.Release()
 	}
+}
+
+// Copy copies Data into p, as much as both hold, and returns the count.
+// A fault under Data — a page the kernel cannot bring in behind a
+// mapped view: a failing device, a file truncated from outside — is an
+// error wrapping ErrFault, not a SIGBUS that ends the process: whoever
+// copies a tier's view into its own buffer should copy it through here,
+// so that the failure is the tier's, for its caller to recover from.
+func (v View) Copy(p []byte) (n int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(interface{ Addr() uintptr })
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("storage: copy from view: fault at %#x: %w", f.Addr(), ErrFault)
+		}
+	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	return copy(p, v.Data), nil
 }
 
 // ViewReader is an optional Backend extension: a zero-copy read fast

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -124,6 +127,76 @@ func TestOSFSViewsAliasOneMapping(t *testing.T) {
 	}
 	again.Release()
 	first.Release()
+}
+
+// TestViewCopySurvivesAFault: View.Copy out of a mapping whose file was
+// truncated from outside — a SIGBUS on the pages past the new end — is
+// an ErrFault error, and the goroutine carries on: the next copy of a
+// healthy view works and no fault handling is left switched on.
+func TestViewCopySurvivesAFault(t *testing.T) {
+	ctx := context.Background()
+	o, err := storage.NewOSFS("os", t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.CloseIdle()
+	content := bytes.Repeat([]byte("mapped! "), 8192) // 64 KiB
+	if err := o.WriteFile(ctx, "f", content); err != nil {
+		t.Fatal(err)
+	}
+	v, err := o.ReadView(ctx, "f", 0, int64(len(content)))
+	if errors.Is(err, errors.ErrUnsupported) {
+		t.Skip("OSFS lends no views on this platform")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	p := make([]byte, len(content))
+	if n, err := v.Copy(p); err != nil || n != len(content) || !bytes.Equal(p, content) {
+		t.Fatalf("healthy copy: n=%d err=%v", n, err)
+	}
+	if err := os.Truncate(filepath.Join(o.Root(), "f"), 4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Copy(p); !errors.Is(err, storage.ErrFault) {
+		t.Fatalf("copy past the truncated end: %v, want ErrFault", err)
+	}
+	if n, err := (storage.View{Data: content}).Copy(p); err != nil || n != len(content) {
+		t.Fatalf("copy after the fault: n=%d err=%v", n, err)
+	}
+	if debug.SetPanicOnFault(false) {
+		t.Fatal("Copy left SetPanicOnFault on")
+	}
+}
+
+// TestOSFSRemembersARefusedMapping: a name the kernel will not map — a
+// directory: it opens, but has no mmap — is refused with ErrUnsupported,
+// and every later view of the entry gets that same error back, without
+// asking the kernel again or allocating: core pays the refusal before
+// each warm ReadAt on such a tier.
+func TestOSFSRemembersARefusedMapping(t *testing.T) {
+	ctx := context.Background()
+	o, err := storage.NewOSFS("os", t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.CloseIdle()
+	if err := os.Mkdir(filepath.Join(o.Root(), "dir"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, first := o.ReadView(ctx, "dir", 0, 1)
+	if !errors.Is(first, errors.ErrUnsupported) {
+		t.Skipf("a directory's view: %v, want a refusal", first)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := o.ReadView(ctx, "dir", 0, 1); err != first {
+			t.Fatalf("a later view: %v, want the remembered %v", err, first)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a remembered refusal allocates %.1f times, want 0", allocs)
+	}
 }
 
 // TestOSFSFDCacheServesRepeatedReads: repeated reads of one file reuse
