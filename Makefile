@@ -55,8 +55,7 @@ test:
 # under the send, two connections stream one descriptor, and a requester
 # that hangs up mid-body must leave no reference behind. The placement
 # plan's settle table is pinned by a manual pool and Shutdown's
-# cancellation by a blocking tier; they repeat for the detector too,
-# chunk workers being the one place the plan fans out. So
+# cancellation by a blocking tier; they repeat for the detector too. So
 # does the concurrent first miss of a fetch-through: N readers race for
 # one file's queue, and the losers must never wait on the winner's fetch.
 # And the read-ahead's lifetime rule, on the same line: lent views held
@@ -111,8 +110,8 @@ loc:
 # fit_epochs block at -quick sizes now allocates nothing the runtime
 # publishes between two metrics.Read calls, so alloc_mib_per_gib reads
 # 0 on about every other run. bench/ is frozen outside benchmark PRs
-# (ROADMAP process notes carry the one-line fix); anything else red
-# here is real.
+# (ROADMAP [bench-debts] (a) carries the one-line fix); anything else
+# red here is real.
 bench-smoke:
 	cd bench && $(GO) test ./...
 

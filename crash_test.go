@@ -24,7 +24,7 @@ const (
 
 // crashPoints is the drill's table: where in the write path the burst
 // child is when the SIGKILL lands. One row today; a kill mid-append or
-// mid-compaction-rename (ROADMAP item 4) is a row with its own way of
+// mid-compaction-rename (ROADMAP [journal]) is a row with its own way of
 // steering the child there.
 var crashPoints = []struct {
 	name      string

@@ -321,7 +321,7 @@ func BenchmarkColdScan(b *testing.B) {
 // benchPlacement measures end-to-end background placement of a small
 // dataset: trigger every file with a 1-byte read, then wait for the
 // copies to land. chunkSize 0 is the paper's whole-file path; a positive
-// chunkSize exercises the chunked fan-out.
+// chunkSize exercises the chunked copy.
 func benchPlacement(b *testing.B, chunkSize int64) {
 	ctx := context.Background()
 	const nfiles, fileSize = 16, 1 << 20
@@ -430,7 +430,7 @@ func BenchmarkPlacementWholeFile(b *testing.B) { benchPlacement(b, 0) }
 func BenchmarkPlacementChunked(b *testing.B) { benchPlacement(b, 256<<10) }
 
 // benchMidCopy measures the read path with a chunked placement pinned
-// in flight: every read takes the chunk-bitmap probe (chunksCover)
+// in flight: every read takes the landed-watermark probe (chunksCover)
 // before being served from the upper tier — the per-read cost the
 // mid-copy read-through feature adds. cfgEdit lets the instrumented
 // variant attach observability consumers to the same stack; the built
@@ -461,9 +461,9 @@ func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
 	}
 	b.Cleanup(m.Close)
 	// Hand-arm the mid-copy state: namespace built, entry queued with
-	// every chunk resident, content staged on tier 0. No chunk job runs,
-	// so the placement never resolves and each read exercises the bitmap
-	// scan (a queued entry never re-schedules placement on access).
+	// the whole file landed, content staged on tier 0. No copy runs, so
+	// the placement never resolves and each read exercises the watermark
+	// probe (a queued entry never re-schedules placement on access).
 	if err := tier0.Allocate(ctx, "f", fileSize); err != nil {
 		b.Fatal(err)
 	}
@@ -473,10 +473,8 @@ func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
 	m.meta.populate([]storage.FileInfo{{Name: "f", Size: fileSize}}, 1)
 	e, _ := m.meta.get("f")
 	e.tryQueue()
-	e.beginChunks(0, chunk)
-	for i := 0; i < chunkCount(fileSize, chunk); i++ {
-		e.markChunk(i)
-	}
+	e.arm(0)
+	e.advance(fileSize)
 	buf := make([]byte, chunk)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
@@ -544,8 +542,9 @@ func BenchmarkReadAtTraced(b *testing.B) {
 // stops at the first round inside the budget.
 //
 // The traced-over-instrumented budget (§9) is measured the same way
-// but only reported: it does not hold at this commit (ROADMAP item 7),
-// and a guard that is red from its first day guards nothing.
+// but only reported: it does not hold at this commit (ROADMAP
+// [trace-budget]), and a guard that is red from its first day guards
+// nothing.
 func TestObservabilityOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs benchmarks")

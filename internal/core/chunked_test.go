@@ -408,6 +408,40 @@ func TestChunkFailureRetriesTransiently(t *testing.T) {
 	}
 }
 
+// TestChunkedNoSpaceMidCopyIsASkip: a tier that runs out of room after a
+// chunked copy began landing on it settles the attempt there — the torn
+// copy dropped, the file a skip — rather than sending the copy down to
+// the next level with the first tier's prefix still armed.
+func TestChunkedNoSpaceMidCopyIsASkip(t *testing.T) {
+	tier0 := &copyTier{MemFS: storage.NewMemFS("ssd", 0), onCopy: func(n int) error {
+		if n == 2 {
+			return storage.ErrNoSpace
+		}
+		return nil
+	}}
+	tier1 := storage.NewMemFS("hdd", 0)
+	m := newChunkStack(t, tier0, 1, 1, 1024, func(c *Config) {
+		c.Levels = []storage.Backend{tier0, tier1, c.Levels[1]}
+	})
+	ctx := context.Background()
+	if _, err := m.ReadAt(ctx, "c000", make([]byte, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	waitIdleM(t, m)
+	if st := m.Stats(); st.PlacementSkips != 1 || st.Placements != 0 || st.ChunkPlacements != 1 {
+		t.Fatalf("stats: skips=%d placements=%d chunks=%d, want 1, 0 and 1",
+			st.PlacementSkips, st.Placements, st.ChunkPlacements)
+	}
+	if e, _ := m.meta.get("c000"); e.currentState() != stateUnplaceable {
+		t.Fatalf("entry state %v, want unplaceable", e.currentState())
+	}
+	for _, b := range []*storage.MemFS{tier0.MemFS, tier1} {
+		if infos, err := b.List(ctx); err != nil || len(infos) != 0 || b.Used() != 0 {
+			t.Fatalf("%s holds %v (%d bytes, err=%v), want nothing", b.Name(), infos, b.Used(), err)
+		}
+	}
+}
+
 // cancellingTier cancels a context after its first successful
 // whole-file write, simulating a shutdown that lands mid-pre-stage.
 type cancellingTier struct {
@@ -479,25 +513,85 @@ func buildPreStage(t *testing.T, tier0 storage.Backend, chunkSize int64) *Monarc
 	return m
 }
 
-// TestPreStageStaysWholeFile: pre-training staging must complete
-// synchronously, so the chunked fan-out stays off even with ChunkSize
-// configured.
-func TestPreStageStaysWholeFile(t *testing.T) {
+// TestPreStageCompletesBeforeInit: pre-training staging happens before
+// training starts, so with ChunkSize set every file is placed, and
+// byte-identical on the tier, by the time Init returns — its chunked
+// copies run on the caller, window by window, like any other.
+func TestPreStageCompletesBeforeInit(t *testing.T) {
 	tier0 := storage.NewMemFS("ssd", 0)
 	m := buildPreStage(t, tier0, 256)
 	ctx := context.Background()
 	if err := m.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.Placements != 3 || st.ChunkPlacements != 0 {
-		t.Fatalf("stats: placements=%d chunks=%d (pre-stage must stay whole-file)",
+	if st := m.Stats(); st.Placements != 3 || st.ChunkPlacements != 3*2 {
+		t.Fatalf("stats: placements=%d chunks=%d when Init returned, want 3 and 6",
 			st.Placements, st.ChunkPlacements)
 	}
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("c%03d", i)
+		if lvl, _ := m.LevelOf(name); lvl != 0 {
+			t.Fatalf("%s on level %d when Init returned", name, lvl)
+		}
 		if got, err := tier0.ReadFile(ctx, name); err != nil || !bytes.Equal(got, chunkContent(i, 512)) {
 			t.Fatalf("%s: pre-staged copy differs from source (err=%v)", name, err)
+		}
+	}
+}
+
+// countingPool is a GoPool that counts the tasks submitted to it.
+type countingPool struct {
+	*pool.GoPool
+	submits atomic.Int64
+}
+
+func (p *countingPool) Submit(t pool.Task) bool {
+	p.submits.Add(1)
+	return p.GoPool.Submit(t)
+}
+
+// offsetLog records the offset of every WriteAt that reaches it.
+type offsetLog struct {
+	*storage.MemFS
+	mu   sync.Mutex
+	offs []int64
+}
+
+func (o *offsetLog) WriteAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
+	o.mu.Lock()
+	o.offs = append(o.offs, off)
+	o.mu.Unlock()
+	return o.MemFS.WriteAt(ctx, name, p, off)
+}
+
+// TestChunkedPlacementIsOneTask: a chunked placement is the one pool
+// task its first read queued, and that task copies the file's windows in
+// offset order — on a pool with idle workers to spare, nothing fans out.
+func TestChunkedPlacementIsOneTask(t *testing.T) {
+	tier0 := &offsetLog{MemFS: storage.NewMemFS("ssd", 0)}
+	gp := &countingPool{GoPool: pool.NewGoPool(4)}
+	m := newChunkStack(t, tier0, 4, 1, 8*256, func(c *Config) { // 8 windows of 256
+		c.Pool.Close()
+		c.Pool = gp
+	})
+	if _, err := m.ReadAt(context.Background(), "c000", make([]byte, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	waitIdleM(t, m)
+	if got := gp.submits.Load(); got != 1 {
+		t.Fatalf("one placement submitted %d pool tasks, want 1", got)
+	}
+	if st := m.Stats(); st.Placements != 1 || st.ChunkPlacements != 8 {
+		t.Fatalf("stats: placements=%d chunks=%d, want 1 and 8", st.Placements, st.ChunkPlacements)
+	}
+	tier0.mu.Lock()
+	defer tier0.mu.Unlock()
+	if len(tier0.offs) != 8 {
+		t.Fatalf("%d window writes, want 8: %v", len(tier0.offs), tier0.offs)
+	}
+	for i := 1; i < len(tier0.offs); i++ {
+		if tier0.offs[i] <= tier0.offs[i-1] {
+			t.Fatalf("window writes out of offset order: %v", tier0.offs)
 		}
 	}
 }

@@ -42,7 +42,7 @@ const (
 	// bytes served.
 	EventPartialHit
 	// EventOpError: a best-effort operation failed — cleanup after a
-	// torn chunk job, an eviction victim's removal, a probe's scratch
+	// torn chunked copy, an eviction victim's removal, a probe's scratch
 	// file, a flush, a journal or trace-sink write. No caller sees these
 	// errors; Monarch.opError surfaces each here and in
 	// monarch_errors_total.

@@ -49,7 +49,7 @@ func (p *scriptedPolicy) Victim(string, int) (string, bool) {
 // sweepEvictionInvariants walks the whole namespace after a quiesce and
 // checks the structural invariants the eviction engine must uphold:
 //
-//  1. The chunk-presence bitmap never outlives its metadata entry: only
+//  1. The landed watermark never outlives its metadata entry: only
 //     queued (in-flight) entries may be armed. An armed source/placed
 //     entry means an eviction tore state down partially.
 //  2. Every evicted (back-to-source) entry is immediately re-placeable:
@@ -62,7 +62,7 @@ func sweepEvictionInvariants(t *testing.T, m *Monarch) {
 	for _, e := range m.meta.sortedEntries() {
 		st, lvl, armed := e.snapshot()
 		if st != stateQueued && armed {
-			t.Errorf("%s: state %v at level %d but chunk bitmap still armed", e.name, st, lvl)
+			t.Errorf("%s: state %v at level %d but landed watermark still armed", e.name, st, lvl)
 		}
 		if st == stateSource {
 			if !e.tryQueue() {
@@ -211,16 +211,15 @@ func TestEvictReplaceReadRaceHighFanIn(t *testing.T) {
 
 // TestEvictionSkipsPinnedInFlightPlacement pins down victim-selection
 // safety: a file whose chunked placement is still in flight (queued,
-// bitmap armed) can never be evicted, even when the policy proposes it.
-// The placement worker is frozen mid-copy with a gated backend while an
-// adversarial policy nominates the in-flight file; the eviction CAS
+// watermark armed) can never be evicted, even when the policy proposes
+// it. The placement worker is frozen mid-copy with a gated backend while
+// an adversarial policy nominates the in-flight file; the eviction CAS
 // must refuse, the placement must abort cleanly without it, and after
 // the gate opens the pinned file must finish placing with intact bytes.
 func TestEvictionSkipsPinnedInFlightPlacement(t *testing.T) {
-	// Two chunks per file: the pinned file's chunk job grabs one extra
-	// pool worker, finds both chunks already claimed, and exits — so the
-	// second worker stays free to run the competing placement while the
-	// first sits frozen inside chunk 1's gated WriteAt.
+	// Two windows per file: the pinned file's copy sits frozen inside
+	// window 1's gated WriteAt on one pool worker, and the second worker
+	// is free to run the competing placement.
 	const fileSize = 512
 	g := &gatedFS{MemFS: storage.NewMemFS("ssd", fileSize+256), release: make(chan struct{})}
 	var once sync.Once

@@ -101,10 +101,11 @@ func FuzzReadAt(f *testing.F) {
 }
 
 // FuzzNamespace drives the metadata container and one entry's
-// chunk-bitmap state machine with an arbitrary op tape: it must never
-// panic, sizes must stay consistent, and the bitmap invariants
-// (chunksLeft >= 0, chunksCover only answers while queued) must hold
-// after every transition.
+// landed-watermark state machine with an arbitrary op tape: it must never
+// panic, sizes must stay consistent, and the watermark invariants
+// (0 <= landed <= size, zero while disarmed, never falling while armed;
+// chunksCover only answers while queued, and only inside the landed
+// prefix) must hold after every transition.
 func FuzzNamespace(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0, 1, 0, 2, 0, 3, 0})
@@ -142,15 +143,18 @@ func FuzzNamespace(f *testing.F) {
 			if !ok {
 				t.Fatal("populated entry missing")
 			}
+			e.mu.Lock()
+			wasArmed, was := e.armed, e.landed
+			e.mu.Unlock()
 			switch op % 10 {
 			case 0:
 				e.tryQueue()
 			case 1:
 				e.markPlaced(int(arg) % levels)
 			case 2:
-				e.beginChunks(0, arg%7) // includes chunk sizes 0..6
+				e.arm(0)
 			case 3:
-				e.markChunk(int(arg))
+				e.advance(arg * 3) // crosses every file size (≤ 765)
 			case 4:
 				e.clearChunks()
 			case 5:
@@ -159,8 +163,13 @@ func FuzzNamespace(f *testing.F) {
 					t.Fatal("chunksCover answered outside stateQueued")
 				}
 				if cov && lvl != 0 {
-					t.Fatalf("chunksCover returned level %d, bitmap armed for 0", lvl)
+					t.Fatalf("chunksCover returned level %d, watermark armed for 0", lvl)
 				}
+				e.mu.Lock()
+				if cov && min(arg+arg%97, e.size) > e.landed {
+					t.Fatalf("chunksCover(%d, %d) answered past the watermark %d", arg, arg%97, e.landed)
+				}
+				e.mu.Unlock()
 			case 6:
 				e.markUnplaceable()
 			case 7:
@@ -171,11 +180,14 @@ func FuzzNamespace(f *testing.F) {
 				e.makeReplaceable()
 			}
 			e.mu.Lock()
-			if e.chunksLeft < 0 {
-				t.Fatal("chunksLeft went negative")
+			if e.landed < 0 || e.landed > e.size {
+				t.Fatalf("landed %d outside [0, %d]", e.landed, e.size)
 			}
-			if e.chunkBits == nil && e.chunksLeft != 0 {
-				t.Fatal("chunksLeft nonzero with disarmed bitmap")
+			if !e.armed && e.landed != 0 {
+				t.Fatal("landed nonzero with the watermark disarmed")
+			}
+			if wasArmed && e.armed && op%10 != 2 && e.landed < was {
+				t.Fatalf("watermark fell from %d to %d while armed", was, e.landed)
 			}
 			if e.size != infos[int(op/16)%nf].Size {
 				t.Fatal("entry size changed")

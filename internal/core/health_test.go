@@ -329,8 +329,8 @@ func (b *blockingFS) WriteAt(ctx context.Context, name string, p []byte, off int
 // TestShutdownCancelsInFlightPlacement: Monarch.Shutdown interrupts a
 // running copy; the cancelled placement is not a placement error,
 // returns the entry to the source state and leaves nothing on the tier
-// — whether the copy is one WriteFile or a chunk job's workers
-// mid-chunk, over the full-size file Allocate made for them.
+// — whether the copy is one WriteFile or a chunked copy mid-window,
+// over the full-size file Allocate made for it.
 func TestShutdownCancelsInFlightPlacement(t *testing.T) {
 	t.Run("whole-file", func(t *testing.T) { testShutdownCancelsPlacement(t, 0) })
 	t.Run("chunked", func(t *testing.T) { testShutdownCancelsPlacement(t, 32) })
@@ -357,7 +357,7 @@ func testShutdownCancelsPlacement(t *testing.T, chunkSize int64) {
 		t.Fatal(err)
 	}
 	// A partial first read: a full one would lend its bytes to the
-	// placement, which then skips the chunked fan-out.
+	// placement, which then skips the chunked copy.
 	p := make([]byte, 10)
 	if _, err := m.ReadAt(ctx, "f", p, 0); err != nil {
 		t.Fatal(err)

@@ -17,16 +17,17 @@ import (
 // FuzzMetaOracle replays an arbitrary op tape against the sharded
 // metadataContainer and a plain-map oracle whose entries are driven
 // through identical fileEntry transitions. Lookups, counts, sorted
-// listings and the lock-free packed snapshots must agree after every
-// step — sharding must be observationally indistinguishable from one
-// map, and a snapshot must never lag the mutex-guarded truth once the
-// mutator has returned.
+// listings, landed watermarks and the lock-free packed snapshots must
+// agree after every step — sharding must be observationally
+// indistinguishable from one map, and a snapshot must never lag the
+// mutex-guarded truth once the mutator has returned.
 func FuzzMetaOracle(f *testing.F) {
 	f.Add(uint8(4), []byte{})
 	f.Add(uint8(70), []byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4})
 	f.Add(uint8(130), []byte{5, 9, 6, 9, 7, 9, 8, 9, 9, 9})
 	f.Add(uint8(64), []byte{1, 0, 3, 5, 2, 0, 1, 1, 10, 200})
 	f.Add(uint8(2), []byte{2, 3, 3, 0, 3, 1, 3, 2, 10, 100, 1, 0})
+	f.Add(uint8(2), []byte{0, 1, 2, 1, 3, 1, 10, 1}) // queue, arm, land 9 of 17 bytes, cover [1, 2)
 	f.Fuzz(func(t *testing.T, nFiles uint8, tape []byte) {
 		const levels = 3
 		nf := 1 + int(nFiles)%130 // crosses the shard count (64)
@@ -60,11 +61,14 @@ func FuzzMetaOracle(f *testing.F) {
 					step, st, lvl, armed, ost, olvl, oarmed)
 			}
 			ce.mu.Lock()
-			mst, mlvl, marmed := ce.state, ce.level, ce.chunkBits != nil
+			mst, mlvl, marmed, landed := ce.state, ce.level, ce.armed, ce.landed
 			ce.mu.Unlock()
 			if st != mst || lvl != mlvl || armed != marmed {
 				t.Fatalf("step %d: snapshot (%d,%d,%v) lags locked truth (%d,%d,%v)",
 					step, st, lvl, armed, mst, mlvl, marmed)
+			}
+			if landed != oe.landed { // the oracle is this goroutine's alone
+				t.Fatalf("step %d: landed %d, oracle %d", step, landed, oe.landed)
 			}
 		}
 
@@ -88,12 +92,11 @@ func FuzzMetaOracle(f *testing.F) {
 				ce.markPlaced(int(arg) % levels)
 				oe.markPlaced(int(arg) % levels)
 			case 2:
-				ce.beginChunks(0, arg%7)
-				oe.beginChunks(0, arg%7)
+				ce.arm(0)
+				oe.arm(0)
 			case 3:
-				if g, w := ce.markChunk(int(arg)), oe.markChunk(int(arg)); g != w {
-					t.Fatalf("markChunk(%d) = %v, oracle %v", arg, g, w)
-				}
+				ce.advance(arg * 9) // crosses every file size (≤ 2193)
+				oe.advance(arg * 9)
 			case 4:
 				ce.clearChunks()
 				oe.clearChunks()

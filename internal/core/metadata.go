@@ -43,20 +43,18 @@ const (
 // fileEntry is the paper's "file info": size, name and current storage
 // tier, guarded for concurrent access from the framework's reader
 // threads and the placement pool. Beyond the paper it carries a
-// chunk-presence bitmap while a chunked placement is in flight, so the
-// read path can serve already-copied ranges from the upper tier
+// landed-prefix watermark while a chunked placement is in flight, so the
+// read path can serve the already-copied prefix from the upper tier
 // mid-copy; and, while a read bound for the source can be served from
 // memory, the buffer that serves it (fetch): a fetch-through's whole
 // file until its attempt settles, or an unplaceable file's read-ahead.
 //
-// Bitmap invariants:
-//   - chunkBits is non-nil exactly between beginChunks and
-//     markPlaced/clearChunks; outside that window reads never consult it;
-//   - bit i covers byte range [i*chunkSize, min((i+1)*chunkSize, size));
-//   - bits only go 0→1 while armed (markChunk), so a range observed
-//     covered stays covered until the whole placement resolves;
-//   - chunksLeft is the count of zero bits; it reaches 0 exactly when
-//     every chunk landed, at which point the owner calls markPlaced.
+// Watermark invariants:
+//   - armed exactly between arm and markPlaced/clearChunks; outside that
+//     window reads never consult landed;
+//   - bytes [0, landed) of the copy in flight are on level landedAt;
+//   - landed only rises while armed (advance), never past size, so a
+//     range observed covered stays covered until the placement resolves.
 type fileEntry struct {
 	name string
 	size int64
@@ -94,11 +92,10 @@ type fileEntry struct {
 	queuedAt time.Time // when the current placement was enqueued (latency spans)
 
 	// Chunked-placement residency (armed only while a chunked copy is
-	// in flight; nil in whole-file mode).
-	chunkSize  int64
-	chunkLevel int
-	chunkBits  []uint64
-	chunksLeft int
+	// in flight; never in whole-file mode).
+	armed    bool
+	landedAt int
+	landed   int64
 }
 
 const (
@@ -183,13 +180,13 @@ func (e *fileEntry) sequential(off, end int64) (arm bool) {
 // entry exclusively, as populate does before linking it into a shard).
 func (e *fileEntry) publish() {
 	s := uint64(e.state)&0xff | uint64(e.level)&0xffffff<<8 | e.gen<<snapGenShift
-	if e.chunkBits != nil {
+	if e.armed {
 		s |= snapArmed
 	}
 	e.snap.Store(s)
 }
 
-// disarm drops the chunk bitmap and the fetch buffer and publishes;
+// disarm drops the watermark and the fetch buffer and publishes;
 // every transition that ends a placement attempt or leaves
 // stateUnplaceable finishes with it, so neither outlives what it
 // describes. One buffer stays: that of an attempt which fetched the file
@@ -198,9 +195,7 @@ func (e *fileEntry) publish() {
 // the tier, none falls between the two and reads the source. Callers
 // hold e.mu.
 func (e *fileEntry) disarm() {
-	e.chunkBits = nil
-	e.chunkSize = 0
-	e.chunksLeft = 0
+	e.armed, e.landed = false, 0
 	e.publish()
 	if f := e.fetch.Load(); f != nil && e.state != stateUnplaceable {
 		e.unpublish(f)
@@ -250,7 +245,7 @@ func (e *fileEntry) queuedSince() time.Time {
 }
 
 // markPlaced records a successful placement onto level and disarms any
-// chunk bitmap: once placed, the normal tier routing serves the file.
+// watermark: once placed, the normal tier routing serves the file.
 func (e *fileEntry) markPlaced(level int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -259,51 +254,27 @@ func (e *fileEntry) markPlaced(level int) {
 	e.disarm()
 }
 
-// chunkCount returns how many chunk-size pieces cover size bytes.
-func chunkCount(size, chunk int64) int {
-	if size <= 0 || chunk <= 0 {
-		return 0
-	}
-	return int((size + chunk - 1) / chunk)
-}
-
-// beginChunks arms the chunk-presence bitmap for a chunked copy into
-// level, discarding any prior partial state (a retried placement starts
-// over).
-func (e *fileEntry) beginChunks(level int, chunk int64) {
+// arm starts the watermark of a chunked copy into level at zero bytes
+// landed (a retried placement starts over).
+func (e *fileEntry) arm(level int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := chunkCount(e.size, chunk)
-	e.chunkSize = chunk
-	e.chunkLevel = level
-	e.chunkBits = make([]uint64, (n+63)/64)
-	e.chunksLeft = n
+	e.armed, e.landedAt, e.landed = true, level, 0
 	e.publish()
 }
 
-// markChunk records chunk i resident; it reports whether i was the last
-// missing chunk, i.e. the copy is now complete. Marking an unarmed,
-// out-of-range, or already-set chunk is a no-op — the range check must
-// use the real chunk count, not the bitmap's word capacity, or phantom
-// indices in the last word's slack would drive chunksLeft negative and
-// complete the placement early.
-func (e *fileEntry) markChunk(i int) bool {
+// advance records the copy's first end bytes as landed. The watermark
+// only rises, never past size, and only while armed.
+func (e *fileEntry) advance(end int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.chunkBits == nil || i < 0 || i >= chunkCount(e.size, e.chunkSize) {
-		return false
+	if e.armed && end > e.landed {
+		e.landed = min(end, e.size)
 	}
-	w, b := i/64, uint(i%64)
-	if e.chunkBits[w]&(1<<b) != 0 {
-		return false
-	}
-	e.chunkBits[w] |= 1 << b
-	e.chunksLeft--
-	return e.chunksLeft == 0
 }
 
 // clearChunks discards what an attempt that failed or was cancelled
-// left for readers — landed chunks, a fetch-through buffer; the entry
+// left for readers — a landed prefix, a fetch-through buffer; the entry
 // falls back to source-only residency.
 func (e *fileEntry) clearChunks() {
 	e.mu.Lock()
@@ -311,40 +282,24 @@ func (e *fileEntry) clearChunks() {
 	e.disarm()
 }
 
-// chunksCover reports whether every chunk overlapping [off, off+n)
-// (clamped to the file size) is already resident on the tier a chunked
-// placement is copying into, returning that level. It only answers
-// while the placement is in flight (stateQueued with an armed bitmap);
-// empty ranges are routed to the source like today.
+// chunksCover reports whether [off, off+n), clamped to the file size,
+// lies in the landed prefix of the chunked placement in flight,
+// returning the level it is landing on. It only answers while the
+// placement is in flight (stateQueued, armed); empty ranges go to the
+// source.
 func (e *fileEntry) chunksCover(off, n int64) (int, bool) {
-	// Lock-free pre-gate: outside the beginChunks→markPlaced/clearChunks
-	// window (the common case — placed or plain source files) the armed
-	// bit is clear and reads never pay the entry mutex here.
+	// Lock-free pre-gate: outside the arm→markPlaced/clearChunks window
+	// (the common case — placed or plain source files) the armed bit is
+	// clear and reads never pay the entry mutex here.
 	if st, _, armed := e.snapshot(); !armed || st != stateQueued {
 		return 0, false
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.chunkBits == nil || e.chunkSize <= 0 || e.state != stateQueued {
+	if !e.armed || e.state != stateQueued || off < 0 || off >= e.size || n <= 0 || min(off+n, e.size) > e.landed {
 		return 0, false
 	}
-	if off < 0 || off >= e.size {
-		return 0, false
-	}
-	end := off + n
-	if end > e.size {
-		end = e.size
-	}
-	if end <= off {
-		return 0, false
-	}
-	for i := off / e.chunkSize; i*e.chunkSize < end; i++ {
-		w, b := i/64, uint(i%64)
-		if e.chunkBits[w]&(1<<b) == 0 {
-			return 0, false
-		}
-	}
-	return e.chunkLevel, true
+	return e.landedAt, true
 }
 
 // markUnplaceable records that no tier had space.

@@ -34,7 +34,7 @@ const (
 	// stageEvict: an eviction victim could not be removed.
 	stageEvict
 	// stageCleanup: a best-effort removal failed (the torn copy a failed
-	// or cancelled chunk job left, a probe's scratch file) — or the trace
+	// or cancelled chunked copy left, a probe's scratch file) — or the trace
 	// sink's close.
 	stageCleanup
 	// stageWrite: a foreground Create/WriteAt/Remove failed to the

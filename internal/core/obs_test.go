@@ -129,7 +129,7 @@ func TestStatsRegistryParityWholeFile(t *testing.T) {
 func TestStatsRegistryParityChunked(t *testing.T) {
 	const nfiles, size = 3, 1024 // 4 chunks of 256 each
 	m := newChunkStack(t, storage.NewMemFS("ssd", 0), 4, nfiles, size, nil)
-	// Partial first reads trigger the chunked fan-out (full reads would
+	// Partial first reads trigger the chunked copy (full reads would
 	// take the full-content reuse path); a second epoch of full reads
 	// then exercises tier-0 serving.
 	for i := 0; i < nfiles; i++ {
@@ -264,9 +264,9 @@ func (f *failAllWriteAts) WriteAt(ctx context.Context, name string, p []byte, of
 
 // TestChunkCopyErrorCountedOnce is the regression test for the
 // silent-drop fix: a failed chunked placement must increment
-// monarch_errors_total{stage="chunk-copy"} exactly once per job — the
-// first failing worker wins — even when every chunk of the job fails,
-// and the failure must surface in the event log.
+// monarch_errors_total{stage="chunk-copy"} exactly once per attempt,
+// whichever of its windows would have failed, and the failure must
+// surface in the event log.
 func TestChunkCopyErrorCountedOnce(t *testing.T) {
 	log := NewEventLog(64)
 	tier0 := &failAllWriteAts{MemFS: storage.NewMemFS("ssd", 0)}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,9 +59,6 @@ type attempt struct {
 	// read (the §III-B fast path that skips the source re-read).
 	full []byte
 	n    int // 1-based try
-	// chunks permits the chunked fan-out. Pre-staging keeps it off: it
-	// must finish synchronously before training starts.
-	chunks bool
 }
 
 // reuse reports whether the copy is the foreground's full read written
@@ -90,7 +86,7 @@ func (pl *placer) onAccess(e *fileEntry, full []byte) {
 	if !e.tryQueue() {
 		return
 	}
-	pl.enqueue(attempt{e: e, full: append([]byte(nil), full...), n: 1, chunks: true})
+	pl.enqueue(attempt{e: e, full: append([]byte(nil), full...), n: 1})
 }
 
 // enqueue hands a freshly queued entry's first attempt to the pool.
@@ -191,7 +187,7 @@ func (pl *placer) fetchThrough(ctx context.Context, e *fileEntry) *fetched {
 	f := &fetched{data: data, level: d.level}
 	f.refs.Store(2) // the publication's and this read's
 	e.fetch.Store(f)
-	pl.enqueue(attempt{e: e, full: data, n: 1, chunks: true})
+	pl.enqueue(attempt{e: e, full: data, n: 1})
 	return f
 }
 
@@ -272,11 +268,10 @@ func (pl *placer) place(ctx context.Context, a attempt) {
 			continue
 		}
 		err := pl.copyInto(ctx, d, a)
-		if errors.Is(err, errChunksDelegated) {
-			return // the chunk job settles the attempt when its last worker exits
-		}
-		if errors.Is(err, storage.ErrNoSpace) {
-			continue // lost a quota race with a concurrent placement: next level down
+		// Lost a quota race with a concurrent placement: next level down —
+		// unless a chunked copy had begun landing here, which settle drops.
+		if _, _, armed := a.e.snapshot(); !armed && errors.Is(err, storage.ErrNoSpace) {
+			continue
 		}
 		pl.settle(ctx, a, d, err)
 		return
@@ -300,9 +295,9 @@ func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
 }
 
 // settle ends an attempt: the one place the plan decides an outcome and
-// books it, which place and chunkJob.finish both end in. d is the tier
-// the copy went to — nil when the walk reached none. It is the plan's
-// outcome table, first match wins:
+// books it, and the end of every place. d is the tier the copy went to —
+// nil when the walk reached none. It is the plan's outcome table, first
+// match wins:
 //
 //	copied (err == nil)            placed       breaker OK   Placements, PlacedBytes, latency; span; EventPlaced; job charged, policy told
 //	no tier admitted it            unplaceable  —            PlacementSkips; span on tier -1; EventSkipped
@@ -313,20 +308,20 @@ func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
 //
 // The skip rows come before the context is consulted: a full hierarchy
 // or the ablation is the answer whether or not a shutdown raced it, and
-// the ablation is decided before a chunk job could start, so it is a
+// the ablation is decided before a chunked copy could start, so it is a
 // whole-file row only. Every row but a whole-file skip ends what the
 // attempt lent to readers: the first as markPlaced re-routes them to the
 // tier, the others up front — the entry disarmed, so no read still
-// routes to a chunk job's landed chunks or a fetch-through buffer (a
+// routes to a chunked copy's landed prefix or a fetch-through buffer (a
 // retry keeps its own slice in attempt.full; a file without room keeps
-// the buffer as its first read-ahead) — and then drop what a chunk job
-// left on d, because a tier must never hold, let alone serve, a torn file
-// no ledger knows; the two failure rows then charge
-// errors{stage=chunk-copy}, once per job however many workers saw it fail.
+// the buffer as its first read-ahead) — and then drop what a chunked
+// copy left on d, because a tier must never hold, let alone serve, a torn
+// file no ledger knows; the two failure rows then charge
+// errors{stage=chunk-copy} once.
 func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 	m, e := pl.m, a.e
-	// Armed means a chunk job allocated e on d and charged its bytes to
-	// the tier as they landed; only this attempt touches the bitmap.
+	// Armed means a chunked copy allocated e on d and charged its bytes to
+	// the tier as they landed; only this attempt moves the watermark.
 	_, _, chunked := e.snapshot()
 	// Only no room for a whole-file copy keeps what the attempt lent: the
 	// skip row leaves a fetch-through's buffer to the pass in progress.
@@ -396,7 +391,7 @@ func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 }
 
 // copyInto moves the file content onto level d. Preference order:
-// reuse the foreground's full read, then the chunked fan-out (when
+// reuse the foreground's full read, then the chunked copy (when
 // configured and the tier supports range writes), then the backend's
 // whole-file copy fast path, then an explicit read-modify-write through
 // this process.
@@ -416,7 +411,7 @@ func (pl *placer) copyInto(ctx context.Context, d *driver, a attempt) error {
 		// read in full, so a partial first read places nothing.
 		return errFetchDisabled
 	}
-	if rw, ok := d.backend.(storage.RangeWriter); ok && a.chunks && m.cfg.ChunkSize > 0 && e.size > 0 {
+	if rw, ok := d.backend.(storage.RangeWriter); ok && m.cfg.ChunkSize > 0 && e.size > 0 {
 		// ErrUnsupported: an instrumentation wrapper advertised range
 		// writes its inner backend lacks — fall back to whole-file.
 		if err := pl.placeChunked(ctx, d, rw, a); !errors.Is(err, errors.ErrUnsupported) {
@@ -440,138 +435,53 @@ func (pl *placer) copyInto(ctx context.Context, d *driver, a attempt) error {
 // configuration: a skip in settle's table, not an operational failure.
 var errFetchDisabled = errors.New("monarch: full-file fetch disabled")
 
-// errChunksDelegated signals that a chunk job has taken ownership of
-// the attempt: the calling place() must return without settling it,
-// because the job does when its last worker exits.
-var errChunksDelegated = errors.New("monarch: chunked placement in flight")
-
-// placeChunked allocates e at full size on d and fans its chunks out
-// across the pool: min(pool workers, chunk count) claim-loop workers
-// each pull the next unclaimed chunk, copy it, and flip its presence
-// bit — so the foreground can read completed ranges mid-copy. The
-// calling task itself becomes one of the workers (placement never
-// deadlocks on a saturated pool), and whichever worker exits last
-// settles the attempt. Returns errChunksDelegated once the job is
-// running, or the Allocate error (ErrNoSpace routes the caller to the
-// next level; errors.ErrUnsupported routes to the whole-file path).
+// placeChunked allocates e at full size on d and copies it window by
+// window, in offset order, on the calling task: each ChunkSize window is
+// one source ReadAt and one WriteAt, and raises the entry's landed
+// watermark over it, so the foreground reads the landed prefix — what a
+// sequential reader asks for next — from d mid-copy. It returns the
+// Allocate error (ErrNoSpace routes the caller to the next level,
+// errors.ErrUnsupported to the whole-file path), or what stopped the copy
+// short, a failed window or cancellation, for settle's table to sort.
 func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeWriter, a attempt) error {
-	e := a.e
+	m, e := pl.m, a.e
 	if err := rw.Allocate(ctx, e.name, e.size); err != nil {
 		return err
 	}
-	chunk := pl.m.cfg.ChunkSize
-	e.beginChunks(d.level, chunk)
-	j := &chunkJob{pl: pl, a: a, d: d, rw: rw, chunk: chunk, nchunks: int64(chunkCount(e.size, chunk))}
-	fan := min(int64(pl.m.cfg.Pool.Workers()), j.nchunks)
-	j.workers.Store(1) // the calling task is worker zero
-	for i := int64(1); i < fan; i++ {
-		j.workers.Add(1)
-		if !pl.submit(j.run) {
-			j.workers.Add(-1) // pool closed: run with fewer workers
-		}
-	}
-	j.run(ctx)
-	return errChunksDelegated
-}
-
-// chunkJob is one attempt's in-flight chunked copy.
-type chunkJob struct {
-	pl      *placer
-	a       attempt
-	d       *driver
-	rw      storage.RangeWriter
-	chunk   int64
-	nchunks int64
-
-	next    atomic.Int64 // next chunk index to claim
-	workers atomic.Int64 // live claim-loop workers
-
-	mu  sync.Mutex
-	err error // what first stopped a worker short: a failed chunk, or cancellation
-}
-
-// stop records err as the reason the job ends short, unless one is
-// already on record; every worker then winds down.
-func (j *chunkJob) stop(err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err == nil {
-		j.err = err
-	}
-}
-
-// stopped returns why the job is ending short; nil while it is not.
-func (j *chunkJob) stopped() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// run is one claim-loop worker: it pulls unclaimed chunk indices until
-// they run out or the job stops — a chunk failed, here or on another
-// worker, or the context was cancelled. A worker leaves the loop with
-// no error on record only once every chunk is claimed, and each claimed
-// chunk is copied before its worker leaves: a job that finishes with
-// none copied the whole file.
-func (j *chunkJob) run(ctx context.Context) {
-	buf := bufpool.Get(int(j.chunk))
+	e.arm(d.level)
+	chunk := m.cfg.ChunkSize
+	buf := bufpool.Get(int(min(chunk, e.size)))
 	defer bufpool.Put(buf)
-	for j.stopped() == nil {
-		// Per-chunk burst check: a long chunked copy yields between
-		// chunks when a checkpoint burst starts mid-flight.
-		j.pl.m.writes.pauseForBurst(ctx)
+	for off := int64(0); off < e.size; off += chunk {
+		// A long chunked copy yields between windows when a checkpoint
+		// burst starts mid-flight.
+		m.writes.pauseForBurst(ctx)
 		if err := ctx.Err(); err != nil {
-			j.stop(err)
-			break
+			return err
 		}
-		i := j.next.Add(1) - 1
-		if i >= j.nchunks {
-			break
+		start, want := time.Now(), min(e.size-off, chunk)
+		n, err := m.source.backend.ReadAt(ctx, e.name, buf[:want], off)
+		if err != nil {
+			return err
 		}
-		if err := j.copyChunk(ctx, i, buf); err != nil {
-			j.stop(err)
-			break
+		if int64(n) < want {
+			return fmt.Errorf("monarch: chunk at %d of %q: source truncated at %d/%d bytes",
+				off, e.name, off+int64(n), e.size)
 		}
+		if _, err := rw.WriteAt(ctx, e.name, buf[:want], off); err != nil {
+			return err
+		}
+		e.advance(off + want)
+		m.stats.chunkPlacements.Add(1)
+		m.stats.writtenBytes[d.level].Add(want)
+		dur := time.Since(start)
+		m.inst.chunkCopyLatency.Observe(dur.Seconds())
+		m.span(obs.Span{Kind: obs.SpanChunkCopy, File: e.name, Tier: d.level, Off: off, Bytes: want,
+			Attempt: a.n, Duration: dur})
+		m.event(Event{Kind: EventChunkPlaced, File: e.name, Level: d.level, Bytes: want})
 	}
-	if j.workers.Add(-1) == 0 {
-		j.finish(ctx)
-	}
-}
-
-// copyChunk moves chunk i from the source into the destination tier
-// and, on success, flips its presence bit so the read path can serve it
-// immediately.
-func (j *chunkJob) copyChunk(ctx context.Context, i int64, buf []byte) error {
-	m, e := j.pl.m, j.a.e
-	start := time.Now()
-	off := i * j.chunk
-	want := min(e.size-off, j.chunk)
-	n, err := m.source.backend.ReadAt(ctx, e.name, buf[:want], off)
-	if err != nil {
-		return err
-	}
-	if int64(n) < want {
-		return fmt.Errorf("monarch: chunk %d of %q: source truncated at %d/%d bytes",
-			i, e.name, off+int64(n), e.size)
-	}
-	if _, err := j.rw.WriteAt(ctx, e.name, buf[:want], off); err != nil {
-		return err
-	}
-	e.markChunk(int(i))
-	m.stats.chunkPlacements.Add(1)
-	m.stats.writtenBytes[j.d.level].Add(want)
-	dur := time.Since(start)
-	m.inst.chunkCopyLatency.Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanChunkCopy, File: e.name, Tier: j.d.level, Off: off, Bytes: want,
-		Attempt: j.a.n, Duration: dur})
-	m.event(Event{Kind: EventChunkPlaced, File: e.name, Level: j.d.level, Bytes: want})
 	return nil
 }
-
-// finish hands the attempt to settle once the last worker exits: nil
-// when every chunk landed, else whatever stopped the job — settle's
-// table sorts a failed chunk from a cancellation.
-func (j *chunkJob) finish(ctx context.Context) { j.pl.settle(ctx, j.a, j.d, j.stopped()) }
 
 // errUnknownVictim marks a policy proposing a file absent from the
 // namespace; tryMakeRoom gives up rather than trusting the policy
@@ -669,9 +579,9 @@ func (pl *placer) evict(ctx context.Context, d *driver, name string) (bool, erro
 // preStage implements StagePreTraining: synchronously walk the
 // namespace in name order, placing every file until the upper tiers
 // fill. It runs on the caller (no thread pool) because the paper's
-// option i happens before training starts; for the same reason the
-// chunked fan-out is disabled here — every copy must have completed by
-// the time preStage returns. Cancelling the context aborts the walk.
+// option i happens before training starts: every copy, whole-file or
+// chunked, has completed by the time preStage returns. Cancelling the
+// context aborts the walk.
 func (m *Monarch) preStage(ctx context.Context) error {
 	for _, e := range m.meta.sortedEntries() {
 		if err := ctx.Err(); err != nil {

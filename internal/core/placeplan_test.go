@@ -24,7 +24,7 @@ func (p *manualPool) drainWith(ctx context.Context) {
 }
 
 // copyTier is a tier whose copy writes — the whole-file WriteFile and a
-// chunk job's WriteAts alike — are numbered across attempts and pass
+// chunked copy's WriteAts alike — are numbered across attempts and pass
 // through onCopy first: it fails write n with the error it returns, or
 // cancels the pool context under it.
 type copyTier struct {
@@ -75,7 +75,7 @@ type settleRig struct {
 	log    *EventLog
 	spans  []obs.Span
 	// mid is the copy write that lands mid-copy: the one WriteFile of a
-	// whole-file copy, a chunk job's second WriteAt — one chunk is down.
+	// whole-file copy, a chunked copy's second WriteAt — one window is down.
 	mid int
 }
 
@@ -135,7 +135,7 @@ func (r *settleRig) failFrom(n int, err error) {
 }
 
 // settleOutcome is what a settle row must make identical across the two
-// copy modes — and, apart, the series only a chunk job moves and the
+// copy modes — and, apart, the series only a chunked copy moves and the
 // ones only a whole-file copy of a file this small does: its partial
 // first read is a fetch-through, so its copy is a full-read reuse.
 type settleOutcome struct {
@@ -180,13 +180,13 @@ var fetchOnlyVars = []string{
 const tier0WriteBytes = `monarch_tier_write_bytes_total{tier="0"}`
 
 // TestPlacementSettleParity runs every row of settle's outcome table
-// once through a whole-file copy and once through a chunk job, on twin
+// once through a whole-file copy and once through a chunked copy, on twin
 // fixtures, and requires the two to end indistinguishable: same entry,
 // same Stats and registry, same spans and events, same breaker and
 // tenant ledger, same bytes on the tier — the chunk-only series apart,
 // which are asserted on their own, as is what fetch-through changes for
 // the whole-file side: its first read is the file's only source op in
-// every row (the chunk job reads the source again), its tries take the
+// every row (the chunked copy reads the source again), its tries take the
 // reuse row, and the entry's buffer is gone once any row has settled.
 func TestPlacementSettleParity(t *testing.T) {
 	permanent := fmt.Errorf("ssd: %w", storage.ErrReadOnly)
@@ -202,7 +202,7 @@ func TestPlacementSettleParity(t *testing.T) {
 		breaker  TierState
 		resident bool // the file ends up on tier 0
 		check    func(s Stats) bool
-		// A chunk job's own series: chunks landed over all tries, chunks
+		// A chunked copy's own series: chunks landed over all tries, chunks
 		// landed in a try that was then torn down, failed jobs.
 		chunks, torn, chunkErrs int64
 		// The whole-file side's own: whether its partial first read fetched
@@ -226,7 +226,7 @@ func TestPlacementSettleParity(t *testing.T) {
 			check: func(s Stats) bool { return s.PlacementSkips == 1 && s.PlacementErrors == 0 },
 		},
 		{
-			// Decided before a chunk job could start: a whole-file row in
+			// Decided before a chunked copy could start: a whole-file row in
 			// either configuration.
 			name: "fetch disabled", cfg: func(c *Config) { c.FullFileFetch = false },
 			state: stateUnplaceable,
@@ -293,7 +293,7 @@ func TestPlacementSettleParity(t *testing.T) {
 			run := func(chunk int64) settleOutcome {
 				r := newSettleRig(t, chunk, tc.capacity, tc.cfg)
 				// A partial first read leaves the copy to fetch the file —
-				// through the chunk fan-out, when there is one.
+				// through the chunked copy, when there is one.
 				n := settleChunk
 				if tc.full {
 					n = settleSize
@@ -423,7 +423,7 @@ func TestPlacementSettleParity(t *testing.T) {
 			}
 
 			// The chunk-only series: still for a whole-file copy, and for a
-			// chunk job exactly what its chunks did.
+			// chunked copy exactly what its chunks did.
 			if whole.chunks != 0 || whole.writeBytes != float64(wantBytes) {
 				t.Errorf("whole-file: %d chunk placements, %v bytes written to tier 0; want 0 and %d",
 					whole.chunks, whole.writeBytes, wantBytes)
@@ -443,7 +443,7 @@ func TestPlacementSettleParity(t *testing.T) {
 			}
 
 			// The fetch-through series: the whole-file side's partial first
-			// read was the file's one fetch, the chunk job never has one, and
+			// read was the file's one fetch, the chunked copy never has one, and
 			// only a first read that covered the file is reused by both.
 			var wantFetches, wantBoth int64
 			if tc.fetched {

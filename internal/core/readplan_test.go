@@ -268,11 +268,11 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 				if err := r.ssd.Allocate(ctx, "own/a", parityFileSize); err != nil {
 					t.Fatal(err)
 				}
-				e.beginChunks(0, parityFileSize/4)
+				e.arm(0)
 				if _, err := r.ssd.WriteAt(ctx, "own/a", parityContent("own/a")[:parityFileSize/4], 0); err != nil {
 					t.Fatal(err)
 				}
-				e.markChunk(0)
+				e.advance(parityFileSize / 4)
 			},
 			file: "own/a", n: parityFileSize / 4, tierReads: 1,
 			check: func(s Stats) bool { return s.PartialHits == 1 && s.ReadsServed[0] == 1 },
@@ -324,7 +324,7 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 					if err := r.ssd.Allocate(ctx, "own/a", parityFileSize); err != nil {
 						t.Error(err)
 					}
-					e.beginChunks(0, parityFileSize/4)
+					e.arm(0)
 				}
 			},
 			file: "own/a", tierReads: 1, pfsReads: 1,
@@ -815,7 +815,7 @@ func (r *scanRig) readFile(t *testing.T, name string, view bool, off, n int64) {
 // whole file — is served from what it fetched, byte for byte what the
 // source holds, and ReadAt and ReadView leave the same Stats, registry,
 // spans and events. Reads that are empty or start at EOF go to the
-// source, as they do past a chunk job.
+// source, as they do past a chunked copy's landed prefix.
 func TestFetchThroughSinkParity(t *testing.T) {
 	const size = 1 << 20
 	type outcome struct {

@@ -48,7 +48,7 @@ func (s *firstHitSource) ReadAt(ctx context.Context, name string, p []byte, off 
 }
 
 // extChunked compares the paper's whole-file placement against the
-// chunked fan-out (Config.ChunkSize) on the 100 GiB dataset: with
+// chunked copy (Config.ChunkSize) on the 100 GiB dataset: with
 // whole-file copies a shard contributes zero fast-tier hits until its
 // entire copy lands — exactly when the loaded PFS is slowest — while
 // chunked placement serves already-copied ranges mid-copy, so the
@@ -69,10 +69,6 @@ func extChunked() Experiment {
 			mdl, err := models.ByName("lenet")
 			if err != nil {
 				return nil, err
-			}
-			chunk := p.PlacementChunk
-			if chunk <= 0 {
-				chunk = p.CopyChunk
 			}
 
 			// runOnce trains with the given placement chunk size (0 =
@@ -135,7 +131,7 @@ func extChunked() Experiment {
 			if err != nil {
 				return nil, err
 			}
-			chunked, cst, chunkedHit, err := runOnce(chunk, p.BaseSeed)
+			chunked, cst, chunkedHit, err := runOnce(p.CopyChunk, p.BaseSeed)
 			if err != nil {
 				return nil, err
 			}

@@ -47,13 +47,9 @@ type Params struct {
 
 	// PlacementThreads is MONARCH's thread-pool size (paper: 6).
 	PlacementThreads int
-	// CopyChunk is the background fetch request size.
+	// CopyChunk is the background fetch request size, and ext-chunked's
+	// placement chunk (core.Config.ChunkSize).
 	CopyChunk int64
-	// PlacementChunk, when positive, enables MONARCH's chunked
-	// placement (core.Config.ChunkSize): background copies land
-	// chunk-by-chunk and reads of already-copied ranges hit the fast
-	// tier mid-copy. 0 keeps the paper-faithful whole-file copies.
-	PlacementChunk int64
 	// FullFileFetch toggles the §III-A optimisation (abl-fullfetch).
 	FullFileFetch bool
 	// PreStage switches MONARCH to placement option i (abl-staging).

@@ -119,7 +119,6 @@ func buildRig(env *sim.Env, setup Setup, man *dataset.Manifest, p Params) (*rig,
 			Levels:        tiers,
 			Pool:          pool.NewSimPool(env, "placer", p.PlacementThreads),
 			FullFileFetch: p.FullFileFetch,
-			ChunkSize:     p.PlacementChunk,
 			Staging:       staging,
 			Eviction:      evict,
 		}
