@@ -61,7 +61,9 @@ test:
 # And the read-ahead's lifetime rule, on the same line: lent views held
 # across every release of the pooled buffer under them, readers racing
 # promotions on one file — once more under -tags debug, where bufpool
-# poisons a buffer on Put, so a view that lost shows 0xDB, not luck.
+# poisons a buffer on Put, so a view that lost shows 0xDB, not luck —
+# and the cold pass's one source op per file, with the bound on the
+# fetches whose copy found no room.
 # Beside the view lifetimes, ReadAt's copy out of a mapping: a tier file
 # truncated under it is a fallback (the fault guard), never a SIGBUS; a
 # Create'd file is never viewed; a counted tier without views refuses
@@ -71,7 +73,7 @@ stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestRemoveDuringFlush|TestCreateDuringRemove|TestFlushPlanProperty|TestRangeFlushRefusalKeepsEveryRangeDirty' -count=50 ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule' -count=50 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule|TestColdPassOneSourceOpPerFile|TestKeptFetchThroughEndsWithItsPass' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime|TestViewCopySurvivesAFault|TestCountingRefusesViewsWithoutAllocating' -count=50 ./internal/storage/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadAtSurvivesTruncatedTierCopy|TestReadAtNeverViewsCreatedFiles' -count=50 ./internal/core/

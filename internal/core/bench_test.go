@@ -363,66 +363,93 @@ func benchPlacement(b *testing.B, chunkSize int64) {
 	}
 }
 
-// BenchmarkWarmScanUnplaceable is the ledger's partial_epochs warm epoch
-// at this layer: one pass over a 1 MiB file in 256 KiB reads, tier 0 with
+// BenchmarkWarmScanUnplaceable is the ledger's partial_epochs epoch at
+// this layer: one pass over a 1 MiB file in 256 KiB reads, tier 0 with
 // room for nothing, a counted MemFS source. It attributes
 // pfs_ops_saved_pct and alloc_mib_per_gib there: source-ops/file is 4 on
 // the paper's path — every read a range read, every epoch — and 1 with
-// read-ahead once the first pass has streamed the file; allocs/op is the
-// bufpool Put box of the one fill, and for ReadView nothing else: the
-// windows are lent, where the range reads each took pooled scratch.
+// read-ahead, from the cold pass on: the cold row is a fresh stack's
+// first pass (built and waited out untimed), whose first read at 0 is the
+// fill. allocs/op is the bufpool Put box of the one fill, and for ReadView
+// nothing else: the windows are lent, where the range reads each took
+// pooled scratch.
 func BenchmarkWarmScanUnplaceable(b *testing.B) {
 	const fileSize, window = 1 << 20, 256 << 10
+	ctx := context.Background()
+	raw := storage.NewMemFS("pfs", 0)
+	if err := raw.WriteFile(ctx, "f", bytes.Repeat([]byte{7}, fileSize)); err != nil {
+		b.Fatal(err)
+	}
+	raw.SetReadOnly(true)
+	pfs := storage.NewCounting(raw)
+	stack := func() *Monarch {
+		m, err := New(Config{Levels: []storage.Backend{storage.NewMemFS("ssd", 1), pfs}, Pool: pool.NewGoPool(2), FullFileFetch: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Init(ctx); err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	buf := make([]byte, window)
+	pass := func(m *Monarch, view bool) {
+		for off := int64(0); off < fileSize; off += window {
+			if view {
+				v, err := m.ReadView(ctx, "f", off, window)
+				if err != nil || len(v.Data) != window {
+					b.Fatalf("view at %d = %d, %v", off, len(v.Data), err)
+				}
+				v.Release()
+			} else if n, err := m.ReadAt(ctx, "f", buf, off); err != nil || n != window {
+				b.Fatalf("read at %d = %d, %v", off, n, err)
+			}
+		}
+	}
+	settle := func(m *Monarch) {
+		for !m.Idle() {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	for _, view := range []bool{false, true} {
 		name := "ReadAt"
 		if view {
 			name = "ReadView"
 		}
 		b.Run(name, func(b *testing.B) {
-			ctx := context.Background()
-			raw := storage.NewMemFS("pfs", 0)
-			if err := raw.WriteFile(ctx, "f", bytes.Repeat([]byte{7}, fileSize)); err != nil {
-				b.Fatal(err)
-			}
-			raw.SetReadOnly(true)
-			pfs := storage.NewCounting(raw)
-			m, err := New(Config{Levels: []storage.Backend{storage.NewMemFS("ssd", 1), pfs}, Pool: pool.NewGoPool(2), FullFileFetch: true})
-			if err != nil {
-				b.Fatal(err)
-			}
+			m := stack()
 			b.Cleanup(m.Close)
-			if err := m.Init(ctx); err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, window)
-			pass := func() {
-				for off := int64(0); off < fileSize; off += window {
-					if view {
-						v, err := m.ReadView(ctx, "f", off, window)
-						if err != nil || len(v.Data) != window {
-							b.Fatalf("view at %d = %d, %v", off, len(v.Data), err)
-						}
-						v.Release()
-					} else if n, err := m.ReadAt(ctx, "f", buf, off); err != nil || n != window {
-						b.Fatalf("read at %d = %d, %v", off, n, err)
-					}
-				}
-			}
-			pass() // the cold pass: the placement is skipped, the file streamed
-			for !m.Idle() {
-				time.Sleep(time.Millisecond)
-			}
+			pass(m, view) // the cold pass: the placement is skipped, the file streamed
+			settle(m)
 			pfs.Reset()
 			b.SetBytes(fileSize)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pass()
+				pass(m, view)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(pfs.Counts().Ops[storage.OpRead])/float64(b.N), "source-ops/file")
 		})
 	}
+	b.Run("cold", func(b *testing.B) {
+		pfs.Reset()
+		b.SetBytes(fileSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := stack()
+			b.StartTimer()
+			pass(m, false)
+			b.StopTimer()
+			settle(m)
+			m.Close()
+			b.StartTimer()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(pfs.Counts().Ops[storage.OpRead])/float64(b.N), "source-ops/file")
+	})
 }
 
 func BenchmarkPlacementWholeFile(b *testing.B) { benchPlacement(b, 0) }

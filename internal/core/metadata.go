@@ -47,7 +47,7 @@ const (
 // read path can serve the already-copied prefix from the upper tier
 // mid-copy; and, while a read bound for the source can be served from
 // memory, the buffer that serves it (fetch): a fetch-through's whole
-// file until its attempt settles, or an unplaceable file's read-ahead.
+// file until its attempt settles, or a read-ahead until its pass ends.
 //
 // Watermark invariants:
 //   - armed exactly between arm and markPlaced/clearChunks; outside that
@@ -74,10 +74,10 @@ type fileEntry struct {
 
 	// fetch is the one way a read bound for the source is served from
 	// memory: a fetch-through's whole file, stored by the owner of the
-	// queued attempt before it reaches the pool, or an unplaceable file's
-	// read-ahead (placer.readAhead) in ahead — a holder recycled, not
-	// allocated, per fill. disarm drops it with the attempt, or when the
-	// entry leaves stateUnplaceable. Only reads bound for the source
+	// queued attempt before it reaches the pool, or a read-ahead
+	// (placer.readAhead) in ahead — a holder recycled, not allocated, per
+	// fill. disarm drops it with the attempt, or when the entry leaves
+	// stateUnplaceable. Only reads bound for the source
 	// consult it, or write the sequential detector's run and runFlags:
 	// placed-file reads pay nothing.
 	fetch    atomic.Pointer[fetched]
@@ -123,7 +123,7 @@ type fetched struct {
 	level  int
 	pooled bool // bufpool's, not the GC's
 	refs   atomic.Int32
-	seq    atomic.Uint64 // which fill this is (placer.track)
+	seq    atomic.Uint64 // which fill this is (placer.track); 0 while bound for a tier
 }
 
 func (f *fetched) acquire() bool {
@@ -189,8 +189,8 @@ func (e *fileEntry) publish() {
 // disarm drops the watermark and the fetch buffer and publishes;
 // every transition that ends a placement attempt or leaves
 // stateUnplaceable finishes with it, so neither outlives what it
-// describes. One buffer stays: that of an attempt which fetched the file
-// and found no room is the now unplaceable file's first read-ahead. The
+// describes. An unplaceable entry's buffer stays — a read-ahead, or the
+// fetch of an attempt that found no room — to end with its pass. The
 // buffer goes after the snapshot: once markPlaced has re-routed reads to
 // the tier, none falls between the two and reads the source. Callers
 // hold e.mu.

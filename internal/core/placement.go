@@ -22,13 +22,13 @@ type placer struct {
 	m        *Monarch
 	inflight atomic.Int64
 
-	// ring is the entries of the last maxAhead read-ahead fills, fill k in
+	// ring is the entries of the last maxAhead pass-long fills, fill k in
 	// slot k%maxAhead: a fill unpublishes the one it displaces (track).
 	fills atomic.Uint64
 	ring  [maxAhead]atomic.Pointer[fileEntry]
 }
 
-// maxAhead bounds the read-ahead buffers published at once — 32 MiB at
+// maxAhead bounds the pass-long buffers published at once — 32 MiB at
 // bufpool.MaxPooled each — oldest out first.
 const maxAhead = 8
 
@@ -124,15 +124,14 @@ func (pl *placer) fetched(ctx context.Context, e *fileEntry, off, n int64, rt ro
 		// tier has the file now, and the source owes this read nothing.
 		return nil, m.resolve(e, off, n)
 	}
-	arm := e.sequential(off, end)
+	arm := e.sequential(off, end) // before f.seq is read: settle sets it, then reads run
 	if held {
-		// A read-ahead lasts one pass: to its last byte, or until a read
-		// at 0 begins the next over what an abandoned one left.
-		switch ahead := st == stateUnplaceable; {
-		case ahead && off == 0:
+		// A fill in the ring ends with its pass; any other is a copy's, at settle.
+		switch pass := f.seq.Load() != 0; {
+		case pass && off == 0:
 			e.unpublish(f)
 		case off >= f.base:
-			if ahead && end == e.size {
+			if pass && end == e.size {
 				e.unpublish(f)
 			}
 			return f, route{routeFetched, m.levels[f.level], rt.gen}
@@ -141,25 +140,24 @@ func (pl *placer) fetched(ctx context.Context, e *fileEntry, off, n int64, rt ro
 	}
 	switch {
 	case st == stateSource && end-off < e.size:
-		return pl.fetchThrough(ctx, e), rt
+		return pl.fetchThrough(ctx, e, off), rt
 	case st == stateUnplaceable && arm && end < e.size:
 		return pl.readAhead(ctx, e, off), rt
 	}
 	return nil, rt
 }
 
-// fetchThrough makes the first miss of a small file its placement fetch
-// (Hoard's rule: one fetch per object). A read of part of e that wins the
-// queue, where the plan would copy the whole file onto a tier with room,
-// issues the plan's one source.ReadFile here, on the caller's context,
-// publishes the content for the reads behind it and queues the attempt
-// with it as attempt.full, so copyInto takes the full-read reuse row. It
-// returns nil for a plain range read: no tier has the room, another
-// reader won the queue, or the fetch failed — the entry then back in
-// stateSource, nothing published. Nothing here waits on another
-// goroutine: safe under SimPool, virtual time charged to the reader's
-// process.
-func (pl *placer) fetchThrough(ctx context.Context, e *fileEntry) *fetched {
+// fetchThrough makes the first miss of a small file the pass's one source
+// read (Hoard's rule: one fetch per object). Where the plan would copy the
+// whole file onto a tier with room, a read of part of e that wins the
+// queue issues the plan's one source.ReadFile here, on the caller's
+// context, publishes it for the reads behind it and queues the attempt
+// with it as attempt.full (copyInto's reuse row); where no tier has room
+// nor a policy to make it, a miss at 0 is the pass's read-ahead. It
+// returns nil for a plain range read: room is the policy's to make, on
+// the pool; a roomless miss past 0; another reader won the queue; or the
+// fetch failed — nothing published. It waits on no one: SimPool-safe.
+func (pl *placer) fetchThrough(ctx context.Context, e *fileEntry, off int64) *fetched {
 	m := pl.m
 	var d *driver
 	for _, t := range m.levels[:len(m.levels)-1] {
@@ -171,10 +169,13 @@ func (pl *placer) fetchThrough(ctx context.Context, e *fileEntry) *fetched {
 			break
 		}
 		if m.cfg.Eviction != nil {
-			return nil // room here is the policy's to make, on the pool
+			return nil
 		}
 	}
-	if d == nil || !e.tryQueue() {
+	switch {
+	case d == nil && off == 0 && m.cfg.Eviction == nil:
+		return pl.readAhead(ctx, e, 0)
+	case d == nil || !e.tryQueue():
 		return nil
 	}
 	data, err := m.source.backend.ReadFile(ctx, e.name)
@@ -191,12 +192,12 @@ func (pl *placer) fetchThrough(ctx context.Context, e *fileEntry) *fetched {
 	return f
 }
 
-// readAhead serves a sequential run over an unplaceable small file as
+// readAhead serves a pass over a small file no tier has room for as
 // kernel read-ahead would: the arming read issues one source.ReadAt for
-// [off, size) into a pooled buffer and publishes it, so the run's other
-// reads cost the source nothing and the tier is still never churned. It
-// returns nil for a plain range read — views of the last fill are still
-// out, or the fill failed or came back short: nothing published, the next
+// [off, size) into a pooled buffer and publishes it, so the pass's other
+// reads cost the source nothing and the tier is never churned. It returns
+// nil for a plain range read — views of the last fill are still out, or
+// the fill failed or came back short: nothing published, the next
 // adjacent read may arm again. Like fetchThrough it waits on no one.
 func (pl *placer) readAhead(ctx context.Context, e *fileEntry, off int64) *fetched {
 	m, f := pl.m, &e.ahead
@@ -216,8 +217,8 @@ func (pl *placer) readAhead(ctx context.Context, e *fileEntry, off int64) *fetch
 	pl.track(e, f)
 	f.refs.Store(2) // the publication's and this read's
 	e.fetch.Store(f)
-	if e.currentState() != stateUnplaceable {
-		e.unpublish(f) // a promotion overtook the fill: only this read has its bytes
+	if e.currentState() == statePlaced {
+		e.unpublish(f) // a copy overtook the fill: only this read has its bytes
 	}
 	return f
 }
@@ -314,8 +315,8 @@ func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
 // tier, the others up front — the entry disarmed, so no read still
 // routes to a chunked copy's landed prefix or a fetch-through buffer (a
 // retry keeps its own slice in attempt.full; a file without room keeps
-// the buffer as its first read-ahead) — and then drop what a chunked
-// copy left on d, because a tier must never hold, let alone serve, a torn
+// the buffer to the end of its pass) — and then drop what a chunked copy
+// left on d, because a tier must never hold, let alone serve, a torn
 // file no ledger knows; the two failure rows then charge
 // errors{stage=chunk-copy} once.
 func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
@@ -363,8 +364,11 @@ func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 		m.span(sp)
 		m.event(Event{Kind: EventSkipped, File: e.name, Level: -1})
 		e.markUnplaceable()
-		if f := e.fetch.Load(); f != nil {
-			pl.track(e, f) // the wasted fetch is a read-ahead from here on
+		if f := e.fetch.Load(); f != nil && f != &e.ahead {
+			pl.track(e, f)
+			if e.run.Load() == e.size {
+				e.unpublish(f)
+			}
 		}
 	case ctx.Err() != nil || errors.Is(err, context.Canceled):
 		e.cancelQueued()

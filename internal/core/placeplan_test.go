@@ -195,6 +195,7 @@ func TestPlacementSettleParity(t *testing.T) {
 		capacity int64 // tier-0 quota; 0 is unlimited
 		cfg      func(*Config)
 		full     bool // the first read covers the file, so the copy can reuse it
+		off      int64
 		// prime arms the row after the foreground read, before the pool runs.
 		prime func(r *settleRig)
 
@@ -221,7 +222,9 @@ func TestPlacementSettleParity(t *testing.T) {
 			check: func(s Stats) bool { return s.Placements == 1 },
 		},
 		{
-			name: "no tier admitted", capacity: settleSize / 2, // full tier, no policy
+			// Full tier, no policy. The first read starts past 0: a first miss
+			// at 0 would be the pass's read-ahead, which outlives settle.
+			name: "no tier admitted", capacity: settleSize / 2, off: settleChunk,
 			state: stateUnplaceable,
 			check: func(s Stats) bool { return s.PlacementSkips == 1 && s.PlacementErrors == 0 },
 		},
@@ -298,7 +301,7 @@ func TestPlacementSettleParity(t *testing.T) {
 				if tc.full {
 					n = settleSize
 				}
-				if _, err := r.m.ReadAt(context.Background(), settleFile, make([]byte, n), 0); err != nil {
+				if _, err := r.m.ReadAt(context.Background(), settleFile, make([]byte, n), tc.off); err != nil {
 					t.Fatal(err)
 				}
 				if tc.prime != nil {

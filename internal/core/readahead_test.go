@@ -40,8 +40,9 @@ var aheadBase sync.Map // size → scanContent(size)
 
 // newAheadRig is a shard rig whose tier 0 has room for nothing, after
 // the first epoch's first read of each of its n files — [0, scanWindow),
-// one source op each — and the placement it queued, skipped: every file
-// is unplaceable and one adjacent read short of arming.
+// which reads the whole file ahead in one source op — and the placement
+// it queued, skipped: every file is unplaceable, its fill published until
+// its pass ends or the ring displaces it.
 func newAheadRig(t *testing.T, n, size int, edit func(*Config)) *scanRig {
 	t.Helper()
 	r := newShardRig(t, aheadFiles(n, size), 1, edit)
@@ -99,8 +100,8 @@ func TestReadAheadRule(t *testing.T) {
 		for off := int64(scanWindow); off < mib; off += scanWindow {
 			r.readFile(t, name, false, off, scanWindow)
 		}
-		if ops := r.ops(); ops != 2 {
-			t.Errorf("epoch 1 cost the source %d data ops; want 2: the first read and the second's read-ahead", ops)
+		if ops := r.ops(); ops != 1 {
+			t.Errorf("epoch 1 cost the source %d data ops; want 1: the first read's read-ahead", ops)
 		}
 		idleHolder(t, e, "after epoch 1's last byte")
 		for epoch := 2; epoch <= 3; epoch++ {
@@ -114,7 +115,7 @@ func TestReadAheadRule(t *testing.T) {
 			idleHolder(t, e, fmt.Sprintf("after epoch %d's last byte", epoch))
 		}
 		st := r.m.Stats()
-		if st.ReadAheads != 3 || st.ReadAheadBytes != 3*scanWindow+2*mib || st.PartialHits != 8 || st.ReadsServed[1] != 12 || st.PlacementSkips != 1 {
+		if st.ReadAheads != 3 || st.ReadAheadBytes != 3*mib || st.PartialHits != 9 || st.ReadsServed[1] != 12 || st.PlacementSkips != 1 {
 			t.Errorf("three epochs: %+v", st)
 		}
 		if c := r.pfs.Counts(); c.BytesRead != 3*mib {
@@ -131,8 +132,9 @@ func TestReadAheadRule(t *testing.T) {
 				reads++
 			}
 		}
-		if ops, st := r.ops()-before, r.m.Stats(); ops != reads || st.ReadAheads != 0 || st.PartialHits != 0 {
-			t.Errorf("%d reads in no order cost the source %d ops, %d read-aheads, %d partial hits; want one op each and none", reads, ops, st.ReadAheads, st.PartialHits)
+		// The first read at 0 ends the cold pass's fill unused.
+		if ops, st := r.ops()-before, r.m.Stats(); ops != reads || st.ReadAheads != 1 || st.PartialHits != 0 {
+			t.Errorf("%d reads in no order cost the source %d ops, %d read-aheads, %d partial hits; want one op each, the cold fill alone and none", reads, ops, st.ReadAheads, st.PartialHits)
 		}
 	})
 
@@ -142,17 +144,17 @@ func TestReadAheadRule(t *testing.T) {
 			off, n     int64
 			ops, fills int64 // running totals after the read
 		}{
-			{128 << 10, scanWindow, 2, 0},  // overlaps the first read: no run
-			{384 << 10, scanWindow, 3, 1},  // adjacent to that: armed
-			{640 << 10, scanWindow, 3, 1},  // from the buffer
-			{384 << 10, scanWindow, 3, 1},  // backwards, inside the buffer
-			{896 << 10, 128 << 10, 3, 1},   // its last byte: released
-			{0, scanWindow, 4, 1},          // the pass was no clean stream: not armed at 0
-			{scanWindow, scanWindow, 5, 2}, // but by its second read
-			{128 << 10, scanWindow, 6, 2},  // backwards, before the buffer: a range read
-			{384 << 10, scanWindow, 6, 2},  // adjacent, and the buffer is still there
-			{768 << 10, scanWindow, 6, 2},  // last byte
-			{0, scanWindow, 7, 2},          // again no clean stream
+			{128 << 10, scanWindow, 1, 1},  // overlaps the first read: no run, but the cold fill holds it
+			{384 << 10, scanWindow, 1, 1},  // from the buffer
+			{640 << 10, scanWindow, 1, 1},  // from the buffer
+			{384 << 10, scanWindow, 1, 1},  // backwards, inside the buffer
+			{896 << 10, 128 << 10, 1, 1},   // its last byte: released
+			{0, scanWindow, 2, 1},          // the pass was no clean stream: not armed at 0
+			{scanWindow, scanWindow, 3, 2}, // but by its second read
+			{128 << 10, scanWindow, 4, 2},  // backwards, before the buffer: a range read
+			{384 << 10, scanWindow, 4, 2},  // adjacent, and the buffer is still there
+			{768 << 10, scanWindow, 4, 2},  // last byte
+			{0, scanWindow, 5, 2},          // again no clean stream
 		} {
 			r.readFile(t, name, false, step.off, step.n)
 			if ops, fills := r.ops(), r.m.Stats().ReadAheads; ops != step.ops || fills != step.fills {
@@ -177,7 +179,7 @@ func TestReadAheadRule(t *testing.T) {
 			reads := int64(tc.size+scanWindow-1) / scanWindow
 			want := reads
 			if tc.fills == 1 {
-				want = 2
+				want = 1
 			}
 			if ops, fills := r.ops(), r.m.Stats().ReadAheads; ops != want || fills != tc.fills {
 				t.Errorf("a scan in %d reads cost the source %d ops, %d read-aheads; want %d and %d", reads, ops, fills, want, tc.fills)
@@ -191,19 +193,21 @@ func TestReadAheadRule(t *testing.T) {
 		capacity int64 // tier-0 quota; 0 is unlimited
 		cfg      func(*Config)
 		drain    bool
-		prep     func(r *scanRig, e *fileEntry)
+		prep     func(t *testing.T, r *scanRig, e *fileEntry)
 		state    placementState
 	}{
 		{name: "placed", capacity: 0, drain: true, state: statePlaced},
-		{name: "queued", capacity: 1, state: stateQueued},
-		{name: "writable", capacity: 1, prep: func(_ *scanRig, e *fileEntry) {
+		{name: "queued", capacity: 1, prep: func(t *testing.T, r *scanRig, _ *fileEntry) {
+			r.readFile(t, name, false, mib-scanWindow, scanWindow) // a first miss past 0 queues the file, nothing read ahead
+		}, state: stateQueued},
+		{name: "writable", capacity: 1, prep: func(_ *testing.T, _ *scanRig, e *fileEntry) {
 			e.writable = true
 			e.markUnplaceable()
 		}, state: stateUnplaceable},
 		{name: "not owned", capacity: 1, cfg: func(c *Config) {
 			c.Levels = []storage.Backend{c.Levels[0], storage.NewMemFS("peer", 0), c.Levels[1]}
 			c.Peer = PeerConfig{Tier: 1, Owns: func(string) bool { return false }}
-		}, prep: func(r *scanRig, e *fileEntry) {
+		}, prep: func(_ *testing.T, r *scanRig, e *fileEntry) {
 			r.m.health.forceDown(1) // reads of what a sibling owns reach the source only past a dead peer tier
 			e.markUnplaceable()
 		}, state: stateUnplaceable},
@@ -214,7 +218,7 @@ func TestReadAheadRule(t *testing.T) {
 			r := newShardRig(t, aheadFiles(1, mib), tc.capacity, tc.cfg)
 			e, _ := r.m.meta.get(name)
 			if tc.prep != nil {
-				tc.prep(r, e)
+				tc.prep(t, r, e)
 			}
 			for pass := 0; pass < 3; pass++ {
 				for off := int64(0); off < mib; off += scanWindow {
@@ -236,11 +240,11 @@ func TestReadAheadRule(t *testing.T) {
 			var src *fillFaults
 			r := newAheadRig(t, 1, mib, func(c *Config) {
 				src = &fillFaults{Backend: c.Levels[1]}
+				src.fail.Store(fault == "fails") // the cold pass's fill too: its range read answered
+				src.short.Store(fault != "fails")
 				c.Levels[1] = src
 			})
 			e, _ := r.m.meta.get(name)
-			src.fail.Store(fault == "fails")
-			src.short.Store(fault != "fails")
 			r.readFile(t, name, false, scanWindow, scanWindow) // arms; the range read answers
 			if st := r.m.Stats(); st.ReadAheads != 0 || st.ReadAheadBytes != 0 || st.PartialHits != 0 || st.ReadsServed[1] != 2 {
 				t.Errorf("a fill that %s was counted: %+v", fault, st)
@@ -286,11 +290,12 @@ func TestReadAheadRule(t *testing.T) {
 }
 
 // TestReadAheadSinkParity is the read-ahead route through both sinks, on
-// twin fixtures: an unplaceable file's arming reads and the reads behind
-// them — in range, across EOF, wider than the file — are served from one
-// fill a pass, byte for byte what the source holds, and ReadAt and
-// ReadView leave the same Stats, registry, spans and events. Reads that
-// are empty or start at EOF go to the source.
+// twin fixtures: a file's arming reads — the cold pass's first, then an
+// unplaceable file's — and the reads behind them — in range, across EOF,
+// wider than the file — are served from one fill a pass, byte for byte
+// what the source holds, and ReadAt and ReadView leave the same Stats,
+// registry, spans and events. Reads that are empty or start at EOF go to
+// the source.
 func TestReadAheadSinkParity(t *testing.T) {
 	const size = 1 << 20
 	name := aheadName(0)
@@ -305,14 +310,14 @@ func TestReadAheadSinkParity(t *testing.T) {
 		r := newAheadRig(t, 1, size, nil)
 		e, _ := r.m.meta.get(name)
 		for _, rd := range [][2]int64{
-			{scanWindow, scanWindow},     // arms: [256 KiB, EOF) in one op
+			{scanWindow, scanWindow},     // a hit: the cold pass's first read filled the file
 			{2 * scanWindow, scanWindow}, // a hit
 			{size - 100, scanWindow},     // across EOF: a hit, and the last byte
 			{size, scanWindow},           // at EOF: the source answers
 			{scanWindow, 0},              // empty: the source answers
 			{5, size + 10},               // wider than the file, nothing armed: a range read
 			{0, scanWindow},              // a new pass, the last not a clean stream
-			{scanWindow, scanWindow},     // arms
+			{scanWindow, scanWindow},     // arms: [256 KiB, EOF) in one op
 			{2 * scanWindow, scanWindow}, // a hit
 			{3 * scanWindow, scanWindow}, // a hit, the last byte: streamed
 			{0, scanWindow},              // arms at once: the whole file in one op
@@ -322,11 +327,11 @@ func TestReadAheadSinkParity(t *testing.T) {
 		}
 		idleHolder(t, e, fmt.Sprintf("view=%v: after the last byte", view))
 		out := outcome{stats: r.m.Stats(), vars: registryVars(t, r.m.Registry())}
-		if ops := r.ops(); ops != 8 {
-			t.Errorf("view=%v: the source saw %d data ops, want 8: the first read, three fills, four range reads", view, ops)
+		if ops := r.ops(); ops != 7 {
+			t.Errorf("view=%v: the source saw %d data ops, want 7: three fills, four range reads", view, ops)
 		}
 		out.views = out.stats.ViewsLent + out.stats.ViewsCopied
-		// Lent: the three arming reads and the five hits; copied: what the
+		// Lent: the two arming reads and the six hits; copied: what the
 		// source answered.
 		if view && (out.stats.ViewsLent != 8 || out.stats.ViewsCopied != 4) {
 			t.Errorf("ReadView: %d lent, %d copied; want 8 and 4", out.stats.ViewsLent, out.stats.ViewsCopied)
@@ -352,8 +357,8 @@ func TestReadAheadSinkParity(t *testing.T) {
 	if cp.views != 0 || vw.views != 12 {
 		t.Errorf("views lent + copied: ReadAt %d, ReadView %d; want 0 and the 12 served", cp.views, vw.views)
 	}
-	if s := cp.stats; s.ReadAheads != 3 || s.ReadAheadBytes != 2*3*scanWindow+size || s.PartialHits != 5 ||
-		s.PartialHitBytes != 3*scanWindow+100+size-5 || s.ReadsServed[1] != 13 || s.ReadsServed[0] != 0 {
+	if s := cp.stats; s.ReadAheads != 3 || s.ReadAheadBytes != 3*scanWindow+2*size || s.PartialHits != 6 ||
+		s.PartialHitBytes != 4*scanWindow+100+size-5 || s.ReadsServed[1] != 13 || s.ReadsServed[0] != 0 {
 		t.Errorf("ReadAt did not exercise the route: %+v", s)
 	}
 	if !reflect.DeepEqual(cp.stats, vw.stats) {
@@ -364,8 +369,8 @@ func TestReadAheadSinkParity(t *testing.T) {
 			t.Errorf("registry %s: ReadAt %v, ReadView %v", k, v, vw.vars[k])
 		}
 	}
-	if cp.vars["monarch_read_aheads_total"] != 3 || cp.vars["monarch_read_ahead_bytes_total"] != 2*3*scanWindow+size {
-		t.Errorf("registry: %v read-aheads, %v bytes; want Stats' 3 and %d", cp.vars["monarch_read_aheads_total"], cp.vars["monarch_read_ahead_bytes_total"], 2*3*scanWindow+size)
+	if cp.vars["monarch_read_aheads_total"] != 3 || cp.vars["monarch_read_ahead_bytes_total"] != 3*scanWindow+2*size {
+		t.Errorf("registry: %v read-aheads, %v bytes; want Stats' 3 and %d", cp.vars["monarch_read_aheads_total"], cp.vars["monarch_read_ahead_bytes_total"], 3*scanWindow+2*size)
 	}
 	if !reflect.DeepEqual(cp.spans, vw.spans) {
 		t.Errorf("spans differ:\n ReadAt   %q\n ReadView %q", cp.spans, vw.spans)
@@ -438,10 +443,11 @@ func TestReadAheadViewOutlivesBuffer(t *testing.T) {
 	})
 
 	t.Run("cap", func(t *testing.T) {
-		r := newAheadRig(t, maxAhead+1, size, nil)
+		// Each file's first read at 0 is its fill, and the view held of it.
+		r := newShardRig(t, aheadFiles(maxAhead+1, size), 1, nil)
 		var hs []held
 		for i := 0; i <= maxAhead; i++ {
-			hs = append(hs, hold(r, aheadName(i), scanWindow))
+			hs = append(hs, hold(r, aheadName(i), 0))
 		}
 		e, _ := r.m.meta.get(aheadName(0))
 		if e.fetch.Load() != nil || e.ahead.refs.Load() != 1 {
@@ -609,5 +615,195 @@ func TestReadAheadUnderSimPool(t *testing.T) {
 	if armed <= hit || hit != 0 {
 		t.Errorf("reader-0's arming read took %v of virtual time and the read behind it %v; want the fill charged to the first and nothing to the second",
 			armed.Duration(), hit.Duration())
+	}
+}
+
+// simLatency is a source whose reads take virtual time, so simulated
+// readers and placements interleave over bytes a test can check.
+type simLatency struct{ storage.Backend }
+
+func (s simLatency) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
+	sim.MustProc(ctx).Sleep(time.Millisecond)
+	return s.Backend.ReadAt(ctx, name, p, off)
+}
+
+func (s simLatency) ReadFile(ctx context.Context, name string) ([]byte, error) {
+	sim.MustProc(ctx).Sleep(time.Millisecond)
+	return s.Backend.ReadFile(ctx, name)
+}
+
+// TestColdPassOneSourceOpPerFile is the cold epoch of a dataset twice the
+// tier: 8 files of 1 MiB, room for 4, two readers streaming disjoint
+// halves in 256 KiB reads, the placements on a GoPool or a SimPool,
+// through either sink. Each file's first read — a fetch-through while a
+// tier has room, the pass's read-ahead once none has — is its only source
+// op, and every byte is the source's. The SimPool's one schedule takes
+// both: copies land between a reader's files, so the last misses find
+// the tier full.
+func TestColdPassOneSourceOpPerFile(t *testing.T) {
+	const nfiles, readers, size = 8, 2, 1 << 20
+	files := aheadFiles(nfiles, size)
+	// scan streams reader g's files to EOF through m.
+	scan := func(ctx context.Context, m *Monarch, g int, view bool) {
+		buf := make([]byte, scanWindow)
+		for i := g; i < nfiles; i += readers {
+			name := aheadName(i)
+			for off := int64(0); off < size; off += scanWindow {
+				var got []byte
+				if view {
+					v, err := m.ReadView(ctx, name, off, scanWindow)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got = append(buf[:0], v.Data...)
+					v.Release()
+				} else {
+					n, err := m.ReadAt(ctx, name, buf, off)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got = buf[:n]
+				}
+				if !bytes.Equal(got, files[name][off:off+scanWindow]) {
+					t.Errorf("%s at %d: %d bytes that differ from the source's", name, off, len(got))
+				}
+			}
+		}
+	}
+	check := func(t *testing.T, r *scanRig) Stats {
+		t.Helper()
+		st := r.m.Stats()
+		if ops := r.ops(); ops != nfiles || st.Placements+st.PlacementSkips != nfiles || st.Placements == 0 || st.PlacementSkips == 0 {
+			t.Errorf("the cold pass cost the source %d data ops, %d files placed and %d skipped; want one op a file (%d), some of each",
+				ops, st.Placements, st.PlacementSkips, nfiles)
+		}
+		return st
+	}
+	for _, view := range []bool{false, true} {
+		t.Run(fmt.Sprintf("GoPool/view=%v", view), func(t *testing.T) {
+			r := newShardRig(t, files, nfiles/2*size, func(c *Config) { c.Pool, c.Trace = pool.NewGoPool(2), nil })
+			var wg sync.WaitGroup
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					scan(context.Background(), r.m, g, view)
+				}()
+			}
+			wg.Wait()
+			waitIdleM(t, r.m)
+			check(t, r)
+		})
+		t.Run(fmt.Sprintf("SimPool/view=%v", view), func(t *testing.T) {
+			env := sim.NewEnv(1)
+			defer env.Close()
+			r := newShardRig(t, files, nfiles/2*size, func(c *Config) {
+				c.Levels[1] = simLatency{c.Levels[1]}
+				c.Pool, c.Trace = pool.NewSimPool(env, "placer", 2), nil
+			})
+			env.Go("job", func(p *sim.Proc) {
+				var procs []*sim.Proc
+				for g := 0; g < readers; g++ {
+					procs = append(procs, env.Go(fmt.Sprintf("reader-%d", g), func(p *sim.Proc) { scan(p.Context(), r.m, g, view) }))
+				}
+				for _, q := range procs {
+					p.Join(q)
+				}
+				for !r.m.Idle() {
+					p.Sleep(time.Millisecond)
+				}
+				r.m.Close()
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if st := check(t, r); st.FetchThroughs == 0 || st.ReadAheads == 0 {
+				t.Errorf("%d fetch-throughs, %d read-aheads; want some of each", st.FetchThroughs, st.ReadAheads)
+			}
+		})
+	}
+}
+
+// TestKeptFetchThroughEndsWithItsPass holds every attempt on the rig's
+// pool until a scan over more than maxAhead files has gone past them:
+// files that each fit the tier alone, so that every first miss is a
+// fetch-through for room no copy has taken yet, and files no tier could
+// take, which read ahead. When the copies run, one is placed and the
+// rest find the room gone; the buffers those keep end like any fill — in
+// the ring, so at most maxAhead stay published, and with their pass,
+// at settle if it is already over — and bufpool balances once every view
+// is released.
+func TestKeptFetchThroughEndsWithItsPass(t *testing.T) {
+	const n, size, window = 2 * (maxAhead + 2), 64 << 10, 16 << 10
+	ctx := context.Background()
+	files := aheadFiles(n, size)
+	for i := 1; i < n; i += 2 {
+		files[aheadName(i)] = append(files[aheadName(i)], files[aheadName(i-1)]...) // twice the tier: never fits
+	}
+	for _, tc := range []struct {
+		name      string
+		settledAt int64 // how far each file's pass gets before the copies run
+	}{
+		{"mid-pass", 2 * window},
+		{"after the pass", 2 * size},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := outstanding()
+			r := newShardRig(t, files, size, nil)
+			published := func() (k int) {
+				for i := 0; i < n; i++ {
+					if e, _ := r.m.meta.get(aheadName(i)); e.fetch.Load() != nil {
+						k++
+					}
+				}
+				return k
+			}
+			var views []storage.View
+			scan := func(name string, from, to int64) {
+				for off := from; off < min(to, int64(len(files[name]))); off += window {
+					if off != window {
+						r.readFile(t, name, true, off, window)
+						continue
+					}
+					v, err := r.m.ReadView(ctx, name, off, window)
+					if err != nil {
+						t.Fatal(err)
+					}
+					views = append(views, v)
+				}
+			}
+			for i := 0; i < n; i++ {
+				scan(aheadName(i), 0, tc.settledAt)
+			}
+			r.pool.drain()
+			st := r.m.Stats()
+			if st.FetchThroughs != n/2 || st.Placements != 1 || st.PlacementSkips != n-1 {
+				t.Fatalf("the scan did not set the test up: %+v", st)
+			}
+			want := maxAhead
+			if tc.settledAt >= 2*size {
+				want = 0
+			}
+			if k := published(); k != want {
+				t.Errorf("%d buffers published once the copies settled; want %d", k, want)
+			}
+			for i := 0; i < n; i++ {
+				scan(aheadName(i), tc.settledAt, 2*size)
+			}
+			if k := published(); k != 0 {
+				t.Errorf("%d buffers still published after every pass ended", k)
+			}
+			for i, v := range views {
+				if name := aheadName(i); !bytes.Equal(v.Data, files[name][window:2*window]) {
+					t.Errorf("the view held of %s no longer shows the file's bytes", name)
+				}
+				v.Release()
+			}
+			if k := outstanding(); k != base {
+				t.Errorf("bufpool: %d buffers out, %d before the test: Gets != Puts + Discards", k, base)
+			}
+		})
 	}
 }

@@ -909,12 +909,13 @@ func TestFetchThroughSinkParity(t *testing.T) {
 
 // TestFetchThroughRule pins which first misses are fetch-throughs, by
 // what a counted source sees for one sequential scan plus the copy it
-// starts: one data op where the rule picks the file, and the paper's
-// serve-then-copy counts — every read, then the copy's own fetch — for
-// a file above the size rule, a tier without room, a chunked placement,
-// the fetch ablation, and a tier only the eviction policy can make room
-// on. A fetch-through whose copy then finds the room gone is not wasted:
-// the skipped placement leaves its buffer to the rest of the scan.
+// starts: one data op where the rule picks the file — or, on a tier
+// without room, the read-ahead that replaces it — and the paper's
+// serve-then-copy counts — every read, then the copy's own fetch — for a
+// file above the size rule, a chunked placement, the fetch ablation, and
+// a tier only the eviction policy can make room on. A fetch-through whose
+// copy then finds the room gone is not wasted: the skipped placement
+// leaves its buffer to the rest of the scan.
 func TestFetchThroughRule(t *testing.T) {
 	const mib = 1 << 20
 	for _, tc := range []struct {
@@ -925,12 +926,13 @@ func TestFetchThroughRule(t *testing.T) {
 		midScan  func(*testing.T, *scanRig) // runs after the first read
 		copyOps  int64                      // source data ops the background copy makes
 		fetched  bool
+		filled   bool // read ahead instead
 		placed   bool
 	}{
 		{name: "small file", size: mib, fetched: true, placed: true},
 		{name: "largest the rule takes", size: 4 * mib, fetched: true, placed: true},
 		{name: "one byte above the size rule", size: 4*mib + 1, copyOps: 1, placed: true},
-		{name: "tier without room", size: mib, capacity: mib - 1},
+		{name: "tier without room", size: mib, capacity: mib - 1, filled: true},
 		{name: "tier filled between the fetch and the copy", size: mib, capacity: mib, fetched: true,
 			midScan: func(t *testing.T, r *scanRig) {
 				if err := r.ssd.WriteFile(context.Background(), "job/squatter", []byte{1}); err != nil {
@@ -966,13 +968,13 @@ func TestFetchThroughRule(t *testing.T) {
 				t.Errorf("a buffer is still published after the scan's last byte and the copy")
 			}
 			want := reads + tc.copyOps
-			if tc.fetched {
+			if tc.fetched || tc.filled {
 				want = 1
 			}
 			st := r.m.Stats()
-			if ops := r.pfs.Counts().DataOps(); ops != want || (st.FetchThroughs == 1) != tc.fetched {
-				t.Errorf("the source saw %d data ops for %d reads and the copy, %d fetch-throughs; want %d ops, fetched=%v",
-					ops, reads, st.FetchThroughs, want, tc.fetched)
+			if ops := r.pfs.Counts().DataOps(); ops != want || (st.FetchThroughs == 1) != tc.fetched || (st.ReadAheads == 1) != tc.filled {
+				t.Errorf("the source saw %d data ops for %d reads and the copy, %d fetch-throughs, %d read-aheads; want %d ops, fetched=%v, filled=%v",
+					ops, reads, st.FetchThroughs, st.ReadAheads, want, tc.fetched, tc.filled)
 			}
 			if lvl, _ := r.m.LevelOf(scanFile); (lvl == 0) != tc.placed {
 				t.Errorf("file on level %d; want placed=%v", lvl, tc.placed)

@@ -271,7 +271,7 @@ func (c *statsCollector) init(reg *obs.Registry, levels int) {
 	c.fetchedBytes = reg.Counter("monarch_fetch_through_bytes_total",
 		"Whole-file bytes pulled from the source by fetch-through first misses.")
 	c.readAheads = reg.Counter("monarch_read_aheads_total",
-		"Sequential runs over unplaceable files that read the rest of the file ahead in one source read.")
+		"Passes over small files no tier has room for that read the rest of the file ahead in one source read.")
 	c.readAheadBytes = reg.Counter("monarch_read_ahead_bytes_total",
 		"Bytes pulled from the source by read-ahead fills.")
 	c.chunkPlacements = reg.Counter("monarch_chunk_placements_total",
