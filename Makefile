@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test stress cross loc bench-smoke race vet lint cover bench-all bench-ledger bench-check trace-smoke crash-smoke repro repro-full examples fuzz fuzz-smoke clean
+.PHONY: all build test stress cross loc bench-smoke race vet lint cover bench-all bench-ledger bench-check trace-smoke crash-smoke repro repro-full fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -199,13 +199,6 @@ repro:
 # The paper's full methodology: full-size datasets, 7 runs, 3 epochs.
 repro-full:
 	$(GO) run ./cmd/monarch-bench -scale 1 -runs 7
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/multitier
-	$(GO) run ./examples/tfpipeline
-	$(GO) run ./examples/partialcache
-	$(GO) run ./examples/pytorchloader
 
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/tfrecord/

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"monarch"
@@ -75,18 +76,28 @@ func ExampleMonarch_Stats() {
 	// Output: placements=1 reads[ssd]=1 reads[pfs]=1
 }
 
-// ExampleNewEventLog shows middleware observability.
-func ExampleNewEventLog() {
+// Example_traceHook collects the spans the middleware emits — one per
+// decision — through Config.Trace: here the first read of a file and
+// the background placement it schedules.
+func Example_traceHook() {
 	ctx := context.Background()
 	pfs := monarch.NewMemFS("lustre", 0)
 	_ = pfs.WriteFile(ctx, "shard", make([]byte, 64))
 	pfs.SetReadOnly(true)
-	events := monarch.NewEventLog(16)
+	var mu sync.Mutex
+	var placements []monarch.Span
 	m, _ := monarch.New(monarch.Config{
 		Levels:        []monarch.Backend{monarch.NewMemFS("ssd", 0), pfs},
 		Pool:          monarch.NewPool(1),
 		FullFileFetch: true,
-		Events:        events,
+		// The hook runs on the instrumented path: keep it short.
+		Trace: func(s monarch.Span) {
+			if s.Kind == monarch.SpanPlacement {
+				mu.Lock()
+				placements = append(placements, s)
+				mu.Unlock()
+			}
+		},
 	})
 	defer m.Close()
 	_ = m.Init(ctx)
@@ -94,8 +105,49 @@ func ExampleNewEventLog() {
 	for !m.Idle() {
 		time.Sleep(time.Millisecond)
 	}
-	for _, e := range events.Events() {
-		fmt.Println(e.Kind, e.File)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, s := range placements {
+		fmt.Printf("%s %s tier=%d bytes=%d err=%v\n", s.Kind, s.File, s.Tier, s.Bytes, s.Err)
 	}
-	// Output: placed shard
+	// Output: placement shard tier=0 bytes=64 err=<nil>
+}
+
+// Example_multiTier is the paper's §VI direction: a three-level
+// hierarchy, RAM above SSD above the PFS. Placement walks down to the
+// first tier with room, so files spill from the small fast tier to the
+// larger one, and only the overflow stays on the PFS.
+func Example_multiTier() {
+	ctx := context.Background()
+	pfs := monarch.NewMemFS("lustre", 0)
+	for i := 0; i < 12; i++ {
+		_ = pfs.WriteFile(ctx, fmt.Sprintf("shard-%02d", i), make([]byte, 1024))
+	}
+	pfs.SetReadOnly(true)
+	ram := monarch.NewMemFS("ram", 3*1024) // 3 files
+	ssd := monarch.NewMemFS("ssd", 5*1024) // 5 more
+	m, _ := monarch.New(monarch.Config{
+		Levels:        []monarch.Backend{ram, ssd, pfs},
+		Pool:          monarch.NewPool(6),
+		FullFileFetch: true,
+	})
+	defer m.Close()
+	_ = m.Init(ctx)
+
+	buf := make([]byte, 1024)
+	for _, fi := range m.Files() {
+		_, _ = m.ReadAt(ctx, fi.Name, buf, 0)
+	}
+	for !m.Idle() {
+		time.Sleep(time.Millisecond)
+	}
+	perLevel := make([]int, 3)
+	for _, fi := range m.Files() {
+		lvl, _ := m.LevelOf(fi.Name)
+		perLevel[lvl]++
+	}
+	st := m.Stats()
+	fmt.Printf("ram %d, ssd %d, lustre %d; placements %d, skips %d, evictions %d\n",
+		perLevel[0], perLevel[1], perLevel[2], st.Placements, st.PlacementSkips, st.Evictions)
+	// Output: ram 3, ssd 5, lustre 4; placements 8, skips 4, evictions 0
 }

@@ -521,10 +521,6 @@ func BenchmarkReadAtMidCopy(b *testing.B) { benchMidCopy(b, nil) }
 // hot-path consumers attached — a span trace hook and a live metrics
 // endpoint. The budget (DESIGN.md §8) is ≤5% over
 // BenchmarkReadAtMidCopy; TestObservabilityOverheadBudget enforces it.
-// (An EventLog is deliberately not attached: its
-// bounded ring takes a mutex per partial-hit event, a pre-existing,
-// separately opt-in cost this guard would misattribute to the metrics
-// layer.)
 func BenchmarkReadAtInstrumented(b *testing.B) {
 	var spans atomic.Int64
 	benchMidCopy(b, func(c *Config) {

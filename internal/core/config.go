@@ -81,17 +81,15 @@ type Config struct {
 	// Retry re-queues placements that failed transiently instead of
 	// marking the file unplaceable. The zero value disables retries.
 	Retry RetryPolicy
-	// Events, when non-nil, receives placement/eviction/fallback events
-	// for observability. The log never blocks the data path.
-	Events *EventLog
 	// MetricsAddr, when non-empty, serves the instance's metrics
 	// registry over HTTP at this "host:port" (":0" picks a free port;
 	// see Monarch.MetricsURL). Endpoints: /metrics (Prometheus text),
 	// /metrics.json (JSON snapshot), /debug/pprof/. The server starts in New and stops with
 	// Close/Shutdown.
 	MetricsAddr string
-	// Trace, when non-nil, receives typed spans from the read,
-	// placement, chunk-copy and probe paths. The hook runs
+	// Trace, when non-nil, receives typed spans, one per decision the
+	// middleware makes: each read, placement, chunk copy, eviction,
+	// breaker transition, write and flush (obs.SpanKind). The hook runs
 	// synchronously on the instrumented path: it must be fast and must
 	// never block.
 	Trace obs.TraceHook
@@ -104,7 +102,7 @@ type Config struct {
 	// TraceSample records 1 in N plain read hits (≤1 records every
 	// read). Partial hits, fallbacks, errors, placements and state
 	// changes are never sampled out, so the trace stays in lock-step
-	// with the monarch_events_total counters.
+	// with the Stats counters.
 	TraceSample int
 	// TraceClock supplies the trace's monotonic nanosecond clock; the
 	// experiments pass the simulation clock so captured timestamps are

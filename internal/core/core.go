@@ -405,8 +405,9 @@ var (
 //	errShortRead, any route   tier failure   Fallbacks      failure
 //	anything else             tier failure   Fallbacks      failure
 //
-// A failure charges monarch_errors_total{stage=peer|tier-read}, emits
-// EventFallback and feeds the breaker. The clean rows are the protocol
+// A failure charges monarch_errors_total{stage=peer|tier-read}, flags
+// the read span FlagFallback with the failure as its *obs.FallbackError,
+// and feeds the breaker. The clean rows are the protocol
 // working — an eviction got to the tier copy first, or the owner has
 // not cached the file yet — and counting them failures would let the
 // fan-in of evict/re-place/read trip a healthy tier.
@@ -424,7 +425,6 @@ func (m *Monarch) recovered(e *fileEntry, rt route, err error) obs.SpanFlags {
 	}
 	m.stats.fallbacks.Add(1)
 	m.inst.errs[stage].Inc()
-	m.event(Event{Kind: EventFallback, File: e.name, Level: lvl, Err: err})
 	if m.health.recordReadError(lvl) {
 		m.tierDown(lvl, err)
 	}
@@ -468,6 +468,7 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		rctx = obs.WithRequestID(rctx, req)
 	}
 	var flags obs.SpanFlags
+	var cause error // a fallback's failed first attempt, for the span
 	var got int
 	if whole != nil {
 		got, err = s.take(whole.window(off, n))
@@ -493,14 +494,20 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	case err == nil:
 		m.health.recordReadOK(rt.d.level) // a no-op on the untracked source
 	case rt.kind != routeSource:
-		flags = m.recovered(e, rt, err)
+		if flags = m.recovered(e, rt, err); flags&obs.FlagFallback != 0 {
+			cause = &obs.FallbackError{Tier: rt.d.level, Err: err}
+		}
 		rt = route{kind: routeSource, d: m.source}
 		got, err = m.serve(ctx, rt, e, off, n, s)
 	}
 	lvl := rt.d.level
 	if err != nil {
 		m.inst.errs[stageRead].Inc()
-		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Flags: flags, Req: req, Err: err, Duration: time.Since(m.base) - start})
+		spanErr := err
+		if cause != nil {
+			spanErr = errors.Join(err, cause)
+		}
+		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Flags: flags, Req: req, Err: spanErr, Duration: time.Since(m.base) - start})
 		return got, err
 	}
 	m.stats.served(lvl, int64(got))
@@ -512,7 +519,6 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		flags |= obs.FlagPartial
 		m.stats.partialHits.Add(1)
 		m.stats.partialHitBytes.Add(int64(got))
-		m.event(Event{Kind: EventPartialHit, File: name, Level: lvl, Bytes: int64(got)})
 	case routePeer:
 		flags |= obs.FlagPeer
 		m.stats.peerHits.Add(1)
@@ -524,7 +530,7 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	}
 	dur := time.Since(m.base) - start
 	m.inst.readLatency[lvl].Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Bytes: int64(got), Flags: flags, Req: req, Duration: dur})
+	m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Bytes: int64(got), Flags: flags, Req: req, Err: cause, Duration: dur})
 	m.stats.jobRead(m.tenants, name, lvl, m.source.level, int64(got))
 
 	// Only a read the source served can be a file's first access or
@@ -571,7 +577,7 @@ func (m *Monarch) maybePromote(e *fileEntry) {
 		return
 	}
 	m.stats.promotions.Add(1)
-	m.event(Event{Kind: EventPromoted, File: e.name, Level: -1, Bytes: e.size})
+	m.span(obs.Span{Kind: obs.SpanPromote, File: e.name, Tier: -1, Bytes: e.size})
 	m.placer.onAccess(e, nil)
 }
 

@@ -359,12 +359,19 @@ func (m *Monarch) ForceTierDown(level int, err error) {
 	}
 }
 
-// tierDown records a breaker trip: stats, event, and nothing else — the
+// errTierDown stands in for an external report's missing evidence: a
+// breaker span tells a trip from a recovery by its Err.
+var errTierDown = errors.New("monarch: tier reported down")
+
+// tierDown records a breaker trip: stats, span, and nothing else — the
 // demotions that follow happen lazily, one metadata update per entry on
 // its next read.
 func (m *Monarch) tierDown(level int, err error) {
+	if err == nil {
+		err = errTierDown
+	}
 	m.stats.tierTrips.Add(1)
-	m.event(Event{Kind: EventTierDown, Level: level, Err: err})
+	m.span(obs.Span{Kind: obs.SpanBreaker, Tier: level, Err: err})
 }
 
 // demote re-points an entry placed on a Down tier at the source level
@@ -375,7 +382,7 @@ func (m *Monarch) demote(e *fileEntry, from int) {
 	if e.markDemoted(from, m.source.level) {
 		m.tenants.release(m.tenants.job(e.name), from, e.size)
 		m.stats.demotions.Add(1)
-		m.event(Event{Kind: EventDemoted, File: e.name, Level: from, Bytes: e.size})
+		m.span(obs.Span{Kind: obs.SpanDemote, File: e.name, Tier: from, Bytes: e.size})
 	}
 }
 
@@ -424,7 +431,7 @@ func (m *Monarch) runProbe(ctx context.Context, d *driver) {
 	if recovered := m.health.probeDone(d.level, err == nil); recovered {
 		n := m.meta.resetForReplacement()
 		m.stats.tierRecoveries.Add(1)
-		m.event(Event{Kind: EventTierUp, Level: d.level, Bytes: int64(n)})
+		m.span(obs.Span{Kind: obs.SpanBreaker, Tier: d.level, Bytes: int64(n)})
 	}
 }
 

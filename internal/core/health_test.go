@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"monarch/internal/obs"
 	"monarch/internal/pool"
 	"monarch/internal/storage"
 )
@@ -21,7 +22,7 @@ type healthFixture struct {
 	faulty *storage.Faulty
 	tier0  *storage.Counting // wraps faulty: counts attempts against the tier
 	pfs    *storage.MemFS
-	log    *EventLog
+	log    *spanLog
 	m      *Monarch
 }
 
@@ -38,12 +39,12 @@ func newHealthFixture(t *testing.T, nfiles, size int, cfgEdit func(*Config)) *he
 	pfs.SetReadOnly(true)
 	faulty := storage.NewFaulty(storage.NewMemFS("ssd", 0))
 	tier0 := storage.NewCounting(faulty)
-	log := NewEventLog(1024)
+	log := &spanLog{}
 	cfg := Config{
 		Levels:        []storage.Backend{tier0, pfs},
 		Pool:          pool.NewGoPool(2),
 		FullFileFetch: true,
-		Events:        log,
+		Trace:         log.hook,
 		Health:        HealthConfig{ReadErrorThreshold: 2, WriteErrorThreshold: 2, ProbeAfterReads: 1},
 	}
 	if cfgEdit != nil {
@@ -87,7 +88,7 @@ func (f *healthFixture) readAll(t *testing.T, nfiles, size int) {
 // mid-run, the breaker opens within the configured threshold (bounded
 // doomed attempts, then zero), entries demote to the PFS; after Fix a
 // probe reopens the tier, demoted files are re-placed, and reads are
-// served from tier 0 again — all visible via Stats and the EventLog.
+// served from tier 0 again — all visible via Stats and the spans.
 func TestSelfHealingLoop(t *testing.T) {
 	const nfiles, size = 4, 100
 	f := newHealthFixture(t, nfiles, size, nil)
@@ -169,15 +170,13 @@ func TestSelfHealingLoop(t *testing.T) {
 	if st.Placements != 2*nfiles {
 		t.Fatalf("placements = %d, want %d (initial + re-placement)", st.Placements, 2*nfiles)
 	}
-	byKind := map[EventKind]int{}
-	for _, e := range f.log.Events() {
-		byKind[e.Kind]++
+	down := f.log.of(obs.SpanBreaker, func(s obs.Span) bool { return s.Err != nil })
+	up := f.log.of(obs.SpanBreaker, func(s obs.Span) bool { return s.Err == nil })
+	if len(down) != 1 || len(up) != 1 {
+		t.Fatalf("breaker spans down=%d up=%d", len(down), len(up))
 	}
-	if byKind[EventTierDown] != 1 || byKind[EventTierUp] != 1 {
-		t.Fatalf("tier events down=%d up=%d", byKind[EventTierDown], byKind[EventTierUp])
-	}
-	if byKind[EventDemoted] != nfiles {
-		t.Fatalf("demoted events = %d", byKind[EventDemoted])
+	if n := len(f.log.of(obs.SpanDemote, nil)); n != nfiles {
+		t.Fatalf("demote spans = %d", n)
 	}
 }
 
@@ -203,14 +202,8 @@ func TestRetryRecoversFromTransientWriteFailure(t *testing.T) {
 	if ts := f.m.TierState(0); ts != TierHealthy {
 		t.Fatalf("tier state = %v", ts)
 	}
-	found := false
-	for _, e := range f.log.Events() {
-		if e.Kind == EventRetried && e.File == "f000" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no EventRetried emitted")
+	if retries := f.log.of(obs.SpanRetry, func(s obs.Span) bool { return s.File == "f000" }); len(retries) != 1 {
+		t.Fatalf("%d retry spans for f000, want 1", len(retries))
 	}
 }
 
@@ -518,33 +511,24 @@ func TestRetryPolicyClassificationAndBackoff(t *testing.T) {
 	}
 }
 
-// TestTierStateAndEventStrings pins the observability surface.
+// TestTierStateAndEventStrings pins the observability surface: the
+// breaker states and the names of the spans that record its decisions.
 func TestTierStateAndEventStrings(t *testing.T) {
 	if TierHealthy.String() != "healthy" || TierSuspect.String() != "suspect" ||
 		TierDown.String() != "down" || TierState(9).String() != "unknown" {
 		t.Fatal("TierState.String broken")
 	}
-	for kind, want := range map[EventKind]string{
-		EventDemoted: "demoted", EventRetried: "retried",
-		EventTierDown: "tier-down", EventTierUp: "tier-up",
+	for kind, want := range map[obs.SpanKind]string{
+		obs.SpanBreaker: "breaker", obs.SpanDemote: "demote", obs.SpanRetry: "retry",
+		obs.SpanPromote: "promote", obs.SpanOpError: "op-error", obs.SpanRecover: "recover",
 	} {
 		if kind.String() != want {
 			t.Errorf("kind %d = %q, want %q", kind, kind.String(), want)
 		}
 	}
-	cases := []struct {
-		e    Event
-		want string
-	}{
-		{Event{Kind: EventDemoted, File: "f", Level: 0}, "demoted"},
-		{Event{Kind: EventRetried, File: "f", Level: 0, Err: storage.ErrInjected}, "re-queued"},
-		{Event{Kind: EventTierDown, Level: 0, Err: storage.ErrInjected}, "down"},
-		{Event{Kind: EventTierUp, Level: 0, Bytes: 3}, "back in service"},
-	}
-	for _, c := range cases {
-		if !strings.Contains(c.e.String(), c.want) {
-			t.Errorf("%v does not mention %q", c.e.String(), c.want)
-		}
+	s := obs.Span{Kind: obs.SpanBreaker, Tier: 0, Err: storage.ErrInjected}
+	if got := s.String(); !strings.HasPrefix(got, "breaker tier=0") || !strings.Contains(got, storage.ErrInjected.Error()) {
+		t.Errorf("%q does not name the trip and its error", got)
 	}
 }
 
@@ -588,14 +572,8 @@ func TestExternalBreakerFeeds(t *testing.T) {
 	if st := f.m.TierState(0); st != TierDown {
 		t.Fatalf("threshold external reports left the tier %v", st)
 	}
-	downs := 0
-	for _, e := range f.log.Events() {
-		if e.Kind == EventTierDown {
-			downs++
-		}
-	}
-	if downs != 1 {
-		t.Fatalf("%d tier-down events, want 1", downs)
+	if downs := f.log.of(obs.SpanBreaker, nil); len(downs) != 1 || !errors.Is(downs[0].Err, extErr) {
+		t.Fatalf("breaker spans %v, want one trip by the external report", downs)
 	}
 
 	// Out-of-range and source levels are ignored, not panics: the PFS
@@ -619,13 +597,26 @@ func TestForceTierDownImmediateAndIdempotent(t *testing.T) {
 	// A second force on an open breaker is a no-op — no duplicate
 	// demotion event, no probe-state churn.
 	f.m.ForceTierDown(0, extErr)
-	downs := 0
-	for _, e := range f.log.Events() {
-		if e.Kind == EventTierDown {
-			downs++
-		}
+	if downs := f.log.of(obs.SpanBreaker, nil); len(downs) != 1 {
+		t.Fatalf("%d breaker spans after double force, want 1", len(downs))
 	}
-	if downs != 1 {
-		t.Fatalf("%d tier-down events after double force, want 1", downs)
+}
+
+// TestTripWithoutEvidenceIsStillATrip: an external report or force that
+// carries no error still records a trip — a breaker span with an Err —
+// never one that reads as the tier coming back.
+func TestTripWithoutEvidenceIsStillATrip(t *testing.T) {
+	for name, trip := range map[string]func(m *Monarch){
+		"report": func(m *Monarch) { m.ReportTierError(0, nil); m.ReportTierError(0, nil) },
+		"force":  func(m *Monarch) { m.ForceTierDown(0, nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := newHealthFixture(t, 1, 64, nil) // ReadErrorThreshold: 2
+			trip(f.m)
+			downs := f.log.of(obs.SpanBreaker, nil)
+			if f.m.TierState(0) != TierDown || len(downs) != 1 || !errors.Is(downs[0].Err, errTierDown) {
+				t.Fatalf("tier %v, breaker spans %v; want one trip carrying errTierDown", f.m.TierState(0), downs)
+			}
+		})
 	}
 }

@@ -58,9 +58,9 @@ var stageNames = [numStages]string{
 }
 
 // instruments bundles the registry and every handle the middleware
-// updates outside the statsCollector: latency histograms, the error
-// funnel, and per-event-kind counters. All handles are created once in
-// initObs; hot paths only touch atomics.
+// updates outside the statsCollector: latency histograms and the error
+// funnel. All handles are created once in initObs; hot paths only touch
+// atomics.
 type instruments struct {
 	reg *obs.Registry
 
@@ -70,12 +70,11 @@ type instruments struct {
 	writeLatency     *obs.Histogram   // successful foreground writes, ack latency
 	flushLatency     *obs.Histogram   // one write-back flush, tier 0 → PFS
 
-	errs   [numStages]*obs.Counter // the monarch_errors_total funnel
-	events [eventKinds]*obs.Counter
+	errs [numStages]*obs.Counter // the monarch_errors_total funnel
 }
 
 // initObs builds the registry view of the instance: histograms, error
-// counters, event counters, derived gauges (hit ratio, breaker state,
+// counters, derived gauges (hit ratio, breaker state,
 // pool load), and the auto-instrumentation of levels that support it.
 // Called from New after stats, placer and health exist.
 func (m *Monarch) initObs() {
@@ -100,14 +99,10 @@ func (m *Monarch) initObs() {
 		m.inst.errs[st] = reg.Counter("monarch_errors_total",
 			"Errors observed by the middleware, by pipeline stage.", obs.L("stage", name))
 	}
-	for k := EventKind(0); k < eventKinds; k++ {
-		m.inst.events[k] = reg.Counter("monarch_events_total",
-			"Middleware events emitted, by kind.", obs.L("kind", k.String()))
-	}
 
 	reg.GaugeFunc("monarch_hit_ratio",
 		"Fraction of foreground reads served above the source level.",
-		m.stats.hitRatio)
+		func() float64 { return hitRatio(m.stats.reads()) })
 	reg.GaugeFunc("monarch_inflight_placements",
 		"Queued or running placement tasks, including retries and probes.",
 		func() float64 { return float64(m.placer.inFlight()) })
@@ -193,31 +188,20 @@ func (m *Monarch) initTenantObs() {
 	}
 }
 
-// event is the single funnel every middleware event goes through: it
-// bumps the per-kind counter, forwards to the (possibly nil) event
-// log, and mirrors tier-state changes into the access trace — so the
-// log, the registry and the trace can never disagree about what
-// happened.
-func (m *Monarch) event(e Event) {
-	if k := int(e.Kind); k >= 0 && k < len(m.inst.events) {
-		m.inst.events[k].Inc()
-	}
-	m.cfg.Events.emit(e)
-	m.traceState(e)
-}
-
 // opError books the failure of a best-effort operation — cleanup after
 // a failed copy, an eviction victim's removal, a probe's scratch file,
 // a flush, a journal or trace-sink write: the work it served goes on and
 // no caller sees err, so it lands on its stage of monarch_errors_total
-// and in the event log, here and nowhere else.
+// and in an op-error span, here and nowhere else.
 func (m *Monarch) opError(stage errStage, file string, level int, err error) {
 	m.inst.errs[stage].Inc()
-	m.event(Event{Kind: EventOpError, File: file, Level: level, Err: err})
+	m.span(obs.Span{Kind: obs.SpanOpError, File: file, Tier: level, Err: err})
 }
 
 // span delivers a completed span to the configured consumers (the
-// trace recorder and the Config.Trace hook, fanned out by New).
+// trace recorder and the Config.Trace hook, fanned out by New). A span
+// is core's one record of a decision: each decision emits exactly one,
+// beside the stats counter that counts it.
 func (m *Monarch) span(s obs.Span) {
 	if m.spanHook != nil {
 		m.spanHook(s)

@@ -77,13 +77,11 @@ func assertStatsParity(t *testing.T, m *Monarch) {
 }
 
 // TestStatsRegistryParityWholeFile checks parity on the plain path, plus
-// two registry-only signals Stats cannot carry: read latency histograms
-// (one observation per served read) and per-kind event counters in
-// lock-step with the event log.
+// the registry-only signals Stats cannot carry: read and placement
+// latency histograms (one observation per served read or placement).
 func TestStatsRegistryParityWholeFile(t *testing.T) {
 	const nfiles, size = 5, 100
-	log := NewEventLog(256)
-	f := newFixture(t, 0, nfiles, size, func(c *Config) { c.Events = log })
+	f := newFixture(t, 0, nfiles, size, nil)
 	p := make([]byte, size)
 	for epoch := 0; epoch < 2; epoch++ {
 		for i := 0; i < nfiles; i++ {
@@ -108,21 +106,6 @@ func TestStatsRegistryParityWholeFile(t *testing.T) {
 	}
 	if hp, ok := snap.Hist("monarch_placement_latency_seconds"); !ok || int64(hp.Count) != s.Placements {
 		t.Errorf("placement latency observations vs placements: hist=%+v placements=%d", hp, s.Placements)
-	}
-	// Event funnel: the registry's per-kind counters and the event log
-	// are fed by the same call, so they must agree.
-	byKind := map[EventKind]int64{}
-	for _, e := range log.Events() {
-		byKind[e.Kind]++
-	}
-	for k := EventKind(0); k < eventKinds; k++ {
-		got, ok := snap.Int("monarch_events_total", obs.L("kind", k.String()))
-		if !ok {
-			t.Fatalf("events_total{kind=%q} missing", k)
-		}
-		if got != byKind[k] {
-			t.Errorf("events_total{kind=%q} = %d, event log has %d", k, got, byKind[k])
-		}
 	}
 }
 
@@ -266,11 +249,11 @@ func (f *failAllWriteAts) WriteAt(ctx context.Context, name string, p []byte, of
 // silent-drop fix: a failed chunked placement must increment
 // monarch_errors_total{stage="chunk-copy"} exactly once per attempt,
 // whichever of its windows would have failed, and the failure must
-// surface in the event log.
+// surface in one failed placement span.
 func TestChunkCopyErrorCountedOnce(t *testing.T) {
-	log := NewEventLog(64)
+	log := &spanLog{}
 	tier0 := &failAllWriteAts{MemFS: storage.NewMemFS("ssd", 0)}
-	m := newChunkStack(t, tier0, 4, 1, 1024, func(c *Config) { c.Events = log }) // 4 chunks, all doomed
+	m := newChunkStack(t, tier0, 4, 1, 1024, func(c *Config) { c.Trace = log.hook }) // 4 chunks, all doomed
 	// A partial read triggers the chunked placement.
 	if _, err := m.ReadAt(context.Background(), "c000", make([]byte, 1), 0); err != nil {
 		t.Fatal(err)
@@ -284,14 +267,9 @@ func TestChunkCopyErrorCountedOnce(t *testing.T) {
 	if got, ok := snap.Int("monarch_errors_total", obs.L("stage", "placement")); !ok || got != 1 {
 		t.Fatalf("errors_total{stage=placement} = %d (ok=%v), want 1", got, ok)
 	}
-	var failed int
-	for _, e := range log.Events() {
-		if e.Kind == EventFailed {
-			failed++
-		}
-	}
-	if failed != 1 {
-		t.Fatalf("event log has %d failed events, want 1", failed)
+	failed := log.of(obs.SpanPlacement, func(s obs.Span) bool { return s.Err != nil })
+	if len(failed) != 1 || failed[0].Tier != 0 || !errors.Is(failed[0].Err, errChunkInjected) {
+		t.Fatalf("failed placement spans %v, want one on tier 0 for the injected error", failed)
 	}
 	assertStatsParity(t, m)
 }

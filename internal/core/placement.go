@@ -300,12 +300,12 @@ func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
 // nil when the walk reached none. It is the plan's outcome table, first
 // match wins:
 //
-//	copied (err == nil)            placed       breaker OK   Placements, PlacedBytes, latency; span; EventPlaced; job charged, policy told
-//	no tier admitted it            unplaceable  —            PlacementSkips; span on tier -1; EventSkipped
+//	copied (err == nil)            placed       breaker OK   Placements, PlacedBytes, latency; span; job charged, policy told
+//	no tier admitted it            unplaceable  —            PlacementSkips; span on tier -1
 //	fetch disabled (abl-fullfetch) unplaceable  —            as above: a skip, not a failure
 //	cancelled (ctx, or Canceled)   source       —            nothing: a shutdown is not a placement failure
-//	transient, tries left          queued       breaker fed  PlacementRetries; EventRetried; re-queued (retry)
-//	anything else                  unplaceable  breaker fed  PlacementErrors, errors{stage=placement}; span; EventFailed
+//	transient, tries left          queued       breaker fed  PlacementRetries; retry span; re-queued (retry)
+//	anything else                  unplaceable  breaker fed  PlacementErrors, errors{stage=placement}; span
 //
 // The skip rows come before the context is consulted: a full hierarchy
 // or the ablation is the answer whether or not a shutdown raced it, and
@@ -355,14 +355,12 @@ func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 			sp.Flags = obs.FlagReuse
 		}
 		m.span(sp)
-		m.event(Event{Kind: EventPlaced, File: e.name, Level: d.level, Bytes: e.size})
 		if m.cfg.Eviction != nil {
 			m.cfg.Eviction.OnPlaced(e.name, d.level)
 		}
 	case errors.Is(err, storage.ErrNoSpace), errors.Is(err, errFetchDisabled):
 		m.stats.placementSkips.Add(1)
 		m.span(sp)
-		m.event(Event{Kind: EventSkipped, File: e.name, Level: -1})
 		e.markUnplaceable()
 		if f := e.fetch.Load(); f != nil && f != &e.ahead {
 			pl.track(e, f)
@@ -381,7 +379,7 @@ func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 		}
 		if r := m.cfg.Retry; r.enabled() && a.n < r.MaxAttempts && r.transient(err) {
 			m.stats.retries.Add(1)
-			m.event(Event{Kind: EventRetried, File: e.name, Level: d.level, Err: err})
+			m.span(obs.Span{Kind: obs.SpanRetry, File: e.name, Tier: d.level, Bytes: e.size, Attempt: a.n, Err: err})
 			pl.retry(a)
 			return
 		}
@@ -389,7 +387,6 @@ func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 		m.inst.errs[stagePlacement].Inc()
 		sp.Tier, sp.Attempt = d.level, a.n
 		m.span(sp)
-		m.event(Event{Kind: EventFailed, File: e.name, Level: d.level, Err: err})
 		e.markUnplaceable()
 	}
 }
@@ -482,7 +479,6 @@ func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeW
 		m.inst.chunkCopyLatency.Observe(dur.Seconds())
 		m.span(obs.Span{Kind: obs.SpanChunkCopy, File: e.name, Tier: d.level, Off: off, Bytes: want,
 			Attempt: a.n, Duration: dur})
-		m.event(Event{Kind: EventChunkPlaced, File: e.name, Level: d.level, Bytes: want})
 	}
 	return nil
 }
@@ -575,7 +571,6 @@ func (pl *placer) evict(ctx context.Context, d *driver, name string) (bool, erro
 	}
 	m.stats.evictions.Add(1)
 	m.stats.jobEviction(m.tenants, job)
-	m.event(Event{Kind: EventEvicted, File: name, Level: d.level, Bytes: e.size})
 	m.span(obs.Span{Kind: obs.SpanEvict, File: name, Tier: d.level, Bytes: e.size, Duration: time.Since(start)})
 	return true, nil
 }

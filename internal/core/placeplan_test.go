@@ -63,7 +63,7 @@ const (
 
 // settleRig is one of the twin stacks of TestPlacementSettleParity:
 // [faulty(ssd), lustre] holding one file, a deterministic pool whose
-// context the test owns, and every span and event recorded.
+// context the test owns, and every span recorded.
 type settleRig struct {
 	m      *Monarch
 	pool   *manualPool
@@ -72,7 +72,6 @@ type settleRig struct {
 	ssd    *copyTier
 	tier0  *storage.Faulty
 	pfs    *storage.Counting
-	log    *EventLog
 	spans  []obs.Span
 	// mid is the copy write that lands mid-copy: the one WriteFile of a
 	// whole-file copy, a chunked copy's second WriteAt — one window is down.
@@ -89,7 +88,6 @@ func newSettleRig(t *testing.T, chunk, capacity int64, edit func(*Config)) *sett
 	r := &settleRig{
 		pool: &manualPool{},
 		ssd:  &copyTier{MemFS: storage.NewMemFS("ssd", capacity)},
-		log:  NewEventLog(256),
 		mid:  1,
 	}
 	if chunk > 0 {
@@ -106,7 +104,6 @@ func newSettleRig(t *testing.T, chunk, capacity int64, edit func(*Config)) *sett
 		ChunkSize:     chunk,
 		JobOf:         JobFromPath,
 		Retry:         RetryPolicy{MaxAttempts: 2},
-		Events:        r.log,
 		Trace:         func(s obs.Span) { r.spans = append(r.spans, s) },
 	}
 	if edit != nil {
@@ -145,7 +142,6 @@ type settleOutcome struct {
 	stats   Stats
 	vars    map[string]float64
 	spans   []string
-	events  []string
 	ledger  int64 // the job's bytes on tier 0, by the tenant table
 	used    int64
 	list    []storage.FileInfo
@@ -164,7 +160,6 @@ type settleOutcome struct {
 var chunkOnlyVars = []string{
 	"monarch_chunk_placements_total",
 	"monarch_chunk_copy_latency_seconds_count",
-	`monarch_events_total{kind="chunk-placed"}`,
 	`monarch_errors_total{stage="chunk-copy"}`,
 }
 
@@ -182,7 +177,7 @@ const tier0WriteBytes = `monarch_tier_write_bytes_total{tier="0"}`
 // TestPlacementSettleParity runs every row of settle's outcome table
 // once through a whole-file copy and once through a chunked copy, on twin
 // fixtures, and requires the two to end indistinguishable: same entry,
-// same Stats and registry, same spans and events, same breaker and
+// same Stats and registry, same spans, same breaker and
 // tenant ledger, same bytes on the tier — the chunk-only series apart,
 // which are asserted on their own, as is what fetch-through changes for
 // the whole-file side: its first read is the file's only source op in
@@ -364,19 +359,13 @@ func TestPlacementSettleParity(t *testing.T) {
 				for _, s := range r.spans {
 					if s.Kind != obs.SpanChunkCopy {
 						out.reuseSpan = out.reuseSpan || s.Flags&obs.FlagReuse != 0
-						out.spans = append(out.spans, fmt.Sprintf("%v tier=%d flags=%v bytes=%d attempt=%d err=%q",
-							s.Kind, s.Tier, s.Flags&^obs.FlagReuse, s.Bytes, s.Attempt, errString(s.Err)))
+						out.spans = append(out.spans, fmt.Sprintf("%v %s tier=%d flags=%v bytes=%d attempt=%d err=%q",
+							s.Kind, s.File, s.Tier, s.Flags&^obs.FlagReuse, s.Bytes, s.Attempt, errString(s.Err)))
 					}
 				}
 				// The foreground's two spans: a fetch-through enqueues inside
 				// the read, a plain first read before it.
 				sort.Strings(out.spans[:foreground])
-				for _, ev := range r.log.Events() {
-					if ev.Kind != EventChunkPlaced {
-						out.events = append(out.events, fmt.Sprintf("%v %s level=%d bytes=%d err=%q",
-							ev.Kind, ev.File, ev.Level, ev.Bytes, errString(ev.Err)))
-					}
-				}
 				return out
 			}
 			whole, chunked := run(0), run(settleChunk)
@@ -420,9 +409,6 @@ func TestPlacementSettleParity(t *testing.T) {
 			}
 			if !reflect.DeepEqual(whole.spans, chunked.spans) {
 				t.Errorf("spans differ:\n whole-file %q\n chunked    %q", whole.spans, chunked.spans)
-			}
-			if !reflect.DeepEqual(whole.events, chunked.events) {
-				t.Errorf("events differ:\n whole-file %q\n chunked    %q", whole.events, chunked.events)
 			}
 
 			// The chunk-only series: still for a whole-file copy, and for a

@@ -46,7 +46,7 @@ func (p *manualPool) drain() {
 
 // flakyViews is a view-lending tier whose reads — by copy and by view
 // alike — fail once fail is set (with one error value, so twin runs
-// produce identical events), come back with half the bytes while short
+// produce identical spans), come back with half the bytes while short
 // is set, and whose next read first runs onRead: the hook is how a test
 // lands background work exactly between the read plan's resolve and its
 // tier attempt. With refuse set, the next view is refused
@@ -107,7 +107,7 @@ func (h *hedgingPeer) ReadAt(ctx context.Context, name string, p []byte, off int
 
 // parityRig is one of the twin stacks of TestReadPlanRouteSinkParity:
 // [ssd, peer, pfs] with every op counted, a deterministic pool, and
-// every span and event recorded.
+// every span recorded.
 type parityRig struct {
 	m     *Monarch
 	pool  *manualPool
@@ -115,7 +115,6 @@ type parityRig struct {
 	peer  *hedgingPeer
 	tier0 *storage.Counting
 	pfs   *storage.Counting
-	log   *EventLog
 	spans []obs.Span
 }
 
@@ -145,7 +144,6 @@ func newParityRig(t *testing.T, init bool) *parityRig {
 		ssd:  &flakyViews{MemFS: storage.NewMemFS("ssd", 0)},
 		peer: &hedgingPeer{MemFS: peer},
 		pfs:  storage.NewCounting(pfs),
-		log:  NewEventLog(256),
 	}
 	r.tier0 = storage.NewCounting(r.ssd)
 	m, err := New(Config{
@@ -155,7 +153,6 @@ func newParityRig(t *testing.T, init bool) *parityRig {
 		ChunkSize:     parityFileSize / 4,
 		Eviction:      NewLRU(),
 		JobOf:         JobFromPath,
-		Events:        r.log,
 		Trace:         func(s obs.Span) { r.spans = append(r.spans, s) },
 		Peer: PeerConfig{
 			Tier: 1,
@@ -208,7 +205,6 @@ type parityOutcome struct {
 	copied    int64
 	vars      map[string]float64
 	spans     []string
-	events    []string
 	tierReads int64 // tier-0 read attempts the read under test made
 	pfsReads  int64 // source reads it made
 }
@@ -223,7 +219,7 @@ func errString(err error) string {
 // TestReadPlanRouteSinkParity runs every route and every recovery of the
 // read plan once through each sink, on twin fixtures, and requires the
 // two to be indistinguishable from outside: same bytes, same Stats, same
-// registry (latency sums aside), same span sequence, same event log —
+// registry (latency sums aside), same span sequence —
 // and the same backend traffic, which pins one first attempt plus at
 // most one source re-serve for both entry points.
 func TestReadPlanRouteSinkParity(t *testing.T) {
@@ -409,12 +405,8 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 					}
 				}
 				for _, s := range r.spans {
-					out.spans = append(out.spans, fmt.Sprintf("%v tier=%d flags=%v bytes=%d err=%q",
-						s.Kind, s.Tier, s.Flags, s.Bytes, errString(s.Err)))
-				}
-				for _, e := range r.log.Events() {
-					out.events = append(out.events, fmt.Sprintf("%v %s level=%d bytes=%d err=%q",
-						e.Kind, e.File, e.Level, e.Bytes, errString(e.Err)))
+					out.spans = append(out.spans, fmt.Sprintf("%v %s tier=%d flags=%v bytes=%d err=%q",
+						s.Kind, s.File, s.Tier, s.Flags, s.Bytes, errString(s.Err)))
 				}
 				return out
 			}
@@ -463,9 +455,6 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 			}
 			if !reflect.DeepEqual(cp.spans, vw.spans) {
 				t.Errorf("spans differ:\n ReadAt   %q\n ReadView %q", cp.spans, vw.spans)
-			}
-			if !reflect.DeepEqual(cp.events, vw.events) {
-				t.Errorf("events differ:\n ReadAt   %q\n ReadView %q", cp.events, vw.events)
 			}
 		})
 	}
@@ -576,17 +565,21 @@ func TestReadAtSurvivesTruncatedTierCopy(t *testing.T) {
 	if err := os.Truncate(filepath.Join(ssd.Root(), filepath.FromSlash(scanFile)), scanWindow); err != nil {
 		t.Fatal(err)
 	}
+	// The first read's copy faults, the second's view comes back short:
+	// each is one tier-read error and one read span the source served,
+	// flagged a fallback with tier 0's failure as its cause.
 	for i, want := range []error{storage.ErrFault, errShortRead} {
 		if i == 1 {
 			ssd.CloseIdle() // the next view maps the file at its new size
 		}
 		r.read(t, false, 2*scanWindow, scanWindow)
-		st, events := r.m.Stats(), r.log.Events()
-		last := events[len(events)-1]
-		if st.Fallbacks != int64(i+1) || st.ReadsServed[0] != 1 || st.ReadsServed[1] != int64(i+2) ||
-			last.Kind != EventFallback || !errors.Is(last.Err, want) {
-			t.Fatalf("read %d: fallbacks=%d served=%v, last event %v %v; want a fallback for %v",
-				i, st.Fallbacks, st.ReadsServed, last.Kind, last.Err, want)
+		st, last := r.m.Stats(), r.spans[len(r.spans)-1]
+		errs, _ := r.m.Registry().Snapshot().Int("monarch_errors_total", obs.L("stage", "tier-read"))
+		if st.Fallbacks != int64(i+1) || errs != int64(i+1) || st.ReadsServed[0] != 1 || st.ReadsServed[1] != int64(i+2) ||
+			last.Kind != obs.SpanRead || last.Tier != 1 || last.Flags != obs.FlagFallback || last.Bytes != scanWindow ||
+			!fellBackFrom(0, want)(last) {
+			t.Fatalf("read %d: fallbacks=%d tier-read errors=%d served=%v, last span %v; want a fallback from tier 0 for %v",
+				i, st.Fallbacks, errs, st.ReadsServed, last, want)
 		}
 	}
 }
@@ -714,14 +707,13 @@ func scanContent(size int) []byte {
 
 // scanRig is a [ssd, pfs] stack in the paper's whole-file mode over the
 // file under test: a deterministic pool, every source op counted, every
-// span and event recorded, and the file's bytes kept aside as the oracle.
+// span recorded, and the file's bytes kept aside as the oracle.
 type scanRig struct {
 	m      *Monarch
 	pool   *manualPool
 	ssd    *storage.MemFS
 	pfs    *storage.Counting
 	oracle *storage.MemFS
-	log    *EventLog
 	spans  []obs.Span
 }
 
@@ -748,14 +740,12 @@ func newShardRig(t *testing.T, files map[string][]byte, capacity int64, edit fun
 		ssd:    storage.NewMemFS("ssd", capacity),
 		pfs:    storage.NewCounting(pfs),
 		oracle: oracle,
-		log:    NewEventLog(256),
 	}
 	cfg := Config{
 		Levels:        []storage.Backend{r.ssd, r.pfs},
 		Pool:          r.pool,
 		FullFileFetch: true,
 		JobOf:         JobFromPath,
-		Events:        r.log,
 		Trace:         func(s obs.Span) { r.spans = append(r.spans, s) },
 	}
 	if edit != nil {
@@ -814,16 +804,15 @@ func (r *scanRig) readFile(t *testing.T, name string, view bool, off, n int64) {
 // file's one source op, every read behind it — in range, across EOF, the
 // whole file — is served from what it fetched, byte for byte what the
 // source holds, and ReadAt and ReadView leave the same Stats, registry,
-// spans and events. Reads that are empty or start at EOF go to the
+// spans. Reads that are empty or start at EOF go to the
 // source, as they do past a chunked copy's landed prefix.
 func TestFetchThroughSinkParity(t *testing.T) {
 	const size = 1 << 20
 	type outcome struct {
-		stats  Stats
-		views  int64
-		vars   map[string]float64
-		spans  []string
-		events []string
+		stats Stats
+		views int64
+		vars  map[string]float64
+		spans []string
 	}
 	run := func(view bool) outcome {
 		r := newScanRig(t, size, 0, nil)
@@ -875,12 +864,8 @@ func TestFetchThroughSinkParity(t *testing.T) {
 			}
 		}
 		for _, s := range r.spans {
-			out.spans = append(out.spans, fmt.Sprintf("%v tier=%d off=%d flags=%v bytes=%d err=%q",
-				s.Kind, s.Tier, s.Off, s.Flags, s.Bytes, errString(s.Err)))
-		}
-		for _, ev := range r.log.Events() {
-			out.events = append(out.events, fmt.Sprintf("%v %s level=%d bytes=%d err=%q",
-				ev.Kind, ev.File, ev.Level, ev.Bytes, errString(ev.Err)))
+			out.spans = append(out.spans, fmt.Sprintf("%v %s tier=%d off=%d flags=%v bytes=%d err=%q",
+				s.Kind, s.File, s.Tier, s.Off, s.Flags, s.Bytes, errString(s.Err)))
 		}
 		return out
 	}
@@ -901,9 +886,6 @@ func TestFetchThroughSinkParity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cp.spans, vw.spans) {
 		t.Errorf("spans differ:\n ReadAt   %q\n ReadView %q", cp.spans, vw.spans)
-	}
-	if !reflect.DeepEqual(cp.events, vw.events) {
-		t.Errorf("events differ:\n ReadAt   %q\n ReadView %q", cp.events, vw.events)
 	}
 }
 

@@ -164,11 +164,16 @@ func (j JobStats) HitRatio() float64 {
 
 // HitRatio returns the fraction of foreground reads served above the
 // source level.
-func (s Stats) HitRatio() float64 {
+func (s Stats) HitRatio() float64 { return hitRatio(s.ReadsServed) }
+
+// hitRatio is the one hit-ratio rule, behind Stats.HitRatio and the
+// monarch_hit_ratio gauge: reads served on every level but the last
+// (the source) over all reads.
+func hitRatio(reads []int64) float64 {
 	var upper, total int64
-	for i, n := range s.ReadsServed {
+	for i, n := range reads {
 		total += n
-		if i < len(s.ReadsServed)-1 {
+		if i < len(reads)-1 {
 			upper += n
 		}
 	}
@@ -400,26 +405,18 @@ func (c *statsCollector) jobEviction(t *tenantTable, job string) {
 	c.job(job).evictions.Inc()
 }
 
-// hitRatio is the live form of Stats.HitRatio, exposed as the
-// monarch_hit_ratio gauge.
-func (c *statsCollector) hitRatio() float64 {
-	var upper, total int64
+// reads returns the per-level read counters, source level last.
+func (c *statsCollector) reads() []int64 {
+	out := make([]int64, len(c.readsServed))
 	for i, ctr := range c.readsServed {
-		n := ctr.Value()
-		total += n
-		if i < len(c.readsServed)-1 {
-			upper += n
-		}
+		out[i] = ctr.Value()
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(upper) / float64(total)
+	return out
 }
 
 func (c *statsCollector) snapshot(inFlight int) Stats {
 	s := Stats{
-		ReadsServed:       make([]int64, len(c.readsServed)),
+		ReadsServed:       c.reads(),
 		BytesServed:       make([]int64, len(c.bytesServed)),
 		Placements:        c.placements.Value(),
 		PlacedBytes:       c.placedBytes.Value(),
@@ -460,8 +457,7 @@ func (c *statsCollector) snapshot(inFlight int) Stats {
 		PlacementPauses:   c.placementPauses.Value(),
 		InFlight:          inFlight,
 	}
-	for i := range c.readsServed {
-		s.ReadsServed[i] = c.readsServed[i].Value()
+	for i := range c.bytesServed {
 		s.BytesServed[i] = c.bytesServed[i].Value()
 	}
 	c.jobMu.RLock()

@@ -106,26 +106,3 @@ func (m *Monarch) MarkEpoch(n int) {
 // the trailer — the experiments record the measured PFS data-op count
 // for the analyzer's cross-check.
 func (m *Monarch) Tracer() *trace.Recorder { return m.tracer }
-
-// traceState forwards tier-state events into the recorder; called
-// from the event funnel so the trace and monarch_events_total can
-// never disagree.
-func (m *Monarch) traceState(e Event) {
-	if m.tracer == nil {
-		return
-	}
-	var c trace.Class
-	switch e.Kind {
-	case EventDemoted:
-		c = trace.ClassDemoted
-	case EventEvicted:
-		c = trace.ClassEvicted
-	case EventTierDown:
-		c = trace.ClassTierDown
-	case EventTierUp:
-		c = trace.ClassTierUp
-	default:
-		return
-	}
-	m.tracer.State(c, e.File, e.Level, e.Bytes)
-}

@@ -163,19 +163,9 @@ func traceRoundTrip(t *testing.T, readsPerFile int, quota int64) {
 	}
 }
 
-// eventsTotal reads a monarch_events_total series from the registry.
-func eventsTotal(t *testing.T, m *Monarch, kind string) int64 {
-	t.Helper()
-	v, ok := m.Registry().Snapshot().Value("monarch_events_total", obs.L("kind", kind))
-	if !ok {
-		t.Fatalf("monarch_events_total{kind=%q} not registered", kind)
-	}
-	return int64(v)
-}
-
 // TestTraceSamplingParity is the lock-step regression test: with
 // sampling enabled the trace may thin plain read hits, but every
-// event-worthy record must still match monarch_events_total exactly,
+// decision record must still match its Stats counter exactly,
 // and the recorder's accounting must balance.
 func TestTraceSamplingParity(t *testing.T) {
 	const nfiles, fileSize, epochs = 8, 4096, 3
@@ -220,24 +210,22 @@ func TestTraceSamplingParity(t *testing.T) {
 			}
 		}
 
-		placeEvents := eventsTotal(t, f.m, "placed") + eventsTotal(t, f.m, "skipped") + eventsTotal(t, f.m, "failed")
-		if kinds[trace.KindPlacement] != placeEvents {
-			t.Fatalf("sample=%d: trace has %d placement records, events_total says %d",
-				sample, kinds[trace.KindPlacement], placeEvents)
+		st := f.m.Stats()
+		if got, want := kinds[trace.KindPlacement], st.Placements+st.PlacementSkips+st.PlacementErrors; got != want {
+			t.Fatalf("sample=%d: trace has %d placement records, Stats says %d", sample, got, want)
 		}
-		if got, want := kinds[trace.KindChunkCopy], eventsTotal(t, f.m, "chunk-placed"); got != want {
-			t.Fatalf("sample=%d: chunk copies %d vs events_total %d", sample, got, want)
+		if got, want := kinds[trace.KindChunkCopy], st.ChunkPlacements; got != want {
+			t.Fatalf("sample=%d: chunk copies %d vs Stats %d", sample, got, want)
 		}
-		if got, want := classes[trace.ClassPartial], eventsTotal(t, f.m, "partial-hit"); got != want {
-			t.Fatalf("sample=%d: partial hits %d vs events_total %d", sample, got, want)
+		if got, want := classes[trace.ClassPartial], st.PartialHits; got != want {
+			t.Fatalf("sample=%d: partial hits %d vs Stats %d", sample, got, want)
 		}
-		if got, want := classes[trace.ClassFallback], eventsTotal(t, f.m, "fallback"); got != want {
-			t.Fatalf("sample=%d: fallbacks %d vs events_total %d", sample, got, want)
+		if got, want := classes[trace.ClassFallback], st.Fallbacks; got != want {
+			t.Fatalf("sample=%d: fallbacks %d vs Stats %d", sample, got, want)
 		}
-		stateEvents := eventsTotal(t, f.m, "demoted") + eventsTotal(t, f.m, "evicted") +
-			eventsTotal(t, f.m, "tier-down") + eventsTotal(t, f.m, "tier-up")
+		stateEvents := st.Demotions + st.Evictions + st.TierTrips + st.TierRecoveries
 		if kinds[trace.KindState] != stateEvents {
-			t.Fatalf("sample=%d: state records %d vs events_total %d", sample, kinds[trace.KindState], stateEvents)
+			t.Fatalf("sample=%d: state records %d vs Stats %d", sample, kinds[trace.KindState], stateEvents)
 		}
 		if stateEvents == 0 {
 			t.Fatalf("sample=%d: workload produced no evictions; parity test lost its teeth", sample)

@@ -509,7 +509,6 @@ func (ws *writeState) flush(ctx context.Context, f *writeFile, snap int64, range
 		m.stats.flushes.Inc()
 		m.stats.flushedBytes.Add(snap)
 		m.inst.flushLatency.Observe(dur.Seconds())
-		m.event(Event{Kind: EventFlushed, File: f.name, Level: m.source.level, Bytes: snap})
 	}
 	m.span(obs.Span{Kind: obs.SpanFlush, File: f.name, Tier: m.source.level, Bytes: pushed, Err: err, Duration: dur})
 	ws.mu.Lock()
@@ -748,7 +747,7 @@ func (ws *writeState) recover(ctx context.Context, pending map[string]*pendingWr
 	}
 	if recovered > 0 {
 		m.stats.recoveredFiles.Add(int64(recovered))
-		m.event(Event{Kind: EventRecovered, File: "", Level: m.source.level, Bytes: int64(recovered)})
+		m.span(obs.Span{Kind: obs.SpanRecover, Tier: m.source.level, Bytes: int64(recovered)})
 	}
 	// Everything recovered is durable; drop the replayed WAL so the
 	// next crash replays only post-recovery records. Heat records are
@@ -848,7 +847,7 @@ func (m *Monarch) WriteAt(ctx context.Context, name string, p []byte, off int64)
 		}
 		m.stats.writtenBytesFg.Add(int64(n))
 		if stalled {
-			m.event(Event{Kind: EventWriteStalled, File: name, Level: tier, Bytes: int64(n)})
+			sp.Flags |= obs.FlagStalled
 		}
 		m.inst.writeLatency.Observe(dur.Seconds())
 	}

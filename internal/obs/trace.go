@@ -15,7 +15,8 @@ type SpanKind int
 const (
 	// SpanRead covers one foreground ReadAt, from namespace lookup to
 	// the bytes landing in the caller's buffer. Tier is the level that
-	// served it.
+	// served it. With FlagFallback, Err carries the failed first attempt
+	// as a *FallbackError; see Span.Failed.
 	SpanRead SpanKind = iota
 	// SpanPlacementEnqueue marks a first access handing a file to the
 	// placement pool (duration zero: enqueue never blocks).
@@ -32,8 +33,7 @@ const (
 	SpanTierProbe
 	// SpanEvict covers one eviction: a victim's bytes leaving a tier to
 	// make room for a hotter (or quota-entitled) placement. Duration is
-	// the backend removal; the eviction itself is also surfaced through
-	// the event funnel and the trace's state stream.
+	// the backend removal; the trace records it as a state change.
 	SpanEvict
 	// SpanPeerServe covers one READ frame served to a sibling node by
 	// the peer cache server. It is the remote half of a peer read: its
@@ -43,13 +43,38 @@ const (
 	// SpanWrite covers one foreground WriteAt: from the durability
 	// decision to the acknowledgment. Tier is the level that acked the
 	// bytes (tier 0 for write-back, the source level for write-through);
-	// FlagWriteBack distinguishes the two.
+	// FlagWriteBack distinguishes the two, and FlagStalled marks a
+	// write-back that waited on the dirty budget.
 	SpanWrite
 	// SpanFlush covers one background flush of a write-back file's dirty
 	// bytes from tier 0 to the PFS. Bytes is the file size flushed.
 	SpanFlush
 	// SpanRemove covers one foreground Remove of a writable file.
 	SpanRemove
+	// SpanBreaker records a tier's circuit breaker changing state: with
+	// Err, a trip (Err is the error that opened it); without, a recovery
+	// probe returning the tier to service, Bytes counting the entries
+	// made re-placeable.
+	SpanBreaker
+	// SpanDemote records a placed file re-pointed at the source level
+	// because its tier is Down. Tier is the level it left, Bytes its
+	// size.
+	SpanDemote
+	// SpanRetry records a transient placement failure re-queued under the
+	// retry policy: Err is the failure, Attempt the attempt that failed.
+	SpanRetry
+	// SpanPromote records an unplaceable file re-entering the placement
+	// pipeline because its heat came to justify displacing a colder
+	// resident.
+	SpanPromote
+	// SpanOpError records a best-effort operation that failed with no
+	// caller to see Err: cleanup after a torn copy, an eviction victim's
+	// removal, a probe's scratch file, a flush, a journal or trace-sink
+	// write.
+	SpanOpError
+	// SpanRecover records Init replaying journaled write-back state into
+	// the PFS after a crash; Bytes is the number of files recovered.
+	SpanRecover
 )
 
 // String names the kind.
@@ -75,6 +100,18 @@ func (k SpanKind) String() string {
 		return "flush"
 	case SpanRemove:
 		return "remove"
+	case SpanBreaker:
+		return "breaker"
+	case SpanDemote:
+		return "demote"
+	case SpanRetry:
+		return "retry"
+	case SpanPromote:
+		return "promote"
+	case SpanOpError:
+		return "op-error"
+	case SpanRecover:
+		return "recover"
 	default:
 		return "unknown"
 	}
@@ -92,7 +129,8 @@ const (
 	// read-through).
 	FlagPartial SpanFlags = 1 << iota
 	// FlagFallback marks a read that failed on an upper tier and was
-	// re-served from the source level.
+	// re-served from the source level. The span's Err records the
+	// failure as a *FallbackError.
 	FlagFallback
 	// FlagReuse marks a placement satisfied by re-using the
 	// foreground's full read instead of fetching from the source.
@@ -113,6 +151,9 @@ const (
 	// flush deferred to the background (vs write-through, which acks
 	// only after the PFS has the bytes).
 	FlagWriteBack
+	// FlagStalled marks a write-back writer that blocked on the dirty
+	// budget until the flusher drained.
+	FlagStalled
 )
 
 // Span is one completed operation on an instrumented path. Spans are
@@ -129,6 +170,29 @@ type Span struct {
 	Req      uint64        // cross-node correlation ID (0 when unset)
 	Err      error         // outcome; nil on success
 	Duration time.Duration // wall-clock duration (informational under simulation)
+}
+
+// FallbackError is how a FlagFallback read span records the first
+// attempt that let the read down: Tier is the level (a cache tier or
+// the peer tier) that failed and Err its error. When the source then
+// served the read it is the span's whole Err; when the source failed
+// too, Err joins the source's error with it.
+type FallbackError struct {
+	Tier int
+	Err  error
+}
+
+func (e *FallbackError) Error() string { return fmt.Sprintf("tier %d: %v", e.Tier, e.Err) }
+
+func (e *FallbackError) Unwrap() error { return e.Err }
+
+// Failed reports whether the operation failed: Err is set and is not
+// merely the recovered first attempt of a fallback read.
+func (s Span) Failed() bool {
+	if _, recovered := s.Err.(*FallbackError); recovered {
+		return false
+	}
+	return s.Err != nil
 }
 
 // String formats the span for logs.
@@ -169,6 +233,9 @@ func (s Span) String() string {
 	}
 	if s.Flags&FlagWriteBack != 0 {
 		out += " write-back"
+	}
+	if s.Flags&FlagStalled != 0 {
+		out += " stalled"
 	}
 	if s.Req != 0 {
 		out += fmt.Sprintf(" req=%016x", s.Req)

@@ -13,8 +13,10 @@ import (
 )
 
 // fixtureScript drives every kind and class a recorder can emit — and
-// the three span kinds it ignores — into a capture at path. Run at the
-// commit before the one-encoding change it wrote testdata/parent.bin.
+// a span kind it ignores — into a capture at path. Run at the commit
+// before the one-encoding change it wrote testdata/parent.bin; the
+// tier-state records were then State calls, and the spans standing in
+// for them must write the same bytes.
 func fixtureScript(t *testing.T, path string) {
 	t.Helper()
 	var clock int64
@@ -57,7 +59,8 @@ func fixtureScript(t *testing.T, path string) {
 	// tier-state changes and a checkpoint burst.
 	h(obs.Span{Kind: obs.SpanRead, File: "data/a", Tier: 0, Off: 0, Bytes: 1000, Duration: 15 * us})
 	h(obs.Span{Kind: obs.SpanRead, File: "data/b", Tier: 0, Off: 0, Bytes: 4096, Duration: 30 * us})
-	h(obs.Span{Kind: obs.SpanRead, File: "data/b", Tier: 2, Off: 0, Bytes: 4096, Flags: obs.FlagFallback, Duration: 2500 * us})
+	h(obs.Span{Kind: obs.SpanRead, File: "data/b", Tier: 2, Off: 0, Bytes: 4096, Flags: obs.FlagFallback,
+		Err: &obs.FallbackError{Tier: 0, Err: boom}, Duration: 2500 * us})
 	h(obs.Span{Kind: obs.SpanRead, File: "data/b", Tier: 0, Off: 0, Bytes: 0, Err: boom, Duration: 10 * us})
 	h(obs.Span{Kind: obs.SpanRead, File: "data/p", Tier: 1, Off: 0, Bytes: 512, Flags: obs.FlagPeer, Req: 0xfeed0001, Duration: 150 * us})
 	h(obs.Span{Kind: obs.SpanRead, File: "data/p", Tier: 1, Off: 512, Bytes: 512, Flags: obs.FlagPeer | obs.FlagHedged, Req: 0xfeed0002, Duration: 4000 * us})
@@ -66,10 +69,9 @@ func fixtureScript(t *testing.T, path string) {
 	h(obs.Span{Kind: obs.SpanPeerServe, File: "data/zz", Tier: 0, Off: 0, Bytes: 0, Req: 0xbeef0002, Err: boom, Duration: 10 * us})
 	h(obs.Span{Kind: obs.SpanTierProbe, Tier: 0, Duration: 10 * us})
 	h(obs.Span{Kind: obs.SpanEvict, File: "data/a", Tier: 0, Bytes: 1000, Duration: 10 * us})
-	rec.State(trace.ClassEvicted, "data/a", 0, 1000)
-	rec.State(trace.ClassTierDown, "", 0, 0)
-	rec.State(trace.ClassDemoted, "data/b", 0, 4096)
-	rec.State(trace.ClassTierUp, "", 0, 0)
+	h(obs.Span{Kind: obs.SpanBreaker, Tier: 0, Err: boom})
+	h(obs.Span{Kind: obs.SpanDemote, File: "data/b", Tier: 0, Bytes: 4096})
+	h(obs.Span{Kind: obs.SpanBreaker, Tier: 0})
 	h(obs.Span{Kind: obs.SpanWrite, File: "ckpt/s0", Tier: 2, Off: 0, Bytes: 2048, Duration: 2200 * us})
 	h(obs.Span{Kind: obs.SpanWrite, File: "ckpt/s1", Tier: 0, Off: 0, Bytes: 2048, Flags: obs.FlagWriteBack, Req: 7, Duration: 25 * us})
 	h(obs.Span{Kind: obs.SpanWrite, File: "ckpt/s1", Tier: 0, Off: 2048, Bytes: 2048, Flags: obs.FlagWriteBack, Duration: 25 * us})

@@ -88,7 +88,10 @@ func TestClassifyCoversEverySpanKind(t *testing.T) {
 	ignored := map[obs.SpanKind]string{
 		obs.SpanPlacementEnqueue: "the placement's resolution is the event",
 		obs.SpanTierProbe:        "a probe that succeeds is a tier-up state event",
-		obs.SpanEvict:            "the eviction is a state event from core's event funnel",
+		obs.SpanRetry:            "the placement's resolution is the event",
+		obs.SpanPromote:          "the re-placement's resolution is the event",
+		obs.SpanOpError:          "a best-effort failure moves no byte a replay prices",
+		obs.SpanRecover:          "recovery runs in Init, before the first traced read",
 	}
 	kinds := 0
 	for k := obs.SpanKind(0); k.String() != "unknown"; k++ {

@@ -18,7 +18,7 @@ type Config struct {
 	// Sample records 1 in Sample plain read hits (<=1 records every
 	// read). Sampling never touches partial hits, fallbacks, errors,
 	// placements, chunk copies, epoch markers or state changes, so the
-	// trace stays in lock-step with the middleware's event counters —
+	// trace stays in lock-step with the middleware's stats counters —
 	// only the bulk local/PFS hit stream is thinned.
 	Sample int
 	// Now supplies monotonic nanoseconds; experiments pass the sim
@@ -185,9 +185,10 @@ type flagClass struct {
 }
 
 // spanRows is indexed by obs.SpanKind. The kinds with no row — a
-// placement's enqueue, a tier probe, an eviction's backend removal —
-// are not trace events: the placement's resolution and the state
-// stream (State) already say what they would.
+// placement's enqueue or retry, a tier probe, a promotion, a best-effort
+// op error, a journal recovery — are not trace events: the placement's
+// resolution and the breaker's state rows already say what the replay
+// needs of them.
 var spanRows = [...]spanRow{
 	obs.SpanRead: {kind: KindRead, class: ClassLocal, onErr: ClassError, flags: []flagClass{
 		{obs.FlagFallback, ClassFallback},
@@ -205,6 +206,11 @@ var spanRows = [...]spanRow{
 		flags: []flagClass{{obs.FlagWriteBack, ClassWriteBack}}},
 	obs.SpanRemove: {kind: KindWrite, class: ClassRemove, onErr: ClassError},
 	obs.SpanFlush:  {kind: KindFlush, class: ClassFlush, onErr: ClassError},
+	// Tier-state changes: Len is the bytes (or, for a recovery, entries)
+	// the change moved; latency and offset are not recorded.
+	obs.SpanEvict:   {kind: KindState, class: ClassEvicted},
+	obs.SpanDemote:  {kind: KindState, class: ClassDemoted},
+	obs.SpanBreaker: {kind: KindState, class: ClassTierUp, onErr: ClassTierDown},
 }
 
 // classify maps a span onto the event that records it. ok is false for
@@ -220,9 +226,9 @@ func classify(s *obs.Span, source int) (k Kind, c Class, sampled, ok bool) {
 	row := &spanRows[s.Kind]
 	c = row.class
 	switch {
-	case s.Err != nil && s.Tier < 0 && row.noTier != ClassNone:
+	case s.Failed() && s.Tier < 0 && row.noTier != ClassNone:
 		return row.kind, row.noTier, false, true
-	case s.Err != nil:
+	case s.Failed():
 		return row.kind, row.onErr, false, true
 	}
 	for _, f := range row.flags {
@@ -254,26 +260,11 @@ func (r *Recorder) HookSpan(s obs.Span) {
 		r.sampledOut.Add(1)
 		return
 	}
-	r.enqueue(Event{
-		T:     r.now(),
-		Kind:  kind,
-		Class: class,
-		Tier:  int8(s.Tier),
-		Lat:   LatBucket(s.Duration),
-		Off:   s.Off,
-		Len:   s.Bytes,
-		Req:   s.Req,
-	}, s.File)
-}
-
-// State records a tier-state change (demotion, eviction, breaker
-// transitions); core forwards these from its event funnel.
-func (r *Recorder) State(c Class, file string, tier int, bytes int64) {
-	if r == nil {
-		return
+	ev := Event{T: r.now(), Kind: kind, Class: class, Tier: int8(s.Tier), Len: s.Bytes, Req: s.Req}
+	if kind != KindState {
+		ev.Lat, ev.Off = LatBucket(s.Duration), s.Off
 	}
-	r.seen.Add(1)
-	r.enqueue(Event{T: r.now(), Kind: KindState, Class: c, Tier: int8(tier), Len: bytes}, file)
+	r.enqueue(ev, s.File)
 }
 
 // MarkEpoch records an epoch boundary: epoch n (1-based) just ended.

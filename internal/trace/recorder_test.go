@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func capture(t *testing.T, path string, sample int) *Trace {
 	// A file never registered: interned lazily with unknown size.
 	rec.HookSpan(obs.Span{Kind: obs.SpanRead, File: "c", Tier: 1, Bytes: 5})
 	rec.MarkEpoch(1)
-	rec.State(ClassEvicted, "b", 0, 200)
+	rec.HookSpan(obs.Span{Kind: obs.SpanEvict, File: "b", Tier: 0, Bytes: 200, Duration: time.Microsecond})
 	rec.AddSummary(map[string]int64{"placements": 1})
 	rec.AddSummary(map[string]int64{"pfs_data_ops": 42})
 	if err := rec.Close(); err != nil {
@@ -138,7 +139,7 @@ func TestSamplingPolicy(t *testing.T) {
 	rec.HookSpan(obs.Span{Kind: obs.SpanPlacement, File: "f", Tier: 0, Bytes: 1})
 	rec.HookSpan(obs.Span{Kind: obs.SpanChunkCopy, File: "f", Tier: 0, Bytes: 1})
 	rec.MarkEpoch(1)
-	rec.State(ClassDemoted, "f", 0, 1)
+	rec.HookSpan(obs.Span{Kind: obs.SpanDemote, File: "f", Tier: 0, Bytes: 1})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +173,31 @@ func TestSamplingPolicy(t *testing.T) {
 	}
 	if counts[KindPlacement] != 1 || counts[KindChunkCopy] != 1 || counts[KindEpoch] != 1 || counts[KindState] != 1 {
 		t.Fatalf("non-read events were sampled out: %v", counts)
+	}
+}
+
+// TestFallbackCauseIsNotAFailure: a fallback read span carries its
+// failed first attempt in Err; the read is still a fallback the source
+// served, and only a source failure joined to the cause is an error.
+func TestFallbackCauseIsNotAFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.bin")
+	rec, err := New(Config{Path: path, Levels: []Level{{Name: "ssd"}, {Name: "pfs"}}, Source: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause := &obs.FallbackError{Tier: 0, Err: errors.New("tier fault")}
+	rec.HookSpan(obs.Span{Kind: obs.SpanRead, File: "f", Tier: 1, Bytes: 1, Flags: obs.FlagFallback, Err: cause})
+	rec.HookSpan(obs.Span{Kind: obs.SpanRead, File: "f", Tier: 1, Flags: obs.FlagFallback,
+		Err: errors.Join(errors.New("pfs down"), cause)})
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) != 2 || tr.Events[0].Class != ClassFallback || tr.Events[1].Class != ClassError {
+		t.Fatalf("events %v; want a fallback, then an error", tr.Events)
 	}
 }
 
@@ -222,7 +248,6 @@ func TestRingOverflowDropsAndCounts(t *testing.T) {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.HookSpan(obs.Span{Kind: obs.SpanRead})
-	r.State(ClassEvicted, "f", 0, 1)
 	r.MarkEpoch(1)
 	r.AddFiles([]File{{Name: "x"}})
 	r.AddSummary(map[string]int64{"a": 1})

@@ -29,6 +29,15 @@
 //	_ = m.Init(ctx)                   // build the namespace from the PFS
 //	n, err := m.ReadAt(ctx, "train.tfrecord-00001-of-01600", buf, off)
 //
+// # Observability
+//
+// Stats and the metrics registry (Monarch.Registry, Config.MetricsAddr)
+// count what happened. Config.Trace says why: it receives one Span per
+// decision — a read and the tier that served it, a placement placed,
+// skipped or failed, an eviction, a breaker trip or recovery, a
+// demotion, a flush — and Config.TracePath streams the same spans to a
+// binary access trace that monarch-inspect reads.
+//
 // The packages under internal/ additionally contain the simulation
 // substrate (a deterministic discrete-event model of a Frontera-like
 // compute node, Lustre, and a TensorFlow-style input pipeline) that
@@ -76,13 +85,6 @@ type (
 	// JobStats is one job's slice of the fairness counters
 	// (Stats.Jobs).
 	JobStats = core.JobStats
-	// EventLog is a bounded ring of middleware events (placements,
-	// skips, fallbacks) for observability; attach via Config.Events.
-	EventLog = core.EventLog
-	// Event is one middleware occurrence.
-	Event = core.Event
-	// EventKind classifies events.
-	EventKind = core.EventKind
 	// HealthConfig tunes the per-tier circuit breaker (Config.Health).
 	HealthConfig = core.HealthConfig
 	// RetryPolicy re-queues transiently failed placements
@@ -94,26 +96,6 @@ type (
 	// PeerConfig mounts a hierarchy level as the peer tier — a
 	// read-only view of sibling nodes' caches (Config.Peer).
 	PeerConfig = core.PeerConfig
-)
-
-// Event kinds.
-const (
-	EventPlaced       = core.EventPlaced
-	EventSkipped      = core.EventSkipped
-	EventFailed       = core.EventFailed
-	EventEvicted      = core.EventEvicted
-	EventFallback     = core.EventFallback
-	EventDemoted      = core.EventDemoted
-	EventRetried      = core.EventRetried
-	EventTierDown     = core.EventTierDown
-	EventTierUp       = core.EventTierUp
-	EventChunkPlaced  = core.EventChunkPlaced
-	EventPartialHit   = core.EventPartialHit
-	EventOpError      = core.EventOpError
-	EventPromoted     = core.EventPromoted
-	EventFlushed      = core.EventFlushed
-	EventWriteStalled = core.EventWriteStalled
-	EventRecovered    = core.EventRecovered
 )
 
 // Write path, re-exported from internal/core: Create/WriteAt/Remove on
@@ -146,7 +128,8 @@ var (
 // Observability types, re-exported from internal/obs. A Monarch's
 // Registry() holds every counter, gauge and histogram the middleware
 // maintains; Config.MetricsAddr serves it over HTTP, and Config.Trace
-// receives typed Spans from the read/placement/probe paths.
+// receives one typed Span per decision the middleware makes — the one
+// record of why a file was placed, skipped, evicted or demoted.
 type (
 	// Registry is a metrics registry (see Monarch.Registry).
 	Registry = obs.Registry
@@ -156,6 +139,8 @@ type (
 	Span = obs.Span
 	// SpanKind classifies spans.
 	SpanKind = obs.SpanKind
+	// FallbackError is a FlagFallback read span's failed first attempt.
+	FallbackError = obs.FallbackError
 	// MetricLabel is one name/value dimension of a metric series.
 	MetricLabel = obs.Label
 )
@@ -168,6 +153,21 @@ const (
 	SpanChunkCopy        = obs.SpanChunkCopy
 	SpanTierProbe        = obs.SpanTierProbe
 	SpanEvict            = obs.SpanEvict
+	SpanWrite            = obs.SpanWrite
+	SpanFlush            = obs.SpanFlush
+	SpanBreaker          = obs.SpanBreaker
+	SpanDemote           = obs.SpanDemote
+	SpanRetry            = obs.SpanRetry
+	SpanPromote          = obs.SpanPromote
+	SpanOpError          = obs.SpanOpError
+	SpanRecover          = obs.SpanRecover
+)
+
+// Span flags.
+const (
+	FlagPartial  = obs.FlagPartial
+	FlagFallback = obs.FlagFallback
+	FlagStalled  = obs.FlagStalled
 )
 
 // Tier circuit-breaker states.
@@ -176,9 +176,6 @@ const (
 	TierSuspect = core.TierSuspect
 	TierDown    = core.TierDown
 )
-
-// NewEventLog creates an event ring holding up to capacity events.
-func NewEventLog(capacity int) *EventLog { return core.NewEventLog(capacity) }
 
 // Staging modes.
 const (
