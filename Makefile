@@ -67,7 +67,12 @@ test:
 # Beside the view lifetimes, ReadAt's copy out of a mapping: a tier file
 # truncated under it is a fallback (the fault guard), never a SIGBUS; a
 # Create'd file is never viewed; a counted tier without views refuses
-# without allocating.
+# without allocating. And the flusher's push out of tier 0's mapping:
+# no pooled buffer over OSFS, a copy over MemFS, no writer blocked
+# behind a flush in flight, a checkpoint truncated under its flush a
+# refusal wrapping ErrFault (a SIGBUS recovered). The writers-race-the-
+# flusher property above runs over both tiers, the OSFS one pushing the
+# very pages the writers land in.
 # Last, the SIGKILL drill with the detector in the burst child as well.
 stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
@@ -75,8 +80,9 @@ stress:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestRemoveDuringFlush|TestCreateDuringRemove|TestFlushPlanProperty|TestRangeFlushRefusalKeepsEveryRangeDirty' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule|TestColdPassOneSourceOpPerFile|TestKeptFetchThroughEndsWithItsPass' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime|TestViewCopySurvivesAFault|TestCountingRefusesViewsWithoutAllocating' -count=50 ./internal/storage/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime|TestViewCopySurvivesAFault|TestViewLendSurvivesAFault|TestCountingRefusesViewsWithoutAllocating' -count=50 ./internal/storage/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadAtSurvivesTruncatedTierCopy|TestReadAtNeverViewsCreatedFiles' -count=50 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestFlushLendsTierZeroWindows|TestFlushInFlightBlocksNoWriter|TestFlushFaultIsARefusal' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadResponseSurvivesRemove|TestSendfileKeepsTheInode|TestConcurrentStreamsOfOneFile|TestClientGoneMidBody' -count=50 ./internal/peernet/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestCrashSmoke' -count=10 .
 

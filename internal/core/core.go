@@ -460,12 +460,12 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	if rt.kind == routePeer {
 		// Backend.ReadAt has no flag channel, so the peer tier reports
 		// how it served (a hedged read) through a context annotation.
-		rctx, ann = obs.WithReadAnnotation(ctx)
-		// Mint the cross-node correlation ID: the peernet client stamps
-		// it into the frame header, the serving node stamps it into its
-		// serve span, and both halves land in traces under the same Req.
+		// The annotation also carries the cross-node correlation ID: the
+		// peernet client stamps it into the frame header, the serving
+		// node stamps it into its serve span, and both halves land in
+		// traces under the same Req.
 		req = obs.NewRequestID()
-		rctx = obs.WithRequestID(rctx, req)
+		rctx, ann = obs.WithReadAnnotation(ctx, req)
 	}
 	var flags obs.SpanFlags
 	var cause error // a fallback's failed first attempt, for the span

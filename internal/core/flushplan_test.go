@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"monarch/internal/bufpool"
 	"monarch/internal/journal"
 	"monarch/internal/pool"
 	"monarch/internal/storage"
@@ -125,6 +127,16 @@ func dieMidFlush(t testing.TB, m *Monarch, pfs latchedPFS) {
 			t.Fatal(err)
 		}
 	}
+	// A claim of the first range alone, taken before the second was
+	// acked, may still be on its way to the PFS: let it be refused first,
+	// or it lands once the PFS is back and the second range gets a claim
+	// of its own.
+	f := m.writes.file(twoRangeFile)
+	eventually(t, "both ranges wait in one claim", func() bool {
+		m.writes.mu.Lock()
+		defer m.writes.mu.Unlock()
+		return f.state == writeDirty && len(f.ranges) == 2
+	})
 	pfs.FailEveryNthWrite(3) // Allocate, the first range, then the fault
 	pfs.Fix()
 	eventually(t, "the second range's write is refused", pfs.Broken)
@@ -416,11 +428,18 @@ func TestRecoveryCountsOnlyWhatItReplayed(t *testing.T) {
 	}
 }
 
-// TestFlushPlanProperty: writers race the flusher on a MemFS pair.
-// Whatever the interleaving, after Flush the PFS holds what tier 0
-// holds; and when no two writes overlap, every acked byte crossed to
-// the PFS exactly once.
+// TestFlushPlanProperty: writers race the flusher, over a MemFS tier 0
+// (the flusher copies) and an OSFS one (it pushes the mapping the
+// writers' bytes show through). Whatever the interleaving, after Flush
+// the PFS holds what tier 0 holds; and when no two writes overlap,
+// every acked byte crossed to the PFS exactly once.
 func TestFlushPlanProperty(t *testing.T) {
+	for _, tier := range flushTiers {
+		t.Run(tier.name, func(t *testing.T) { flushPlanProperty(t, tier.make) })
+	}
+}
+
+func flushPlanProperty(t *testing.T, newTier0 func(*testing.T) storage.Backend) {
 	const (
 		files    = 3
 		fileSize = 32 << 10
@@ -430,7 +449,7 @@ func TestFlushPlanProperty(t *testing.T) {
 	ctx := context.Background()
 	for _, disjoint := range []bool{false, true} {
 		for seed := int64(1); seed <= 8; seed++ {
-			tier0 := storage.NewMemFS("ssd", 0)
+			tier0 := newTier0(t)
 			pfs := storage.NewCounting(storage.NewMemFS("lustre", 0))
 			m := writeBackStack(t, tier0, pfs, "", 0)
 			for i := 0; i < files; i++ {
@@ -498,5 +517,169 @@ func TestFlushPlanProperty(t *testing.T) {
 			}
 			m.Close()
 		}
+	}
+}
+
+// flushTiers are the two tier 0s the flusher treats differently: MemFS,
+// whose view holds the file's read lock, is copied into a pooled buffer;
+// OSFS lends windows of its mapping, pushed to the PFS as they are.
+var flushTiers = []struct {
+	name    string
+	make    func(*testing.T) storage.Backend
+	lending bool
+}{
+	{"memfs", func(*testing.T) storage.Backend { return storage.NewMemFS("ssd", 0) }, false},
+	{"osfs", func(t *testing.T) storage.Backend { return mappedTier(t) }, true},
+}
+
+// mappedTier is an OSFS tier 0 that lends views, or a skip.
+func mappedTier(t *testing.T) *storage.OSFS {
+	t.Helper()
+	o := newOSFSTier(t, 0)
+	if _, err := o.ReadView(context.Background(), "probe", 0, 1); errors.Is(err, errors.ErrUnsupported) {
+		t.Skip("OSFS lends no views on this platform")
+	}
+	return o
+}
+
+// TestFlushLendsTierZeroWindows: a journaled write-back checkpoint — one
+// shard flushed whole, one as a range longer than a pooled buffer —
+// lands on the PFS byte for byte; over an OSFS tier 0 it does
+// so without a single bufpool Get, every piece pushed out of the tier's
+// mapping, and over MemFS by copying. The PFS ops are the same either
+// way.
+func TestFlushLendsTierZeroWindows(t *testing.T) {
+	ctx := context.Background()
+	for _, tier := range flushTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			tier0 := tier.make(t)
+			pfs := &opLog{Backend: storage.NewMemFS("lustre", 0)}
+			m := writeBackStack(t, tier0, pfs, filepath.Join(t.TempDir(), "write.journal"), 0)
+			defer m.Close()
+			shards := []struct {
+				name      string
+				size      int64
+				off, n    int64
+				wantedOps []string
+			}{
+				{"ckpt/whole", 64 << 10, 0, 64 << 10, []string{"WriteFile"}},
+				{"ckpt/ranges", 6 << 20, 1 << 20, 4<<20 + 4096, []string{"Allocate", "WriteAt[1048576,5242880)", "WriteAt[5242880,5246976)"}},
+			}
+			before := bufpool.Snapshot()
+			for i, sh := range shards {
+				if err := m.Create(ctx, sh.name, sh.size); err != nil {
+					t.Fatal(err)
+				}
+				payload := bytes.Repeat([]byte{byte(0xB0 + i)}, int(sh.n))
+				if _, err := m.WriteAt(ctx, sh.name, payload, sh.off); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Flush(ctx, sh.name); err != nil {
+					t.Fatal(err)
+				}
+				if got := pfs.take(); fmt.Sprint(got) != fmt.Sprint(sh.wantedOps) {
+					t.Errorf("%s: PFS ops %v, want %v", sh.name, got, sh.wantedOps)
+				}
+			}
+			gets := bufpool.Snapshot().Gets - before.Gets
+			if tier.lending && gets != 0 {
+				t.Errorf("the flush drew %d pooled buffers out of a tier that lends its mapping, want 0", gets)
+			}
+			if !tier.lending && gets == 0 {
+				t.Error("the flush drew no pooled buffer out of a tier whose views it must copy")
+			}
+			for _, sh := range shards {
+				want, err := tier0.ReadFile(ctx, sh.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := pfs.ReadFile(ctx, sh.name); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: the PFS copy differs from tier 0 (%v)", sh.name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestFlushInFlightBlocksNoWriter: while a flush of a file sits in the
+// PFS call, a writer of the same file still lands its bytes and acks —
+// over MemFS because the flusher copied out from under the file's lock
+// before the call, over OSFS because a window of the mapping holds none.
+// The bytes it landed are flushed after.
+func TestFlushInFlightBlocksNoWriter(t *testing.T) {
+	ctx := context.Background()
+	for _, tier := range flushTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			tier0, raw := tier.make(t), storage.NewMemFS("lustre", 0)
+			pfs := newGatedBackend(raw)
+			m := writeBackStack(t, tier0, pfs, "", 0)
+			defer m.Close()
+			if err := m.Create(ctx, "ckpt", 64<<10); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{1}, 64<<10), 0); err != nil {
+				t.Fatal(err)
+			}
+			<-pfs.blocked // the flush is in the PFS call
+			acked := make(chan error, 1)
+			go func() {
+				_, err := m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{2}, 4096), 8192)
+				acked <- err
+			}()
+			select {
+			case err := <-acked:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				pfs.release() // or Close waits on the parked flush for ever
+				t.Fatal("a writer waited on the flush in flight")
+			}
+			pfs.release()
+			if err := m.Flush(ctx, "ckpt"); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := tier0.ReadFile(ctx, "ckpt")
+			if got, err := raw.ReadFile(ctx, "ckpt"); err != nil || !bytes.Equal(got, want) || want[8192] != 2 {
+				t.Fatalf("the PFS does not hold the write that raced the flush (%v)", err)
+			}
+		})
+	}
+}
+
+// TestFlushFaultIsARefusal: a tier-0 checkpoint truncated from outside
+// while its flush sits in the PFS call leaves the flusher's window over
+// pages the file no longer has. The PFS's copy out of it faults: that is
+// a refused flush wrapping storage.ErrFault — again on every retry, the
+// mapping outliving the truncate — not a SIGBUS. After flushRefusals of
+// them Flush returns the error; the bytes stay dirty, the process lives.
+func TestFlushFaultIsARefusal(t *testing.T) {
+	ctx := context.Background()
+	tier0 := mappedTier(t)
+	pfs := newGatedBackend(storage.NewMemFS("lustre", 0))
+	m := writeBackStack(t, tier0, pfs, "", time.Millisecond)
+	defer m.Shutdown()
+	const size = 64 << 10
+	if err := m.Create(ctx, "ckpt", size); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{3}, size), 0); err != nil {
+		t.Fatal(err)
+	}
+	<-pfs.blocked // the first flush holds its window, mapped at the full size
+	if err := os.Truncate(filepath.Join(tier0.Root(), "ckpt"), 4096); err != nil {
+		t.Fatal(err)
+	}
+	pfs.release()
+	fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := m.Flush(fctx, "ckpt"); !errors.Is(err, storage.ErrFault) {
+		t.Fatalf("Flush of a checkpoint truncated under its flush = %v, want the ErrFault refusal", err)
+	}
+	if d := m.DirtyBytes(); d != size {
+		t.Fatalf("DirtyBytes = %d after the refusals, want %d", d, size)
+	}
+	if got := errorsAt(m, "flush"); got < flushRefusals {
+		t.Fatalf(`errors{stage="flush"} = %v, want at least %d`, got, flushRefusals)
 	}
 }

@@ -441,7 +441,9 @@ func (ws *writeState) claimDirty() (f *writeFile, snap int64, ranges spans, cove
 // push lands the claimed ranges of f's tier-0 content on the PFS in
 // pieces no larger than a pooled buffer and reports the bytes that
 // crossed. The first push allocates the file there — unless the claim
-// is the whole file, which is one WriteFile and no Allocate.
+// is the whole file, which is one WriteFile and no Allocate. A piece
+// goes out of tier 0's own mapping where it lends one (HoldableView),
+// and a fault under it refuses the flush, wrapping storage.ErrFault.
 func (ws *writeState) push(ctx context.Context, f *writeFile, ranges spans) (pushed int64, _ error) {
 	tier0, src := ws.m.levels[0].backend, ws.m.source.backend
 	rw := src.(storage.RangeWriter) // New checked
@@ -455,33 +457,29 @@ func (ws *writeState) push(ctx context.Context, f *writeFile, ranges spans) (pus
 		}
 		f.onPFS = true // a second Allocate would wipe what landed since
 	}
-	var longest int64
 	for _, r := range ranges {
-		longest = max(longest, r.end-r.off)
-	}
-	buf := bufpool.Get(int(min(longest, piece)))
-	defer bufpool.Put(buf)
-	for _, r := range ranges {
-		for off := r.off; off < r.end; off += int64(len(buf)) {
+		for off := r.off; off < r.end; off += piece {
 			// Tier 0 as of the claim's seq is fully visible here: writers
 			// publish lastSeq only after their tier-0 write returns.
-			p := buf[:min(int64(len(buf)), r.end-off)]
-			n, err := tier0.ReadAt(ctx, f.name, p, off)
-			switch {
-			case err != nil:
-			case n < len(p):
-				err = io.ErrUnexpectedEOF
-			case whole:
-				err = src.WriteFile(ctx, f.name, p)
-			default:
-				if n, err = rw.WriteAt(ctx, f.name, p, off); err == nil && n < len(p) {
-					err = io.ErrShortWrite // a refusal, not a smaller success
-				}
+			n := min(piece, r.end-off)
+			v, err := storage.HoldableView(ctx, tier0, f.name, off, n)
+			if err == nil {
+				err = v.Lend(func(p []byte) error {
+					if whole {
+						return src.WriteFile(ctx, f.name, p)
+					}
+					w, err := rw.WriteAt(ctx, f.name, p, off)
+					if err == nil && w < len(p) {
+						err = io.ErrShortWrite // a refusal, not a smaller success
+					}
+					return err
+				})
+				v.Release()
 			}
 			if err != nil {
 				return pushed, err
 			}
-			pushed += int64(len(p))
+			pushed += n
 		}
 	}
 	f.onPFS = true

@@ -122,3 +122,53 @@ func BenchmarkWriteBackSmall(b *testing.B) {
 	m, pfs := benchWriteStack(b, WriteBack, false)
 	benchWriteLoop(b, m, pfs, 4<<10)
 }
+
+// BenchmarkFlush times one write-back flush of a whole file the PFS
+// already holds — pieces of up to bufpool.MaxPooled bytes, each one PFS
+// WriteAt into an OSFS directory — out of an OSFS tier 0, which lends
+// windows of its mapping (view), and out of a MemFS one, whose pieces
+// are copied into pooled buffers (copy). B/op is what a flush costs the
+// heap: the copy side's whenever a GC has emptied the pool.
+func BenchmarkFlush(b *testing.B) {
+	ctx := context.Background()
+	osfs := func(b *testing.B, name string) *storage.OSFS {
+		o, err := storage.NewOSFS(name, b.TempDir(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(o.CloseIdle)
+		return o
+	}
+	tiers := []struct {
+		name string
+		make func(*testing.B) storage.Backend
+	}{
+		{"view", func(b *testing.B) storage.Backend { return osfs(b, "ssd") }},
+		{"copy", func(*testing.B) storage.Backend { return storage.NewMemFS("ssd", 0) }},
+	}
+	for _, size := range []int64{1 << 20, 16 << 20} {
+		for _, tier := range tiers {
+			b.Run(fmt.Sprintf("%dMiB/%s", size>>20, tier.name), func(b *testing.B) {
+				m := writeBackStack(b, tier.make(b), osfs(b, "lustre"), "", 0)
+				b.Cleanup(m.Close)
+				if err := m.Create(ctx, "ckpt", size); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.WriteAt(ctx, "ckpt", bytes.Repeat([]byte{0xC5}, int(size)), 0); err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Flush(ctx, "ckpt"); err != nil {
+					b.Fatal(err)
+				}
+				f, claim := m.writes.file("ckpt"), spans{{0, size}}
+				b.SetBytes(size)
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := m.writes.flush(ctx, f, 0, claim, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

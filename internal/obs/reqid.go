@@ -31,16 +31,11 @@ func NewRequestID() uint64 {
 	return id
 }
 
-// reqIDKey keys a request ID in a context.
-type reqIDKey struct{}
-
-// WithRequestID derives a context carrying id.
-func WithRequestID(ctx context.Context, id uint64) context.Context {
-	return context.WithValue(ctx, reqIDKey{}, id)
-}
-
-// RequestIDFrom extracts the request ID, or 0 when none is set.
+// RequestIDFrom extracts the request ID a read's annotation carries
+// (WithReadAnnotation), or 0 when none is set.
 func RequestIDFrom(ctx context.Context) uint64 {
-	id, _ := ctx.Value(reqIDKey{}).(uint64)
-	return id
+	if a := ReadAnnotationFrom(ctx); a != nil {
+		return a.req
+	}
+	return 0
 }

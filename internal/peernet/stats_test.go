@@ -118,7 +118,8 @@ func TestRequestIDTravelsToServeSpan(t *testing.T) {
 	}
 
 	buf := make([]byte, 64)
-	if _, err := c.ReadAt(obs.WithRequestID(ctx, 0xabcdef12345), "shard-0", buf, 0); err != nil {
+	rctx, _ := obs.WithReadAnnotation(ctx, 0xabcdef12345)
+	if _, err := c.ReadAt(rctx, "shard-0", buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ReadAt(ctx, "shard-0", buf, 64); err != nil {

@@ -402,7 +402,7 @@ func TestTierHedgedRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rctx, ann := obs.WithReadAnnotation(ctx)
+	rctx, ann := obs.WithReadAnnotation(ctx, 0)
 	buf := make([]byte, len("hedged bytes"))
 	start := time.Now()
 	n, err := tier.ReadAt(rctx, name, buf, 0)

@@ -13,8 +13,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime/debug"
 	"sync"
+	"syscall"
 
 	"monarch/internal/bufpool"
 )
@@ -109,7 +111,12 @@ type Releaser interface {
 // content. In-place range writes (RangeWriter.WriteAt) are the one
 // exception — MemFS blocks them while a view is held, OSFS lets them
 // show through — so callers do not hold views of files they are still
-// filling.
+// filling. core's write-back flusher is the one caller that does, and
+// holds only windows of an open file (HoldableView) across a PFS write:
+// such a window blocks no writer, and a write that shows through
+// mid-push tears only a range that write's ack then marks dirty again,
+// so the flusher pushes that range once more and the last push carries
+// the last write.
 type View struct {
 	// Data is the requested range. Its length may be shorter than the
 	// requested byte count when the file ends first (same short-read
@@ -134,17 +141,72 @@ func (v View) Release() {
 // copies a tier's view into its own buffer should copy it through here,
 // so that the failure is the tier's, for its caller to recover from.
 func (v View) Copy(p []byte) (n int, err error) {
+	err = v.Lend(func(data []byte) error {
+		n = copy(p, data)
+		return nil
+	})
+	return n, err
+}
+
+// Lend hands Data to fn — a copy, another backend's write — and returns
+// fn's error. As in Copy, a fault under Data while fn runs is an error
+// wrapping ErrFault, not a SIGBUS: the runtime's panic for it unwinds
+// fn, which must release what it holds on the way (deferred unlocks),
+// and Lend recovers it. A system call that meets the fault — a write(2)
+// out of a truncated mapping — fails in the kernel with EFAULT instead,
+// and that error comes back wrapping ErrFault too.
+func (v View) Lend(fn func(data []byte) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			f, ok := r.(interface{ Addr() uintptr })
 			if !ok {
 				panic(r)
 			}
-			err = fmt.Errorf("storage: copy from view: fault at %#x: %w", f.Addr(), ErrFault)
+			err = fmt.Errorf("storage: fault at %#x under a view: %w", f.Addr(), ErrFault)
 		}
 	}()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	return copy(p, v.Data), nil
+	if err = fn(v.Data); errors.Is(err, syscall.EFAULT) {
+		err = fmt.Errorf("%w: %w", err, ErrFault)
+	}
+	return err
+}
+
+// HoldableView returns all n bytes of name at off as a view its caller
+// may hold across a call into another backend. That is b's own view
+// when b lends the range as a window of an open file (FileWindow),
+// which blocks none of the name's writers: no buffer, no copy. Any
+// other range is copied into a pooled buffer the view's Release
+// returns — out of the view b lent (MemFS's holds the file's read lock,
+// so it is released at once), or through ReadAt when b lends none — and
+// a file that ends first is io.ErrUnexpectedEOF. Hand Data on through
+// Lend: a window may fault.
+func HoldableView(ctx context.Context, b Backend, name string, off, n int64) (View, error) {
+	var v View
+	err := errors.ErrUnsupported
+	if vr, ok := b.(ViewReader); ok {
+		v, err = vr.ReadView(ctx, name, off, n)
+	}
+	if _, win := v.R.(FileWindow); win && err == nil && int64(len(v.Data)) == n {
+		return v, nil
+	}
+	buf := bufpool.Get(int(n))
+	got := 0
+	switch {
+	case err == nil:
+		got, err = v.Copy(buf)
+		v.Release()
+	case errors.Is(err, errors.ErrUnsupported):
+		got, err = b.ReadAt(ctx, name, buf, off)
+	}
+	if err == nil && int64(got) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		bufpool.Put(buf)
+		return View{}, err
+	}
+	return PooledView(buf, got), nil
 }
 
 // ViewReader is an optional Backend extension: a zero-copy read fast

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -167,6 +168,120 @@ func TestViewCopySurvivesAFault(t *testing.T) {
 	}
 	if debug.SetPanicOnFault(false) {
 		t.Fatal("Copy left SetPanicOnFault on")
+	}
+}
+
+// TestViewLendSurvivesAFault: a view whose file was truncated from
+// outside, lent to another backend's write, refuses that write with an
+// ErrFault error whichever way the write meets the fault — MemFS's copy
+// in user space (a SIGBUS, recovered) or OSFS's write(2) (EFAULT from the
+// kernel) — and the goroutine carries on: the MemFS write unwound its
+// lock, and no fault handling is left switched on.
+func TestViewLendSurvivesAFault(t *testing.T) {
+	ctx := context.Background()
+	o, err := storage.NewOSFS("os", t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.CloseIdle()
+	content := bytes.Repeat([]byte("mapped! "), 8192) // 64 KiB
+	if err := o.WriteFile(ctx, "f", content); err != nil {
+		t.Fatal(err)
+	}
+	v, err := o.ReadView(ctx, "f", 0, int64(len(content)))
+	if errors.Is(err, errors.ErrUnsupported) {
+		t.Skip("OSFS lends no views on this platform")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	mem := storage.NewMemFS("mem", 0)
+	dst, err := storage.NewOSFS("dst", t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Allocate(ctx, "g", int64(len(content))); err != nil {
+		t.Fatal(err)
+	}
+	writes := map[string]func([]byte) error{
+		"memfs WriteFile": func(p []byte) error { return mem.WriteFile(ctx, "g", p) },
+		"osfs WriteAt": func(p []byte) error {
+			_, err := dst.WriteAt(ctx, "g", p, 0)
+			return err
+		},
+	}
+	for name, write := range writes {
+		if err := v.Lend(write); err != nil {
+			t.Fatalf("%s of a healthy view: %v", name, err)
+		}
+	}
+	if err := os.Truncate(filepath.Join(o.Root(), "f"), 4096); err != nil {
+		t.Fatal(err)
+	}
+	for name, write := range writes {
+		if err := v.Lend(write); !errors.Is(err, storage.ErrFault) {
+			t.Fatalf("%s past the truncated end: %v, want ErrFault", name, err)
+		}
+	}
+	if err := mem.WriteFile(ctx, "g", content[:8]); err != nil {
+		t.Fatalf("MemFS after the fault: %v", err)
+	}
+	if debug.SetPanicOnFault(false) {
+		t.Fatal("Lend left SetPanicOnFault on")
+	}
+}
+
+// TestHoldableView: OSFS lends the range as a window of its mapping —
+// the FileWindow view itself, no bufpool buffer; MemFS's view, held
+// under the file's read lock, is not held at all: the range comes back
+// copied into a pooled buffer, and the file's writers go on while the
+// caller holds it. A file that ends first is io.ErrUnexpectedEOF, a
+// missing one ErrNotExist.
+func TestHoldableView(t *testing.T) {
+	ctx := context.Background()
+	content := bytes.Repeat([]byte("holdable"), 1024)
+	o, err := storage.NewOSFS("os", t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.CloseIdle()
+	mem := storage.NewMemFS("mem", 0)
+	for _, b := range []storage.Backend{o, mem} {
+		if err := b.(storage.RangeWriter).Allocate(ctx, "f", int64(len(content))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.(storage.RangeWriter).WriteAt(ctx, "f", content, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := o.ReadView(ctx, "f", 0, 1); errors.Is(err, errors.ErrUnsupported) {
+		t.Skip("OSFS lends no views on this platform")
+	}
+	for _, tc := range []struct {
+		b      storage.Backend
+		window bool
+	}{{o, true}, {storage.NewCounting(o), true}, {mem, false}} {
+		before := bufpool.Snapshot()
+		v, err := storage.HoldableView(ctx, tc.b, "f", 64, 4096)
+		if err != nil || !bytes.Equal(v.Data, content[64:64+4096]) {
+			t.Fatalf("%T: %v", tc.b, err)
+		}
+		_, window := v.R.(storage.FileWindow)
+		gets := bufpool.Snapshot().Gets - before.Gets
+		if window != tc.window || (gets == 0) != tc.window {
+			t.Fatalf("%T: a window %v with %d bufpool Gets, want a window %v", tc.b, window, gets, tc.window)
+		}
+		if _, err := tc.b.(storage.RangeWriter).WriteAt(ctx, "f", []byte("!"), 0); err != nil {
+			t.Fatalf("%T: a writer while the view is held: %v", tc.b, err)
+		}
+		v.Release()
+		if _, err := storage.HoldableView(ctx, tc.b, "f", int64(len(content))-8, 16); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%T: a range past the end: %v, want io.ErrUnexpectedEOF", tc.b, err)
+		}
+		if _, err := storage.HoldableView(ctx, tc.b, "nope", 0, 16); !errors.Is(err, storage.ErrNotExist) {
+			t.Fatalf("%T: a missing file: %v, want ErrNotExist", tc.b, err)
+		}
 	}
 }
 
