@@ -390,7 +390,8 @@ func (m *Monarch) serve(ctx context.Context, rt route, e *fileEntry, off, n int6
 }
 
 var (
-	// errOvertaken voids a first attempt whose route an eviction overtook.
+	// errOvertaken voids a first attempt whose copy was removed under it:
+	// evicted, or a torn chunked copy dropped by settle.
 	errOvertaken = errors.New("monarch: evicted under the read")
 	// errShortRead fails a first attempt that served fewer bytes than the
 	// file holds at the offset.
@@ -400,17 +401,18 @@ var (
 // recovered books a first attempt above the source that failed, before
 // the source re-serves the read. It is the plan's recovery table:
 //
-//	errOvertaken, any route   eviction race  EvictionRaces  clean
-//	ErrNotExist, peer route   peer miss      PeerMisses     clean
-//	errShortRead, any route   tier failure   Fallbacks      failure
-//	anything else             tier failure   Fallbacks      failure
+//	errOvertaken, any route   copy removed under the read  EvictionRaces  clean
+//	ErrNotExist, peer route   peer miss                    PeerMisses     clean
+//	errShortRead, any route   tier failure                 Fallbacks      failure
+//	anything else             tier failure                 Fallbacks      failure
 //
 // A failure charges monarch_errors_total{stage=peer|tier-read}, flags
 // the read span FlagFallback with the failure as its *obs.FallbackError,
 // and feeds the breaker. The clean rows are the protocol
-// working — an eviction got to the tier copy first, or the owner has
-// not cached the file yet — and counting them failures would let the
-// fan-in of evict/re-place/read trip a healthy tier.
+// working — an eviction or a torn copy's drop got to the tier copy
+// first, or the owner has not cached the file yet — and counting them
+// failures would let the fan-in of evict/re-place/read trip a healthy
+// tier.
 func (m *Monarch) recovered(e *fileEntry, rt route, err error) obs.SpanFlags {
 	lvl, stage := rt.d.level, stageTierRead
 	switch {
@@ -476,10 +478,10 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		got, err = m.serve(rctx, rt, e, off, n, s)
 	}
 	if rt.kind != routeSource && e.snap.Load()>>snapGenShift != rt.gen {
-		// An eviction of e began after resolve, so whatever the tier
-		// answered is void: the evictor's Remove fails a late read
-		// cleanly, but the re-placement that may follow allocates a fresh
-		// copy this read could have caught still empty.
+		// An eviction of e, or the drop of a torn chunked copy, began
+		// after resolve, so whatever the tier answered is void: the Remove
+		// fails a late read cleanly, but the re-placement that may follow
+		// allocates a fresh copy this read could have caught still empty.
 		s.view.Release()
 		s.view, err = storage.View{}, errOvertaken
 	} else if rt.kind != routeSource && whole == nil && err == nil && int64(got) < min(n, e.size-off) {

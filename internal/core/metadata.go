@@ -88,7 +88,7 @@ type fileEntry struct {
 	mu       sync.Mutex
 	level    int
 	state    placementState
-	gen      uint64    // evictions begun; lets a reader tell its route predates one
+	gen      uint64    // evictions begun and torn copies dropped; lets a reader tell a copy was removed under it
 	queuedAt time.Time // when the current placement was enqueued (latency spans)
 
 	// Chunked-placement residency (armed only while a chunked copy is
@@ -275,10 +275,15 @@ func (e *fileEntry) advance(end int64) {
 
 // clearChunks discards what an attempt that failed or was cancelled
 // left for readers — a landed prefix, a fetch-through buffer; the entry
-// falls back to source-only residency.
+// falls back to source-only residency. A landed prefix is a copy settle
+// is about to remove, so dropping it bumps the eviction generation: a
+// read already routed to it is void, whatever the tier answers.
 func (e *fileEntry) clearChunks() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.armed {
+		e.gen++
+	}
 	e.disarm()
 }
 

@@ -327,6 +327,40 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 			check: func(s Stats) bool { return s.EvictionRaces == 1 && s.Fallbacks == 0 && s.ReadsServed[2] == 2 },
 		},
 		{
+			name: "torn copy dropped and re-allocated under a mid-copy read",
+			prime: func(t *testing.T, r *parityRig) {
+				// The mid-copy row's frozen copy, settled as cancelled between
+				// the reader's resolve and its tier attempt: settle removes the
+				// torn copy, and a re-queued placement has already allocated a
+				// fresh, still empty one by the time the read reaches the tier.
+				e, _ := r.m.meta.get("own/a")
+				if !e.tryQueue() {
+					t.Fatal("own/a not queueable")
+				}
+				if err := r.ssd.Allocate(ctx, "own/a", parityFileSize); err != nil {
+					t.Fatal(err)
+				}
+				e.arm(0)
+				if _, err := r.ssd.WriteAt(ctx, "own/a", parityContent("own/a")[:parityFileSize/4], 0); err != nil {
+					t.Fatal(err)
+				}
+				e.advance(parityFileSize / 4)
+				r.ssd.onRead = func() {
+					r.m.placer.settle(ctx, attempt{e: e, n: 1}, r.m.levels[0], context.Canceled)
+					if !e.tryQueue() {
+						t.Error("cancelled own/a not re-queueable")
+					}
+					if err := r.ssd.Allocate(ctx, "own/a", parityFileSize); err != nil {
+						t.Error(err)
+					}
+				}
+			},
+			file: "own/a", n: parityFileSize / 4, tierReads: 1, pfsReads: 1,
+			check: func(s Stats) bool {
+				return s.EvictionRaces == 1 && s.Fallbacks == 0 && s.PartialHits == 0 && s.ReadsServed[2] == 1
+			},
+		},
+		{
 			name: "tier failure → fallback",
 			prime: func(t *testing.T, r *parityRig) {
 				r.place(t)
