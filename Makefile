@@ -55,7 +55,8 @@ test:
 # under the send, two connections stream one descriptor, and a requester
 # that hangs up mid-body must leave no reference behind. The placement
 # plan's settle table is pinned by a manual pool and Shutdown's
-# cancellation by a blocking tier; they repeat for the detector too. So
+# cancellation by a blocking tier; they repeat for the detector too, with
+# reads of a chunked copy's landed prefix while a gated copy holds it. So
 # does the concurrent first miss of a fetch-through: N readers race for
 # one file's queue, and the losers must never wait on the winner's fetch.
 # And the read-ahead's lifetime rule, on the same line: lent views held
@@ -78,7 +79,7 @@ stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestRemoveDuringFlush|TestCreateDuringRemove|TestFlushPlanProperty|TestRangeFlushRefusalKeepsEveryRangeDirty' -count=50 ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule|TestColdPassOneSourceOpPerFile|TestKeptFetchThroughEndsWithItsPass' -count=50 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestChunkedMidCopyReadThrough|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule|TestColdPassOneSourceOpPerFile|TestKeptFetchThroughEndsWithItsPass' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime|TestViewCopySurvivesAFault|TestViewLendSurvivesAFault|TestCountingRefusesViewsWithoutAllocating' -count=50 ./internal/storage/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadAtSurvivesTruncatedTierCopy|TestReadAtNeverViewsCreatedFiles' -count=50 ./internal/core/
@@ -207,27 +208,30 @@ repro-full:
 	$(GO) run ./cmd/monarch-bench -scale 1 -runs 7
 
 fuzz:
-	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/tfrecord/
-	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/recordio/
-	$(GO) test -fuzz=FuzzReadAt -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzNamespace -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzMetaOracle -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzFrame -fuzztime=30s ./internal/peernet/
-	$(GO) test -fuzz=FuzzHeartbeat -fuzztime=30s ./internal/peernet/
-	$(GO) test -fuzz=FuzzReplay -fuzztime=30s ./internal/journal/
-	$(GO) test -fuzz=FuzzTrace -fuzztime=30s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -fuzz='^FuzzReader$$' -fuzztime=30s ./internal/tfrecord/
+	$(GO) test -fuzz='^FuzzReader$$' -fuzztime=30s ./internal/recordio/
+	$(GO) test -fuzz='^FuzzReadAt$$' -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz='^FuzzNamespace$$' -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz='^FuzzMetaOracle$$' -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz='^FuzzFrame$$' -fuzztime=30s ./internal/peernet/
+	$(GO) test -fuzz='^FuzzHeartbeat$$' -fuzztime=30s ./internal/peernet/
+	$(GO) test -fuzz='^FuzzRoundtrip$$' -fuzztime=30s ./internal/peernet/
+	$(GO) test -fuzz='^FuzzReplay$$' -fuzztime=30s ./internal/journal/
+	$(GO) test -fuzz='^FuzzTrace$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/trace/
 
 # A 10-second pass per fuzz target — enough to replay the committed
 # corpus and shake out shallow regressions on every `make test`.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/tfrecord/
-	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/recordio/
-	$(GO) test -run='^$$' -fuzz=FuzzReadAt -fuzztime=10s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzNamespace -fuzztime=10s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzMetaOracle -fuzztime=10s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/peernet/
-	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/journal/
-	$(GO) test -run='^$$' -fuzz=FuzzTrace -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=10s ./internal/tfrecord/
+	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=10s ./internal/recordio/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadAt$$' -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzNamespace$$' -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzMetaOracle$$' -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/peernet/
+	$(GO) test -run='^$$' -fuzz='^FuzzHeartbeat$$' -fuzztime=10s ./internal/peernet/
+	$(GO) test -run='^$$' -fuzz='^FuzzRoundtrip$$' -fuzztime=10s ./internal/peernet/
+	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=10s ./internal/journal/
+	$(GO) test -run='^$$' -fuzz='^FuzzTrace$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
 
 clean:
 	rm -f test_output.txt bench_output.txt .cover-core.out

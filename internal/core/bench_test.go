@@ -457,7 +457,7 @@ func BenchmarkPlacementWholeFile(b *testing.B) { benchPlacement(b, 0) }
 func BenchmarkPlacementChunked(b *testing.B) { benchPlacement(b, 256<<10) }
 
 // benchMidCopy measures the read path with a chunked placement pinned
-// in flight: every read takes the landed-watermark probe (chunksCover)
+// in flight: every read takes the landed-prefix lookup (placer.fetched)
 // before being served from the upper tier — the per-read cost the
 // mid-copy read-through feature adds. cfgEdit lets the instrumented
 // variant attach observability consumers to the same stack; the built
@@ -487,10 +487,10 @@ func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
 		b.Fatal(err)
 	}
 	b.Cleanup(m.Close)
-	// Hand-arm the mid-copy state: namespace built, entry queued with
+	// Hand-publish the mid-copy state: namespace built, entry queued with
 	// the whole file landed, content staged on tier 0. No copy runs, so
-	// the placement never resolves and each read exercises the watermark
-	// probe (a queued entry never re-schedules placement on access).
+	// the placement never resolves and each read exercises the holder
+	// lookup (a queued entry never re-schedules placement on access).
 	if err := tier0.Allocate(ctx, "f", fileSize); err != nil {
 		b.Fatal(err)
 	}
@@ -500,8 +500,7 @@ func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
 	m.meta.populate([]storage.FileInfo{{Name: "f", Size: fileSize}}, 1)
 	e, _ := m.meta.get("f")
 	e.tryQueue()
-	e.arm(0)
-	e.advance(fileSize)
+	e.raise(e.land(0), fileSize)
 	buf := make([]byte, chunk)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()

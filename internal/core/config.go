@@ -48,14 +48,12 @@ type Config struct {
 	// Disabling it (abl-fullfetch) copies only bytes the framework has
 	// already read — i.e. placement degenerates to per-range caching.
 	FullFileFetch bool
-	// ChunkSize, when positive, splits each background placement into
-	// fixed-size chunks fanned out across the pool; the read path then
-	// serves any range whose chunks have already landed from the upper
-	// tier while the rest of the copy is still in flight (mid-copy
-	// read-through). The destination tier must implement
-	// storage.RangeWriter or the placement silently falls back to a
-	// whole-file copy. Zero preserves the paper-faithful whole-file
-	// behaviour.
+	// ChunkSize, when positive, makes each background placement one task
+	// copying the file in ChunkSize windows, in offset order; the read
+	// path serves a range inside the landed prefix from the upper tier
+	// while the rest is in flight (mid-copy read-through). The tier must
+	// implement storage.RangeWriter, or the copy falls back to whole-file.
+	// Zero keeps the paper-faithful whole-file copy.
 	ChunkSize int64
 	// Staging selects placement timing; see StagingMode.
 	Staging StagingMode

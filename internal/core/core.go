@@ -318,17 +318,17 @@ type routeKind uint8
 const (
 	routeSource  routeKind = iota // the PFS, which always holds the data
 	routeLocal                    // fully placed on a healthy upper tier
-	routeMidCopy                  // a chunked placement in flight already holds the range
+	routeMidCopy                  // bound for the source, but a chunked copy's landed prefix holds the range
 	routePeer                     // not owned by this node: the owner's cache, over the peer tier
 	routeFetched                  // bound for the source, but a fetch-through or a read-ahead holds the range in memory
 )
 
-// resolve routes a read of [off, off+n) of e from one atomic snapshot
-// of the entry plus breaker state.
-func (m *Monarch) resolve(e *fileEntry, off, n int64) route {
+// resolve routes a read of e from one atomic snapshot of the entry plus
+// breaker state.
+func (m *Monarch) resolve(e *fileEntry) route {
 	m.tickProbes()
 	snap := e.snap.Load()
-	_, lvl, armed := unpackSnap(snap)
+	_, lvl := unpackSnap(snap)
 	gen := snap >> snapGenShift
 	if lvl != m.source.level {
 		if !m.health.isDown(lvl) {
@@ -338,13 +338,6 @@ func (m *Monarch) resolve(e *fileEntry, off, n int64) route {
 		// skip this path too — one metadata update instead of a doomed
 		// attempt per read.
 		m.demote(e, lvl)
-	}
-	if armed {
-		// Mid-copy read-through: serve landed chunks from the upper tier
-		// instead of adding PFS pressure.
-		if plvl, ok := e.chunksCover(off, n); ok && !m.health.isDown(plvl) {
-			return route{routeMidCopy, m.levels[plvl], gen}
-		}
 	}
 	if p := m.cfg.Peer; p.enabled() && !p.Owns(e.name) && !m.health.isDown(p.Tier) {
 		return route{routePeer, m.levels[p.Tier], gen}
@@ -390,8 +383,7 @@ func (m *Monarch) serve(ctx context.Context, rt route, e *fileEntry, off, n int6
 }
 
 var (
-	// errOvertaken voids a first attempt whose copy was removed under it:
-	// evicted, or a torn chunked copy dropped by settle.
+	// errOvertaken voids a first attempt whose copy was removed under it.
 	errOvertaken = errors.New("monarch: evicted under the read")
 	// errShortRead fails a first attempt that served fewer bytes than the
 	// file holds at the offset.
@@ -401,18 +393,17 @@ var (
 // recovered books a first attempt above the source that failed, before
 // the source re-serves the read. It is the plan's recovery table:
 //
-//	errOvertaken, any route   copy removed under the read  EvictionRaces  clean
-//	ErrNotExist, peer route   peer miss                    PeerMisses     clean
-//	errShortRead, any route   tier failure                 Fallbacks      failure
-//	anything else             tier failure                 Fallbacks      failure
+//	errOvertaken, any route   copy removed   EvictionRaces  clean
+//	ErrNotExist, peer route   peer miss      PeerMisses     clean
+//	errShortRead, any route   tier failure   Fallbacks      failure
+//	anything else             tier failure   Fallbacks      failure
 //
 // A failure charges monarch_errors_total{stage=peer|tier-read}, flags
 // the read span FlagFallback with the failure as its *obs.FallbackError,
 // and feeds the breaker. The clean rows are the protocol
 // working — an eviction or a torn copy's drop got to the tier copy
 // first, or the owner has not cached the file yet — and counting them
-// failures would let the fan-in of evict/re-place/read trip a healthy
-// tier.
+// failures would let evict/re-place/read fan-in trip a healthy tier.
 func (m *Monarch) recovered(e *fileEntry, rt route, err error) obs.SpanFlags {
 	lvl, stage := rt.d.level, stageTierRead
 	switch {
@@ -448,10 +439,10 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(m.base) - start})
 		return 0, err
 	}
-	rt := m.resolve(e, off, n)
-	// Only a read bound for the source can find a fetch-through's or a
-	// read-ahead's bytes, or fetch them: whole then holds the file from
-	// here to its end, and the read is served from memory.
+	rt := m.resolve(e)
+	// Only a read bound for the source can find bytes in flight, or fetch
+	// them: a landed prefix re-routes it to its tier; whole holds a
+	// buffer's file from here to its end, served from memory.
 	var whole *fetched
 	if rt.kind == routeSource {
 		whole, rt = m.placer.fetched(ctx, e, off, n, rt)

@@ -49,9 +49,9 @@ func (p *scriptedPolicy) Victim(string, int) (string, bool) {
 // sweepEvictionInvariants walks the whole namespace after a quiesce and
 // checks the structural invariants the eviction engine must uphold:
 //
-//  1. The landed watermark never outlives its metadata entry: only
-//     queued (in-flight) entries may be armed. An armed source/placed
-//     entry means an eviction tore state down partially.
+//  1. A chunked copy's landed prefix never outlives its attempt: only
+//     queued (in-flight) entries may hold one. A prefix on a source or
+//     placed entry means a transition tore state down partially.
 //  2. Every evicted (back-to-source) entry is immediately re-placeable:
 //     tryQueue must succeed, i.e. eviction fully reset the state
 //     machine (probed with a tryQueue/cancelQueued round trip).
@@ -60,9 +60,9 @@ func (p *scriptedPolicy) Victim(string, int) (string, bool) {
 func sweepEvictionInvariants(t *testing.T, m *Monarch) {
 	t.Helper()
 	for _, e := range m.meta.sortedEntries() {
-		st, lvl, armed := e.snapshot()
-		if st != stateQueued && armed {
-			t.Errorf("%s: state %v at level %d but landed watermark still armed", e.name, st, lvl)
+		st, lvl := e.snapshot()
+		if st != stateQueued && e.landing() != nil {
+			t.Errorf("%s: state %v at level %d but a landed prefix is still published", e.name, st, lvl)
 		}
 		if st == stateSource {
 			if !e.tryQueue() {
@@ -198,7 +198,7 @@ func TestEvictReplaceReadRaceHighFanIn(t *testing.T) {
 			// bytes fit the capacity.
 			var resident int64
 			for _, e := range m.meta.sortedEntries() {
-				if s, lvl, _ := e.snapshot(); s == statePlaced && lvl == 0 {
+				if s, lvl := e.snapshot(); s == statePlaced && lvl == 0 {
 					resident += e.size
 				}
 			}

@@ -100,12 +100,12 @@ func FuzzReadAt(f *testing.F) {
 	})
 }
 
-// FuzzNamespace drives the metadata container and one entry's
-// landed-watermark state machine with an arbitrary op tape: it must never
-// panic, sizes must stay consistent, and the watermark invariants
-// (0 <= landed <= size, zero while disarmed, never falling while armed;
-// chunksCover only answers while queued, and only inside the landed
-// prefix) must hold after every transition.
+// FuzzNamespace drives the metadata container and one entry's holder of
+// bytes in flight with an arbitrary op tape: it must never panic, sizes
+// must stay consistent, and the landed-prefix invariants must hold after
+// every transition: 0 <= landed <= size, zero at publish, never falling
+// while published nor moving once dropped; a prefix only while queued;
+// and the read plan's lookup answers only inside the prefix.
 func FuzzNamespace(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0, 1, 0, 2, 0, 3, 0})
@@ -137,39 +137,55 @@ func FuzzNamespace(f *testing.F) {
 			}
 		}
 
+		// The read plan's lookup over bare levels: no breaker, and with
+		// FullFileFetch off no holder but a landed prefix re-routes a read.
+		pl := newPlacer(&Monarch{levels: []*driver{{level: 0}, {level: 1}, {level: 2}}})
+		last := map[*fileEntry]*fetched{} // each entry's latest landed prefix
 		for pc := 1; pc+1 < len(tape); pc += 2 {
 			op, arg := tape[pc], int64(tape[pc+1])
 			e, ok := c.get(fmt.Sprintf("f%02d", int(op/16)%nf))
 			if !ok {
 				t.Fatal("populated entry missing")
 			}
-			e.mu.Lock()
-			wasArmed, was := e.armed, e.landed
-			e.mu.Unlock()
+			h, prev := e.landing(), last[e]
+			var was, prevWas int64
+			if h != nil {
+				was = h.landed.Load()
+			}
+			if prev != nil {
+				prevWas = prev.landed.Load()
+			}
 			switch op % 10 {
 			case 0:
 				e.tryQueue()
 			case 1:
 				e.markPlaced(int(arg) % levels)
 			case 2:
-				e.arm(0)
+				if e.currentState() == stateQueued { // placeChunked lands on its queued attempt
+					last[e] = e.land(0)
+					if v := last[e].landed.Load(); v != 0 {
+						t.Fatalf("landed prefix published at %d, not 0", v)
+					}
+				}
 			case 3:
-				e.advance(arg * 3) // crosses every file size (≤ 765)
+				if prev != nil {
+					e.raise(prev, arg*3) // crosses every file size (≤ 765); prev may be dropped
+				}
 			case 4:
 				e.clearChunks()
 			case 5:
-				lvl, cov := e.chunksCover(arg, arg%97)
-				if cov && e.currentState() != stateQueued {
-					t.Fatal("chunksCover answered outside stateQueued")
+				end := min(arg+arg%97, e.size)
+				if _, rt := pl.fetched(context.Background(), e, arg, arg%97, route{}); rt.kind == routeMidCopy {
+					p := e.landing()
+					switch {
+					case p == nil || e.currentState() != stateQueued:
+						t.Fatal("the lookup answered mid-copy outside stateQueued")
+					case rt.d.level != 0:
+						t.Fatalf("the lookup routed to level %d, the prefix lands on 0", rt.d.level)
+					case end > p.landed.Load():
+						t.Fatalf("the lookup answered [%d, %d) past the prefix %d", arg, end, p.landed.Load())
+					}
 				}
-				if cov && lvl != 0 {
-					t.Fatalf("chunksCover returned level %d, watermark armed for 0", lvl)
-				}
-				e.mu.Lock()
-				if cov && min(arg+arg%97, e.size) > e.landed {
-					t.Fatalf("chunksCover(%d, %d) answered past the watermark %d", arg, arg%97, e.landed)
-				}
-				e.mu.Unlock()
 			case 6:
 				e.markUnplaceable()
 			case 7:
@@ -179,20 +195,23 @@ func FuzzNamespace(f *testing.F) {
 			case 9:
 				e.makeReplaceable()
 			}
-			e.mu.Lock()
-			if e.landed < 0 || e.landed > e.size {
-				t.Fatalf("landed %d outside [0, %d]", e.landed, e.size)
+			p := e.landing()
+			if p != nil && e.currentState() != stateQueued {
+				t.Fatalf("landed prefix published in state %d", e.currentState())
 			}
-			if !e.armed && e.landed != 0 {
-				t.Fatal("landed nonzero with the watermark disarmed")
+			if p != nil {
+				if v := p.landed.Load(); v < 0 || v > e.size {
+					t.Fatalf("landed %d outside [0, %d]", v, e.size)
+				} else if p == h && v < was {
+					t.Fatalf("landed prefix fell from %d to %d while published", was, v)
+				}
 			}
-			if wasArmed && e.armed && op%10 != 2 && e.landed < was {
-				t.Fatalf("watermark fell from %d to %d while armed", was, e.landed)
+			if prev != nil && prev != h && prev.landed.Load() != prevWas {
+				t.Fatal("a dropped landed prefix moved")
 			}
 			if e.size != infos[int(op/16)%nf].Size {
 				t.Fatal("entry size changed")
 			}
-			e.mu.Unlock()
 		}
 
 		// The namespace itself must be unchanged by entry-state churn.

@@ -366,7 +366,7 @@ func assertLedgerExact(t *testing.T, m *Monarch) {
 	t.Helper()
 	want := map[string][]int64{}
 	for _, e := range m.meta.sortedEntries() {
-		st, lvl, _ := e.snapshot()
+		st, lvl := e.snapshot()
 		if st != statePlaced {
 			continue
 		}

@@ -17,8 +17,8 @@ import (
 // FuzzMetaOracle replays an arbitrary op tape against the sharded
 // metadataContainer and a plain-map oracle whose entries are driven
 // through identical fileEntry transitions. Lookups, counts, sorted
-// listings, landed watermarks and the lock-free packed snapshots must
-// agree after every step — sharding must be observationally
+// listings, landed prefixes, the read plan's lookup of them and the
+// lock-free packed snapshots must agree after every step — sharding must be observationally
 // indistinguishable from one map, and a snapshot must never lag the
 // mutex-guarded truth once the mutator has returned.
 func FuzzMetaOracle(f *testing.F) {
@@ -27,7 +27,7 @@ func FuzzMetaOracle(f *testing.F) {
 	f.Add(uint8(130), []byte{5, 9, 6, 9, 7, 9, 8, 9, 9, 9})
 	f.Add(uint8(64), []byte{1, 0, 3, 5, 2, 0, 1, 1, 10, 200})
 	f.Add(uint8(2), []byte{2, 3, 3, 0, 3, 1, 3, 2, 10, 100, 1, 0})
-	f.Add(uint8(2), []byte{0, 1, 2, 1, 3, 1, 10, 1}) // queue, arm, land 9 of 17 bytes, cover [1, 2)
+	f.Add(uint8(2), []byte{0, 1, 2, 1, 3, 1, 10, 1}) // queue, publish a prefix, land 9 of 17 bytes, cover [1, 2)
 	f.Fuzz(func(t *testing.T, nFiles uint8, tape []byte) {
 		const levels = 3
 		nf := 1 + int(nFiles)%130 // crosses the shard count (64)
@@ -52,23 +52,33 @@ func FuzzMetaOracle(f *testing.F) {
 			t.Fatalf("len = %d after re-populate, oracle %d", c.len(), len(oracle))
 		}
 
+		// landed is e's landed prefix, -1 with none published.
+		landed := func(e *fileEntry) int64 {
+			if h := e.landing(); h != nil {
+				return h.landed.Load()
+			}
+			return -1
+		}
+		// The read plan's lookup over bare levels (no breaker; with
+		// FullFileFetch off no holder but a landed prefix re-routes a read).
+		pl := newPlacer(&Monarch{levels: []*driver{{level: 0}, {level: 1}, {level: 2}}})
 		check := func(step int, ce, oe *fileEntry) {
 			t.Helper()
-			st, lvl, armed := ce.snapshot()
-			ost, olvl, oarmed := oe.snapshot()
-			if st != ost || lvl != olvl || armed != oarmed {
-				t.Fatalf("step %d: snapshot (%d,%d,%v) != oracle (%d,%d,%v)",
-					step, st, lvl, armed, ost, olvl, oarmed)
+			if s, o := ce.snap.Load(), oe.snap.Load(); s != o {
+				st, lvl := unpackSnap(s)
+				ost, olvl := unpackSnap(o)
+				t.Fatalf("step %d: snapshot (%d,%d,gen %d) != oracle (%d,%d,gen %d)",
+					step, st, lvl, s>>snapGenShift, ost, olvl, o>>snapGenShift)
 			}
+			st, lvl := ce.snapshot()
 			ce.mu.Lock()
-			mst, mlvl, marmed, landed := ce.state, ce.level, ce.armed, ce.landed
+			mst, mlvl := ce.state, ce.level
 			ce.mu.Unlock()
-			if st != mst || lvl != mlvl || armed != marmed {
-				t.Fatalf("step %d: snapshot (%d,%d,%v) lags locked truth (%d,%d,%v)",
-					step, st, lvl, armed, mst, mlvl, marmed)
+			if st != mst || lvl != mlvl {
+				t.Fatalf("step %d: snapshot (%d,%d) lags locked truth (%d,%d)", step, st, lvl, mst, mlvl)
 			}
-			if landed != oe.landed { // the oracle is this goroutine's alone
-				t.Fatalf("step %d: landed %d, oracle %d", step, landed, oe.landed)
+			if g, w := landed(ce), landed(oe); g != w { // the oracle is this goroutine's alone
+				t.Fatalf("step %d: landed %d, oracle %d", step, g, w)
 			}
 		}
 
@@ -92,11 +102,17 @@ func FuzzMetaOracle(f *testing.F) {
 				ce.markPlaced(int(arg) % levels)
 				oe.markPlaced(int(arg) % levels)
 			case 2:
-				ce.arm(0)
-				oe.arm(0)
+				if ce.currentState() == stateQueued { // placeChunked lands on its queued attempt
+					ce.land(0)
+					oe.land(0)
+				}
 			case 3:
-				ce.advance(arg * 9) // crosses every file size (≤ 2193)
-				oe.advance(arg * 9)
+				if h := ce.landing(); h != nil {
+					ce.raise(h, arg*9) // crosses every file size (≤ 2193)
+				}
+				if h := oe.landing(); h != nil {
+					oe.raise(h, arg*9)
+				}
 			case 4:
 				ce.clearChunks()
 				oe.clearChunks()
@@ -119,10 +135,10 @@ func FuzzMetaOracle(f *testing.F) {
 					t.Fatalf("makeReplaceable = %v, oracle %v", g, w)
 				}
 			case 10:
-				glvl, gcov := ce.chunksCover(arg, arg%97)
-				wlvl, wcov := oe.chunksCover(arg, arg%97)
-				if glvl != wlvl || gcov != wcov {
-					t.Fatalf("chunksCover(%d) = (%d,%v), oracle (%d,%v)", arg, glvl, gcov, wlvl, wcov)
+				_, g := pl.fetched(context.Background(), ce, arg, arg%97, route{})
+				_, w := pl.fetched(context.Background(), oe, arg, arg%97, route{})
+				if g.kind != w.kind || g.d != w.d {
+					t.Fatalf("lookup(%d) routes %d to %v, oracle %d to %v", arg, g.kind, g.d, w.kind, w.d)
 				}
 			case 11:
 				if _, hit := c.get(fmt.Sprintf("zz%03d", arg)); hit {
@@ -140,8 +156,8 @@ func FuzzMetaOracle(f *testing.F) {
 					t.Fatalf("markEvictedFrom = %v, oracle %v", g, w)
 				}
 				if g {
-					if st, lvl, armed := ce.snapshot(); st != stateEvicting || lvl != levels-1 || armed {
-						t.Fatalf("evicting entry in state %d at level %d (armed=%v)", st, lvl, armed)
+					if st, lvl := ce.snapshot(); st != stateEvicting || lvl != levels-1 || ce.landing() != nil {
+						t.Fatalf("evicting entry in state %d at level %d (landed prefix %v)", st, lvl, ce.landing() != nil)
 					}
 					if ce.tryQueue() || oe.tryQueue() {
 						t.Fatalf("entry re-queued while its tier copy is still being removed")

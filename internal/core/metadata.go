@@ -42,19 +42,8 @@ const (
 
 // fileEntry is the paper's "file info": size, name and current storage
 // tier, guarded for concurrent access from the framework's reader
-// threads and the placement pool. Beyond the paper it carries a
-// landed-prefix watermark while a chunked placement is in flight, so the
-// read path can serve the already-copied prefix from the upper tier
-// mid-copy; and, while a read bound for the source can be served from
-// memory, the buffer that serves it (fetch): a fetch-through's whole
-// file until its attempt settles, or a read-ahead until its pass ends.
-//
-// Watermark invariants:
-//   - armed exactly between arm and markPlaced/clearChunks; outside that
-//     window reads never consult landed;
-//   - bytes [0, landed) of the copy in flight are on level landedAt;
-//   - landed only rises while armed (advance), never past size, so a
-//     range observed covered stays covered until the placement resolves.
+// threads and the placement pool. Beyond the paper it carries the holder
+// of bytes in flight a read bound for the source can be served from.
 type fileEntry struct {
 	name string
 	size int64
@@ -63,23 +52,24 @@ type fileEntry struct {
 	// Fixed before the entry is linked into the namespace.
 	writable bool
 
-	// snap is a packed (state, level, chunk-armed, eviction-generation)
-	// snapshot republished under mu after every transition, so the read
-	// path answers "which tier serves this file right now?" with one
-	// atomic load instead of the entry mutex. Layout: bits 0–7 state,
-	// 8–31 level, 32 armed, 33–63 generation. The mutex stays the sole
-	// writer: transitions are still serialized and the snapshot is
-	// always internally consistent.
+	// snap is a packed (state, level, eviction-generation) snapshot
+	// republished under mu after every transition, so the read path
+	// answers "which tier serves this file right now?" with one atomic
+	// load instead of the entry mutex. Layout: bits 0–7 state, 8–31
+	// level, 32–63 generation. The mutex stays the sole writer:
+	// transitions are still serialized and the snapshot is always
+	// internally consistent.
 	snap atomic.Uint64
 
 	// fetch is the one way a read bound for the source is served from
-	// memory: a fetch-through's whole file, stored by the owner of the
-	// queued attempt before it reaches the pool, or a read-ahead
-	// (placer.readAhead) in ahead — a holder recycled, not allocated, per
-	// fill. disarm drops it with the attempt, or when the entry leaves
-	// stateUnplaceable. Only reads bound for the source
-	// consult it, or write the sequential detector's run and runFlags:
-	// placed-file reads pay nothing.
+	// bytes in flight: a chunked copy's landed prefix (land), a
+	// fetch-through's whole file, stored by the owner of the queued
+	// attempt before it reaches the pool, or a read-ahead in ahead — a
+	// holder recycled, not allocated, per fill. disarm drops it with the
+	// attempt, or when the entry leaves stateUnplaceable — a landed prefix
+	// on every transition, so it stands only while e is queued. Only reads
+	// bound for the source consult it, or write the sequential detector's
+	// run and runFlags: placed-file reads pay nothing.
 	fetch    atomic.Pointer[fetched]
 	ahead    fetched
 	run      atomic.Int64 // where the previous source-bound read ended
@@ -88,20 +78,11 @@ type fileEntry struct {
 	mu       sync.Mutex
 	level    int
 	state    placementState
-	gen      uint64    // evictions begun and torn copies dropped; lets a reader tell a copy was removed under it
+	gen      uint64    // copies removed: evictions, torn copies; lets a read tell it lost its copy
 	queuedAt time.Time // when the current placement was enqueued (latency spans)
-
-	// Chunked-placement residency (armed only while a chunked copy is
-	// in flight; never in whole-file mode).
-	armed    bool
-	landedAt int
-	landed   int64
 }
 
-const (
-	snapArmed    = 1 << 32
-	snapGenShift = 33
-)
+const snapGenShift = 32
 
 const (
 	runIntact   = 1 << iota // every read since the one at offset 0 was adjacent
@@ -109,14 +90,16 @@ const (
 	runFilled               // this run has had its read-ahead
 )
 
-// fetched holds a file's bytes [base, size) while reads bound for the
-// source are served from them, booked on level: the tier a fetch-through
-// was bound for, the source for a read-ahead. A read-ahead's bytes are
-// bufpool's, so every user counts: the publication, each read while it
-// copies, each lent view until its Release — the holder is its Releaser
-// — and the last out returns the buffer. acquire fails at zero (the OSFS
-// fd table's rule): fileEntry.ahead is refilled in place, held at -1
-// meanwhile, and a stale pointer must not catch it half rewritten.
+// fetched holds a file's bytes in flight while reads bound for the source
+// are served from them, booked on level. A landed prefix (data nil) is a
+// chunked copy's [0, landed), on tier level; any other holder has [base,
+// size) in memory, booked on the tier a fetch-through was bound for or,
+// for a read-ahead, on the source. A read-ahead's bytes are bufpool's, so
+// every user counts: the publication, each read while it copies, each
+// lent view until its Release — the holder is its Releaser — and the
+// last out returns the buffer. acquire fails at zero (the OSFS fd table's
+// rule): fileEntry.ahead is refilled in place, held at -1 meanwhile, and a
+// stale pointer must not catch it half rewritten.
 type fetched struct {
 	data   []byte
 	base   int64
@@ -124,6 +107,7 @@ type fetched struct {
 	pooled bool // bufpool's, not the GC's
 	refs   atomic.Int32
 	seq    atomic.Uint64 // which fill this is (placer.track); 0 while bound for a tier
+	landed atomic.Int64  // a landed prefix's end: 0 at publish, raised by its copy alone
 }
 
 func (f *fetched) acquire() bool {
@@ -179,46 +163,66 @@ func (e *fileEntry) sequential(off, end int64) (arm bool) {
 // publish refreshes the packed snapshot; callers hold e.mu (or hold the
 // entry exclusively, as populate does before linking it into a shard).
 func (e *fileEntry) publish() {
-	s := uint64(e.state)&0xff | uint64(e.level)&0xffffff<<8 | e.gen<<snapGenShift
-	if e.armed {
-		s |= snapArmed
-	}
-	e.snap.Store(s)
+	e.snap.Store(uint64(e.state)&0xff | uint64(e.level)&0xffffff<<8 | e.gen<<snapGenShift)
 }
 
-// disarm drops the watermark and the fetch buffer and publishes;
-// every transition that ends a placement attempt or leaves
-// stateUnplaceable finishes with it, so neither outlives what it
-// describes. An unplaceable entry's buffer stays — a read-ahead, or the
-// fetch of an attempt that found no room — to end with its pass. The
-// buffer goes after the snapshot: once markPlaced has re-routed reads to
-// the tier, none falls between the two and reads the source. Callers
-// hold e.mu.
+// disarm publishes and drops the holder of bytes in flight; every
+// transition that ends a placement attempt or leaves stateUnplaceable
+// finishes with it, so no holder outlives what it describes. An
+// unplaceable entry's buffer stays — a read-ahead, or the fetch of an
+// attempt that found no room — to end with its pass; a landed prefix
+// never does. The holder goes after the snapshot: once markPlaced has
+// re-routed reads to the tier, none falls between the two and reads the
+// source. Callers hold e.mu.
 func (e *fileEntry) disarm() {
-	e.armed, e.landed = false, 0
 	e.publish()
-	if f := e.fetch.Load(); f != nil && e.state != stateUnplaceable {
+	if f := e.fetch.Load(); f != nil && (e.state != stateUnplaceable || f == e.landing()) {
 		e.unpublish(f)
 	}
 }
 
-// snapshot returns the packed (state, level, armed) triple with one
-// atomic load.
-func (e *fileEntry) snapshot() (placementState, int, bool) {
+// land publishes, at zero bytes, the landed prefix of a chunked copy of
+// e onto level; only the attempt that holds e queued lands one.
+func (e *fileEntry) land(level int) *fetched {
+	h := &fetched{level: level}
+	h.refs.Store(1) // the publication's
+	e.fetch.Store(h)
+	return h
+}
+
+// raise records the first end bytes of h's copy as landed, while h is
+// still e's holder: the prefix only rises, never past size.
+func (e *fileEntry) raise(h *fetched, end int64) {
+	if e.fetch.Load() == h && end > h.landed.Load() {
+		h.landed.Store(min(end, e.size))
+	}
+}
+
+// landing returns e's landed prefix, if one stands. It never reads e.ahead,
+// whose fields readAhead rewrites while stale pointers to it are about.
+func (e *fileEntry) landing() *fetched {
+	if f := e.fetch.Load(); f != nil && f != &e.ahead && f.data == nil {
+		return f
+	}
+	return nil
+}
+
+// snapshot returns the packed (state, level) pair with one atomic load.
+func (e *fileEntry) snapshot() (placementState, int) {
 	return unpackSnap(e.snap.Load())
 }
 
-func unpackSnap(s uint64) (placementState, int, bool) {
-	return placementState(s & 0xff), int(s >> 8 & 0xffffff), s&snapArmed != 0
+func unpackSnap(s uint64) (placementState, int) {
+	return placementState(s & 0xff), int(s >> 8 & 0xffffff)
 }
 
 func (e *fileEntry) currentLevel() int {
-	_, lvl, _ := e.snapshot()
+	_, lvl := e.snapshot()
 	return lvl
 }
 
 func (e *fileEntry) currentState() placementState {
-	st, _, _ := e.snapshot()
+	st, _ := e.snapshot()
 	return st
 }
 
@@ -244,8 +248,8 @@ func (e *fileEntry) queuedSince() time.Time {
 	return e.queuedAt
 }
 
-// markPlaced records a successful placement onto level and disarms any
-// watermark: once placed, the normal tier routing serves the file.
+// markPlaced records a successful placement onto level and drops any
+// holder: once placed, the normal tier routing serves the file.
 func (e *fileEntry) markPlaced(level int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -254,57 +258,20 @@ func (e *fileEntry) markPlaced(level int) {
 	e.disarm()
 }
 
-// arm starts the watermark of a chunked copy into level at zero bytes
-// landed (a retried placement starts over).
-func (e *fileEntry) arm(level int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.armed, e.landedAt, e.landed = true, level, 0
-	e.publish()
-}
-
-// advance records the copy's first end bytes as landed. The watermark
-// only rises, never past size, and only while armed.
-func (e *fileEntry) advance(end int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.armed && end > e.landed {
-		e.landed = min(end, e.size)
-	}
-}
-
 // clearChunks discards what an attempt that failed or was cancelled
 // left for readers — a landed prefix, a fetch-through buffer; the entry
-// falls back to source-only residency. A landed prefix is a copy settle
-// is about to remove, so dropping it bumps the eviction generation: a
-// read already routed to it is void, whatever the tier answers.
+// falls back to source-only residency. settle removes a landed prefix's
+// copy next, so the generation moves once the prefix is gone: a read
+// that found it is void, whatever the tier answers.
 func (e *fileEntry) clearChunks() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.armed {
-		e.gen++
-	}
+	torn := e.landing() != nil
 	e.disarm()
-}
-
-// chunksCover reports whether [off, off+n), clamped to the file size,
-// lies in the landed prefix of the chunked placement in flight,
-// returning the level it is landing on. It only answers while the
-// placement is in flight (stateQueued, armed); empty ranges go to the
-// source.
-func (e *fileEntry) chunksCover(off, n int64) (int, bool) {
-	// Lock-free pre-gate: outside the arm→markPlaced/clearChunks window
-	// (the common case — placed or plain source files) the armed bit is
-	// clear and reads never pay the entry mutex here.
-	if st, _, armed := e.snapshot(); !armed || st != stateQueued {
-		return 0, false
+	if torn {
+		e.gen++
+		e.publish()
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.armed || e.state != stateQueued || off < 0 || off >= e.size || n <= 0 || min(off+n, e.size) > e.landed {
-		return 0, false
-	}
-	return e.landedAt, true
 }
 
 // markUnplaceable records that no tier had space.
@@ -318,7 +285,7 @@ func (e *fileEntry) markUnplaceable() {
 // markEvictedFrom begins an eviction: it atomically re-points a file
 // placed on from at the source level, reporting whether the entry
 // actually moved. It refuses any entry not currently placed on from —
-// in particular queued entries with an in-flight (possibly chunk-armed)
+// in particular queued entries with an in-flight (possibly landing)
 // placement, which is what pins them against eviction — so a victim
 // chosen from a stale policy view is skipped instead of corrupted. The
 // entry lands in stateEvicting until evictDone.

@@ -99,30 +99,38 @@ func (pl *placer) enqueue(a attempt) {
 	pl.m.span(obs.Span{Kind: obs.SpanPlacementEnqueue, File: a.e.name, Tier: -1, Bytes: a.e.size})
 }
 
-// fetched completes the routing of a read that rt binds for the source:
-// where a buffer holds the range — a fetch-through in flight, the read
-// then a mid-copy hit on the tier the copy is bound for; a read-ahead, a
-// hit booked on the source; or the one this read fetches, as the file's
-// first miss or its sequential run's arming read, still the source's read
-// — it returns the holder, with a reference for the caller's window.
-// Empty and out-of-range reads go to the source; so do all reads of a
-// file outside the whole-file plan or above the size rule, which bounds
-// the fetching read's extra wait and the memory a reader can pin.
+// fetched completes the routing of a read that rt binds for the source,
+// through the entry's holder: a landed prefix that holds the range
+// re-routes it, a mid-copy hit, to the tier the chunked copy lands on
+// unless that tier is down. Where a buffer holds it — a fetch-through in
+// flight, a mid-copy hit on the tier the copy is bound for; a read-ahead,
+// a hit booked on the source; or the one this read fetches, as the file's
+// first miss or its run's arming read, still the source's read — it
+// returns the buffer, with a reference for the caller's window. Empty and
+// out-of-range reads go to the source; so do other reads of a file
+// outside the whole-file plan or above the size rule, which bounds the
+// fetching read's extra wait and the memory a reader can pin.
 func (pl *placer) fetched(ctx context.Context, e *fileEntry, off, n int64, rt route) (*fetched, route) {
-	m := pl.m
-	if off < 0 || off >= e.size || n <= 0 || e.size > bufpool.MaxPooled || e.writable || !m.cfg.FullFileFetch ||
-		m.cfg.ChunkSize != 0 || m.cfg.Staging != StageOnFirstRead || !m.owns(e.name) {
+	// The holder first: a copy that settles after resolve takes it away,
+	// and the read it was meant for then costs the source a range.
+	m, f, end := pl.m, e.fetch.Load(), off+min(n, e.size-off)
+	switch {
+	case off < 0 || off >= e.size || n <= 0:
+		return nil, rt
+	case f != nil && f == e.landing(): // a landed prefix
+		if end <= f.landed.Load() && !m.health.isDown(f.level) {
+			rt = route{routeMidCopy, m.levels[f.level], rt.gen}
+		}
+		return nil, rt
+	case e.size > bufpool.MaxPooled || e.writable || !m.cfg.FullFileFetch || m.cfg.ChunkSize != 0 ||
+		m.cfg.Staging != StageOnFirstRead || !m.owns(e.name):
 		return nil, rt
 	}
-	// The buffer first: a copy that settles after resolve takes it away,
-	// and the read it was meant for then costs the source a range.
-	f := e.fetch.Load()
-	held := f != nil && f.acquire()
-	end, st := off+min(n, e.size-off), e.currentState()
+	held, st := f != nil && f.acquire(), e.currentState()
 	if !held && st == statePlaced {
 		// The copy settled after resolve and took its buffer along: the
 		// tier has the file now, and the source owes this read nothing.
-		return nil, m.resolve(e, off, n)
+		return nil, m.resolve(e)
 	}
 	arm := e.sequential(off, end) // before f.seq is read: settle sets it, then reads run
 	if held {
@@ -271,7 +279,7 @@ func (pl *placer) place(ctx context.Context, a attempt) {
 		err := pl.copyInto(ctx, d, a)
 		// Lost a quota race with a concurrent placement: next level down —
 		// unless a chunked copy had begun landing here, which settle drops.
-		if _, _, armed := a.e.snapshot(); !armed && errors.Is(err, storage.ErrNoSpace) {
+		if a.e.landing() == nil && errors.Is(err, storage.ErrNoSpace) {
 			continue
 		}
 		pl.settle(ctx, a, d, err)
@@ -321,9 +329,9 @@ func (pl *placer) admit(ctx context.Context, d *driver, e *fileEntry) bool {
 // errors{stage=chunk-copy} once.
 func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 	m, e := pl.m, a.e
-	// Armed means a chunked copy allocated e on d and charged its bytes to
-	// the tier as they landed; only this attempt moves the watermark.
-	_, _, chunked := e.snapshot()
+	// A landed prefix means a chunked copy allocated e on d and charged its
+	// bytes to the tier as they landed; only this attempt publishes one.
+	chunked := e.landing() != nil
 	// Only no room for a whole-file copy keeps what the attempt lent: the
 	// skip row leaves a fetch-through's buffer to the pass in progress.
 	if err != nil && (chunked || !errors.Is(err, storage.ErrNoSpace)) {
@@ -438,19 +446,18 @@ var errFetchDisabled = errors.New("monarch: full-file fetch disabled")
 
 // placeChunked allocates e at full size on d and copies it window by
 // window, in offset order, on the calling task: each ChunkSize window is
-// one source ReadAt and one WriteAt, and raises the entry's landed
-// watermark over it, so the foreground reads the landed prefix — what a
-// sequential reader asks for next — from d mid-copy. It returns the
-// Allocate error (ErrNoSpace routes the caller to the next level,
-// errors.ErrUnsupported to the whole-file path), or what stopped the copy
-// short, a failed window or cancellation, for settle's table to sort.
+// one source ReadAt and one WriteAt, and raises the landed prefix it
+// publishes as the entry's holder over it, so the foreground reads that
+// prefix — what a sequential reader asks for next — from d mid-copy. It
+// returns the Allocate error (ErrNoSpace routes the caller to the next
+// level, errors.ErrUnsupported to the whole-file path), or what stopped
+// the copy short, a failed window or cancellation, for settle's table.
 func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeWriter, a attempt) error {
 	m, e := pl.m, a.e
 	if err := rw.Allocate(ctx, e.name, e.size); err != nil {
 		return err
 	}
-	e.arm(d.level)
-	chunk := m.cfg.ChunkSize
+	h, chunk := e.land(d.level), m.cfg.ChunkSize
 	buf := bufpool.Get(int(min(chunk, e.size)))
 	defer bufpool.Put(buf)
 	for off := int64(0); off < e.size; off += chunk {
@@ -472,7 +479,7 @@ func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeW
 		if _, err := rw.WriteAt(ctx, e.name, buf[:want], off); err != nil {
 			return err
 		}
-		e.advance(off + want)
+		e.raise(h, off+want)
 		m.stats.chunkPlacements.Add(1)
 		m.stats.writtenBytes[d.level].Add(want)
 		dur := time.Since(start)

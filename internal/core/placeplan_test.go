@@ -330,7 +330,7 @@ func TestPlacementSettleParity(t *testing.T) {
 				if data, err := r.ssd.ReadFile(context.Background(), settleFile); err == nil && !bytes.Equal(data, parityContent(settleFile)) {
 					t.Errorf("chunk=%d: tier 0 holds bytes that differ from the source", chunk)
 				}
-				out.state, out.level, _ = e.snapshot()
+				out.state, out.level = e.snapshot()
 				out.ledger = r.m.tenants.usedBytes(JobFromPath(settleFile), 0)
 				out.used = r.ssd.Used()
 				out.list, _ = r.ssd.List(context.Background())

@@ -264,11 +264,11 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 				if err := r.ssd.Allocate(ctx, "own/a", parityFileSize); err != nil {
 					t.Fatal(err)
 				}
-				e.arm(0)
+				h := e.land(0)
 				if _, err := r.ssd.WriteAt(ctx, "own/a", parityContent("own/a")[:parityFileSize/4], 0); err != nil {
 					t.Fatal(err)
 				}
-				e.advance(parityFileSize / 4)
+				e.raise(h, parityFileSize/4)
 			},
 			file: "own/a", n: parityFileSize / 4, tierReads: 1,
 			check: func(s Stats) bool { return s.PartialHits == 1 && s.ReadsServed[0] == 1 },
@@ -320,7 +320,7 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 					if err := r.ssd.Allocate(ctx, "own/a", parityFileSize); err != nil {
 						t.Error(err)
 					}
-					e.arm(0)
+					e.land(0)
 				}
 			},
 			file: "own/a", tierReads: 1, pfsReads: 1,
@@ -340,11 +340,11 @@ func TestReadPlanRouteSinkParity(t *testing.T) {
 				if err := r.ssd.Allocate(ctx, "own/a", parityFileSize); err != nil {
 					t.Fatal(err)
 				}
-				e.arm(0)
+				h := e.land(0)
 				if _, err := r.ssd.WriteAt(ctx, "own/a", parityContent("own/a")[:parityFileSize/4], 0); err != nil {
 					t.Fatal(err)
 				}
-				e.advance(parityFileSize / 4)
+				e.raise(h, parityFileSize/4)
 				r.ssd.onRead = func() {
 					r.m.placer.settle(ctx, attempt{e: e, n: 1}, r.m.levels[0], context.Canceled)
 					if !e.tryQueue() {
@@ -879,7 +879,7 @@ func TestFetchThroughSinkParity(t *testing.T) {
 
 		r.pool.drain()
 		e, _ := r.m.meta.get(scanFile)
-		if st, lvl, _ := e.snapshot(); st != statePlaced || lvl != 0 || e.fetch.Load() != nil {
+		if st, lvl := e.snapshot(); st != statePlaced || lvl != 0 || e.fetch.Load() != nil {
 			t.Errorf("view=%v: entry in state %d on level %d, buffer held: %v; want placed on 0 and dropped", view, st, lvl, e.fetch.Load() != nil)
 		}
 		if data, err := r.ssd.ReadFile(context.Background(), scanFile); err != nil || !bytes.Equal(data, scanContent(size)) {

@@ -89,10 +89,9 @@ type Stats struct {
 	// Evictions counts files removed from a tier by the eviction policy
 	// (the heat engine under tenancy, or an abl-eviction ablation).
 	Evictions int64
-	// EvictionRaces counts reads whose tier copy was removed under the
-	// read — by a concurrent eviction, or a torn chunked copy's drop;
-	// they were re-served from the source with no breaker feed, like peer
-	// misses.
+	// EvictionRaces counts reads whose tier copy was removed under them —
+	// evicted, or a torn chunked copy dropped; the source re-served them
+	// with no breaker feed, like peer misses.
 	EvictionRaces int64
 	// Promotions counts unplaceable files re-entered into the placement
 	// pipeline because their heat came to justify displacing a colder

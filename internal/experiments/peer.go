@@ -67,11 +67,6 @@ type PeerRunConfig struct {
 	// (no replica covers the loss), a forced trip when no peer is
 	// live at all.
 	Membership bool
-	// HeartbeatEvery, SuspectAfter and DeadAfter tune the gossip
-	// timing (defaults 25ms / 100ms / 300ms — loopback scale).
-	HeartbeatEvery time.Duration
-	SuspectAfter   time.Duration
-	DeadAfter      time.Duration
 	// KillAfterEpoch, when >= 1, closes KillNode's peer server once
 	// that many epochs have completed: sibling reads of its files fail
 	// over to the next replica (R >= 2) or to the PFS (R == 1). The
@@ -251,6 +246,15 @@ func waitPeerState(mems []*peernet.Membership, skip int, peer string, want peern
 	}
 }
 
+// Gossip timing of a run with Membership on, at loopback scale: the
+// heartbeat period, and the silences after which a peer turns Suspect and
+// then Dead.
+const (
+	peerHeartbeatEvery = 25 * time.Millisecond
+	peerSuspectAfter   = 100 * time.Millisecond
+	peerDeadAfter      = 300 * time.Millisecond
+)
+
 // RunPeerLoopback executes one peer-cache run over real loopback TCP.
 func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 	if cfg.Nodes < 1 || cfg.Files < 1 || cfg.FileSize < 1 || cfg.Epochs < 1 {
@@ -261,15 +265,6 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 	}
 	if cfg.Replicas > cfg.Nodes {
 		return nil, fmt.Errorf("experiments: %d replicas exceed %d nodes", cfg.Replicas, cfg.Nodes)
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 25 * time.Millisecond
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 100 * time.Millisecond
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 300 * time.Millisecond
 	}
 	ctx := context.Background()
 
@@ -313,8 +308,8 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 			view, err := peernet.NewMembership(peernet.MembershipConfig{
 				Self:         nodeIDs[i],
 				Peers:        others,
-				SuspectAfter: cfg.SuspectAfter,
-				DeadAfter:    cfg.DeadAfter,
+				SuspectAfter: peerSuspectAfter,
+				DeadAfter:    peerDeadAfter,
 				OnChange: func(peer string, from, to peernet.PeerState) {
 					if to != peernet.PeerDead {
 						return
@@ -397,6 +392,26 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 			}
 		}
 	}()
+	// serve brings node i's serving socket up on addr: any loopback port
+	// at start, the recorded one on rejoin.
+	serve := func(i int, addr string) error {
+		srv, err := peernet.NewServer(peernet.ServerConfig{
+			Backend:    serveBackends[i],
+			Membership: mems[i],
+			Stats:      nodeStats(i),
+			Trace:      nodeTrace(i),
+		})
+		if err != nil {
+			return err
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return err
+		}
+		go srv.Serve(ln)
+		servers[i], addrs[i] = srv, ln.Addr().String()
+		return nil
+	}
 	for i := range ssds {
 		ssds[i] = storage.NewMemFS("ssd-"+nodeIDs[i], cfg.SSDQuota)
 		pfss[i] = storage.NewCounting(pfsRaw)
@@ -405,22 +420,9 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 			serveBackends[i] = slowReads{Backend: ssds[i], delay: cfg.SlowDelay}
 		}
 		if cfg.UsePeers {
-			srv, err := peernet.NewServer(peernet.ServerConfig{
-				Backend:    serveBackends[i],
-				Membership: mems[i],
-				Stats:      nodeStats(i),
-				Trace:      nodeTrace(i),
-			})
-			if err != nil {
+			if err := serve(i, "127.0.0.1:0"); err != nil {
 				return nil, err
 			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			go srv.Serve(ln)
-			servers[i] = srv
-			addrs[i] = ln.Addr().String()
 		}
 	}
 
@@ -497,7 +499,7 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 	// always finds a breaker to feed.
 	if gossip {
 		for i := range mems {
-			hb, err := peernet.NewHeartbeater(mems[i], clientsOf[i], cfg.HeartbeatEvery)
+			hb, err := peernet.NewHeartbeater(mems[i], clientsOf[i], peerHeartbeatEvery)
 			if err != nil {
 				return nil, err
 			}
@@ -551,23 +553,9 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 				res.KillConvergence = <-convKill
 				killDrained = true
 			}
-			srv, err := peernet.NewServer(peernet.ServerConfig{
-				Backend:    serveBackends[cfg.KillNode],
-				Membership: mems[cfg.KillNode],
-				Stats:      nodeStats(cfg.KillNode),
-				Trace:      nodeTrace(cfg.KillNode),
-			})
-			if err != nil {
-				rejoinErr = err
+			if rejoinErr = serve(cfg.KillNode, addrs[cfg.KillNode]); rejoinErr != nil {
 				return
 			}
-			ln, err := net.Listen("tcp", addrs[cfg.KillNode])
-			if err != nil {
-				rejoinErr = err
-				return
-			}
-			go srv.Serve(ln)
-			servers[cfg.KillNode] = srv
 			if gossip {
 				rejoinMeasured = true
 				go func() {

@@ -124,9 +124,10 @@ func (k SpanKind) String() string {
 type SpanFlags uint8
 
 const (
-	// FlagPartial marks a read served from an upper tier while that
-	// file's chunked placement was still in flight (mid-copy
-	// read-through).
+	// FlagPartial marks a read served from bytes in flight: a chunked
+	// placement's landed prefix or a fetch-through's buffer (mid-copy
+	// read-through, booked on the tier the copy is bound for), or a
+	// read-ahead buffer (booked on the source level).
 	FlagPartial SpanFlags = 1 << iota
 	// FlagFallback marks a read that failed on an upper tier and was
 	// re-served from the source level. The span's Err records the

@@ -69,12 +69,14 @@ type Backend interface {
 	Used() int64
 }
 
-// RangeWriter is an optional Backend extension enabling chunked
-// placement: a file is Allocated once at its final size (reserving
-// quota and creating the name with unspecified contents), then filled
-// by concurrent WriteAt calls. Readers may read any range that has
-// already been written while other ranges are still in flight — this
-// is what lets MONARCH serve partial hits mid-copy.
+// RangeWriter is an optional Backend extension for writing a file in
+// ranges: it is Allocated once at its final size (reserving quota and
+// creating the name with unspecified contents), then filled by WriteAt
+// calls, concurrent ones included. Readers may read any range that has
+// already been written while other ranges are still in flight. MONARCH
+// uses it for chunked placement (partial hits mid-copy), for Create'd
+// files' WriteAt on tier 0 and the PFS, for the write-back flusher's
+// range pushes and for journal recovery.
 //
 // Instrumentation wrappers (Faulty, Counting) forward these methods to
 // the wrapped backend and return an error satisfying

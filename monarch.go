@@ -222,10 +222,12 @@ type (
 	OSFS = storage.OSFS
 	// Counting wraps a backend with operation/byte counters.
 	Counting = storage.Counting
-	// RangeWriter is the optional backend extension chunked placement
-	// needs (Config.ChunkSize): Allocate a file at its final size, then
-	// fill it with concurrent WriteAt calls. MemFS and OSFS implement
-	// it; tiers without it fall back to whole-file copies.
+	// RangeWriter is the optional backend extension for range writes:
+	// Allocate a file at its final size, then fill it with WriteAt calls.
+	// Chunked placement (Config.ChunkSize) needs it — tiers without it
+	// fall back to whole-file copies — and the write path (Create /
+	// WriteAt, the write-back flusher, journal recovery) requires it on
+	// tier 0 and the source. MemFS and OSFS implement it.
 	RangeWriter = storage.RangeWriter
 	// Pinger is the optional backend extension the circuit breaker's
 	// recovery probe prefers over a write probe — read-only tiers (a
