@@ -18,9 +18,9 @@ import (
 // metadataContainer and a plain-map oracle whose entries are driven
 // through identical fileEntry transitions. Lookups, counts, sorted
 // listings, landed prefixes, the read plan's lookup of them and the
-// lock-free packed snapshots must agree after every step — sharding must be observationally
-// indistinguishable from one map, and a snapshot must never lag the
-// mutex-guarded truth once the mutator has returned.
+// lock-free packed snapshots must agree after every step — sharding
+// must be observationally indistinguishable from one map, and a snapshot
+// must never lag the mutex-guarded truth once the mutator has returned.
 func FuzzMetaOracle(f *testing.F) {
 	f.Add(uint8(4), []byte{})
 	f.Add(uint8(70), []byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4})
