@@ -408,6 +408,30 @@ func TestChunkFailureRetriesTransiently(t *testing.T) {
 	}
 }
 
+// TestChunkedShortTierWriteIsAFailure: a window the tier lands only half
+// of, with a nil error, is a failed copy, not a landed one — the torn
+// copy is dropped, the failure booked, and reads still get the source's
+// bytes rather than the zeros past the short write.
+func TestChunkedShortTierWriteIsAFailure(t *testing.T) {
+	tier0 := storage.NewFaulty(storage.NewMemFS("ssd", 0))
+	tier0.ShortNextWrites(1)
+	m := newChunkStack(t, tier0, 1, 1, 1024, nil) // 4 windows of 256, the first short
+	ctx := context.Background()
+	if _, err := m.ReadAt(ctx, "c000", make([]byte, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	waitIdleM(t, m)
+	if st := m.Stats(); st.Placements != 0 || st.PlacementErrors != 1 {
+		t.Fatalf("stats: placements=%d errors=%d, want 0 and 1", st.Placements, st.PlacementErrors)
+	}
+	if lvl, _ := m.LevelOf("c000"); lvl == 0 {
+		t.Fatal("a copy torn by a short write stayed on tier 0")
+	}
+	if got, err := m.ReadFull(ctx, "c000"); err != nil || !bytes.Equal(got, chunkContent(0, 1024)) {
+		t.Fatalf("read after a short tier write differs from the source (err=%v)", err)
+	}
+}
+
 // TestChunkedNoSpaceMidCopyIsASkip: a tier that runs out of room after a
 // chunked copy began landing on it settles the attempt there — the torn
 // copy dropped, the file a skip — rather than sending the copy down to

@@ -476,7 +476,7 @@ func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeW
 			return fmt.Errorf("monarch: chunk at %d of %q: source truncated at %d/%d bytes",
 				off, e.name, off+int64(n), e.size)
 		}
-		if _, err := rw.WriteAt(ctx, e.name, buf[:want], off); err != nil {
+		if err := writeAt(ctx, rw, e.name, buf[:want], off); err != nil {
 			return err
 		}
 		e.raise(h, off+want)

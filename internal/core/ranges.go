@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"io"
 	"slices"
 	"sort"
+
+	"monarch/internal/storage"
 )
 
 // span is the byte range [off, end) of one file.
@@ -20,4 +24,14 @@ func (l spans) add(off, end int64) spans {
 		off, end = min(off, l[j].off), max(end, l[j].end)
 	}
 	return slices.Replace(l, i, j, span{off, end})
+}
+
+// writeAt writes p to name at off through rw. A short count with a nil
+// error is io.ErrShortWrite: a refusal, not a smaller success.
+func writeAt(ctx context.Context, rw storage.RangeWriter, name string, p []byte, off int64) error {
+	n, err := rw.WriteAt(ctx, name, p, off)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	return err
 }
