@@ -64,7 +64,9 @@ test:
 # promotions on one file — once more under -tags debug, where bufpool
 # poisons a buffer on Put, so a view that lost shows 0xDB, not luck —
 # and the cold pass's one source op per file, with the bound on the
-# fetches whose copy found no room.
+# fetches whose copy found no room. The placement copy's refusals ride
+# along: a source truncated under its window a failure wrapping ErrFault
+# (a SIGBUS recovered), a short tier write a failure, never placed.
 # Beside the view lifetimes, ReadAt's copy out of a mapping: a tier file
 # truncated under it is a fallback (the fault guard), never a SIGBUS; a
 # Create'd file is never viewed; a counted tier without views refuses
@@ -79,7 +81,7 @@ stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestRemoveDuringFlush|TestCreateDuringRemove|TestFlushPlanProperty|TestRangeFlushRefusalKeepsEveryRangeDirty' -count=50 ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestChunkedMidCopyReadThrough|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule|TestColdPassOneSourceOpPerFile|TestKeptFetchThroughEndsWithItsPass' -count=50 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestChunkedMidCopyReadThrough|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule|TestColdPassOneSourceOpPerFile|TestKeptFetchThroughEndsWithItsPass|TestPlacementFaultIsAFailure|TestChunkedShortTierWriteIsAFailure' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime|TestViewCopySurvivesAFault|TestViewLendSurvivesAFault|TestCountingRefusesViewsWithoutAllocating' -count=50 ./internal/storage/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadAtSurvivesTruncatedTierCopy|TestReadAtNeverViewsCreatedFiles' -count=50 ./internal/core/

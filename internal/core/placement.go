@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -402,14 +401,19 @@ func (pl *placer) settle(ctx context.Context, a attempt, d *driver, err error) {
 // copyInto moves the file content onto level d. Preference order:
 // reuse the foreground's full read, then the chunked copy (when
 // configured and the tier supports range writes), then the backend's
-// whole-file copy fast path, then an explicit read-modify-write through
-// this process.
+// whole-file copy fast path, then one whole-file move. The chunked copy
+// allocates e at full size on d and moves it window by window on the
+// calling task, each window raising the landed prefix it publishes as
+// the entry's holder, so the foreground reads that prefix — what a
+// sequential reader asks for next — from d mid-copy. Allocate's
+// ErrNoSpace routes the caller to the next level; its ErrUnsupported (a
+// wrapper advertised range writes its inner backend lacks) falls back
+// to the whole-file arms.
 func (pl *placer) copyInto(ctx context.Context, d *driver, a attempt) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	m, e := pl.m, a.e
-	src := m.source.backend
+	m, e, src := pl.m, a.e, pl.m.source.backend
 	switch {
 	case a.reuse():
 		m.stats.fullReadReuses.Add(1)
@@ -421,74 +425,35 @@ func (pl *placer) copyInto(ctx context.Context, d *driver, a attempt) error {
 		return errFetchDisabled
 	}
 	if rw, ok := d.backend.(storage.RangeWriter); ok && m.cfg.ChunkSize > 0 && e.size > 0 {
-		// ErrUnsupported: an instrumentation wrapper advertised range
-		// writes its inner backend lacks — fall back to whole-file.
-		if err := pl.placeChunked(ctx, d, rw, a); !errors.Is(err, errors.ErrUnsupported) {
-			return err
+		if err := rw.Allocate(ctx, e.name, e.size); !errors.Is(err, errors.ErrUnsupported) {
+			if err != nil {
+				return err
+			}
+			h, start := e.land(d.level), time.Now()
+			return move(ctx, src, d.backend, e.name, spans{{0, e.size}}, m.cfg.ChunkSize, func(off, n int64) {
+				e.raise(h, off+n)
+				m.stats.chunkPlacements.Add(1)
+				m.stats.writtenBytes[d.level].Add(n)
+				dur := time.Since(start)
+				m.inst.chunkCopyLatency.Observe(dur.Seconds())
+				m.span(obs.Span{Kind: obs.SpanChunkCopy, File: e.name, Tier: d.level, Off: off, Bytes: n,
+					Attempt: a.n, Duration: dur})
+				if off+n < e.size { // a checkpoint burst that starts mid-copy pauses it
+					m.writes.pauseForBurst(ctx)
+				}
+				start = time.Now()
+			})
 		}
 	}
 	if cp, ok := d.backend.(storage.Copier); ok {
 		return cp.CopyFrom(ctx, src, e.name)
 	}
-	data, err := src.ReadFile(ctx, e.name)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return d.backend.WriteFile(ctx, e.name, data)
+	return move(ctx, src, d.backend, e.name, spans{{0, e.size}}, 0, func(int64, int64) {})
 }
 
 // errFetchDisabled marks placements skipped by the abl-fullfetch
 // configuration: a skip in settle's table, not an operational failure.
 var errFetchDisabled = errors.New("monarch: full-file fetch disabled")
-
-// placeChunked allocates e at full size on d and copies it window by
-// window, in offset order, on the calling task: each ChunkSize window is
-// one source ReadAt and one WriteAt, and raises the landed prefix it
-// publishes as the entry's holder over it, so the foreground reads that
-// prefix — what a sequential reader asks for next — from d mid-copy. It
-// returns the Allocate error (ErrNoSpace routes the caller to the next
-// level, errors.ErrUnsupported to the whole-file path), or what stopped
-// the copy short, a failed window or cancellation, for settle's table.
-func (pl *placer) placeChunked(ctx context.Context, d *driver, rw storage.RangeWriter, a attempt) error {
-	m, e := pl.m, a.e
-	if err := rw.Allocate(ctx, e.name, e.size); err != nil {
-		return err
-	}
-	h, chunk := e.land(d.level), m.cfg.ChunkSize
-	buf := bufpool.Get(int(min(chunk, e.size)))
-	defer bufpool.Put(buf)
-	for off := int64(0); off < e.size; off += chunk {
-		// A long chunked copy yields between windows when a checkpoint
-		// burst starts mid-flight.
-		m.writes.pauseForBurst(ctx)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		start, want := time.Now(), min(e.size-off, chunk)
-		n, err := m.source.backend.ReadAt(ctx, e.name, buf[:want], off)
-		if err != nil {
-			return err
-		}
-		if int64(n) < want {
-			return fmt.Errorf("monarch: chunk at %d of %q: source truncated at %d/%d bytes",
-				off, e.name, off+int64(n), e.size)
-		}
-		if err := writeAt(ctx, rw, e.name, buf[:want], off); err != nil {
-			return err
-		}
-		e.raise(h, off+want)
-		m.stats.chunkPlacements.Add(1)
-		m.stats.writtenBytes[d.level].Add(want)
-		dur := time.Since(start)
-		m.inst.chunkCopyLatency.Observe(dur.Seconds())
-		m.span(obs.Span{Kind: obs.SpanChunkCopy, File: e.name, Tier: d.level, Off: off, Bytes: want,
-			Attempt: a.n, Duration: dur})
-	}
-	return nil
-}
 
 // errUnknownVictim marks a policy proposing a file absent from the
 // namespace; tryMakeRoom gives up rather than trusting the policy

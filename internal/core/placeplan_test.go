@@ -3,13 +3,18 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"monarch/internal/obs"
+	"monarch/internal/pool"
 	"monarch/internal/storage"
 )
 
@@ -465,5 +470,92 @@ func TestPlacementSettleParity(t *testing.T) {
 				t.Errorf("whole-file: the source saw %d data ops; want the first read's one in every row", whole.srcOps)
 			}
 		})
+	}
+}
+
+// TestPreStageEmptyFile: pre-staging places a 0-byte dataset file like
+// any other, with chunking off or on: a 0-byte file on tier 0, never an
+// entry that says placed over a tier holding nothing.
+func TestPreStageEmptyFile(t *testing.T) {
+	for _, chunk := range []int64{0, 256} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			ctx := context.Background()
+			pfs, tier0 := storage.NewMemFS("lustre", 0), storage.NewMemFS("ssd", 0)
+			if err := pfs.WriteFile(ctx, "empty", nil); err != nil {
+				t.Fatal(err)
+			}
+			pfs.SetReadOnly(true)
+			m, err := New(Config{Levels: []storage.Backend{tier0, pfs}, Pool: pool.NewGoPool(1),
+				FullFileFetch: true, Staging: StagePreTraining, ChunkSize: chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m.Close)
+			if err := m.Init(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if lvl, _ := m.LevelOf("empty"); lvl != 0 {
+				t.Fatalf("the empty file is on level %d, want 0", lvl)
+			}
+			if fi, err := tier0.Stat(ctx, "empty"); err != nil || fi.Size != 0 {
+				t.Fatalf("tier 0 holds %+v (err=%v), want a 0-byte file", fi, err)
+			}
+		})
+	}
+}
+
+// TestPlacementFaultIsAFailure: a source file truncated from outside
+// while its placement holds a window of its mapping leaves the tier's
+// write copying pages the file no longer has. That is a failed placement
+// wrapping storage.ErrFault — a SIGBUS recovered — booked like any other,
+// with nothing left on tier 0: not a crashed process.
+func TestPlacementFaultIsAFailure(t *testing.T) {
+	ctx := context.Background()
+	src := mappedTier(t)
+	const size = 64 << 10
+	if err := src.WriteFile(ctx, "c000", bytes.Repeat([]byte{5}, size)); err != nil {
+		t.Fatal(err)
+	}
+	tier0 := newGatedBackend(storage.NewMemFS("ssd", 0))
+	var mu sync.Mutex
+	var placed []obs.Span
+	m, err := New(Config{Levels: []storage.Backend{tier0, src}, Pool: pool.NewGoPool(1),
+		FullFileFetch: true, Staging: StagePreTraining, Trace: func(s obs.Span) {
+			if s.Kind == obs.SpanPlacement {
+				mu.Lock()
+				placed = append(placed, s)
+				mu.Unlock()
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	done := make(chan error, 1)
+	go func() { done <- m.Init(ctx) }() // pre-staging: the copy runs inside Init
+	<-tier0.blocked                     // the copy holds its window, mapped at the full size
+	if err := os.Truncate(filepath.Join(src.Root(), "c000"), 4096); err != nil {
+		t.Fatal(err)
+	}
+	tier0.release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Placements != 0 || st.PlacementErrors != 1 {
+		t.Fatalf("stats: placements=%d errors=%d, want 0 and 1", st.Placements, st.PlacementErrors)
+	}
+	if got := errorsAt(m, "placement"); got != 1 {
+		t.Fatalf(`errors{stage="placement"} = %d, want 1`, got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(placed) != 1 || !errors.Is(placed[0].Err, storage.ErrFault) {
+		t.Fatalf("placement spans %+v, want one failure wrapping ErrFault", placed)
+	}
+	if lvl, _ := m.LevelOf("c000"); lvl == 0 {
+		t.Fatal("a copy that faulted is on tier 0")
+	}
+	if _, err := tier0.Backend.Stat(ctx, "c000"); !errors.Is(err, storage.ErrNotExist) {
+		t.Fatalf("tier 0 holds the faulted copy (err=%v)", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -438,52 +437,27 @@ func (ws *writeState) claimDirty() (f *writeFile, snap int64, ranges spans, cove
 	return nil, 0, nil, 0
 }
 
-// push lands the claimed ranges of f's tier-0 content on the PFS in
-// pieces no larger than a pooled buffer and reports the bytes that
-// crossed. The first push allocates the file there — unless the claim
-// is the whole file, which is one WriteFile and no Allocate. A piece
-// goes out of tier 0's own mapping where it lends one (HoldableView),
-// and a fault under it refuses the flush, wrapping storage.ErrFault.
-func (ws *writeState) push(ctx context.Context, f *writeFile, ranges spans) (pushed int64, _ error) {
-	tier0, src := ws.m.levels[0].backend, ws.m.source.backend
-	rw := src.(storage.RangeWriter) // New checked
-	piece := int64(bufpool.MaxPooled)
-	whole := !f.onPFS && len(ranges) == 1 && ranges[0] == span{0, f.size}
-	if whole {
-		piece = f.size
+// push lands the claimed ranges of f's tier-0 content on the PFS through
+// move, in pieces no larger than a pooled buffer, and reports the bytes
+// that crossed. The first push allocates the file there — unless the
+// claim is the whole file, which is one WriteFile and no Allocate. A
+// piece goes out of tier 0's own mapping where it lends one, and a fault
+// under it refuses the flush, wrapping storage.ErrFault.
+func (ws *writeState) push(ctx context.Context, f *writeFile, ranges spans) (pushed int64, err error) {
+	src, piece := ws.m.source.backend, int64(bufpool.MaxPooled)
+	if !f.onPFS && len(ranges) == 1 && ranges[0] == (span{0, f.size}) {
+		piece = 0
 	} else if !f.onPFS {
-		if err := rw.Allocate(ctx, f.name, f.size); err != nil {
+		if err := src.(storage.RangeWriter).Allocate(ctx, f.name, f.size); err != nil { // New checked
 			return 0, err
 		}
 		f.onPFS = true // a second Allocate would wipe what landed since
 	}
-	for _, r := range ranges {
-		for off := r.off; off < r.end; off += piece {
-			// Tier 0 as of the claim's seq is fully visible here: writers
-			// publish lastSeq only after their tier-0 write returns.
-			n := min(piece, r.end-off)
-			v, err := storage.HoldableView(ctx, tier0, f.name, off, n)
-			if err == nil {
-				err = v.Lend(func(p []byte) error {
-					if whole {
-						return src.WriteFile(ctx, f.name, p)
-					}
-					w, err := rw.WriteAt(ctx, f.name, p, off)
-					if err == nil && w < len(p) {
-						err = io.ErrShortWrite // a refusal, not a smaller success
-					}
-					return err
-				})
-				v.Release()
-			}
-			if err != nil {
-				return pushed, err
-			}
-			pushed += n
-		}
-	}
-	f.onPFS = true
-	return pushed, nil
+	// Tier 0 as of the claim's seq is fully visible here: writers
+	// publish lastSeq only after their tier-0 write returns.
+	err = move(ctx, ws.m.levels[0].backend, src, f.name, ranges, piece, func(_, n int64) { pushed += n })
+	f.onPFS = f.onPFS || err == nil
+	return pushed, err
 }
 
 // flush pushes f's claimed ranges to the PFS and hands the file back:
@@ -702,7 +676,7 @@ func (ws *writeState) recover(ctx context.Context, pending map[string]*pendingWr
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	rw, _ := src.(storage.RangeWriter)
+	rw := src.(storage.RangeWriter) // New checked
 	recovered := 0
 	for _, name := range names {
 		p := pending[name]
@@ -723,9 +697,6 @@ func (ws *writeState) recover(ctx context.Context, pending map[string]*pendingWr
 		if !missing && len(p.recs) == 0 {
 			continue // every record was covered by a flush: nothing to recover
 		}
-		if rw == nil {
-			return fmt.Errorf("monarch: recover %q: source lacks range writes", name)
-		}
 		if missing {
 			if err := rw.Allocate(ctx, name, p.size); err != nil {
 				return fmt.Errorf("monarch: recover allocate %q: %w", name, err)
@@ -733,11 +704,7 @@ func (ws *writeState) recover(ctx context.Context, pending map[string]*pendingWr
 		}
 		sort.Slice(p.recs, func(i, j int) bool { return p.recs[i].Seq < p.recs[j].Seq })
 		for _, rec := range p.recs {
-			n, err := rw.WriteAt(ctx, name, rec.Data, int64(rec.Off))
-			if err == nil && n < len(rec.Data) {
-				err = io.ErrShortWrite
-			}
-			if err != nil {
+			if err := writeAt(ctx, rw, name, rec.Data, int64(rec.Off)); err != nil {
 				return fmt.Errorf("monarch: recover write %q: %w", name, err)
 			}
 		}
@@ -776,11 +743,7 @@ func (m *Monarch) Create(ctx context.Context, name string, size int64) error {
 	if back {
 		target, state = m.levels[0], statePlaced
 	}
-	rw, ok := target.backend.(storage.RangeWriter)
-	if !ok {
-		return fmt.Errorf("monarch: level %d (%s) lacks range writes: %w",
-			target.level, target.backend.Name(), errors.ErrUnsupported)
-	}
+	rw := target.backend.(storage.RangeWriter) // New checked
 	// The namespace entry is the name's reservation: a writable file
 	// keeps its own until Remove is through with both backends.
 	if _, err := m.meta.insert(name, size, target.level, state); err != nil {

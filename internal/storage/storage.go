@@ -74,9 +74,9 @@ type Backend interface {
 // creating the name with unspecified contents), then filled by WriteAt
 // calls, concurrent ones included. Readers may read any range that has
 // already been written while other ranges are still in flight. MONARCH
-// uses it for chunked placement (partial hits mid-copy), for Create'd
-// files' WriteAt on tier 0 and the PFS, for the write-back flusher's
-// range pushes and for journal recovery.
+// uses it for Create'd files' WriteAt on tier 0 and the PFS, for journal
+// recovery and in core's range mover: chunked placement (partial hits
+// mid-copy) and the write-back flusher's range pushes.
 //
 // Instrumentation wrappers (Faulty, Counting) forward these methods to
 // the wrapped backend and return an error satisfying
@@ -113,12 +113,12 @@ type Releaser interface {
 // content. In-place range writes (RangeWriter.WriteAt) are the one
 // exception — MemFS blocks them while a view is held, OSFS lets them
 // show through — so callers do not hold views of files they are still
-// filling. core's write-back flusher is the one caller that does, and
-// holds only windows of an open file (HoldableView) across a PFS write:
-// such a window blocks no writer, and a write that shows through
-// mid-push tears only a range that write's ack then marks dirty again,
-// so the flusher pushes that range once more and the last push carries
-// the last write.
+// filling. core's range mover, for placement and flush, is the one
+// caller that does, and holds only windows of an open file
+// (HoldableView) across the other backend's write: such a window blocks
+// no writer, and a write that shows through mid-flush tears only a
+// range that write's ack then marks dirty again, so the flusher pushes
+// it once more and the last push carries the last write.
 type View struct {
 	// Data is the requested range. Its length may be shorter than the
 	// requested byte count when the file ends first (same short-read
