@@ -161,7 +161,7 @@ func FuzzNamespace(f *testing.F) {
 			case 1:
 				e.markPlaced(int(arg) % levels)
 			case 2:
-				if e.currentState() == stateQueued { // placeChunked lands on its queued attempt
+				if e.currentState() == stateQueued { // a chunked copy lands on its queued attempt
 					last[e] = e.land(0)
 					if v := last[e].landed.Load(); v != 0 {
 						t.Fatalf("landed prefix published at %d, not 0", v)

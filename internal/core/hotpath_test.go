@@ -102,7 +102,7 @@ func FuzzMetaOracle(f *testing.F) {
 				ce.markPlaced(int(arg) % levels)
 				oe.markPlaced(int(arg) % levels)
 			case 2:
-				if ce.currentState() == stateQueued { // placeChunked lands on its queued attempt
+				if ce.currentState() == stateQueued { // a chunked copy lands on its queued attempt
 					ce.land(0)
 					oe.land(0)
 				}
