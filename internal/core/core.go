@@ -365,7 +365,7 @@ func (m *Monarch) serve(ctx context.Context, rt route, e *fileEntry, off, n int6
 	}
 	s.lent = false
 	if s.lend {
-		if rem := e.size - off; off >= 0 && rem < n {
+		if rem := e.size - off; rem < n {
 			n = max(rem, 0)
 		}
 		buf = bufpool.Get(int(n))
@@ -434,6 +434,11 @@ func (m *Monarch) recovered(e *fileEntry, rt route, err error) obs.SpanFlags {
 func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) (int, error) {
 	start := time.Since(m.base)
 	e, err := m.lookup(name)
+	if err == nil && off < 0 {
+		// The caller's error, refused before any tier is asked: a tier's
+		// refusal would be booked as its failure and feed its breaker.
+		err = fmt.Errorf("monarch: negative offset %d", off)
+	}
 	if err != nil {
 		m.inst.errs[stageRead].Inc()
 		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(m.base) - start})

@@ -114,7 +114,7 @@ func (pl *placer) fetched(ctx context.Context, e *fileEntry, off, n int64, rt ro
 	// and the read it was meant for then costs the source a range.
 	m, f, end := pl.m, e.fetch.Load(), off+min(n, e.size-off)
 	switch {
-	case off < 0 || off >= e.size || n <= 0:
+	case off >= e.size || n <= 0:
 		return nil, rt
 	case f != nil && f == e.landing(): // a landed prefix
 		if end <= f.landed.Load() && !m.health.isDown(f.level) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"monarch/internal/obs"
 	"monarch/internal/storage"
 )
 
@@ -119,5 +120,62 @@ func TestReadAtUnknownFileChunked(t *testing.T) {
 	m := newChunkStack(t, storage.NewMemFS("ssd", 0), 1, 1, 100, nil)
 	if _, err := m.ReadAt(context.Background(), "nope", make([]byte, 1), 0); err == nil {
 		t.Fatal("expected ErrUnknownFile")
+	}
+}
+
+// TestNegativeOffsetIsTheCallersError pins that a negative offset is
+// refused as the caller's error before any tier is asked: it is booked
+// as errors{stage="read"} with a failed read span, never as a tier
+// failure, so it cannot trip tier 0's breaker and demote a placed file.
+func TestNegativeOffsetIsTheCallersError(t *testing.T) {
+	var spans []obs.Span
+	var mu sync.Mutex
+	f := newFixture(t, 0, 2, 100, func(c *Config) {
+		c.Trace = func(s obs.Span) {
+			mu.Lock()
+			defer mu.Unlock()
+			if s.Kind == obs.SpanRead && s.Off < 0 {
+				spans = append(spans, s)
+			}
+		}
+	})
+	ctx := context.Background()
+	p := make([]byte, 100)
+	if _, err := f.m.ReadAt(ctx, "f000", p, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.waitIdle(t)
+	if lvl, err := f.m.LevelOf("f000"); err != nil || lvl != 0 {
+		t.Fatalf("warm read left f000 on level %d (err=%v), want 0", lvl, err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := f.m.ReadAt(ctx, "f000", p[:10], -5); err == nil {
+			t.Fatal("ReadAt at offset -5 succeeded")
+		}
+		if _, err := f.m.ReadView(ctx, "f000", -5, 10); err == nil {
+			t.Fatal("ReadView at offset -5 succeeded")
+		}
+	}
+	if st := f.m.Stats(); st.Fallbacks != 0 {
+		t.Errorf("Fallbacks = %d, want 0", st.Fallbacks)
+	}
+	if s := f.m.TierState(0); s != TierHealthy {
+		t.Errorf("tier 0 is %v, want healthy", s)
+	}
+	if lvl, err := f.m.LevelOf("f000"); err != nil || lvl != 0 {
+		t.Errorf("f000 on level %d (err=%v), want still 0", lvl, err)
+	}
+	if n := errorsAt(f.m, "read"); n != 6 {
+		t.Errorf("errors{stage=read} = %d, want 6", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(spans) != 6 {
+		t.Fatalf("%d read spans at a negative offset, want 6", len(spans))
+	}
+	for _, s := range spans {
+		if s.Err == nil || s.Flags&obs.FlagFallback != 0 {
+			t.Errorf("span %+v: want a failed read without FlagFallback", s)
+		}
 	}
 }
