@@ -14,8 +14,8 @@
 //	monarch-inspect top [-once] [-interval 2s] <url> # live cluster view
 //
 // The metrics subcommand accepts either a JSON snapshot file (as
-// fetched from /metrics.json) or the base
-// URL of a running instance's metrics endpoint (Config.MetricsAddr).
+// fetched from /metrics.json) or the base URL of a running instance's
+// metrics endpoint (monarch-serve -metrics).
 //
 // The trace subcommand reads an access trace captured with
 // monarch-bench -capture or Config.TracePath (one binary encoding) and

@@ -419,7 +419,7 @@ func tenantMode(ctx context.Context, cfg serveConfig) (*mode, error) {
 		Levels:        []monarch.Backend{tier0, pfs},
 		Pool:          monarch.NewPool(4),
 		FullFileFetch: true,
-		Eviction:      monarch.NewHeatPolicy(monarch.HeatConfig{}),
+		Eviction:      monarch.NewHeatPolicy(),
 		JobOf:         monarch.JobFromPath,
 		Tenants:       tenants,
 	}

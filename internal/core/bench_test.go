@@ -516,15 +516,15 @@ func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
 func BenchmarkReadAtMidCopy(b *testing.B) { benchMidCopy(b, nil) }
 
 // BenchmarkReadAtInstrumented is the overhead guard for the
-// observability layer: the identical mid-copy read path with this PR's
-// hot-path consumers attached — a span trace hook and a live metrics
-// endpoint. The budget (DESIGN.md §8) is ≤5% over
+// observability layer: the identical mid-copy read path with its
+// hot-path consumer attached — a span trace hook. The registry's
+// counters and histograms move on every read either way; serving them
+// over HTTP touches no read. The budget (DESIGN.md §8) is ≤5% over
 // BenchmarkReadAtMidCopy; TestObservabilityOverheadBudget enforces it.
 func BenchmarkReadAtInstrumented(b *testing.B) {
 	var spans atomic.Int64
 	benchMidCopy(b, func(c *Config) {
 		c.Trace = func(s obs.Span) { spans.Add(1) }
-		c.MetricsAddr = "127.0.0.1:0"
 	})
 	if spans.Load() == 0 {
 		b.Fatal("trace hook never fired")
@@ -533,16 +533,15 @@ func BenchmarkReadAtInstrumented(b *testing.B) {
 
 // BenchmarkReadAtTraced is the overhead guard for the access-trace
 // recorder: the instrumented mid-copy read path with the trace
-// recorder attached on top of the span hook and metrics endpoint. The
-// budget (DESIGN.md §9) is ≤5% over BenchmarkReadAtInstrumented — the
-// recorder's hot path is one atomic, a short mutex'd ring append and a
-// channel signal; encoding and file I/O stay on the drainer.
+// recorder attached on top of the span hook. The budget (DESIGN.md §9)
+// is ≤5% over BenchmarkReadAtInstrumented — the recorder's hot path is
+// one atomic, a short mutex'd ring append and a channel signal;
+// encoding and file I/O stay on the drainer.
 func BenchmarkReadAtTraced(b *testing.B) {
 	var spans atomic.Int64
 	path := filepath.Join(b.TempDir(), "bench.bin")
 	m := benchMidCopy(b, func(c *Config) {
 		c.Trace = func(s obs.Span) { spans.Add(1) }
-		c.MetricsAddr = "127.0.0.1:0"
 		c.TracePath = path
 	})
 	b.StopTimer()

@@ -79,12 +79,6 @@ type Config struct {
 	// Retry re-queues placements that failed transiently instead of
 	// marking the file unplaceable. The zero value disables retries.
 	Retry RetryPolicy
-	// MetricsAddr, when non-empty, serves the instance's metrics
-	// registry over HTTP at this "host:port" (":0" picks a free port;
-	// see Monarch.MetricsURL). Endpoints: /metrics (Prometheus text),
-	// /metrics.json (JSON snapshot), /debug/pprof/. The server starts in New and stops with
-	// Close/Shutdown.
-	MetricsAddr string
 	// Trace, when non-nil, receives typed spans, one per decision the
 	// middleware makes: each read, placement, chunk copy, eviction,
 	// breaker transition, write and flush (obs.SpanKind). The hook runs

@@ -27,8 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -64,9 +62,7 @@ type Monarch struct {
 	// nil when neither is configured.
 	spanHook obs.TraceHook
 
-	metricsLn  net.Listener
-	metricsSrv *http.Server
-	traceOnce  sync.Once
+	traceOnce sync.Once
 }
 
 // ErrNotInitialized is returned by reads before Init has built the
@@ -129,8 +125,8 @@ func New(cfg Config) (*Monarch, error) {
 		return nil, err
 	}
 	m.tenants = tenants
-	if tb, ok := cfg.Eviction.(tenancyBinder); ok && m.tenants != nil {
-		tb.bindTenancy(m.tenants)
+	if hp, ok := cfg.Eviction.(*HeatPolicy); ok && m.tenants != nil {
+		hp.tenants = m.tenants
 	}
 	m.placer = newPlacer(m)
 	m.health = newHealthTracker(cfg.Health, len(m.levels)-1)
@@ -149,12 +145,6 @@ func New(cfg Config) (*Monarch, error) {
 		tracerHook = m.tracer.HookSpan
 	}
 	m.spanHook = obs.MultiHook(tracerHook, cfg.Trace)
-	if cfg.MetricsAddr != "" {
-		if err := m.startMetrics(); err != nil {
-			m.closeTrace()
-			return nil, err
-		}
-	}
 	return m, nil
 }
 
@@ -211,7 +201,6 @@ func (m *Monarch) Idle() bool { return m.placer.inFlight() == 0 }
 // any, flushes and writes its trailer after the pool drains, so the
 // trace's summary reflects final counters.
 func (m *Monarch) Close() {
-	m.stopMetrics()
 	if m.writes != nil {
 		// Graceful: drain the dirty backlog to the PFS, persist the heat
 		// snapshot, seal the journal.
@@ -225,7 +214,6 @@ func (m *Monarch) Close() {
 // Close it does not wait out long copies. Cancelled placements return
 // their files to the source state and are not counted as errors.
 func (m *Monarch) Shutdown() {
-	m.stopMetrics()
 	if m.writes != nil {
 		// Abrupt: skip the drain. The journal already holds every acked
 		// write-back byte; the next Init replays them into the PFS.
@@ -555,20 +543,20 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 }
 
 // maybePromote re-enters an unplaceable file into the placement
-// pipeline. Heat-style policies (promoter) gate the revival: the file
-// must have become hot enough to displace a colder resident, and
-// HeatPolicy.ShouldPromote rate-limits the check to once per file per
-// epoch. Plain recency policies (LRU/FIFO) revive unconditionally —
-// under them an access *is* the claim to residence, and the books they
-// keep lag the chunk-finalisation tasks, so a placement skipped during
-// a burst must be retriable on the next touch. The placement itself
-// then runs the normal admission path: if no victim still qualifies by
-// the time it executes, the file simply returns to unplaceable.
+// pipeline. A HeatPolicy gates the revival: the file must have become
+// hot enough to displace a colder resident, and ShouldPromote
+// rate-limits the check to once per file per epoch. Plain recency
+// policies (LRU/FIFO) revive unconditionally — under them an access
+// *is* the claim to residence, and the books they keep lag the
+// chunk-finalisation tasks, so a placement skipped during a burst must
+// be retriable on the next touch. The placement itself then runs the
+// normal admission path: if no victim still qualifies by the time it
+// executes, the file simply returns to unplaceable.
 func (m *Monarch) maybePromote(e *fileEntry) {
 	if e.currentState() != stateUnplaceable {
 		return
 	}
-	if pr, ok := m.cfg.Eviction.(promoter); ok && !pr.ShouldPromote(e.name) {
+	if hp, ok := m.cfg.Eviction.(*HeatPolicy); ok && !hp.ShouldPromote(e.name) {
 		return
 	}
 	if !e.makeReplaceable() {

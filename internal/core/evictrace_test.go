@@ -114,7 +114,7 @@ func TestEvictReplaceReadRaceHighFanIn(t *testing.T) {
 		tier   func(*testing.T) storage.Backend
 	}{
 		{"lru-churn", NewLRU(), memTier}, // worst case: evicts eagerly, maximal race surface
-		{"heat", NewHeatPolicy(HeatConfig{HalfLifeEpochs: 1, AdmitMargin: 1.1}), memTier},
+		{"heat", tunedHeat(1, 1.1), memTier},
 		// The real backend: views are windows of mapped files that the
 		// evictor unlinks and the placer re-creates under the readers.
 		{"lru-churn-osfs", NewLRU(), func(t *testing.T) storage.Backend { return newOSFSTier(t, tierCap) }},
@@ -347,7 +347,7 @@ func TestEvictionPolicyEdgeCases(t *testing.T) {
 				policy = tc.policy()
 				cfg.Eviction = policy
 			} else {
-				cfg.Eviction = NewHeatPolicy(HeatConfig{})
+				cfg.Eviction = NewHeatPolicy()
 				cfg.JobOf = func(name string) string { return jobs[name] }
 				cfg.Tenants = tc.tenants
 			}

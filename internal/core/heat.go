@@ -6,56 +6,36 @@ import (
 	"sync/atomic"
 )
 
-// HeatConfig tunes the heat-driven eviction/admission engine.
-type HeatConfig struct {
-	// HalfLifeEpochs is the number of epochs over which a file's heat
-	// decays to half if it is never read again. Zero means 1.
-	HalfLifeEpochs float64
-	// AdmitMargin is the hysteresis factor guarding admission: a
-	// candidate may displace a placed victim only when the candidate's
-	// heat exceeds the victim's by this factor. Values <= 1 are clamped
-	// to the default 1.25. The margin is what makes the engine degrade
-	// to the paper's no-eviction behaviour under single-job uniform
-	// access — every file's heat converges to the same value, nothing
-	// clears the margin, and the tier contents freeze instead of
-	// thrashing (§III-A).
-	AdmitMargin float64
-}
-
-func (c HeatConfig) halfLife() float64 {
-	if c.HalfLifeEpochs <= 0 {
-		return 1
-	}
-	return c.HalfLifeEpochs
-}
-
-func (c HeatConfig) margin() float64 {
-	if c.AdmitMargin <= 1 {
-		return 1.25
-	}
-	return c.AdmitMargin
-}
-
 // HeatPolicy is the real policy engine behind multi-job tenancy: the
 // online form of the per-epoch read heatmaps the trace analyzer derives
 // offline (analyze.HeatScore uses the same exponential decay). Every
-// read adds one unit of heat to its file; heat halves every
-// HalfLifeEpochs epochs (advanced by Monarch.MarkEpoch). Under tier
-// pressure the engine evicts the coldest placed file, but only when the
-// incoming file is hotter by AdmitMargin — or when per-job quota shares
-// entitle an under-share job to reclaim space from a job borrowing
-// beyond its share (work-conserving borrowing: free space is always
-// usable by anyone). Victim contests compare heat as of the last
-// completed epoch, never the epoch in progress, so placement decisions
-// are driven by the same per-epoch heatmaps the analyzer derives
-// offline rather than by intra-epoch read order.
+// read adds one unit of heat to its file; heat halves every epoch
+// (advanced by Monarch.MarkEpoch). Under tier pressure the engine
+// evicts the coldest placed file, but only when the incoming file is
+// 1.25× hotter — or when per-job quota shares entitle an under-share
+// job to reclaim space from a job borrowing beyond its share
+// (work-conserving borrowing: free space is always usable by anyone).
+// Victim contests compare heat as of the last completed epoch, never
+// the epoch in progress, so placement decisions are driven by the same
+// per-epoch heatmaps the analyzer derives offline rather than by
+// intra-epoch read order.
 //
 // HeatPolicy implements EvictionPolicy and is safe for concurrent use.
 // Reads touch one RWMutex read-lock plus per-entry atomics; only victim
 // selection and epoch advancement take the write lock.
 type HeatPolicy struct {
-	cfg   HeatConfig
-	epoch atomic.Int64
+	// halfLife is the number of epochs over which a file's heat decays
+	// to half if it is never read again.
+	halfLife float64
+	// margin is the hysteresis factor guarding admission: a candidate
+	// may displace a placed victim only when its heat exceeds the
+	// victim's by this factor. The margin is what makes the engine
+	// degrade to the paper's no-eviction behaviour under single-job
+	// uniform access — every file's heat converges to the same value,
+	// nothing clears the margin, and the tier contents freeze instead of
+	// thrashing (§III-A).
+	margin float64
+	epoch  atomic.Int64
 
 	// tenants is the owning instance's quota table, bound by New when
 	// Config.Tenants is set; nil means pure heat-based admission.
@@ -82,17 +62,16 @@ type heatEntry struct {
 	foldMu       sync.Mutex   // serialises epoch folds; reads stay lock-free
 }
 
-// NewHeatPolicy returns a heat-driven eviction/admission engine.
-func NewHeatPolicy(cfg HeatConfig) *HeatPolicy {
+// NewHeatPolicy returns a heat-driven eviction/admission engine: heat
+// halves every epoch, and admission needs a 1.25× margin.
+func NewHeatPolicy() *HeatPolicy {
 	return &HeatPolicy{
-		cfg:    cfg,
-		files:  make(map[string]*heatEntry),
-		placed: make(map[int]map[string]*heatEntry),
+		halfLife: 1,
+		margin:   1.25,
+		files:    make(map[string]*heatEntry),
+		placed:   make(map[int]map[string]*heatEntry),
 	}
 }
-
-// bindTenancy wires the instance's quota table in; called by New.
-func (p *HeatPolicy) bindTenancy(t *tenantTable) { p.tenants = t }
 
 // Name implements EvictionPolicy.
 func (p *HeatPolicy) Name() string { return "heat" }
@@ -102,7 +81,7 @@ func (p *HeatPolicy) decayFactor(d int64) float64 {
 	if d <= 0 {
 		return 1
 	}
-	return math.Exp2(-float64(d) / p.cfg.halfLife())
+	return math.Exp2(-float64(d) / p.halfLife)
 }
 
 // fold rolls e's current-epoch reads into its decayed accumulation,
@@ -263,7 +242,7 @@ func (p *HeatPolicy) coldest(level int, skip, candJob string) (cold, coldOver *h
 //     share of level and another job is borrowing beyond its own share,
 //     the borrower's coldest file goes, no heat contest required;
 //  2. heat admission — the coldest eligible file on level goes, but
-//     only when the candidate's heat beats it by AdmitMargin. Files of
+//     only when the candidate's heat beats it by the margin. Files of
 //     other jobs still within their guaranteed share are never
 //     eligible: a guarantee shields residents from hotter tenants.
 //
@@ -286,7 +265,7 @@ func (p *HeatPolicy) Victim(candidate string, level int) (string, bool) {
 		!p.tenants.overShare(job, level) && p.tenants.job(coldOver.name) != job {
 		return coldOver.name, true
 	}
-	if cold != nil && candHeat > coldHeat*p.cfg.margin() {
+	if cold != nil && candHeat > coldHeat*p.margin {
 		return cold.name, true
 	}
 	return "", false
@@ -364,22 +343,4 @@ func (p *HeatPolicy) restoreState(epoch int64, files []heatState) {
 		e.cur.Store(s.cur)
 		e.lastEpoch.Store(s.lastEpoch)
 	}
-}
-
-// promoter is the optional EvictionPolicy extension consulted on reads
-// of unplaceable files; see HeatPolicy.ShouldPromote.
-type promoter interface {
-	ShouldPromote(name string) bool
-}
-
-// epochAdvancer is the optional EvictionPolicy extension driven by
-// Monarch.MarkEpoch.
-type epochAdvancer interface {
-	AdvanceEpoch()
-}
-
-// tenancyBinder is the optional EvictionPolicy extension New uses to
-// wire the instance's quota table into the policy.
-type tenancyBinder interface {
-	bindTenancy(t *tenantTable)
 }

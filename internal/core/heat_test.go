@@ -12,11 +12,19 @@ import (
 	"monarch/internal/trace/analyze"
 )
 
+// tunedHeat is NewHeatPolicy with the half-life and admission margin the
+// sweeps below vary in place of its constants.
+func tunedHeat(halfLife, margin float64) *HeatPolicy {
+	p := NewHeatPolicy()
+	p.halfLife, p.margin = halfLife, margin
+	return p
+}
+
 // TestHeatDecay exercises the online decay math: reads add heat, epochs
 // halve it (at the default one-epoch half-life), and untouched files
 // stay cold.
 func TestHeatDecay(t *testing.T) {
-	p := NewHeatPolicy(HeatConfig{})
+	p := NewHeatPolicy()
 	for i := 0; i < 4; i++ {
 		p.OnAccess("hot")
 	}
@@ -48,7 +56,7 @@ func TestHeatMatchesAnalyzer(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		halfLife := []float64{1, 2, 0.5}[trial%3]
-		p := NewHeatPolicy(HeatConfig{HalfLifeEpochs: halfLife})
+		p := tunedHeat(halfLife, 1.25)
 		epochs := 1 + rng.Intn(6)
 		perEpoch := make([]int64, epochs)
 		for i := range perEpoch {
@@ -74,7 +82,7 @@ func TestHeatMatchesAnalyzer(t *testing.T) {
 // candidate displaces the coldest file, a lukewarm one is refused by
 // the margin, and the candidate is never its own victim.
 func TestHeatVictimSelection(t *testing.T) {
-	p := NewHeatPolicy(HeatConfig{AdmitMargin: 2})
+	p := tunedHeat(1, 2)
 	for name, reads := range map[string]int{"a": 1, "b": 3, "c": 5, "hot": 6, "warm": 2} {
 		for i := 0; i < reads; i++ {
 			p.OnAccess(name)
@@ -290,7 +298,7 @@ func TestQuotaReclaimUnderPressure(t *testing.T) {
 		Levels:        []storage.Backend{ssd, pfs},
 		Pool:          pool.NewGoPool(2),
 		FullFileFetch: true,
-		Eviction:      NewHeatPolicy(HeatConfig{}),
+		Eviction:      NewHeatPolicy(),
 		JobOf:         JobFromPath,
 		Tenants:       []TenantConfig{{Job: "jobA", Share: 0.5}, {Job: "jobB", Share: 0.5}},
 	})
@@ -426,7 +434,7 @@ func TestHeatPromotion(t *testing.T) {
 		Levels:        []storage.Backend{storage.NewMemFS("ssd", fileSize), pfs}, // one file fits
 		Pool:          pool.NewGoPool(1),
 		FullFileFetch: true,
-		Eviction:      NewHeatPolicy(HeatConfig{AdmitMargin: 1.5}),
+		Eviction:      tunedHeat(1, 1.5),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -494,7 +502,7 @@ func TestHeatNoChurnUnderUniformAccess(t *testing.T) {
 		Levels:        []storage.Backend{storage.NewMemFS("ssd", 5*fileSize), pfs},
 		Pool:          pool.NewGoPool(2),
 		FullFileFetch: true,
-		Eviction:      NewHeatPolicy(HeatConfig{}),
+		Eviction:      NewHeatPolicy(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"net"
-	"net/http"
 	"strconv"
 
 	"monarch/internal/obs"
@@ -230,40 +227,4 @@ func (m *Monarch) Healthz() obs.Health {
 	}
 	h.TraceDrops = m.tracer.Stats().Dropped
 	return h
-}
-
-// MetricsURL returns the base URL of the metrics endpoint, or "" when
-// Config.MetricsAddr is unset. With MetricsAddr ":0" this is how the
-// chosen port is discovered.
-func (m *Monarch) MetricsURL() string {
-	if m.metricsLn == nil {
-		return ""
-	}
-	return "http://" + m.metricsLn.Addr().String()
-}
-
-// startMetrics binds Config.MetricsAddr and serves the registry
-// (Prometheus text on /metrics, JSON snapshot on /metrics.json).
-func (m *Monarch) startMetrics() error {
-	ln, err := net.Listen("tcp", m.cfg.MetricsAddr)
-	if err != nil {
-		return fmt.Errorf("monarch: metrics listener: %w", err)
-	}
-	m.metricsLn = ln
-	srv := &http.Server{Handler: m.inst.reg.HandlerWith(obs.HandlerOpts{Health: m.Healthz})}
-	m.metricsSrv = srv
-	// srv is captured locally: stopMetrics may nil the field before this
-	// goroutine is scheduled.
-	go func() { _ = srv.Serve(ln) }()
-	return nil
-}
-
-// stopMetrics shuts the metrics endpoint down; safe to call twice and
-// with no server running.
-func (m *Monarch) stopMetrics() {
-	if m.metricsSrv != nil {
-		_ = m.metricsSrv.Close()
-		m.metricsSrv = nil
-		m.metricsLn = nil
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"monarch/internal/obs"
-	"monarch/internal/pool"
 	"monarch/internal/storage"
 )
 
@@ -274,13 +274,13 @@ func TestChunkCopyErrorCountedOnce(t *testing.T) {
 	assertStatsParity(t, m)
 }
 
-// TestMetricsEndpoint is the acceptance scrape: with Config.MetricsAddr
-// set, the HTTP endpoint must expose per-tier read bytes/ops, the hit
-// ratio, the placement latency histogram and the breaker state, and the
-// JSON sibling must agree with Stats.
+// TestMetricsEndpoint is the acceptance scrape: the registry's handler,
+// built as monarch-serve builds it, must expose per-tier read bytes/ops,
+// the hit ratio, the placement latency histogram and the breaker state,
+// and the JSON sibling must agree with Stats.
 func TestMetricsEndpoint(t *testing.T) {
 	const nfiles, size = 3, 100
-	f := newFixture(t, 0, nfiles, size, func(c *Config) { c.MetricsAddr = "127.0.0.1:0" })
+	f := newFixture(t, 0, nfiles, size, nil)
 	p := make([]byte, size)
 	for i := 0; i < nfiles; i++ {
 		if _, err := f.m.ReadAt(context.Background(), fmt.Sprintf("f%03d", i), p, 0); err != nil {
@@ -289,10 +289,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	f.waitIdle(t)
 
-	base := f.m.MetricsURL()
-	if base == "" {
-		t.Fatal("MetricsURL empty with MetricsAddr set")
-	}
+	srv := httptest.NewServer(f.m.Registry().HandlerWith(obs.HandlerOpts{Health: f.m.Healthz}))
+	defer srv.Close()
+	base := srv.URL
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -352,21 +351,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	f.m.ForceTierDown(0, errors.New("forced"))
 	if code, h := probe(); code == http.StatusOK || h.Tiers[0].State != "down" {
 		t.Fatalf("healthz with an open breaker = %d %+v", code, h)
-	}
-}
-
-// TestMetricsAddrConflict ensures a bad listen address surfaces as a
-// New error rather than a silent dead endpoint.
-func TestMetricsAddrConflict(t *testing.T) {
-	gp := pool.NewGoPool(1)
-	defer gp.Close()
-	cfg := Config{
-		Levels:      []storage.Backend{storage.NewMemFS("a", 0), storage.NewMemFS("b", 0)},
-		Pool:        gp,
-		MetricsAddr: "256.256.256.256:0",
-	}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("invalid MetricsAddr did not fail New")
 	}
 }
 

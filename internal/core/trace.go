@@ -96,8 +96,8 @@ func (m *Monarch) traceSummary() map[string]int64 {
 // points. The training loop should call it once per epoch.
 func (m *Monarch) MarkEpoch(n int) {
 	m.tracer.MarkEpoch(n)
-	if ea, ok := m.cfg.Eviction.(epochAdvancer); ok {
-		ea.AdvanceEpoch()
+	if hp, ok := m.cfg.Eviction.(*HeatPolicy); ok {
+		hp.AdvanceEpoch()
 	}
 }
 

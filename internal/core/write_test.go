@@ -1010,7 +1010,7 @@ func TestHeatPersistence(t *testing.T) {
 		}
 		return m
 	}
-	hp1 := NewHeatPolicy(HeatConfig{HalfLifeEpochs: 2})
+	hp1 := tunedHeat(2, 1.25)
 	m1 := build(hp1)
 	// Skewed access pattern: f0 hottest, f3 coldest.
 	buf := make([]byte, 8)
@@ -1030,7 +1030,7 @@ func TestHeatPersistence(t *testing.T) {
 	}
 	m1.Close() // graceful: persists the heat snapshot into the journal
 
-	hp2 := NewHeatPolicy(HeatConfig{HalfLifeEpochs: 2})
+	hp2 := tunedHeat(2, 1.25)
 	m2 := build(hp2)
 	defer m2.Close()
 	if hp2.Epoch() != wantEpoch {

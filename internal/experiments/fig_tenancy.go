@@ -145,7 +145,7 @@ func extTenancy() Experiment {
 			if err != nil {
 				return nil, err
 			}
-			heat, err := runTenancy(core.NewHeatPolicy(core.HeatConfig{}), true)
+			heat, err := runTenancy(core.NewHeatPolicy(), true)
 			if err != nil {
 				return nil, err
 			}

@@ -12,7 +12,7 @@
 // the highest tier with free space. By default no evictions ever
 // happen: under a single job's random once-per-epoch access pattern,
 // replacement would only churn data between tiers. When several jobs
-// share a tier, Config.Eviction = NewHeatPolicy(...) plus
+// share a tier, Config.Eviction = NewHeatPolicy() plus
 // Config.Tenants turns on heat-driven admission/eviction with per-job
 // quota shares (DESIGN.md §12).
 //
@@ -31,12 +31,13 @@
 //
 // # Observability
 //
-// Stats and the metrics registry (Monarch.Registry, Config.MetricsAddr)
-// count what happened. Config.Trace says why: it receives one Span per
-// decision — a read and the tier that served it, a placement placed,
-// skipped or failed, an eviction, a breaker trip or recovery, a
-// demotion, a flush — and Config.TracePath streams the same spans to a
-// binary access trace that monarch-inspect reads.
+// Stats and the metrics registry (Monarch.Registry, served over HTTP
+// by Registry.HandlerWith on the caller's listener) count what
+// happened. Config.Trace says why: it receives one Span per decision —
+// a read and the tier that served it, a placement placed, skipped or
+// failed, an eviction, a breaker trip or recovery, a demotion, a flush
+// — and Config.TracePath streams the same spans to a binary access
+// trace that monarch-inspect reads.
 //
 // The packages under internal/ additionally contain the simulation
 // substrate (a deterministic discrete-event model of a Frontera-like
@@ -72,10 +73,6 @@ type (
 	// single-job configuration, never evict), an ablation policy
 	// (NewLRU/NewFIFO), or the multi-tenant heat engine (NewHeatPolicy).
 	EvictionPolicy = core.EvictionPolicy
-	// HeatConfig tunes the heat-driven policy engine (NewHeatPolicy):
-	// the decay half-life in epochs and the admission margin a candidate
-	// must clear over the coldest resident.
-	HeatConfig = core.HeatConfig
 	// HeatPolicy is the heat-driven eviction/admission engine with
 	// per-job quota shares; see NewHeatPolicy.
 	HeatPolicy = core.HeatPolicy
@@ -127,7 +124,7 @@ var (
 
 // Observability types, re-exported from internal/obs. A Monarch's
 // Registry() holds every counter, gauge and histogram the middleware
-// maintains; Config.MetricsAddr serves it over HTTP, and Config.Trace
+// maintains; Registry.HandlerWith serves it over HTTP, and Config.Trace
 // receives one typed Span per decision the middleware makes — the one
 // record of why a file was placed, skipped, evicted or demoted.
 type (
@@ -135,6 +132,9 @@ type (
 	Registry = obs.Registry
 	// MetricsSnapshot is a point-in-time JSON-serialisable registry view.
 	MetricsSnapshot = obs.Snapshot
+	// MetricsHandlerOpts configures Registry.HandlerWith: /healthz from
+	// Monarch.Healthz, pprof, extra routes.
+	MetricsHandlerOpts = obs.HandlerOpts
 	// Span is one completed operation on an instrumented path.
 	Span = obs.Span
 	// SpanKind classifies spans.
@@ -203,8 +203,9 @@ var (
 // read path and Monarch.MarkEpoch), margin-gated admission so uniform
 // single-job access degenerates to the paper's no-eviction behaviour,
 // and work-conserving per-job quota reclaim when Config.Tenants
-// declares shares. See DESIGN.md §12.
-func NewHeatPolicy(cfg HeatConfig) *HeatPolicy { return core.NewHeatPolicy(cfg) }
+// declares shares. Heat halves every epoch; a candidate must be 1.25×
+// hotter than the coldest resident to displace it. See DESIGN.md §12.
+func NewHeatPolicy() *HeatPolicy { return core.NewHeatPolicy() }
 
 // JobFromPath is the default Config.JobOf: a file's job is its first
 // slash-separated path segment ("jobA/shard-0003" → "jobA").
