@@ -111,16 +111,7 @@ func RunDistributed(man *dataset.Manifest, p Params, nodes int, mode ShardingMod
 	defer env.Close()
 
 	// One shared PFS.
-	lustreDev := simstore.NewDevice(env, p.Lustre)
-	if p.UseInterference {
-		lustreDev.SetInterference(simstore.NewInterference(env, p.Interference))
-	}
-	lustreStore := simstore.NewStore(lustreDev, "lustre", 0)
-	for i := range man.Shards {
-		lustreStore.AddFile(man.Shards[i].Name, man.Shards[i].Size)
-	}
-	lustreStore.SetReadOnly(true)
-	pfs := storage.NewCounting(lustreStore)
+	pfs := storage.NewCounting(newLustre(env, man, p))
 
 	// Epoch barriers.
 	barriers := make([]*sim.WaitGroup, p.Epochs)

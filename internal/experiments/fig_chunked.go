@@ -77,16 +77,7 @@ func extChunked() Experiment {
 			runOnce := func(chunkSize int64, seed uint64) (train.Result, core.Stats, time.Duration, error) {
 				env := sim.NewEnv(seed)
 				defer env.Close()
-				lustreDev := simstore.NewDevice(env, p.Lustre)
-				if p.UseInterference {
-					lustreDev.SetInterference(simstore.NewInterference(env, p.Interference))
-				}
-				lustre := simstore.NewStore(lustreDev, "lustre", 0)
-				for i := range man.Shards {
-					lustre.AddFile(man.Shards[i].Name, man.Shards[i].Size)
-				}
-				lustre.SetReadOnly(true)
-				pfs := storage.NewCounting(lustre)
+				pfs := storage.NewCounting(newLustre(env, man, p))
 				ssd := simstore.NewStore(simstore.NewDevice(env, p.SSD), "ssd", p.SSDQuota())
 				ssd.CopyChunk = p.CopyChunk
 				m, err := core.New(core.Config{

@@ -44,16 +44,7 @@ func extPyTorch() Experiment {
 			runOnce := func(useMonarch bool, seed uint64) (out, error) {
 				env := sim.NewEnv(seed)
 				defer env.Close()
-				lustreDev := simstore.NewDevice(env, p.Lustre)
-				if p.UseInterference {
-					lustreDev.SetInterference(simstore.NewInterference(env, p.Interference))
-				}
-				lustre := simstore.NewStore(lustreDev, "lustre", 0)
-				for i := range man.Shards {
-					lustre.AddFile(man.Shards[i].Name, man.Shards[i].Size)
-				}
-				lustre.SetReadOnly(true)
-				pfs := storage.NewCounting(lustre)
+				pfs := storage.NewCounting(newLustre(env, man, p))
 
 				cfg := ptloader.DefaultConfig()
 				cfg.Manifest = man

@@ -39,29 +39,34 @@ type rig struct {
 	init func(ctx context.Context) error
 }
 
+// mount adds the manifest's shards to st.
+func mount(st *simstore.Store, man *dataset.Manifest) {
+	for i := range man.Shards {
+		st.AddFile(man.Shards[i].Name, man.Shards[i].Size)
+	}
+}
+
+// newLustre is the simulated PFS inside env: a Lustre device, under
+// interference when p asks for it, holding the manifest's shards
+// read-only.
+func newLustre(env *sim.Env, man *dataset.Manifest, p Params) *simstore.Store {
+	dev := simstore.NewDevice(env, p.Lustre)
+	if p.UseInterference {
+		dev.SetInterference(simstore.NewInterference(env, p.Interference))
+	}
+	st := simstore.NewStore(dev, "lustre", 0)
+	mount(st, man)
+	st.SetReadOnly(true)
+	return st
+}
+
 // buildRig assembles the storage stack for setup inside env. The
 // manifest's shards are mounted on whichever store plays the dataset
 // source.
 func buildRig(env *sim.Env, setup Setup, man *dataset.Manifest, p Params) (*rig, error) {
-	mount := func(st *simstore.Store) {
-		for i := range man.Shards {
-			st.AddFile(man.Shards[i].Name, man.Shards[i].Size)
-		}
-	}
-	newLustre := func() *simstore.Store {
-		dev := simstore.NewDevice(env, p.Lustre)
-		if p.UseInterference {
-			dev.SetInterference(simstore.NewInterference(env, p.Interference))
-		}
-		st := simstore.NewStore(dev, "lustre", 0)
-		mount(st)
-		st.SetReadOnly(true)
-		return st
-	}
-
 	switch setup {
 	case VanillaLustre:
-		pfs := storage.NewCounting(newLustre())
+		pfs := storage.NewCounting(newLustre(env, man, p))
 		return &rig{source: pfs, pfs: pfs}, nil
 
 	case VanillaLocal:
@@ -72,7 +77,7 @@ func buildRig(env *sim.Env, setup Setup, man *dataset.Manifest, p Params) (*rig,
 				setup, man.TotalBytes(), p.SSDQuota())
 		}
 		ssd := simstore.NewStore(simstore.NewDevice(env, p.SSD), "ssd", 0)
-		mount(ssd)
+		mount(ssd, man)
 		return &rig{source: ssd}, nil
 
 	case VanillaCaching:
@@ -83,13 +88,13 @@ func buildRig(env *sim.Env, setup Setup, man *dataset.Manifest, p Params) (*rig,
 			return nil, fmt.Errorf("experiments: %s: dataset (%d B) exceeds local quota (%d B)",
 				setup, man.TotalBytes(), p.SSDQuota())
 		}
-		pfs := storage.NewCounting(newLustre())
+		pfs := storage.NewCounting(newLustre(env, man, p))
 		ssdDev := simstore.NewDevice(env, p.SSD)
 		src := newCachingSource(env, pfs, ssdDev, man)
 		return &rig{source: src, pfs: pfs}, nil
 
 	case Monarch:
-		pfs := storage.NewCounting(newLustre())
+		pfs := storage.NewCounting(newLustre(env, man, p))
 		tiers := []storage.Backend{}
 		if p.ExtraTierBytes > 0 {
 			ram := simstore.NewStore(simstore.NewDevice(env, simstore.RAMSpec()),
