@@ -105,7 +105,7 @@ cross:
 # The line counts ROADMAP tracks, so CHANGES and ROADMAP quote a
 # command's output, not a hand count.
 loc:
-	@for pkg in core peernet storage; do \
+	@for pkg in core peernet storage experiments; do \
 		echo "non-test internal/$$pkg: $$(cat $$(ls internal/$$pkg/*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@for pkg in trace obs; do \
