@@ -21,7 +21,7 @@ func tunedHeat(halfLife, margin float64) *HeatPolicy {
 }
 
 // TestHeatDecay exercises the online decay math: reads add heat, epochs
-// halve it (at the default one-epoch half-life), and untouched files
+// halve it (at the one-epoch half-life), and untouched files
 // stay cold.
 func TestHeatDecay(t *testing.T) {
 	p := NewHeatPolicy()
