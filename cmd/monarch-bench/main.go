@@ -109,6 +109,10 @@ func main() {
 		fmt.Printf("analyze with: monarch-inspect trace %s\n", *capturePath)
 		return
 	}
+	// -capture is exempt: a trace of two epochs is a valid capture.
+	if err := p.Validate(); err != nil {
+		fatal(err)
+	}
 	p.Cache = experiments.NewCache()
 
 	var selected []experiments.Experiment

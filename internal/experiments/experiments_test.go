@@ -152,3 +152,28 @@ func TestQuotaCovered(t *testing.T) {
 		t.Fatal("degenerate coverage cases")
 	}
 }
+
+func TestParamsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		runs, epochs int
+		want         string // "" = accepted
+	}{
+		{"defaults", 7, 3, ""},
+		{"one run, many epochs", 1, 5, ""},
+		{"no runs", 0, 3, "at least one run"},
+		{"negative runs", -1, 3, "at least one run"},
+		{"two epochs", 1, 2, "compare epochs 1-3"},
+		{"no epochs", 3, 0, "compare epochs 1-3"},
+	} {
+		p := QuickParams()
+		p.Runs, p.Epochs = tc.runs, tc.epochs
+		err := p.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -122,3 +122,16 @@ func (p Params) Datasets() (ds100, ds200 dataset.Spec) {
 func (p Params) ScaledDuration(fullScaleSeconds float64) time.Duration {
 	return time.Duration(fullScaleSeconds * p.Scale * float64(time.Second))
 }
+
+// Validate refuses run shapes the experiments cannot report on: at
+// least one run to aggregate, and at least three epochs, because the
+// shape checks compare epochs 1–3 as the paper's methodology does.
+func (p Params) Validate() error {
+	if p.Runs < 1 {
+		return fmt.Errorf("experiments: runs = %d: every figure aggregates at least one run", p.Runs)
+	}
+	if p.Epochs < 3 {
+		return fmt.Errorf("experiments: epochs = %d: the shape checks compare epochs 1-3, as the paper's methodology does", p.Epochs)
+	}
+	return nil
+}
