@@ -1,13 +1,24 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/golden from this run")
+
+// wallClock lists the experiments that run on real sockets and the
+// wall clock: their figures vary from run to run, so they have no
+// golden transcript.
+var wallClock = map[string]bool{"ext-peernet": true, "ext-tenancy": true, "ext-checkpoint": true}
+
 // TestAllExperimentsPassChecks runs every registered experiment at
 // reduced scale and asserts every built-in shape check against the
-// paper's reported behaviour passes.
+// paper's reported behaviour passes. Every simulated experiment's
+// rendered outcome must also equal its golden transcript byte for byte.
 func TestAllExperimentsPassChecks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
@@ -34,7 +45,35 @@ func TestAllExperimentsPassChecks(t *testing.T) {
 			if len(o.Tables) == 0 && len(o.Charts) == 0 {
 				t.Errorf("%s produced no tables or charts", exp.ID)
 			}
+			if !wallClock[exp.ID] {
+				compareGolden(t, exp.ID, o)
+			}
 		})
+	}
+}
+
+// compareGolden checks o's rendering against testdata/golden/<id>.txt,
+// or rewrites the file under -update.
+func compareGolden(t *testing.T, id string, o *Outcome) {
+	t.Helper()
+	var b strings.Builder
+	o.Render(&b)
+	path := filepath.Join("testdata", "golden", id+".txt")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("%s differs from %s:\n--- got\n%s--- want\n%s", id, path, got, want)
 	}
 }
 
