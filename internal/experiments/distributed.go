@@ -8,10 +8,8 @@ import (
 	"monarch/internal/dataset"
 	"monarch/internal/models"
 	"monarch/internal/pipeline"
-	"monarch/internal/pool"
 	"monarch/internal/rng"
 	"monarch/internal/sim"
-	"monarch/internal/simstore"
 	"monarch/internal/storage"
 	"monarch/internal/train"
 )
@@ -61,35 +59,30 @@ type DistResult struct {
 	Placements int64
 }
 
-// selector builds a pipeline shard selector for one node under a mode.
-func selector(mode ShardingMode, node, nodes int, seed uint64) func(epoch, total int) []int {
-	if mode == ShardNone || nodes == 1 && mode == ShardSticky {
-		if mode == ShardNone {
-			return nil
+// shardOrder lists the shards node reads in epoch, of total, under
+// mode. The data-parallel simulations and the loopback peer run share
+// it.
+func shardOrder(mode ShardingMode, node, nodes, total, epoch int, seed uint64) []int {
+	var order []int
+	switch mode {
+	case ShardSticky:
+		// Fixed assignment: shard j belongs to node j%nodes.
+		for j := node; j < total; j += nodes {
+			order = append(order, j)
+		}
+	case ShardReshuffled:
+		// One global permutation per epoch, shared by all nodes,
+		// sliced round-robin.
+		perm := rng.New(seed + uint64(epoch)*0x9e3779b9).Perm(total)
+		for pos := node; pos < total; pos += nodes {
+			order = append(order, perm[pos])
+		}
+	default: // ShardNone: every node reads everything.
+		for j := 0; j < total; j++ {
+			order = append(order, j)
 		}
 	}
-	return func(epoch, total int) []int {
-		var order []int
-		switch mode {
-		case ShardSticky:
-			// Fixed assignment: shard j belongs to node j%nodes.
-			for j := node; j < total; j += nodes {
-				order = append(order, j)
-			}
-		case ShardReshuffled:
-			// One global permutation per epoch, shared by all nodes,
-			// sliced round-robin.
-			perm := rng.New(seed + uint64(epoch)*0x9e3779b9).Perm(total)
-			for pos := node; pos < total; pos += nodes {
-				order = append(order, perm[pos])
-			}
-		default:
-			for j := 0; j < total; j++ {
-				order = append(order, j)
-			}
-		}
-		return order
-	}
+	return order
 }
 
 // RunDistributed executes one seeded multi-node run: `nodes` compute
@@ -129,15 +122,11 @@ func RunDistributed(man *dataset.Manifest, p Params, nodes int, mode ShardingMod
 		var src pipeline.Source = pfs
 		var m *core.Monarch
 		if useMonarch {
-			ssd := simstore.NewStore(simstore.NewDevice(env, p.SSD),
-				fmt.Sprintf("ssd-%d", node), p.SSDQuota())
-			ssd.CopyChunk = p.CopyChunk
-			m, err = core.New(core.Config{
-				Levels:        []storage.Backend{ssd, pfs},
-				Pool:          pool.NewSimPool(env, fmt.Sprintf("placer-%d", node), p.PlacementThreads),
-				FullFileFetch: true,
-			})
+			cfg, err := simNode(env, p, pfs, fmt.Sprintf("-%d", node))
 			if err != nil {
+				return DistResult{}, err
+			}
+			if m, err = core.New(cfg); err != nil {
 				return DistResult{}, err
 			}
 			monarchs = append(monarchs, m)
@@ -147,7 +136,12 @@ func RunDistributed(man *dataset.Manifest, p Params, nodes int, mode ShardingMod
 		pcfg := p.Pipeline
 		pcfg.Manifest = man
 		pcfg.Source = src
-		pcfg.SelectShards = selector(mode, node, nodes, seed)
+		if mode != ShardNone {
+			// Replicated runs keep the pipeline's own shuffle.
+			pcfg.SelectShards = func(epoch, total int) []int {
+				return shardOrder(mode, node, nodes, total, epoch, seed)
+			}
+		}
 
 		env.Go(fmt.Sprintf("node-%d", node), func(proc *sim.Proc) {
 			if m != nil {

@@ -29,8 +29,7 @@ func TestSelectorPartitionsCoverEverything(t *testing.T) {
 		for epoch := 0; epoch < 3; epoch++ {
 			seen := map[int]int{}
 			for node := 0; node < nodes; node++ {
-				sel := selector(mode, node, nodes, 7)
-				for _, s := range sel(epoch, total) {
+				for _, s := range shardOrder(mode, node, nodes, total, epoch, 7) {
 					seen[s]++
 				}
 			}
@@ -47,8 +46,7 @@ func TestSelectorPartitionsCoverEverything(t *testing.T) {
 }
 
 func TestSelectorStickyStableAcrossEpochs(t *testing.T) {
-	sel := selector(ShardSticky, 1, 3, 7)
-	a, b := sel(0, 20), sel(2, 20)
+	a, b := shardOrder(ShardSticky, 1, 3, 20, 0, 7), shardOrder(ShardSticky, 1, 3, 20, 2, 7)
 	if len(a) != len(b) {
 		t.Fatal("sticky assignment size changed")
 	}
@@ -60,8 +58,7 @@ func TestSelectorStickyStableAcrossEpochs(t *testing.T) {
 }
 
 func TestSelectorReshuffledChangesAcrossEpochs(t *testing.T) {
-	sel := selector(ShardReshuffled, 0, 4, 7)
-	a, b := sel(0, 40), sel(1, 40)
+	a, b := shardOrder(ShardReshuffled, 0, 4, 40, 0, 7), shardOrder(ShardReshuffled, 0, 4, 40, 1, 7)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {
@@ -74,9 +71,17 @@ func TestSelectorReshuffledChangesAcrossEpochs(t *testing.T) {
 	}
 }
 
-func TestSelectorReplicatedIsNil(t *testing.T) {
-	if selector(ShardNone, 0, 4, 7) != nil {
-		t.Fatal("replicated mode should read every shard (nil selector)")
+func TestSelectorReplicatedReadsEveryShard(t *testing.T) {
+	for node := 0; node < 4; node++ {
+		got := shardOrder(ShardNone, node, 4, 10, 1, 7)
+		if len(got) != 10 {
+			t.Fatalf("node %d reads %d shards, want every one of 10", node, len(got))
+		}
+		for i, s := range got {
+			if s != i {
+				t.Fatalf("node %d: order %v, want every shard in index order", node, got)
+			}
+		}
 	}
 }
 

@@ -7,11 +7,8 @@ import (
 	"monarch/internal/core"
 	"monarch/internal/dataset"
 	"monarch/internal/models"
-	"monarch/internal/pipeline"
-	"monarch/internal/pool"
 	"monarch/internal/report"
 	"monarch/internal/sim"
-	"monarch/internal/simstore"
 	"monarch/internal/storage"
 	"monarch/internal/train"
 )
@@ -28,8 +25,6 @@ type firstHitSource struct {
 	found    bool
 	firstHit time.Duration
 }
-
-var _ pipeline.Source = (*firstHitSource)(nil)
 
 func (s *firstHitSource) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
 	n, err := s.m.ReadAt(ctx, name, p, off)
@@ -78,44 +73,28 @@ func extChunked() Experiment {
 				env := sim.NewEnv(seed)
 				defer env.Close()
 				pfs := storage.NewCounting(newLustre(env, man, p))
-				ssd := simstore.NewStore(simstore.NewDevice(env, p.SSD), "ssd", p.SSDQuota())
-				ssd.CopyChunk = p.CopyChunk
-				m, err := core.New(core.Config{
-					Levels:        []storage.Backend{ssd, pfs},
-					Pool:          pool.NewSimPool(env, "placer", p.PlacementThreads),
-					FullFileFetch: true,
-					ChunkSize:     chunkSize,
-				})
+				cfg, err := simNode(env, p, pfs, "")
 				if err != nil {
 					return train.Result{}, core.Stats{}, 0, err
 				}
-				probe := &firstHitSource{m: m, env: env}
-				pcfg := p.Pipeline
-				pcfg.Manifest = man
-				pcfg.Source = probe
-				var res train.Result
-				var runErr error
-				env.Go("run", func(proc *sim.Proc) {
-					if err := m.Init(proc.Context()); err != nil {
-						runErr = err
-						return
-					}
-					probe.start = env.Now()
-					res, runErr = train.Run(proc, train.Config{
-						Model:    mdl,
-						Node:     p.Node,
-						Epochs:   p.Epochs,
-						Pipeline: pcfg,
-						Seed:     seed,
-					})
-				})
-				if err := env.Run(); err != nil {
+				cfg.ChunkSize = chunkSize
+				r, err := monarchRig(pfs, cfg)
+				if err != nil {
 					return train.Result{}, core.Stats{}, 0, err
 				}
-				if runErr != nil {
-					return train.Result{}, core.Stats{}, 0, runErr
+				probe := &firstHitSource{m: r.monarch, env: env}
+				r.source = probe
+				init := r.init
+				r.init = func(ctx context.Context) error {
+					err := init(ctx)
+					probe.start = env.Now()
+					return err
 				}
-				return res, m.Stats(), probe.firstHit, nil
+				res, err := r.train(env, mdl, man, p, seed, nil)
+				if err != nil {
+					return train.Result{}, core.Stats{}, 0, err
+				}
+				return res, r.monarch.Stats(), probe.firstHit, nil
 			}
 
 			whole, wst, wholeHit, err := runOnce(0, p.BaseSeed)

@@ -4,16 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"monarch/internal/core"
 	"monarch/internal/dataset"
 	"monarch/internal/models"
-	"monarch/internal/pool"
 	"monarch/internal/ptloader"
 	"monarch/internal/report"
 	"monarch/internal/sim"
 	"monarch/internal/simstore"
-	"monarch/internal/storage"
-	"monarch/internal/train"
 )
 
 // extPyTorch validates the paper's framework-agnosticism claim (§VI:
@@ -37,42 +33,32 @@ func extPyTorch() Experiment {
 				return nil, err
 			}
 			type out struct {
-				total   time.Duration
-				pfsOps  int64
-				pfsByte int64
+				total  time.Duration
+				pfsOps int64
 			}
 			runOnce := func(useMonarch bool, seed uint64) (out, error) {
 				env := sim.NewEnv(seed)
 				defer env.Close()
-				pfs := storage.NewCounting(newLustre(env, man, p))
-
+				setup := VanillaLustre
+				if useMonarch {
+					setup = Monarch
+				}
+				r, err := buildRig(env, setup, man, p)
+				if err != nil {
+					return out{}, err
+				}
 				cfg := ptloader.DefaultConfig()
 				cfg.Manifest = man
 				cfg.PreprocessPerImage = mdl.PreprocessPerImage
-				cfg.Source = pfs
-				var m *core.Monarch
-				if useMonarch {
-					ssd := simstore.NewStore(simstore.NewDevice(env, p.SSD), "ssd", p.SSDQuota())
-					ssd.CopyChunk = p.CopyChunk
-					m, err = core.New(core.Config{
-						Levels:        []storage.Backend{ssd, pfs},
-						Pool:          pool.NewSimPool(env, "placer", p.PlacementThreads),
-						FullFileFetch: true,
-					})
-					if err != nil {
-						return out{}, err
-					}
-					cfg.Source = m
-				}
+				cfg.Source = r.source
 				refs := ptloader.Flatten(man)
-				cpu := sim.NewResource(env, "cpu", p.Node.CPUCores)
+				cfg.CPU = sim.NewResource(env, "cpu", p.Node.CPUCores)
 				gpu := sim.NewResource(env, "gpu", p.Node.GPUs)
-				cfg.CPU = cpu
 				var total sim.Time
 				var runErr error
 				env.Go("pt-train", func(proc *sim.Proc) {
-					if m != nil {
-						if err := m.Init(proc.Context()); err != nil {
+					if r.init != nil {
+						if err := r.init(proc.Context()); err != nil {
 							runErr = err
 							return
 						}
@@ -107,8 +93,7 @@ func extPyTorch() Experiment {
 				if runErr != nil {
 					return out{}, runErr
 				}
-				c := pfs.Counts()
-				return out{total: total.Duration(), pfsOps: c.DataOps(), pfsByte: c.BytesRead}, nil
+				return out{total: total.Duration(), pfsOps: r.pfs.Counts().DataOps()}, nil
 			}
 
 			var vTime, mTime, vOps, mOps float64
@@ -265,6 +250,10 @@ func traceTimeline() Experiment {
 			if err != nil {
 				return nil, err
 			}
+			mdl, err := models.ByName("lenet")
+			if err != nil {
+				return nil, err
+			}
 			runOnce := func(setup Setup) (*simstore.Timeline, time.Duration, error) {
 				env := sim.NewEnv(p.BaseSeed)
 				defer env.Close()
@@ -281,39 +270,11 @@ func traceTimeline() Experiment {
 				tl := simstore.NewTimeline(time.Duration(float64(20*time.Second) * p.Scale * 16))
 				store.Device().SetTimeline(tl)
 
-				mdl, err := models.ByName("lenet")
+				tr, err := r.train(env, mdl, man, p, p.BaseSeed, nil)
 				if err != nil {
 					return nil, 0, err
 				}
-				pcfg := p.Pipeline
-				pcfg.Manifest = man
-				pcfg.Source = r.source
-				var total time.Duration
-				var runErr error
-				env.Go("run", func(proc *sim.Proc) {
-					if r.init != nil {
-						if err := r.init(proc.Context()); err != nil {
-							runErr = err
-							return
-						}
-					}
-					tr, err := train.Run(proc, train.Config{
-						Model:    mdl,
-						Node:     p.Node,
-						Epochs:   p.Epochs,
-						Pipeline: pcfg,
-						Seed:     p.BaseSeed,
-					})
-					if err != nil {
-						runErr = err
-						return
-					}
-					total = tr.Total
-				})
-				if err := env.Run(); err != nil {
-					return nil, 0, err
-				}
-				return tl, total, runErr
+				return tl, tr.Total, nil
 			}
 
 			vTL, vTotal, err := runOnce(VanillaLustre)

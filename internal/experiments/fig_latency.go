@@ -10,7 +10,6 @@ import (
 	"monarch/internal/report"
 	"monarch/internal/sim"
 	"monarch/internal/stats"
-	"monarch/internal/train"
 )
 
 // latencySource wraps a pipeline source and samples the virtual-time
@@ -58,41 +57,17 @@ func tabLatency() Experiment {
 					return all, steady, err
 				}
 				ls := &latencySource{inner: r.source, env: env}
-				pcfg := p.Pipeline
-				pcfg.Manifest = man
-				pcfg.Source = ls
-
+				r.source = ls
 				var epoch1Ops int
-				var runErr error
-				env.Go("run", func(proc *sim.Proc) {
-					if r.init != nil {
-						if err := r.init(proc.Context()); err != nil {
-							runErr = err
-							return
-						}
+				_, err = r.train(env, mdl, man, p, p.BaseSeed, func(_ *sim.Proc, epoch int) {
+					if epoch == 0 {
+						epoch1Ops = len(ls.samples)
 					}
-					_, runErr = train.Run(proc, train.Config{
-						Model:    mdl,
-						Node:     p.Node,
-						Epochs:   p.Epochs,
-						Pipeline: pcfg,
-						Seed:     p.BaseSeed,
-						OnEpochEnd: func(_ *sim.Proc, epoch int) {
-							if epoch == 0 {
-								epoch1Ops = len(ls.samples)
-							}
-						},
-					})
 				})
-				if err := env.Run(); err != nil {
+				if err != nil {
 					return all, steady, err
 				}
-				if runErr != nil {
-					return all, steady, runErr
-				}
-				all = stats.Summarize(ls.samples)
-				steady = stats.Summarize(ls.samples[epoch1Ops:])
-				return all, steady, nil
+				return stats.Summarize(ls.samples), stats.Summarize(ls.samples[epoch1Ops:]), nil
 			}
 
 			vAll, vSteady, err := runOnce(VanillaLustre)

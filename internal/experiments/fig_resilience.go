@@ -7,10 +7,8 @@ import (
 	"monarch/internal/core"
 	"monarch/internal/dataset"
 	"monarch/internal/models"
-	"monarch/internal/pool"
 	"monarch/internal/report"
 	"monarch/internal/sim"
-	"monarch/internal/simstore"
 	"monarch/internal/storage"
 	"monarch/internal/train"
 )
@@ -50,61 +48,41 @@ func extResilience() Experiment {
 				env := sim.NewEnv(seed)
 				defer env.Close()
 				pfs := storage.NewCounting(newLustre(env, man, p))
-				ssd := simstore.NewStore(simstore.NewDevice(env, p.SSD), "ssd", p.SSDQuota())
-				ssd.CopyChunk = p.CopyChunk
-				faulty := storage.NewFaulty(ssd)
-				m, err := core.New(core.Config{
-					Levels:        []storage.Backend{faulty, pfs},
-					Pool:          pool.NewSimPool(env, "placer", p.PlacementThreads),
-					FullFileFetch: true,
-					Retry: core.RetryPolicy{
-						MaxAttempts: 3,
-						Backoff:     100 * time.Millisecond,
-						// Back off in virtual time: retries run on SimPool
-						// workers, whose contexts carry the sim process.
-						Sleep: func(ctx context.Context, d time.Duration) {
-							if proc, ok := sim.ProcFromContext(ctx); ok {
-								proc.Sleep(d)
-							}
-						},
+				cfg, err := simNode(env, p, pfs, "")
+				if err != nil {
+					return train.Result{}, core.Stats{}, err
+				}
+				faulty := storage.NewFaulty(cfg.Levels[0])
+				cfg.Levels[0] = faulty
+				cfg.Retry = core.RetryPolicy{
+					MaxAttempts: 3,
+					Backoff:     100 * time.Millisecond,
+					// Back off in virtual time: retries run on SimPool
+					// workers, whose contexts carry the sim process.
+					Sleep: func(ctx context.Context, d time.Duration) {
+						if proc, ok := sim.ProcFromContext(ctx); ok {
+							proc.Sleep(d)
+						}
 					},
+				}
+				r, err := monarchRig(pfs, cfg)
+				if err != nil {
+					return train.Result{}, core.Stats{}, err
+				}
+				pp := p
+				pp.Epochs = epochs
+				res, err := r.train(env, mdl, man, pp, seed, func(_ *sim.Proc, epoch int) {
+					if epoch == breakAfter {
+						faulty.Break() // the SSD dies
+					}
+					if epoch == fixAfter {
+						faulty.Fix() // the SSD is replaced
+					}
 				})
 				if err != nil {
 					return train.Result{}, core.Stats{}, err
 				}
-				pcfg := p.Pipeline
-				pcfg.Manifest = man
-				pcfg.Source = m
-				var res train.Result
-				var runErr error
-				env.Go("run", func(proc *sim.Proc) {
-					if err := m.Init(proc.Context()); err != nil {
-						runErr = err
-						return
-					}
-					res, runErr = train.Run(proc, train.Config{
-						Model:    mdl,
-						Node:     p.Node,
-						Epochs:   epochs,
-						Pipeline: pcfg,
-						Seed:     seed,
-						OnEpochEnd: func(_ *sim.Proc, epoch int) {
-							if epoch == breakAfter {
-								faulty.Break() // the SSD dies
-							}
-							if epoch == fixAfter {
-								faulty.Fix() // the SSD is replaced
-							}
-						},
-					})
-				})
-				if err := env.Run(); err != nil {
-					return train.Result{}, core.Stats{}, err
-				}
-				if runErr != nil {
-					return train.Result{}, core.Stats{}, runErr
-				}
-				return res, m.Stats(), nil
+				return res, r.monarch.Stats(), nil
 			}
 
 			healthy, _, err := runOnce(-1, -1, p.Epochs, p.BaseSeed)

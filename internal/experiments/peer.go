@@ -17,7 +17,6 @@ import (
 	"monarch/internal/peernet"
 	"monarch/internal/pool"
 	"monarch/internal/report"
-	"monarch/internal/rng"
 	"monarch/internal/storage"
 	"monarch/internal/trace"
 	"monarch/internal/trace/analyze"
@@ -279,10 +278,7 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 	}
 	pfsRaw.SetReadOnly(true)
 
-	nodeIDs := make([]string, cfg.Nodes)
-	for i := range nodeIDs {
-		nodeIDs[i] = fmt.Sprintf("node%d", i)
-	}
+	nodeIDs := nodeIDList(cfg.Nodes)
 	ring, err := peernet.NewRing(nodeIDs, 0)
 	if err != nil {
 		return nil, err
@@ -574,7 +570,7 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 			m := monarchs[node]
 			buf := make([]byte, cfg.FileSize)
 			for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-				for _, shard := range peerShardOrder(cfg.Mode, node, cfg.Nodes, cfg.Files, epoch, cfg.Seed) {
+				for _, shard := range shardOrder(cfg.Mode, node, cfg.Nodes, cfg.Files, epoch, cfg.Seed) {
 					name := names[shard]
 					n, err := m.ReadAt(ctx, name, buf, 0)
 					if err != nil {
@@ -655,28 +651,6 @@ func RunPeerLoopback(cfg PeerRunConfig) (*PeerRunResult, error) {
 		m.Close()
 	}
 	return res, nil
-}
-
-// peerShardOrder assigns shard indices to node for one epoch, mirroring
-// the simulator experiments' selector semantics.
-func peerShardOrder(mode ShardingMode, node, nodes, total, epoch int, seed uint64) []int {
-	var order []int
-	switch mode {
-	case ShardSticky:
-		for j := node; j < total; j += nodes {
-			order = append(order, j)
-		}
-	case ShardReshuffled:
-		perm := rng.New(seed + uint64(epoch)*0x9e3779b9).Perm(total)
-		for pos := node; pos < total; pos += nodes {
-			order = append(order, perm[pos])
-		}
-	default: // ShardNone: every node reads everything.
-		for j := 0; j < total; j++ {
-			order = append(order, j)
-		}
-	}
-	return order
 }
 
 // waitMonarchIdle blocks until background placements settle.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -73,17 +74,13 @@ func RunOneModel(setup Setup, mdl models.Model, man *dataset.Manifest, p Params,
 	}
 
 	res := RunResult{Setup: setup, Model: mdl.Name, Dataset: man.Spec.Name}
-	pcfg := p.Pipeline
-	pcfg.Manifest = man
-	pcfg.Source = r.source
-
 	var prevOps, prevBytes int64
-	snapshot := func(epoch int) {
+	snapshot := func(_ *sim.Proc, epoch int) {
 		if r.monarch != nil {
 			// Epoch boundary into the access trace (no-op without
 			// Params.TracePath) before the counters are cut, so the
 			// analyzer's per-epoch attribution matches the snapshots.
-			r.monarch.MarkEpoch(epoch)
+			r.monarch.MarkEpoch(epoch + 1)
 		}
 		if r.pfs == nil {
 			res.PFSOpsPerEpoch = append(res.PFSOpsPerEpoch, 0)
@@ -96,14 +93,11 @@ func RunOneModel(setup Setup, mdl models.Model, man *dataset.Manifest, p Params,
 		res.PFSBytesPerEpoch = append(res.PFSBytesPerEpoch, bytes-prevBytes)
 		prevOps, prevBytes = ops, bytes
 	}
-
-	var trainErr error
-	env.Go("run", func(proc *sim.Proc) {
-		if r.init != nil {
+	if init := r.init; init != nil {
+		r.init = func(ctx context.Context) error {
 			start := env.Now()
-			if err := r.init(proc.Context()); err != nil {
-				trainErr = err
-				return
+			if err := init(ctx); err != nil {
+				return err
 			}
 			res.InitDuration = (env.Now() - start).Duration()
 			// The namespace build's PFS traffic belongs to init, not
@@ -112,26 +106,12 @@ func RunOneModel(setup Setup, mdl models.Model, man *dataset.Manifest, p Params,
 				c := r.pfs.Counts()
 				prevOps, prevBytes = c.DataOps(), c.BytesRead+c.BytesWritten
 			}
+			return nil
 		}
-		tr, err := train.Run(proc, train.Config{
-			Model:      mdl,
-			Node:       p.Node,
-			Epochs:     p.Epochs,
-			Pipeline:   pcfg,
-			Seed:       seed,
-			OnEpochEnd: func(_ *sim.Proc, epoch int) { snapshot(epoch + 1) },
-		})
-		if err != nil {
-			trainErr = err
-			return
-		}
-		res.Train = tr
-	})
-	if err := env.Run(); err != nil {
-		return RunResult{}, fmt.Errorf("experiments: %s/%s: %w", setup, mdl.Name, err)
 	}
-	if trainErr != nil {
-		return RunResult{}, fmt.Errorf("experiments: %s/%s: %w", setup, mdl.Name, trainErr)
+	res.Train, err = r.train(env, mdl, man, p, seed, snapshot)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("experiments: %s/%s: %w", setup, mdl.Name, err)
 	}
 
 	if r.pfs != nil {
@@ -153,7 +133,7 @@ func RunOneModel(setup Setup, mdl models.Model, man *dataset.Manifest, p Params,
 	if cs, ok := r.source.(*cachingSource); ok {
 		res.CachedBytes = cs.cachedBytes()
 	}
-	res.MemoryEstimate = pcfg.BufferBytes(man.Spec.MeanImageBytes()) + frameworkMemOverhead
+	res.MemoryEstimate = p.Pipeline.BufferBytes(man.Spec.MeanImageBytes()) + frameworkMemOverhead
 	return res, nil
 }
 

@@ -6,11 +6,13 @@ import (
 
 	"monarch/internal/core"
 	"monarch/internal/dataset"
+	"monarch/internal/models"
 	"monarch/internal/pipeline"
 	"monarch/internal/pool"
 	"monarch/internal/sim"
 	"monarch/internal/simstore"
 	"monarch/internal/storage"
+	"monarch/internal/train"
 )
 
 // Setup names one of the evaluation's storage configurations.
@@ -64,6 +66,10 @@ func newLustre(env *sim.Env, man *dataset.Manifest, p Params) *simstore.Store {
 // manifest's shards are mounted on whichever store plays the dataset
 // source.
 func buildRig(env *sim.Env, setup Setup, man *dataset.Manifest, p Params) (*rig, error) {
+	if (setup == VanillaLocal || setup == VanillaCaching) && man.TotalBytes() > p.SSDQuota() {
+		return nil, fmt.Errorf("experiments: %s: dataset (%d B) exceeds local quota (%d B)",
+			setup, man.TotalBytes(), p.SSDQuota())
+	}
 	switch setup {
 	case VanillaLustre:
 		pfs := storage.NewCounting(newLustre(env, man, p))
@@ -71,11 +77,7 @@ func buildRig(env *sim.Env, setup Setup, man *dataset.Manifest, p Params) (*rig,
 
 	case VanillaLocal:
 		// The dataset is staged on the local SSD before the job (the
-		// paper's manual best case). It must fit.
-		if man.TotalBytes() > p.SSDQuota() {
-			return nil, fmt.Errorf("experiments: %s: dataset (%d B) exceeds local quota (%d B)",
-				setup, man.TotalBytes(), p.SSDQuota())
-		}
+		// paper's manual best case). It must fit, as above.
 		ssd := simstore.NewStore(simstore.NewDevice(env, p.SSD), "ssd", 0)
 		mount(ssd, man)
 		return &rig{source: ssd}, nil
@@ -84,10 +86,6 @@ func buildRig(env *sim.Env, setup Setup, man *dataset.Manifest, p Params) (*rig,
 		// TensorFlow's Dataset.cache(local_path): epoch 1 streams from
 		// Lustre while writing through to the SSD; later epochs read
 		// the SSD copy. Requires the dataset to fit (§II summary).
-		if man.TotalBytes() > p.SSDQuota() {
-			return nil, fmt.Errorf("experiments: %s: dataset (%d B) exceeds local quota (%d B)",
-				setup, man.TotalBytes(), p.SSDQuota())
-		}
 		pfs := storage.NewCounting(newLustre(env, man, p))
 		ssdDev := simstore.NewDevice(env, p.SSD)
 		src := newCachingSource(env, pfs, ssdDev, man)
@@ -95,37 +93,9 @@ func buildRig(env *sim.Env, setup Setup, man *dataset.Manifest, p Params) (*rig,
 
 	case Monarch:
 		pfs := storage.NewCounting(newLustre(env, man, p))
-		tiers := []storage.Backend{}
-		if p.ExtraTierBytes > 0 {
-			ram := simstore.NewStore(simstore.NewDevice(env, simstore.RAMSpec()),
-				"ram", int64(float64(p.ExtraTierBytes)*p.Scale))
-			ram.CopyChunk = p.CopyChunk
-			tiers = append(tiers, ram)
-		}
-		ssd := simstore.NewStore(simstore.NewDevice(env, p.SSD), "ssd", p.SSDQuota())
-		ssd.CopyChunk = p.CopyChunk
-		tiers = append(tiers, ssd, pfs)
-
-		var evict core.EvictionPolicy
-		switch p.Eviction {
-		case "":
-		case "lru":
-			evict = core.NewLRU()
-		case "fifo":
-			evict = core.NewFIFO()
-		default:
-			return nil, fmt.Errorf("experiments: unknown eviction policy %q", p.Eviction)
-		}
-		staging := core.StageOnFirstRead
-		if p.PreStage {
-			staging = core.StagePreTraining
-		}
-		cfg := core.Config{
-			Levels:        tiers,
-			Pool:          pool.NewSimPool(env, "placer", p.PlacementThreads),
-			FullFileFetch: p.FullFileFetch,
-			Staging:       staging,
-			Eviction:      evict,
+		cfg, err := simNode(env, p, pfs, "")
+		if err != nil {
+			return nil, err
 		}
 		if p.TracePath != "" {
 			cfg.TracePath = p.TracePath
@@ -140,20 +110,91 @@ func buildRig(env *sim.Env, setup Setup, man *dataset.Manifest, p Params) (*rig,
 				"placement_threads": fmt.Sprintf("%d", p.PlacementThreads),
 			}
 		}
-		m, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &rig{
-			source:  m,
-			pfs:     pfs,
-			monarch: m,
-			init:    m.Init,
-		}, nil
+		return monarchRig(pfs, cfg)
 
 	default:
 		return nil, fmt.Errorf("experiments: unknown setup %q", setup)
 	}
+}
+
+// simNode configures the simulated MONARCH node over pfs: an optional
+// RAM level, the SSD at p's quota, the placement pool, and p's fetch,
+// staging and eviction choices. suffix tells apart the SSD and pool of
+// several nodes sharing one env.
+func simNode(env *sim.Env, p Params, pfs storage.Backend, suffix string) (core.Config, error) {
+	var tiers []storage.Backend
+	if p.ExtraTierBytes > 0 {
+		ram := simstore.NewStore(simstore.NewDevice(env, simstore.RAMSpec()),
+			"ram"+suffix, int64(float64(p.ExtraTierBytes)*p.Scale))
+		ram.CopyChunk = p.CopyChunk
+		tiers = append(tiers, ram)
+	}
+	ssd := simstore.NewStore(simstore.NewDevice(env, p.SSD), "ssd"+suffix, p.SSDQuota())
+	ssd.CopyChunk = p.CopyChunk
+	tiers = append(tiers, ssd, pfs)
+
+	var evict core.EvictionPolicy
+	switch p.Eviction {
+	case "":
+	case "lru":
+		evict = core.NewLRU()
+	case "fifo":
+		evict = core.NewFIFO()
+	default:
+		return core.Config{}, fmt.Errorf("experiments: unknown eviction policy %q", p.Eviction)
+	}
+	staging := core.StageOnFirstRead
+	if p.PreStage {
+		staging = core.StagePreTraining
+	}
+	return core.Config{
+		Levels:        tiers,
+		Pool:          pool.NewSimPool(env, "placer"+suffix, p.PlacementThreads),
+		FullFileFetch: p.FullFileFetch,
+		Staging:       staging,
+		Eviction:      evict,
+	}, nil
+}
+
+// monarchRig is the Monarch setup's rig: the middleware built from cfg
+// over pfs, its metadata build timed as init.
+func monarchRig(pfs *storage.Counting, cfg core.Config) (*rig, error) {
+	m, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &rig{source: m, pfs: pfs, monarch: m, init: m.Init}, nil
+}
+
+// train runs a single-node simulated training job on r: the rig's
+// init, then p.Epochs epochs of mdl over man read from r.source.
+// onEpoch, when set, fires at the end of every epoch.
+func (r *rig) train(env *sim.Env, mdl models.Model, man *dataset.Manifest, p Params,
+	seed uint64, onEpoch func(proc *sim.Proc, epoch int)) (train.Result, error) {
+	pcfg := p.Pipeline
+	pcfg.Manifest = man
+	pcfg.Source = r.source
+	var res train.Result
+	var err error
+	env.Go("run", func(proc *sim.Proc) {
+		if r.init != nil {
+			if err = r.init(proc.Context()); err != nil {
+				return
+			}
+		}
+		res, err = train.Run(proc, train.Config{
+			Model:      mdl,
+			Node:       p.Node,
+			Epochs:     p.Epochs,
+			Pipeline:   pcfg,
+			Seed:       seed,
+			OnEpochEnd: onEpoch,
+		})
+	})
+	if runErr := env.Run(); runErr != nil {
+		return train.Result{}, runErr
+	}
+	return res, err
 }
 
 // cachingSource reproduces tf.data's cache-to-local-file stage: reads
