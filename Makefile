@@ -9,7 +9,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# Vet, and refuse a tree gofmt would change.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 
 # Static analysis beyond vet. staticcheck is not vendored; the target
@@ -22,7 +26,7 @@ lint: vet
 		echo "staticcheck not installed; ran go vet only (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# The default test run vets first, includes a short-mode race pass over
+# The default test run vets (gofmt included) first, includes a short-mode race pass over
 # the concurrency-heavy packages (so data races in the
 # read/placement/fault paths fail fast without the cost of racing the
 # full experiment sweep), repeats the interleaving-sensitive stress
@@ -30,7 +34,7 @@ lint: vet
 # keeps the benchmark harness compiling, and finishes with a brief fuzz
 # smoke over the committed corpora.
 test:
-	$(GO) vet ./...
+	$(MAKE) vet
 	$(GO) test ./...
 	$(GO) test -tags debug ./internal/bufpool/
 	$(GO) test -race -short ./internal/core/ ./internal/pool/ ./internal/storage/ ./internal/obs/ ./internal/bufpool/ ./internal/peernet/ ./internal/journal/

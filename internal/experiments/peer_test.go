@@ -35,8 +35,8 @@ func TestPeerLoopbackFaultInjection(t *testing.T) {
 		// One failed peer read trips the breaker: the victim's files are
 		// never served by anyone else, so waiting out the default
 		// threshold only adds noise.
-		Health:    core.HealthConfig{ReadErrorThreshold: 1},
-		KillNode:  1, KillAfterEpoch: 1,
+		Health:   core.HealthConfig{ReadErrorThreshold: 1},
+		KillNode: 1, KillAfterEpoch: 1,
 		TracePath: tracePath,
 	})
 	if err != nil {

@@ -143,7 +143,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(float64((seed+i)%2)) // alternates 0 and 1
+				h.Observe(float64((seed + i) % 2)) // alternates 0 and 1
 				// Concurrent snapshots must not race with updates.
 				if i%500 == 0 {
 					_ = r.Snapshot()
