@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -77,7 +78,8 @@ func main() {
 		man.Shards[0].Name, man.Shards[0].Size, len(man.Shards[0].Records))
 }
 
-// parseBytes understands "123", "64KiB", "2MiB", "1GiB".
+// parseBytes understands "123", "64KiB", "2MiB", "1GiB". It refuses a
+// size that is not positive or does not fit an int64 once multiplied.
 func parseBytes(s string) (int64, error) {
 	mult := int64(1)
 	upper := strings.ToUpper(strings.TrimSpace(s))
@@ -92,6 +94,12 @@ func parseBytes(s string) (int64, error) {
 	n, err := strconv.ParseInt(strings.TrimSpace(upper), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q: %w", s, err)
+	}
+	if n <= 0 {
+		return 0, fmt.Errorf("bad size %q: must be positive", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("bad size %q: exceeds %d bytes", s, int64(math.MaxInt64))
 	}
 	return n * mult, nil
 }
