@@ -37,7 +37,7 @@ test:
 	$(MAKE) vet
 	$(GO) test ./...
 	$(GO) test -tags debug ./internal/bufpool/
-	$(GO) test -race -short ./internal/core/ ./internal/pool/ ./internal/storage/ ./internal/obs/ ./internal/bufpool/ ./internal/peernet/ ./internal/journal/
+	$(GO) test -race -short ./internal/core/ ./internal/pool/ ./internal/storage/ ./internal/obs/ ./internal/bufpool/ ./internal/peernet/ ./internal/journal/ ./internal/dataset/
 	$(MAKE) stress
 	$(MAKE) cross
 	$(MAKE) trace-smoke

@@ -17,7 +17,11 @@ package dataset
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"monarch/internal/recordio"
 	"monarch/internal/rng"
@@ -205,82 +209,123 @@ func imageSize(src *rng.Source, mean, sigma float64) int64 {
 	return v
 }
 
-// Materialize writes the dataset's shards into b as real TFRecord files
-// and returns the manifest they follow. Payload bytes are deterministic
-// per record so reads are verifiable.
+// Materialize writes the dataset's shards into b as real TFRecord (or
+// RecordIO) files and returns the manifest they follow. Payload bytes
+// are deterministic per record so reads are verifiable.
+//
+// Shards are built concurrently, each in one buffer of its own size, by
+// at most shardWorkers goroutines, all of which have exited when
+// Materialize returns. After a failed write or with ctx done no further
+// shard is started, and the error of the earliest failed shard is
+// returned.
 func Materialize(ctx context.Context, b storage.Backend, spec Spec) (*Manifest, error) {
 	m, err := Plan(spec)
 	if err != nil {
 		return nil, err
 	}
-	recID := 0
-	for _, shard := range m.Shards {
-		data, err := buildShard(spec, shard, &recID)
+	first := make([]int, len(m.Shards)) // the id of each shard's first record
+	var largest int64
+	for i, s := range m.Shards {
+		if i > 0 {
+			first[i] = first[i-1] + len(m.Shards[i-1].Records)
+		}
+		largest = max(largest, s.Size)
+	}
+	errs := make([]error, len(m.Shards))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(shardWorkers(runtime.GOMAXPROCS(0), largest), len(m.Shards)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(m.Shards) {
+					return
+				}
+				if errs[i] = writeShard(ctx, b, spec, m.Shards[i], first[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-		if err := b.WriteFile(ctx, shard.Name, data); err != nil {
-			return nil, fmt.Errorf("dataset: writing %s: %w", shard.Name, err)
 		}
 	}
 	return m, nil
 }
 
-// recordWriter is the framing interface both formats satisfy.
-type recordWriter interface {
-	Write(data []byte) error
-	Flush() error
+// shardBufferBytes bounds the shard buffers Materialize holds at once.
+const shardBufferBytes = 256 << 20
+
+// shardWorkers is how many shards Materialize builds at once: one per
+// processor, but no more than shardBufferBytes of the largest shard
+// holds, and at least one.
+func shardWorkers(procs int, largest int64) int {
+	return int(min(int64(procs), max(1, shardBufferBytes/max(largest, 1))))
 }
 
-func buildShard(spec Spec, shard Shard, recID *int) ([]byte, error) {
-	buf := make(sliceWriter, 0, shard.Size)
-	var w recordWriter
-	if spec.Format == RecordIO {
-		w = recordio.NewWriter(&buf)
-	} else {
-		w = tfrecord.NewWriter(&buf)
+// writeShard builds shard, whose first record is firstID, and writes it
+// to b.
+func writeShard(ctx context.Context, b storage.Backend, spec Spec, shard Shard, firstID int) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("dataset: writing %s: %w", shard.Name, err)
 	}
-	for _, e := range shard.Records {
-		id := *recID
-		*recID = id + 1
-		var payload []byte
+	data, err := buildShard(spec, shard, firstID)
+	if err != nil {
+		return err
+	}
+	if err := b.WriteFile(ctx, shard.Name, data); err != nil {
+		return fmt.Errorf("dataset: writing %s: %w", shard.Name, err)
+	}
+	return nil
+}
+
+// buildShard lays shard out in one buffer: each record's payload is
+// generated at its manifest offset and framed where it lies.
+func buildShard(spec Spec, shard Shard, firstID int) ([]byte, error) {
+	// TFRecord: uint64 length, uint32 masked CRC of it. RecordIO:
+	// uint32 magic, uint32 length.
+	header := int64(8 + 4)
+	if spec.Format == RecordIO {
+		header = 4 + 4
+	}
+	buf := make([]byte, shard.Size)
+	for r, e := range shard.Records {
+		id := firstID + r
+		if spec.Format == RecordIO && e.Length > recordioMaxLength {
+			return nil, fmt.Errorf("dataset: shard %s record %d: %w", shard.Name, id, recordio.ErrTooLarge)
+		}
+		rec := buf[e.Offset:spec.Format.RecordEnd(e)]
+		data := rec[header : header+e.Length]
 		if spec.TFExamplePayloads {
-			var err error
-			payload, err = ExamplePayload(id, int(e.Length))
+			ex, err := ExamplePayload(id, len(data))
 			if err != nil {
 				return nil, fmt.Errorf("dataset: shard %s record %d: %w", shard.Name, id, err)
 			}
+			copy(data, ex)
 		} else {
-			payload = Payload(id, int(e.Length))
+			fill(data, id)
 		}
-		if err := w.Write(payload); err != nil {
-			return nil, err
+		if spec.Format == RecordIO {
+			binary.LittleEndian.PutUint32(rec, recordio.Magic)
+			binary.LittleEndian.PutUint32(rec[4:], uint32(e.Length))
+			continue // the zero padding after data is make's
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	if int64(len(buf)) != shard.Size {
-		return nil, fmt.Errorf("dataset: shard %s built %d bytes, planned %d",
-			shard.Name, len(buf), shard.Size)
+		binary.LittleEndian.PutUint64(rec, uint64(e.Length))
+		binary.LittleEndian.PutUint32(rec[8:], tfrecord.MaskedCRC(rec[:8]))
+		binary.LittleEndian.PutUint32(rec[header+e.Length:], tfrecord.MaskedCRC(data))
 	}
 	return buf, nil
 }
 
-// Payload returns the deterministic content of record id with the given
-// length: a cheap keyed byte pattern, so corruption and misrouted reads
-// are detectable without storing originals.
-func Payload(id, length int) []byte {
-	p := make([]byte, length)
-	x := uint64(id)*0x9e3779b97f4a7c15 + 0x3c6ef372fe94f82a
-	for i := range p {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		p[i] = byte(x)
-	}
-	return p
-}
+// recordioMaxLength is the largest payload a single-part RecordIO
+// record's 29-bit length field holds.
+const recordioMaxLength = 1<<29 - 1
 
 // ExamplePayload returns record id's content as a serialized
 // tf.Example of exactly `length` bytes: deterministic image bytes, the
@@ -288,14 +333,6 @@ func Payload(id, length int) []byte {
 func ExamplePayload(id, length int) ([]byte, error) {
 	return tfexample.MarshalToSize(int64(id%1000), fmt.Sprintf("img-%08d.jpg", id),
 		length, byte(id*131+17))
-}
-
-// sliceWriter lets tfrecord.Writer append into a preallocated slice.
-type sliceWriter []byte
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	*s = append(*s, p...)
-	return len(p), nil
 }
 
 // Frontera reproduces the paper's two evaluation datasets at an

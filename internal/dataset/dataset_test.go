@@ -3,8 +3,13 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"monarch/internal/recordio"
 	"monarch/internal/storage"
@@ -408,6 +413,131 @@ func BenchmarkMaterializeSmall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Materialize(ctx, storage.NewMemFS("m", 0), spec); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func TestShardWorkers(t *testing.T) {
+	for _, c := range []struct {
+		procs   int
+		largest int64
+		want    int
+	}{
+		{2, 1 << 20, 2},
+		{64, 1 << 20, 64},
+		{64, 64 << 20, 4}, // the paper's shards on a large host
+		{64, 100 << 20, 2},
+		{8, 256 << 20, 1},
+		{8, 1 << 30, 1},
+		{1, 1, 1},
+		{4, 0, 4},
+	} {
+		if got := shardWorkers(c.procs, c.largest); got != c.want {
+			t.Errorf("shardWorkers(%d, %d) = %d, want %d", c.procs, c.largest, got, c.want)
+		}
+	}
+}
+
+// writeHook runs every WriteFile through fn, one call at a time. It
+// records how many shard buffers were handed to it at once, and fails t
+// on a call once done is set.
+type writeHook struct {
+	storage.Backend
+	t  *testing.T
+	fn func(ctx context.Context, name string, data []byte) error
+
+	mu             sync.Mutex
+	inFlight, peak atomic.Int32
+	done           atomic.Bool
+}
+
+func (w *writeHook) WriteFile(ctx context.Context, name string, data []byte) error {
+	if w.done.Load() {
+		w.t.Errorf("WriteFile(%s) after Materialize returned", name)
+	}
+	n := w.inFlight.Add(1)
+	defer w.inFlight.Add(-1)
+	for p := w.peak.Load(); n > p && !w.peak.CompareAndSwap(p, n); p = w.peak.Load() {
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.fn(ctx, name, data)
+}
+
+// TestMaterializeFailureLeavesNoGoroutine fails Materialize on a full
+// backend and on a context cancelled after the first shard: both must
+// return the error, with no write after the return and no goroutine
+// left behind. A worker past its last statement may still be counted
+// for a moment, so the count gets a second to settle; a worker that
+// never exits does not.
+func TestMaterializeFailureLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // several workers on any host
+	spec := smallSpec()
+	spec.NumImages, spec.NumShards = 40, 8
+	full := storage.NewMemFS("tiny", 100) // TestMaterializeQuotaFailure's backend
+	mem := storage.NewMemFS("m", 0)
+	cancelCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		hook *writeHook
+		want error
+	}{
+		{"quota", context.Background(), &writeHook{Backend: full, t: t, fn: full.WriteFile}, storage.ErrNoSpace},
+		{"cancelled", cancelCtx, &writeHook{Backend: mem, t: t, fn: func(ctx context.Context, name string, data []byte) error {
+			defer cancel()
+			return mem.WriteFile(ctx, name, data)
+		}}, context.Canceled},
+	} {
+		before := runtime.NumGoroutine()
+		_, err := Materialize(c.ctx, c.hook, spec)
+		c.hook.done.Store(true)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: Materialize returned %v, want %v", c.name, err, c.want)
+		}
+		if peak := c.hook.peak.Load(); peak > 4 {
+			t.Errorf("%s: %d shard buffers handed to WriteFile at once, workers 4", c.name, peak)
+		}
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%s: %d goroutines before Materialize, %d a second after it returned:\n%s",
+				c.name, before, after, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	if files, err := mem.List(context.Background()); err != nil || len(files) != 1 {
+		t.Errorf("cancelled after the first shard, %d shards written (%v)", len(files), err)
+	}
+}
+
+// TestMaterializeReturnsEarliestShardError fails two shards and wants
+// the lower one's error, whichever worker failed first.
+func TestMaterializeReturnsEarliestShardError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	spec := smallSpec()
+	spec.NumImages, spec.NumShards = 40, 8
+	m, err := Plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errLow, errHigh := errors.New("shard 2 refused"), errors.New("shard 3 refused")
+	mem := storage.NewMemFS("m", 0)
+	hook := &writeHook{Backend: mem, t: t, fn: func(ctx context.Context, name string, data []byte) error {
+		switch name {
+		case m.Shards[2].Name:
+			return errLow
+		case m.Shards[3].Name:
+			return errHigh
+		}
+		return mem.WriteFile(ctx, name, data)
+	}}
+	for range 20 {
+		if _, err := Materialize(context.Background(), hook, spec); !errors.Is(err, errLow) {
+			t.Fatalf("Materialize returned %v, want shard 2's error", err)
 		}
 	}
 }

@@ -9,6 +9,10 @@ import (
 	"monarch/internal/storage"
 )
 
+// benchFull is the benchmark's full-size dataset: 16 shards of 1 MiB,
+// nine records each.
+var benchFull = Spec{Name: "train", NumImages: 16 * 9, TotalBytes: 16 << 20, NumShards: 16}
+
 // TestMaterializeHashes pins the bytes Materialize writes for the
 // dataset specs the repo measures with — the benchmark's (bench/spec.go,
 // full and -quick sizes) and the experiments' (Frontera, at a scale a
@@ -30,7 +34,7 @@ func TestMaterializeHashes(t *testing.T) {
 		spec Spec
 		want string
 	}{
-		{"bench-full", Spec{Name: "train", NumImages: 16 * 9, TotalBytes: 16 << 20, NumShards: 16},
+		{"bench-full", benchFull,
 			"4d08189643c00162d28a70c6f903b5bb7142272c7a0821962096b4bfa28e6a3e"},
 		{"bench-quick", Spec{Name: "train", NumImages: 8 * 9, TotalBytes: 8 << 20, NumShards: 8},
 			"acffe9baedfd95acc72cb4affe65400a8c400c5676587c1969ae6de920c84e31"},
