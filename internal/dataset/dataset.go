@@ -224,11 +224,10 @@ func Materialize(ctx context.Context, b storage.Backend, spec Spec) (*Manifest, 
 		return nil, err
 	}
 	first := make([]int, len(m.Shards)) // the id of each shard's first record
-	var largest int64
+	id, largest := 0, int64(0)
 	for i, s := range m.Shards {
-		if i > 0 {
-			first[i] = first[i-1] + len(m.Shards[i-1].Records)
-		}
+		first[i] = id
+		id += len(s.Records)
 		largest = max(largest, s.Size)
 	}
 	errs := make([]error, len(m.Shards))
@@ -266,7 +265,7 @@ const shardBufferBytes = 256 << 20
 // processor, but no more than shardBufferBytes of the largest shard
 // holds, and at least one.
 func shardWorkers(procs int, largest int64) int {
-	return int(min(int64(procs), max(1, shardBufferBytes/max(largest, 1))))
+	return int(min(int64(procs), max(1, shardBufferBytes/largest)))
 }
 
 // writeShard builds shard, whose first record is firstID, and writes it

@@ -430,7 +430,6 @@ func TestShardWorkers(t *testing.T) {
 		{8, 256 << 20, 1},
 		{8, 1 << 30, 1},
 		{1, 1, 1},
-		{4, 0, 4},
 	} {
 		if got := shardWorkers(c.procs, c.largest); got != c.want {
 			t.Errorf("shardWorkers(%d, %d) = %d, want %d", c.procs, c.largest, got, c.want)
