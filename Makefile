@@ -74,7 +74,11 @@ test:
 # Beside the view lifetimes, ReadAt's copy out of a mapping: a tier file
 # truncated under it is a fallback (the fault guard), never a SIGBUS; a
 # Create'd file is never viewed; a counted tier without views refuses
-# without allocating. And the flusher's push out of tier 0's mapping:
+# without allocating. On the same line, a hedged peer read's losing
+# replica still serving after the read returned, beside reads that
+# derive their contexts from recycled annotations: the context the
+# loser holds must never be handed to a later read, which only the
+# detector sees. And the flusher's push out of tier 0's mapping:
 # no pooled buffer over OSFS, a copy over MemFS, no writer blocked
 # behind a flush in flight, a checkpoint truncated under its flush a
 # refusal wrapping ErrFault (a SIGBUS recovered). The writers-race-the-
@@ -88,7 +92,7 @@ stress:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestChunkedMidCopyReadThrough|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule|TestColdPassOneSourceOpPerFile|TestKeptFetchThroughEndsWithItsPass|TestPlacementFaultIsAFailure|TestChunkedShortTierWriteIsAFailure' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime|TestViewCopySurvivesAFault|TestViewLendSurvivesAFault|TestCountingRefusesViewsWithoutAllocating' -count=50 ./internal/storage/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReadAtSurvivesTruncatedTierCopy|TestReadAtNeverViewsCreatedFiles' -count=50 ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReadAtSurvivesTruncatedTierCopy|TestReadAtNeverViewsCreatedFiles|TestHedgeLoserOutlivesRead' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestFlushLendsTierZeroWindows|TestFlushInFlightBlocksNoWriter|TestFlushFaultIsARefusal' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadResponseSurvivesRemove|TestSendfileKeepsTheInode|TestConcurrentStreamsOfOneFile|TestClientGoneMidBody' -count=50 ./internal/peernet/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestCrashSmoke' -count=10 .
