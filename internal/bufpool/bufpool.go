@@ -31,21 +31,23 @@ package bufpool
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// pool wraps sync.Pool storing *[]byte, so Get of a pooled buffer
-// allocates nothing (the one small box per Put is the price of
-// interface boxing; the payload slice itself is what matters).
+// pool wraps a sync.Pool of one class's backing arrays, each stored as
+// its first byte's pointer: a pointer fits in an interface as it is, so
+// neither Put nor Get of a pooled buffer allocates (a slice would be
+// boxed on every Put).
 type pool struct{ p sync.Pool }
 
-func (pl *pool) get() []byte {
-	if v := pl.p.Get(); v != nil {
-		return *(v.(*[]byte))
+func (pl *pool) get(size int) []byte {
+	if p, _ := pl.p.Get().(*byte); p != nil {
+		return unsafe.Slice(p, size)
 	}
 	return nil
 }
 
-func (pl *pool) put(b []byte) { pl.p.Put(&b) }
+func (pl *pool) put(b []byte) { pl.p.Put(unsafe.SliceData(b)) }
 
 const (
 	// minClassBits..maxClassBits: 512 B .. 4 MiB.
@@ -117,7 +119,7 @@ func Get(n int) []byte {
 		news.Add(1)
 		return make([]byte, n)
 	}
-	if b := classes[c].get(); b != nil {
+	if b := classes[c].get(1 << (minClassBits + c)); b != nil {
 		b = b[:n]
 		onGet(b)
 		return b

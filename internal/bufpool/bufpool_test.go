@@ -1,6 +1,7 @@
 package bufpool
 
 import (
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -102,6 +103,25 @@ func TestReslicedPut(t *testing.T) {
 	after := Snapshot()
 	if p := after.Puts - before.Puts; p != 1 {
 		t.Fatalf("Puts delta %d, want 1", p)
+	}
+}
+
+// TestRecycleAllocatesNothing: a Put and the Get it answers allocate
+// nothing in any class, a re-sliced Put included.
+func TestRecycleAllocatesNothing(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector makes sync.Pool drop what it is given")
+			}
+		}
+	}
+	for c := 0; c < numClasses; c++ {
+		n := 1<<(minClassBits+c) - 1
+		Put(Get(n))
+		if allocs := testing.AllocsPerRun(100, func() { Put(Get(n)[:1]) }); allocs != 0 {
+			t.Errorf("Put(Get(%d)) allocates %.1f times, want 0", n, allocs)
+		}
 	}
 }
 

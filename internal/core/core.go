@@ -461,6 +461,8 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	} else {
 		got, err = m.serve(rctx, rt, e, off, n, s)
 	}
+	hedged := ann.Flags()&obs.FlagHedged != 0
+	obs.ReleaseReadAnnotation(ann) // rctx is done with; a nil ann is a no-op
 	if rt.kind != routeSource && e.snap.Load()>>snapGenShift != rt.gen {
 		// An eviction of e, or the drop of a torn chunked copy, began
 		// after resolve, so whatever the tier answered is void: the Remove
@@ -509,7 +511,7 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 		flags |= obs.FlagPeer
 		m.stats.peerHits.Add(1)
 		m.stats.peerHitBytes.Add(int64(got))
-		if ann.Flags()&obs.FlagHedged != 0 {
+		if hedged {
 			flags |= obs.FlagHedged
 			m.stats.peerHedges.Add(1)
 		}

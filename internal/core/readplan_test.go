@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -698,7 +699,8 @@ func (u unmappable) ReadView(ctx context.Context, _ string, off, n int64) (stora
 // tier's mapping without an allocation, and over a tier that lends no
 // views — a counted one, an OSFS the kernel will not map for — the
 // refusal it pays first allocates nothing either, nor counts an op: one
-// ReadAt is one tier read.
+// ReadAt is one tier read. A read the peer route serves allocates
+// nothing either: its annotated context is recycled.
 func TestWarmReadAtAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
 	for name, tier := range map[string]storage.Backend{
@@ -728,6 +730,29 @@ func TestWarmReadAtAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+	t.Run("peer", func(t *testing.T) {
+		if bi, ok := debug.ReadBuildInfo(); ok {
+			for _, s := range bi.Settings {
+				if s.Key == "-race" && s.Value == "true" {
+					t.Skip("the race detector makes sync.Pool drop what it is given")
+				}
+			}
+		}
+		f := newPeerFixture(t, nil)
+		buf := make([]byte, 64)
+		f.read(t, "remote/c")
+		allocs := testing.AllocsPerRun(100, func() {
+			if n, err := f.m.ReadAt(ctx, "remote/c", buf, 0); err != nil || n != len(buf) {
+				t.Fatalf("ReadAt = %d, %v", n, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a warm peer-routed ReadAt allocates %.1f times, want 0", allocs)
+		}
+		if st := f.m.Stats(); st.PeerHits != 102 {
+			t.Errorf("the peer tier served %d reads, want 102", st.PeerHits)
+		}
+	})
 }
 
 const (

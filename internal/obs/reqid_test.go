@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 )
 
@@ -30,12 +31,14 @@ func TestRequestIDContext(t *testing.T) {
 }
 
 // TestReadAnnotationCarriesRequestID: the peer route's one context holds
-// the annotation and the request ID, costs one allocation, answers
-// either lookup without another, and leaves every other key — a
-// cancellation too — to its parent; the nearest annotation wins.
+// the annotation and the request ID, answers either lookup without an
+// allocation, and leaves every other key — a cancellation too — to its
+// parent; the nearest annotation wins. Released, it is handed out again,
+// so a warm read's context allocates nothing.
 func TestReadAnnotationCarriesRequestID(t *testing.T) {
 	type key struct{}
-	parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+	values := context.WithValue(context.Background(), key{}, "v")
+	parent, cancel := context.WithCancel(values)
 	ctx, ann := WithReadAnnotation(parent, 0xfeed)
 	if RequestIDFrom(ctx) != 0xfeed || ReadAnnotationFrom(ctx) != ann || ctx.Value(key{}) != "v" {
 		t.Fatalf("annotated context: id %x, annotation %p (want %p), parent value %v",
@@ -48,16 +51,65 @@ func TestReadAnnotationCarriesRequestID(t *testing.T) {
 	if inner, a := WithReadAnnotation(ctx, 9); RequestIDFrom(inner) != 9 || ReadAnnotationFrom(inner) != a {
 		t.Fatalf("the nearer annotation does not win: id %x", RequestIDFrom(inner))
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		c, a := WithReadAnnotation(parent, 0xfeed)
-		if RequestIDFrom(c) == 0 || ReadAnnotationFrom(c) != a {
-			t.Fatal("lost the values")
+	if !raceEnabled() {
+		if allocs := testing.AllocsPerRun(100, func() {
+			c, a := WithReadAnnotation(values, 0xfeed)
+			if RequestIDFrom(c) != 0xfeed || ReadAnnotationFrom(c) != a || a.Flags() != 0 {
+				t.Fatal("lost the values, or kept the last read's")
+			}
+			ReleaseReadAnnotation(a)
+		}); allocs != 0 {
+			t.Fatalf("a peer read's context costs %v allocations, want 0", allocs)
 		}
-	}); allocs != 1 {
-		t.Fatalf("a peer read's context costs %v allocations, want 1", allocs)
 	}
 	cancel()
 	if ctx.Err() == nil {
 		t.Fatal("the annotated context missed its parent's cancellation")
 	}
+}
+
+// TestReadAnnotationRecycleRule: an annotation is never handed out again
+// while some goroutine may still walk its context — not one a hedge
+// flagged, not one over a parent that can be cancelled — and releasing
+// one twice, or one WithReadAnnotation did not make, changes nothing.
+func TestReadAnnotationRecycleRule(t *testing.T) {
+	bg := context.Background()
+	cancellable, cancel := context.WithCancel(bg)
+	defer cancel()
+	hedged, ha := WithReadAnnotation(bg, 1)
+	ha.Annotate(FlagHedged)
+	watched, wa := WithReadAnnotation(cancellable, 2)
+	ReleaseReadAnnotation(ha)
+	ReleaseReadAnnotation(wa)
+	ReleaseReadAnnotation(nil)
+	ReleaseReadAnnotation(&ReadAnnotation{})
+	for i := 0; i < 100; i++ {
+		c, a := WithReadAnnotation(bg, 3)
+		if a == ha || a == wa {
+			t.Fatalf("reuse %d handed out a released annotation the rule keeps", i)
+		}
+		ReleaseReadAnnotation(a)
+		ReleaseReadAnnotation(a)
+		if c2, _ := WithReadAnnotation(bg, 4); c2 == c {
+			if c3, _ := WithReadAnnotation(bg, 5); c3 == c {
+				t.Fatal("a second release put the context in the pool twice")
+			}
+		}
+	}
+	if RequestIDFrom(hedged) != 1 || ReadAnnotationFrom(hedged).Flags() != FlagHedged || RequestIDFrom(watched) != 2 {
+		t.Fatal("a kept annotation lost its values")
+	}
+}
+
+// raceEnabled reports a race-detector build, under which sync.Pool
+// drops some of what it is given.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -295,6 +296,7 @@ type readAnnKey struct{}
 type ReadAnnotation struct {
 	flags SpanFlags
 	req   uint64
+	home  *annotated // the context carrying it, until released
 }
 
 // Annotate marks the operation with f.
@@ -313,13 +315,37 @@ func (a *ReadAnnotation) Flags() SpanFlags {
 }
 
 // WithReadAnnotation derives a context carrying a fresh annotation with
-// request ID req (0: none) in one allocation, where WithValue would
-// take two. The peer route derives one per read. A hedged read's loser
-// may still hold it after the read returns, so it is never recycled.
+// request ID req (0: none). The peer route derives one per read, so it
+// comes from a pool that ReleaseReadAnnotation refills: a warm read
+// allocates nothing for it.
 func WithReadAnnotation(ctx context.Context, req uint64) (context.Context, *ReadAnnotation) {
-	c := &annotated{Context: ctx, ann: ReadAnnotation{req: req}}
+	c, _ := annotations.Get().(*annotated)
+	if c == nil {
+		c = new(annotated)
+	}
+	c.Context, c.ann = ctx, ReadAnnotation{req: req, home: c}
 	return c, &c.ann
 }
+
+// ReleaseReadAnnotation hands a's context back for a later
+// WithReadAnnotation; neither may be used after. The rule: a context
+// some goroutine may still walk after the read returned is never
+// recycled. So a FlagHedged annotation is kept out of the pool — the
+// hedge's losing request may outlive the read — and so is one over a
+// parent that can be cancelled, which the context package may watch
+// from a goroutine of its own. Nil, a second release and an annotation
+// WithReadAnnotation did not make are no-ops.
+func ReleaseReadAnnotation(a *ReadAnnotation) {
+	if a == nil || a.home == nil || a.flags&FlagHedged != 0 || a.home.Context.Done() != nil {
+		return
+	}
+	c := a.home
+	*c = annotated{}
+	annotations.Put(c)
+}
+
+// annotations recycles the contexts WithReadAnnotation derives.
+var annotations sync.Pool
 
 // annotated is the context WithReadAnnotation derives.
 type annotated struct {

@@ -117,10 +117,11 @@ func appendHeader(b []byte, code byte, req uint64, n int) ([]byte, error) {
 // connection's scratch: a local array would escape through r on every
 // call). Payloads up to bufpool.MaxPooled come from the buffer pool —
 // the caller hands them back with putPayload once parsed (every
-// in-tree decode copies what it keeps: strings via parseString,
-// WriteFile data via the backend's own copy). Larger payloads are
-// freshly allocated, growing in bounded steps so a hostile length
-// prefix cannot force a huge allocation before the stream runs dry.
+// in-tree decode copies what it keeps: strings via parseString or a
+// READ's intern table, WriteFile data via the backend's own copy).
+// Larger payloads are freshly allocated, growing in bounded steps so a
+// hostile length prefix cannot force a huge allocation before the
+// stream runs dry.
 func readFrame(r io.Reader, hdr *[13]byte) (code byte, req uint64, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, 0, nil, err
@@ -231,15 +232,52 @@ func appendString(b []byte, s string) []byte {
 
 // parseString decodes a string, returning the remainder of p.
 func parseString(p []byte) (string, []byte, error) {
+	b, p, err := cutString(p)
+	return string(b), p, err
+}
+
+// cutString decodes a string's bytes in place, returning the remainder
+// of p.
+func cutString(p []byte) ([]byte, []byte, error) {
 	if len(p) < 2 {
-		return "", nil, fmt.Errorf("%w: truncated string length", errMalformed)
+		return nil, nil, fmt.Errorf("%w: truncated string length", errMalformed)
 	}
 	n := int(binary.BigEndian.Uint16(p))
 	p = p[2:]
 	if len(p) < n {
-		return "", nil, fmt.Errorf("%w: truncated string body", errMalformed)
+		return nil, nil, fmt.Errorf("%w: truncated string body", errMalformed)
 	}
-	return string(p[:n]), p[n:], nil
+	return p[:n], p[n:], nil
+}
+
+// A connection's READs name the same few files over and over, so the
+// server decodes their names through a per-connection intern table: a
+// name seen before costs no allocation. The table keeps at most
+// maxInterned names of at most maxInternedLen bytes and starts over
+// when full, so a peer sending endless distinct names pays one
+// allocation per READ, as it would without the table, and pins at most
+// maxInterned × maxInternedLen bytes.
+const (
+	maxInterned    = 256
+	maxInternedLen = 1024
+)
+
+// internTable maps a name's bytes to the one string the connection
+// decodes them to. A nil table interns nothing.
+type internTable map[string]string
+
+func (t internTable) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if t != nil && len(s) <= maxInternedLen {
+		if len(t) >= maxInterned {
+			clear(t)
+		}
+		t[s] = s
+	}
+	return s
 }
 
 // parseI64 decodes a big-endian int64, returning the remainder.
@@ -272,13 +310,14 @@ func appendReadReq(b []byte, name string, off int64, n uint32) []byte {
 	return binary.BigEndian.AppendUint32(b, n)
 }
 
-// parseReadReq decodes a READ request payload.
-func parseReadReq(p []byte) (readReq, error) {
+// parseReadReq decodes a READ request payload, its name through names.
+func parseReadReq(p []byte, names internTable) (readReq, error) {
 	var rq readReq
-	var err error
-	if rq.name, p, err = parseString(p); err != nil {
+	name, p, err := cutString(p)
+	if err != nil {
 		return rq, err
 	}
+	rq.name = names.intern(name)
 	if rq.off, p, err = parseI64(p); err != nil {
 		return rq, err
 	}

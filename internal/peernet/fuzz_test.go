@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -138,7 +139,7 @@ func FuzzFrame(f *testing.F) {
 					t.Fatal("parseString conjured bytes")
 				}
 			}
-			parseReadReq(payload)
+			fuzzInternedRead(t, payload)
 			if entries, err := parseListResp(payload); err == nil {
 				for _, e := range entries {
 					if len(e.name) > len(payload) {
@@ -245,7 +246,7 @@ func FuzzRoundtrip(f *testing.F) {
 		if err != nil || code != OpRead {
 			t.Fatalf("decode: code=%#x err=%v", code, err)
 		}
-		rq, err := parseReadReq(got)
+		rq, err := fuzzInternedRead(t, got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,6 +254,22 @@ func FuzzRoundtrip(f *testing.F) {
 			t.Fatalf("roundtrip mismatch: %+v", rq)
 		}
 	})
+}
+
+// fuzzInternedRead parses a READ payload without an intern table, then
+// twice through one fresh table — a miss, then a hit — and fails unless
+// all three agree, error included. It returns the table-free parse.
+func fuzzInternedRead(t *testing.T, payload []byte) (readReq, error) {
+	t.Helper()
+	want, werr := parseReadReq(payload, nil)
+	names := make(internTable)
+	for _, pass := range []string{"miss", "hit"} {
+		got, err := parseReadReq(payload, names)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("interned parse (%s) = %+v, %v; table-free %+v, %v", pass, got, err, want, werr)
+		}
+	}
+	return want, werr
 }
 
 // FuzzHeartbeat checks encode→decode identity for gossiped views built

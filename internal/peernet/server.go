@@ -184,6 +184,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	br := bufio.NewReader(conn)
 	w := &respWriter{conn: conn, sendFile: newFileSender(conn)}
+	names := make(internTable)
 	var hdr [13]byte
 	for {
 		op, req, payload, err := readFrame(br, &hdr)
@@ -197,7 +198,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		if op == OpRead {
-			err = s.serveRead(w, req, payload)
+			err = s.serveRead(w, names, req, payload)
 		} else {
 			err = w.write(s.handle(op, payload))
 		}
@@ -214,9 +215,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // evicted before the last byte is out — the view is held until then.
 // Where the view is a window of an open file and the socket allows,
 // the kernel moves the range from the page cache itself (fileSender).
-func (s *Server) serveRead(w *respWriter, req uint64, payload []byte) error {
+func (s *Server) serveRead(w *respWriter, names internTable, req uint64, payload []byte) error {
 	ctx := context.Background()
-	rq, err := parseReadReq(payload)
+	rq, err := parseReadReq(payload, names)
 	if err != nil {
 		return w.write(statusFromError(err))
 	}

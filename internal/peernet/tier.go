@@ -224,8 +224,9 @@ func (t *Tier) Stat(ctx context.Context, name string) (storage.FileInfo, error) 
 
 // ReadAt implements storage.Backend: the primary replica first (hedged
 // against its own tail latency when configured), then the remaining
-// replicas in ring order. Successful hedged reads are flagged through
-// the context's obs.ReadAnnotation so the read span records them.
+// replicas in ring order. A read that launched a hedge is flagged
+// through the context's obs.ReadAnnotation, so the read span records it
+// and the context is never recycled under the losing request.
 func (t *Tier) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
 	var one [1]candidate
 	cands := t.candidates(name, one[:0])
@@ -239,12 +240,8 @@ func (t *Tier) ReadAt(ctx context.Context, name string, p []byte, off int64) (in
 		var err error
 		if i == 0 && len(cands) > 1 {
 			var consumed int
-			var hedged bool
-			n, err, consumed, hedged = t.hedgedRead(ctx, name, p, off, cands[0], cands[1])
+			n, err, consumed = t.hedgedRead(ctx, name, p, off, cands[0], cands[1])
 			i += consumed
-			if hedged && err == nil {
-				obs.ReadAnnotationFrom(ctx).Annotate(obs.FlagHedged)
-			}
 		} else {
 			n, err = cands[i].c.ReadAt(ctx, name, p, off)
 			i++
@@ -284,14 +281,14 @@ func (t *Tier) hedgeThreshold(c *Client) time.Duration {
 
 // hedgedRead reads from primary, racing backup if primary's response
 // exceeds its adaptive threshold. Returns how many candidates were
-// consumed (1: primary only, 2: hedge fired) and whether it fired.
-// The winner's bytes land in p; the loser is cancelled and its
-// connection unblocked by the client's deadline watchdog.
-func (t *Tier) hedgedRead(ctx context.Context, name string, p []byte, off int64, primary, backup candidate) (int, error, int, bool) {
+// consumed (1: primary only, 2: hedge fired). The winner's bytes land
+// in p; the loser is cancelled and its connection unblocked by the
+// client's deadline watchdog.
+func (t *Tier) hedgedRead(ctx context.Context, name string, p []byte, off int64, primary, backup candidate) (int, error, int) {
 	threshold := t.hedgeThreshold(primary.c)
 	if threshold <= 0 {
 		n, err := primary.c.ReadAt(ctx, name, p, off)
-		return n, err, 1, false
+		return n, err, 1
 	}
 
 	type result struct {
@@ -310,13 +307,16 @@ func (t *Tier) hedgedRead(ctx context.Context, name string, p []byte, off int64,
 	defer timer.Stop()
 	select {
 	case r := <-pch:
-		return r.n, r.err, 1, false
+		return r.n, r.err, 1
 	case <-timer.C:
 	}
 
 	// The primary is past its p99: race the next replica. It reads
-	// into a private buffer so the two writers never share p.
+	// into a private buffer so the two writers never share p. It may
+	// outlive this read, still walking ctx, so the flag that keeps the
+	// read's annotation out of the pool goes on before it starts.
 	t.hedges.Add(1)
+	obs.ReadAnnotationFrom(ctx).Annotate(obs.FlagHedged)
 	bctx, bcancel := context.WithCancel(ctx)
 	defer bcancel()
 	bbuf := make([]byte, len(p))
@@ -333,7 +333,7 @@ func (t *Tier) hedgedRead(ctx context.Context, name string, p []byte, off int64,
 			pres = &r
 			if r.err == nil {
 				bcancel() // loser keeps writing only its own buffer
-				return r.n, nil, 2, true
+				return r.n, nil, 2
 			}
 		case r := <-bch:
 			bres = &r
@@ -347,17 +347,17 @@ func (t *Tier) hedgedRead(ctx context.Context, name string, p []byte, off int64,
 				}
 				copy(p, bbuf[:r.n])
 				t.hedgeWins.Add(1)
-				return r.n, nil, 2, true
+				return r.n, nil, 2
 			}
 		}
 		if pres != nil && bres != nil {
 			if errors.Is(pres.err, storage.ErrNotExist) {
-				return 0, pres.err, 2, true
+				return 0, pres.err, 2
 			}
 			if errors.Is(bres.err, storage.ErrNotExist) {
-				return 0, bres.err, 2, true
+				return 0, bres.err, 2
 			}
-			return 0, pres.err, 2, true
+			return 0, pres.err, 2
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -502,7 +503,7 @@ func TestOverlongBodyFailsTheRead(t *testing.T) {
 					}
 					resp := []byte(nil)
 					if op == OpRead {
-						rq, _ := parseReadReq(payload)
+						rq, _ := parseReadReq(payload, nil)
 						resp = bytes.Repeat([]byte{0x77}, int(rq.n)+1)
 					}
 					if writeFrame(conn, StatusOK, resp) != nil {
@@ -541,10 +542,11 @@ func TestOverlongBodyFailsTheRead(t *testing.T) {
 }
 
 // TestReadPathAllocations pins the per-read garbage of the peer path:
-// hashing a name and routing a one-replica read allocate nothing, and a
-// warm READ over loopback TCP costs at most two allocations, both ends
-// of it counted (they share the process): the server's copy of the name
-// and its recycled request payload.
+// hashing a name and routing a one-replica read allocate nothing, and
+// neither does a warm READ over loopback TCP, both ends of it counted
+// (they share the process): the server finds the name in its
+// connection's intern table and recycles the request payload without a
+// box.
 func TestReadPathAllocations(t *testing.T) {
 	ring, err := NewRing([]string{"nodeA", "nodeB", "nodeC"}, 0)
 	if err != nil {
@@ -595,8 +597,59 @@ func TestReadPathAllocations(t *testing.T) {
 				t.Fatalf("%s: n=%d err=%v", name, n, err)
 			}
 		})
-		if allocs > 2 {
-			t.Fatalf("a warm 256 KiB %s over TCP allocates %.1f times, want at most 2", name, allocs)
+		if allocs != 0 {
+			t.Fatalf("a warm 256 KiB %s over TCP allocates %.1f times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestInternTableStaysBounded: READs naming more distinct files than a
+// connection's intern table keeps never grow it past its bound, a name
+// too long to keep is not kept, and every response carries its own
+// file's bytes — for a name the table dropped as well as one it holds.
+func TestInternTableStaysBounded(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemFS("ssd", 0)
+	names := make([]string, 2*maxInterned+1)
+	for i := range names {
+		names[i] = "data/shard-" + strconv.Itoa(i)
+	}
+	names = append(names, "data/"+strings.Repeat("long", maxInternedLen/4))
+	content := func(name string) []byte { return bytes.Repeat([]byte(name+";"), 3) }
+	for _, name := range names {
+		if err := mem.WriteFile(ctx, name, content(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewServer(ServerConfig{Backend: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, conn := net.Pipe()
+	defer cli.Close()
+	defer conn.Close()
+	w := &respWriter{conn: conn}
+	table := make(internTable)
+	var hdr [13]byte
+	for pass := 0; pass < 2; pass++ {
+		for i, name := range names {
+			want := content(name)
+			served := make(chan error, 1)
+			go func() { served <- srv.serveRead(w, table, 0, appendReadReq(nil, name, 0, uint32(len(want)))) }()
+			status, _, body, err := readFrame(cli, &hdr)
+			if err := errors.Join(err, <-served); err != nil {
+				t.Fatalf("pass %d, READ %d: %v", pass, i, err)
+			}
+			if status != StatusOK || !bytes.Equal(body, want) {
+				t.Fatalf("pass %d, READ %d of %q: status %#x, %d bytes not its own", pass, i, name, status, len(body))
+			}
+			putPayload(body)
+			if len(table) > maxInterned {
+				t.Fatalf("pass %d, READ %d: the table holds %d names, bound %d", pass, i, len(table), maxInterned)
+			}
+			if _, kept := table[name]; kept != (len(name) <= maxInternedLen) {
+				t.Fatalf("pass %d, READ %d: %d-byte name kept=%v", pass, i, len(name), kept)
+			}
 		}
 	}
 }
