@@ -1,9 +1,15 @@
 package storage_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"monarch/internal/storage"
@@ -129,4 +135,261 @@ func TestWrapperRangeWriterPassthrough(t *testing.T) {
 			t.Fatalf("allocate with traversal name: %v", err)
 		}
 	})
+}
+
+// newOSFS is a fresh OSFS over a temp directory, its descriptor table
+// emptied when the test ends.
+func newOSFS(t *testing.T, capacity int64) *storage.OSFS {
+	t.Helper()
+	o, err := storage.NewOSFS("os", t.TempDir(), capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.CloseIdle)
+	return o
+}
+
+// TestOSFSWriteAtFollowsReplace: a WriteAt after the name was allocated
+// again (a replace) lands in the new inode, and a view held across the
+// replace keeps the old inode's bytes. Each round's inode is filled by
+// two writers beside a reader, so the race detector sees the writes
+// share the name's table entry.
+func TestOSFSWriteAtFollowsReplace(t *testing.T) {
+	ctx := context.Background()
+	o := newOSFS(t, 0)
+	const size, rounds = 8 << 10, 4
+	var held []storage.View
+	defer func() {
+		for _, v := range held {
+			v.Release()
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		want := bytes.Repeat([]byte{byte('a' + r)}, size)
+		if err := o.Allocate(ctx, "f", size); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errc := make(chan error, 3)
+		for off := 0; off < size; off += size / 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, err := o.WriteAt(ctx, "f", want[off:off+size/2], int64(off))
+				errc <- err
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := o.ReadAt(ctx, "f", make([]byte, 512), 0)
+			errc <- err
+		}()
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			if err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
+		if got, err := o.ReadFile(ctx, "f"); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: the name does not hold the round's writes (err %v)", r, err)
+		}
+		if got := o.Used(); got != size {
+			t.Fatalf("round %d: used = %d, want %d", r, got, size)
+		}
+		v, err := o.ReadView(ctx, "f", 0, size)
+		if errors.Is(err, errors.ErrUnsupported) {
+			continue // no views on this platform: the bytes above are the row
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, v)
+		for i, v := range held {
+			if !bytes.Equal(v.Data, bytes.Repeat([]byte{byte('a' + i)}, size)) {
+				t.Fatalf("after round %d the view held since round %d changed: a write landed in a replaced inode", r, i)
+			}
+		}
+	}
+}
+
+// TestOSFSWriteAtAcrossTableEviction: more Allocated files than OSFS's
+// descriptor table holds, written round-robin from two goroutines with
+// reads between the writes, so entries are evicted and reopened — for a
+// read first, then for a write, once the table is emptied — and every
+// byte lands in its own file.
+func TestOSFSWriteAtAcrossTableEviction(t *testing.T) {
+	ctx := context.Background()
+	o := newOSFS(t, 0)
+	const files, chunk, chunks = 80, 1 << 10, 4
+	names := make([]string, files)
+	want := make([][]byte, files)
+	for i := range names {
+		names[i] = fmt.Sprintf("ckpt/%03d", i)
+		want[i] = make([]byte, chunk*chunks)
+		for j := range want[i] {
+			want[i][j] = byte(i*7 + j*13)
+		}
+		if err := o.Allocate(ctx, names[i], chunk*chunks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := make([][]byte, 2)
+	for c := 0; c < chunks; c++ {
+		if c == 2 {
+			o.CloseIdle() // the next access of every file opens it again
+		}
+		var wg sync.WaitGroup
+		for g := range p {
+			p[g] = make([]byte, chunk)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g; i < files; i += len(p) {
+					if (c+i)%3 == 0 {
+						if _, err := o.ReadAt(ctx, names[i], p[g], 0); err != nil {
+							t.Errorf("read %s: %v", names[i], err)
+							return
+						}
+					}
+					off := c * chunk
+					if n, err := o.WriteAt(ctx, names[i], want[i][off:off+chunk], int64(off)); err != nil || n != chunk {
+						t.Errorf("write %s at %d: n=%d err=%v", names[i], off, n, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+	for i, name := range names {
+		if got, err := o.ReadFile(ctx, name); err != nil || !bytes.Equal(got, want[i]) {
+			t.Fatalf("%s does not hold its writes (err %v)", name, err)
+		}
+	}
+}
+
+// TestOSFSWriteAtPermissionDenied: a WriteAt on a file the process may
+// not write fails with an error wrapping fs.ErrPermission — whether the
+// table holds no entry for it or a read-only one — and its reads are
+// still served. The chmod comes between two table lifetimes: a
+// descriptor opened for writing before it may keep writing, as any open
+// file may.
+func TestOSFSWriteAtPermissionDenied(t *testing.T) {
+	ctx := context.Background()
+	o := newOSFS(t, 0)
+	if err := o.Allocate(ctx, "f", 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.WriteAt(ctx, "f", []byte("abcd"), 0); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(o.Root(), "f")
+	if err := os.Chmod(path, 0o444); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := os.OpenFile(path, os.O_WRONLY, 0); err == nil {
+		f.Close()
+		t.Skip("permission bits are not enforced for this process")
+	}
+	p := make([]byte, 4)
+	for _, readFirst := range []bool{false, true} {
+		o.CloseIdle()
+		if readFirst { // the table holds a read-only entry for f
+			if _, err := o.ReadAt(ctx, "f", p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := o.WriteAt(ctx, "f", []byte("x"), 0); !errors.Is(err, fs.ErrPermission) {
+			t.Fatalf("read first %v: a write to a read-only file: %v, want fs.ErrPermission", readFirst, err)
+		}
+		if n, err := o.ReadAt(ctx, "f", p, 0); err != nil || n != 4 || string(p) != "abcd" {
+			t.Fatalf("read first %v: read after the refused write: n=%d err=%v p=%q", readFirst, n, err, p)
+		}
+	}
+}
+
+// TestOSFSWriteAtAfterRemove: once a file the table held is removed, a
+// WriteAt of it is ErrNotExist, reported as a write.
+func TestOSFSWriteAtAfterRemove(t *testing.T) {
+	ctx := context.Background()
+	o := newOSFS(t, 0)
+	if err := o.Allocate(ctx, "f", 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.WriteAt(ctx, "f", []byte("ab"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.ReadAt(ctx, "f", make([]byte, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Remove(ctx, "f"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := o.WriteAt(ctx, "f", []byte("cd"), 2)
+	if !errors.Is(err, storage.ErrNotExist) || !strings.Contains(err.Error(), "write") {
+		t.Fatalf("a write after Remove: %v, want a write's ErrNotExist", err)
+	}
+	if err := o.Remove(ctx, "f"); !errors.Is(err, storage.ErrNotExist) {
+		t.Fatalf("a second Remove: %v, want ErrNotExist", err)
+	}
+}
+
+// TestOSFSRemoveFreesItsQuota: Remove frees exactly the removed inode's
+// size — for a file the table holds after an Allocate, a WriteFile, a
+// replace by a smaller Allocate, and a read of a file OSFS found at
+// construction — and nothing for a name that is not there.
+func TestOSFSRemoveFreesItsQuota(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "found"), make([]byte, 7), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := storage.NewOSFS("os", dir, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.CloseIdle()
+	if err := o.Allocate(ctx, "a", 30); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.WriteAt(ctx, "a", []byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.WriteFile(ctx, "b", make([]byte, 20)); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int64{40, 25} {
+		if err := o.Allocate(ctx, "c", size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"a", "b", "c", "found"} {
+		if _, err := o.ReadAt(ctx, name, make([]byte, 1), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := int64(7 + 30 + 20 + 25)
+	if got := o.Used(); got != used {
+		t.Fatalf("used = %d, want %d", got, used)
+	}
+	for _, rm := range []struct {
+		name string
+		size int64
+	}{{"a", 30}, {"c", 25}, {"found", 7}, {"b", 20}} {
+		if err := o.Remove(ctx, rm.name); err != nil {
+			t.Fatal(err)
+		}
+		used -= rm.size
+		if got := o.Used(); got != used {
+			t.Fatalf("used = %d after removing %s, want %d", got, rm.name, used)
+		}
+	}
+	if err := o.Remove(ctx, "a"); !errors.Is(err, storage.ErrNotExist) || o.Used() != 0 {
+		t.Fatalf("removing a missing name: %v, used %d", err, o.Used())
+	}
 }
