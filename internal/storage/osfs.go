@@ -28,14 +28,21 @@ const maxCachedFDs = 64
 
 // cachedFD is one reference-counted open inode: its descriptor and,
 // once a view has been asked of it, a read-only mapping of its bytes.
-// The table holds one reference, each in-flight read another, and each
-// lent View one more until its Release — so invalidation (WriteFile,
-// Allocate, Remove: each replaces or unlinks the inode) only drops the
-// table's reference, and the descriptor is closed and the mapping
-// unmapped when the last holder lets go.
+// The table holds one reference, each in-flight read or write another,
+// and each lent View one more until its Release — so invalidation
+// (WriteFile, Allocate, Remove: each replaces or unlinks the inode) only
+// drops the table's reference, and the descriptor is closed and the
+// mapping unmapped when the last holder lets go.
 type cachedFD struct {
 	f    *os.File
 	refs atomic.Int32
+	// size is the inode's length when OSFS knows it without an fstat —
+	// it filled the inode, or fstat-ed it to open it for writing — and
+	// -1 otherwise. An inode is never resized in place, so it holds for
+	// the entry's life.
+	size int64
+	// writable says f is open read-write: WriteAt writes through it.
+	writable bool
 	// data is the whole-file mapping, built by the first view (see
 	// mapped) and never replaced: OSFS never resizes an inode in place,
 	// so its length is the file's size for as long as anyone holds it.
@@ -68,11 +75,15 @@ func (c *cachedFD) File() *os.File { return c.f }
 // deployment would point at an XFS mount on the compute node's SSD and
 // at the dataset directory on the PFS.
 //
-// Reads go through a bounded table of open files: the seed's
+// Reads and writes go through a bounded table of open files: an
 // open-read-close per ReadAt cost three syscalls per operation, which
 // dominated tier-0 hits. On unix the same entries lend views
 // (ViewReader) as windows of a read-only shared mapping, so a view
-// read costs a table lookup and no copy.
+// read costs a table lookup and no copy. An inode OSFS creates keeps
+// the read-write descriptor it was filled through, so the WriteAts
+// after an Allocate are one pwrite each and the reads and views of the
+// file share that descriptor; a name a read opened first is reopened
+// read-write once, by its first WriteAt.
 //
 // The inode rule keeps both safe. OSFS never shrinks, truncates or
 // rewrites an inode a reader may hold: WriteFile and Allocate build a
@@ -223,59 +234,130 @@ func (o *OSFS) fd(name string) (*cachedFD, error) {
 	}
 	gen := o.fdGen
 	o.fdMu.Unlock()
+	c, err := o.open(name, "read", os.O_RDONLY)
+	if err != nil {
+		return nil, err
+	}
+	return o.cache(name, c, gen), nil
+}
+
+// writer is fd for WriteAt: it returns a referenced read-write entry for
+// name. A miss, or a read-only entry a read opened, costs one read-write
+// open and an fstat for the entry's size.
+func (o *OSFS) writer(name string) (*cachedFD, error) {
+	o.fdMu.Lock()
+	if c, ok := o.fds[name]; ok && c.writable {
+		c.refs.Add(1)
+		o.fdMu.Unlock()
+		return c, nil
+	}
+	gen := o.fdGen
+	o.fdMu.Unlock()
+	c, err := o.open(name, "write", os.O_RDWR)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := c.f.Stat()
+	if err != nil {
+		c.Release()
+		return nil, err
+	}
+	c.size = fi.Size()
+	return o.cache(name, c, gen), nil
+}
+
+// open opens name with flag (O_RDONLY or O_RDWR) as an entry of unknown
+// size holding the caller's reference; verb names the operation in the
+// ErrNotExist message.
+func (o *OSFS) open(name, verb string, flag int) (*cachedFD, error) {
 	path, err := o.path(name)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
+	f, err := os.OpenFile(path, flag, 0)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("%s: read %q: %w", o.name, name, ErrNotExist)
+		return nil, fmt.Errorf("%s: %s %q: %w", o.name, verb, name, ErrNotExist)
 	}
 	if err != nil {
 		return nil, err
 	}
-	c := &cachedFD{f: f}
-	c.refs.Store(1) // the caller's
+	c := &cachedFD{f: f, size: -1, writable: flag == os.O_RDWR}
+	c.refs.Store(1)
+	return c, nil
+}
+
+// cache offers the table c, an entry for name opened while the table
+// was at generation gen and referenced by the caller, and returns the
+// entry the caller should use, referenced. An incumbent wins the race
+// to the table unless it is read-only and c is not: then c takes its
+// place. If a name was invalidated since gen — maybe this one, after
+// the open — c may hold the replaced inode: good for the caller's one
+// operation (it raced the writer), not for the table.
+func (o *OSFS) cache(name string, c *cachedFD, gen uint64) *cachedFD {
 	o.fdMu.Lock()
-	if old, ok := o.fds[name]; ok {
-		// Lost an open race: keep the incumbent, close ours.
+	old, ok := o.fds[name]
+	if ok && (old.writable || !c.writable) {
 		old.refs.Add(1)
 		o.fdMu.Unlock()
 		c.Release()
-		return old, nil
+		return old
 	}
 	if o.fdGen != gen {
-		// A name was invalidated while this open was in flight — maybe
-		// this one, maybe after the open: c may be the replaced inode.
-		// Good for this read (it raced the writer), not for the table.
 		o.fdMu.Unlock()
-		return c, nil
+		return c
 	}
-	if len(o.fds) >= maxCachedFDs {
-		for k, victim := range o.fds {
+	victim := o.put(name, c)
+	c.refs.Add(1) // the caller's; put took over the one c came with
+	o.fdMu.Unlock()
+	if victim != nil {
+		victim.Release()
+	}
+	return c
+}
+
+// put makes c, whose reference becomes the table's, name's entry, and
+// returns the entry it displaced — name's own, or an arbitrary one when
+// the table is full — for the caller to Release outside fdMu. fdMu must
+// be held.
+func (o *OSFS) put(name string, c *cachedFD) *cachedFD {
+	victim, ok := o.fds[name]
+	if !ok && len(o.fds) >= maxCachedFDs {
+		for k, v := range o.fds {
 			delete(o.fds, k)
-			defer victim.Release()
+			victim = v
 			break
 		}
 	}
-	c.refs.Add(1) // the table's
 	o.fds[name] = c
-	o.fdMu.Unlock()
-	return c, nil
+	return victim
 }
 
 // invalidate drops the table entry for name, if any, after the name's
 // inode was replaced or unlinked; in-flight reads and held views finish
 // against the old inode.
-func (o *OSFS) invalidate(name string) {
+func (o *OSFS) invalidate(name string) { o.settle(name, nil, 0) }
+
+// settle is invalidate that also caches c, an entry for the inode a
+// replace renamed over name, when no name was invalidated since gen,
+// read before the rename; otherwise c is closed, as a later rename of
+// the name may have superseded it. c comes with one reference, the
+// table's.
+func (o *OSFS) settle(name string, c *cachedFD, gen uint64) {
 	o.fdMu.Lock()
+	cached := c != nil && o.fdGen == gen
 	o.fdGen++
-	c, ok := o.fds[name]
-	if ok {
+	var victim *cachedFD
+	if cached {
+		victim = o.put(name, c)
+	} else if old, ok := o.fds[name]; ok {
 		delete(o.fds, name)
+		victim = old
 	}
 	o.fdMu.Unlock()
-	if ok {
+	if victim != nil {
+		victim.Release()
+	}
+	if c != nil && !cached {
 		c.Release()
 	}
 }
@@ -364,7 +446,8 @@ func (o *OSFS) Allocate(ctx context.Context, name string, size int64) error {
 }
 
 // replace settles quota for name at size bytes, then swaps in a fresh
-// inode (see swapIn). verb names the operation in the ErrNoSpace
+// inode of that size (see swapIn) and keeps its read-write descriptor
+// as name's table entry. verb names the operation in the ErrNoSpace
 // message.
 func (o *OSFS) replace(name, verb string, size int64, fill func(*os.File) error) error {
 	path, err := o.path(name)
@@ -377,10 +460,11 @@ func (o *OSFS) replace(name, verb string, size int64, fill func(*os.File) error)
 	if fi, err := os.Stat(path); err == nil {
 		old = fi.Size()
 	}
+	charge := size
 	if scratch(name) {
-		old, size = 0, 0 // never quota in use, whoever wrote what it replaces
+		old, charge = 0, 0 // never quota in use, whoever wrote what it replaces
 	}
-	newUsed := o.used - old + size
+	newUsed := o.used - old + charge
 	if o.capacity > 0 && newUsed > o.capacity {
 		free := o.capacity - o.used
 		o.mu.Unlock()
@@ -390,43 +474,54 @@ func (o *OSFS) replace(name, verb string, size int64, fill func(*os.File) error)
 	o.used = newUsed
 	o.mu.Unlock()
 
-	if err := swapIn(path, fill); err != nil {
+	o.fdMu.Lock()
+	gen := o.fdGen
+	o.fdMu.Unlock()
+	f, err := swapIn(path, fill)
+	if err != nil {
 		o.mu.Lock()
-		o.used = o.used - size + old
+		o.used = o.used - charge + old
 		o.mu.Unlock()
 		return err
 	}
-	// The rename swapped the inode: a cached entry would keep serving
-	// the replaced content.
-	o.invalidate(name)
+	// The rename swapped the inode: the entry it replaces would keep
+	// serving the replaced content.
+	c := &cachedFD{f: f, size: size, writable: true}
+	c.refs.Store(1)
+	o.settle(name, c, gen)
 	return nil
 }
 
-// swapIn has fill write a temp file beside path and renames it over
-// path; on any failure the temp file is gone and path untouched.
-func swapIn(path string, fill func(*os.File) error) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+// swapIn has fill write a temp file beside path, renames it over path
+// and returns it, still open read-write; on any failure the temp file
+// is closed and gone and path untouched. The directory is made only
+// when the create finds it missing.
+func swapIn(path string, fill func(*os.File) error) (*os.File, error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, TempPrefix+"*")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			tmp, err = os.CreateTemp(dir, TempPrefix+"*")
+		}
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), TempPrefix+"*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	err = fill(tmp)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
 	if err == nil {
 		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
+		tmp.Close()
 		os.Remove(tmp.Name())
+		return nil, err
 	}
-	return err
+	return tmp, nil
 }
 
 // WriteAt implements RangeWriter. The file must have been Allocated and
-// the range must stay within the allocated size.
+// the range must stay within the allocated size. A warm write is one
+// pwrite through name's table entry and allocates nothing.
 func (o *OSFS) WriteAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
 	if err := ctxErr(ctx); err != nil {
 		return 0, err
@@ -434,27 +529,16 @@ func (o *OSFS) WriteAt(ctx context.Context, name string, p []byte, off int64) (i
 	if off < 0 {
 		return 0, fmt.Errorf("%s: write %q: negative offset %d", o.name, name, off)
 	}
-	path, err := o.path(name)
+	c, err := o.writer(name)
 	if err != nil {
 		return 0, err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, fmt.Errorf("%s: write %q: %w", o.name, name, ErrNotExist)
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	if off+int64(len(p)) > fi.Size() {
+	defer c.Release()
+	if end := off + int64(len(p)); end > c.size {
 		return 0, fmt.Errorf("%s: write %q: range [%d,%d) past allocated size %d",
-			o.name, name, off, off+int64(len(p)), fi.Size())
+			o.name, name, off, end, c.size)
 	}
-	return f.WriteAt(p, off)
+	return c.f.WriteAt(p, off)
 }
 
 // Remove implements Backend.
@@ -466,21 +550,35 @@ func (o *OSFS) Remove(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
-	fi, err := os.Stat(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("%s: remove %q: %w", o.name, name, ErrNotExist)
+	size := int64(-1)
+	o.fdMu.Lock()
+	if c, ok := o.fds[name]; ok {
+		size = c.size
 	}
-	if err != nil {
-		return err
+	o.fdMu.Unlock()
+	if size < 0 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return o.removeErr(name, err)
+		}
+		size = fi.Size()
 	}
 	if err := os.Remove(path); err != nil {
-		return err
+		return o.removeErr(name, err)
 	}
 	o.invalidate(name)
 	if !scratch(name) {
 		o.mu.Lock()
-		o.used -= fi.Size()
+		o.used -= size
 		o.mu.Unlock()
 	}
 	return nil
+}
+
+// removeErr is Remove's error for err, ErrNotExist for a missing name.
+func (o *OSFS) removeErr(name string, err error) error {
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("%s: remove %q: %w", o.name, name, ErrNotExist)
+	}
+	return err
 }

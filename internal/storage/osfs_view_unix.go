@@ -36,7 +36,7 @@ func (o *OSFS) ReadView(ctx context.Context, name string, off, n int64) (View, e
 	if err != nil {
 		return View{}, err
 	}
-	data, err := c.mapped()
+	data, err := c.mapped(o.name, name)
 	if err != nil {
 		c.Release()
 		return View{}, err
@@ -50,32 +50,38 @@ func (o *OSFS) ReadView(ctx context.Context, name string, off, n int64) (View, e
 	return View{Data: data[off:end:end], R: c}, nil
 }
 
-// mapped returns the whole-file mapping, building it on first use. An
-// empty file maps to nil: there is nothing to lend, and mmap rejects a
-// zero length. A refusal is kept, and returned again by later calls.
-func (c *cachedFD) mapped() ([]byte, error) {
+// mapped returns the whole-file mapping, building it on first use, of
+// the size the entry knows or else fstat finds. An empty file maps to
+// nil: there is nothing to lend, and mmap rejects a zero length. A
+// refusal, named after the backend and file, is kept and returned again
+// by later calls.
+func (c *cachedFD) mapped(backend, name string) ([]byte, error) {
 	if p := c.data.Load(); p != nil {
 		return *p, nil
 	}
 	if p := c.refused.Load(); p != nil {
 		return nil, *p
 	}
-	fi, err := c.f.Stat()
-	if err != nil {
-		return nil, err
+	size := c.size
+	if size < 0 {
+		fi, err := c.f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		size = fi.Size()
 	}
-	size := fi.Size()
 	if size == 0 {
 		return nil, nil
 	}
 	var data []byte
+	var err error
 	if int64(int(size)) != size {
 		err = fmt.Errorf("%d bytes exceed the address space", size)
 	} else {
 		data, err = syscall.Mmap(int(c.f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	}
 	if err != nil {
-		err = fmt.Errorf("view %s: mmap: %v: %w", c.f.Name(), err, errors.ErrUnsupported)
+		err = fmt.Errorf("%s: view %q: mmap: %v: %w", backend, name, err, errors.ErrUnsupported)
 		c.refused.Store(&err)
 		return nil, err
 	}

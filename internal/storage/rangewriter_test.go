@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -391,5 +392,35 @@ func TestOSFSRemoveFreesItsQuota(t *testing.T) {
 	}
 	if err := o.Remove(ctx, "a"); !errors.Is(err, storage.ErrNotExist) || o.Used() != 0 {
 		t.Fatalf("removing a missing name: %v, used %d", err, o.Used())
+	}
+}
+
+// TestOSFSWriteAtAllocatesNothing: a warm 256 KiB WriteAt into an
+// allocated file is one pwrite through the descriptor the Allocate
+// created, with no allocation.
+func TestOSFSWriteAtAllocatesNothing(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates")
+			}
+		}
+	}
+	ctx := context.Background()
+	o := newOSFS(t, 0)
+	const size, block = 1 << 20, 256 << 10
+	if err := o.Allocate(ctx, "ckpt", size); err != nil {
+		t.Fatal(err)
+	}
+	p := bytes.Repeat([]byte{9}, block)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := o.WriteAt(ctx, "ckpt", p, int64(i%(size/block))*block); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("a warm WriteAt allocates %.1f times, want 0", allocs)
 	}
 }
