@@ -17,7 +17,6 @@ package dataset
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -287,18 +286,13 @@ func writeShard(ctx context.Context, b storage.Backend, spec Spec, shard Shard, 
 // buildShard lays shard out in one buffer: each record's payload is
 // generated at its manifest offset and framed where it lies.
 func buildShard(spec Spec, shard Shard, firstID int) ([]byte, error) {
-	// TFRecord: uint64 length, uint32 masked CRC of it. RecordIO:
-	// uint32 magic, uint32 length.
-	header := int64(8 + 4)
+	header := int64(tfrecord.HeaderSize)
 	if spec.Format == RecordIO {
-		header = 4 + 4
+		header = recordio.HeaderSize
 	}
 	buf := make([]byte, shard.Size)
 	for r, e := range shard.Records {
 		id := firstID + r
-		if spec.Format == RecordIO && e.Length > recordioMaxLength {
-			return nil, fmt.Errorf("dataset: shard %s record %d: %w", shard.Name, id, recordio.ErrTooLarge)
-		}
 		rec := buf[e.Offset:spec.Format.RecordEnd(e)]
 		data := rec[header : header+e.Length]
 		if spec.TFExamplePayloads {
@@ -310,21 +304,14 @@ func buildShard(spec Spec, shard Shard, firstID int) ([]byte, error) {
 		} else {
 			fill(data, id)
 		}
-		if spec.Format == RecordIO {
-			binary.LittleEndian.PutUint32(rec, recordio.Magic)
-			binary.LittleEndian.PutUint32(rec[4:], uint32(e.Length))
-			continue // the zero padding after data is make's
+		if spec.Format != RecordIO {
+			tfrecord.Frame(rec)
+		} else if err := recordio.Frame(rec, e.Length); err != nil {
+			return nil, fmt.Errorf("dataset: shard %s record %d: %w", shard.Name, id, err)
 		}
-		binary.LittleEndian.PutUint64(rec, uint64(e.Length))
-		binary.LittleEndian.PutUint32(rec[8:], tfrecord.MaskedCRC(rec[:8]))
-		binary.LittleEndian.PutUint32(rec[header+e.Length:], tfrecord.MaskedCRC(data))
 	}
 	return buf, nil
 }
-
-// recordioMaxLength is the largest payload a single-part RecordIO
-// record's 29-bit length field holds.
-const recordioMaxLength = 1<<29 - 1
 
 // ExamplePayload returns record id's content as a serialized
 // tf.Example of exactly `length` bytes: deterministic image bytes, the

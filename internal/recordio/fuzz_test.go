@@ -9,16 +9,11 @@ import (
 // FuzzReader feeds arbitrary bytes to the RecordIO reader: no panics,
 // and agreement with BuildIndex on stream validity.
 func FuzzReader(f *testing.F) {
-	var valid bytes.Buffer
-	w := NewWriter(&valid)
-	_ = w.Write([]byte("one"))
-	_ = w.Write(nil)
-	_ = w.Write(bytes.Repeat([]byte{9}, 100))
-	_ = w.Flush()
-	f.Add(valid.Bytes())
+	valid := encode([]byte("one"), nil, bytes.Repeat([]byte{9}, 100))
+	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(valid.Bytes()[:6])
-	corrupted := append([]byte(nil), valid.Bytes()...)
+	f.Add(valid[:6])
+	corrupted := append([]byte(nil), valid...)
 	corrupted[0] ^= 1
 	f.Add(corrupted)
 

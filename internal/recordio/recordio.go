@@ -31,8 +31,9 @@ import (
 // Magic is the per-record marker word.
 const Magic uint32 = 0xced7230a
 
-// headerSize is the fixed framing before each payload.
-const headerSize = 8
+// HeaderSize is the fixed framing before each payload: the magic and
+// the length.
+const HeaderSize = 8
 
 // maxLength is the largest payload a single-part record can hold.
 const maxLength = 1<<29 - 1
@@ -54,51 +55,22 @@ var (
 func Pad(n int64) int64 { return (4 - n%4) % 4 }
 
 // RecordSize returns the on-disk footprint of a payload of n bytes.
-func RecordSize(n int64) int64 { return headerSize + n + Pad(n) }
+func RecordSize(n int64) int64 { return HeaderSize + n + Pad(n) }
 
-// Writer emits RecordIO framing.
-type Writer struct {
-	w       *bufio.Writer
-	written int64
-	records int
-}
-
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// Write appends one record.
-func (w *Writer) Write(data []byte) error {
-	if len(data) > maxLength {
+// Frame writes one record's framing in place around its n-byte payload.
+// rec is the whole record: RecordSize(n) bytes with the payload at
+// rec[HeaderSize:]. Frame fills in the magic and the length and zeroes
+// the padding. A payload longer than a single-part record holds is
+// ErrTooLarge, and rec is left as it was.
+func Frame(rec []byte, n int64) error {
+	if n > maxLength {
 		return ErrTooLarge
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[:4], Magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(data)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(data); err != nil {
-		return err
-	}
-	var pad [3]byte
-	if _, err := w.w.Write(pad[:Pad(int64(len(data)))]); err != nil {
-		return err
-	}
-	w.written += RecordSize(int64(len(data)))
-	w.records++
+	binary.LittleEndian.PutUint32(rec, Magic)
+	binary.LittleEndian.PutUint32(rec[4:], uint32(n))
+	clear(rec[HeaderSize+n:])
 	return nil
 }
-
-// Flush drains the internal buffer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Written returns total bytes emitted (after Flush).
-func (w *Writer) Written() int64 { return w.written }
-
-// Records returns the number of records written.
-func (w *Writer) Records() int { return w.records }
 
 // Reader iterates records.
 type Reader struct {
@@ -113,7 +85,7 @@ func NewReader(r io.Reader) *Reader {
 
 // Next returns the next payload, or io.EOF cleanly at stream end.
 func (r *Reader) Next() ([]byte, error) {
-	var hdr [headerSize]byte
+	var hdr [HeaderSize]byte
 	n, err := io.ReadFull(r.r, hdr[:])
 	if err == io.EOF && n == 0 {
 		return nil, io.EOF
@@ -182,7 +154,7 @@ func BuildIndex(data []byte) ([]Entry, error) {
 	var idx []Entry
 	off := int64(0)
 	for off < int64(len(data)) {
-		if off+headerSize > int64(len(data)) {
+		if off+HeaderSize > int64(len(data)) {
 			return nil, fmt.Errorf("%w: header at offset %d", ErrTruncated, off)
 		}
 		if binary.LittleEndian.Uint32(data[off:off+4]) != Magic {

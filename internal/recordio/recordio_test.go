@@ -21,16 +21,24 @@ func TestPadAndRecordSize(t *testing.T) {
 	}
 }
 
-func TestWriterExactFraming(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write([]byte("hello")); err != nil {
-		t.Fatal(err)
+// encode frames each payload in place, as a shard builder does, and
+// returns the records back to back. A record's bytes start out 0xFF, so
+// padding Frame did not zero shows.
+func encode(payloads ...[]byte) []byte {
+	var out []byte
+	for _, p := range payloads {
+		rec := bytes.Repeat([]byte{0xFF}, int(RecordSize(int64(len(p)))))
+		copy(rec[HeaderSize:], p)
+		if err := Frame(rec, int64(len(p))); err != nil {
+			panic(err)
+		}
+		out = append(out, rec...)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	return out
+}
+
+func TestFrameExactFraming(t *testing.T) {
+	raw := encode([]byte("hello"))
 	if int64(len(raw)) != RecordSize(5) {
 		t.Fatalf("size = %d", len(raw))
 	}
@@ -49,21 +57,12 @@ func TestWriterExactFraming(t *testing.T) {
 }
 
 func TestRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	records := [][]byte{[]byte("a"), {}, []byte("abcd"), bytes.Repeat([]byte{7}, 1000)}
-	for _, r := range records {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
+	raw := encode(records...)
+	if want := (8 + 4) + 8 + (8 + 4) + (8 + 1000); len(raw) != want {
+		t.Fatalf("stream is %d bytes, want %d", len(raw), want)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Records() != 4 || w.Written() != int64(buf.Len()) {
-		t.Fatalf("records=%d written=%d buf=%d", w.Records(), w.Written(), buf.Len())
-	}
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(raw))
 	for i, want := range records {
 		got, err := r.Next()
 		if err != nil {
@@ -80,21 +79,12 @@ func TestRoundtrip(t *testing.T) {
 
 func TestRoundtripProperty(t *testing.T) {
 	err := quick.Check(func(payloads [][]byte) bool {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, p := range payloads {
-			if err := w.Write(p); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		idx, err := BuildIndex(buf.Bytes())
+		raw := encode(payloads...)
+		idx, err := BuildIndex(raw)
 		if err != nil || len(idx) != len(payloads) {
 			return false
 		}
-		r := NewReader(bytes.NewReader(buf.Bytes()))
+		r := NewReader(bytes.NewReader(raw))
 		for i, want := range payloads {
 			if r.Offset() != idx[i].Offset {
 				return false
@@ -113,11 +103,7 @@ func TestRoundtripProperty(t *testing.T) {
 }
 
 func TestReaderDetectsBadMagic(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	_ = w.Write([]byte("data"))
-	_ = w.Flush()
-	raw := buf.Bytes()
+	raw := encode([]byte("data"))
 	raw[0] ^= 0xFF
 	if _, err := NewReader(bytes.NewReader(raw)).Next(); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("got %v", err)
@@ -128,15 +114,12 @@ func TestReaderDetectsBadMagic(t *testing.T) {
 }
 
 func TestReaderDetectsTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	_ = w.Write([]byte("data-data"))
-	_ = w.Flush()
-	for _, cut := range []int{4, 10, buf.Len() - 1} {
-		if _, err := NewReader(bytes.NewReader(buf.Bytes()[:cut])).Next(); !errors.Is(err, ErrTruncated) {
+	raw := encode([]byte("data-data"))
+	for _, cut := range []int{4, 10, len(raw) - 1} {
+		if _, err := NewReader(bytes.NewReader(raw[:cut])).Next(); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		if _, err := BuildIndex(buf.Bytes()[:cut]); !errors.Is(err, ErrTruncated) {
+		if _, err := BuildIndex(raw[:cut]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("index cut %d: %v", cut, err)
 		}
 	}
@@ -154,25 +137,24 @@ func TestReaderRejectsMultiPart(t *testing.T) {
 	}
 }
 
-func TestWriterRejectsOversizedRecord(t *testing.T) {
-	w := NewWriter(io.Discard)
-	huge := make([]byte, 1<<29)
-	if err := w.Write(huge); !errors.Is(err, ErrTooLarge) {
+func TestFrameRejectsOversizedRecord(t *testing.T) {
+	rec := make([]byte, HeaderSize) // Frame refuses before it touches the record
+	if err := Frame(rec, 1<<29); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v", err)
+	}
+	if !bytes.Equal(rec, make([]byte, HeaderSize)) {
+		t.Fatal("a refused Frame wrote to the record")
 	}
 }
 
 func TestBuildIndexOffsets(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	sizes := []int{3, 0, 8, 5}
+	var payloads [][]byte
 	for _, n := range sizes {
-		if err := w.Write(make([]byte, n)); err != nil {
-			t.Fatal(err)
-		}
+		payloads = append(payloads, make([]byte, n))
 	}
-	_ = w.Flush()
-	idx, err := BuildIndex(buf.Bytes())
+	raw := encode(payloads...)
+	idx, err := BuildIndex(raw)
 	if err != nil || len(idx) != 4 {
 		t.Fatalf("idx=%v err=%v", idx, err)
 	}
@@ -183,17 +165,16 @@ func TestBuildIndexOffsets(t *testing.T) {
 		}
 		off = e.End()
 	}
-	if off != int64(buf.Len()) {
-		t.Fatalf("index ends at %d, stream is %d", off, buf.Len())
+	if off != int64(len(raw)) {
+		t.Fatalf("index ends at %d, stream is %d", off, len(raw))
 	}
 }
 
-func BenchmarkWriter(b *testing.B) {
-	payload := make([]byte, 64<<10)
-	w := NewWriter(io.Discard)
-	b.SetBytes(int64(len(payload)))
+func BenchmarkFrame(b *testing.B) {
+	rec := make([]byte, RecordSize(64<<10+1))
+	b.SetBytes(64<<10 + 1)
 	for i := 0; i < b.N; i++ {
-		if err := w.Write(payload); err != nil {
+		if err := Frame(rec, 64<<10+1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,16 +11,11 @@ import (
 // report a typed corruption error.
 func FuzzReader(f *testing.F) {
 	// Seed corpus: valid streams and near-miss corruptions.
-	var valid bytes.Buffer
-	w := NewWriter(&valid)
-	_ = w.Write([]byte("record-one"))
-	_ = w.Write(nil)
-	_ = w.Write(bytes.Repeat([]byte{0xAB}, 300))
-	_ = w.Flush()
-	f.Add(valid.Bytes())
+	valid := encode([]byte("record-one"), nil, bytes.Repeat([]byte{0xAB}, 300))
+	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(valid.Bytes()[:5])
-	corrupted := append([]byte(nil), valid.Bytes()...)
+	f.Add(valid[:5])
+	corrupted := append([]byte(nil), valid...)
 	corrupted[9] ^= 0xFF
 	f.Add(corrupted)
 

@@ -29,7 +29,10 @@ import (
 )
 
 // Overhead is the framing overhead per record in bytes.
-const Overhead = 8 + 4 + 4
+const Overhead = HeaderSize + 4
+
+// HeaderSize is the framing before each payload: the length and its CRC.
+const HeaderSize = 8 + 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -49,47 +52,16 @@ func MaskedCRC(data []byte) uint32 {
 	return ((crc >> 15) | (crc << 17)) + 0xa282ead8
 }
 
-// Writer emits TFRecord framing to an io.Writer.
-type Writer struct {
-	w       *bufio.Writer
-	written int64
-	records int
+// Frame writes one record's framing in place around its payload. rec
+// is the whole record: RecordSize(n) bytes, at least Overhead, with the
+// n-byte payload at rec[HeaderSize:]. Frame fills in the length, its CRC
+// and the payload's CRC after it.
+func Frame(rec []byte) {
+	n := len(rec) - Overhead
+	binary.LittleEndian.PutUint64(rec, uint64(n))
+	binary.LittleEndian.PutUint32(rec[8:], MaskedCRC(rec[:8]))
+	binary.LittleEndian.PutUint32(rec[HeaderSize+n:], MaskedCRC(rec[HeaderSize:HeaderSize+n]))
 }
-
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// Write appends one record.
-func (w *Writer) Write(data []byte) error {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[:8], uint64(len(data)))
-	binary.LittleEndian.PutUint32(hdr[8:12], MaskedCRC(hdr[:8]))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(data); err != nil {
-		return err
-	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], MaskedCRC(data))
-	if _, err := w.w.Write(foot[:]); err != nil {
-		return err
-	}
-	w.written += int64(len(data)) + Overhead
-	w.records++
-	return nil
-}
-
-// Flush drains the internal buffer to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Written returns the total bytes emitted (after Flush).
-func (w *Writer) Written() int64 { return w.written }
-
-// Records returns the number of records written.
-func (w *Writer) Records() int { return w.records }
 
 // RecordSize returns the on-disk footprint of a payload of n bytes.
 func RecordSize(n int64) int64 { return n + Overhead }
@@ -110,7 +82,7 @@ func NewReader(r io.Reader) *Reader {
 // Next returns the next record payload, or io.EOF cleanly at the end of
 // the stream. The returned slice is freshly allocated.
 func (r *Reader) Next() ([]byte, error) {
-	var hdr [12]byte
+	var hdr [HeaderSize]byte
 	n, err := io.ReadFull(r.r, hdr[:])
 	if err == io.EOF && n == 0 {
 		return nil, io.EOF

@@ -24,17 +24,22 @@ func TestMaskedCRCKnownVector(t *testing.T) {
 	}
 }
 
-func TestWriterProducesExactFraming(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+// encode frames each payload in place, as a shard builder does, and
+// returns the records back to back.
+func encode(payloads ...[]byte) []byte {
+	var out []byte
+	for _, p := range payloads {
+		rec := make([]byte, RecordSize(int64(len(p))))
+		copy(rec[HeaderSize:], p)
+		Frame(rec)
+		out = append(out, rec...)
+	}
+	return out
+}
+
+func TestFrameProducesExactFraming(t *testing.T) {
 	payload := []byte("hello")
-	if err := w.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encode(payload)
 	if int64(len(raw)) != RecordSize(int64(len(payload))) {
 		t.Fatalf("file size %d, want %d", len(raw), RecordSize(5))
 	}
@@ -53,25 +58,13 @@ func TestWriterProducesExactFraming(t *testing.T) {
 }
 
 func TestRoundtripMultipleRecords(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	records := [][]byte{[]byte("one"), {}, []byte("three"), bytes.Repeat([]byte{0xAB}, 10000)}
-	for _, rec := range records {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Records() != 4 {
-		t.Fatalf("Records = %d", w.Records())
-	}
-	if w.Written() != int64(buf.Len()) {
-		t.Fatalf("Written = %d, buffer = %d", w.Written(), buf.Len())
+	raw := encode(records...)
+	if want := 3 + 0 + 5 + 10000 + 4*Overhead; len(raw) != want {
+		t.Fatalf("stream is %d bytes, want %d", len(raw), want)
 	}
 
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(raw))
 	for i, want := range records {
 		got, err := r.Next()
 		if err != nil {
@@ -88,17 +81,7 @@ func TestRoundtripMultipleRecords(t *testing.T) {
 
 func TestRoundtripProperty(t *testing.T) {
 	err := quick.Check(func(payloads [][]byte) bool {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, p := range payloads {
-			if err := w.Write(p); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		r := NewReader(bytes.NewReader(buf.Bytes()))
+		r := NewReader(bytes.NewReader(encode(payloads...)))
 		for _, want := range payloads {
 			got, err := r.Next()
 			if err != nil || !bytes.Equal(got, want) {
@@ -115,15 +98,7 @@ func TestRoundtripProperty(t *testing.T) {
 
 func corruptedShard(t *testing.T, flip int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write([]byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encode([]byte("payload"))
 	raw[flip] ^= 0xFF
 	return raw
 }
@@ -145,16 +120,9 @@ func TestReaderDetectsDataCorruption(t *testing.T) {
 }
 
 func TestReaderDetectsTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write([]byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{4, 14, buf.Len() - 1} {
-		_, err := NewReader(bytes.NewReader(buf.Bytes()[:cut])).Next()
+	raw := encode([]byte("payload"))
+	for _, cut := range []int{4, 14, len(raw) - 1} {
+		_, err := NewReader(bytes.NewReader(raw[:cut])).Next()
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut %d: got %v", cut, err)
 		}
@@ -185,18 +153,13 @@ func TestReaderRejectsImplausibleLength(t *testing.T) {
 }
 
 func TestBuildIndex(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	sizes := []int{100, 0, 250, 7}
+	var payloads [][]byte
 	for _, n := range sizes {
-		if err := w.Write(make([]byte, n)); err != nil {
-			t.Fatal(err)
-		}
+		payloads = append(payloads, make([]byte, n))
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := BuildIndex(buf.Bytes())
+	raw := encode(payloads...)
+	idx, err := BuildIndex(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +176,8 @@ func TestBuildIndex(t *testing.T) {
 		}
 		off = e.End()
 	}
-	if idx.TotalBytes() != int64(buf.Len()) {
-		t.Fatalf("TotalBytes = %d, want %d", idx.TotalBytes(), buf.Len())
+	if idx.TotalBytes() != int64(len(raw)) {
+		t.Fatalf("TotalBytes = %d, want %d", idx.TotalBytes(), len(raw))
 	}
 }
 
@@ -230,32 +193,24 @@ func TestBuildIndexCorruption(t *testing.T) {
 	if _, err := BuildIndex(raw); !errors.Is(err, ErrBadLengthCRC) {
 		t.Fatalf("got %v", err)
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	_ = w.Write([]byte("abc"))
-	_ = w.Flush()
-	if _, err := BuildIndex(buf.Bytes()[:buf.Len()-2]); !errors.Is(err, ErrTruncated) {
+	raw = encode([]byte("abc"))
+	if _, err := BuildIndex(raw[:len(raw)-2]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestIndexMatchesReaderOffsets(t *testing.T) {
 	err := quick.Check(func(sizes []uint16) bool {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		var payloads [][]byte
 		for _, s := range sizes {
-			if err := w.Write(make([]byte, int(s)%5000)); err != nil {
-				return false
-			}
+			payloads = append(payloads, make([]byte, int(s)%5000))
 		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		idx, err := BuildIndex(buf.Bytes())
+		raw := encode(payloads...)
+		idx, err := BuildIndex(raw)
 		if err != nil || len(idx) != len(sizes) {
 			return false
 		}
-		r := NewReader(bytes.NewReader(buf.Bytes()))
+		r := NewReader(bytes.NewReader(raw))
 		for _, e := range idx {
 			if r.Offset() != e.Offset {
 				return false
@@ -271,26 +226,21 @@ func TestIndexMatchesReaderOffsets(t *testing.T) {
 	}
 }
 
-func BenchmarkWriter(b *testing.B) {
-	payload := make([]byte, 64*1024)
-	w := NewWriter(io.Discard)
-	b.SetBytes(int64(len(payload)))
+func BenchmarkFrame(b *testing.B) {
+	rec := make([]byte, RecordSize(64*1024))
+	b.SetBytes(64 * 1024)
 	for i := 0; i < b.N; i++ {
-		if err := w.Write(payload); err != nil {
-			b.Fatal(err)
-		}
+		Frame(rec)
 	}
 }
 
 func BenchmarkReader(b *testing.B) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	payload := make([]byte, 64*1024)
-	for i := 0; i < 64; i++ {
-		_ = w.Write(payload)
+	payloads := make([][]byte, 64)
+	for i := range payloads {
+		payloads[i] = payload
 	}
-	_ = w.Flush()
-	raw := buf.Bytes()
+	raw := encode(payloads...)
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
