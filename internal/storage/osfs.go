@@ -222,57 +222,27 @@ func (o *OSFS) Stat(ctx context.Context, name string) (FileInfo, error) {
 }
 
 // fd returns a referenced table entry for name, opening the file on a
-// miss. The caller must Release it after use. A hit skips validating
+// miss. With write the entry is read-write and knows its size: a miss,
+// or a read-only entry a read opened, costs a read-write open and an
+// fstat. The caller must Release it after use. A hit skips validating
 // the name and building its path: this exact name passed both when the
 // entry was inserted.
-func (o *OSFS) fd(name string) (*cachedFD, error) {
+func (o *OSFS) fd(name string, write bool) (*cachedFD, error) {
 	o.fdMu.Lock()
-	if c, ok := o.fds[name]; ok {
+	if c, ok := o.fds[name]; ok && (c.writable || !write) {
 		c.refs.Add(1)
 		o.fdMu.Unlock()
 		return c, nil
 	}
 	gen := o.fdGen
 	o.fdMu.Unlock()
-	c, err := o.open(name, "read", os.O_RDONLY)
-	if err != nil {
-		return nil, err
-	}
-	return o.cache(name, c, gen), nil
-}
-
-// writer is fd for WriteAt: it returns a referenced read-write entry for
-// name. A miss, or a read-only entry a read opened, costs one read-write
-// open and an fstat for the entry's size.
-func (o *OSFS) writer(name string) (*cachedFD, error) {
-	o.fdMu.Lock()
-	if c, ok := o.fds[name]; ok && c.writable {
-		c.refs.Add(1)
-		o.fdMu.Unlock()
-		return c, nil
-	}
-	gen := o.fdGen
-	o.fdMu.Unlock()
-	c, err := o.open(name, "write", os.O_RDWR)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := c.f.Stat()
-	if err != nil {
-		c.Release()
-		return nil, err
-	}
-	c.size = fi.Size()
-	return o.cache(name, c, gen), nil
-}
-
-// open opens name with flag (O_RDONLY or O_RDWR) as an entry of unknown
-// size holding the caller's reference; verb names the operation in the
-// ErrNotExist message.
-func (o *OSFS) open(name, verb string, flag int) (*cachedFD, error) {
 	path, err := o.path(name)
 	if err != nil {
 		return nil, err
+	}
+	flag, verb := os.O_RDONLY, "read"
+	if write {
+		flag, verb = os.O_RDWR, "write"
 	}
 	f, err := os.OpenFile(path, flag, 0)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -281,38 +251,40 @@ func (o *OSFS) open(name, verb string, flag int) (*cachedFD, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &cachedFD{f: f, size: -1, writable: flag == os.O_RDWR}
-	c.refs.Store(1)
-	return c, nil
-}
-
-// cache offers the table c, an entry for name opened while the table
-// was at generation gen and referenced by the caller, and returns the
-// entry the caller should use, referenced. An incumbent wins the race
-// to the table unless it is read-only and c is not: then c takes its
-// place. If a name was invalidated since gen — maybe this one, after
-// the open — c may hold the replaced inode: good for the caller's one
-// operation (it raced the writer), not for the table.
-func (o *OSFS) cache(name string, c *cachedFD, gen uint64) *cachedFD {
+	c := &cachedFD{f: f, size: -1, writable: write}
+	c.refs.Store(1) // the caller's
+	if write {
+		fi, err := f.Stat()
+		if err != nil {
+			c.Release()
+			return nil, err
+		}
+		c.size = fi.Size()
+	}
 	o.fdMu.Lock()
-	old, ok := o.fds[name]
-	if ok && (old.writable || !c.writable) {
+	if old, ok := o.fds[name]; ok && (old.writable || !write) {
+		// Lost an open race: keep the incumbent, close ours. A read-only
+		// incumbent gives way to a writer's open.
 		old.refs.Add(1)
 		o.fdMu.Unlock()
 		c.Release()
-		return old
+		return old, nil
 	}
 	if o.fdGen != gen {
+		// A name was invalidated while this open was in flight — maybe
+		// this one, maybe after the open: c may be the replaced inode.
+		// Good for this operation (it raced the writer), not for the
+		// table.
 		o.fdMu.Unlock()
-		return c
+		return c, nil
 	}
 	victim := o.put(name, c)
-	c.refs.Add(1) // the caller's; put took over the one c came with
+	c.refs.Add(1) // the caller's; put took over the first as the table's
 	o.fdMu.Unlock()
 	if victim != nil {
 		victim.Release()
 	}
-	return c
+	return c, nil
 }
 
 // put makes c, whose reference becomes the table's, name's entry, and
@@ -381,7 +353,7 @@ func (o *OSFS) ReadAt(ctx context.Context, name string, p []byte, off int64) (in
 	if err := ctxErr(ctx); err != nil {
 		return 0, err
 	}
-	c, err := o.fd(name)
+	c, err := o.fd(name, false)
 	if err != nil {
 		return 0, err
 	}
@@ -529,7 +501,7 @@ func (o *OSFS) WriteAt(ctx context.Context, name string, p []byte, off int64) (i
 	if off < 0 {
 		return 0, fmt.Errorf("%s: write %q: negative offset %d", o.name, name, off)
 	}
-	c, err := o.writer(name)
+	c, err := o.fd(name, true)
 	if err != nil {
 		return 0, err
 	}

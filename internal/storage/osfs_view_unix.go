@@ -32,7 +32,7 @@ func (o *OSFS) ReadView(ctx context.Context, name string, off, n int64) (View, e
 	if off < 0 {
 		return View{}, fmt.Errorf("%s: read %q: negative offset %d", o.name, name, off)
 	}
-	c, err := o.fd(name)
+	c, err := o.fd(name, false)
 	if err != nil {
 		return View{}, err
 	}
