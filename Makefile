@@ -83,7 +83,10 @@ test:
 # behind a flush in flight, a checkpoint truncated under its flush a
 # refusal wrapping ErrFault (a SIGBUS recovered). The writers-race-the-
 # flusher property above runs over both tiers, the OSFS one pushing the
-# very pages the writers land in.
+# very pages the writers land in. On the storage line, OSFS's writes
+# through its descriptor table, beside a reader: a write through a
+# cached descriptor must never land in a replaced or closed inode,
+# whether the name was allocated again under it or its entry evicted.
 # Last, the SIGKILL drill with the detector in the burst child as well.
 stress:
 	GOMAXPROCS=4 $(GO) test -run 'TestEvictReplaceReadRace|TestReadAtHighFanIn' -count=20 ./internal/core/
@@ -91,7 +94,7 @@ stress:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestRemoveDuringFlush|TestCreateDuringRemove|TestFlushPlanProperty|TestRangeFlushRefusalKeepsEveryRangeDirty' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestPlacementSettleParity|TestChunkedMidCopyReadThrough|TestShutdownCancelsInFlightPlacement|TestFetchThroughConcurrentFirstMiss|TestReadAheadViewOutlivesBuffer|TestReadAheadRule|TestColdPassOneSourceOpPerFile|TestKeptFetchThroughEndsWithItsPass|TestPlacementFaultIsAFailure|TestChunkedShortTierWriteIsAFailure' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -tags debug -run 'TestReadAheadViewOutlivesBuffer' -count=20 ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime|TestViewCopySurvivesAFault|TestViewLendSurvivesAFault|TestCountingRefusesViewsWithoutAllocating' -count=50 ./internal/storage/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestViewReaderConformance/.*/Lifetime|TestViewCopySurvivesAFault|TestViewLendSurvivesAFault|TestCountingRefusesViewsWithoutAllocating|TestOSFSWriteAtFollowsReplace|TestOSFSWriteAtAcrossTableEviction' -count=50 ./internal/storage/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadAtSurvivesTruncatedTierCopy|TestReadAtNeverViewsCreatedFiles|TestHedgeLoserOutlivesRead' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestFlushLendsTierZeroWindows|TestFlushInFlightBlocksNoWriter|TestFlushFaultIsARefusal' -count=50 ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReadResponseSurvivesRemove|TestSendfileKeepsTheInode|TestConcurrentStreamsOfOneFile|TestClientGoneMidBody' -count=50 ./internal/peernet/

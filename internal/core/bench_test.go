@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -110,13 +111,35 @@ func benchFanIn(b *testing.B, g int, body func(pb *testing.PB, seed int)) {
 // variant is ReadView's copy-free path over the same workload, which
 // strips the memcpy and leaves only lookup + routing + bookkeeping.
 // End to end the same path is the ledger's core.readat_p50_us /
-// core.readview_p50_ns (bench/README.md).
+// core.readview_p50_ns (bench/README.md). The osfs-view cases are the
+// view path over a real OSFS tier 0, whose views share its descriptor
+// table: at 2 goroutines they price the contention on the table's lock
+// and on core's shared counters.
 func BenchmarkReadAtParallel(b *testing.B) {
 	m := benchStack(b, 64, 256<<10)
 	ctx := context.Background()
 	names := make([]string, 64)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%04d", i)
+	}
+	views := func(m *Monarch) func(pb *testing.PB, seed int) {
+		return func(pb *testing.PB, seed int) {
+			i := seed
+			for pb.Next() {
+				i++
+				v, err := m.ReadView(ctx, names[i&63], int64(i&3)<<16, 64<<10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(v.Data) != 64<<10 {
+					b.Fatalf("view returned %d bytes", len(v.Data))
+				}
+				// Touch both ends so the view's bytes are really read,
+				// without paying a full copy.
+				_ = v.Data[0] + v.Data[len(v.Data)-1]
+				v.Release()
+			}
+		}
 	}
 	for _, g := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("copy/g%d", g), func(b *testing.B) {
@@ -134,23 +157,23 @@ func BenchmarkReadAtParallel(b *testing.B) {
 	}
 	for _, g := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("view/g%d", g), func(b *testing.B) {
-			benchFanIn(b, g, func(pb *testing.PB, seed int) {
-				i := seed
-				for pb.Next() {
-					i++
-					v, err := m.ReadView(ctx, names[i&63], int64(i&3)<<16, 64<<10)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(v.Data) != 64<<10 {
-						b.Fatalf("view returned %d bytes", len(v.Data))
-					}
-					// Touch both ends so the view's bytes are really read,
-					// without paying a full copy.
-					_ = v.Data[0] + v.Data[len(v.Data)-1]
-					v.Release()
-				}
-			})
+			benchFanIn(b, g, views(m))
+		})
+	}
+	ssd, err := storage.NewOSFS("ssd", b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(ssd.CloseIdle)
+	onOSFS := benchStackOn(b, ssd, 64, 256<<10)
+	for _, g := range []int{1, 2} {
+		b.Run(fmt.Sprintf("osfs-view/g%d", g), func(b *testing.B) {
+			v, err := ssd.ReadView(ctx, names[0], 0, 1)
+			if errors.Is(err, errors.ErrUnsupported) {
+				b.Skip("OSFS lends no views on this platform")
+			}
+			v.Release()
+			benchFanIn(b, g, views(onOSFS))
 		})
 	}
 }

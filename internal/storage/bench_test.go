@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -70,6 +71,36 @@ func BenchmarkOSFSReadAt(b *testing.B) {
 		if _, err := o.ReadAt(ctx, "f", buf, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOSFSWriteAt is a checkpoint's chunk writes into an
+// allocated 1 MiB file, warm: the file's descriptor is already open.
+func BenchmarkOSFSWriteAt(b *testing.B) {
+	ctx := context.Background()
+	const size = 1 << 20
+	for _, block := range []int{64 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("%dKB", block>>10), func(b *testing.B) {
+			o, err := NewOSFS("o", b.TempDir(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(o.CloseIdle)
+			if err := o.Allocate(ctx, "ckpt", size); err != nil {
+				b.Fatal(err)
+			}
+			p := bytes.Repeat([]byte{3}, block)
+			if _, err := o.WriteAt(ctx, "ckpt", p, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(block))
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if _, err := o.WriteAt(ctx, "ckpt", p, int64(i%(size/block)*block)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
