@@ -103,12 +103,13 @@ func (g *Gauge) Value() float64 {
 // Histogram is a bounded-bucket distribution: observations land in the
 // first bucket whose upper bound is >= the value, plus an implicit +Inf
 // bucket. Buckets are fixed at registration, so Observe is a short
-// linear scan and two atomic adds — no allocation, no lock.
+// linear scan, one atomic add and a sum update — no allocation, no
+// lock. There is no separate total: a reader derives it from the same
+// bucket loads it reports, so no reader sees a bucket above the total.
 type Histogram struct {
 	bounds []float64       // sorted upper bounds, +Inf implicit
 	counts []atomic.Uint64 // len(bounds)+1
 	sum    atomic.Uint64   // float64 bits
-	count  atomic.Uint64
 }
 
 // Observe records v.
@@ -121,7 +122,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -157,8 +157,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	count := h.count.Load()
-	if count == 0 || len(h.bounds) == 0 {
+	var buf [16]uint64
+	counts, total := h.load(buf[:0])
+	if total == 0 || len(h.bounds) == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -167,11 +168,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(count)
+	rank := q * float64(total)
 	prevLE, cum := 0.0, uint64(0)
 	for i, le := range h.bounds {
 		prev := cum
-		cum += h.counts[i].Load()
+		cum += counts[i]
 		if float64(cum) >= rank && cum > prev {
 			frac := (rank - float64(prev)) / float64(cum-prev)
 			return prevLE + (le-prevLE)*frac
@@ -186,7 +187,22 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var total uint64
+	for i := range h.counts {
+		total += h.counts[i].Load()
+	}
+	return total
+}
+
+// load appends every bucket's count, +Inf last, to dst, loading each
+// once, and returns them with their total.
+func (h *Histogram) load(dst []uint64) (counts []uint64, total uint64) {
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		dst = append(dst, c)
+		total += c
+	}
+	return dst, total
 }
 
 // Sum returns the sum of all observations.

@@ -167,6 +167,56 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
+// TestSnapshotHistogramMonotoneUnderObservers takes snapshots while
+// observations land and requires each to be a valid cumulative
+// histogram: buckets never decrease, and no finite bucket exceeds the
+// total that the exposition prints as both +Inf and _count.
+func TestSnapshotHistogramMonotoneUnderObservers(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("scrape_seconds", "", []float64{0.1, 1, 10})
+	const observers, snapshots = 2, 20000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < observers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe([]float64{0.05, 0.5, 5, 50}[i%4])
+			}
+		}()
+	}
+	bad := 0
+	for i := 0; i < snapshots; i++ {
+		hp, ok := r.Snapshot().Hist("scrape_seconds")
+		if !ok {
+			t.Fatal("histogram missing from snapshot")
+		}
+		prev := uint64(0)
+		for _, b := range hp.Buckets {
+			if b.Count < prev {
+				bad++
+				t.Errorf("snapshot %d: bucket le=%v holds %d, below the previous bucket's %d", i, b.LE, b.Count, prev)
+			}
+			prev = b.Count
+		}
+		if prev > hp.Count {
+			bad++
+			t.Errorf("snapshot %d: last finite bucket %d above +Inf and _count %d", i, prev, hp.Count)
+		}
+		if bad > 5 {
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestConcurrentRegistration exercises the registration path itself
 // under parallelism: all goroutines must converge on the same handle.
 func TestConcurrentRegistration(t *testing.T) {

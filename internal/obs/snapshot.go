@@ -88,10 +88,11 @@ func (r *Registry) Snapshot() Snapshot {
 				}
 			}
 			if s.h != nil {
-				hp := &HistogramPoint{Sum: s.h.Sum(), Count: s.h.Count()}
+				counts, total := s.h.load(make([]uint64, 0, len(s.h.counts)))
+				hp := &HistogramPoint{Sum: s.h.Sum(), Count: total}
 				var cum uint64
 				for i, b := range s.h.bounds {
-					cum += s.h.counts[i].Load()
+					cum += counts[i]
 					hp.Buckets = append(hp.Buckets, BucketPoint{LE: b, Count: cum})
 				}
 				hp.P50 = hp.Quantile(0.50)
