@@ -234,13 +234,18 @@ func (m *Monarch) ReadAt(ctx context.Context, name string, p []byte, off int64) 
 // ReadView serves up to n bytes of the named file at offset off as a
 // borrowed, read-only view — the copy-free variant of ReadAt, through
 // the same read plan: exactly as available, and moving the same
-// counters, histograms, spans and breakers. Data points straight at the
-// tier's bytes — MemFS's buffer, a read-only mapping of the OSFS file —
-// when a dataset file is fully placed on a healthy tier whose backend
-// lends views, and at a fetch-through's bytes while its copy is in
-// flight; every other read (another route, a file registered by
-// Create, a backend that refuses) is copied into pooled scratch that
-// Release returns. Stats.ViewsLent / ViewsCopied say which happened.
+// counters, histograms, spans and breakers, with one exception: a view
+// the local route's tier lends is counted but not timed. It reads no
+// clock and is not observed in monarch_read_latency_seconds; with a
+// span hook its span still carries its duration.
+//
+// Data points straight at the tier's bytes — MemFS's buffer, a
+// read-only mapping of the OSFS file — when a dataset file is fully
+// placed on a healthy tier whose backend lends views, and at a
+// fetch-through's bytes while its copy is in flight; every other read
+// (another route, a file registered by Create, a backend that refuses)
+// is copied into pooled scratch that Release returns.
+// Stats.ViewsLent / ViewsCopied say which happened.
 //
 // The caller MUST Release the view exactly once, promptly: a MemFS
 // view holds the file's read lock, so sitting on one blocks writers to
@@ -258,12 +263,25 @@ func (m *Monarch) ReadView(ctx context.Context, name string, off, n int64) (stor
 // a view for ReadView to hand out. A successful serve leaves the
 // delivered bytes in view.Data either way; lent says the last serve's
 // view is the holder's own bytes — a tier's, or a fetch-through
-// buffer's — not a copy.
+// buffer's — not a copy. start is the read's clock when its timed window
+// opened, or unclocked while a view may still be lent by the local tier.
 type sink struct {
-	buf  []byte
-	lend bool
-	lent bool
-	view storage.View
+	buf   []byte
+	lend  bool
+	lent  bool
+	view  storage.View
+	start time.Duration
+}
+
+// unclocked is a sink's start before its timed window opens.
+const unclocked time.Duration = -1
+
+// clock opens s's timed window unless it is open: the read will not be a
+// view the local tier lends, which is counted, not timed.
+func (m *Monarch) clock(s *sink) {
+	if s.start == unclocked {
+		s.start = time.Since(m.base)
+	}
 }
 
 // take lands v — bytes a holder lends: a tier's view, a window of a
@@ -352,6 +370,7 @@ func (m *Monarch) serve(ctx context.Context, rt route, e *fileEntry, off, n int6
 		}
 	}
 	s.lent = false
+	m.clock(s)
 	if s.lend {
 		if rem := e.size - off; rem < n {
 			n = max(rem, 0)
@@ -420,7 +439,12 @@ func (m *Monarch) recovered(e *fileEntry, rt route, err error) obs.SpanFlags {
 // recover through the source if an upper tier let the read down, and
 // account for the outcome — each in exactly one place.
 func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) (int, error) {
-	start := time.Since(m.base)
+	// ReadAt is timed from entry; a view from when serve or a fetched
+	// window rules out a lent one. A span hook wants every duration.
+	s.start = unclocked
+	if !s.lend || m.spanHook != nil {
+		s.start = time.Since(m.base)
+	}
 	e, err := m.lookup(name)
 	if err == nil && off < 0 {
 		// The caller's error, refused before any tier is asked: a tier's
@@ -429,7 +453,9 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	}
 	if err != nil {
 		m.inst.errs[stageRead].Inc()
-		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(m.base) - start})
+		if m.spanHook != nil {
+			m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: -1, Off: off, Err: err, Duration: time.Since(m.base) - s.start})
+		}
 		return 0, err
 	}
 	rt := m.resolve(e)
@@ -457,6 +483,7 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	var cause error // a fallback's failed first attempt, for the span
 	var got int
 	if whole != nil {
+		m.clock(s)
 		got, err = s.take(whole.window(off, n))
 	} else {
 		got, err = m.serve(rctx, rt, e, off, n, s)
@@ -491,11 +518,13 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	lvl := rt.d.level
 	if err != nil {
 		m.inst.errs[stageRead].Inc()
-		spanErr := err
-		if cause != nil {
-			spanErr = errors.Join(err, cause)
+		if m.spanHook != nil {
+			spanErr := err
+			if cause != nil {
+				spanErr = errors.Join(err, cause)
+			}
+			m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Flags: flags, Req: req, Err: spanErr, Duration: time.Since(m.base) - s.start})
 		}
-		m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Flags: flags, Req: req, Err: spanErr, Duration: time.Since(m.base) - start})
 		return got, err
 	}
 	m.stats.served(lvl, int64(got))
@@ -516,9 +545,15 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 			m.stats.peerHedges.Add(1)
 		}
 	}
-	dur := time.Since(m.base) - start
-	m.inst.readLatency[lvl].Observe(dur.Seconds())
-	m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Bytes: int64(got), Flags: flags, Req: req, Err: cause, Duration: dur})
+	if s.start != unclocked { // unclocked: lent by the local tier, and no span hook
+		dur := time.Since(m.base) - s.start
+		if !s.lent || rt.kind != routeLocal {
+			m.inst.readLatency[lvl].Observe(dur.Seconds())
+		}
+		if m.spanHook != nil {
+			m.span(obs.Span{Kind: obs.SpanRead, File: name, Tier: lvl, Off: off, Bytes: int64(got), Flags: flags, Req: req, Err: cause, Duration: dur})
+		}
+	}
 	m.stats.jobRead(m.tenants, name, lvl, m.source.level, int64(got))
 
 	// Only a read the source served can be a file's first access or
