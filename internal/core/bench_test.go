@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -479,19 +480,22 @@ func BenchmarkPlacementWholeFile(b *testing.B) { benchPlacement(b, 0) }
 
 func BenchmarkPlacementChunked(b *testing.B) { benchPlacement(b, 256<<10) }
 
-// benchMidCopy measures the read path with a chunked placement pinned
-// in flight: every read takes the landed-prefix lookup (placer.fetched)
-// before being served from the upper tier — the per-read cost the
-// mid-copy read-through feature adds. cfgEdit lets the instrumented
-// variant attach observability consumers to the same stack; the built
-// instance is returned so callers can check what those consumers saw.
-func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
+// midCopyChunk is the read size of the mid-copy read path's benchmarks.
+const midCopyChunk = 64 << 10
+
+// midCopyStack builds a stack with a chunked placement pinned in flight:
+// every read takes the landed-prefix lookup (placer.fetched) before
+// being served from the upper tier — the per-read cost the mid-copy
+// read-through feature adds. cfgEdit lets the instrumented variants
+// attach observability consumers to the same stack.
+func midCopyStack(tb testing.TB, cfgEdit func(*Config)) *Monarch {
+	tb.Helper()
 	ctx := context.Background()
-	const fileSize, chunk = 256 << 10, 64 << 10
+	const fileSize, chunk = 256 << 10, midCopyChunk
 	content := bytes.Repeat([]byte{7}, fileSize)
 	pfs := storage.NewMemFS("pfs", 0)
 	if err := pfs.WriteFile(ctx, "f", content); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pfs.SetReadOnly(true)
 	tier0 := storage.NewMemFS("ssd", 0)
@@ -507,32 +511,45 @@ func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
 	}
 	m, err := New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(m.Close)
+	tb.Cleanup(m.Close)
 	// Hand-publish the mid-copy state: namespace built, entry queued with
 	// the whole file landed, content staged on tier 0. No copy runs, so
 	// the placement never resolves and each read exercises the holder
 	// lookup (a queued entry never re-schedules placement on access).
 	if err := tier0.Allocate(ctx, "f", fileSize); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := tier0.WriteAt(ctx, "f", content, 0); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m.meta.populate([]storage.FileInfo{{Name: "f", Size: fileSize}}, 1)
 	e, _ := m.meta.get("f")
 	e.tryQueue()
 	e.raise(e.land(0), fileSize)
-	buf := make([]byte, chunk)
+	return m
+}
+
+// readMidCopy makes reads i to i+n-1 of a midCopyStack, each one chunk
+// of the file in turn.
+func readMidCopy(tb testing.TB, m *Monarch, buf []byte, i, n int) {
+	for end := i + n; i < end; i++ {
+		if _, err := m.ReadAt(context.Background(), "f", buf, int64(i%4)*midCopyChunk); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// benchMidCopy measures the read path of a midCopyStack; the built
+// instance is returned so callers can check what its consumers saw.
+func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
+	m := midCopyStack(b, cfgEdit)
+	buf := make([]byte, midCopyChunk)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.ReadAt(ctx, "f", buf, int64(i%4)*chunk); err != nil {
-			b.Fatal(err)
-		}
-	}
+	readMidCopy(b, m, buf, 0, b.N)
 	return m
 }
 
@@ -577,13 +594,14 @@ func BenchmarkReadAtTraced(b *testing.B) {
 	}
 }
 
-// TestObservabilityOverheadBudget runs the three mid-copy benchmarks
-// against each other and fails when the instrumented read path costs
-// more than 5% over its baseline (DESIGN.md §8) — measured here and
-// now, not read off a snapshot somebody had to remember to regenerate.
-// Rounds alternate the variants and each keeps its fastest run, which
-// is what the code costs when the machine leaves it alone; the test
-// stops at the first round inside the budget.
+// TestObservabilityOverheadBudget runs the three mid-copy read paths
+// against each other and fails when the instrumented one costs more
+// than 5% over its baseline (DESIGN.md §8) — measured here and now, not
+// read off a snapshot somebody had to remember to regenerate. It
+// measures by pairs, as the benchmark ledger does: each pair times one
+// batch of reads on every stack back to back, the order reversed in
+// every other pair, and the verdict is the median of the per-pair
+// ratios, so drift on the machine lands on both sides of a ratio.
 //
 // The traced-over-instrumented budget (§9) is measured the same way
 // but only reported: it does not hold at this commit (ROADMAP
@@ -604,29 +622,47 @@ func TestObservabilityOverheadBudget(t *testing.T) {
 	if instrumented {
 		t.Skip("instrumented test binary")
 	}
-	const budget, rounds = 1.05, 5
-	best := [3]float64{}
-	var instr, traced float64
-	for r := 0; r < rounds; r++ {
-		for i, bench := range []func(*testing.B){BenchmarkReadAtMidCopy, BenchmarkReadAtInstrumented, BenchmarkReadAtTraced} {
-			res := testing.Benchmark(bench)
-			if res.N == 0 {
-				t.Fatalf("benchmark %d failed", i)
-			}
-			ns := float64(res.T.Nanoseconds()) / float64(res.N)
-			if best[i] == 0 || ns < best[i] {
-				best[i] = ns
-			}
+	const budget, pairs, batch = 1.05, 51, 4000
+	var spans atomic.Int64
+	hook := func(obs.Span) { spans.Add(1) }
+	stacks := [3]*Monarch{
+		midCopyStack(t, nil),
+		midCopyStack(t, func(c *Config) { c.Trace = hook }),
+		midCopyStack(t, func(c *Config) {
+			c.Trace = hook
+			c.TracePath = filepath.Join(t.TempDir(), "budget.bin")
+		}),
+	}
+	buf := make([]byte, midCopyChunk)
+	var instr, traced, nsBase []float64
+	for p := -1; p < pairs; p++ { // pair -1 warms the stacks up and is dropped
+		order := []int{0, 1, 2}
+		if p%2 != 0 {
+			order = []int{2, 1, 0}
 		}
-		instr, traced = best[1]/best[0], best[2]/best[1]
-		if instr <= budget {
-			break
+		var ns [3]float64
+		for _, i := range order {
+			start := time.Now()
+			readMidCopy(t, stacks[i], buf, 0, batch)
+			ns[i] = float64(time.Since(start).Nanoseconds()) / batch
+		}
+		if p >= 0 {
+			instr, traced = append(instr, ns[1]/ns[0]), append(traced, ns[2]/ns[1])
+			nsBase = append(nsBase, ns[0])
 		}
 	}
-	t.Logf("ns/op: baseline %.0f, instrumented %.0f (%+.1f%%), traced %.0f (%+.1f%% over instrumented)",
-		best[0], best[1], (instr-1)*100, best[2], (traced-1)*100)
-	if instr > budget {
-		t.Errorf("instrumented read path is %.1f%% over its baseline, budget 5%%", (instr-1)*100)
+	if spans.Load() == 0 || stacks[2].Tracer().Stats().Recorded == 0 {
+		t.Fatal("the instrumented stacks saw no spans")
+	}
+	median := func(v []float64) float64 {
+		slices.Sort(v)
+		return v[len(v)/2]
+	}
+	mi, mt := median(instr), median(traced)
+	t.Logf("median of %d pairs: baseline %.0f ns/op, instrumented %+.1f%% (pairs %+.1f%% to %+.1f%%), traced %+.1f%% over instrumented",
+		pairs, median(nsBase), (mi-1)*100, (slices.Min(instr)-1)*100, (slices.Max(instr)-1)*100, (mt-1)*100)
+	if mi > budget {
+		t.Errorf("instrumented read path is %.1f%% over its baseline, budget 5%%", (mi-1)*100)
 	}
 }
 
