@@ -531,10 +531,10 @@ func midCopyStack(tb testing.TB, cfgEdit func(*Config)) *Monarch {
 	return m
 }
 
-// readMidCopy makes reads i to i+n-1 of a midCopyStack, each one chunk
-// of the file in turn.
-func readMidCopy(tb testing.TB, m *Monarch, buf []byte, i, n int) {
-	for end := i + n; i < end; i++ {
+// readMidCopy makes n reads of a midCopyStack, each one chunk of the
+// file in turn.
+func readMidCopy(tb testing.TB, m *Monarch, buf []byte, n int) {
+	for i := 0; i < n; i++ {
 		if _, err := m.ReadAt(context.Background(), "f", buf, int64(i%4)*midCopyChunk); err != nil {
 			tb.Fatal(err)
 		}
@@ -549,7 +549,7 @@ func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	readMidCopy(b, m, buf, 0, b.N)
+	readMidCopy(b, m, buf, b.N)
 	return m
 }
 
@@ -643,7 +643,7 @@ func TestObservabilityOverheadBudget(t *testing.T) {
 		var ns [3]float64
 		for _, i := range order {
 			start := time.Now()
-			readMidCopy(t, stacks[i], buf, 0, batch)
+			readMidCopy(t, stacks[i], buf, batch)
 			ns[i] = float64(time.Since(start).Nanoseconds()) / batch
 		}
 		if p >= 0 {
