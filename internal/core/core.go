@@ -237,7 +237,9 @@ func (m *Monarch) ReadAt(ctx context.Context, name string, p []byte, off int64) 
 // counters, histograms, spans and breakers, with one exception: a view
 // the local route's tier lends is counted but not timed. It reads no
 // clock and is not observed in monarch_read_latency_seconds; with a
-// span hook its span still carries its duration.
+// span hook its span still carries its duration. So a view whose first
+// attempt at that tier fails or is voided is timed from the failure:
+// its recovery and source re-serve, not the failed attempt.
 //
 // Data points straight at the tier's bytes — MemFS's buffer, a
 // read-only mapping of the OSFS file — when a dataset file is fully
@@ -439,8 +441,8 @@ func (m *Monarch) recovered(e *fileEntry, rt route, err error) obs.SpanFlags {
 // recover through the source if an upper tier let the read down, and
 // account for the outcome — each in exactly one place.
 func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) (int, error) {
-	// ReadAt is timed from entry; a view from when serve or a fetched
-	// window rules out a lent one. A span hook wants every duration.
+	// ReadAt is timed from entry; a view from when its route rules out a
+	// lent one. A span hook wants every duration.
 	s.start = unclocked
 	if !s.lend || m.spanHook != nil {
 		s.start = time.Since(m.base)
@@ -461,9 +463,11 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	rt := m.resolve(e)
 	// Only a read bound for the source can find bytes in flight, or fetch
 	// them: a landed prefix re-routes it to its tier; whole holds a
-	// buffer's file from here to its end, served from memory.
+	// buffer's file from here to its end, served from memory. No tier
+	// lends it a view, so its window opens before the source is read.
 	var whole *fetched
 	if rt.kind == routeSource {
+		m.clock(s)
 		whole, rt = m.placer.fetched(ctx, e, off, n, rt)
 	}
 	rctx := ctx
@@ -483,7 +487,6 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	var cause error // a fallback's failed first attempt, for the span
 	var got int
 	if whole != nil {
-		m.clock(s)
 		got, err = s.take(whole.window(off, n))
 	} else {
 		got, err = m.serve(rctx, rt, e, off, n, s)
@@ -509,6 +512,7 @@ func (m *Monarch) read(ctx context.Context, name string, off, n int64, s *sink) 
 	case err == nil:
 		m.health.recordReadOK(rt.d.level) // a no-op on the untracked source
 	case rt.kind != routeSource:
+		m.clock(s) // a view whose first attempt failed is timed from here
 		if flags = m.recovered(e, rt, err); flags&obs.FlagFallback != 0 {
 			cause = &obs.FallbackError{Tier: rt.d.level, Err: err}
 		}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"monarch/internal/obs"
 	"monarch/internal/pool"
@@ -718,6 +719,61 @@ func TestLentViewsAreCountedNotTimed(t *testing.T) {
 	}
 	if got := count(m, "monarch_read_latency_seconds", "0"); got != k {
 		t.Errorf("traced: tier 0 latency observations = %d, want the %d ReadAts", got, k)
+	}
+}
+
+// slowSource is a source whose every data read waits delay first.
+type slowSource struct {
+	storage.Backend
+	delay time.Duration
+}
+
+func (s slowSource) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
+	time.Sleep(s.delay)
+	return s.Backend.ReadAt(ctx, name, p, off)
+}
+
+func (s slowSource) ReadFile(ctx context.Context, name string) ([]byte, error) {
+	time.Sleep(s.delay)
+	return s.Backend.ReadFile(ctx, name)
+}
+
+// TestSourceFetchIsTimed pins that a read which fetches its file from
+// the source keeps that source read inside its timed window through
+// either sink: a view of a fetch-through or read-ahead buffer is handed
+// out of memory, but the PFS read that filled it is the read's own. The
+// first read of each rig is its one source op and its one observation
+// on the source's latency histogram, so that histogram's sum must hold
+// the source's delay. No span hook is set: with one, every read is
+// timed from entry.
+func TestSourceFetchIsTimed(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		capacity int64 // 0: room to fetch through; 1: no room, so read ahead
+		read     func(r *scanRig, view bool)
+	}{
+		{"fetch-through", 0, func(r *scanRig, view bool) { r.read(t, view, 0, scanWindow) }},
+		{"read-ahead", 1, func(r *scanRig, view bool) { r.readFile(t, aheadName(0), view, 0, scanWindow) }},
+	} {
+		for _, view := range []bool{false, true} {
+			files := map[string][]byte{scanFile: scanContent(1 << 20), aheadName(0): scanContent(1 << 20)}
+			r := newShardRig(t, files, tc.capacity, func(c *Config) {
+				c.Trace = nil
+				c.Levels[1] = slowSource{Backend: c.Levels[1], delay: delay}
+			})
+			tc.read(r, view)
+			st := r.m.Stats()
+			if st.FetchThroughs+st.ReadAheads != 1 || r.ops() != 1 {
+				t.Fatalf("%s view=%v: %d fetch-throughs, %d read-aheads, %d source ops; want the one fill",
+					tc.name, view, st.FetchThroughs, st.ReadAheads, r.ops())
+			}
+			hp, ok := r.m.Registry().Snapshot().Hist("monarch_read_latency_seconds", obs.L("tier", "1"))
+			if !ok || hp.Count != 1 || hp.Sum < delay.Seconds() {
+				t.Errorf("%s view=%v: source latency histogram %+v (present %v); want one observation of at least %v",
+					tc.name, view, hp, ok, delay)
+			}
+		}
 	}
 }
 
