@@ -555,6 +555,21 @@ func benchMidCopy(b *testing.B, cfgEdit func(*Config)) *Monarch {
 
 func BenchmarkReadAtMidCopy(b *testing.B) { benchMidCopy(b, nil) }
 
+// instrumentedCfg attaches the read path's hot-path consumer, a span
+// hook counting into spans: BenchmarkReadAtInstrumented's stack.
+func instrumentedCfg(spans *atomic.Int64) func(*Config) {
+	return func(c *Config) { c.Trace = func(obs.Span) { spans.Add(1) } }
+}
+
+// tracedCfg is instrumentedCfg plus the trace recorder writing to path:
+// BenchmarkReadAtTraced's stack.
+func tracedCfg(spans *atomic.Int64, path string) func(*Config) {
+	return func(c *Config) {
+		instrumentedCfg(spans)(c)
+		c.TracePath = path
+	}
+}
+
 // BenchmarkReadAtInstrumented is the overhead guard for the
 // observability layer: the identical mid-copy read path with its
 // hot-path consumer attached — a span trace hook. The registry's
@@ -563,9 +578,7 @@ func BenchmarkReadAtMidCopy(b *testing.B) { benchMidCopy(b, nil) }
 // BenchmarkReadAtMidCopy; TestObservabilityOverheadBudget enforces it.
 func BenchmarkReadAtInstrumented(b *testing.B) {
 	var spans atomic.Int64
-	benchMidCopy(b, func(c *Config) {
-		c.Trace = func(s obs.Span) { spans.Add(1) }
-	})
+	benchMidCopy(b, instrumentedCfg(&spans))
 	if spans.Load() == 0 {
 		b.Fatal("trace hook never fired")
 	}
@@ -580,10 +593,7 @@ func BenchmarkReadAtInstrumented(b *testing.B) {
 func BenchmarkReadAtTraced(b *testing.B) {
 	var spans atomic.Int64
 	path := filepath.Join(b.TempDir(), "bench.bin")
-	m := benchMidCopy(b, func(c *Config) {
-		c.Trace = func(s obs.Span) { spans.Add(1) }
-		c.TracePath = path
-	})
+	m := benchMidCopy(b, tracedCfg(&spans, path))
 	b.StopTimer()
 	if spans.Load() == 0 {
 		b.Fatal("trace hook never fired")
@@ -624,14 +634,10 @@ func TestObservabilityOverheadBudget(t *testing.T) {
 	}
 	const budget, pairs, batch = 1.05, 51, 4000
 	var spans atomic.Int64
-	hook := func(obs.Span) { spans.Add(1) }
 	stacks := [3]*Monarch{
 		midCopyStack(t, nil),
-		midCopyStack(t, func(c *Config) { c.Trace = hook }),
-		midCopyStack(t, func(c *Config) {
-			c.Trace = hook
-			c.TracePath = filepath.Join(t.TempDir(), "budget.bin")
-		}),
+		midCopyStack(t, instrumentedCfg(&spans)),
+		midCopyStack(t, tracedCfg(&spans, filepath.Join(t.TempDir(), "budget.bin"))),
 	}
 	buf := make([]byte, midCopyChunk)
 	var instr, traced, nsBase []float64
